@@ -240,7 +240,6 @@ def bench_columnar_scale(nodes: int, rounds: int, seed: int = 3) -> dict:
     return {
         "n_nodes": nodes,
         "rounds": rounds,
-        "engine_numpy": scenario.engine.use_numpy,
         "populate_seconds": round(populate_seconds, 3),
         "round_seconds": round(round_seconds, 3),
         "node_rounds_per_sec": round(nodes * rounds / round_seconds, 1),

@@ -88,14 +88,6 @@ echo "== docs check (links, anchors, CLI flags) =="
 # are not fetched.
 python scripts/check_docs.py
 
-echo
-echo "== columnar tests on the pure-array fallback (REPRO_NO_NUMPY=1) =="
-# The full tier-1 suite above runs with whatever backend is installed; this
-# re-runs the columnar-facing tests with numpy vectorisation disabled, so both
-# execution paths stay green locally. CI additionally runs the whole suite in a
-# numpy-less job (.github/workflows/ci.yml, job `no-numpy`).
-REPRO_NO_NUMPY=1 python -m pytest -x -q \
-    tests/test_columnar.py tests/test_streaming_histograms.py
 
 echo
 echo "== bench smoke (perf trajectory) =="
@@ -128,10 +120,11 @@ echo "parity OK: timeline cells are byte-identical across worker counts"
 echo
 echo "== columnar engine: equivalence vs object backend + golden byte-parity =="
 # The same small grid on both engines. The columnar aggregate must be
-# byte-identical across worker counts, across the numpy and pure-array
-# backends, and to the committed golden; the estimator means of the two
-# engines must agree within tolerance (the engines are statistically
-# equivalent, not bit-identical — the columnar model is round-synchronous).
+# byte-identical across worker counts and to the committed golden (tier-1 pins
+# the engine round by round against the scalar oracle, tests/columnar_oracle.py);
+# the estimator means of the two engines must agree within tolerance (the
+# engines are statistically equivalent, not bit-identical — the columnar model
+# is round-synchronous).
 COLUMNAR_ARGS=(--scenarios static --protocols croupier --sizes 60
                --seeds 2 --rounds 40 --latency constant
                --engines object,columnar)
@@ -140,11 +133,6 @@ python -m repro matrix "${COLUMNAR_ARGS[@]}" --workers 1 --out artifacts/ci-colu
 cmp artifacts/ci-columnar-w4/matrix_aggregate.json \
     artifacts/ci-columnar-w1/matrix_aggregate.json
 echo "parity OK: columnar cells are byte-identical across worker counts"
-REPRO_NO_NUMPY=1 python -m repro matrix "${COLUMNAR_ARGS[@]}" --workers 1 \
-    --out artifacts/ci-columnar-nonumpy
-cmp artifacts/ci-columnar-w1/matrix_aggregate.json \
-    artifacts/ci-columnar-nonumpy/matrix_aggregate.json
-echo "backend OK: numpy and pure-array fallback runs are byte-identical"
 cmp artifacts/baseline/columnar_aggregate.json \
     artifacts/ci-columnar-w1/matrix_aggregate.json
 echo "golden OK: columnar aggregate matches the committed golden byte for byte"

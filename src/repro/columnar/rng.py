@@ -9,16 +9,18 @@ contract impossible to keep (a batched phase draws for every row at once, and
 ``(engine seed, round, phase tag, key)``
 
 where the key is a row index (one draw per node) or ``row * V + slot`` (one draw
-per view slot). Both backends evaluate the same splitmix64-style integer mix —
+per view slot). The batched phases (:func:`draws_np`) and the scalar passes
+(:func:`draw`: NAT maintenance, and the reference in
+``tests/columnar_oracle.py``) evaluate the same splitmix64-style integer mix —
 numpy on ``uint64`` arrays with silent wraparound, pure Python with explicit
-``& MASK64`` — so the draws are bit-identical whether or not numpy is installed,
-and independent of any evaluation order. The engine's 64-bit seed is taken from
+``& MASK64`` — so a draw is the same bits either way, independent of any
+evaluation order. The engine's 64-bit seed is taken from
 its injected ``random.Random`` once, at construction, which keeps the repo-wide
 "one injected RNG per component" custody rule intact.
 
 Uniforms use the standard 53-bit construction ``(h >> 11) * 2**-53``; the
-``uint64 -> float64`` conversion is exact below 2**53, so the numpy and scalar
-floats match bit for bit.
+``uint64 -> float64`` conversion is exact below 2**53, so the result is the
+same float a scalar ``(draw(base, key) >> 11) * 2.0 ** -53`` gives.
 """
 
 from __future__ import annotations
@@ -60,17 +62,12 @@ def stream(seed: int, round_index: int, tag: int) -> int:
 
 
 def draw(base: int, key: int) -> int:
-    """One 64-bit value at ``key`` on the stream ``base`` (scalar path)."""
+    """One 64-bit value at ``key`` on the stream ``base`` (scalar form)."""
     return mix64((base + key * GOLDEN) & MASK64)
 
 
-def draw_uniform(base: int, key: int) -> float:
-    """One float in [0, 1) at ``key`` (bit-identical to the numpy path)."""
-    return (draw(base, key) >> 11) * 2.0 ** -53
-
-
 def draws_np(np, base: int, keys):
-    """Vector of 64-bit values for a ``uint64`` key array (numpy path).
+    """Vector of 64-bit values for a ``uint64`` key array.
 
     All arithmetic stays on uint64 *arrays* (scalar uint64 ops can warn on
     overflow; array ops wrap silently), mirroring :func:`draw` exactly.
@@ -84,5 +81,5 @@ def draws_np(np, base: int, keys):
 
 
 def uniforms_np(np, base: int, keys):
-    """Vector of floats in [0, 1) — same bits as :func:`draw_uniform` per key."""
+    """Vector of floats in [0, 1), one per key (53-bit construction)."""
     return (draws_np(np, base, keys) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53

@@ -186,8 +186,10 @@ class CellSpec:
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
         if self.engine == "columnar":
+            from repro.columnar.backend import require_numpy
             from repro.columnar.engine import COLUMNAR_PROTOCOLS
 
+            require_numpy()  # fail here, once, not in every forked worker
             if self.protocol not in COLUMNAR_PROTOCOLS:
                 raise ExperimentError(
                     f"engine='columnar' supports protocols {COLUMNAR_PROTOCOLS}, "

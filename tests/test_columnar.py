@@ -1,9 +1,11 @@
-"""Columnar engine tests: flat-array protocol state, backend bit-parity, the
+"""Columnar engine tests: flat-array protocol state, the scalar-oracle pin, the
 engine axis of the experiment matrix, and the ``scale`` scenario kind.
 
 The load-bearing invariants:
 
-* numpy and pure-array backends produce **bit-identical** state (fingerprints);
+* every round of every protocol leaves **bit-identical** state (fingerprints)
+  to the scalar reference in ``tests/columnar_oracle.py``, under loss,
+  partition/heal and kill/join;
 * the engine axis is additive — cells at ``engine="object"`` keep their exact
   pre-axis keys, so no legacy derived seed moves;
 * the columnar scenario implements the capability API, so probes, timelines and
@@ -11,13 +13,15 @@ The load-bearing invariants:
 * engine-native streamed statistics equal the per-node facade collection.
 """
 
-import copy
 import math
+import random
 
 import pytest
 
+pytest.importorskip("numpy")  # the columnar engine's one hard requirement
+
+from columnar_oracle import oracle_round
 from repro.columnar import COLUMNAR_PROTOCOLS, ColumnarEngine, ColumnarScenario
-from repro.columnar.backend import HAVE_NUMPY
 from repro.errors import ConfigurationError, ExperimentError
 from repro.membership.capabilities import NatAware, OverlaySampling, RatioEstimating
 from repro.metrics.probes import collect_ratio_estimates
@@ -29,17 +33,14 @@ from repro.workload.scenario import (
 )
 from repro.workload.timeline import get_timeline
 
-BACKENDS = [False, True] if HAVE_NUMPY else [False]
-
-
 def columnar_config(seed=7, **kwargs):
     kwargs.setdefault("protocol", "croupier")
     kwargs.setdefault("latency", "constant")
     return ScenarioConfig(seed=seed, engine="columnar", **kwargs)
 
 
-def make_scenario(seed=7, n_public=20, n_private=80, use_numpy=None, **kwargs):
-    scenario = ColumnarScenario(columnar_config(seed=seed, **kwargs), use_numpy=use_numpy)
+def make_scenario(seed=7, n_public=20, n_private=80, **kwargs):
+    scenario = ColumnarScenario(columnar_config(seed=seed, **kwargs))
     scenario.populate(n_public, n_private)
     return scenario
 
@@ -48,13 +49,9 @@ def make_scenario(seed=7, n_public=20, n_private=80, use_numpy=None, **kwargs):
 
 
 class TestColumnarEngine:
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_views_fill_and_age(self, use_numpy):
-        import random
-
+    def test_views_fill_and_age(self):
         engine = ColumnarEngine(
-            "croupier", view_size=10, shuffle_size=5,
-            rng=random.Random(1), use_numpy=use_numpy,
+            "croupier", view_size=10, shuffle_size=5, rng=random.Random(1),
         )
         rows = [engine.add_node(public=True) for _ in range(30)]
         for _ in range(10):
@@ -66,13 +63,9 @@ class TestColumnarEngine:
             assert row not in ids
             assert all(other in rows for other in ids)
 
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_estimates_converge(self, use_numpy):
-        import random
-
+    def test_estimates_converge(self):
         engine = ColumnarEngine(
-            "croupier", view_size=10, shuffle_size=5,
-            rng=random.Random(2), use_numpy=use_numpy,
+            "croupier", view_size=10, shuffle_size=5, rng=random.Random(2),
         )
         for index in range(100):
             engine.add_node(public=index < 20)
@@ -87,36 +80,12 @@ class TestColumnarEngine:
         assert max_err <= 1.0
 
     def test_rejects_unknown_protocol(self):
-        import random
-
         with pytest.raises(ConfigurationError):
             ColumnarEngine("newscast", view_size=10, shuffle_size=5,
                            rng=random.Random(1))
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy for the comparison")
-    def test_backends_bit_identical(self):
-        """The engine's golden invariant: numpy vectorisation never changes a bit."""
-        import random
-
-        fingerprints = []
-        for use_numpy in (False, True):
-            engine = ColumnarEngine(
-                "croupier", view_size=10, shuffle_size=5,
-                rng=random.Random(11), use_numpy=use_numpy,
-            )
-            for index in range(60):
-                engine.add_node(public=index % 5 == 0)
-            for round_index in range(25):
-                if round_index == 12:
-                    engine.kill(5)
-                    engine.add_node(public=False)
-                engine.run_round()
-            fingerprints.append(engine.fingerprint())
-        assert fingerprints[0] == fingerprints[1]
-
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_estimate_stats_equals_facade_collection(self, use_numpy):
-        scenario = make_scenario(seed=5, use_numpy=use_numpy)
+    def test_estimate_stats_equals_facade_collection(self):
+        scenario = make_scenario(seed=5)
         scenario.run_rounds(15)
         true_ratio = scenario.true_ratio()
         measured, mean, avg_err, max_err = scenario.engine.estimate_stats(true_ratio)
@@ -127,10 +96,8 @@ class TestColumnarEngine:
         assert avg_err == sum(deviations) / len(deviations)
         assert max_err == max(deviations)
 
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_in_degree_histogram_counts_live_edges(self, use_numpy):
-        scenario = make_scenario(seed=6, n_public=10, n_private=30,
-                                 use_numpy=use_numpy)
+    def test_in_degree_histogram_counts_live_edges(self):
+        scenario = make_scenario(seed=6, n_public=10, n_private=30)
         scenario.run_rounds(10)
         histogram = scenario.engine.in_degree_histogram().to_histogram()
         live = scenario.live_count()
@@ -138,6 +105,52 @@ class TestColumnarEngine:
         total_edges = sum(bin_ * count for bin_, count in histogram.items())
         graph = scenario.overlay_graph()
         assert total_edges == sum(len(view) for view in graph.values())
+
+
+# ------------------------------------------------------------------ scalar oracle
+
+#: Drop reasons each protocol's oracle run must exercise; together they cover
+#: every reason the delivery filter can produce under this workload.
+MUST_DROP = {
+    "croupier": {"lost_in_transit", "partitioned", "dead_partner"},
+    "cyclon": {"lost_in_transit", "partitioned", "dead_partner", "nat_filtered"},
+    "gozar": {"lost_in_transit", "partitioned", "dead_partner"},
+    "nylon": {"lost_in_transit", "partitioned", "dead_partner", "broken_chain"},
+}
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize("protocol", COLUMNAR_PROTOCOLS)
+    def test_every_round_matches_oracle(self, protocol):
+        """``run_round()`` and the per-exchange scalar loops of
+        ``columnar_oracle.oracle_round`` leave the same bytes after every round,
+        under loss, a partition that heals, and kills/joins mid-run."""
+        pair = []
+        for _ in range(2):
+            engine = ColumnarEngine(
+                protocol, view_size=10, shuffle_size=5, rng=random.Random(11),
+            )
+            for index in range(200):
+                engine.add_node(public=index % 5 == 0)
+            engine.configure_loss(0.05, 0.1)
+            pair.append(engine)
+        engine, reference = pair
+        for round_index in range(30):
+            for eng in pair:
+                if round_index == 10:
+                    eng.set_partition(range(3, 200, 3))
+                if round_index == 18:
+                    eng.set_partition(())
+                if round_index in (5, 12, 20):
+                    for row in range(3 + round_index, 200, 17):
+                        eng.kill(row)
+                    for index in range(8):
+                        eng.add_node(public=index % 4 == 0)
+            engine.run_round()
+            oracle_round(reference)
+            assert engine.fingerprint() == reference.fingerprint(), round_index
+        assert list(engine.drops.items()) == list(reference.drops.items())
+        assert MUST_DROP[protocol] <= set(engine.drops)
 
 
 # ----------------------------------------------------------------- scenario facade
@@ -383,28 +396,7 @@ NAT_PROTOCOLS = ("gozar", "nylon")
 
 
 class TestNatProtocolPorts:
-    """Gozar and Nylon on the columnar engine: parity, capabilities, cell keys."""
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy for the comparison")
-    @pytest.mark.parametrize("protocol", NAT_PROTOCOLS)
-    def test_backends_bit_identical(self, protocol):
-        import random
-
-        fingerprints = []
-        for use_numpy in (False, True):
-            engine = ColumnarEngine(
-                protocol, view_size=10, shuffle_size=5,
-                rng=random.Random(23), use_numpy=use_numpy,
-            )
-            for index in range(60):
-                engine.add_node(public=index % 5 == 0)
-            for round_index in range(25):
-                if round_index == 12:
-                    engine.kill(5)
-                    engine.add_node(public=False)
-                engine.run_round()
-            fingerprints.append(engine.fingerprint())
-        assert fingerprints[0] == fingerprints[1]
+    """Gozar and Nylon on the columnar engine: capabilities, cell keys."""
 
     @pytest.mark.parametrize("protocol", NAT_PROTOCOLS)
     def test_capability_dispatch(self, protocol):
@@ -489,8 +481,3 @@ class TestCrossEngine:
         assert abs(results["object"] - results["columnar"]) < 0.05
         for mean in results.values():
             assert math.isfinite(mean)
-
-    def test_deepcopy_preserves_backend_choice(self):
-        scenario = make_scenario(seed=21, use_numpy=False)
-        clone = copy.deepcopy(scenario)
-        assert clone.engine.use_numpy is False

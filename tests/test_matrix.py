@@ -4,10 +4,16 @@ multiprocess runner's parity and crash behaviour, aggregation and the CLI."""
 from __future__ import annotations
 
 import json
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.matrix import (
     SCENARIOS,
     CellSpec,
@@ -238,3 +244,69 @@ class TestArtifactsAndCli:
         assert "static" in SCENARIOS
         with pytest.raises(ExperimentError):
             register_scenario("static", lambda ctx: {})
+
+
+class TestColumnarNeedsNumpy:
+    """numpy is optional for the package and required by ``engine='columnar'``:
+    one named error, raised before any cell runs; the object engine never
+    imports numpy."""
+
+    MESSAGE = r"requires numpy.*\[columnar\] extra"
+
+    @pytest.fixture
+    def no_numpy(self, monkeypatch):
+        from repro.columnar import backend
+
+        monkeypatch.setattr(backend, "np", None)
+
+    def test_every_entry_point_raises_the_named_error(self, no_numpy):
+        from repro.columnar import ColumnarEngine, ColumnarScenario
+        from repro.workload.scenario import ScenarioConfig
+
+        config = ScenarioConfig(protocol="croupier", seed=1, engine="columnar")
+        for attempt in (
+            lambda: ColumnarEngine("croupier", view_size=10, shuffle_size=5,
+                                   rng=random.Random(1)),
+            lambda: ColumnarScenario(config),
+            CellSpec(scenario="static", protocol="croupier", size=20,
+                     seed_index=0, rounds=4, engine="columnar").validate,
+        ):
+            with pytest.raises(ConfigurationError, match=self.MESSAGE):
+                attempt()
+
+    def test_cli_matrix_fails_before_any_cell(self, no_numpy, tmp_path, capsys):
+        from repro.cli import main
+
+        out_dir = tmp_path / "mx"
+        rc = main([
+            "matrix", "--scenarios", "static", "--protocols", "croupier",
+            "--engines", "columnar", "--sizes", "20", "--seeds", "2",
+            "--rounds", "4", "--latency", "constant", "--workers", "2",
+            "--out", str(out_dir),
+        ])
+        assert rc != 0
+        assert re.search(self.MESSAGE, capsys.readouterr().err)
+        assert not (out_dir / "matrix_journal.jsonl").exists()
+
+    def test_object_engine_runs_with_numpy_blocked(self):
+        code = (
+            "import sys; sys.modules['numpy'] = None\n"
+            "from repro.errors import ConfigurationError\n"
+            "from repro.workload.scenario import ScenarioConfig, create_scenario\n"
+            "scenario = create_scenario(ScenarioConfig(protocol='croupier', seed=1,"
+            " latency='constant'))\n"
+            "scenario.populate(4, 16); scenario.run_rounds(3)\n"
+            "assert scenario.live_count() == 20\n"
+            "try:\n"
+            "    create_scenario(ScenarioConfig(protocol='croupier', seed=1,"
+            " engine='columnar'))\n"
+            "except ConfigurationError as error:\n"
+            "    assert 'numpy' in str(error)\n"
+            "else:\n"
+            "    raise SystemExit('columnar engine built without numpy')\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]

@@ -117,6 +117,7 @@ class TestPayloadParity:
     def test_engine_in_degree_histogram_round_trips(self):
         """End to end: the columnar engine's streamed in-degree histogram equals a
         hand-materialised count and survives the aggregate JSON round trip."""
+        pytest.importorskip("numpy")  # the one columnar-engine test in this file
         from repro.columnar import ColumnarScenario
         from repro.workload.scenario import ScenarioConfig
 
