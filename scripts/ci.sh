@@ -49,6 +49,19 @@
 #   cp artifacts/ci-columnar-w1/matrix_aggregate.json \
 #      artifacts/baseline/columnar_aggregate.json
 #   git add -f artifacts/baseline/columnar_aggregate.json
+#
+# The NAT-aware golden (artifacts/baseline/columnar_natrelay_aggregate.json)
+# pins the Gozar and Nylon columnar ports the same way (parent recruitment,
+# keep-alives, relays, hole-punch chains; static and under churn). Regenerate
+# it ONLY for an intentional change to those protocols' semantics, with:
+#
+#   PYTHONPATH=src python -m repro matrix \
+#       --scenarios static,churn --protocols gozar,nylon --sizes 60 \
+#       --seeds 2 --rounds 40 --latency constant \
+#       --engines columnar --workers 1 --out artifacts/ci-natrelay-w1
+#   cp artifacts/ci-natrelay-w1/matrix_aggregate.json \
+#      artifacts/baseline/columnar_natrelay_aggregate.json
+#   git add -f artifacts/baseline/columnar_natrelay_aggregate.json
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -138,6 +151,22 @@ cmp artifacts/baseline/columnar_aggregate.json \
 echo "golden OK: columnar aggregate matches the committed golden byte for byte"
 python scripts/check_columnar_equivalence.py \
     artifacts/ci-columnar-w1/matrix_aggregate.json
+
+echo
+echo "== columnar NAT-aware ports: gozar + nylon golden byte-parity =="
+# Gozar and Nylon have no estimator to compare across engines, so their
+# columnar ports are pinned by bytes alone: static and churn cells, identical
+# across worker counts and to the committed golden.
+NATRELAY_ARGS=(--scenarios static,churn --protocols gozar,nylon --sizes 60
+               --seeds 2 --rounds 40 --latency constant --engines columnar)
+python -m repro matrix "${NATRELAY_ARGS[@]}" --workers 4 --out artifacts/ci-natrelay-w4
+python -m repro matrix "${NATRELAY_ARGS[@]}" --workers 1 --out artifacts/ci-natrelay-w1
+cmp artifacts/ci-natrelay-w4/matrix_aggregate.json \
+    artifacts/ci-natrelay-w1/matrix_aggregate.json
+echo "parity OK: gozar/nylon columnar cells are byte-identical across worker counts"
+cmp artifacts/baseline/columnar_natrelay_aggregate.json \
+    artifacts/ci-natrelay-w1/matrix_aggregate.json
+echo "golden OK: gozar/nylon columnar aggregate matches the committed golden byte for byte"
 
 echo
 echo "== columnar scale smoke: one 10^5-node cell inside the wall-clock budget =="

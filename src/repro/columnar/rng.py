@@ -9,9 +9,9 @@ contract impossible to keep (a batched phase draws for every row at once, and
 ``(engine seed, round, phase tag, key)``
 
 where the key is a row index (one draw per node) or ``row * V + slot`` (one draw
-per view slot). The batched phases (:func:`draws_np`) and the scalar passes
-(:func:`draw`: NAT maintenance, and the reference in
-``tests/columnar_oracle.py``) evaluate the same splitmix64-style integer mix —
+per view slot). The batched phases (:func:`draws_np`: the shuffle and NAT
+maintenance) and the scalar reference in ``tests/columnar_oracle.py``
+(:func:`draw`) evaluate the same splitmix64-style integer mix —
 numpy on ``uint64`` arrays with silent wraparound, pure Python with explicit
 ``& MASK64`` — so a draw is the same bits either way, independent of any
 evaluation order. The engine's 64-bit seed is taken from

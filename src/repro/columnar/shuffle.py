@@ -47,9 +47,9 @@ refreshes land before any placement, so an eviction overwrites a refresh —
 matching the object backend's sequential ``updateView``.
 
 Gozar and Nylon NAT maintenance (:func:`maintain_parents`,
-:func:`send_keepalives`) runs as a scalar pass — it is O(private rows) and far
-off the hot path. Maintenance traffic ignores loss and partitions (documented
-delta).
+:func:`send_keepalives`) runs every round as one batched phase over the live
+private rows, pinned by the same oracle. Maintenance traffic ignores loss and
+partitions (documented delta).
 """
 
 from __future__ import annotations
@@ -89,22 +89,29 @@ def _fold_drops(eng, local: Dict[str, int]) -> None:
             eng.drops[reason] = eng.drops.get(reason, 0) + count
 
 
-def _subsets_np(np, view_ids, view_ages, slotkeys, stream_base, want,
-                exclude, self_mask, self_ids, width):
-    """Batched keyed-subset selection over gathered ``(M, V)`` view snapshots.
+def _ranked_slots_np(np, elig, slotkeys, stream_base, want, width):
+    """Batched keyed ranking over an ``(M, V)`` slot-eligibility mask.
 
     Per row: sentinel keys for ineligible slots, a stable argsort (== (key,
-    slot) order), first ``min(want, eligible)`` taken, then the optional self
-    descriptor appended at column ``cnt``."""
+    slot) order), first ``min(want, eligible)`` taken. Returns the ``(M,
+    width)`` ranked slots, which of them are taken, and the per-row count."""
+    keys = crng.draws_np(np, stream_base, slotkeys)
+    keys = np.where(elig, keys, np.uint64(crng.MASK64))
+    take = np.argsort(keys, axis=1, kind="stable")[:, :width]
+    cnt = np.minimum(want, elig.sum(axis=1))
+    valid = np.arange(width)[None, :] < cnt[:, None]
+    return take, valid, cnt
+
+
+def _subsets_np(np, view_ids, view_ages, slotkeys, stream_base, want,
+                exclude, self_mask, self_ids, width):
+    """Batched keyed-subset selection over gathered ``(M, V)`` view snapshots:
+    :func:`_ranked_slots_np` over the occupied (and not excluded) slots, then
+    the optional self descriptor appended at column ``cnt``."""
     elig = view_ids >= 0
     if exclude is not None:
         elig &= view_ids != exclude[:, None]
-    keys = crng.draws_np(np, stream_base, slotkeys)
-    keys = np.where(elig, keys, np.uint64(crng.MASK64))
-    order = np.argsort(keys, axis=1, kind="stable")
-    cnt = np.minimum(want, elig.sum(axis=1))
-    take = order[:, :width]
-    valid = np.arange(width)[None, :] < cnt[:, None]
+    take, valid, cnt = _ranked_slots_np(np, elig, slotkeys, stream_base, want, width)
     slots = np.where(valid, take, -1)
     ids = np.where(valid, np.take_along_axis(view_ids, take, axis=1), -1)
     ages = np.where(valid, np.take_along_axis(view_ages, take, axis=1), 0)
@@ -547,68 +554,68 @@ def run_shuffle_round(eng) -> None:
 
 
 # ---------------------------------------------------------------------------
-# NAT maintenance phases (scalar pass; off the hot path)
+# NAT maintenance phases (batched over the live private rows)
 # ---------------------------------------------------------------------------
 
 
 def maintain_parents(eng) -> None:
     """Gozar parent maintenance, run each round before the shuffle pass.
 
-    Per live private row (ascending): dead parent slots are cleared; missing
-    parents are recruited from live public view entries ranked by a keyed draw
+    Per live private row: dead parent slots are cleared; missing parents are
+    recruited from live public view entries that are not already a parent,
+    ranked by a keyed draw, into the row's empty slots in slot order
     (registration costs one request/ack control exchange); every
-    ``parent_keepalive_every`` rounds each live parent gets a keep-alive/ack
-    pair. Maintenance traffic ignores loss and partitions (documented delta),
-    and registration is instantaneous — a recruit is usable the same round.
+    ``parent_keepalive_every`` rounds each live parent, same-round recruits
+    included, gets a keep-alive/ack pair. No row reads what the pass writes for
+    another row, so all rows go at once. Maintenance traffic ignores loss and
+    partitions (documented delta), and registration is instantaneous — a
+    recruit is usable the same round.
     """
+    np = backend.np
     V, P = eng.V, eng.P
     n = eng._rows
-    alive, is_public = eng.alive, eng.is_public
-    parent_id, pub_id = eng.parent_id, eng.pub_id
-    tx, rx = eng.tx_bytes, eng.rx_bytes
+    alive = as_np(eng.alive)[:n] != 0
+    pub = as_np(eng.is_public)[:n] != 0
+    rows = np.nonzero(alive & ~pub)[0]
+    par2d = as_np(eng.parent_id)[: n * P].reshape(n, P)
+    par = par2d[rows]
+    par[(par >= 0) & ~alive[np.clip(par, 0, None)]] = -1
+    rec = np.nonzero((par < 0).any(axis=1))[0]  # rows short of P live parents
+    rrows = rows[rec]
+    view = as_np(eng.pub_id)[: n * V].reshape(n, V)[rrows]
+    held = par[rec]
+    vacant = held < 0
+    target = np.clip(view, 0, None)
+    cand = (
+        (view >= 0) & pub[target] & alive[target]
+        & ~(view[:, :, None] == held[:, None, :]).any(axis=2)
+    )
+    slotkeys = (
+        rrows[:, None].astype(np.uint64) * np.uint64(V)
+        + np.arange(V, dtype=np.uint64)[None, :]
+    )
     base_parent = crng.stream(eng.hash_seed, eng.round, crng.TAG_PARENT)
-    keepalive = eng.round % eng.parent_keepalive_every == 0
-    for row in range(1, n):
-        if not alive[row] or is_public[row]:
-            continue
-        pbase = row * P
-        live = 0
-        for s in range(P):
-            pid = parent_id[pbase + s]
-            if pid >= 0:
-                if alive[pid]:
-                    live += 1
-                else:
-                    parent_id[pbase + s] = -1
-        needed = P - live
-        if needed > 0:
-            vbase = row * V
-            current = {parent_id[pbase + s] for s in range(P)
-                       if parent_id[pbase + s] >= 0}
-            cands = []
-            for s in range(V):
-                nid = pub_id[vbase + s]
-                if nid >= 0 and is_public[nid] and alive[nid] and nid not in current:
-                    cands.append((crng.draw(base_parent, row * V + s), s))
-            cands.sort()
-            empties = [s for s in range(P) if parent_id[pbase + s] < 0]
-            for (_key, vs), ps in zip(cands[:needed], empties):
-                nid = pub_id[vbase + vs]
-                parent_id[pbase + ps] = nid
-                tx[row] += CONTROL_BYTES
-                rx[nid] += CONTROL_BYTES
-                tx[nid] += CONTROL_BYTES
-                rx[row] += CONTROL_BYTES
-                eng.packets_sent += 2
-        if keepalive:
-            for s in range(P):
-                pid = parent_id[pbase + s]
-                if pid >= 0:
-                    tx[row] += CONTROL_BYTES
-                    rx[pid] += CONTROL_BYTES
-                    tx[pid] += CONTROL_BYTES
-                    rx[row] += CONTROL_BYTES
-                    eng.packets_sent += 2
+    take, valid, cnt = _ranked_slots_np(np, cand, slotkeys, base_parent,
+                                        vacant.sum(axis=1), P)
+    recruits = np.take_along_axis(view, take, axis=1)[valid]
+    # Row-major on both sides: a row's recruits, in rank order, land in its
+    # first ``cnt`` empty slots, in slot order.
+    held[vacant & (vacant.cumsum(axis=1) <= cnt[:, None])] = recruits
+    par[rec] = held
+    par2d[rows] = par
+    # One control exchange (request + ack) per registration and per keep-alive.
+    row_pairs = np.zeros(rows.size, dtype=np.int64)
+    row_pairs[rec] = cnt
+    parent_pairs = np.bincount(recruits, minlength=n)
+    if eng.round % eng.parent_keepalive_every == 0:
+        kept = par >= 0
+        row_pairs += kept.sum(axis=1)
+        parent_pairs += np.bincount(par[kept], minlength=n)
+    for column in (eng.tx_bytes, eng.rx_bytes):
+        traffic = as_np(column)[:n]
+        traffic[rows] += row_pairs * CONTROL_BYTES
+        traffic += parent_pairs * CONTROL_BYTES
+    eng.packets_sent += 2 * int(row_pairs.sum())
 
 
 def send_keepalives(eng) -> None:
@@ -617,23 +624,15 @@ def send_keepalives(eng) -> None:
     Every live private row pings its first ``keepalive_fanout`` live view
     entries (slot order, no ack). Keep-alive traffic ignores loss and
     partitions (documented delta)."""
+    np = backend.np
     V = eng.V
     n = eng._rows
-    fan = eng.keepalive_fanout
-    alive, is_public = eng.alive, eng.is_public
-    pub_id = eng.pub_id
-    tx, rx = eng.tx_bytes, eng.rx_bytes
-    for row in range(1, n):
-        if not alive[row] or is_public[row]:
-            continue
-        vbase = row * V
-        sent = 0
-        for s in range(V):
-            if sent >= fan:
-                break
-            nid = pub_id[vbase + s]
-            if nid >= 0 and alive[nid]:
-                tx[row] += CONTROL_BYTES
-                rx[nid] += CONTROL_BYTES
-                eng.packets_sent += 1
-                sent += 1
+    alive = as_np(eng.alive)[:n] != 0
+    rows = np.nonzero(alive & (as_np(eng.is_public)[:n] == 0))[0]
+    ids = as_np(eng.pub_id)[: n * V].reshape(n, V)[rows]
+    live = (ids >= 0) & alive[np.clip(ids, 0, None)]
+    take = live & (live.cumsum(axis=1) <= eng.keepalive_fanout)
+    sent = take.sum(axis=1)
+    as_np(eng.tx_bytes)[rows] += sent * CONTROL_BYTES
+    as_np(eng.rx_bytes)[:n] += np.bincount(ids[take], minlength=n) * CONTROL_BYTES
+    eng.packets_sent += int(sent.sum())

@@ -6,8 +6,8 @@ estimator advance, NAT maintenance, shuffle phases A-H (see
 ``array.array`` columns and the same position-keyed draws, with no numpy. Two
 identically built engines, one stepped by each, must have equal
 ``fingerprint()`` after every round and equal ``drops`` at the end. It shares
-with the engine only the storage, ``rng.stream``/``rng.draw`` and the scalar
-``maintain_parents``/``send_keepalives`` passes, which have no vectorized twin.
+with the engine only the storage, ``rng.stream``/``rng.draw`` and the wire-size
+constants; every pass, Gozar/Nylon maintenance included, is its own loop here.
 """
 
 from repro.columnar import rng as crng
@@ -18,8 +18,6 @@ from repro.columnar.shuffle import (
     ESTIMATE_BYTES,
     HEADER_BYTES,
     PARENT_ADDR_BYTES,
-    maintain_parents,
-    send_keepalives,
 )
 
 
@@ -28,9 +26,9 @@ def oracle_round(eng) -> None:
     _age_views(eng)
     _advance(eng)
     if eng.protocol == "gozar":
-        maintain_parents(eng)
+        _maintain_parents(eng)
     elif eng.protocol == "nylon":
-        send_keepalives(eng)
+        _send_keepalives(eng)
     _shuffle(eng)
 
 
@@ -71,6 +69,94 @@ def _advance(eng) -> None:
             eng.loc_est[row] = eng.cu_sum[row] / den
         else:
             eng.loc_est[row] = -1.0
+
+
+def _maintain_parents(eng) -> None:
+    """Gozar parent maintenance, run each round before the shuffle pass.
+
+    Per live private row (ascending): dead parent slots are cleared; missing
+    parents are recruited from live public view entries ranked by a keyed draw
+    (registration costs one request/ack control exchange); every
+    ``parent_keepalive_every`` rounds each live parent gets a keep-alive/ack
+    pair. Maintenance traffic ignores loss and partitions (documented delta),
+    and registration is instantaneous — a recruit is usable the same round.
+    """
+    V, P = eng.V, eng.P
+    n = eng._rows
+    alive, is_public = eng.alive, eng.is_public
+    parent_id, pub_id = eng.parent_id, eng.pub_id
+    tx, rx = eng.tx_bytes, eng.rx_bytes
+    base_parent = crng.stream(eng.hash_seed, eng.round, crng.TAG_PARENT)
+    keepalive = eng.round % eng.parent_keepalive_every == 0
+    for row in range(1, n):
+        if not alive[row] or is_public[row]:
+            continue
+        pbase = row * P
+        live = 0
+        for s in range(P):
+            pid = parent_id[pbase + s]
+            if pid >= 0:
+                if alive[pid]:
+                    live += 1
+                else:
+                    parent_id[pbase + s] = -1
+        needed = P - live
+        if needed > 0:
+            vbase = row * V
+            current = {parent_id[pbase + s] for s in range(P)
+                       if parent_id[pbase + s] >= 0}
+            cands = []
+            for s in range(V):
+                nid = pub_id[vbase + s]
+                if nid >= 0 and is_public[nid] and alive[nid] and nid not in current:
+                    cands.append((crng.draw(base_parent, row * V + s), s))
+            cands.sort()
+            empties = [s for s in range(P) if parent_id[pbase + s] < 0]
+            for (_key, vs), ps in zip(cands[:needed], empties):
+                nid = pub_id[vbase + vs]
+                parent_id[pbase + ps] = nid
+                tx[row] += CONTROL_BYTES
+                rx[nid] += CONTROL_BYTES
+                tx[nid] += CONTROL_BYTES
+                rx[row] += CONTROL_BYTES
+                eng.packets_sent += 2
+        if keepalive:
+            for s in range(P):
+                pid = parent_id[pbase + s]
+                if pid >= 0:
+                    tx[row] += CONTROL_BYTES
+                    rx[pid] += CONTROL_BYTES
+                    tx[pid] += CONTROL_BYTES
+                    rx[row] += CONTROL_BYTES
+                    eng.packets_sent += 2
+
+
+def _send_keepalives(eng) -> None:
+    """Nylon NAT-mapping keep-alives, run each round before the shuffle pass.
+
+    Every live private row pings its first ``keepalive_fanout`` live view
+    entries (slot order, no ack). Keep-alive traffic ignores loss and
+    partitions (documented delta)."""
+    V = eng.V
+    n = eng._rows
+    fan = eng.keepalive_fanout
+    alive, is_public = eng.alive, eng.is_public
+    pub_id = eng.pub_id
+    tx, rx = eng.tx_bytes, eng.rx_bytes
+    for row in range(1, n):
+        if not alive[row] or is_public[row]:
+            continue
+        vbase = row * V
+        sent = 0
+        for s in range(V):
+            if sent >= fan:
+                break
+            nid = pub_id[vbase + s]
+            if nid >= 0 and alive[nid]:
+                tx[row] += CONTROL_BYTES
+                rx[nid] += CONTROL_BYTES
+                eng.packets_sent += 1
+                sent += 1
 
 
 def _estimate_bundle(eng, row: int):

@@ -22,6 +22,8 @@ pytest.importorskip("numpy")  # the columnar engine's one hard requirement
 
 from columnar_oracle import oracle_round
 from repro.columnar import COLUMNAR_PROTOCOLS, ColumnarEngine, ColumnarScenario
+from repro.columnar import engine as columnar_engine
+from repro.columnar.engine import CONTROL_BYTES
 from repro.errors import ConfigurationError, ExperimentError
 from repro.membership.capabilities import NatAware, OverlaySampling, RatioEstimating
 from repro.metrics.probes import collect_ratio_estimates
@@ -109,19 +111,32 @@ class TestColumnarEngine:
 
 # ------------------------------------------------------------------ scalar oracle
 
-#: Drop reasons each protocol's oracle run must exercise; together they cover
-#: every reason the delivery filter can produce under this workload.
-MUST_DROP = {
-    "croupier": {"lost_in_transit", "partitioned", "dead_partner"},
-    "cyclon": {"lost_in_transit", "partitioned", "dead_partner", "nat_filtered"},
-    "gozar": {"lost_in_transit", "partitioned", "dead_partner"},
-    "nylon": {"lost_in_transit", "partitioned", "dead_partner", "broken_chain"},
-}
+_COMMON_DROPS = {"lost_in_transit", "partitioned", "dead_partner"}
+
+#: (protocol, engine options, cull the public rows mid-run, drop reasons the run
+#: must exercise — together every reason the delivery filter can produce).
+ORACLE_CASES = [
+    pytest.param("croupier", {}, False, _COMMON_DROPS, id="croupier"),
+    pytest.param("cyclon", {}, False, _COMMON_DROPS | {"nat_filtered"}, id="cyclon"),
+    pytest.param("gozar", {}, False, _COMMON_DROPS, id="gozar"),
+    pytest.param("nylon", {}, False, _COMMON_DROPS | {"broken_chain"}, id="nylon"),
+    # Maintenance branches the defaults never reach: a recruit pool smaller
+    # than the need (and private rows left with no parent at all), keep-alives
+    # off the recruiting round, and a fan-out cutoff below the view size
+    # (default keepalive_fanout 20 > view_size 10 never truncates).
+    pytest.param("gozar", dict(parent_count=2, parent_keepalive_every_rounds=3),
+                 True, _COMMON_DROPS | {"no_relay_parent"}, id="gozar-starved"),
+    pytest.param("nylon", dict(keepalive_fanout=3), False,
+                 _COMMON_DROPS | {"broken_chain"}, id="nylon-fanout3"),
+    pytest.param("nylon", dict(keepalive_fanout=0), False,
+                 _COMMON_DROPS | {"broken_chain"}, id="nylon-fanout0"),
+]
 
 
 class TestScalarOracle:
-    @pytest.mark.parametrize("protocol", COLUMNAR_PROTOCOLS)
-    def test_every_round_matches_oracle(self, protocol):
+    @pytest.mark.parametrize("protocol,options,cull_public,must_drop", ORACLE_CASES)
+    def test_every_round_matches_oracle(self, protocol, options, cull_public,
+                                        must_drop):
         """``run_round()`` and the per-exchange scalar loops of
         ``columnar_oracle.oracle_round`` leave the same bytes after every round,
         under loss, a partition that heals, and kills/joins mid-run."""
@@ -129,6 +144,7 @@ class TestScalarOracle:
         for _ in range(2):
             engine = ColumnarEngine(
                 protocol, view_size=10, shuffle_size=5, rng=random.Random(11),
+                **options,
             )
             for index in range(200):
                 engine.add_node(public=index % 5 == 0)
@@ -146,11 +162,15 @@ class TestScalarOracle:
                         eng.kill(row)
                     for index in range(8):
                         eng.add_node(public=index % 4 == 0)
+                if cull_public and round_index == 8:
+                    for row in eng.live_public_rows()[3:]:
+                        eng.kill(row)
             engine.run_round()
             oracle_round(reference)
             assert engine.fingerprint() == reference.fingerprint(), round_index
+        assert engine.packets_sent == reference.packets_sent
         assert list(engine.drops.items()) == list(reference.drops.items())
-        assert MUST_DROP[protocol] <= set(engine.drops)
+        assert must_drop <= set(engine.drops)
 
 
 # ----------------------------------------------------------------- scenario facade
@@ -458,6 +478,73 @@ class TestNatProtocolPorts:
     def test_unsupported_protocol_error_names_object_engine(self):
         with pytest.raises(ConfigurationError, match="engine='object'"):
             ColumnarScenario(columnar_config(protocol="arrg"))
+
+
+# ------------------------------------------------------- NAT maintenance passes
+
+
+def _nat_engine(protocol, n_public, n_private, **options):
+    engine = ColumnarEngine(protocol, view_size=10, shuffle_size=5,
+                            rng=random.Random(21), **options)
+    for index in range(n_public + n_private):
+        engine.add_node(public=index < n_public)
+    return engine
+
+
+class TestNatMaintenancePasses:
+    """``maintain_parents`` / ``send_keepalives`` called directly, as
+    ``run_round`` binds them (``repro.columnar.engine``)."""
+
+    PASSES = {"gozar": columnar_engine.maintain_parents,
+              "nylon": columnar_engine.send_keepalives}
+
+    def test_parents_are_live_public_distinct(self):
+        engine = _nat_engine("gozar", 30, 120, parent_count=3)
+        P = engine.P
+        for _wave in range(4):
+            for _ in range(3):
+                engine.run_round()
+            # Kill parents out from under their children, then maintain only.
+            for row in engine.live_public_rows()[::2]:
+                engine.kill(row)
+            columnar_engine.maintain_parents(engine)
+            for row in engine.live_private_rows():
+                parents = [p for p in engine.parent_id[row * P:(row + 1) * P]
+                           if p >= 0]
+                assert len(set(parents)) == len(parents) <= P
+                assert all(engine.alive[p] and engine.is_public[p]
+                           for p in parents)
+        assert 0 < engine.public_count() < P  # the last wave recruits from a short pool
+
+    @pytest.mark.parametrize("protocol", NAT_PROTOCOLS)
+    def test_traffic_balances_packets(self, protocol):
+        """Every maintenance packet is CONTROL_BYTES sent and received once."""
+        engine = _nat_engine(protocol, 20, 80, parent_keepalive_every_rounds=2,
+                             keepalive_fanout=4)
+        moved = 0
+        for _ in range(6):
+            engine.run_round()
+            for row in engine.live_rows()[::9]:
+                engine.kill(row)
+            before = (sum(engine.tx_bytes), sum(engine.rx_bytes),
+                      engine.packets_sent)
+            self.PASSES[protocol](engine)
+            packets = engine.packets_sent - before[2]
+            assert sum(engine.tx_bytes) - before[0] == packets * CONTROL_BYTES
+            assert sum(engine.rx_bytes) - before[1] == packets * CONTROL_BYTES
+            moved += packets
+        assert moved > 0
+
+    @pytest.mark.parametrize("protocol", NAT_PROTOCOLS)
+    @pytest.mark.parametrize("n_public", [0, 25])
+    def test_noop_without_private_rows(self, protocol, n_public):
+        """An empty engine and an all-public population: nothing to maintain."""
+        engine = _nat_engine(protocol, n_public, 0)
+        for _ in range(3):
+            engine.run_round()
+        before = engine.fingerprint()
+        self.PASSES[protocol](engine)
+        assert engine.fingerprint() == before
 
 
 # ----------------------------------------------------------- cross-engine checks
