@@ -72,12 +72,17 @@ def draws_np(np, base: int, keys):
     All arithmetic stays on uint64 *arrays* (scalar uint64 ops can warn on
     overflow; array ops wrap silently), mirroring :func:`draw` exactly.
     """
-    x = np.uint64(base) + keys * np.uint64(GOLDEN)
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(_MIX1)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    x = keys * np.uint64(GOLDEN)  # fresh array: ``keys`` is the caller's
+    x += np.uint64(base)
+    shifted = x >> np.uint64(30)
+    x ^= shifted
+    x *= np.uint64(_MIX1)
+    np.right_shift(x, np.uint64(27), out=shifted)
+    x ^= shifted
+    x *= np.uint64(_MIX2)
+    np.right_shift(x, np.uint64(31), out=shifted)
+    x ^= shifted
+    return x
 
 
 def uniforms_np(np, base: int, keys):

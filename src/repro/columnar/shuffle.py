@@ -44,7 +44,16 @@ whose snapshot id matches (age becomes the min); unmatched entries are placed,
 in received order, into ascending snapshot-empty slots, then over sent entries
 still at their snapshot slot (in sent order); leftovers are dropped. All
 refreshes land before any placement, so an eviction overwrites a refresh —
-matching the object backend's sequential ``updateView``.
+matching the object backend's sequential ``updateView``. "The slot whose id
+matches" is one slot because a view never holds an id twice
+(``tests/test_columnar.py::TestViewUniqueness``). :func:`_batch_merge_np`
+executes the rule in three steps: an any-slot prefilter over all ``(M, R)``
+received entries (its one Python loop, over the V slots); the exact slot and the
+min-age refresh for the hit pairs only; then placement as two row-major
+compactions — each row's first n unmatched entries, its first n targets — and
+one flat scatter per column. Hits are rare at scale (about 0.3 % of received
+entries at 40 000 nodes) and the common case at 10² nodes, where the oracle
+runs.
 
 Gozar and Nylon NAT maintenance (:func:`maintain_parents`,
 :func:`send_keepalives`) runs every round as one batched phase over the live
@@ -108,13 +117,15 @@ def _subsets_np(np, view_ids, view_ages, slotkeys, stream_base, want,
     """Batched keyed-subset selection over gathered ``(M, V)`` view snapshots:
     :func:`_ranked_slots_np` over the occupied (and not excluded) slots, then
     the optional self descriptor appended at column ``cnt``."""
+    M, V = view_ids.shape
     elig = view_ids >= 0
     if exclude is not None:
         elig &= view_ids != exclude[:, None]
     take, valid, cnt = _ranked_slots_np(np, elig, slotkeys, stream_base, want, width)
     slots = np.where(valid, take, -1)
-    ids = np.where(valid, np.take_along_axis(view_ids, take, axis=1), -1)
-    ages = np.where(valid, np.take_along_axis(view_ages, take, axis=1), 0)
+    flat = take + (np.arange(M) * V)[:, None]
+    ids = np.where(valid, view_ids.reshape(-1)[flat], -1)
+    ages = np.where(valid, view_ages.reshape(-1)[flat], 0)
     if self_mask is not None:
         rows = np.nonzero(self_mask)[0]
         ids[rows, cnt[rows]] = self_ids[rows]
@@ -123,65 +134,61 @@ def _subsets_np(np, view_ids, view_ages, slotkeys, stream_base, want,
     return slots, ids, ages, cnt
 
 
+def _row_runs_np(np, mask):
+    """Row-major running count of an ``(M, W)`` mask's set cells, and per row
+    the count before its first cell — one flat cumsum instead of M short ones."""
+    run = mask.reshape(-1).cumsum(dtype=np.int32).reshape(mask.shape)
+    before = np.zeros(mask.shape[0], dtype=run.dtype)
+    before[1:] = run[:-1, -1]
+    return run, before
+
+
 def _batch_merge_np(np, ids2d, ages2d, aux2d, rows,
                     rec_ids, rec_ages, rec_aux, sent_ids, sent_slots):
     """Apply the merge rule to many *distinct* rows at once.
 
-    ``rows``: (M,) distinct row indices; ``rec_*``: (M, R) received entries
-    (``rec_aux``: (M,) per-row aux value, or None); ``sent_*``: (M, S)."""
+    ``ids2d`` / ``ages2d`` / ``aux2d`` (or None): C-contiguous ``(n, V)``
+    columns, written through flat views; ``rows``: (M,) distinct row indices;
+    ``rec_*``: (M, R) received entries (``rec_aux``: (M,) per-row aux value);
+    ``sent_*``: (M, S)."""
     M, R = rec_ids.shape
     V = ids2d.shape[1]
+    ids_flat, ages_flat = ids2d.reshape(-1), ages2d.reshape(-1)
+    aux_flat = None if aux2d is None else aux2d.reshape(-1)
     snap = ids2d[rows]  # gather == pre-merge snapshot copy
+    base = rows * V
     valid = (rec_ids >= 0) & (rec_ids != rows[:, None])
-    matched = np.full((M, R), -1, dtype=np.int64)
+    # Refresh: "anywhere in the snapshot?" for every pair, the slot and the
+    # min-age write for the hit pairs only.
+    hit = np.zeros((M, R), dtype=bool)
     for s in range(V):
-        col = snap[:, s][:, None]
-        hit = valid & (matched < 0) & (col >= 0) & (rec_ids == col)
-        matched[hit] = s
-    for j in range(R):
-        mj = matched[:, j]
-        m = mj >= 0
-        if not m.any():
-            continue
-        rr = rows[m]
-        ss = mj[m]
-        ages2d[rr, ss] = np.minimum(ages2d[rr, ss], rec_ages[m, j])
-        if aux2d is not None:
-            aux2d[rr, ss] = rec_aux[m]
-    empty = snap < 0
-    ecum = empty.cumsum(axis=1)
-    n_empty = ecum[:, -1]
-    S = sent_ids.shape[1] if sent_ids is not None else 0
-    targ = np.full((M, V + S), -1, dtype=np.int64)
-    for s in range(V):
-        m = empty[:, s]
-        targ[m, ecum[m, s] - 1] = s
-    ntarg = n_empty
-    if S:
-        ss_clip = np.where(sent_slots >= 0, sent_slots, 0)
-        still = (
-            (sent_ids >= 0)
-            & (sent_slots >= 0)
-            & (np.take_along_axis(snap, ss_clip, axis=1) == sent_ids)
-        )
-        vcum = still.cumsum(axis=1)
-        for t in range(S):
-            m = still[:, t]
-            targ[m, (n_empty + vcum[:, t] - 1)[m]] = sent_slots[m, t]
-        ntarg = n_empty + vcum[:, -1]
-    unmatched = valid & (matched < 0)
-    ucum = unmatched.cumsum(axis=1)
-    for j in range(R):
-        m = unmatched[:, j] & (ucum[:, j] <= ntarg)
-        if not m.any():
-            continue
-        rowsm = np.nonzero(m)[0]
-        tt = targ[rowsm, ucum[rowsm, j] - 1]
-        rr = rows[rowsm]
-        ids2d[rr, tt] = rec_ids[rowsm, j]
-        ages2d[rr, tt] = rec_ages[rowsm, j]
-        if aux2d is not None:
-            aux2d[rr, tt] = rec_aux[rowsm]
+        hit |= rec_ids == snap[:, s, None]
+    hit &= valid  # a -1 entry "matches" every empty slot
+    hr, hj = np.divmod(np.flatnonzero(hit), R)
+    flat = base[hr] + (snap[hr] == rec_ids[hr, hj][:, None]).argmax(axis=1)
+    np.minimum.at(ages_flat, flat, rec_ages[hr, hj])  # duplicates: min wins
+    if aux_flat is not None:
+        aux_flat[flat] = rec_aux[hr]
+    # Placement: a row's targets are its snapshot-empty slots, ascending, then
+    # the sent entries still at their snapshot slot (ids are unwritten so far,
+    # so ``ids_flat`` reads as the snapshot). Its first n unmatched entries go
+    # to its first n targets; both compactions are row-major, so they line up.
+    unmatched = valid & ~hit
+    held = np.where(sent_slots >= 0, sent_slots, 0)
+    still = ((sent_ids >= 0) & (sent_slots >= 0)
+             & (ids_flat[base[:, None] + held] == sent_ids))
+    free = np.concatenate((snap < 0, still), axis=1)
+    slot = np.concatenate((np.broadcast_to(np.arange(V), (M, V)), sent_slots), axis=1)
+    urun, ubefore = _row_runs_np(np, unmatched)
+    frun, fbefore = _row_runs_np(np, free)
+    n = np.minimum(urun[:, -1] - ubefore, frun[:, -1] - fbefore)
+    src = np.flatnonzero(unmatched & (urun <= (ubefore + n)[:, None]))
+    dst = np.flatnonzero(free & (frun <= (fbefore + n)[:, None]))
+    flat = (base[:, None] + slot).reshape(-1)[dst]
+    ids_flat[flat] = rec_ids.reshape(-1)[src]
+    ages_flat[flat] = rec_ages.reshape(-1)[src]
+    if aux_flat is not None:
+        aux_flat[flat] = np.repeat(rec_aux, n)
 
 
 def _bundles_np(eng, np, rows):
@@ -224,43 +231,35 @@ def _batch_ingest_np(eng, np, rows, origs, vals, borns, valid):
     refreshed only by a strictly larger born; unseen origins take the ring
     cursor slot (evicting whatever held it). Bundle entries are applied left to
     right so an insert is visible to the next entry of the same bundle (each
-    iteration re-reads the ring through fresh fancy-index gathers)."""
+    column gathers its rows' ``(m, C)`` ring block afresh)."""
     C = eng.C
     pos_np = as_np(eng.est_pos)
     eo = as_np(eng.est_origin)
     ev = as_np(eng.est_val)
     eb = as_np(eng.est_born)
-    base_all = rows * C
+    ring = eo.reshape(-1, C)
     for b in range(valid.shape[1]):
-        m = valid[:, b]
-        if not m.any():
-            continue
-        base = base_all[m]
+        m = np.flatnonzero(valid[:, b])
+        ri = rows[m]
         o = origs[m, b]
         v = vals[m, b]
         bo = borns[m, b]
-        match = np.full(base.size, -1, dtype=np.int64)
-        for c in range(C - 1, -1, -1):
-            match = np.where(eo[base + c] == o, c, match)
-        found = match >= 0
-        if found.any():
-            fm = np.nonzero(found)[0]
-            flat = base[fm] + match[fm]
-            fresher = bo[fm] > eb[flat]
-            if fresher.any():
-                fl = flat[fresher]
-                ev[fl] = v[fm][fresher]
-                eb[fl] = bo[fm][fresher]
+        # First ring slot holding the origin; argmax is 0 when none does, and
+        # reading the slot back tells the two apart.
+        flat = ri * C + (ring[ri] == o[:, None]).argmax(axis=1)
+        found = eo[flat] == o
+        fresher = found & (bo > eb[flat])
+        fl = flat[fresher]
+        ev[fl] = v[fresher]
+        eb[fl] = bo[fresher]
         ins = ~found
-        if ins.any():
-            im = np.nonzero(ins)[0]
-            ri = rows[m][im]
-            p = pos_np[ri].astype(np.int64)
-            flat = ri * C + p
-            eo[flat] = o[im]
-            ev[flat] = v[im]
-            eb[flat] = bo[im]
-            pos_np[ri] = ((p + 1) % C).astype(pos_np.dtype)
+        ri = ri[ins]
+        p = pos_np[ri].astype(np.int64)
+        flat = ri * C + p
+        eo[flat] = o[ins]
+        ev[flat] = v[ins]
+        eb[flat] = bo[ins]
+        pos_np[ri] = ((p + 1) % C).astype(pos_np.dtype)
 
 
 def _private_desc_count_np(np, pub, ids):

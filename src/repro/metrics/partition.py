@@ -41,6 +41,38 @@ def connected_components(graph: Adjacency) -> List[Set[int]]:
     return components
 
 
+def _component_sizes(graph: Adjacency) -> List[int]:
+    """Sizes of the components :func:`connected_components` would return, in no
+    particular order, by union-find over the directed edges.
+
+    :func:`connected_components` first builds an undirected dict-of-sets copy of
+    the graph; at 50 000 nodes that copy is larger than the columnar engine's
+    whole run, and the two scalars below need only the sizes. Edges to nodes
+    that are not keys of ``graph`` and self-loops are skipped, as there.
+    """
+    parent: Dict[int, int] = {node: node for node in graph}
+    size: Dict[int, int] = dict.fromkeys(graph, 1)  # roots only, by the end
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]  # path halving
+            node = parent[node]
+        return node
+
+    for node, neighbours in graph.items():
+        for neighbour in neighbours:
+            if neighbour not in parent or neighbour == node:
+                continue
+            root, other = find(node), find(neighbour)
+            if root == other:
+                continue
+            if size[root] < size[other]:
+                root, other = other, root
+            parent[other] = root
+            size[root] += size.pop(other)
+    return list(size.values())
+
+
 def largest_cluster_fraction(graph: Adjacency) -> float:
     """Fraction of (surviving) nodes inside the biggest connected cluster.
 
@@ -51,12 +83,9 @@ def largest_cluster_fraction(graph: Adjacency) -> float:
     """
     if not graph:
         return 0.0
-    components = connected_components(graph)
-    return len(components[0]) / len(graph)
+    return max(_component_sizes(graph)) / len(graph)
 
 
 def partition_count(graph: Adjacency) -> int:
     """Number of connected components (1 means the overlay is not partitioned)."""
-    if not graph:
-        return 0
-    return len(connected_components(graph))
+    return len(_component_sizes(graph))

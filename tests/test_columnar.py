@@ -15,15 +15,19 @@ The load-bearing invariants:
 
 import math
 import random
+from array import array
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("numpy")  # the columnar engine's one hard requirement
+np = pytest.importorskip("numpy")  # the columnar engine's one hard requirement
 
-from columnar_oracle import oracle_round
+from columnar_oracle import _ingest_estimates, _merge_row, oracle_round
 from repro.columnar import COLUMNAR_PROTOCOLS, ColumnarEngine, ColumnarScenario
 from repro.columnar import engine as columnar_engine
 from repro.columnar.engine import CONTROL_BYTES
+from repro.columnar.shuffle import _batch_ingest_np, _batch_merge_np
 from repro.errors import ConfigurationError, ExperimentError
 from repro.membership.capabilities import NatAware, OverlaySampling, RatioEstimating
 from repro.metrics.probes import collect_ratio_estimates
@@ -133,6 +137,21 @@ ORACLE_CASES = [
 ]
 
 
+def disturb(eng, round_index, size):
+    """The oracle runs' schedule over an initial population of ``size``: a
+    partition of every third row at round 10 that heals at 18, and kills plus
+    eight joins at rounds 5, 12 and 20."""
+    if round_index == 10:
+        eng.set_partition(range(3, size, 3))
+    if round_index == 18:
+        eng.set_partition(())
+    if round_index in (5, 12, 20):
+        for row in range(3 + round_index, size, 17):
+            eng.kill(row)
+        for index in range(8):
+            eng.add_node(public=index % 4 == 0)
+
+
 class TestScalarOracle:
     @pytest.mark.parametrize("protocol,options,cull_public,must_drop", ORACLE_CASES)
     def test_every_round_matches_oracle(self, protocol, options, cull_public,
@@ -153,15 +172,7 @@ class TestScalarOracle:
         engine, reference = pair
         for round_index in range(30):
             for eng in pair:
-                if round_index == 10:
-                    eng.set_partition(range(3, 200, 3))
-                if round_index == 18:
-                    eng.set_partition(())
-                if round_index in (5, 12, 20):
-                    for row in range(3 + round_index, 200, 17):
-                        eng.kill(row)
-                    for index in range(8):
-                        eng.add_node(public=index % 4 == 0)
+                disturb(eng, round_index, 200)
                 if cull_public and round_index == 8:
                     for row in eng.live_public_rows()[3:]:
                         eng.kill(row)
@@ -171,6 +182,159 @@ class TestScalarOracle:
         assert engine.packets_sent == reference.packets_sent
         assert list(engine.drops.items()) == list(reference.drops.items())
         assert must_drop <= set(engine.drops)
+
+
+# ----------------------------------------------------------- kernel-level oracle
+
+#: Ids come from a universe this small so that what 40 000-node runs almost
+#: never produce is the common case here: a received id already in the view,
+#: the same id received twice, a row's own id, more entries than targets.
+N_IDS = 8
+_entry = st.integers(-1, N_IDS - 1)
+_rows = st.integers(0, 6).flatmap(  # M = 0 and M = 1 included
+    lambda m: st.lists(st.integers(0, N_IDS - 1), unique=True, min_size=m, max_size=m))
+
+
+def _table(draw, width, *row_kinds):
+    """``N_IDS`` rows of ``width`` cells, each row drawn from one of the kinds."""
+    row = st.one_of(*(st.lists(kind, min_size=width, max_size=width)
+                      for kind in row_kinds))
+    return draw(st.lists(row, min_size=N_IDS, max_size=N_IDS))
+
+
+@st.composite
+def merge_cases(draw):
+    V, R = draw(st.integers(2, 6)), draw(st.integers(1, 5))
+    S = draw(st.integers(0, V))
+    ids = _table(draw, V, st.just(-1), st.integers(0, N_IDS - 1), _entry)
+    ages = _table(draw, V, st.integers(0, 40))
+    aux = _table(draw, V, _entry) if draw(st.booleans()) else None
+    rows = draw(_rows)
+    received = [
+        (draw(st.lists(_entry, min_size=R, max_size=R)),
+         draw(st.lists(st.integers(0, 40), min_size=R, max_size=R)),
+         draw(_entry))
+        for _ in rows
+    ]
+    sent = []
+    for row in rows:
+        # Distinct slots, as a keyed subset returns them; -1 is the appended
+        # self descriptor or padding. The id is the one at the slot (a sent
+        # entry still in place) or any other (one that no longer is).
+        slots = [draw(st.just(-1) | st.just(slot))
+                 for slot in draw(st.permutations(range(V)))[:S]]
+        sent.append((
+            [draw(st.just(ids[row][slot] if slot >= 0 else row) | _entry)
+             for slot in slots],
+            slots,
+        ))
+    return V, R, S, ids, ages, aux, rows, received, sent
+
+
+@st.composite
+def ingest_cases(draw):
+    C, B = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    born = st.integers(-5, 20)
+    value = st.integers(0, 100).map(lambda percent: percent / 100)
+    ring = (_table(draw, C, _entry), _table(draw, C, value), _table(draw, C, born))
+    cursor = draw(st.lists(st.integers(0, C - 1), min_size=N_IDS, max_size=N_IDS))
+    rows = draw(_rows)
+    bundles = [
+        draw(st.lists(st.tuples(st.integers(0, N_IDS - 1), value, born,
+                                st.booleans()), min_size=B, max_size=B))
+        for _ in rows
+    ]
+    return C, B, ring, cursor, rows, bundles
+
+
+def _flat(table):
+    return [cell for row in table for cell in row]
+
+
+class TestKernelOracle:
+    """``_batch_merge_np`` / ``_batch_ingest_np`` against the oracle's one-row
+    loops on generated inputs — the 200-node oracle runs never receive one id
+    twice with two ages, or overflow a row's targets by much."""
+
+    @given(case=merge_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_batch_merge_equals_merge_row(self, case):
+        V, R, S, ids, ages, aux, rows, received, sent = case
+        M = len(rows)
+        vid, vage = _flat(ids), _flat(ages)
+        vaux = _flat(aux) if aux else None
+        ids2d = np.array(ids, dtype=np.int64)
+        ages2d = np.array(ages, dtype=np.int32)
+        aux2d = np.array(aux, dtype=np.int64) if aux else None
+
+        def block(columns, index, width):
+            cells = [column[index] for column in columns]
+            return np.array(cells, dtype=np.int64).reshape(M, width)
+
+        _batch_merge_np(
+            np, ids2d, ages2d, aux2d, np.array(rows, dtype=np.int64),
+            block(received, 0, R), block(received, 1, R),
+            np.array([r[2] for r in received], dtype=np.int64),
+            block(sent, 0, S), block(sent, 1, S),
+        )
+        for row, (rec_ids, rec_ages, rec_aux), (sent_ids, sent_slots) in zip(
+                rows, received, sent):
+            _merge_row(SimpleNamespace(V=V), vid, vage, vaux, row,
+                       rec_ids, rec_ages, rec_aux, sent_ids, sent_slots)
+        assert ids2d.reshape(-1).tolist() == vid
+        assert ages2d.reshape(-1).tolist() == vage
+        if aux:
+            assert aux2d.reshape(-1).tolist() == vaux
+
+    @given(case=ingest_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_batch_ingest_equals_ingest_estimates(self, case):
+        C, B, (origin, value, born), cursor, rows, bundles = case
+        M = len(rows)
+
+        def engine():
+            return SimpleNamespace(
+                C=C, est_pos=array("i", cursor), est_origin=array("q", _flat(origin)),
+                est_val=array("d", _flat(value)), est_born=array("i", _flat(born)),
+            )
+
+        batched, reference = engine(), engine()
+
+        def block(index, dtype):
+            cells = [[entry[index] for entry in bundle] for bundle in bundles]
+            return np.array(cells, dtype=dtype).reshape(M, B)
+
+        _batch_ingest_np(batched, np, np.array(rows, dtype=np.int64),
+                         block(0, np.int64), block(1, np.float64),
+                         block(2, np.int64), block(3, bool))
+        for row, bundle in zip(rows, bundles):
+            _ingest_estimates(reference, row,
+                              [entry[:3] for entry in bundle if entry[3]])
+        for column in ("est_pos", "est_origin", "est_val", "est_born"):
+            assert getattr(batched, column) == getattr(reference, column), column
+
+
+class TestViewUniqueness:
+    @pytest.mark.parametrize("protocol", COLUMNAR_PROTOCOLS)
+    def test_no_self_and_no_duplicate_ids(self, protocol):
+        """No live row's public (for croupier also private) view ever holds its
+        own id or one id twice — what makes the merge rule's "the slot whose
+        snapshot id matches" one slot."""
+        engine = ColumnarEngine(protocol, view_size=10, shuffle_size=5,
+                                rng=random.Random(23))
+        for index in range(300):
+            engine.add_node(public=index % 5 == 0)
+        engine.configure_loss(0.05, 0.1)
+        V = engine.V
+        views = [engine.pub_id] + ([engine.priv_id] if engine.estimating else [])
+        for round_index in range(30):
+            disturb(engine, round_index, 300)
+            engine.run_round()
+            for row in engine.live_rows():
+                for column in views:
+                    ids = [nid for nid in column[row * V:(row + 1) * V] if nid >= 0]
+                    assert row not in ids, (round_index, row)
+                    assert len(set(ids)) == len(ids), (round_index, row, ids)
 
 
 # ----------------------------------------------------------------- scenario facade

@@ -141,6 +141,33 @@ class TestPartition:
         components = connected_components(graph)
         assert len(components[0]) == 3
 
+    @pytest.mark.parametrize("graph", [
+        pytest.param({}, id="empty"),
+        pytest.param(ring_graph(5), id="ring5"),
+        pytest.param(ring_graph(6), id="ring6"),
+        pytest.param(star_graph(5), id="star5"),
+        pytest.param(star_graph(6), id="star6"),
+        pytest.param(complete_graph(4), id="complete4"),
+        pytest.param(complete_graph(5), id="complete5"),
+        pytest.param({1: {2}, 2: set(), 3: {4}, 4: set(), 5: set()}, id="pairs"),
+        pytest.param({1: set(), 2: {3}, 3: {4}, 4: set()}, id="chain"),
+        pytest.param({1: {2, 3}, 2: {3}, 3: {1}, 4: {1}}, id="triangle-tail"),
+        # two rings and a star that share no edge
+        pytest.param(
+            {**ring_graph(7), **{10 + i: {10 + (i + 1) % 4} for i in range(4)},
+             20: {21, 22}, 21: set(), 22: set()}, id="partitioned"),
+        # 98 and 99 are not nodes; edges to them, and self-loops, link nothing
+        pytest.param({1: {2, 99}, 2: {2}, 3: {98}, 4: {4, 3}, 5: {99}},
+                     id="dangling"),
+    ])
+    def test_scalars_agree_with_connected_components(self, graph):
+        """``largest_cluster_fraction`` / ``partition_count`` count by union-find,
+        without the undirected copy; same numbers as the component sets give."""
+        components = connected_components(graph)
+        assert partition_count(graph) == len(components)
+        expected = len(components[0]) / len(graph) if graph else 0.0
+        assert largest_cluster_fraction(graph) == expected
+
 
 class TestBuildOverlayGraph:
     def test_drops_edges_to_unknown_nodes(self):

@@ -191,6 +191,9 @@ def test_largest_cluster_fraction_bounds(raw):
         assert 0.0 < fraction <= 1.0
     else:
         assert fraction == 0.0
+    if raw:  # dangling edges and self-loops still in: counted as by the component sets
+        assert largest_cluster_fraction(raw) == (
+            len(connected_components(raw)[0]) / len(raw))
 
 
 @given(graph_strategy)
