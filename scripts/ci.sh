@@ -62,6 +62,21 @@
 #   cp artifacts/ci-natrelay-w1/matrix_aggregate.json \
 #      artifacts/baseline/columnar_natrelay_aggregate.json
 #   git add -f artifacts/baseline/columnar_natrelay_aggregate.json
+#
+# The object-engine NAT golden (artifacts/baseline/object_natrelay_aggregate.json)
+# pins Gozar and Nylon on the reference engine under the paper NAT mixture: all
+# four mapping x filtering policies, relays, hole-punch chains and keep-alives,
+# over 90 rounds so that the 60 s mapping timeout fires (20-67 bindings expire
+# per Nylon cell, 7 in the two Gozar churn cells). Regenerate it ONLY for an
+# intentional change to the NAT substrate or to those protocols, with:
+#
+#   PYTHONPATH=src python -m repro matrix \
+#       --scenarios static,churn --protocols gozar,nylon --sizes 40 \
+#       --seeds 2 --rounds 90 --latency constant --nat-mixtures paper \
+#       --workers 1 --out artifacts/ci-objnat-w1
+#   cp artifacts/ci-objnat-w1/matrix_aggregate.json \
+#      artifacts/baseline/object_natrelay_aggregate.json
+#   git add -f artifacts/baseline/object_natrelay_aggregate.json
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -167,6 +182,23 @@ echo "parity OK: gozar/nylon columnar cells are byte-identical across worker cou
 cmp artifacts/baseline/columnar_natrelay_aggregate.json \
     artifacts/ci-natrelay-w1/matrix_aggregate.json
 echo "golden OK: gozar/nylon columnar aggregate matches the committed golden byte for byte"
+
+echo
+echo "== object engine NAT golden: gozar + nylon under the paper NAT mixture =="
+# The only other object-engine golden (the baseline gate below) is Croupier +
+# Cyclon over 10 rounds, in which no NAT binding ever expires. This grid runs the
+# two protocols that live on the NAT substrate for 90 rounds, so binding expiry,
+# port release and every filtering policy are in the compared bytes.
+OBJNAT_ARGS=(--scenarios static,churn --protocols gozar,nylon --sizes 40
+             --seeds 2 --rounds 90 --latency constant --nat-mixtures paper)
+python -m repro matrix "${OBJNAT_ARGS[@]}" --workers 2 --out artifacts/ci-objnat-w2
+python -m repro matrix "${OBJNAT_ARGS[@]}" --workers 1 --out artifacts/ci-objnat-w1
+cmp artifacts/ci-objnat-w2/matrix_aggregate.json \
+    artifacts/ci-objnat-w1/matrix_aggregate.json
+echo "parity OK: gozar/nylon object cells are byte-identical across worker counts"
+cmp artifacts/baseline/object_natrelay_aggregate.json \
+    artifacts/ci-objnat-w1/matrix_aggregate.json
+echo "golden OK: gozar/nylon object aggregate matches the committed golden byte for byte"
 
 echo
 echo "== columnar scale smoke: one 10^5-node cell inside the wall-clock budget =="

@@ -37,6 +37,7 @@ with sorted keys. CI relies on this (see ``scripts/ci.sh``).
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import multiprocessing
@@ -263,6 +264,11 @@ def _run_attempt(
         time.sleep(fault_plan.hang_s)
 
     seed = derive_cell_seed(root_seed, cell.key)
+    # A finished cell's scenario graph is cyclic (hosts <-> network <-> components),
+    # so it is freed only by a generation-2 collection, and those are triggered by
+    # allocation counts: without this, peak memory depends on how many container
+    # objects the engine happens to allocate per packet, not on live state.
+    gc.collect()
     started = time.perf_counter()
     try:
         payload = run_cell(cell, root_seed=root_seed, latency=latency, reuse=reuse)

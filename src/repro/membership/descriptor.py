@@ -120,7 +120,10 @@ class NodeDescriptor:
         """A descriptor with the age replaced (used by lazy-ageing views)."""
         if age == self.age:
             return self
-        return NodeDescriptor(self.address, age, self.parents)
+        clone = NodeDescriptor(self.address, age, self.parents)
+        # The encoded size does not depend on the age: a re-aged copy keeps the cache.
+        _set_slot(clone, "_wire_size", self._wire_size)
+        return clone
 
     def is_fresher_than(self, other: "NodeDescriptor") -> bool:
         """Whether this descriptor carries more recent information than ``other``."""

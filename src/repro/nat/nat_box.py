@@ -9,8 +9,9 @@ network routes every packet addressed to the NAT's external IP through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import NatError
 from repro.nat.allocator import AllocationPolicy, PortAllocator
@@ -29,20 +30,24 @@ class NatBinding:
     ----------
     internal:
         The internal endpoint (private IP and port) the binding belongs to.
-    external_port:
-        The external port allocated for it on the NAT's public IP.
+    external:
+        The external endpoint allocated for it: the NAT's public IP plus the mapped
+        port. Built once; every translated packet carries this same object.
     created_at / last_refreshed:
         Virtual timestamps (ms) used for idle expiry.
     contacted:
-        The set of remote endpoints this binding has sent packets to; consulted by the
-        address-dependent and address-and-port-dependent filtering policies.
+        The remote endpoints this binding has sent packets to, indexed as remote IP ->
+        ports contacted on it. Both the address-dependent and the
+        address-and-port-dependent filtering policy are one hash lookup in it, whatever
+        the number of remotes; the ports of one remote IP are a tuple (a single entry
+        for every protocol here: a remote is contacted on its protocol port).
     """
 
     internal: Endpoint
-    external_port: int
+    external: Endpoint
     created_at: float
     last_refreshed: float
-    contacted: Set[Endpoint] = field(default_factory=set)
+    contacted: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
     permanent: bool = False
 
     def is_expired(self, now: float, timeout_ms: float) -> bool:
@@ -50,12 +55,24 @@ class NatBinding:
             return False
         return (now - self.last_refreshed) > timeout_ms
 
+    def record_contact(self, remote: Endpoint) -> None:
+        """Remember that the binding sent a packet to ``remote``."""
+        ports = self.contacted.get(remote.ip)
+        if ports is None:
+            self.contacted[remote.ip] = (remote.port,)
+        elif remote.port not in ports:
+            self.contacted[remote.ip] = ports + (remote.port,)
+
+    def has_contacted(self, remote: Endpoint) -> bool:
+        """Whether the binding has sent a packet to exactly this remote endpoint."""
+        return remote.port in self.contacted.get(remote.ip, ())
+
     def allows_inbound(self, source: Endpoint, policy: FilteringPolicy) -> bool:
         if policy is FilteringPolicy.ENDPOINT_INDEPENDENT:
             return True
         if policy is FilteringPolicy.ADDRESS_DEPENDENT:
-            return any(remote.ip == source.ip for remote in self.contacted)
-        return source in self.contacted
+            return source.ip in self.contacted
+        return self.has_contacted(source)
 
 
 class NatBox:
@@ -76,6 +93,13 @@ class NatBox:
         self._by_external_port: Dict[int, NatBinding] = {}
         # Internal IP -> host, for final delivery.
         self._hosts: Dict[str, "Host"] = {}
+        # Lower bound on the smallest ``last_refreshed`` among the non-permanent
+        # bindings (``inf`` when there are none). Refresh times only grow, so while
+        # ``now - floor`` is within the timeout nothing can have expired and the
+        # per-packet paths skip the table scan; a scan recomputes the exact value.
+        # The guard is the very expression ``NatBinding.is_expired`` evaluates (not
+        # ``now > floor + timeout``), so the two cannot disagree in the last ulp.
+        self._refresh_floor = math.inf
 
     # ------------------------------------------------------------------ host attachment
 
@@ -106,22 +130,23 @@ class NatBox:
         self, internal_source: Endpoint, destination: Endpoint, now: float
     ) -> Optional[Endpoint]:
         """Allocate/refresh the binding for an outbound packet and return the wire source."""
-        self._expire_bindings(now)
+        if now - self._refresh_floor > self.profile.mapping_timeout_ms:
+            self._expire_bindings(now)
         key = self._mapping_key(internal_source, destination)
         binding = self._bindings.get(key)
         if binding is None:
             external_port = self._allocator.allocate(preferred_port=internal_source.port)
             binding = NatBinding(
                 internal=internal_source,
-                external_port=external_port,
+                external=Endpoint(self.external_ip, external_port),
                 created_at=now,
                 last_refreshed=now,
             )
             self._bindings[key] = binding
             self._by_external_port[external_port] = binding
-        binding.last_refreshed = now
-        binding.contacted.add(destination)
-        return Endpoint(self.external_ip, binding.external_port)
+        self._refresh(binding, now)
+        binding.record_contact(destination)
+        return binding.external
 
     # ------------------------------------------------------------------ inbound
 
@@ -129,14 +154,16 @@ class NatBox:
         self, source: Endpoint, external_destination: Endpoint, now: float
     ) -> Optional[Endpoint]:
         """Apply filtering to an inbound packet; return the internal endpoint or ``None``."""
-        self._expire_bindings(now)
+        profile = self.profile
+        if now - self._refresh_floor > profile.mapping_timeout_ms:
+            self._expire_bindings(now)
         binding = self._by_external_port.get(external_destination.port)
         if binding is None:
             return None
-        if not binding.allows_inbound(source, self.profile.filtering):
+        if not binding.allows_inbound(source, profile.filtering):
             return None
-        if self.profile.refresh_on_inbound:
-            binding.last_refreshed = now
+        if profile.refresh_on_inbound:
+            self._refresh(binding, now)
         return binding.internal
 
     # ------------------------------------------------------------------ introspection
@@ -155,7 +182,7 @@ class NatBox:
     def has_mapping_to(self, internal_source: Endpoint, remote: Endpoint) -> bool:
         """Whether the internal endpoint has an unexpired binding that contacted ``remote``."""
         binding = self.binding_for_internal(internal_source)
-        return binding is not None and remote in binding.contacted
+        return binding is not None and binding.has_contacted(remote)
 
     # ------------------------------------------------------------------ internals
 
@@ -166,16 +193,28 @@ class NatBox:
             return (internal_source, destination.ip)
         return (internal_source, destination.ip, destination.port)
 
+    def _refresh(self, binding: NatBinding, now: float) -> None:
+        binding.last_refreshed = now
+        # Lowers the floor for a binding created into an empty table (``inf``) and
+        # keeps it a lower bound even if a caller's clock steps backwards.
+        if now < self._refresh_floor:
+            self._refresh_floor = now
+
     def _expire_bindings(self, now: float) -> None:
-        expired = [
-            key
-            for key, binding in self._bindings.items()
-            if binding.is_expired(now, self.profile.mapping_timeout_ms)
-        ]
+        """Drop every idle binding (one table scan) and recompute the refresh floor."""
+        timeout_ms = self.profile.mapping_timeout_ms
+        floor = math.inf
+        expired = []
+        for key, binding in self._bindings.items():
+            if binding.is_expired(now, timeout_ms):
+                expired.append(key)
+            elif not binding.permanent and binding.last_refreshed < floor:
+                floor = binding.last_refreshed
+        self._refresh_floor = floor
         for key in expired:
-            binding = self._bindings.pop(key)
-            self._by_external_port.pop(binding.external_port, None)
-            self._allocator.release(binding.external_port)
+            port = self._bindings.pop(key).external.port
+            self._by_external_port.pop(port, None)
+            self._allocator.release(port)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

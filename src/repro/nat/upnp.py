@@ -55,18 +55,18 @@ class UpnpNatBox(NatBox):
                     f"(held by {binding.internal})"
                 )
             binding.permanent = True
-            return Endpoint(self.external_ip, requested)
+            return binding.external
         allocated = self._allocator.allocate(preferred_port=requested)
         binding = NatBinding(
             internal=internal_endpoint,
-            external_port=allocated,
+            external=Endpoint(self.external_ip, allocated),
             created_at=now,
             last_refreshed=now,
             permanent=True,
         )
         self._bindings[("upnp", internal_endpoint, allocated)] = binding
         self._by_external_port[allocated] = binding
-        return Endpoint(self.external_ip, allocated)
+        return binding.external
 
     def accept_inbound(
         self, source: Endpoint, external_destination: Endpoint, now: float

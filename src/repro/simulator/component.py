@@ -171,7 +171,10 @@ class Component:
 
     def send_to_node(self, destination: NodeAddress, message: Message) -> None:
         """Send to a node's protocol port (same port number as this component)."""
-        self.send(Endpoint(destination.endpoint.ip, self.port), message)
+        endpoint = destination.endpoint
+        if endpoint.port != self.port:
+            endpoint = endpoint.with_port(self.port)
+        self.send(endpoint, message)
 
     # ------------------------------------------------------------------ timers
 

@@ -40,8 +40,9 @@ class Message:
     def wire_size(self) -> int:
         """Total on-the-wire size in bytes including IP and UDP headers.
 
-        Cached after the first computation: the traffic monitor reads the size on both
-        send and receive, and message contents never change once the message is sent.
+        Cached after the first computation: the traffic monitor reads the size once
+        per record (on send and again on receive), and message contents never change
+        once the message is sent.
         """
         cached = getattr(self, "_wire_size_cache", None)
         if cached is None:

@@ -9,6 +9,9 @@ it, together with its wire size.
 
 Experiments that want steady-state numbers take a :meth:`TrafficMonitor.snapshot` at
 the start of the measurement window and subtract it from a later snapshot.
+
+``record_sent`` / ``record_received`` run once per packet each, so they read the
+message's size and type name once and touch each counter once.
 """
 
 from __future__ import annotations
@@ -86,22 +89,26 @@ class TrafficMonitor:
     # ------------------------------------------------------------------ recording
 
     def record_sent(self, sender: NodeAddress, message: Message) -> None:
-        traffic = self._per_node[sender.node_id]
-        traffic.tx_bytes += message.wire_size
+        node_id = sender.node_id
+        size = message.wire_size
+        name = type(message).__name__
+        traffic = self._per_node[node_id]
+        traffic.tx_bytes += size
         traffic.tx_messages += 1
-        traffic.tx_by_type[message.type_name] = (
-            traffic.tx_by_type.get(message.type_name, 0) + message.wire_size
-        )
-        self._is_public[sender.node_id] = sender.is_public
+        by_type = traffic.tx_by_type
+        by_type[name] = by_type.get(name, 0) + size
+        self._is_public[node_id] = sender.is_public
 
     def record_received(self, receiver: NodeAddress, message: Message) -> None:
-        traffic = self._per_node[receiver.node_id]
-        traffic.rx_bytes += message.wire_size
+        node_id = receiver.node_id
+        size = message.wire_size
+        name = type(message).__name__
+        traffic = self._per_node[node_id]
+        traffic.rx_bytes += size
         traffic.rx_messages += 1
-        traffic.rx_by_type[message.type_name] = (
-            traffic.rx_by_type.get(message.type_name, 0) + message.wire_size
-        )
-        self._is_public[receiver.node_id] = receiver.is_public
+        by_type = traffic.rx_by_type
+        by_type[name] = by_type.get(name, 0) + size
+        self._is_public[node_id] = receiver.is_public
 
     def record_drop(self, reason: str) -> None:
         """Record a packet that never reached a node (NAT filtered, lost, dead host)."""

@@ -19,6 +19,23 @@ experiences on the real Internet path the paper's protocols care about:
    destination port.
 
 All traffic is accounted in a :class:`~repro.simulator.monitor.TrafficMonitor`.
+
+Per-packet cost contract
+------------------------
+Gozar and Nylon push about ten packets per node and round through this pipeline, so
+what one packet costs is what the object engine costs on the paper's NAT cells:
+
+* No step does work proportional to the length of the run, the size of a NAT box's
+  binding table or the number of remotes a binding has contacted. A
+  :class:`~repro.nat.nat_box.NatBox` looks for idle bindings only once the clock
+  passes a lower bound on the earliest possible expiry, and filters inbound packets
+  with one hash lookup in the binding's ``remote ip -> ports`` index.
+* A message's size is computed once (:attr:`Message.wire_size` caches it) and the
+  monitor reads it once per record.
+* A hop allocates two objects: the :class:`Packet` and the simulator's event handle
+  (delivery through a NAT allocates one more ``Packet``, rewritten to the internal
+  destination). Source endpoints, a binding's external endpoint and the destination
+  endpoint are existing objects, not built per packet.
 """
 
 from __future__ import annotations
@@ -110,11 +127,10 @@ class Network:
         """Send one datagram. See the module docstring for the pipeline."""
         if not host.alive:
             return
+        now = self.sim.now
         internal_source = host.source_endpoint(src_port)
         if host.natbox is not None:
-            wire_source = host.natbox.translate_outbound(
-                internal_source, destination, self.sim.now
-            )
+            wire_source = host.natbox.translate_outbound(internal_source, destination, now)
             if wire_source is None:
                 self.monitor.record_drop("nat_allocation_failed")
                 return
@@ -144,7 +160,7 @@ class Network:
             destination=destination,
             message=message,
             sender=host.address,
-            sent_at=self.sim.now,
+            sent_at=now,
         )
         # Direct (callback, arg) event slot: no per-packet closure allocation.
         self.sim.schedule(delay, self._deliver, packet)

@@ -3,12 +3,14 @@ multiprocess runner's parity and crash behaviour, aggregation and the CLI."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -159,6 +161,37 @@ class TestCrashSurfacing:
                         rounds=2)
         with pytest.raises(ExperimentError):
             run_cell(cell, root_seed=1)
+
+
+class TestCellsAreFreedBetweenCells:
+    def test_a_finished_cells_cycles_are_dead_when_the_next_cell_starts(self):
+        """A scenario graph is cyclic, so only the collector frees it. The runner
+        collects before each cell: peak memory is one cell's, whatever the engine's
+        allocation rate happens to do to the automatic generation-2 schedule."""
+
+        class Graph:
+            def __init__(self):
+                self.owner = self
+
+        earlier_cells = []
+        alive_at_start = []
+
+        def cyclic_cell(ctx):
+            alive_at_start.append([ref() is not None for ref in earlier_cells])
+            earlier_cells.append(weakref.ref(Graph()))
+            return {"value": 1.0}
+
+        register_scenario("cyclic", cyclic_cell, description="test-only cycle maker")
+        # With the automatic collector off, nothing but the runner can free a cycle.
+        gc.disable()
+        try:
+            spec = small_spec(scenarios=("cyclic",), protocols=("croupier",), seeds=3)
+            run = run_matrix(spec, workers=1)
+        finally:
+            gc.enable()
+            unregister_scenario("cyclic")
+        assert [r.ok for r in run.results] == [True, True, True]
+        assert alive_at_start == [[], [False], [False, False]]
 
 
 class TestAggregation:
