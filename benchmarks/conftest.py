@@ -2,7 +2,7 @@
 
 Every benchmark regenerates one figure of the paper at a reduced default scale (so the
 whole suite completes in minutes); the module docstrings state the paper-scale
-invocation. Benchmarks print the same text tables the experiment harnesses produce, so
+invocation. Benchmarks print the same text tables `repro run` prints, so
 ``pytest benchmarks/ -m bench --benchmark-only -s`` shows the regenerated series
 alongside the timing statistics.
 

@@ -5,43 +5,31 @@ round 58, raising the ratio by about three percentage points. Small windows trac
 change fastest; large windows lag but win after the ratio stabilises.
 """
 
-from repro.experiments import run_history_window_experiment
+from repro.experiments import run_figure
 
-BENCH_PUBLIC = 40
-BENCH_PRIVATE = 160
+BENCH_NODES = 200
 BENCH_ROUNDS = 110
 BENCH_WINDOWS = ((10, 25), (50, 125))
-GROWTH_START_ROUND = 40
 
 
 def test_fig2_dynamic_ratio_history_windows(once):
-    result = once(
-        run_history_window_experiment,
-        dynamic=True,
-        n_public=BENCH_PUBLIC,
-        n_private=BENCH_PRIVATE,
-        rounds=BENCH_ROUNDS,
-        window_pairs=BENCH_WINDOWS,
-        public_interarrival_ms=100.0,
-        private_interarrival_ms=25.0,
-        ratio_growth_start_round=GROWTH_START_ROUND,
-        ratio_growth_interval_ms=500.0,
-        seed=42,
-    )
+    result = once(run_figure, "history-dynamic", nodes=BENCH_NODES, rounds=BENCH_ROUNDS,
+                  seed=42, window_pairs=BENCH_WINDOWS)
     print()
     print(result.to_text())
 
-    small_run = result.run_for(*BENCH_WINDOWS[0])
-    large_run = result.run_for(*BENCH_WINDOWS[1])
+    small = result.by("alpha")[BENCH_WINDOWS[0][0]]
+    large = result.by("alpha")[BENCH_WINDOWS[1][0]]
     # The ratio actually grew.
-    assert small_run.final_true_ratio > 0.2
+    assert small.scalars["true_ratio"] > 0.2
     # Both estimators follow the change and stay within a few points of the new ratio.
-    assert small_run.series.final_avg_error() < 0.06
-    assert large_run.series.final_avg_error() < 0.1
+    assert small.scalars["est_err_avg_final"] < 0.06
+    assert large.scalars["est_err_avg_final"] < 0.1
 
     # Right after the growth phase the small window tracks the moving ratio at least as
     # well as the large window (the paper's crossover behaviour).
-    growth_ms = (GROWTH_START_ROUND + 15) * 1000.0
-    small_sample = [s for s in small_run.series.samples if s.time_ms >= growth_ms][0]
-    large_sample = [s for s in large_run.series.samples if s.time_ms >= growth_ms][0]
-    assert small_sample.avg_error <= large_sample.avg_error + 0.02
+    growth_start_round = result.cells[0][0].param("ratio_growth_start_round")
+    growth_ms = (growth_start_round + 15) * 1000.0
+    small_error = [v for t, v in small.series["est_err_avg"] if t >= growth_ms][0]
+    large_error = [v for t, v in large.series["est_err_avg"] if t >= growth_ms][0]
+    assert small_error <= large_error + 0.02

@@ -5,26 +5,20 @@ The benchmark sweeps a reduced ladder with the same ratio; the paper's observati
 accuracy improves with system size and saturates — is asserted on the endpoints.
 """
 
-from repro.experiments import run_system_size_experiment
+from repro.experiments import run_figure
 
 BENCH_SIZES = (50, 150, 400)
 BENCH_ROUNDS = 80
 
 
 def test_fig3_system_size_sweep(once):
-    result = once(
-        run_system_size_experiment,
-        sizes=BENCH_SIZES,
-        public_ratio=0.2,
-        rounds=BENCH_ROUNDS,
-        join_window_ms=10_000.0,
-        seed=42,
-    )
+    result = once(run_figure, "system-size", nodes=BENCH_SIZES[-1], rounds=BENCH_ROUNDS,
+                  seed=42, sizes=BENCH_SIZES)
     print()
     print(result.to_text())
 
-    avg_errors = result.final_avg_errors()
-    max_errors = result.final_max_errors()
+    avg_errors = result.scalars("est_err_avg_final", by="size")
+    max_errors = result.scalars("est_err_max_final", by="size")
     assert set(avg_errors) == set(BENCH_SIZES)
     # Every size converges to a small error...
     assert all(error < 0.06 for error in avg_errors.values())

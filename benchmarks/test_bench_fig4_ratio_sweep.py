@@ -5,7 +5,7 @@ ratio-independent, with only the smallest public fractions showing a larger maxi
 error (the occasional starved private node).
 """
 
-from repro.experiments import run_ratio_sweep_experiment
+from repro.experiments import run_figure
 
 BENCH_RATIOS = (0.05, 0.2, 0.5)
 BENCH_NODES = 150
@@ -13,19 +13,13 @@ BENCH_ROUNDS = 80
 
 
 def test_fig4_public_private_ratio_sweep(once):
-    result = once(
-        run_ratio_sweep_experiment,
-        ratios=BENCH_RATIOS,
-        total_nodes=BENCH_NODES,
-        rounds=BENCH_ROUNDS,
-        join_window_ms=5_000.0,
-        seed=42,
-    )
+    result = once(run_figure, "ratio-sweep", nodes=BENCH_NODES, rounds=BENCH_ROUNDS,
+                  seed=42, ratios=BENCH_RATIOS)
     print()
     print(result.to_text())
 
-    avg_errors = result.final_avg_errors()
-    max_errors = result.final_max_errors()
+    avg_errors = result.scalars("est_err_avg_final", by="public_ratio")
+    max_errors = result.scalars("est_err_max_final", by="public_ratio")
     assert set(avg_errors) == set(BENCH_RATIOS)
     # Average error stays small for every ratio (Figure 4a).
     assert all(error < 0.06 for error in avg_errors.values())

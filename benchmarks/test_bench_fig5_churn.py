@@ -5,33 +5,23 @@ replaced per round starting at t=61. The paper's finding — churn up to 5 %/rou
 significant effect on estimation — is asserted by comparing against the churn-free run.
 """
 
-from repro.experiments import run_churn_experiment
+from repro.experiments import run_figure
 
 BENCH_LEVELS = (0.0, 0.01, 0.05)
 BENCH_NODES = 120
 BENCH_ROUNDS = 90
-CHURN_START_ROUND = 30
 
 
 def test_fig5_estimation_under_churn(once):
-    result = once(
-        run_churn_experiment,
-        churn_levels=BENCH_LEVELS,
-        total_nodes=BENCH_NODES,
-        public_ratio=0.2,
-        rounds=BENCH_ROUNDS,
-        churn_start_round=CHURN_START_ROUND,
-        join_window_ms=5_000.0,
-        seed=42,
-    )
+    result = once(run_figure, "churn", nodes=BENCH_NODES, rounds=BENCH_ROUNDS,
+                  seed=42, churn_levels=BENCH_LEVELS)
     print()
     print(result.to_text())
 
-    avg_errors = result.final_avg_errors()
+    avg_errors = result.scalars("est_err_avg_final", by="churn_fraction")
     assert set(avg_errors) == set(BENCH_LEVELS)
     calm = avg_errors[0.0]
     heavy = avg_errors[0.05]
-    assert calm is not None and heavy is not None
     # Heavy churn degrades the estimate only mildly (paper: "no significant effect").
     assert heavy < 0.08
     assert heavy <= calm + 0.05

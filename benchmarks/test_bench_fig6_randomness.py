@@ -6,7 +6,7 @@ qualitative claims: every NAT-aware protocol's path length stays close to Cyclon
 private-node in-degrees are concentrated rather than starved.
 """
 
-from repro.experiments import run_randomness_experiment
+from repro.experiments import run_figure
 
 BENCH_NODES = 150
 BENCH_ROUNDS = 80
@@ -14,28 +14,20 @@ BENCH_PROTOCOLS = ("croupier", "gozar", "nylon", "cyclon")
 
 
 def test_fig6_randomness_properties(once):
-    result = once(
-        run_randomness_experiment,
-        protocols=BENCH_PROTOCOLS,
-        total_nodes=BENCH_NODES,
-        public_ratio=0.2,
-        rounds=BENCH_ROUNDS,
-        measure_every_rounds=20,
-        path_length_sources=40,
-        seed=42,
-    )
+    result = once(run_figure, "randomness", nodes=BENCH_NODES, rounds=BENCH_ROUNDS,
+                  seed=42, protocols=BENCH_PROTOCOLS)
     print()
     print(result.to_text())
 
-    cyclon = result.per_protocol["cyclon"]
+    by_protocol = result.by("protocol")
+    cyclon_path_length = by_protocol["cyclon"].series["path_length"][-1][1]
     for name in ("croupier", "gozar", "nylon"):
-        measurement = result.per_protocol[name]
+        measured = by_protocol[name]
         # Figure 6(b): average path length tracks Cyclon closely.
-        assert measurement.path_length.last() is not None
-        assert measurement.path_length.last() <= cyclon.path_length.last() + 1.0
+        assert measured.series["path_length"][-1][1] <= cyclon_path_length + 1.0
         # Figure 6(c): clustering stays low (well below a clustered/complete graph).
-        assert measurement.clustering.last() < 0.5
+        assert measured.series["clustering"][-1][1] < 0.5
         # Figure 6(a): nobody is isolated — minimum in-degree is at least 1.
-        assert min(measurement.in_degree_histogram) >= 1
+        assert min(measured.histograms["in_degree"]) >= 1
         # Out-degree (view occupancy) is full or nearly full for live overlay health.
-        assert measurement.in_degree_stats["mean"] >= 8.0
+        assert measured.scalars["indeg_mean"] >= 8.0

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation front-door checker, wired into CI before the columnar gates.
 
-Two classes of rot this catches:
+Three classes of rot this catches:
 
 1. **Dead links** — every relative link (and ``#anchor`` fragment) in
    ``README.md`` and ``docs/*.md`` must resolve: the target file exists inside
@@ -15,6 +15,13 @@ Two classes of rot this catches:
    against the real argparse tree (``repro.cli.build_parser()``), per
    subcommand. Documented flags that the parser does not accept fail the
    build; the docs can never drift ahead of (or behind) the CLI again.
+
+3. **Phantom ``repro run`` names and a stale figure table** — the positional of
+   every ``repro run <name>`` in a fenced block must be a key of the CLI's run
+   table (or ``list``), and the *figure → kind, params, cells* table in
+   ``docs/experiments.md`` must agree, row by row, with what
+   ``repro.experiments.figures`` builds at the CLI's default ``--nodes`` /
+   ``--rounds``.
 
 Exit status: 0 clean, 1 findings (one ``path:line: message`` per finding).
 """
@@ -30,13 +37,16 @@ from typing import Dict, List, Set, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.cli import build_parser  # noqa: E402
+from repro.cli import _build_runners, build_parser  # noqa: E402
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 FENCE_RE = re.compile(r"^\s*(```|~~~)")
 FLAG_RE = re.compile(r"(--[a-z][a-z0-9-]*)")
 INVOCATION_RE = re.compile(r"(?:^|\s|\$ )(?:python -m )?repro\s+([a-z-]+)\b")
+RUN_NAME_RE = re.compile(r"(?:^|\s|\$ )(?:python -m )?repro\s+run\s+([a-z][a-z0-9-]*)")
+#: Header of the figure table in docs/experiments.md (its rows follow until a blank line).
+FIGURE_TABLE_HEADER = "| `repro run` | figure | kind | params | cells |"
 
 
 def doc_files() -> List[Path]:
@@ -133,7 +143,7 @@ def cli_flag_map() -> Dict[str, Set[str]]:
 
 
 def check_cli_flags(path: Path, lines: List[str], flags: Dict[str, Set[str]],
-                    problems: List[str]) -> None:
+                    run_names: Set[str], problems: List[str]) -> None:
     in_fence = False
     command = ""
     for lineno, line in enumerate(lines, start=1):
@@ -146,6 +156,12 @@ def check_cli_flags(path: Path, lines: List[str], flags: Dict[str, Set[str]],
         invocation = INVOCATION_RE.search(line)
         if invocation:
             command = invocation.group(1)
+            run_name = RUN_NAME_RE.search(line)
+            if run_name and run_name.group(1) not in run_names:
+                problems.append(
+                    f"{path.relative_to(REPO_ROOT)}:{lineno}: `repro run "
+                    f"{run_name.group(1)}` is not an experiment `repro run list` prints"
+                )
         elif not line.rstrip().endswith("\\") and not line.startswith((" ", "\t")):
             # A fresh non-continuation, non-indented line ends the invocation.
             if not line.strip().startswith("--"):
@@ -161,15 +177,55 @@ def check_cli_flags(path: Path, lines: List[str], flags: Dict[str, Set[str]],
                 )
 
 
+def figure_table_rows() -> Dict[str, Tuple[str, str, str]]:
+    """``repro run`` name -> (kind, params, cell count) as figures.py builds them at
+    the CLI defaults — what the docs table must say."""
+    from repro.experiments.figures import FIGURES
+
+    defaults = build_parser().parse_args(["run", "list"])
+    rows = {}
+    for name, figure in FIGURES.items():
+        cells = figure.cells(defaults.nodes, defaults.rounds)
+        (kind,) = {cell.scenario for cell in cells}
+        params = sorted({key for cell in cells for key, _ in cell.params})
+        rows[name] = (kind, ", ".join(params) or "—", str(len(cells)))
+    return rows
+
+
+def check_figure_table(path: Path, lines: List[str], problems: List[str]) -> None:
+    expected = figure_table_rows()
+    where = path.relative_to(REPO_ROOT)
+    if FIGURE_TABLE_HEADER not in lines:
+        problems.append(f"{where}:1: figure table not found ({FIGURE_TABLE_HEADER!r})")
+        return
+    start = lines.index(FIGURE_TABLE_HEADER) + 2  # skip the |---| separator row
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        if not line.startswith("|"):
+            break
+        name, _figure, *documented = [
+            cell.strip().replace("`", "") for cell in line.strip("|").split("|")
+        ]
+        if expected.pop(name, None) != tuple(documented):
+            problems.append(
+                f"{where}:{lineno}: figure table row {name!r} does not match "
+                f"repro.experiments.figures (kind, params, cells)"
+            )
+    for name in expected:
+        problems.append(f"{where}:{start}: figure table has no row for {name!r}")
+
+
 def main() -> int:
     problems: List[str] = []
     slug_cache: Dict[Path, Set[str]] = {}
     flags = cli_flag_map()
+    run_names = set(_build_runners()) | {"list"}
     files = doc_files()
     for path in files:
         lines = path.read_text(encoding="utf-8").splitlines()
         check_links(path, lines, slug_cache, problems)
-        check_cli_flags(path, lines, flags, problems)
+        check_cli_flags(path, lines, flags, run_names, problems)
+        if path.name == "experiments.md":
+            check_figure_table(path, lines, problems)
     if problems:
         for problem in problems:
             print(problem)

@@ -4,8 +4,7 @@ reproduction.
 Subcommands
 -----------
 ``repro run <experiment>``
-    Run one of the figure-level experiment harnesses (scaled-down by default) and print
-    its text report.
+    Run one of the paper's figures (scaled-down by default) and print its text report.
 ``repro matrix``
     Expand a declarative experiment matrix (scenario kinds × protocols × sizes × seeds)
     and execute it on a sharded multiprocess pool, writing JSON/CSV/markdown artifacts.
@@ -37,72 +36,40 @@ from repro.version import __version__
 
 
 def _build_runners() -> Dict[str, Callable]:
-    """Experiments runnable via ``repro run``: CLI args -> a harness result with
-    ``to_text()``. Built on demand so the CLI starts without importing the stack."""
+    """Experiments runnable via ``repro run``: CLI args -> a result with ``to_text()``.
+    The eight figures that are matrix kinds run their cells through
+    :func:`repro.experiments.figures.run_figure`; ``quick``, ``failure`` and ``scale``
+    keep a harness each (no kind samples through the PSS API, branches off one warmed
+    clone, or reports wall-clock). Built on demand so the CLI starts without
+    importing the stack."""
     from repro import experiments as exp
 
-    return {
-        "quick": lambda a: exp.quick_croupier_run(
-            n_public=max(1, a.nodes // 5),
-            n_private=a.nodes - max(1, a.nodes // 5),
-            rounds=a.rounds,
-            seed=a.seed,
-            latency=a.latency,
-        ),
-        "history-static": lambda a: exp.run_history_window_experiment(
-            dynamic=False,
-            n_public=max(1, a.nodes // 5),
-            n_private=a.nodes - max(1, a.nodes // 5),
-            rounds=a.rounds,
-            seed=a.seed,
-            latency=a.latency,
-        ),
-        "history-dynamic": lambda a: exp.run_history_window_experiment(
-            dynamic=True,
-            n_public=max(1, a.nodes // 5),
-            n_private=a.nodes - max(1, a.nodes // 5),
-            rounds=a.rounds,
-            seed=a.seed,
-            latency=a.latency,
-        ),
-        "system-size": lambda a: exp.run_system_size_experiment(
-            sizes=(a.nodes // 2, a.nodes), rounds=a.rounds, seed=a.seed, latency=a.latency
-        ),
-        "ratio-sweep": lambda a: exp.run_ratio_sweep_experiment(
-            total_nodes=a.nodes, rounds=a.rounds, seed=a.seed, latency=a.latency
-        ),
-        "churn": lambda a: exp.run_churn_experiment(
-            total_nodes=a.nodes, rounds=a.rounds, seed=a.seed, latency=a.latency
-        ),
-        "randomness": lambda a: exp.run_randomness_experiment(
-            total_nodes=a.nodes, rounds=a.rounds, seed=a.seed, latency=a.latency
-        ),
-        "overhead": lambda a: exp.run_overhead_experiment(
-            total_nodes=a.nodes,
-            warmup_rounds=max(1, a.rounds // 2),
-            measure_rounds=max(1, a.rounds // 2),
-            seed=a.seed,
-            latency=a.latency,
-        ),
-        "failure": lambda a: exp.run_failure_experiment(
-            total_nodes=a.nodes,
-            warmup_rounds=a.rounds,
-            seed=a.seed,
-            latency=a.latency,
-        ),
-        "nat-indegree": lambda a: exp.run_nat_indegree_experiment(
-            total_nodes=a.nodes,
-            rounds=a.rounds,
-            seed=a.seed,
-            latency=a.latency,
-        ),
-        "scale": lambda a: exp.run_scale_experiment(
-            nodes=a.nodes,
-            rounds=a.rounds,
-            seed=a.seed,
-            latency=a.latency,
-        ),
+    runners: Dict[str, Callable] = {
+        name: lambda a, name=name: exp.run_figure(
+            name, nodes=a.nodes, rounds=a.rounds, seed=a.seed, latency=a.latency
+        )
+        for name in exp.FIGURES
     }
+    runners["quick"] = lambda a: exp.quick_croupier_run(
+        n_public=max(1, a.nodes // 5),
+        n_private=a.nodes - max(1, a.nodes // 5),
+        rounds=a.rounds,
+        seed=a.seed,
+        latency=a.latency,
+    )
+    runners["failure"] = lambda a: exp.run_failure_experiment(
+        total_nodes=a.nodes,
+        warmup_rounds=a.rounds,
+        seed=a.seed,
+        latency=a.latency,
+    )
+    runners["scale"] = lambda a: exp.run_scale_experiment(
+        nodes=a.nodes,
+        rounds=a.rounds,
+        seed=a.seed,
+        latency=a.latency,
+    )
+    return runners
 
 
 def _csv_list(text: str) -> List[str]:
@@ -121,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    run = subparsers.add_parser("run", help="run one figure-level experiment harness")
-    run.add_argument("experiment", help="harness name (see `repro run list`)")
+    run = subparsers.add_parser("run", help="run one of the paper's figures at a chosen scale")
+    run.add_argument("experiment", help="figure name (see `repro run list`)")
     run.add_argument("--nodes", type=int, default=100, help="total system size")
     run.add_argument("--rounds", type=int, default=60, help="gossip rounds to simulate")
     run.add_argument("--seed", type=int, default=42)

@@ -1,27 +1,26 @@
-"""Experiment harnesses: one module per figure of the paper's evaluation (Section VII).
+"""Experiments: the paper's evaluation (Section VII) as matrix kinds and figures.
 
-Every harness is a plain function that builds a :class:`~repro.workload.Scenario`,
-drives the workload the paper describes, collects the same series the paper plots and
-returns a result object with a ``to_text()`` rendering. The default parameters are
-scaled down so the whole suite runs in minutes on a laptop; every harness accepts the
-paper-scale parameters (see EXPERIMENTS.md for the exact invocations and the measured
-results).
+Every figure is a list of :class:`~repro.experiments.matrix.CellSpec` values naming a
+registered scenario kind, executed through :func:`~repro.experiments.matrix.run_cell`
+and rendered as text tables — :mod:`~repro.experiments.figures` holds them, and
+``repro run <name>`` runs them at a laptop scale (``--nodes`` / ``--rounds`` take them
+to the paper's).
 
-Mapping to the paper:
+Mapping to the paper (``FIGURES`` is :data:`repro.experiments.figures.FIGURES`):
 
 ========================  ==========================================================
-Figure                     Harness
+Figure                     Entry
 ========================  ==========================================================
-Figure 1 (a, b)            :func:`~repro.experiments.history_windows.run_history_window_experiment` (``dynamic=False``)
-Figure 2 (a, b)            :func:`~repro.experiments.history_windows.run_history_window_experiment` (``dynamic=True``)
-Figure 3 (a, b)            :func:`~repro.experiments.system_size.run_system_size_experiment`
-Figure 4 (a, b)            :func:`~repro.experiments.ratio_sweep.run_ratio_sweep_experiment`
-Figure 5 (a, b)            :func:`~repro.experiments.churn.run_churn_experiment`
-Figure 6 (a, b, c)         :func:`~repro.experiments.randomness.run_randomness_experiment`
-Figure 7 (a)               :func:`~repro.experiments.overhead.run_overhead_experiment`
+Figure 1 (a)               ``FIGURES["history-static"]`` (``history`` kind)
+Figure 2 (a)               ``FIGURES["history-dynamic"]`` (``history`` + ``ratio_growth_*``)
+Figure 3 (a)               ``FIGURES["system-size"]`` (``join`` kind)
+Figure 4 (a)               ``FIGURES["ratio-sweep"]`` (``ratio`` kind)
+Figure 5 (a)               ``FIGURES["churn"]`` (``churn`` kind)
+Figure 6 (a, b, c)         ``FIGURES["randomness"]`` (``randomness`` kind)
+Figure 7 (a)               ``FIGURES["overhead"]`` (``overhead`` kind)
 Figure 7 (b)               :func:`~repro.experiments.catastrophic_failure.run_failure_experiment`
-NAT-class in-degree        :func:`~repro.experiments.nat_indegree.run_nat_indegree_experiment`
-Ablations (DESIGN.md A1-A4) :mod:`~repro.experiments.ablations`
+NAT-class in-degree        ``FIGURES["nat-indegree"]`` (``nat_indegree`` kind)
+Ablations A1–A4            :mod:`~repro.experiments.ablations`
 ========================  ==========================================================
 
 Grids of such runs — protocol × scenario kind × system size × seed — are expressed
@@ -30,12 +29,7 @@ sharded multiprocess pool by :func:`~repro.experiments.runner.run_matrix` (the
 ``repro matrix`` CLI). See ``docs/experiments.md``.
 """
 
-from repro.experiments.base import (
-    EstimationExperimentSpec,
-    EstimationRun,
-    run_estimation_cell,
-    run_estimation_scenario,
-)
+from repro.experiments.base import run_estimation_cell
 from repro.experiments.matrix import (
     NAT_MIXTURES,
     NAT_PROFILES,
@@ -59,23 +53,15 @@ from repro.experiments.runner import (
     write_artifacts,
 )
 from repro.experiments.catastrophic_failure import FailureExperimentResult, run_failure_experiment
-from repro.experiments.churn import ChurnExperimentResult, run_churn_experiment
-from repro.experiments.history_windows import (
-    HistoryWindowResult,
-    run_history_window_experiment,
-)
-from repro.experiments.nat_indegree import NatInDegreeResult, run_nat_indegree_experiment
-from repro.experiments.overhead import OverheadExperimentResult, run_overhead_experiment
+from repro.experiments.figures import FIGURES, FigureResult, run_figure
 from repro.experiments.quick import QuickRunResult, quick_croupier_run
-from repro.experiments.randomness import RandomnessResult, run_randomness_experiment
-from repro.experiments.ratio_sweep import RatioSweepResult, run_ratio_sweep_experiment
+from repro.experiments import randomness  # noqa: F401  (registers the "randomness" kind)
 from repro.experiments.scale import (
     ScaleRunResult,
     ScaleVariantResult,
     run_scale_cell,
     run_scale_experiment,
 )
-from repro.experiments.system_size import SystemSizeResult, run_system_size_experiment
 
 __all__ = [
     "NAT_MIXTURES",
@@ -86,43 +72,29 @@ __all__ = [
     "CellContext",
     "CellResult",
     "CellSpec",
-    "ChurnExperimentResult",
-    "EstimationExperimentSpec",
-    "EstimationRun",
+    "FIGURES",
     "FailureExperimentResult",
     "FaultPlan",
-    "HistoryWindowResult",
+    "FigureResult",
     "JournalWriter",
     "MatrixRunResult",
     "MatrixSpec",
-    "NatInDegreeResult",
-    "OverheadExperimentResult",
     "QuickRunResult",
-    "RandomnessResult",
-    "RatioSweepResult",
     "RetryPolicy",
     "ScaleRunResult",
     "ScaleVariantResult",
-    "SystemSizeResult",
     "derive_cell_seed",
     "load_journal",
     "measure_cell",
     "payload_digest",
     "quick_croupier_run",
     "register_scenario",
-    "run_churn_experiment",
     "run_estimation_cell",
-    "run_estimation_scenario",
     "run_failure_experiment",
-    "run_history_window_experiment",
+    "run_figure",
     "run_matrix",
-    "run_nat_indegree_experiment",
-    "run_overhead_experiment",
-    "run_randomness_experiment",
-    "run_ratio_sweep_experiment",
     "run_scale_cell",
     "run_scale_experiment",
-    "run_system_size_experiment",
     "scenario_names",
     "spec_digest",
     "write_artifacts",

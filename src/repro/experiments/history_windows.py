@@ -13,18 +13,11 @@ The paper sweeps three window pairs: (α=10, γ=25), (α=25, γ=50) and (α=100,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 from repro.errors import ExperimentError
-from repro.experiments.base import (
-    EstimationExperimentSpec,
-    EstimationRun,
-    run_estimation_cell,
-    run_estimation_scenario,
-)
+from repro.experiments.base import run_estimation_cell
 from repro.experiments.matrix import CellContext, register_scenario
-from repro.experiments.report import error_series_table, error_summary_table
 from repro.membership.capabilities import RatioEstimating
 from repro.membership.plugin import get_plugin
 
@@ -63,85 +56,3 @@ register_scenario(
         for alpha, gamma in PAPER_WINDOW_PAIRS
     ],
 )
-
-
-@dataclass
-class HistoryWindowResult:
-    """All runs of one history-window experiment (one per (α, γ) pair)."""
-
-    dynamic: bool
-    runs: List[EstimationRun] = field(default_factory=list)
-
-    @property
-    def series(self):
-        return [run.series for run in self.runs]
-
-    def run_for(self, alpha: int, gamma: int) -> Optional[EstimationRun]:
-        for run in self.runs:
-            if run.spec.alpha == alpha and run.spec.gamma == gamma:
-                return run
-        return None
-
-    def to_text(self) -> str:
-        figure = "Figure 2" if self.dynamic else "Figure 1"
-        parts = [
-            error_summary_table(
-                self.series, title=f"{figure}: estimation error vs. history windows"
-            ),
-            "",
-            error_series_table(self.series, metric="avg", title=f"{figure}(a): average error"),
-            "",
-            error_series_table(self.series, metric="max", title=f"{figure}(b): maximum error"),
-        ]
-        return "\n".join(parts)
-
-
-def run_history_window_experiment(
-    dynamic: bool = False,
-    n_public: int = 1000,
-    n_private: int = 4000,
-    rounds: int = 250,
-    window_pairs: Sequence[Tuple[int, int]] = PAPER_WINDOW_PAIRS,
-    public_interarrival_ms: float = 50.0,
-    private_interarrival_ms: float = 12.5,
-    ratio_growth_start_round: int = 58,
-    ratio_growth_interval_ms: float = 42.0,
-    ratio_growth_count: Optional[int] = None,
-    seed: int = 42,
-    latency: str = "king",
-) -> HistoryWindowResult:
-    """Reproduce Figure 1 (``dynamic=False``) or Figure 2 (``dynamic=True``).
-
-    The defaults are the paper-scale parameters; the benchmarks call this with smaller
-    populations and fewer rounds (see ``benchmarks/``). ``ratio_growth_count`` defaults
-    to enough new public nodes to raise the ratio by roughly the paper's three
-    percentage points.
-    """
-    if ratio_growth_count is None:
-        # Raising ω from p to p' with V private nodes requires adding
-        # Δ = (p'·(U+V) − U) / (1 − p') public nodes; the paper's 0.30 → 0.33 move with
-        # 1000/4000 nodes corresponds to ~250 additions. Scale the same relative move.
-        total = n_public + n_private
-        current = n_public / total
-        target = min(0.95, current + 0.03)
-        ratio_growth_count = max(1, int(round((target * total - n_public) / (1.0 - target))))
-
-    result = HistoryWindowResult(dynamic=dynamic)
-    for alpha, gamma in window_pairs:
-        spec = EstimationExperimentSpec(
-            label=f"alpha={alpha}, gamma={gamma}",
-            n_public=n_public,
-            n_private=n_private,
-            alpha=alpha,
-            gamma=gamma,
-            rounds=rounds,
-            seed=seed,
-            public_interarrival_ms=public_interarrival_ms,
-            private_interarrival_ms=private_interarrival_ms,
-            latency=latency,
-            ratio_growth_start_round=ratio_growth_start_round if dynamic else None,
-            ratio_growth_interval_ms=ratio_growth_interval_ms,
-            ratio_growth_count=ratio_growth_count if dynamic else 0,
-        )
-        result.runs.append(run_estimation_scenario(spec))
-    return result

@@ -9,14 +9,15 @@ that grid a first-class object. A :class:`MatrixSpec` declares the axes (scenari
 seed and the cell key (:func:`repro.simulator.core.derive_seed`), so a cell's outcome
 never depends on which worker process runs it or in what order.
 
-Scenario kinds are *registered*, not hard-coded: every experiment module
-(:mod:`~repro.experiments.base`, :mod:`~repro.experiments.churn`,
-:mod:`~repro.experiments.ratio_sweep`, :mod:`~repro.experiments.system_size`,
-:mod:`~repro.experiments.catastrophic_failure`, :mod:`~repro.experiments.overhead`)
-calls :func:`register_scenario` with a cell runner and the paper's sweep points as
-default variants. The sharded multiprocess executor lives in
-:mod:`~repro.experiments.runner`; the ``repro matrix`` CLI, the benchmarks and CI all
-drive this same code path.
+Scenario kinds are *registered*, not hard-coded: the experiment modules
+(:mod:`~repro.experiments.base` for every kind that shares the estimation runner,
+:mod:`~repro.experiments.history_windows`, :mod:`~repro.experiments.randomness`,
+:mod:`~repro.experiments.catastrophic_failure`, :mod:`~repro.experiments.nat_indegree`,
+:mod:`~repro.experiments.scale`) call :func:`register_scenario` with a cell runner and
+the paper's sweep points as default variants. The sharded multiprocess executor lives
+in :mod:`~repro.experiments.runner`; the ``repro matrix`` CLI, the paper's figures
+(``repro run``, :mod:`~repro.experiments.figures`), the benchmarks and CI all drive
+this same code path.
 """
 
 from __future__ import annotations
@@ -239,8 +240,8 @@ class MatrixSpec:
 
     ``engines`` is the execution-backend axis: ``"object"`` (default — per-node
     component simulation) or ``"columnar"`` (flat-array batched engine for
-    10⁵–10⁶-node cells; Croupier and Cyclon only). The default is omitted from cell
-    keys, so adding the axis never re-seeds a legacy cell.
+    10⁵–10⁶-node cells; Croupier, Cyclon, Gozar and Nylon). The default is omitted from
+    cell keys, so adding the axis never re-seeds a legacy cell.
     """
 
     scenarios: Sequence[str] = ("static",)

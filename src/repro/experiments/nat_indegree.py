@@ -16,19 +16,13 @@ in-degree, the paper's claim). ``repro report`` renders the matching
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Sequence
-
 from repro.experiments.matrix import (
     DEFAULT_NAT_MIXTURE,
     CellContext,
     measure_cell,
     register_scenario,
 )
-from repro.experiments.report import format_table
 from repro.metrics.payload import MetricPayload
-from repro.nat.mixture import NAT_MIXTURES
-from repro.workload.scenario import Scenario, ScenarioConfig
 
 #: The mixture a cell runs when its ``nat_mixture`` axis is ``"none"`` — the paper's
 #: measured NAT-type distribution, which is the population the claim is about.
@@ -83,79 +77,3 @@ register_scenario(
     "the symmetric-NAT underrepresentation figure (paper mixture unless the "
     "nat_mixture axis is swept)",
 )
-
-
-@dataclass
-class NatInDegreeResult:
-    """Mean in-degree per NAT class, per protocol (the figure's data)."""
-
-    total_nodes: int
-    rounds: int
-    mixture: str
-    #: protocol -> {nat class -> mean in-degree}
-    class_means: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def relative_to_public(self, protocol: str) -> Dict[str, float]:
-        means = self.class_means.get(protocol, {})
-        public = means.get("public")
-        if not public:
-            return {}
-        return {label: mean / public for label, mean in means.items()}
-
-    def to_text(self) -> str:
-        classes = sorted({c for means in self.class_means.values() for c in means})
-        rows = []
-        for protocol, means in self.class_means.items():
-            public = means.get("public") or 0.0
-            rows.append(
-                [protocol]
-                + [means.get(c) for c in classes]
-                + [
-                    (1.0 - means["symmetric"] / public)
-                    if public and "symmetric" in means
-                    else None
-                ]
-            )
-        headers = ["protocol"] + classes + ["symmetric underrep."]
-        return format_table(
-            headers,
-            rows,
-            title=(
-                "Symmetric-NAT underrepresentation: mean in-degree per NAT class "
-                f"({self.mixture!r} mixture, {self.total_nodes} nodes, "
-                f"{self.rounds} rounds)"
-            ),
-        )
-
-
-def run_nat_indegree_experiment(
-    protocols: Sequence[str] = ("croupier", "gozar", "nylon"),
-    total_nodes: int = 200,
-    public_ratio: float = 0.2,
-    rounds: int = 60,
-    mixture: str = FALLBACK_MIXTURE,
-    seed: int = 42,
-    latency: str = "king",
-) -> NatInDegreeResult:
-    """The figure-level harness behind ``repro run nat-indegree``."""
-    result = NatInDegreeResult(total_nodes=total_nodes, rounds=rounds, mixture=mixture)
-    n_public = max(1, int(round(total_nodes * public_ratio)))
-    n_private = max(0, total_nodes - n_public)
-    for protocol in protocols:
-        scenario = Scenario(
-            ScenarioConfig(
-                protocol=protocol,
-                seed=seed,
-                latency=latency,
-                nat_mixture=NAT_MIXTURES[mixture],
-            )
-        )
-        scenario.populate(n_public=n_public, n_private=n_private)
-        scenario.run_rounds(rounds)
-        payload = measure_cell(scenario)
-        result.class_means[protocol] = {
-            name[len("indeg_mean_"):]: value
-            for name, value in payload.scalars.items()
-            if name.startswith("indeg_mean_")
-        }
-    return result

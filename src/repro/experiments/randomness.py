@@ -15,26 +15,13 @@ only (it cannot traverse NATs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-from repro.constants import DEFAULT_PUBLIC_RATIO
-from repro.errors import ExperimentError
 from repro.experiments.matrix import CellContext, measure_cell, register_scenario
-from repro.experiments.report import histogram_table, time_series_table
-from repro.metrics.collector import TimeSeries
 from repro.metrics.graph import (
     average_clustering_coefficient,
     average_path_length,
     build_overlay_graph,
-    degree_statistics,
-    in_degree_distribution,
 )
 from repro.metrics.payload import MetricPayload
-from repro.workload.scenario import Scenario, ScenarioConfig
-
-#: Protocols compared in Figure 6, in the paper's order.
-PAPER_PROTOCOLS = ("croupier", "gozar", "nylon", "cyclon")
 
 
 def run_randomness_cell(ctx: CellContext) -> MetricPayload:
@@ -85,108 +72,3 @@ register_scenario(
     "and clustering series (Figure 6; Cyclon runs public-only)",
     default_params={"measure_every_rounds": 10},
 )
-
-
-@dataclass
-class ProtocolRandomness:
-    """The Figure 6 measurements for one protocol."""
-
-    protocol: str
-    in_degree_histogram: Dict[int, int] = field(default_factory=dict)
-    in_degree_stats: Dict[str, float] = field(default_factory=dict)
-    path_length: TimeSeries = field(default_factory=lambda: TimeSeries("path length"))
-    clustering: TimeSeries = field(default_factory=lambda: TimeSeries("clustering"))
-    final_live_nodes: int = 0
-
-
-@dataclass
-class RandomnessResult:
-    """All protocols' randomness measurements plus the experiment parameters."""
-
-    total_nodes: int
-    public_ratio: float
-    rounds: int
-    per_protocol: Dict[str, ProtocolRandomness] = field(default_factory=dict)
-
-    def to_text(self) -> str:
-        histograms = {
-            name: measurement.in_degree_histogram
-            for name, measurement in self.per_protocol.items()
-        }
-        path_series = [
-            TimeSeries(name=name, times=m.path_length.times, values=m.path_length.values)
-            for name, m in self.per_protocol.items()
-        ]
-        clustering_series = [
-            TimeSeries(name=name, times=m.clustering.times, values=m.clustering.values)
-            for name, m in self.per_protocol.items()
-        ]
-        parts = [
-            histogram_table(histograms, title="Figure 6(a): in-degree distribution"),
-            "",
-            time_series_table(path_series, title="Figure 6(b): average path length"),
-            "",
-            time_series_table(clustering_series, title="Figure 6(c): clustering coefficient"),
-        ]
-        return "\n".join(parts)
-
-
-def run_randomness_experiment(
-    protocols: Sequence[str] = PAPER_PROTOCOLS,
-    total_nodes: int = 1000,
-    public_ratio: float = DEFAULT_PUBLIC_RATIO,
-    rounds: int = 250,
-    measure_every_rounds: int = 10,
-    path_length_sources: int = 50,
-    seed: int = 42,
-    latency: str = "king",
-) -> RandomnessResult:
-    """Reproduce Figure 6 for the given protocols.
-
-    Parameters
-    ----------
-    measure_every_rounds:
-        Cadence of the path-length / clustering samples (the in-degree histogram is
-        always taken at the end of the run).
-    path_length_sources:
-        Number of BFS sources used to estimate the average path length (all-pairs BFS
-        at every sample would dominate the experiment's runtime).
-    """
-    if total_nodes <= 0:
-        raise ExperimentError("total_nodes must be positive")
-    result = RandomnessResult(
-        total_nodes=total_nodes, public_ratio=public_ratio, rounds=rounds
-    )
-    for protocol in protocols:
-        if protocol == "cyclon":
-            # The paper's Cyclon baseline runs over public nodes only.
-            n_public, n_private = total_nodes, 0
-        else:
-            n_public = max(1, int(round(total_nodes * public_ratio)))
-            n_private = total_nodes - n_public
-        scenario = Scenario(ScenarioConfig(protocol=protocol, seed=seed, latency=latency))
-        scenario.populate(n_public=n_public, n_private=n_private)
-
-        measurement = ProtocolRandomness(protocol=protocol)
-        metrics_rng = scenario.sim.derive_rng("randomness-metrics", protocol)
-        executed = 0
-        while executed < rounds:
-            step = min(measure_every_rounds, rounds - executed)
-            scenario.run_rounds(step)
-            executed += step
-            graph = build_overlay_graph(scenario.overlay_graph())
-            path = average_path_length(
-                graph, sample_sources=path_length_sources, rng=metrics_rng
-            )
-            clustering = average_clustering_coefficient(graph)
-            if path is not None:
-                measurement.path_length.record(scenario.now, path)
-            if clustering is not None:
-                measurement.clustering.record(scenario.now, clustering)
-
-        final_graph = build_overlay_graph(scenario.overlay_graph())
-        measurement.in_degree_histogram = in_degree_distribution(final_graph)
-        measurement.in_degree_stats = degree_statistics(final_graph)
-        measurement.final_live_nodes = scenario.live_count()
-        result.per_protocol[protocol] = measurement
-    return result

@@ -2,16 +2,15 @@
 
 The paper presents its evaluation as figures; this module prints the same series as
 aligned text tables so that running a benchmark or an example reproduces the numbers in
-a terminal (EXPERIMENTS.md contains the archived outputs).
+a terminal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 from repro.metrics.collector import TimeSeries
-from repro.metrics.estimation import EstimationErrorSeries
 
 
 def format_table(
@@ -43,51 +42,6 @@ def _fmt(value: object) -> str:
             return f"{value:.5f}"
         return f"{value:.4f}" if abs(value) < 100 else f"{value:.1f}"
     return str(value)
-
-
-def error_series_table(
-    series_list: Sequence[EstimationErrorSeries],
-    metric: str = "avg",
-    every: int = 10,
-    title: Optional[str] = None,
-) -> str:
-    """Tabulate several error series side by side (one column per plotted line).
-
-    Parameters
-    ----------
-    metric:
-        ``"avg"`` or ``"max"`` — which error metric to print.
-    every:
-        Print every N-th sample to keep the table readable.
-    """
-    headers = ["t (s)"] + [s.name for s in series_list]
-    rows: List[List[object]] = []
-    length = max((len(s.samples) for s in series_list), default=0)
-    for index in range(0, length, max(1, every)):
-        row: List[object] = []
-        time_value: Optional[float] = None
-        for series in series_list:
-            if index < len(series.samples):
-                sample = series.samples[index]
-                time_value = sample.time_ms / 1000.0
-                row.append(sample.avg_error if metric == "avg" else sample.max_error)
-            else:
-                row.append(None)
-        rows.append([time_value] + row)
-    return format_table(headers, rows, title=title)
-
-
-def error_summary_table(
-    series_list: Sequence[EstimationErrorSeries],
-    title: Optional[str] = None,
-) -> str:
-    """One row per series: converged average and maximum error (tail means)."""
-    headers = ["series", "final avg error", "final max error", "samples"]
-    rows = [
-        [s.name, s.final_avg_error(), s.final_max_error(), len(s)]
-        for s in series_list
-    ]
-    return format_table(headers, rows, title=title)
 
 
 def time_series_table(
@@ -123,14 +77,6 @@ def histogram_table(
     for degree in all_degrees:
         rows.append([degree] + [histograms[name].get(degree, 0) for name in histograms])
     return format_table(headers, rows, title=title)
-
-
-def key_value_table(
-    pairs: Sequence[Tuple[str, object]],
-    title: Optional[str] = None,
-) -> str:
-    """Two-column key/value table used by the overhead and failure reports."""
-    return format_table(["metric", "value"], [[k, v] for k, v in pairs], title=title)
 
 
 def matrix_markdown_summary(aggregate: Mapping) -> str:
@@ -301,15 +247,6 @@ def _scale_invariance_section(groups: Mapping) -> List[str]:
             f"| `{group_name}` | {engine} | {size} | {avg} | {max_} | {measured} |"
         )
     return lines
-
-
-def comparison_rows(values: Dict[str, Dict[str, float]]) -> List[List[object]]:
-    """Flatten ``{row_label: {column: value}}`` into table rows with stable ordering."""
-    columns = sorted({c for row in values.values() for c in row})
-    rows: List[List[object]] = []
-    for label in values:
-        rows.append([label] + [values[label].get(column) for column in columns])
-    return rows
 
 
 # ------------------------------------------------------------------ aggregate diffing

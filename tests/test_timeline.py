@@ -513,15 +513,15 @@ class TestNatInDegreeKind:
         assert "symmetric" in summary
 
     def test_harness_to_text(self):
-        from repro.experiments import run_nat_indegree_experiment
+        from repro.experiments import run_figure
 
-        result = run_nat_indegree_experiment(
-            protocols=("croupier",), total_nodes=60, rounds=8, latency="constant"
+        result = run_figure("nat-indegree", nodes=60, rounds=8, latency="constant",
+                            protocols=("croupier",))
+        assert "Symmetric-NAT underrepresentation" in result.to_text()
+        scalars = result.by("protocol")["croupier"].scalars
+        assert scalars["symmetric_underrepresentation"] == pytest.approx(
+            1.0 - scalars["indeg_mean_symmetric"] / scalars["indeg_mean_public"]
         )
-        text = result.to_text()
-        assert "Symmetric-NAT underrepresentation" in text
-        relative = result.relative_to_public("croupier")
-        assert relative.get("public") == pytest.approx(1.0)
 
 
 class TestHorizonScaling:
