@@ -1,226 +1,30 @@
-"""Micro-benchmarks and the acceptance benchmark for the hot-path overhaul (PR 1).
+"""Seed-fidelity pin: the optimised object engine still computes the seed's answer.
 
-The per-round cost of a simulation used to be dominated by avoidable allocation:
-eager descriptor re-ageing, defensive copies on every view operation, per-packet IP
-string parsing and per-packet delivery closures. This suite pins the optimised paths
-individually and then runs the PR's acceptance scenario — 1000 Croupier nodes for 100
-gossip rounds — against the wall-clock baseline measured on the seed implementation
-*on this same container*, asserting the contracted ≥3× speedup **and** bit-identical
-outputs (same event count, same mean ratio estimate).
-
-Run with ``pytest benchmarks/test_bench_hotpaths.py -s`` to see the timings;
-``benchmarks/run_bench.py`` emits the same measurements as ``BENCH_hotpaths.json``.
+1000 Croupier nodes × 100 rounds, seed 3, must reproduce **bit for bit** the event
+count and the mean ratio estimate measured on the seed implementation (commit
+8b078d8) — the one check of the retired hot-path benchmark that no other gate makes
+(`tests/data/golden_croupier_seed7.json` pins a 200-node run against *this* code
+base, not against the seed). How fast the run is, end to end and per layer, is
+measured by the suite (`python3 benchmarks/suite/run.py`, `obj-croupier-static`),
+which has a noise band and a judge; nothing here reads a clock.
 """
 
-import random
-
-from repro.core.estimator import RatioEstimate, RatioEstimator
-from repro.membership.descriptor import NodeDescriptor
-from repro.membership.view import PartialView
 from repro.metrics.probes import collect_ratio_estimates
-from repro.net.address import Endpoint, NatType, NodeAddress
-from repro.simulator.core import Simulator
 from repro.workload.scenario import Scenario, ScenarioConfig
 
-#: Wall-clock seconds for the 1000-node × 100-round Croupier scenario measured on the
-#: seed implementation (commit 8b078d8) on this container, together with the outputs
-#: the optimised code must reproduce exactly.
-SEED_BASELINE_1000x100 = {
-    "seconds": 83.48,
-    "events_executed": 292357,
-    "mean_estimate": 0.20146065899706894,
-}
-
-#: The contracted minimum speedup for this PR's acceptance scenario.
-REQUIRED_SPEEDUP = 3.0
+#: Outputs of the seed implementation for this scenario.
+SEED_EVENTS_EXECUTED = 292357
+SEED_MEAN_ESTIMATE = 0.20146065899706894
 
 
-def make_descriptor(node_id: int, age: int = 0) -> NodeDescriptor:
-    address = NodeAddress(
-        node_id=node_id,
-        endpoint=Endpoint(f"1.0.{node_id // 250}.{node_id % 250 + 1}", 7000),
-        nat_type=NatType.PUBLIC,
-    )
-    return NodeDescriptor(address=address, age=age)
-
-
-def full_view(size: int) -> PartialView:
-    view = PartialView(size)
-    for node_id in range(1, size + 1):
-        view.add(make_descriptor(node_id, age=node_id % 7))
-    return view
-
-
-# --------------------------------------------------------------------- view layer
-
-
-def test_bench_increase_ages_is_constant_time(benchmark):
-    """Lazy ageing: 1000 rounds of ageing a 1000-entry view is 1000 counter bumps."""
-    view = full_view(1000)
-
+def test_croupier_1000x100_reproduces_the_seed_outputs(once):
     def run():
-        for _ in range(1000):
-            view.increase_ages()
-        return view.round_clock
-
-    clock = benchmark(run)
-    assert clock >= 1000
-    # Ages materialise correctly on access: node 1 entered at clock 0 with age 1.
-    assert view.get(1).age == view.round_clock + 1
-
-
-def test_bench_view_random_subset(benchmark):
-    """Subset selection from a full view — the per-shuffle selection cost."""
-    view = full_view(10)
-    rng = random.Random(3)
-
-    def run():
-        return view.random_subset(rng, 5, exclude_ids=(1,))
-
-    subset = benchmark(run)
-    assert len(subset) == 5
-
-
-def test_bench_update_view_swapper(benchmark):
-    """One swapper merge of a full view with a typical shuffle subset."""
-    rng = random.Random(0)
-    view = full_view(10)
-    received = [make_descriptor(100 + i) for i in range(5)]
-
-    def run():
-        sent = view.random_subset(rng, 5)
-        view.update_view(sent=sent, received=received, self_id=999)
-        return len(view)
-
-    size = benchmark(run)
-    assert size <= 10
-
-
-def test_bench_update_view_large_batch(benchmark):
-    """The deque-based eviction queue keeps large merges linear in the batch size."""
-    size = 2000
-
-    def run():
-        view = full_view(size)
-        sent = view.descriptors()
-        received = [make_descriptor(size + 1 + i) for i in range(size)]
-        view.update_view(sent=sent, received=received, self_id=0)
-        return len(view)
-
-    final = benchmark(run)
-    assert final == size
-
-
-# --------------------------------------------------------------------- kernel layer
-
-
-def test_bench_event_loop_throughput(benchmark):
-    """Schedule-and-run cost of 10k events using the direct (callback, arg) slot."""
-
-    def run():
-        sim = Simulator(seed=1)
-        sink = []
-        for index in range(10_000):
-            sim.schedule(float(index % 100), sink.append, index)
-        sim.run()
-        return sim.events_executed
-
-    executed = benchmark(run)
-    assert executed == 10_000
-
-
-def test_bench_event_loop_with_cancellations(benchmark):
-    """Heavy-cancellation workload: the run loop discards each dead entry exactly once."""
-
-    def run():
-        sim = Simulator(seed=1)
-        for index in range(5_000):
-            handle = sim.schedule(float(index % 50), lambda: None)
-            if index % 2:
-                handle.cancel()
-        sim.run()
-        return sim.events_executed
-
-    executed = benchmark(run)
-    assert executed == 2_500
-
-
-def test_bench_pending_events_is_o1(benchmark):
-    """The live-event counter answers pending_events without scanning the queue."""
-    sim = Simulator(seed=1)
-    for index in range(50_000):
-        sim.schedule(float(index), lambda: None)
-
-    def run():
-        total = 0
-        for _ in range(10_000):
-            total += sim.pending_events
-        return total
-
-    total = benchmark(run)
-    assert total == 10_000 * 50_000
-
-
-# --------------------------------------------------------------------- estimator layer
-
-
-def test_bench_estimator_round_with_warm_cache(benchmark):
-    """Estimator round against a γ-sized neighbour cache (lazy ageing, no rebuilds)."""
-    estimator = RatioEstimator(alpha=25, gamma=50, is_public=True)
-    rng = random.Random(1)
-    estimator.merge_estimates([RatioEstimate(i, 0.2, age=i % 5) for i in range(200)])
-
-    def run():
-        for _ in range(5):
-            estimator.record_shuffle_request(rng.random() < 0.2)
-        estimator.merge_estimates([RatioEstimate(300 + (i % 10), 0.21, age=0) for i in range(10)])
-        subset = estimator.estimates_subset(rng, 10)
-        estimator.advance_round()
-        return len(subset), estimator.estimate_ratio()
-
-    count, value = benchmark(run)
-    assert count == 10
-    assert 0.0 <= value <= 1.0
-
-
-# --------------------------------------------------------------------- full scenario
-
-
-def test_bench_croupier_gossip_round_1000_nodes(once):
-    """Wall-clock cost of one gossip round for a warmed-up 1000-node Croupier system."""
-    scenario = Scenario(ScenarioConfig(protocol="croupier", seed=3))
-    scenario.populate(n_public=200, n_private=800)
-    scenario.run_rounds(5)  # warm up views
-
-    def run():
-        scenario.run_rounds(1)
-        return scenario.live_count()
-
-    live = once(run)
-    assert live == 1000
-
-
-def test_bench_croupier_1000x100_meets_speedup_budget(once):
-    """The PR's acceptance scenario: ≥3× faster than the seed code, same outputs."""
-    import time
-
-    def run():
-        started = time.perf_counter()
         scenario = Scenario(ScenarioConfig(protocol="croupier", seed=3))
         scenario.populate(n_public=200, n_private=800)
         scenario.run_rounds(100)
-        elapsed = time.perf_counter() - started
         estimates = [e for e in collect_ratio_estimates(scenario) if e is not None]
-        return elapsed, scenario.sim.events_executed, sum(estimates) / len(estimates)
+        return scenario.sim.events_executed, sum(estimates) / len(estimates)
 
-    elapsed, events, mean_estimate = once(run)
-    # Bit-identical experiment outputs vs. the seed implementation.
-    assert events == SEED_BASELINE_1000x100["events_executed"]
-    assert mean_estimate == SEED_BASELINE_1000x100["mean_estimate"]
-    speedup = SEED_BASELINE_1000x100["seconds"] / elapsed
-    print(f"\n1000x100 croupier: {elapsed:.2f}s vs seed {SEED_BASELINE_1000x100['seconds']:.2f}s "
-          f"-> {speedup:.2f}x")
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"hot-path budget regressed: {elapsed:.2f}s is only "
-        f"{speedup:.2f}x over the seed baseline (need >= {REQUIRED_SPEEDUP}x)"
-    )
+    events, mean_estimate = once(run)
+    assert events == SEED_EVENTS_EXECUTED
+    assert mean_estimate == SEED_MEAN_ESTIMATE

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Local mirror of the CI gate (.github/workflows/ci.yml): byte-compile the package,
-# run the tier-1 tests, the <=60s bench smoke, a mini experiment-matrix whose
+# run the tier-1 tests, the benchmark self-test, a mini experiment-matrix whose
 # aggregate must be byte-identical between a 4-worker and a 1-worker run AND to the
 # committed baseline aggregate, a workload-timeline mini-matrix with the same
 # 4-vs-1 parity, a `--dry-run` cell-key stability diff, a chaos smoke (injected
@@ -86,17 +86,16 @@ echo "== compileall =="
 python -m compileall -q src
 
 echo
-echo "== determinism lint (strict, cached, 30s budget) =="
+echo "== determinism lint (strict, 30s budget) =="
 # AST-based determinism & invariant gate (docs/determinism_lint.md). Runs in
 # seconds and before tier-1 so a seeding/ordering violation fails fast with a
 # file:line finding instead of a byte-diff three stages later. Strict mode also
 # fails on stale suppressions, stale allowlist entries and non-canonical
-# allowlist paths. The incremental cache (.repro-lint-cache.json, git-ignored)
-# makes repeat runs near-instant; the budget below is a hard wall-clock gate on
-# the FULL-repo strict run even from a cold cache — busting it means the lint
-# pass itself regressed, which would erode its run-before-everything value.
+# allowlist paths. The budget below is a hard wall-clock gate on the full-repo
+# strict run — busting it means the lint pass itself regressed, which would
+# erode its run-before-everything value.
 LINT_START=$(date +%s)
-python -m repro lint src --strict --cache
+python -m repro lint src --strict
 LINT_ELAPSED=$(( $(date +%s) - LINT_START ))
 echo "lint wall clock: ${LINT_ELAPSED}s (budget 30s)"
 if [ "$LINT_ELAPSED" -gt 30 ]; then
@@ -116,12 +115,11 @@ echo "== docs check (links, anchors, CLI flags, run names, figure table) =="
 # are not fetched.
 python scripts/check_docs.py
 
-
 echo
-echo "== bench smoke (perf trajectory) =="
-# The smoke run is quick-mode; write it under artifacts/ so it never overwrites
-# the committed full-mode BENCH_hotpaths.json.
-BENCH_SKIP_TESTS=1 BENCH_OUTPUT=artifacts/bench_smoke.json ./scripts/bench_smoke.sh
+echo "== benchmark suite self-test =="
+# Its traced pass wraps every attribute benchmarks/suite/spans.py names: a
+# rename in src/ that breaks the per-layer breakdown fails here.
+python3 benchmarks/suite/run.py --selftest
 
 echo
 echo "== mini-matrix smoke: 4-vs-1 worker parity (incl. NAT-mixture + UPnP cells) =="

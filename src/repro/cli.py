@@ -8,9 +8,6 @@ Subcommands
 ``repro matrix``
     Expand a declarative experiment matrix (scenario kinds × protocols × sizes × seeds)
     and execute it on a sharded multiprocess pool, writing JSON/CSV/markdown artifacts.
-``repro bench``
-    Run the perf-trajectory benchmark (``benchmarks/run_bench.py``) from a source
-    checkout.
 ``repro report <aggregate.json>``
     Re-render the markdown summary of a previously written matrix aggregate.
 ``repro lint``
@@ -26,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import runpy
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
@@ -83,7 +79,7 @@ def _csv_ints(text: str) -> List[int]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="Croupier reproduction: experiments, matrices, benchmarks, reports.",
+        description="Croupier reproduction: experiments, matrices, reports, lint.",
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -224,10 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         "tab-separated rows without running anything — the cell-key stability gate",
     )
 
-    bench = subparsers.add_parser("bench", help="run the perf-trajectory benchmark")
-    bench.add_argument("--quick", action="store_true", help="<=60s smoke subset")
-    bench.add_argument("--output", type=Path, default=None)
-
     report = subparsers.add_parser(
         "report",
         help="render the markdown summary of a matrix aggregate JSON, or diff two "
@@ -275,10 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help="finding output format (json follows the repro-lint-v1 schema; "
-        "sarif emits a SARIF 2.1.0 document for code-scanning upload)",
+        help="finding output format (json follows the repro-lint-v1 schema)",
     )
     lint.add_argument(
         "--rules",
@@ -293,31 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
         "unused suppressions/allowlist entries become findings (the CI mode)",
     )
     lint.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only files differing from the committed state (git diff HEAD "
-        "+ untracked) — fast local iteration; CI lints everything",
-    )
-    lint.add_argument(
         "--allowlist",
         type=Path,
         default=None,
         help="allowlist file (default: .repro-lint-allow discovered upward from "
         "the first lint path)",
-    )
-    lint.add_argument(
-        "--cache",
-        action="store_true",
-        help="reuse per-file rule output for content-unchanged files (keyed by "
-        "file sha256 + ruleset fingerprint; suppressions and the allowlist are "
-        "replayed live, so escape-hatch edits are never stale)",
-    )
-    lint.add_argument(
-        "--cache-path",
-        type=Path,
-        default=Path(".repro-lint-cache.json"),
-        help="where --cache persists between runs (default: "
-        ".repro-lint-cache.json in the current directory)",
     )
     lint.add_argument(
         "--list-rules", action="store_true", help="list registered rules and exit"
@@ -534,37 +505,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    script = Path(__file__).resolve().parents[2] / "benchmarks" / "run_bench.py"
-    if not script.exists():
-        print(
-            "repro bench needs a source checkout (benchmarks/run_bench.py not found "
-            f"next to the package: {script})",
-            file=sys.stderr,
-        )
-        return 2
-    argv = [str(script)]
-    if args.quick:
-        argv.append("--quick")
-    if args.output is not None:
-        argv.extend(["--output", str(args.output)])
-    old_argv = sys.argv
-    sys.argv = argv
-    try:
-        runpy.run_path(str(script), run_name="__main__")
-    except SystemExit as exit_info:
-        if exit_info.code is None:
-            return 0
-        if isinstance(exit_info.code, int):
-            return exit_info.code
-        # The bench script aborts with SystemExit("FIDELITY FAILURE: ...") messages.
-        print(exit_info.code, file=sys.stderr)
-        return 1
-    finally:
-        sys.argv = old_argv
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import diff_aggregates, matrix_markdown_summary
 
@@ -623,16 +563,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import (
-        Allowlist,
-        LintCache,
-        all_rules,
-        changed_files,
-        rule_ids,
-        ruleset_fingerprint,
-        run_lint,
-        to_sarif_json,
-    )
+    from repro.lint import Allowlist, all_rules, run_lint
 
     if args.list_rules:
         print("registered lint rules:")
@@ -648,41 +579,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         src = Path("src/repro")
         paths = [src if src.is_dir() else Path(__file__).resolve().parent]
 
-    if args.changed:
-        changed = changed_files(Path.cwd())
-        roots = [Path(path).resolve() for path in paths]
-        paths = [
-            file
-            for file in changed
-            if any(
-                root == file.resolve() or root in file.resolve().parents
-                for root in roots
-            )
-        ]
-        if not paths:
-            print("lint: no changed python files under the requested paths")
-            return 0
-
     allowlist = (
         Allowlist.load(args.allowlist) if args.allowlist is not None else None
     )
-    cache = None
-    if args.cache:
-        fingerprint = ruleset_fingerprint(
-            args.rules if args.rules else rule_ids()
-        )
-        cache = LintCache.load(args.cache_path, fingerprint)
     report = run_lint(
-        paths,
-        rules=args.rules,
-        strict=args.strict,
-        allowlist=allowlist,
-        cache=cache,
+        paths, rules=args.rules, strict=args.strict, allowlist=allowlist
     )
     if args.format == "json":
         print(report.to_json())
-    elif args.format == "sarif":
-        print(to_sarif_json(report))
     else:
         print(report.to_text())
     return report.exit_code
@@ -693,7 +597,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     commands = {
         "run": _cmd_run,
         "matrix": _cmd_matrix,
-        "bench": _cmd_bench,
         "report": _cmd_report,
         "lint": _cmd_lint,
     }

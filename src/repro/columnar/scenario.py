@@ -482,11 +482,6 @@ class ColumnarScenario:
         service_for = self._service_for
         return [service_for(row) for row in self.engine.live_rows()]
 
-    def handles_with(self, capability: Type[Capability]) -> List[ColumnarHandle]:
-        if not self.plugin.supports(capability):
-            return []
-        return self.live_handles()
-
     def overlay_graph(self) -> Dict[int, set]:
         alive = self.engine.alive
         graph: Dict[int, set] = {}

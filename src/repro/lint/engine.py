@@ -22,25 +22,14 @@ Strict mode (the CI gate) additionally audits the escape hatches themselves:
     instead of ``repro/...``). Both spellings *match* (the one shared matcher
     normalizes), but strict mode pins the convention so the allowlist and the
     policy tiers cannot drift into mixed forms.
-
-``--changed`` support lives here too: :func:`changed_files` asks git for the
-files differing from the committed state (``HEAD``), the fast local iteration
-mode — CI always lints everything.
 """
 
 from __future__ import annotations
 
-import subprocess
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
 from repro.lint.allowlist import Allowlist
-from repro.lint.cache import (
-    CachedContext,
-    CachedSuppression,
-    LintCache,
-    file_digest,
-)
 from repro.lint.context import FileContext, LintError
 from repro.lint.findings import Finding, LintReport, SEVERITY_ERROR
 from repro.lint.policy import normalize_path_suffix
@@ -81,149 +70,46 @@ def display_path(path: Path, base_dir: Optional[Path] = None) -> str:
         return path.as_posix()
 
 
-def changed_files(root: Path) -> List[Path]:
-    """Python files differing from the committed state (``git diff HEAD`` plus
-    untracked), for ``repro lint --changed``. Raises :class:`LintError` when
-    ``root`` is not inside a git work tree.
-
-    Both listings are anchored on the work-tree top level: ``git diff`` always
-    prints toplevel-relative names (even when invoked from a subdirectory, where
-    joining them onto ``root`` used to silently drop every changed file), and
-    running ``ls-files --others`` *from* the top level makes untracked names
-    toplevel-relative too — so new, not-yet-``git add``-ed ``.py`` files are
-    included, which is exactly when lint feedback matters most.
-    """
-    try:
-        toplevel_result = subprocess.run(
-            ["git", "-C", str(root), "rev-parse", "--show-toplevel"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError) as error:
-        raise LintError(
-            f"--changed needs a git work tree at {root} "
-            f"(rev-parse --show-toplevel failed: {error})"
-        ) from None
-    toplevel = Path(toplevel_result.stdout.strip())
-    commands = (
-        ["git", "-C", str(toplevel), "diff", "--name-only", "HEAD", "--"],
-        ["git", "-C", str(toplevel), "ls-files", "--others", "--exclude-standard"],
-    )
-    names: List[str] = []
-    for command in commands:
-        try:
-            result = subprocess.run(
-                command, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError) as error:
-            raise LintError(
-                f"--changed needs a git work tree at {root} "
-                f"({' '.join(command[3:])} failed: {error})"
-            ) from None
-        names.extend(result.stdout.splitlines())
-    files = []
-    for name in dict.fromkeys(names):  # de-duplicate, keep order
-        path = toplevel / name
-        if path.suffix == ".py" and path.exists():
-            files.append(path)
-    return files
-
-
 def _lint_one(
     path: Path,
     rules,
     allowlist: Allowlist,
     base_dir: Optional[Path],
-    cache: Optional[LintCache] = None,
-) -> LintReport:
-    report = LintReport(files_checked=1, rules_run=tuple(rule.id for rule in rules))
+    report: LintReport,
+) -> Optional[FileContext]:
+    """Lint one file into ``report``; returns its context for the strict audit
+    (``None`` when the file does not parse)."""
+    report.files_checked += 1
     shown = display_path(path, base_dir)
     try:
         source = path.read_text()
     except OSError as error:
         raise LintError(f"cannot read {path}: {error}") from None
 
-    digest = file_digest(source.encode("utf-8")) if cache is not None else ""
-    entry = cache.lookup(shown, digest) if cache is not None else None
-    if entry is not None:
-        # Replay the cached *raw* rule output through the live suppression table
-        # and allowlist — an escape-hatch edit elsewhere must never be masked by
-        # a stale verdict, and the strict audit still sees this file.
-        raw = [Finding(**fields) for fields in entry.get("findings", ())]
-        if entry.get("parse_error"):
-            report.findings.extend(raw)
-            return report
-        replay = CachedContext(
-            shown,
-            [
-                CachedSuppression(
-                    int(record["line"]),
-                    int(record["target_line"]),
-                    record["rules"],
-                    str(record.get("scope", "<module>")),
-                )
-                for record in entry.get("suppressions", ())
-            ],
+    try:
+        context = FileContext(path, shown, source)
+    except SyntaxError as error:
+        report.findings.append(
+            Finding(
+                path=shown,
+                line=error.lineno or 1,
+                col=(error.offset or 1) - 1,
+                rule="parse-error",
+                message=f"file does not parse: {error.msg}",
+                severity=SEVERITY_ERROR,
+            )
         )
-        for finding in raw:
-            if replay.is_suppressed(finding.line, finding.rule):
+        return None
+
+    for rule in rules:
+        for finding in rule.check(context):
+            if context.is_suppressed(finding.line, finding.rule):
                 report.suppressed += 1
             elif allowlist.allows(finding):
                 report.allowlisted += 1
             else:
                 report.findings.append(finding)
-        report._context = replay  # type: ignore[attr-defined]  # strict-audit hook
-        return report
-
-    try:
-        context = FileContext(path, shown, source)
-    except SyntaxError as error:
-        finding = Finding(
-            path=shown,
-            line=error.lineno or 1,
-            col=(error.offset or 1) - 1,
-            rule="parse-error",
-            message=f"file does not parse: {error.msg}",
-            severity=SEVERITY_ERROR,
-        )
-        report.findings.append(finding)
-        if cache is not None:
-            cache.store(
-                shown, digest, [finding.to_json_dict()], [], parse_error=True
-            )
-        return report
-
-    raw = []
-    for rule in rules:
-        raw.extend(rule.check(context))
-
-    if cache is not None:
-        cache.store(
-            shown,
-            digest,
-            [finding.to_json_dict() for finding in raw],
-            [
-                {
-                    "line": suppression.line,
-                    "target_line": suppression.target_line,
-                    "rules": list(suppression.rules),
-                    "scope": context.scope_at(suppression.line),
-                }
-                for suppression in context.suppressions
-            ],
-        )
-
-    for finding in raw:
-        if context.is_suppressed(finding.line, finding.rule):
-            report.suppressed += 1
-        elif allowlist.allows(finding):
-            report.allowlisted += 1
-        else:
-            report.findings.append(finding)
-
-    report._context = context  # type: ignore[attr-defined]  # strict-audit hook
-    return report
+    return context
 
 
 def run_lint(
@@ -232,7 +118,6 @@ def run_lint(
     strict: bool = False,
     allowlist: Optional[Allowlist] = None,
     base_dir: Optional[Path] = None,
-    cache: Optional[LintCache] = None,
 ) -> LintReport:
     """Lint ``paths`` (files or directories) and return the merged report.
 
@@ -240,8 +125,6 @@ def run_lint(
     ids raise :class:`LintError`. ``strict`` adds the escape-hatch audit
     findings described in the module docstring. ``allowlist`` defaults to
     discovery (walking up from the first path for ``.repro-lint-allow``).
-    ``cache`` (a pre-loaded :class:`~repro.lint.cache.LintCache`) replays rule
-    output for content-unchanged files and is saved back when the run ends.
     """
     load_builtin_rules()
     if rules is None:
@@ -259,22 +142,14 @@ def run_lint(
     merged = LintReport(rules_run=tuple(rule.id for rule in selected))
     contexts: List[FileContext] = []
     for file in files:
-        report = _lint_one(file, selected, allowlist, base_dir, cache)
-        context = getattr(report, "_context", None)
+        context = _lint_one(file, selected, allowlist, base_dir, merged)
         if context is not None:
             contexts.append(context)
-        merged.findings.extend(report.findings)
-        merged.files_checked += report.files_checked
-        merged.suppressed += report.suppressed
-        merged.allowlisted += report.allowlisted
 
     if strict:
         merged.findings.extend(
             _strict_audit(contexts, allowlist, full_run=full_run)
         )
-    if cache is not None:
-        cache.save()
-        merged._cache = cache  # type: ignore[attr-defined]  # hit/miss telemetry
     return merged
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 #: Schema tag of a JSON lint report.
 LINT_SCHEMA = "repro-lint-v1"
@@ -117,17 +117,3 @@ class LintReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
-
-
-def merge_reports(reports: Sequence[LintReport]) -> LintReport:
-    """Fold per-file reports into one run-level report."""
-    merged = LintReport()
-    rules: Tuple[str, ...] = ()
-    for report in reports:
-        merged.findings.extend(report.findings)
-        merged.files_checked += report.files_checked
-        merged.suppressed += report.suppressed
-        merged.allowlisted += report.allowlisted
-        rules = rules or report.rules_run
-    merged.rules_run = rules
-    return merged

@@ -38,16 +38,6 @@ CANONICAL_MODULES: Tuple[str, ...] = (
     "repro/columnar/streaming.py",
 )
 
-#: Modules holding the columnar engine's per-round hot path: every per-row
-#: phase must run as numpy operations over the columns. The
-#: ``hotloop-python-scan`` and ``hotloop-alloc`` rules fire only here.
-VECTORIZED_MODULES: Tuple[str, ...] = (
-    "repro/columnar/engine.py",
-    "repro/columnar/shuffle.py",
-    "repro/columnar/streaming.py",
-    "repro/columnar/rng.py",
-)
-
 #: Hot-path modules whose classes must declare ``__slots__`` — the
 #: descriptor/view/message tiers are allocated per node per round, and PR 1's
 #: 3.3x win depends on them staying dict-free. The ``missing-slots`` rule fires
@@ -115,8 +105,9 @@ GLOBAL_RNG_FUNCTIONS: Tuple[str, ...] = (
 
 #: ``numpy.random`` is off limits entirely: its global state is as hidden as the
 #: stdlib one, and seeded ``numpy.random.Generator`` streams are not part of this
-#: repo's determinism story (the columnar engine deliberately draws from injected
-#: ``random.Random`` streams so numpy stays an optional dependency).
+#: repo's determinism story (the columnar engine takes one 64-bit seed from its
+#: injected ``random.Random`` stream and keys its own counter RNG with it —
+#: ``columnar/rng.py``).
 NUMPY_RANDOM_PREFIXES: Tuple[str, ...] = (
     "numpy.random",
     "np.random",
@@ -161,8 +152,3 @@ def is_canonical_module(path: str) -> bool:
 def is_slots_module(path: str) -> bool:
     """Is ``path`` (posix) in the hot-path tier that must declare ``__slots__``?"""
     return _matches(path, SLOTS_MODULES)
-
-
-def is_vectorized_module(path: str) -> bool:
-    """Is ``path`` (posix) in the columnar hot-path (vectorized) tier?"""
-    return _matches(path, VECTORIZED_MODULES)

@@ -29,7 +29,6 @@ _BUILTIN_MODULES = (
     "repro.lint.rules.capability",
     "repro.lint.rules.slots",
     "repro.lint.rules.dataflow_rng",
-    "repro.lint.rules.vectorization",
 )
 
 
@@ -74,11 +73,6 @@ def register_rule(
     rule = LintRule(id=id, check=check, description=description, rationale=rationale)
     _REGISTRY[id] = rule
     return rule
-
-
-def unregister_rule(id: str) -> None:
-    """Remove a rule (tests only)."""
-    _REGISTRY.pop(id, None)
 
 
 def load_builtin_rules() -> None:

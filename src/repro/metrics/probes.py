@@ -79,13 +79,6 @@ class MetricProbe:
     def supported_by(self, plugin) -> bool:
         return all(plugin.supports(capability) for capability in self.requires)
 
-    def missing_capabilities(self, plugin) -> List[str]:
-        return [
-            capability_name(capability)
-            for capability in self.requires
-            if not plugin.supports(capability)
-        ]
-
     def measure(self, scenario, payload: MetricPayload, context: ProbeContext) -> None:
         raise NotImplementedError
 

@@ -1,8 +1,7 @@
 """The NAT gateway itself: bindings, translation, filtering and expiry.
 
 A :class:`NatBox` owns one external (public) IP address and any number of internal
-hosts. It satisfies the :class:`repro.simulator.network.NatGateway` contract, so the
-network routes every packet addressed to the NAT's external IP through
+hosts. The network routes every packet addressed to the NAT's external IP through
 :meth:`NatBox.accept_inbound`, and every packet sent by an internal host through
 :meth:`NatBox.translate_outbound`.
 """

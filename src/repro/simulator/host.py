@@ -112,17 +112,6 @@ class Host:
             )
         self.components[port] = component
 
-    def unbind(self, port: int) -> None:
-        self.components.pop(port, None)
-
-    def component_on(self, port: int) -> Optional["Component"]:
-        return self.components.get(port)
-
-    def start_all(self) -> None:
-        """Start every bound component."""
-        for component in list(self.components.values()):
-            component.start()
-
     # ------------------------------------------------------------------ messaging
 
     def send(self, src_port: int, destination: Endpoint, message: "Message") -> None:

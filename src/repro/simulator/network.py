@@ -40,7 +40,7 @@ what one packet costs is what the object engine costs on the paper's NAT cells:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from repro.errors import NetworkError
 from repro.net.address import Endpoint, parse_ipv4
@@ -50,6 +50,9 @@ from repro.simulator.latency import ConstantLatency, LatencyModel
 from repro.simulator.loss import LossModel, NoLoss
 from repro.simulator.message import Message, Packet
 from repro.simulator.monitor import TrafficMonitor
+
+if TYPE_CHECKING:  # pragma: no cover - repro.nat imports this package
+    from repro.nat.nat_box import NatBox
 
 
 class Network:
@@ -68,7 +71,7 @@ class Network:
         self.monitor = monitor or TrafficMonitor()
         self.rng = sim.derive_rng("network")
         # Maps an IP address to whatever answers for it: a public Host or a NAT box.
-        self._ip_table: Dict[str, Union[Host, "NatGateway"]] = {}
+        self._ip_table: Dict[str, Union[Host, "NatBox"]] = {}
         self._packets_sent = 0
         self._packets_delivered = 0
         # Optional network split (the workload timeline's Partition event): when set,
@@ -116,10 +119,6 @@ class Network:
                 del self._ip_table[host.address.endpoint.ip]
         else:
             host.natbox.detach_host(host)
-
-    def lookup_ip(self, ip: str) -> Optional[Union[Host, "NatGateway"]]:
-        """Return whatever answers for ``ip`` (used by tests and the NAT substrate)."""
-        return self._ip_table.get(ip)
 
     # ------------------------------------------------------------------ sending
 
@@ -228,32 +227,3 @@ class NetworkPartition:
 
     def blocks(self, source_ip: str, destination_ip: str) -> bool:
         return (source_ip in self.isolated) != (destination_ip in self.isolated)
-
-
-class NatGateway:
-    """Protocol (interface) that NAT boxes implement so the network can route through them.
-
-    Defined here to document the contract without importing :mod:`repro.nat` (which
-    would create an import cycle); :class:`repro.nat.nat_box.NatBox` satisfies it.
-    """
-
-    external_ip: str
-
-    def attach_host(self, host: Host) -> None:  # pragma: no cover - interface only
-        raise NotImplementedError
-
-    def detach_host(self, host: Host) -> None:  # pragma: no cover - interface only
-        raise NotImplementedError
-
-    def translate_outbound(
-        self, internal_source: Endpoint, destination: Endpoint, now: float
-    ) -> Optional[Endpoint]:  # pragma: no cover - interface only
-        raise NotImplementedError
-
-    def accept_inbound(
-        self, source: Endpoint, external_destination: Endpoint, now: float
-    ) -> Optional[Endpoint]:  # pragma: no cover - interface only
-        raise NotImplementedError
-
-    def host_for(self, internal_endpoint: Endpoint) -> Optional[Host]:  # pragma: no cover
-        raise NotImplementedError

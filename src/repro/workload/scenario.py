@@ -47,7 +47,6 @@ from repro.simulator.core import Simulator
 from repro.simulator.host import Host
 from repro.simulator.latency import ConstantLatency, KingLatencyModel, LatencyModel, UniformLatency
 from repro.simulator.loss import BernoulliLoss, LossModel, NoLoss
-from repro.simulator.message import Message
 from repro.simulator.monitor import TrafficMonitor, TrafficSnapshot
 from repro.simulator.network import Network
 from repro.workload.ipalloc import IpAllocator
@@ -456,10 +455,6 @@ class Scenario:
         """
         return [h.pss for h in self.live_handles() if isinstance(h.pss, capability)]
 
-    def handles_with(self, capability: Type[Capability]) -> List[NodeHandle]:
-        """Like :meth:`services_with` but returning the full node handles."""
-        return [h for h in self.live_handles() if isinstance(h.pss, capability)]
-
     def overlay_graph(self) -> Dict[int, set]:
         """Directed adjacency over live nodes (edges to dead nodes are dropped)."""
         live = {h.node_id for h in self.live_handles()}
@@ -475,10 +470,6 @@ class Scenario:
 
     def traffic_snapshot(self) -> TrafficSnapshot:
         return self.monitor.snapshot(self.sim.now)
-
-    def message_size_of(self, message: Message) -> int:
-        """Convenience for tests: the wire size the monitor would account for a message."""
-        return message.wire_size
 
     # ------------------------------------------------------------------ failures & churn
 

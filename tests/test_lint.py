@@ -3,16 +3,14 @@
 Per rule: a positive fixture (the violation fires), a negative fixture (the
 disciplined idiom passes) and a suppressed fixture (the inline escape hatch
 works). Plus: allowlist round-trip and strict-mode rot audits, JSON schema
-stability (``repro-lint-v1`` is a CI surface), CLI exit codes, ``--changed``
-against a real throwaway git repo, and the gate that motivates everything —
-a repo-wide self-run asserting the tree is clean.
+stability (``repro-lint-v1`` is a CI surface), CLI exit codes and surface, and
+the gate that motivates everything — a repo-wide self-run asserting the tree is
+clean.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
-import subprocess
 import textwrap
 from pathlib import Path
 
@@ -582,38 +580,25 @@ class TestCli:
         assert main(["lint", "--rules", "wall-clock", str(path)]) == 1
         capsys.readouterr()
 
-
-@pytest.mark.skipif(shutil.which("git") is None, reason="git not available")
-class TestChangedMode:
-    def test_changed_lints_only_dirty_files(self, tmp_path, capsys, monkeypatch):
-        repo = tmp_path / "repo"
-        repo.mkdir()
-        env = {"GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
-               "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t"}
-
-        def git(*args):
-            subprocess.run(
-                ["git", "-C", str(repo), *args],
-                check=True, capture_output=True, env={**env, "PATH": "/usr/bin:/bin"},
-            )
-
-        git("init", "-q")
-        committed = repo / "committed.py"
-        committed.write_text("import time\nstamp = time.time()\n")  # dirty idiom, but committed
-        git("add", "committed.py")
-        git("commit", "-qm", "seed")
-        dirty = repo / "dirty.py"
-        dirty.write_text("import random\nvalue = random.random()\n")
-
-        monkeypatch.chdir(repo)
-        # Only the uncommitted file is linted: its violation fails the run...
-        assert main(["lint", "--changed", "."]) == 1
-        out = capsys.readouterr().out
-        assert "dirty.py" in out and "committed.py" not in out
-        # ...and once it is clean, --changed is green even though the committed
-        # file still contains a violation (it is not part of the diff).
-        dirty.write_text("x = 1\n")
-        assert main(["lint", "--changed", "."]) == 0
+    def test_surface_is_pinned(self, capsys):
+        # The retired rule tier, flags, format and subcommand stay retired.
+        assert main(["lint", "--list-rules"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert listed == [
+            "capability-mismatch", "draw-in-unordered-loop", "global-rng",
+            "global-seed", "json-roundtrip-copy", "missing-slots",
+            "rng-crosses-process", "shared-stream", "unseeded-rng",
+            "unsorted-iteration", "unsorted-json", "wall-clock",
+        ]
+        for argv in (
+            ["lint", "--cache", "."],
+            ["lint", "--changed", "."],
+            ["lint", "--format", "sarif", "."],
+            ["bench"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
         capsys.readouterr()
 
 

@@ -1,35 +1,19 @@
-"""Tests for PR 10's lint additions: the interprocedural RNG-custody dataflow
-rules, the vectorized-tier rules, the incremental cache, SARIF output and the
-allowlist path-form unification.
+"""Tests for the interprocedural RNG-custody dataflow rules and the allowlist
+path-form unification.
 
-Per new rule: a positive fixture (the violation fires), a negative fixture (the
+Per rule: a positive fixture (the violation fires), a negative fixture (the
 disciplined idiom passes) and a suppressed fixture (the inline escape hatch
 works) — each one is exactly what the CI strict gate would catch. Plus the
 cross-module taint fixture (a stream built in one module, drawn order-dependently
-in another), cache invalidation semantics (content edit refreshes, mtime touch
-hits, escape-hatch edits are never stale) and SARIF 2.1.0 document shape.
+in another).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
 import textwrap
 from pathlib import Path
 
-from repro.cli import main
-from repro.lint import (
-    Allowlist,
-    LintCache,
-    LintReport,
-    report_to_sarif,
-    rule_ids,
-    ruleset_fingerprint,
-    run_lint,
-)
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
+from repro.lint import Allowlist, LintReport, run_lint
 
 
 def lint_source(
@@ -39,14 +23,13 @@ def lint_source(
     rules=None,
     strict: bool = False,
     allowlist=None,
-    cache=None,
 ) -> LintReport:
     path = tmp_path / name
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
     if allowlist is None:
         allowlist = Allowlist.empty()
-    return run_lint([path], rules=rules, strict=strict, allowlist=allowlist, cache=cache)
+    return run_lint([path], rules=rules, strict=strict, allowlist=allowlist)
 
 
 def lint_package(tmp_path: Path, files, target: str, rules=None) -> LintReport:
@@ -334,276 +317,6 @@ class TestCrossModuleTaint:
         assert report.findings == []
 
 
-# ------------------------------------------------------------ vectorization tier
-
-
-class TestHotloopPythonScan:
-    def test_unguarded_row_loop_fires(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            """
-            class Engine:
-                def census(self):
-                    total = 0
-                    for row in range(self._rows):
-                        total += self.alive[row]
-                    return total
-            """,
-            name="repro/columnar/engine.py",
-            rules=["hotloop-python-scan"],
-        )
-        assert finding_rules(report) == ["hotloop-python-scan"]
-
-    def test_allowlisted_row_loop_passes(self, tmp_path):
-        # The committed allowlist is the only exemption left in the tier (no
-        # code shape sanctions a per-row loop any more).
-        allow = tmp_path / ".repro-lint-allow"
-        allow.write_text("hotloop-python-scan repro/columnar/engine.py Engine.census\n")
-        report = lint_source(
-            tmp_path,
-            """
-            class Engine:
-                def census(self):
-                    return sum(self.alive[row] for row in range(self._rows))
-
-                def recount(self):
-                    return [row for row in self.live_rows()]
-            """,
-            name="repro/columnar/engine.py",
-            rules=["hotloop-python-scan"],
-            allowlist=Allowlist.load(allow),
-        )
-        assert finding_rules(report) == ["hotloop-python-scan"]
-        assert report.findings[0].scope == "Engine.recount"
-        assert report.allowlisted == 1
-
-    def test_outside_tier_passes(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            """
-            class Engine:
-                def census(self):
-                    return sum(self.alive[row] for row in range(self._rows))
-            """,
-            name="repro/metrics/census.py",
-            rules=["hotloop-python-scan"],
-        )
-        assert report.findings == []
-
-    def test_suppressed(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            """
-            def sweep(eng):
-                for row in eng.live_rows():  # repro-lint: allow[hotloop-python-scan]
-                    eng.kick(row)
-            """,
-            name="repro/columnar/engine.py",
-            rules=["hotloop-python-scan"],
-        )
-        assert report.findings == []
-        assert report.suppressed == 1
-
-
-class TestHotloopAlloc:
-    def test_row_scaled_alloc_in_loop_fires(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            """
-            import numpy as np
-
-            def waves(rows, count):
-                for wave in range(count):
-                    want = np.full(rows.size, 7, dtype=np.int64)
-                return want
-            """,
-            name="repro/columnar/shuffle.py",
-            rules=["hotloop-alloc"],
-        )
-        assert finding_rules(report) == ["hotloop-alloc"]
-        assert "hoist" in report.findings[0].message
-
-    def test_hoisted_alloc_passes(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            """
-            import numpy as np
-
-            def waves(rows, count):
-                want = np.full(rows.size, 7, dtype=np.int64)
-                for wave in range(count):
-                    want[:] = wave
-                return want
-            """,
-            name="repro/columnar/shuffle.py",
-            rules=["hotloop-alloc"],
-        )
-        assert report.findings == []
-
-    def test_constant_extent_alloc_passes(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            """
-            import numpy as np
-
-            def waves(count):
-                for wave in range(count):
-                    scratch = np.zeros(8)
-                return scratch
-            """,
-            name="repro/columnar/shuffle.py",
-            rules=["hotloop-alloc"],
-        )
-        assert report.findings == []
-
-    def test_suppressed(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            """
-            import numpy as np
-
-            def waves(rows, count):
-                for wave in range(count):
-                    want = np.full(rows.size, 7)  # repro-lint: allow[hotloop-alloc]
-                return want
-            """,
-            name="repro/columnar/shuffle.py",
-            rules=["hotloop-alloc"],
-        )
-        assert report.findings == []
-        assert report.suppressed == 1
-
-
-# -------------------------------------------------------------- incremental cache
-
-
-DIRTY = "import random\nvalue = random.random()\n"
-
-
-class TestLintCache:
-    def _cache(self, tmp_path):
-        return LintCache.load(
-            tmp_path / "cache.json", ruleset_fingerprint(rule_ids())
-        )
-
-    def test_cold_then_warm_identical_findings(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text(DIRTY)
-        cold_cache = self._cache(tmp_path)
-        cold = run_lint([target], allowlist=Allowlist.empty(), cache=cold_cache)
-        assert (cold_cache.hits, cold_cache.misses) == (0, 1)
-        assert (tmp_path / "cache.json").exists()
-
-        warm_cache = self._cache(tmp_path)
-        warm = run_lint([target], allowlist=Allowlist.empty(), cache=warm_cache)
-        assert (warm_cache.hits, warm_cache.misses) == (1, 0)
-        assert warm.to_json() == cold.to_json()
-
-    def test_mtime_touch_still_hits(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text(DIRTY)
-        run_lint([target], allowlist=Allowlist.empty(), cache=self._cache(tmp_path))
-        os.utime(target, (1_000_000_000, 1_000_000_000))
-        warm_cache = self._cache(tmp_path)
-        run_lint([target], allowlist=Allowlist.empty(), cache=warm_cache)
-        assert (warm_cache.hits, warm_cache.misses) == (1, 0)
-
-    def test_content_edit_refreshes(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text(DIRTY)
-        run_lint([target], allowlist=Allowlist.empty(), cache=self._cache(tmp_path))
-        target.write_text("x = 1\n")
-        edited_cache = self._cache(tmp_path)
-        report = run_lint(
-            [target], allowlist=Allowlist.empty(), cache=edited_cache
-        )
-        assert (edited_cache.hits, edited_cache.misses) == (0, 1)
-        assert report.findings == []
-
-    def test_ruleset_fingerprint_invalidates(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text(DIRTY)
-        run_lint([target], allowlist=Allowlist.empty(), cache=self._cache(tmp_path))
-        stale = LintCache.load(tmp_path / "cache.json", "different-fingerprint")
-        assert stale.entries == {}
-
-    def test_suppressions_replay_on_hits(self, tmp_path):
-        # An unused suppression must keep tripping the strict audit on warm
-        # runs: the cache stores raw findings + the suppression table, not the
-        # filtered verdict.
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1  # repro-lint: allow[wall-clock]\n")
-        cold = run_lint(
-            [target],
-            strict=True,
-            allowlist=Allowlist.empty(),
-            cache=self._cache(tmp_path),
-        )
-        warm_cache = self._cache(tmp_path)
-        warm = run_lint(
-            [target], strict=True, allowlist=Allowlist.empty(), cache=warm_cache
-        )
-        assert warm_cache.hits == 1
-        assert finding_rules(cold) == ["unused-suppression"]
-        assert finding_rules(warm) == ["unused-suppression"]
-
-    def test_allowlist_edit_applies_to_cached_files(self, tmp_path):
-        # Warm run with a *new* allowlist entry: the cached raw finding must be
-        # absorbed (replay, not verdict reuse).
-        target = tmp_path / "mod.py"
-        target.write_text("import time\nstamp = time.time()\n")
-        first = run_lint(
-            [target], allowlist=Allowlist.empty(), cache=self._cache(tmp_path)
-        )
-        assert finding_rules(first) == ["wall-clock"]
-        allow = tmp_path / ".repro-lint-allow"
-        allow.write_text("wall-clock mod.py *\n")
-        warm_cache = self._cache(tmp_path)
-        second = run_lint(
-            [target], allowlist=Allowlist.load(allow), cache=warm_cache
-        )
-        assert warm_cache.hits == 1
-        assert second.findings == []
-        assert second.allowlisted == 1
-
-
-# ------------------------------------------------------------------ SARIF output
-
-
-class TestSarifOutput:
-    def test_document_shape(self, tmp_path):
-        report = lint_source(tmp_path, DIRTY)
-        document = report_to_sarif(report)
-        assert document["version"] == "2.1.0"
-        assert document["$schema"].endswith("sarif-schema-2.1.0.json")
-        (run,) = document["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        declared = {rule["id"] for rule in driver["rules"]}
-        assert set(rule_ids()) <= declared
-        (result,) = run["results"]
-        assert result["ruleId"] == "global-rng"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["region"]["startLine"] == 2
-        assert location["region"]["startColumn"] >= 1  # SARIF is 1-based
-        assert driver["rules"][result["ruleIndex"]]["id"] == "global-rng"
-
-    def test_cli_sarif_format(self, tmp_path, capsys, monkeypatch):
-        target = tmp_path / "clean.py"
-        target.write_text("x = 1\n")
-        monkeypatch.chdir(tmp_path)
-        assert main(["lint", str(target), "--format", "sarif"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["runs"][0]["results"] == []
-
-    def test_sarif_bytes_deterministic(self, tmp_path):
-        from repro.lint import to_sarif_json
-
-        report = lint_source(tmp_path, DIRTY)
-        assert to_sarif_json(report) == to_sarif_json(report)
-
-
 # ----------------------------------------------- allowlist path-form unification
 
 
@@ -644,46 +357,3 @@ class TestAllowlistPathForm:
             allowlist=Allowlist.load(allow),
         )
         assert report.findings == []
-
-
-# ----------------------------------------------------- --changed from a subdir
-
-
-class TestChangedFromSubdir:
-    def test_untracked_and_modified_found_from_subdirectory(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        repo = tmp_path / "repo"
-        (repo / "pkg").mkdir(parents=True)
-        env = {
-            "GIT_AUTHOR_NAME": "t",
-            "GIT_AUTHOR_EMAIL": "t@t",
-            "GIT_COMMITTER_NAME": "t",
-            "GIT_COMMITTER_EMAIL": "t@t",
-        }
-
-        def git(*args):
-            subprocess.run(
-                ["git", "-C", str(repo), *args],
-                check=True,
-                capture_output=True,
-                env={**env, "PATH": "/usr/bin:/bin"},
-            )
-
-        git("init", "-q")
-        tracked = repo / "pkg" / "tracked.py"
-        tracked.write_text("x = 1\n")
-        git("add", "pkg/tracked.py")
-        git("commit", "-qm", "seed")
-        # One modified tracked file + one brand-new untracked file, both dirty.
-        tracked.write_text("import time\nstamp = time.time()\n")
-        untracked = repo / "pkg" / "fresh.py"
-        untracked.write_text("import random\nvalue = random.random()\n")
-
-        # The regression: from a subdirectory, git's toplevel-relative diff
-        # names used to be joined onto the subdir and silently dropped.
-        monkeypatch.chdir(repo / "pkg")
-        assert main(["lint", "--changed", "."]) == 1
-        out = capsys.readouterr().out
-        assert "tracked.py" in out
-        assert "fresh.py" in out

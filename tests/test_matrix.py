@@ -163,6 +163,32 @@ class TestCrashSurfacing:
             run_cell(cell, root_seed=1)
 
 
+class TestFailureKind:
+    """The registered ``failure`` kind (Figure 7(b) as independently seeded cells):
+    `repro run failure` and the figure bench go through the clone-branching harness
+    `run_failure_experiment`, so this is the kind's only gate."""
+
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
+    def test_failure_cell_kills_the_given_fraction_deterministically(self, engine):
+        if engine == "columnar":
+            pytest.importorskip("numpy")
+        cell = CellSpec(scenario="failure", protocol="croupier", size=40, seed_index=0,
+                        rounds=10, engine=engine, params=(("failure_fraction", 0.5),))
+        first = run_cell(cell, root_seed=7, latency="constant")
+        again = run_cell(cell, root_seed=7, latency="constant")
+        assert first.to_json_dict() == again.to_json_dict()
+        scalars = first.scalars
+        assert scalars["failure_fraction"] == 0.5
+        assert scalars["survivors"] == round(40 * (1 - 0.5))
+        assert 0 < scalars["biggest_cluster_fraction"] <= 1
+
+    def test_all_six_paper_variants_validate(self):
+        spec = small_spec(scenarios=("failure",), protocols=("croupier",), seeds=1,
+                          variants="paper")
+        fractions = [cell.param("failure_fraction") for cell in spec.validate()]
+        assert fractions == [0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+
+
 class TestCellsAreFreedBetweenCells:
     def test_a_finished_cells_cycles_are_dead_when_the_next_cell_starts(self):
         """A scenario graph is cyclic, so only the collector frees it. The runner
