@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md (A1, A3, A4).
+"""Ablation benches for the three design choices of ``repro.experiments.ablations``.
 
 These are not paper figures; they quantify why Croupier is built the way it is:
 splitting the view keeps private nodes represented, piggy-backing estimates trades a few

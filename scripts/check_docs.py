@@ -23,6 +23,11 @@ Three classes of rot this catches:
    ``repro.experiments.figures`` builds at the CLI's default ``--nodes`` /
    ``--rounds``.
 
+4. **A stale lint rules table** — in ``docs/determinism_lint.md`` every id
+   ``repro.lint.rule_ids()`` returns has exactly one row in a rules table, and
+   every row names a registered id. (The strict-audit ids are bullets, not
+   rows, and are not checked.)
+
 Exit status: 0 clean, 1 findings (one ``path:line: message`` per finding).
 """
 
@@ -47,6 +52,8 @@ INVOCATION_RE = re.compile(r"(?:^|\s|\$ )(?:python -m )?repro\s+([a-z-]+)\b")
 RUN_NAME_RE = re.compile(r"(?:^|\s|\$ )(?:python -m )?repro\s+run\s+([a-z][a-z0-9-]*)")
 #: Header of the figure table in docs/experiments.md (its rows follow until a blank line).
 FIGURE_TABLE_HEADER = "| `repro run` | figure | kind | params | cells |"
+#: Header of each rules table in docs/determinism_lint.md (rows follow until a blank line).
+RULE_TABLE_HEADER = "| rule | fires on | why |"
 
 
 def doc_files() -> List[Path]:
@@ -214,6 +221,34 @@ def check_figure_table(path: Path, lines: List[str], problems: List[str]) -> Non
         problems.append(f"{where}:{start}: figure table has no row for {name!r}")
 
 
+def check_rule_tables(path: Path, lines: List[str], problems: List[str]) -> None:
+    from repro.lint import rule_ids
+
+    registered = set(rule_ids())
+    where = path.relative_to(REPO_ROOT)
+    first_row: Dict[str, int] = {}
+    for index, header in enumerate(lines):
+        if header != RULE_TABLE_HEADER:
+            continue
+        for lineno, line in enumerate(lines[index + 2:], start=index + 3):
+            if not line.startswith("|"):
+                break
+            rule = line.strip("|").split("|")[0].strip().strip("`")
+            if rule not in registered:
+                problems.append(
+                    f"{where}:{lineno}: rules table row {rule!r} is not a "
+                    f"registered lint rule"
+                )
+            elif rule in first_row:
+                problems.append(
+                    f"{where}:{lineno}: rule {rule!r} has a second rules table "
+                    f"row (first at line {first_row[rule]})"
+                )
+            first_row.setdefault(rule, lineno)
+    for rule in sorted(registered - set(first_row)):
+        problems.append(f"{where}:1: rule {rule!r} has no rules table row")
+
+
 def main() -> int:
     problems: List[str] = []
     slug_cache: Dict[Path, Set[str]] = {}
@@ -226,6 +261,8 @@ def main() -> int:
         check_cli_flags(path, lines, flags, run_names, problems)
         if path.name == "experiments.md":
             check_figure_table(path, lines, problems)
+        elif path.name == "determinism_lint.md":
+            check_rule_tables(path, lines, problems)
     if problems:
         for problem in problems:
             print(problem)

@@ -108,7 +108,7 @@ echo "== tier-1 tests =="
 python -m pytest -x -q
 
 echo
-echo "== docs check (links, anchors, CLI flags, run names, figure table) =="
+echo "== docs check (links, anchors, CLI flags, run names, figure and lint rule tables) =="
 # README.md + docs/*.md: every relative link and #anchor must resolve, and
 # every --flag on a `repro ...` invocation in a fenced block must exist in the
 # argparse tree (scripts/check_docs.py). No network access — external links

@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices called out in DESIGN.md (A1–A4).
+"""Ablation experiments for three of Croupier's design choices (A1, A3 and A4).
 
 These are not figures from the paper; they probe *why* Croupier is built the way it is:
 

@@ -7,11 +7,9 @@ A :class:`FileContext` parses one source file once and exposes what rules need:
   line suppresses that line, on a standalone line it suppresses the next line;
 * an import-alias table that normalizes call targets to dotted names
   (``from time import perf_counter as pc; pc()`` → ``time.perf_counter``), so
-  rules match semantics, not spellings;
-* a :class:`ModuleResolver` that parses sibling ``repro.*`` modules on demand and
-  answers "which capability ABCs does this class transitively inherit?" — the
-  static half of what :func:`repro.membership.capabilities.capabilities_of` does
-  at runtime.
+  rules match semantics, not spellings.
+
+Rules see one file at a time.
 """
 
 from __future__ import annotations
@@ -186,123 +184,3 @@ class FileContext:
                 hit = True
         return hit
 
-
-# ---------------------------------------------------------------- class resolver
-
-
-class ModuleClasses:
-    """The classes one module defines: name → base expressions (dotted strings)."""
-
-    __slots__ = ("bases", "import_aliases")
-
-    def __init__(self, bases: Dict[str, List[str]], import_aliases: Dict[str, str]):
-        self.bases = bases
-        self.import_aliases = import_aliases
-
-
-class ModuleResolver:
-    """Cross-module, AST-only class-hierarchy resolution for ``repro.*`` modules.
-
-    Rules that reason about inheritance (capability conformance) need to see
-    through ``class Croupier(PeerSamplingService, ...)`` into
-    ``repro.membership.base`` without importing anything. The resolver maps a
-    dotted module name to its source file — preferring the tree the linted file
-    lives in, falling back to the installed ``repro`` package for standalone
-    fixtures — parses it once, and walks base-class edges transitively.
-    """
-
-    def __init__(self, package_root: Optional[Path] = None) -> None:
-        #: Directory that contains the ``repro/`` package directory.
-        self.package_root = package_root
-        self._cache: Dict[str, Optional[ModuleClasses]] = {}
-
-    @staticmethod
-    def for_file(path: Path) -> "ModuleResolver":
-        for parent in path.resolve().parents:
-            if (parent / "repro" / "__init__.py").exists():
-                return ModuleResolver(parent)
-        try:
-            import repro
-
-            return ModuleResolver(Path(repro.__file__).resolve().parents[1])
-        except Exception:
-            return ModuleResolver(None)
-
-    def _module_classes(self, module: str) -> Optional[ModuleClasses]:
-        if module in self._cache:
-            return self._cache[module]
-        result: Optional[ModuleClasses] = None
-        if self.package_root is not None and module.split(".")[0] == "repro":
-            candidate = self.package_root.joinpath(*module.split("."))
-            for path in (candidate.with_suffix(".py"), candidate / "__init__.py"):
-                if path.exists():
-                    try:
-                        tree = ast.parse(path.read_text())
-                    except (OSError, SyntaxError):
-                        break
-                    bases = {
-                        node.name: [
-                            base
-                            for base in map(_dotted, node.bases)
-                            if base is not None
-                        ]
-                        for node in tree.body
-                        if isinstance(node, ast.ClassDef)
-                    }
-                    result = ModuleClasses(bases, FileContext._parse_imports(tree))
-                    break
-        self._cache[module] = result
-        return result
-
-    def transitive_bases(
-        self, module: str, class_name: str, _depth: int = 0, _seen: Optional[Set] = None
-    ) -> Set[str]:
-        """Every dotted base name reachable from ``module.class_name`` (the class
-        itself included), resolving import aliases module by module. Unknown
-        modules (stdlib, third-party) terminate the walk — their names still
-        appear in the result, they just contribute no further edges."""
-        seen: Set[str] = set() if _seen is None else _seen
-        key = f"{module}.{class_name}"
-        if key in seen or _depth > 20:
-            return seen
-        seen.add(key)
-        classes = self._module_classes(module)
-        if classes is None or class_name not in classes.bases:
-            return seen
-        for base in classes.bases[class_name]:
-            head, _, rest = base.partition(".")
-            expansion = classes.import_aliases.get(head)
-            if expansion is None:
-                if "." in base:  # e.g. ``abc.ABC`` with no matching import: opaque
-                    seen.add(base)
-                    continue
-                base_module, base_class = module, base
-            elif rest:
-                base_module, base_class = expansion, rest
-            else:
-                base_module, _, base_class = expansion.rpartition(".")
-            # The recursive call records the base's own key before expanding it —
-            # adding it here first would trip the cycle guard and stop the walk
-            # one level deep.
-            self.transitive_bases(base_module or module, base_class, _depth + 1, seen)
-        return seen
-
-    def capability_names(self) -> Set[str]:
-        """The capability ABC names, read statically from
-        ``repro.membership.capabilities`` (classes transitively inheriting the
-        ``Capability`` marker). Falls back to the documented trio if the module
-        cannot be located."""
-        module = "repro.membership.capabilities"
-        classes = self._module_classes(module)
-        if classes is None:
-            return {"OverlaySampling", "RatioEstimating", "NatAware"}
-        names = {
-            name
-            for name in classes.bases
-            if name != "Capability"
-            and any(
-                base.endswith("Capability")
-                for base in self.transitive_bases(module, name)
-            )
-        }
-        return names or {"OverlaySampling", "RatioEstimating", "NatAware"}

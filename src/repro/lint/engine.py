@@ -31,7 +31,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.lint.allowlist import Allowlist
 from repro.lint.context import FileContext, LintError
-from repro.lint.findings import Finding, LintReport, SEVERITY_ERROR
+from repro.lint.findings import Finding, LintReport
 from repro.lint.policy import normalize_path_suffix
 from repro.lint.registry import all_rules, get_rule, load_builtin_rules, rule_ids
 
@@ -96,7 +96,6 @@ def _lint_one(
                 col=(error.offset or 1) - 1,
                 rule="parse-error",
                 message=f"file does not parse: {error.msg}",
-                severity=SEVERITY_ERROR,
             )
         )
         return None

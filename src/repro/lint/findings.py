@@ -19,13 +19,6 @@ from typing import Dict, List, Tuple
 #: Schema tag of a JSON lint report.
 LINT_SCHEMA = "repro-lint-v1"
 
-#: Finding severities, in increasing order of importance. Every built-in rule
-#: reports ``error`` — a determinism violation is never advisory — but the field
-#: exists so downstream tooling can triage if softer rules are ever added.
-SEVERITY_WARNING = "warning"
-SEVERITY_ERROR = "error"
-SEVERITIES = (SEVERITY_WARNING, SEVERITY_ERROR)
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -42,8 +35,6 @@ class Finding:
         The registered rule id (``global-rng``, ``wall-clock``, ...).
     message:
         Human-readable description: what is wrong and what the fix is.
-    severity:
-        ``error`` or ``warning``; only errors affect the exit code.
     scope:
         Qualified name of the innermost enclosing function or class
         (``ClassName.method``), or ``<module>`` — what scoped allowlist entries
@@ -55,7 +46,6 @@ class Finding:
     col: int
     rule: str
     message: str
-    severity: str = SEVERITY_ERROR
     scope: str = "<module>"
 
     def sort_key(self) -> Tuple[str, int, int, str]:
@@ -70,7 +60,9 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "rule": self.rule,
-            "severity": self.severity,
+            # Every finding is an error (a determinism violation is never
+            # advisory); the key stays so repro-lint-v1 documents do not change.
+            "severity": "error",
             "scope": self.scope,
             "message": self.message,
         }
@@ -87,12 +79,8 @@ class LintReport:
     allowlisted: int = 0
 
     @property
-    def errors(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == SEVERITY_ERROR]
-
-    @property
     def exit_code(self) -> int:
-        return 1 if self.errors else 0
+        return 1 if self.findings else 0
 
     def sorted_findings(self) -> List[Finding]:
         return sorted(self.findings, key=Finding.sort_key)

@@ -26,9 +26,7 @@ _BUILTIN_MODULES = (
     "repro.lint.rules.rng",
     "repro.lint.rules.canonical",
     "repro.lint.rules.wallclock",
-    "repro.lint.rules.capability",
     "repro.lint.rules.slots",
-    "repro.lint.rules.dataflow_rng",
 )
 
 
@@ -65,10 +63,9 @@ def register_rule(
     check: Callable[[FileContext], List[Finding]],
     description: str,
     rationale: str = "",
-    replace: bool = False,
 ) -> LintRule:
     """Register a rule; called once at the bottom of each rule module."""
-    if id in _REGISTRY and not replace:
+    if id in _REGISTRY:
         raise LintError(f"lint rule {id!r} already registered")
     rule = LintRule(id=id, check=check, description=description, rationale=rationale)
     _REGISTRY[id] = rule

@@ -1,7 +1,7 @@
 """The protocol plugin registry: how peer-sampling protocols join the experiment stack.
 
 Every protocol module registers one :class:`ProtocolPlugin` — its name, component
-factory, typed configuration class and (derived) capability set — at import time.
+class, typed configuration class and (derived) capability set — at import time.
 Everything downstream of the membership layer (:class:`~repro.workload.Scenario`, the
 experiment matrix, the metric probes, the CLI) works against this registry, so adding a
 protocol is a registration, not an edit to the scenario builder or the collectors:
@@ -19,11 +19,12 @@ repro.membership`` cheap and cycle-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Type
+from typing import Dict, List, Type
 
 from repro.errors import CapabilityError, ConfigurationError
 from repro.membership.capabilities import (
     Capability,
+    OverlaySampling,
     capabilities_of,
     capability_name,
 )
@@ -47,14 +48,14 @@ class ProtocolPlugin:
     name:
         Registry key (``"croupier"``, ``"gozar"``, ...), also the CLI spelling.
     factory:
-        ``factory(host, config)`` builds one service component for one node. Usually
-        the component class itself.
+        The component class; ``factory(host, config)`` builds one service component
+        for one node.
     config_cls:
         The typed per-protocol configuration dataclass; ``config_cls()`` must be the
         paper's default setup for this protocol.
     capabilities:
-        The capability classes the built component implements. Derived from the
-        component class by :func:`register_protocol` unless given explicitly.
+        The capability classes the built component implements, derived from the
+        component class by :func:`register_protocol`.
     description:
         One line for ``repro matrix --list-protocols`` and the docs.
     nat_free_baseline:
@@ -63,7 +64,7 @@ class ProtocolPlugin:
     """
 
     name: str
-    factory: Callable
+    factory: type
     config_cls: type
     capabilities: frozenset = field(default_factory=frozenset)
     description: str = ""
@@ -100,31 +101,29 @@ _REGISTRY: Dict[str, ProtocolPlugin] = {}
 
 def register_protocol(
     name: str,
-    factory: Callable,
+    factory: type,
     config_cls: type,
     description: str = "",
-    capabilities: Optional[frozenset] = None,
     nat_free_baseline: bool = False,
-    replace: bool = False,
 ) -> ProtocolPlugin:
     """Register a protocol plugin; called once at the bottom of each protocol module.
 
-    ``capabilities`` defaults to what ``factory`` (when it is a class) inherits from the
-    capability ABCs; pass them explicitly only for non-class factories.
+    ``factory`` must be a class inheriting :class:`OverlaySampling`; the plugin's
+    capabilities are exactly the capability ABCs it inherits, so a declaration can
+    never disagree with the class.
     """
-    if name in _REGISTRY and not replace:
+    if name in _REGISTRY:
         raise ConfigurationError(f"protocol {name!r} already registered")
-    if capabilities is None:
-        if not isinstance(factory, type):
-            raise ConfigurationError(
-                f"protocol {name!r}: pass capabilities explicitly for non-class factories"
-            )
-        capabilities = capabilities_of(factory)
+    if not (isinstance(factory, type) and issubclass(factory, OverlaySampling)):
+        raise ConfigurationError(
+            f"protocol {name!r}: factory must be a class inheriting OverlaySampling, "
+            f"got {factory!r}"
+        )
     plugin = ProtocolPlugin(
         name=name,
         factory=factory,
         config_cls=config_cls,
-        capabilities=frozenset(capabilities),
+        capabilities=capabilities_of(factory),
         description=description,
         nat_free_baseline=nat_free_baseline,
     )

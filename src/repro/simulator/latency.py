@@ -4,9 +4,9 @@ The paper models inter-node latency using the King data set of measured Internet
 latencies [16]. The original matrix is not redistributable here, so
 :class:`KingLatencyModel` synthesises a latency space with the same qualitative shape:
 a median one-way delay of a few tens of milliseconds, a long right tail up to several
-hundred milliseconds, per-node access-link delay, and symmetric pairwise values. The
-protocol results only depend on this distribution shape, not on the exact matrix (see
-DESIGN.md, substitution table).
+hundred milliseconds, per-node access-link delay, and symmetric pairwise values. This
+assumes the protocol results depend on the distribution shape rather than on the exact
+matrix; nothing here is checked against the real King data.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The estimation algorithm in the paper assumes "no bias in message loss between public
 and private nodes" (Section VI). The loss models here let experiments both honour that
 assumption (:class:`BernoulliLoss` applies the same probability everywhere) and break
-it deliberately (:class:`BiasedLoss`) to study the estimator's sensitivity — one of the
-ablations listed in DESIGN.md.
+it deliberately (:class:`BiasedLoss`) to study the estimator's sensitivity. No
+experiment or ablation uses :class:`BiasedLoss` yet; only its unit tests run it.
 """
 
 from __future__ import annotations

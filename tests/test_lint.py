@@ -267,92 +267,6 @@ class TestWallClock:
         assert report.findings == []
 
 
-# ------------------------------------------------------------------- capability
-
-CAPABILITY_PRELUDE = """\
-from repro.membership.capabilities import (
-    NatAware,
-    OverlaySampling,
-    RatioEstimating,
-)
-from repro.membership.plugin import register_protocol
-"""
-
-
-def capability_source(body: str) -> str:
-    """Prelude (already flush-left) + dedented fixture body."""
-    return CAPABILITY_PRELUDE + textwrap.dedent(body)
-
-
-class TestCapabilityConformance:
-    def test_overdeclared_capability_fires(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            capability_source("""
-            class Liar(OverlaySampling):
-                pass
-
-            register_protocol(
-                "liar", Liar, dict,
-                capabilities=frozenset({OverlaySampling, RatioEstimating}),
-            )
-            """),
-        )
-        assert finding_rules(report) == ["capability-mismatch"]
-        assert "RatioEstimating" in report.findings[0].message
-
-    def test_missing_overlay_sampling_fires(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            capability_source("""
-            class NotASampler:
-                pass
-
-            register_protocol("broken", NotASampler, dict)
-            """),
-        )
-        assert finding_rules(report) == ["capability-mismatch"]
-        assert "OverlaySampling" in report.findings[0].message
-
-    def test_cross_module_underdeclaration_fires(self, tmp_path):
-        # Croupier implements RatioEstimating + NatAware one module away; a
-        # declaration hiding them must be caught through the import graph.
-        report = lint_source(
-            tmp_path,
-            capability_source("""
-            from repro.core.croupier import Croupier
-
-            register_protocol(
-                "shadow", Croupier, dict,
-                capabilities=frozenset({OverlaySampling}),
-            )
-            """),
-        )
-        assert finding_rules(report) == ["capability-mismatch"]
-        message = report.findings[0].message
-        assert "NatAware" in message and "RatioEstimating" in message
-
-    def test_derived_registration_passes(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            capability_source("""
-            class Honest(OverlaySampling, NatAware):
-                pass
-
-            register_protocol(
-                "honest", Honest, dict,
-                capabilities=frozenset({OverlaySampling, NatAware}),
-            )
-
-            class Derived(OverlaySampling):
-                pass
-
-            register_protocol("derived", Derived, dict)
-            """),
-        )
-        assert report.findings == []
-
-
 # ----------------------------------------------------------------------- slots
 
 #: Path shape that opts a fixture into the hot-path slots tier.
@@ -485,6 +399,45 @@ class TestStrictMode:
         assert report.findings == []
 
 
+class TestAllowlistPathForm:
+    def test_src_prefixed_entry_still_matches(self, tmp_path):
+        allow = tmp_path / ".repro-lint-allow"
+        allow.write_text("wall-clock src/repro/experiments/runner.py *\n")
+        report = lint_source(
+            tmp_path,
+            "import time\nstamp = time.time()\n",
+            name="src/repro/experiments/runner.py",
+            allowlist=Allowlist.load(allow),
+        )
+        assert report.findings == []
+        assert report.allowlisted == 1
+
+    def test_strict_rejects_non_canonical_form(self, tmp_path):
+        allow = tmp_path / ".repro-lint-allow"
+        allow.write_text("wall-clock src/repro/experiments/runner.py *\n")
+        report = lint_source(
+            tmp_path,
+            "import time\nstamp = time.time()\n",
+            name="src/repro/experiments/runner.py",
+            strict=True,
+            allowlist=Allowlist.load(allow),
+        )
+        assert finding_rules(report) == ["allowlist-path-form"]
+        assert "repro/experiments/runner.py" in report.findings[0].message
+
+    def test_canonical_form_is_strict_clean(self, tmp_path):
+        allow = tmp_path / ".repro-lint-allow"
+        allow.write_text("wall-clock repro/experiments/runner.py *\n")
+        report = lint_source(
+            tmp_path,
+            "import time\nstamp = time.time()\n",
+            name="src/repro/experiments/runner.py",
+            strict=True,
+            allowlist=Allowlist.load(allow),
+        )
+        assert report.findings == []
+
+
 # ----------------------------------------------------------- output and schema
 
 
@@ -585,10 +538,8 @@ class TestCli:
         assert main(["lint", "--list-rules"]) == 0
         listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
         assert listed == [
-            "capability-mismatch", "draw-in-unordered-loop", "global-rng",
-            "global-seed", "json-roundtrip-copy", "missing-slots",
-            "rng-crosses-process", "shared-stream", "unseeded-rng",
-            "unsorted-iteration", "unsorted-json", "wall-clock",
+            "global-rng", "global-seed", "json-roundtrip-copy", "missing-slots",
+            "unseeded-rng", "unsorted-iteration", "unsorted-json", "wall-clock",
         ]
         for argv in (
             ["lint", "--cache", "."],
@@ -613,17 +564,3 @@ class TestRepoIsClean:
         assert report.findings == [], "\n" + report.to_text()
         assert report.files_checked > 90
         assert report.allowlisted > 0  # the justified diagnostic timers
-
-    def test_protocol_registrations_conform(self):
-        # The capability cross-check actually resolves every built-in protocol
-        # module (croupier/cyclon/gozar/nylon/arrg) through the import graph.
-        protocol_files = [
-            SRC / "core" / "croupier.py",
-            SRC / "membership" / "cyclon.py",
-            SRC / "membership" / "gozar.py",
-            SRC / "membership" / "nylon.py",
-            SRC / "membership" / "arrg.py",
-        ]
-        report = run_lint(protocol_files, rules=["capability-mismatch"])
-        assert report.findings == []
-        assert report.files_checked == 5

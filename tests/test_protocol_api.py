@@ -74,6 +74,20 @@ class TestPluginRegistry:
             unregister_protocol("cyclon-variant")
         assert "cyclon-variant" not in protocol_names()
 
+    def test_factory_must_be_an_overlay_sampling_class(self):
+        cyclon = get_plugin("cyclon")
+
+        class NotASampler:
+            pass
+
+        for name, factory in (
+            ("lambda-factory", lambda host, config: cyclon.factory(host, config)),
+            ("not-a-sampler", NotASampler),
+        ):
+            with pytest.raises(ConfigurationError, match=name):
+                register_protocol(name, factory, cyclon.config_cls)
+            assert name not in protocol_names()
+
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 class TestCapabilityConformance:
