@@ -6,6 +6,7 @@ import random
 from typing import Dict, List, Optional
 
 from repro.net.address import NodeAddress
+from repro.simulator.core import sample
 
 
 class BootstrapRegistry:
@@ -41,7 +42,7 @@ class BootstrapRegistry:
         ]
         if len(candidates) <= count:
             return list(candidates)
-        return self.rng.sample(candidates, count)
+        return sample(self.rng, candidates, count)
 
     def all_public(self) -> List[NodeAddress]:
         """Every registered public node (used by NAT-id servers as a node provider)."""

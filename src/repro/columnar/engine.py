@@ -57,6 +57,7 @@ from repro.columnar.shuffle import (  # re-exported: the engine's wire model
 )
 from repro.columnar.streaming import StreamingHistogram
 from repro.errors import ConfigurationError
+from repro.simulator.core import sample
 
 __all__ = [
     "BORN_NONE", "COLUMNAR_PROTOCOLS", "ColumnarEngine",
@@ -223,7 +224,7 @@ class ColumnarEngine:
         seeds = self._pub_live
         count = min(self.seed_size, self.V, len(seeds))
         if count:
-            chosen = self.rng.sample(seeds, count)
+            chosen = sample(self.rng, seeds, count)
             base = row * self.V
             for slot, seed_row in enumerate(chosen):
                 self.pub_id[base + slot] = seed_row

@@ -22,11 +22,9 @@ class CroupierConfig(PssConfig):
         discarded (paper default for most experiments: 50).
     max_estimates_per_message:
         Upper bound on the number of neighbour estimates piggy-backed on each shuffle
-        request/response. The paper uses 10, which at 5 bytes per estimate adds at most
-        50 bytes per shuffle message.
-    estimate_entry_bytes:
-        Wire size of one piggy-backed estimate (paper: 2 bytes node id, 1 byte public
-        count, 1 byte private count, 1 byte timestamp = 5 bytes).
+        request/response. The paper uses 10, which at 5 bytes per estimate
+        (:attr:`~repro.core.estimator.RatioEstimate.wire_size`) adds at most 50 bytes
+        per shuffle message.
     pending_shuffle_timeout_rounds:
         How many rounds an unanswered shuffle request is remembered before its state is
         discarded (bounds memory under message loss and churn).
@@ -35,7 +33,6 @@ class CroupierConfig(PssConfig):
     local_history_alpha: int = 25
     neighbour_history_gamma: int = 50
     max_estimates_per_message: int = 10
-    estimate_entry_bytes: int = 5
     pending_shuffle_timeout_rounds: int = 3
 
     def validate(self) -> None:
@@ -53,10 +50,6 @@ class CroupierConfig(PssConfig):
             raise ConfigurationError(
                 "max_estimates_per_message must be non-negative, got "
                 f"{self.max_estimates_per_message}"
-            )
-        if self.estimate_entry_bytes <= 0:
-            raise ConfigurationError(
-                f"estimate_entry_bytes must be positive, got {self.estimate_entry_bytes}"
             )
         if self.pending_shuffle_timeout_rounds <= 0:
             raise ConfigurationError(

@@ -20,15 +20,25 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.simulator.core import sample
 
 
-@dataclass(frozen=True, slots=True)
-class RatioEstimate:
+class _EstimateFields:
+    """The slots of a :class:`RatioEstimate`, without its immutability guard."""
+
+    __slots__ = ("origin_id", "value", "age")
+
+
+class RatioEstimate(_EstimateFields):
     """One public node's local estimate, as disseminated on shuffle messages.
+
+    An immutable ``__slots__`` value object. Every shuffle message carries up to
+    eleven of them, so each is filled in as the guard-free :class:`_EstimateFields`
+    with plain slot stores and then given this class, as descriptors are
+    (:mod:`repro.membership.descriptor`).
 
     Attributes
     ----------
@@ -42,14 +52,47 @@ class RatioEstimate:
         estimate per origin.
     """
 
-    origin_id: int
-    value: float
-    age: int = 0
+    __slots__ = ()
 
     #: Paper, Section VII: "5 bytes used per estimation ... two bytes for the node
     #: identifier, one byte each for the public and private counts, and one for the
     #: timestamp".
-    wire_size: int = 5
+    wire_size = 5
+
+    def __new__(cls, origin_id: int, value: float, age: int = 0) -> "RatioEstimate":
+        estimate = _EstimateFields()
+        estimate.origin_id = origin_id
+        estimate.value = value
+        estimate.age = age
+        estimate.__class__ = cls
+        return estimate  # type: ignore[return-value]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"RatioEstimate is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("RatioEstimate is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RatioEstimate:
+            return NotImplemented
+        return (self.origin_id, self.value, self.age) == (
+            other.origin_id,  # type: ignore[attr-defined]
+            other.value,  # type: ignore[attr-defined]
+            other.age,  # type: ignore[attr-defined]
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.origin_id, self.value, self.age))
+
+    def __reduce__(self):
+        return RatioEstimate, (self.origin_id, self.value, self.age)
+
+    def __repr__(self) -> str:
+        return (
+            f"RatioEstimate(origin_id={self.origin_id!r}, value={self.value!r}, "
+            f"age={self.age!r})"
+        )
 
     def aged(self, increment: int = 1) -> "RatioEstimate":
         return RatioEstimate(self.origin_id, self.value, self.age + increment)
@@ -78,8 +121,13 @@ class RatioEstimator:
         self.alpha = alpha
         self.gamma = gamma
         self.is_public = is_public
-        # Per-round (cu, cv) pairs for the last α completed rounds.
+        # Per-round (cu, cv) pairs for the last α completed rounds, and their running
+        # sums (Σcu, Σcv): kept up to date as rounds are archived and evicted, so the
+        # local estimate is O(1). Integer sums, so the estimate is the same float the
+        # per-call re-summation gave.
         self._history: Deque[Tuple[int, int]] = deque(maxlen=alpha)
+        self._window_public_hits = 0
+        self._window_private_hits = 0
         # Hit counters for the round currently in progress.
         self._current_public_hits = 0
         self._current_private_hits = 0
@@ -139,18 +187,25 @@ class RatioEstimator:
                 min(born for _, born in cache.values()) if cache else None
             )
 
-        # Archive the completed round's counters (the deque enforces the α window).
-        self._history.append((self._current_public_hits, self._current_private_hits))
+        # Archive the completed round's counters (the deque enforces the α window;
+        # the round it pushes out leaves the running sums first).
+        history = self._history
+        if len(history) == self.alpha:
+            evicted_public, evicted_private = history[0]
+            self._window_public_hits -= evicted_public
+            self._window_private_hits -= evicted_private
+        public_hits = self._current_public_hits
+        private_hits = self._current_private_hits
+        history.append((public_hits, private_hits))
+        self._window_public_hits += public_hits
+        self._window_private_hits += private_hits
         self._current_public_hits = 0
         self._current_private_hits = 0
 
     def _calc_hits_ratio(self) -> Optional[float]:
         """The paper's ``CalcHitsRatio`` over the last α rounds (plus the current one)."""
-        public_count = self._current_public_hits
-        private_count = self._current_private_hits
-        for cu, cv in self._history:
-            public_count += cu
-            private_count += cv
+        public_count = self._window_public_hits + self._current_public_hits
+        private_count = self._window_private_hits + self._current_private_hits
         total = public_count + private_count
         if total == 0:
             return None
@@ -186,23 +241,29 @@ class RatioEstimator:
         """
         merged = 0
         cache = self._neighbour_estimates
+        order = self._origin_order
+        gamma = self.gamma
         rounds = self.rounds
+        bound = self._min_born_bound
         for estimate in estimates:
             if estimate is None:
                 continue
-            if estimate.age > self.gamma:
+            age = estimate.age
+            if age > gamma:
                 continue
             # Fresher ⇔ smaller effective age ⇔ larger born round.
-            born = rounds - estimate.age
-            existing = cache.get(estimate.origin_id)
-            if existing is None or born > existing[1]:
-                if existing is None:
-                    self._origin_order.append(estimate.origin_id)
-                cache[estimate.origin_id] = (estimate.value, born)
-                merged += 1
-                bound = self._min_born_bound
-                if bound is None or born < bound:
-                    self._min_born_bound = born
+            born = rounds - age
+            origin_id = estimate.origin_id
+            existing = cache.get(origin_id)
+            if existing is None:
+                order.append(origin_id)
+            elif born <= existing[1]:
+                continue
+            cache[origin_id] = (estimate.value, born)
+            merged += 1
+            if bound is None or born < bound:
+                bound = born
+        self._min_born_bound = bound
         return merged
 
     def estimates_subset(self, rng: random.Random, count: int) -> List[RatioEstimate]:
@@ -217,14 +278,21 @@ class RatioEstimator:
             # Sampling from the persistent order list draws exactly as sampling from
             # a freshly built item list would (the draws depend only on the length),
             # without allocating an O(cache) list per outgoing message.
-            chosen = rng.sample(order, count)
+            chosen = sample(rng, order, count)
         else:
             chosen = order
         rounds = self.rounds
         result = []
+        append = result.append
         for origin_id in chosen:
             value, born = cache[origin_id]
-            result.append(RatioEstimate(origin_id, value, rounds - born))
+            # RatioEstimate(origin_id, value, rounds - born), without the call.
+            estimate = _EstimateFields()
+            estimate.origin_id = origin_id
+            estimate.value = value
+            estimate.age = rounds - born
+            estimate.__class__ = RatioEstimate
+            append(estimate)
         return result
 
     # ------------------------------------------------------------------ estimation

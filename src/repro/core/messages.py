@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.core.estimator import RatioEstimate
-from repro.membership.descriptor import NodeDescriptor
+from repro.membership.descriptor import NodeDescriptor, wire_size_of
 from repro.simulator.message import Message
 
 
@@ -28,11 +28,11 @@ class ShuffleRequest(Message):
 
     def payload_size(self) -> int:
         size = self.sender.wire_size
-        size += sum(d.wire_size for d in self.public_descriptors)
-        size += sum(d.wire_size for d in self.private_descriptors)
-        size += sum(e.wire_size for e in self.estimates)
+        size += wire_size_of(self.public_descriptors)
+        size += wire_size_of(self.private_descriptors)
+        size += RatioEstimate.wire_size * len(self.estimates)
         if self.sender_estimate is not None:
-            size += self.sender_estimate.wire_size
+            size += RatioEstimate.wire_size
         return size
 
     @property
@@ -52,11 +52,11 @@ class ShuffleResponse(Message):
 
     def payload_size(self) -> int:
         size = self.sender.wire_size
-        size += sum(d.wire_size for d in self.public_descriptors)
-        size += sum(d.wire_size for d in self.private_descriptors)
-        size += sum(e.wire_size for e in self.estimates)
+        size += wire_size_of(self.public_descriptors)
+        size += wire_size_of(self.private_descriptors)
+        size += RatioEstimate.wire_size * len(self.estimates)
         if self.sender_estimate is not None:
-            size += self.sender_estimate.wire_size
+            size += RatioEstimate.wire_size
         return size
 
     @property

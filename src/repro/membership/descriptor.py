@@ -15,18 +15,36 @@ the age *at the time this particular object was materialised*; views age their c
 lazily (a single per-view round counter) and materialise a descriptor with the current
 age only when one actually crosses an API boundary — see
 :class:`~repro.membership.view.PartialView` for the lazy-ageing bookkeeping.
+
+Re-aged copies are the most frequent allocation of a Croupier run. The fields live in
+a guard-free base class, so a descriptor (a new one, or a copy from
+:meth:`NodeDescriptor.with_age`) is filled in with plain slot stores and only then
+given the immutable class; nothing goes through the ``__setattr__`` guard or an
+``object.__setattr__`` call per field. The
+:attr:`~NodeDescriptor.wire_size` is arithmetic on the parent count (an address always
+encodes to :data:`ADDRESS_BYTES`), so nothing is computed per object or cached.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from repro.net.address import NatType, NodeAddress
 
-_set_slot = object.__setattr__
+#: Encoded size of a :class:`~repro.net.address.NodeAddress`: node id (4) + endpoint (6)
+#: + NAT type (1), whatever the address.
+ADDRESS_BYTES = 11
+#: Encoded size of a descriptor without relay parents: its address plus one age byte.
+DESCRIPTOR_BYTES = ADDRESS_BYTES + 1
 
 
-class NodeDescriptor:
+class _DescriptorFields:
+    """The slots of a :class:`NodeDescriptor`, without its immutability guard."""
+
+    __slots__ = ("address", "age", "parents", "node_id")
+
+
+class NodeDescriptor(_DescriptorFields):
     """A (possibly stale) claim that a node exists and can be contacted.
 
     Attributes
@@ -43,21 +61,23 @@ class NodeDescriptor:
         descriptor can be reached. Empty for every other protocol.
     """
 
-    __slots__ = ("address", "age", "parents", "node_id", "_wire_size")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         address: NodeAddress,
         age: int = 0,
         parents: Tuple[NodeAddress, ...] = (),
-    ) -> None:
-        _set_slot(self, "address", address)
-        _set_slot(self, "age", age)
-        _set_slot(self, "parents", parents)
+    ) -> "NodeDescriptor":
+        descriptor = _DescriptorFields()
+        descriptor.address = address
+        descriptor.age = age
+        descriptor.parents = parents
         # node_id is read on every merge/selection step; a plain slot avoids a
         # property call through the address on each access.
-        _set_slot(self, "node_id", address.node_id)
-        _set_slot(self, "_wire_size", None)
+        descriptor.node_id = address.node_id
+        descriptor.__class__ = cls
+        return descriptor  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ immutability
 
@@ -120,9 +140,13 @@ class NodeDescriptor:
         """A descriptor with the age replaced (used by lazy-ageing views)."""
         if age == self.age:
             return self
-        clone = NodeDescriptor(self.address, age, self.parents)
-        # The encoded size does not depend on the age: a re-aged copy keeps the cache.
-        _set_slot(clone, "_wire_size", self._wire_size)
+        # NodeDescriptor(self.address, age, self.parents), without the call.
+        clone = _DescriptorFields()
+        clone.address = self.address
+        clone.age = age
+        clone.parents = self.parents
+        clone.node_id = self.node_id
+        clone.__class__ = NodeDescriptor
         return clone
 
     def is_fresher_than(self, other: "NodeDescriptor") -> bool:
@@ -137,18 +161,16 @@ class NodeDescriptor:
 
     @property
     def wire_size(self) -> int:
-        """Bytes to encode the descriptor: address + age byte + any relay parents.
-
-        Computed once and cached — the traffic monitor asks for message sizes on every
-        send *and* receive, which made this the hottest property in the whole simulator
-        before caching.
-        """
-        size = self._wire_size
-        if size is None:
-            size = self.address.wire_size + 1 + sum(p.wire_size for p in self.parents)
-            _set_slot(self, "_wire_size", size)
-        return size
+        """Bytes to encode the descriptor: address + age byte + any relay parents."""
+        return DESCRIPTOR_BYTES + ADDRESS_BYTES * len(self.parents)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         suffix = f", parents={len(self.parents)}" if self.parents else ""
         return f"Descriptor(node={self.node_id}, {self.nat_type.value}, age={self.age}{suffix})"
+
+
+def wire_size_of(descriptors: Sequence[NodeDescriptor]) -> int:
+    """The summed :attr:`NodeDescriptor.wire_size` of ``descriptors``, by the same
+    arithmetic without a property call per descriptor (messages size whole batches)."""
+    parents = sum([len(descriptor.parents) for descriptor in descriptors])
+    return DESCRIPTOR_BYTES * len(descriptors) + ADDRESS_BYTES * parents

@@ -23,20 +23,24 @@ descriptor's age was zero (its *born* round, ``born = clock_at_insert - age``).
 * Descriptors handed in are stored by reference (they are immutable) and descriptors
   handed out are shared, never copied. Wire semantics are preserved: a descriptor
   returned for inclusion in a message carries the sender-relative age at send time.
+* :meth:`random_subset` materialises its picks inline, and an excluded id costs a
+  filtered id list only when it is actually in the view (mostly it is not: Croupier
+  excludes a partner ``on_round`` has already removed).
 
 All selection methods consume randomness exactly as the eager implementation did (same
-candidate ordering, same number of draws), so same-seed runs are bit-identical with the
-pre-refactor code.
+candidate ordering, same number of draws: :func:`repro.simulator.core.sample` and
+:func:`~repro.simulator.core.choice` replicate ``random.Random``'s own), so same-seed
+runs are bit-identical with the pre-refactor code.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Collection, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.membership.descriptor import NodeDescriptor
+from repro.simulator.core import choice, sample
 
 
 class PartialView:
@@ -218,36 +222,49 @@ class PartialView:
         if rng is None or len(candidates) == 1:
             chosen = max(candidates)
         else:
-            chosen = rng.choice(candidates)
+            chosen = choice(rng, candidates)
         return self._materialize(chosen)
 
     def random_descriptor(self, rng: random.Random) -> Optional[NodeDescriptor]:
         """A uniformly random descriptor, or ``None`` if the view is empty."""
         if not self._entries:
             return None
-        return self._materialize(rng.choice(self._id_list()))
+        return self._materialize(choice(rng, self._id_list()))
 
     def random_subset(
         self,
         rng: random.Random,
         count: int,
-        exclude_ids: Optional[Iterable[int]] = None,
+        exclude_ids: Optional[Collection[int]] = None,
     ) -> List[NodeDescriptor]:
         """Up to ``count`` distinct descriptors chosen uniformly at random.
 
         The returned descriptors are shared (immutable) references with their ages
         materialised at the current clock, so they are safe to embed in messages as-is.
         """
+        entries = self._entries
+        # A fresh id list per call: the view changes between nearly all calls (the
+        # cached ``_ids`` list was still valid on under a tenth of them).
+        candidates = list(entries)
         if exclude_ids is not None:
-            excluded = set(exclude_ids)
-            candidates = [nid for nid in self._entries if nid not in excluded]
-        else:
-            candidates = self._id_list()
-        if len(candidates) <= count:
-            chosen: Sequence[int] = candidates
-        else:
-            chosen = rng.sample(candidates, count)
-        return [self._materialize(node_id) for node_id in chosen]
+            for node_id in exclude_ids:
+                if node_id in entries:
+                    candidates = [
+                        candidate for candidate in entries if candidate not in exclude_ids
+                    ]
+                    break
+        if len(candidates) > count:
+            candidates = sample(rng, candidates, count)
+        born = self._born
+        clock = self._clock
+        subset = []
+        for node_id in candidates:
+            descriptor = entries[node_id]
+            age = clock - born[node_id]
+            if descriptor.age != age:
+                descriptor = entries[node_id] = descriptor.with_age(age)
+            subset.append(descriptor)
+        return subset
 
     # ------------------------------------------------------------------ merging
 
@@ -267,12 +284,13 @@ class PartialView:
         entries = self._entries
         born = self._born
         clock = self._clock
-        # A deque keeps the eviction queue O(1) per pop; with large shuffle batches the
-        # previous ``list.pop(0)`` made the merge quadratic in the batch size. Built
-        # eagerly: membership must be tested against the view *before* any received
-        # descriptor is merged (a stale sent entry re-added by ``received`` must not
-        # become eviction-eligible).
-        sent_queue = deque(d for d in sent if d.node_id in entries)
+        capacity = self.capacity
+        # The eviction queue: ids we sent, in order, consumed through one iterator
+        # (O(1) per eviction; ``list.pop(0)`` once made the merge quadratic in the
+        # batch size). Built eagerly: membership must be tested against the view
+        # *before* any received descriptor is merged (a stale sent entry re-added by
+        # ``received`` must not become eviction-eligible).
+        victims = iter([d.node_id for d in sent if d.node_id in entries])
         for incoming in received:
             node_id = incoming.node_id
             if node_id == self_id:
@@ -284,25 +302,19 @@ class PartialView:
                     entries[node_id] = incoming
                     born[node_id] = incoming_born
                 continue
-            if len(entries) < self.capacity:
-                entries[node_id] = incoming
-                born[node_id] = incoming_born
-                self._ids = None
-                continue
-            evicted = False
-            while sent_queue:
-                candidate = sent_queue.popleft()
-                if candidate.node_id in entries:
-                    del entries[candidate.node_id]
-                    del born[candidate.node_id]
-                    evicted = True
-                    break
-            if evicted:
-                entries[node_id] = incoming
-                born[node_id] = incoming_born
-                self._ids = None
-            # If nothing we sent is still present, the received descriptor is dropped —
-            # the view keeps its (bounded) current content, as in the paper.
+            if len(entries) >= capacity:
+                for victim in victims:
+                    if victim in entries:
+                        break
+                else:
+                    # Nothing we sent is still present: the received descriptor is
+                    # dropped and the view keeps its (bounded) content, as in the paper.
+                    continue
+                del entries[victim]
+                del born[victim]
+            entries[node_id] = incoming
+            born[node_id] = incoming_born
+            self._ids = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PartialView({len(self)}/{self.capacity}: {sorted(self._entries)})"

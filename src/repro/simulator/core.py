@@ -21,9 +21,13 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from typing import Callable, List, Optional
+from math import ceil, log
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.errors import SimulationError
+
+T = TypeVar("T")
+
 
 class _NoArg:
     """Sentinel type distinguishing "no argument" from "argument is None".
@@ -61,6 +65,73 @@ def derive_seed(root_seed: object, *labels: object) -> int:
         digest.update(b"\x1f")
         digest.update(repr(label).encode("utf-8"))
     return int.from_bytes(digest.digest()[:8], "big")
+
+
+def sample(rng: random.Random, population: Sequence[T], k: int) -> List[T]:
+    """``rng.sample(population, k)``, drawing exactly the numbers it would draw.
+
+    CPython's ``Random.sample`` makes one Python-level ``_randbelow`` call per drawn
+    element; on the protocol hot path (several small samples per node per round)
+    that call overhead was the largest single cost. This is the same algorithm —
+    the pool branch for small populations, the selected-set branch for large ones,
+    the same ``setsize`` rule between them and the same ``getrandbits`` rejection
+    loop — with the draws inlined, so results and generator state are identical.
+    A generator whose type is not exactly :class:`random.Random` (a subclass may
+    override ``random`` or ``getrandbits``) gets its own ``sample`` method.
+    """
+    if type(rng) is not random.Random:
+        return rng.sample(population, k)
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    result: List[T] = []
+    append = result.append
+    setsize = 21  # size of a small set minus size of an empty list
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))  # table size for big sets
+    if n <= setsize:
+        # Invariant: the not-yet-selected elements are pool[0 : last + 1]. Each draw
+        # is below last + 1 on (last + 1).bit_length() bits; that bit count drops by
+        # one exactly when last falls below ``low``.
+        pool = list(population)
+        bits = n.bit_length()
+        low = (1 << bits >> 1) - 1
+        for last in range(n - 1, n - 1 - k, -1):
+            if last < low:
+                bits -= 1
+                low >>= 1
+            j = getrandbits(bits)
+            while j > last:
+                j = getrandbits(bits)
+            append(pool[j])
+            pool[j] = pool[last]
+    else:
+        # The set holds integer positions only, so its order never matters.
+        selected = set()
+        select = selected.add
+        bits = n.bit_length()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            select(j)
+            append(population[j])
+    return result
+
+
+def choice(rng: random.Random, seq: Sequence[T]) -> T:
+    """``rng.choice(seq)`` with the draw inlined (see :func:`sample`)."""
+    if type(rng) is not random.Random:
+        return rng.choice(seq)
+    n = len(seq)
+    if not n:
+        raise IndexError("Cannot choose from an empty sequence")
+    bits = n.bit_length()
+    j = rng.getrandbits(bits)
+    while j >= n:
+        j = rng.getrandbits(bits)
+    return seq[j]
 
 
 class EventHandle:

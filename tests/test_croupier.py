@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import CroupierConfig
 from repro.core.croupier import Croupier
+from repro.core.estimator import RatioEstimate
 from repro.core.messages import ShuffleRequest, ShuffleResponse
 from repro.errors import ConfigurationError
 
@@ -23,7 +24,7 @@ class TestConfig:
         assert config.local_history_alpha == 25
         assert config.neighbour_history_gamma == 50
         assert config.max_estimates_per_message == 10
-        assert config.estimate_entry_bytes == 5
+        assert RatioEstimate.wire_size == 5  # the paper's 5-byte estimate entry
 
     def test_window_presets(self):
         small = CroupierConfig.small_windows()

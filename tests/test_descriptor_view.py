@@ -153,27 +153,6 @@ class TestAgeing:
         # A second read at the same clock returns the cached materialisation.
         assert view.get(1) is first
 
-    def test_reaged_descriptor_keeps_its_cached_wire_size(self, monkeypatch):
-        """Size does not depend on age: a view read that re-ages a descriptor whose
-        size is cached must not compute the address size again."""
-        computed = []
-        address_size = NodeAddress.wire_size.fget
-        monkeypatch.setattr(
-            NodeAddress,
-            "wire_size",
-            property(lambda self: computed.append(self.node_id) or address_size(self)),
-        )
-        descriptor = make_descriptor(1)
-        size = descriptor.wire_size
-        assert computed == [1]
-        view = PartialView(5)
-        view.add(descriptor)
-        view.increase_ages(2)
-        reaged = view.get(1)
-        assert reaged is not descriptor and reaged.age == 2
-        assert reaged.wire_size == size
-        assert computed == [1]
-
     def test_entries_added_after_ageing_keep_relative_ages(self):
         view = PartialView(5)
         view.add(make_descriptor(1, age=0))

@@ -11,13 +11,23 @@ events exactly as the original eager implementation did. These tests pin that do
   from the pre-refactor (seed) implementation
   (``tests/data/golden_croupier_seed7.json``).
 
+* the golden fingerprint must come out of processes started under several fixed
+  ``PYTHONHASHSEED`` values: nothing on the hot path may iterate a set or dict whose
+  order depends on string hashing.
+
 If an optimisation ever changes RNG consumption or event ordering, these tests fail
 first — regenerate the golden file only for a *deliberate* semantic change.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import repro
 from repro.membership.capabilities import RatioEstimating
 from repro.metrics.probes import collect_ratio_estimates
 from repro.workload.scenario import Scenario, ScenarioConfig
@@ -113,3 +123,27 @@ class TestGoldenFingerprint:
         assert current["estimates"] == golden["estimates"]
         assert current["views"] == golden["views"]
         assert current == golden
+
+
+class TestHashSeedIndependence:
+    """The golden run, repeated in fresh interpreters with different string hashing."""
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "2701"])
+    def test_golden_fingerprint_under_hash_seed(self, hash_seed):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        search_path = [str(Path(repro.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            search_path + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        script = (
+            "import json, sys\n"
+            "from test_determinism import run_croupier\n"
+            f"json.dump(run_croupier(seed={golden['seed']}, n_public={golden['n_public']}, "
+            f"n_private={golden['n_private']}, rounds={golden['rounds']}), sys.stdout)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        )
+        assert json.loads(result.stdout) == golden

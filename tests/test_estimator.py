@@ -1,5 +1,7 @@
 """Unit tests for Croupier's public/private ratio estimator (Section VI)."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -21,6 +23,20 @@ class TestRatioEstimateRecord:
     def test_wire_size_is_five_bytes(self):
         """Section VII: 5 bytes per piggy-backed estimation."""
         assert RatioEstimate(1, 0.2).wire_size == 5
+        # The size is a constant of the encoding, not a field a caller can set.
+        with pytest.raises(TypeError):
+            RatioEstimate(1, 0.2, 0, 99)
+
+    def test_estimate_is_an_immutable_value(self):
+        estimate = RatioEstimate(1, 0.2, age=3)
+        with pytest.raises(AttributeError):
+            estimate.age = 4
+        with pytest.raises(AttributeError):
+            del estimate.value
+        assert estimate == RatioEstimate(1, 0.2, 3) != RatioEstimate(1, 0.2, 4)
+        assert hash(estimate) == hash(RatioEstimate(1, 0.2, 3))
+        assert copy.deepcopy(estimate) == estimate
+        assert pickle.loads(pickle.dumps(estimate)) == estimate
 
 
 class TestLocalEstimate:

@@ -1,9 +1,11 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator.core import Simulator
+from repro.simulator.core import Simulator, choice, sample
 
 
 class TestScheduling:
@@ -173,3 +175,55 @@ class TestRngDerivation:
         a = Simulator(seed=7).derive_rng("x")
         b = Simulator(seed=8).derive_rng("x")
         assert a.random() != b.random()
+
+
+class TestSampler:
+    """``sample`` / ``choice`` draw what ``random.Random.sample`` / ``choice`` draw."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_sample_matches_random_sample_for_every_size(self, seed):
+        # n up to 130 covers the pool and the set branch on both sides of every
+        # setsize step k = 10 meets (21, then 85 once k > 5).
+        for n in range(1, 131):
+            population = [f"item{i}" for i in range(n)]
+            ours = random.Random(seed + n)
+            theirs = random.Random(seed + n)
+            for k in range(n + 1):
+                assert sample(ours, population, k) == theirs.sample(population, k), (n, k)
+                assert ours.getstate() == theirs.getstate(), (n, k)
+            assert population == [f"item{i}" for i in range(n)]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_choice_matches_random_choice(self, seed):
+        ours = random.Random(seed)
+        theirs = random.Random(seed)
+        for n in range(1, 131):
+            sequence = list(range(n))
+            assert choice(ours, sequence) == theirs.choice(sequence), n
+            assert ours.getstate() == theirs.getstate(), n
+
+    def test_errors_match(self):
+        rng = random.Random(0)
+        with pytest.raises(ValueError):
+            sample(rng, [1, 2], 3)
+        with pytest.raises(ValueError):
+            sample(rng, [1, 2], -1)
+        with pytest.raises(IndexError):
+            choice(rng, [])
+
+    def test_a_subclass_takes_its_own_methods(self):
+        calls = []
+
+        class Recording(random.Random):
+            def sample(self, population, k, **kwargs):
+                calls.append(("sample", k))
+                return super().sample(population, k, **kwargs)
+
+            def choice(self, seq):
+                calls.append(("choice", len(seq)))
+                return super().choice(seq)
+
+        rng = Recording(3)
+        assert sample(rng, list(range(10)), 4) == random.Random(3).sample(range(10), 4)
+        choice(rng, [1, 2, 3])
+        assert calls == [("sample", 4), ("choice", 3)]
