@@ -13,8 +13,7 @@ introspection used by the experiments (estimated ratio, view snapshots).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import CroupierConfig
 from repro.core.estimator import RatioEstimator
@@ -24,39 +23,44 @@ from repro.membership.base import PeerSamplingService
 from repro.membership.capabilities import NatAware, RatioEstimating
 from repro.membership.descriptor import NodeDescriptor
 from repro.membership.plugin import register_protocol
-from repro.membership.policies import select_partner
 from repro.membership.view import PartialView
 from repro.net.address import NodeAddress
 from repro.simulator.host import Host
 from repro.simulator.message import Packet
 
 
-@dataclass
-class _PendingShuffle:
-    """What this node sent in an outstanding shuffle request, keyed by partner id."""
+class _Exchange(NamedTuple):
+    """The descriptors one side of a shuffle sends from each view; for an outstanding
+    request, also the round it was issued in."""
 
-    sent_public: Tuple[NodeDescriptor, ...]
-    sent_private: Tuple[NodeDescriptor, ...]
-    issued_round: int
+    public: Sequence[NodeDescriptor]
+    private: Sequence[NodeDescriptor]
+    issued_round: int = 0
+
+
+_NOTHING_SENT = _Exchange((), ())
 
 
 class Croupier(PeerSamplingService, RatioEstimating, NatAware):
-    """NAT-aware peer sampling without relaying."""
+    """NAT-aware peer sampling without relaying.
+
+    Runs the shared shuffle with the public view as its view (only public nodes are
+    shuffle partners); the payload hooks add the private view and the ratio estimates.
+    """
+
+    shuffle_messages = (ShuffleRequest, ShuffleResponse)
 
     def __init__(self, host: Host, config: Optional[CroupierConfig] = None) -> None:
         config = config or CroupierConfig()
         super().__init__(host, config, name="Croupier")
         self.config: CroupierConfig = config
-        self.public_view = PartialView(config.view_size)
+        self.public_view = self.view
         self.private_view = PartialView(config.view_size)
         self.estimator = RatioEstimator(
             alpha=config.local_history_alpha,
             gamma=config.neighbour_history_gamma,
             is_public=self.address.is_public,
         )
-        self._pending: Dict[int, _PendingShuffle] = {}
-        self.subscribe(ShuffleRequest, self._on_shuffle_request)
-        self.subscribe(ShuffleResponse, self._on_shuffle_response)
 
     # ------------------------------------------------------------------ bootstrap
 
@@ -84,57 +88,7 @@ class Croupier(PeerSamplingService, RatioEstimating, NatAware):
         self.private_view.increase_ages()
         self.estimator.advance_round()
         self._expire_pending()
-
-        partner = select_partner(self.public_view, self.config.selection, self.rng)
-        if partner is None:
-            self.stats.rounds_skipped_empty_view += 1
-            return
-        self.public_view.remove(partner.node_id)
-
-        send_public = self.public_view.random_subset(
-            self.rng, self._outgoing_subset_size(public=True), exclude_ids=(partner.node_id,)
-        )
-        send_private = self.private_view.random_subset(
-            self.rng, self._outgoing_subset_size(public=False)
-        )
-        if self.address.is_public:
-            send_public.append(self.self_descriptor())
-        else:
-            send_private.append(self.self_descriptor())
-
-        # Descriptors are immutable: the message and the pending record share the
-        # same tuples (no defensive copies anywhere on this path).
-        sent_public = tuple(send_public)
-        sent_private = tuple(send_private)
-        request = ShuffleRequest(
-            sender=self.self_descriptor(),
-            public_descriptors=sent_public,
-            private_descriptors=sent_private,
-            estimates=tuple(
-                self.estimator.estimates_subset(
-                    self.rng, self.config.max_estimates_per_message
-                )
-            ),
-            sender_estimate=self.estimator.own_estimate_record(self.address.node_id),
-        )
-        self._pending[partner.node_id] = _PendingShuffle(
-            sent_public=sent_public,
-            sent_private=sent_private,
-            issued_round=self.current_round,
-        )
-        self.stats.shuffles_initiated += 1
-        self.send_to_node(partner.address, request)
-
-    def _outgoing_subset_size(self, public: bool) -> int:
-        """How many descriptors of each class to put in a shuffle message.
-
-        The shuffle subset size bounds the descriptors taken from each view; the view
-        matching the node's own class contributes one slot less because the node's own
-        fresh descriptor is appended to it.
-        """
-        if public == self.address.is_public:
-            return max(0, self.config.shuffle_size - 1)
-        return self.config.shuffle_size
+        self._start_exchange()
 
     def _expire_pending(self) -> None:
         horizon = self.current_round - self.config.pending_shuffle_timeout_rounds
@@ -142,12 +96,27 @@ class Croupier(PeerSamplingService, RatioEstimating, NatAware):
         for nid in expired:
             del self._pending[nid]
 
-    # ------------------------------------------------------------------ handlers
+    # ------------------------------------------------------------------ payload hooks
 
-    def _on_shuffle_request(self, packet: Packet) -> None:
+    def _push(self, partner_id: int) -> Tuple[_Exchange, ShuffleRequest]:
+        """Up to ``shuffle_size`` descriptors from each view; the node's own fresh
+        descriptor takes one slot of the view matching its class."""
+        size = self.config.shuffle_size
+        is_public = self.address.is_public
+        send_public = self.public_view.random_subset(
+            self.rng, size - 1 if is_public else size, exclude_ids=(partner_id,)
+        )
+        send_private = self.private_view.random_subset(
+            self.rng, size if is_public else size - 1
+        )
+        (send_public if is_public else send_private).append(self.self_descriptor())
+        # Descriptors are immutable: the message and the pending record share the
+        # same tuples (no defensive copies anywhere on this path).
+        sent = _Exchange(tuple(send_public), tuple(send_private), self.current_round)
+        return sent, self._message(ShuffleRequest, sent.public, sent.private)
+
+    def _on_request(self, packet: Packet) -> None:
         """Croupier-side handling (Algorithm 2, lines 25–38). Only public nodes run this."""
-        message = packet.message
-        assert isinstance(message, ShuffleRequest)
         if not self.address.is_public:
             # A private node received a shuffle request: protocol violation (stale or
             # corrupt descriptor). Count it and ignore.
@@ -155,32 +124,36 @@ class Croupier(PeerSamplingService, RatioEstimating, NatAware):
                 self.stats.extra.get("misdirected_requests", 0) + 1
             )
             return
-        self.stats.shuffle_requests_handled += 1
-        self.estimator.record_shuffle_request(message.sender.is_public)
+        self.estimator.record_shuffle_request(packet.message.sender.is_public)
+        super()._on_request(packet)
 
-        reply_public = self.public_view.random_subset(
-            self.rng, self.config.shuffle_size, exclude_ids=(message.sender.node_id,)
-        )
-        reply_private = self.private_view.random_subset(
-            self.rng, self.config.shuffle_size, exclude_ids=(message.sender.node_id,)
+    def _pull(self, sender_id: int) -> _Exchange:
+        exclude = (sender_id,)
+        size = self.config.shuffle_size
+        return _Exchange(
+            self.public_view.random_subset(self.rng, size, exclude_ids=exclude),
+            self.private_view.random_subset(self.rng, size, exclude_ids=exclude),
         )
 
-        self.public_view.update_view(
-            sent=reply_public,
-            received=message.public_descriptors,
-            self_id=self.address.node_id,
-        )
-        self.private_view.update_view(
-            sent=reply_private,
-            received=message.private_descriptors,
-            self_id=self.address.node_id,
-        )
+    def _merge(self, sent: _Exchange, message: ShuffleRequest) -> None:
+        """Swapper-merge both views, then the piggy-backed estimates — on the croupier
+        against its reply, on the requester against its pending record."""
+        sent_public, sent_private, _ = sent or _NOTHING_SENT
+        self_id = self.address.node_id
+        self.public_view.update_view(sent_public, message.public_descriptors, self_id)
+        self.private_view.update_view(sent_private, message.private_descriptors, self_id)
         self.estimator.merge_estimates([*message.estimates, message.sender_estimate])
 
-        response = ShuffleResponse(
+    def _response(self, reply: _Exchange) -> ShuffleResponse:
+        return self._message(ShuffleResponse, tuple(reply.public), tuple(reply.private))
+
+    def _message(self, message_type: type, public: tuple, private: tuple):
+        """A shuffle message with a bounded subset of the cached estimates (drawn after
+        the merges on the croupier's side) and, from a public node, its own estimate."""
+        return message_type(
             sender=self.self_descriptor(),
-            public_descriptors=tuple(reply_public),
-            private_descriptors=tuple(reply_private),
+            public_descriptors=public,
+            private_descriptors=private,
             estimates=tuple(
                 self.estimator.estimates_subset(
                     self.rng, self.config.max_estimates_per_message
@@ -188,31 +161,6 @@ class Croupier(PeerSamplingService, RatioEstimating, NatAware):
             ),
             sender_estimate=self.estimator.own_estimate_record(self.address.node_id),
         )
-        # Reply to the endpoint the request arrived from: for a private requester this
-        # is its NAT's external mapping, which is exactly the path the response must
-        # take to get back through the NAT.
-        self.send(packet.source, response)
-
-    def _on_shuffle_response(self, packet: Packet) -> None:
-        """Requester-side handling (Algorithm 2, lines 40–44)."""
-        message = packet.message
-        assert isinstance(message, ShuffleResponse)
-        self.stats.shuffle_responses_received += 1
-        pending = self._pending.pop(message.sender.node_id, None)
-        sent_public: Sequence[NodeDescriptor] = pending.sent_public if pending else ()
-        sent_private: Sequence[NodeDescriptor] = pending.sent_private if pending else ()
-
-        self.public_view.update_view(
-            sent=sent_public,
-            received=message.public_descriptors,
-            self_id=self.address.node_id,
-        )
-        self.private_view.update_view(
-            sent=sent_private,
-            received=message.private_descriptors,
-            self_id=self.address.node_id,
-        )
-        self.estimator.merge_estimates([*message.estimates, message.sender_estimate])
 
     # ------------------------------------------------------------------ sampling API
 

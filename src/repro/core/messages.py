@@ -17,9 +17,7 @@ from repro.simulator.message import Message
 
 
 @dataclass
-class ShuffleRequest(Message):
-    """Sent once per round by every node (public or private) to a public node."""
-
+class _CroupierShuffle(Message):
     sender: NodeDescriptor
     public_descriptors: Tuple[NodeDescriptor, ...] = field(default_factory=tuple)
     private_descriptors: Tuple[NodeDescriptor, ...] = field(default_factory=tuple)
@@ -41,24 +39,10 @@ class ShuffleRequest(Message):
 
 
 @dataclass
-class ShuffleResponse(Message):
+class ShuffleRequest(_CroupierShuffle):
+    """Sent once per round by every node (public or private) to a public node."""
+
+
+@dataclass
+class ShuffleResponse(_CroupierShuffle):
     """Sent by the public node (croupier) that handled a :class:`ShuffleRequest`."""
-
-    sender: NodeDescriptor
-    public_descriptors: Tuple[NodeDescriptor, ...] = field(default_factory=tuple)
-    private_descriptors: Tuple[NodeDescriptor, ...] = field(default_factory=tuple)
-    estimates: Tuple[RatioEstimate, ...] = field(default_factory=tuple)
-    sender_estimate: Optional[RatioEstimate] = None
-
-    def payload_size(self) -> int:
-        size = self.sender.wire_size
-        size += wire_size_of(self.public_descriptors)
-        size += wire_size_of(self.private_descriptors)
-        size += RatioEstimate.wire_size * len(self.estimates)
-        if self.sender_estimate is not None:
-            size += RatioEstimate.wire_size
-        return size
-
-    @property
-    def descriptor_count(self) -> int:
-        return len(self.public_descriptors) + len(self.private_descriptors)

@@ -9,11 +9,13 @@ literature the paper builds on (Jelasity et al. [7], Cyclon [6]):
 * :mod:`~repro.membership.view` — the bounded partial view with the operations every
   protocol needs (ageing, tail selection, random subsets, the paper's ``updateView``
   merge).
-* :mod:`~repro.membership.policies` — named node-selection and view-merge policies so
-  experiments can ablate them (the paper uses *tail* selection with *swapper* merging
-  for all compared protocols).
-* :mod:`~repro.membership.base` — the abstract :class:`PeerSamplingService` component:
-  round timer, sample API, and the hooks the metrics collector uses.
+* :mod:`~repro.membership.policies` — the named node-selection policies, so experiments
+  can ablate the paper's *tail* selection (exchange and merge are fixed: push-pull and
+  *swapper*, for all compared protocols).
+* :mod:`~repro.membership.base` — :class:`PeerSamplingService`, the one push-pull
+  shuffle every protocol runs (round timer, view, outstanding requests, swapper merge,
+  sample API) and the hooks where the protocols differ (routing, own descriptor,
+  Croupier's payload); also the single-view protocols' shuffle messages.
 * :mod:`~repro.membership.capabilities` — the capability interfaces
   (:class:`OverlaySampling`, :class:`RatioEstimating`, :class:`NatAware`) the
   experiment layers query instead of probing concrete protocol classes.
@@ -45,13 +47,12 @@ from repro.membership.plugin import (
     supporting,
     unregister_protocol,
 )
-from repro.membership.policies import MergePolicy, SelectionPolicy
+from repro.membership.policies import SelectionPolicy
 from repro.membership.view import PartialView
 
 __all__ = [
     "CAPABILITIES",
     "Capability",
-    "MergePolicy",
     "NatAware",
     "NodeDescriptor",
     "OverlaySampling",

@@ -5,43 +5,25 @@ as a cautionary tale rather than a head-to-head baseline: when a view exchange f
 (e.g. because the chosen partner sits behind a NAT), ARRG falls back to a node from its
 *open list* — nodes with which it completed a successful exchange in the past. The
 fallback keeps the overlay connected but **biases** the sampling towards the open-list
-nodes, which is exactly the kind of bias the representation ablation in
-``repro/experiments/ablations.py`` quantifies.
+nodes. No figure or ablation here measures that bias; ARRG runs only where a protocol
+is chosen by name (``repro matrix --protocols arrg``, the tests).
 
-The implementation is a Cyclon-style single-view shuffle plus the open list and a
-per-shuffle timeout that triggers the fallback.
+The implementation is the shared single-view shuffle plus the open list (filled in
+``_reply`` and ``_on_response``) and a per-shuffle timeout that triggers the fallback
+(armed in ``_route``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro.membership.base import PeerSamplingService, PssConfig
+from repro.membership.base import PeerSamplingService, PssConfig, ViewShuffleRequest
 from repro.membership.descriptor import NodeDescriptor
 from repro.membership.plugin import register_protocol
-from repro.membership.view import PartialView
 from repro.net.address import NodeAddress
 from repro.simulator.host import Host
 from repro.simulator.message import Message, Packet
-
-
-@dataclass
-class ArrgShuffleRequest(Message):
-    sender: NodeDescriptor
-    descriptors: Tuple[NodeDescriptor, ...] = field(default_factory=tuple)
-
-    def payload_size(self) -> int:
-        return self.sender.wire_size + sum(d.wire_size for d in self.descriptors)
-
-
-@dataclass
-class ArrgShuffleResponse(Message):
-    sender: NodeDescriptor
-    descriptors: Tuple[NodeDescriptor, ...] = field(default_factory=tuple)
-
-    def payload_size(self) -> int:
-        return self.sender.wire_size + sum(d.wire_size for d in self.descriptors)
 
 
 @dataclass
@@ -61,65 +43,41 @@ class ArrgConfig(PssConfig):
 
 
 class Arrg(PeerSamplingService):
-    """Cyclon-style shuffling with an open-list fallback on failed exchanges."""
+    """The shared single-view shuffle with an open-list fallback on failed exchanges."""
 
     def __init__(self, host: Host, config: Optional[ArrgConfig] = None) -> None:
         super().__init__(host, config or ArrgConfig(), name="ARRG")
         self.config: ArrgConfig = self.config  # type: ignore[assignment]
-        self.view = PartialView(self.config.view_size)
         #: Nodes we successfully exchanged views with, most recent last.
         self.open_list: List[NodeAddress] = []
-        self._pending: Dict[int, Tuple[NodeDescriptor, ...]] = {}
         self.fallback_exchanges = 0
-        self.subscribe(ArrgShuffleRequest, self._on_request)
-        self.subscribe(ArrgShuffleResponse, self._on_response)
-
-    # ------------------------------------------------------------------ bootstrap
-
-    def initialize_view(self, seeds: Sequence[NodeAddress]) -> None:
-        for address in seeds:
-            if address.node_id == self.address.node_id:
-                continue
-            self.view.add(NodeDescriptor(address=address, age=0))
-
-    # ------------------------------------------------------------------ round
 
     def on_round(self) -> None:
         self.view.increase_ages()
-        partner = self.view.oldest(self.rng)
-        if partner is None:
-            self.stats.rounds_skipped_empty_view += 1
-            return
-        self.view.remove(partner.node_id)
-        subset = self._make_subset(exclude_id=partner.node_id)
-        self._start_exchange(partner.address, subset, allow_fallback=True)
+        self._start_exchange()
 
-    def _make_subset(self, exclude_id: int) -> Tuple[NodeDescriptor, ...]:
-        subset = self.view.random_subset(
-            self.rng, max(0, self.config.shuffle_size - 1), exclude_ids=(exclude_id,)
+    # ------------------------------------------------------------------ hooks
+
+    def _route(self, partner: NodeDescriptor, message: Message) -> None:
+        super()._route(partner, message)
+        self.schedule(
+            self.config.exchange_timeout_ms,
+            lambda: self._fall_back(partner.node_id, message),
         )
-        subset.append(self.self_descriptor())
-        return tuple(subset)
 
-    def _start_exchange(
-        self,
-        partner: NodeAddress,
-        subset: Tuple[NodeDescriptor, ...],
-        allow_fallback: bool,
-    ) -> None:
-        self._pending[partner.node_id] = subset
-        self.stats.shuffles_initiated += 1
-        self.send_to_node(
-            partner, ArrgShuffleRequest(sender=self.self_descriptor(), descriptors=subset)
-        )
-        if allow_fallback:
-            self.schedule(
-                self.config.exchange_timeout_ms,
-                lambda: self._maybe_fallback(partner.node_id, subset),
-            )
+    def _reply(self, packet: Packet, request: Message, response: Message) -> None:
+        self._remember_success(request.sender.address)
+        super()._reply(packet, request, response)
 
-    def _maybe_fallback(self, partner_id: int, subset: Tuple[NodeDescriptor, ...]) -> None:
-        """If the exchange with ``partner_id`` never completed, retry with the open list."""
+    def _on_response(self, packet: Packet) -> None:
+        super()._on_response(packet)
+        self._remember_success(packet.message.sender.address)
+
+    # ------------------------------------------------------------------ open list
+
+    def _fall_back(self, partner_id: int, request: ViewShuffleRequest) -> None:
+        """If the exchange with ``partner_id`` never completed, retry once with the
+        open list (the retry arms no further timeout)."""
         if partner_id not in self._pending:
             return  # the response arrived in time
         del self._pending[partner_id]
@@ -128,57 +86,15 @@ class Arrg(PeerSamplingService):
             return
         fallback = self.rng.choice(candidates)
         self.fallback_exchanges += 1
-        self._start_exchange(fallback, subset, allow_fallback=False)
+        self._pending[fallback.node_id] = request.descriptors
+        self.stats.shuffles_initiated += 1
+        self.send_to_node(fallback, request)
 
     def _remember_success(self, partner: NodeAddress) -> None:
         self.open_list = [a for a in self.open_list if a.node_id != partner.node_id]
         self.open_list.append(partner)
         if len(self.open_list) > self.config.open_list_size:
             self.open_list.pop(0)
-
-    # ------------------------------------------------------------------ handlers
-
-    def _on_request(self, packet: Packet) -> None:
-        message = packet.message
-        assert isinstance(message, ArrgShuffleRequest)
-        self.stats.shuffle_requests_handled += 1
-        reply_subset = self.view.random_subset(
-            self.rng, self.config.shuffle_size, exclude_ids=(message.sender.node_id,)
-        )
-        self.view.update_view(
-            sent=reply_subset,
-            received=message.descriptors,
-            self_id=self.address.node_id,
-        )
-        self._remember_success(message.sender.address)
-        self.send(
-            packet.source,
-            ArrgShuffleResponse(
-                sender=self.self_descriptor(), descriptors=tuple(reply_subset)
-            ),
-        )
-
-    def _on_response(self, packet: Packet) -> None:
-        message = packet.message
-        assert isinstance(message, ArrgShuffleResponse)
-        self.stats.shuffle_responses_received += 1
-        sent = self._pending.pop(message.sender.node_id, ())
-        self.view.update_view(
-            sent=sent,
-            received=message.descriptors,
-            self_id=self.address.node_id,
-        )
-        self._remember_success(message.sender.address)
-
-    # ------------------------------------------------------------------ sampling
-
-    def sample(self) -> Optional[NodeAddress]:
-        self.stats.samples_served += 1
-        descriptor = self.view.random_descriptor(self.rng)
-        return descriptor.address if descriptor is not None else None
-
-    def neighbor_addresses(self) -> List[NodeAddress]:
-        return [d.address for d in self.view]
 
 
 register_protocol(

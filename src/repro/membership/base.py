@@ -1,17 +1,29 @@
-"""The abstract peer-sampling service every protocol in this package implements.
+"""The peer-sampling service every protocol in this package is built on.
 
 A peer-sampling service (PSS) runs periodic gossip rounds and, at any time, can be asked
 for a sample of live nodes drawn (ideally) uniformly at random from the whole system.
-This base class owns the round timer, the common configuration and the bookkeeping that
-the metrics collectors rely on; subclasses implement the actual shuffle in
-:meth:`PeerSamplingService.on_round` and the sampling rule in
-:meth:`PeerSamplingService.sample`.
+
+Croupier, Cyclon, Gozar, Nylon and ARRG all run one push-pull shuffle, and this class
+owns it: the view, the table of outstanding requests and the exchange itself.
+
+1. :meth:`PeerSamplingService._start_exchange` picks a partner by the configured
+   :class:`~repro.membership.policies.SelectionPolicy`, removes it from the view, pushes
+   it a random subset that includes this node, records what was pushed and routes the
+   request;
+2. the partner replies with a random subset of its own view and swapper-merges;
+3. the initiator pops what it pushed and swapper-merges the reply.
+
+The protocols differ only in their hooks: how a message reaches a node (``_route``,
+``_reply``), which descriptor describes this node (``_own_descriptor``) and, for
+Croupier, what else rides along (``_push``, ``_pull``, ``_merge``, ``_response``). Each
+protocol writes its own ``on_round`` — per-round maintenance, then
+``self._start_exchange()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import (
     DEFAULT_ROUND_MS,
@@ -21,11 +33,13 @@ from repro.constants import (
 )
 from repro.errors import ConfigurationError
 from repro.membership.capabilities import OverlaySampling
-from repro.membership.descriptor import NodeDescriptor
-from repro.membership.policies import MergePolicy, SelectionPolicy
+from repro.membership.descriptor import NodeDescriptor, wire_size_of
+from repro.membership.policies import SelectionPolicy, select_partner
+from repro.membership.view import PartialView
 from repro.net.address import NodeAddress
 from repro.simulator.component import Component
 from repro.simulator.host import Host
+from repro.simulator.message import Message, Packet
 
 
 @dataclass
@@ -45,7 +59,6 @@ class PssConfig:
     #: Random delay before a node's first round, spreading joiners across the round.
     start_delay_max_ms: float = 1000.0
     selection: SelectionPolicy = SelectionPolicy.TAIL
-    merge: MergePolicy = MergePolicy.SWAPPER
     port: int = PSS_PORT
 
     def validate(self) -> None:
@@ -67,6 +80,25 @@ class PssConfig:
 
 
 @dataclass
+class _ViewShuffle(Message):
+    sender: NodeDescriptor
+    descriptors: Tuple[NodeDescriptor, ...] = field(default_factory=tuple)
+
+    def payload_size(self) -> int:
+        return self.sender.wire_size + wire_size_of(self.descriptors)
+
+
+@dataclass
+class ViewShuffleRequest(_ViewShuffle):
+    """Initiator → partner: a subset of the initiator's view, including itself (age 0)."""
+
+
+@dataclass
+class ViewShuffleResponse(_ViewShuffle):
+    """Partner → initiator: a subset of the partner's view."""
+
+
+@dataclass
 class PssStatistics:
     """Counters every PSS maintains; read by tests and experiment reports."""
 
@@ -80,13 +112,16 @@ class PssStatistics:
 
 
 class PeerSamplingService(Component, OverlaySampling):
-    """Base component for Croupier, Cyclon, Nylon, Gozar and ARRG.
+    """Base component for Croupier, Cyclon, Nylon, Gozar and ARRG: the shared shuffle.
 
     Implements the :class:`~repro.membership.capabilities.OverlaySampling` capability;
     subclasses advertise further capabilities (ratio estimation, NAT awareness) by
     inheriting the corresponding ABCs and register themselves as a
     :class:`~repro.membership.plugin.ProtocolPlugin`.
     """
+
+    #: The request and response message types the shuffle travels in.
+    shuffle_messages: Tuple[type, type] = (ViewShuffleRequest, ViewShuffleResponse)
 
     def __init__(
         self,
@@ -100,6 +135,13 @@ class PeerSamplingService(Component, OverlaySampling):
         self.stats = PssStatistics()
         self.current_round = 0
         self._self_descriptor: Optional[NodeDescriptor] = None
+        #: The view shuffle partners are picked from.
+        self.view = PartialView(self.config.view_size)
+        #: Partner id -> what this node pushed in its outstanding request to it.
+        self._pending: Dict[int, Any] = {}
+        request_type, response_type = self.shuffle_messages
+        self.subscribe(request_type, self._on_request)
+        self.subscribe(response_type, self._on_response)
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -117,21 +159,93 @@ class PeerSamplingService(Component, OverlaySampling):
         self.stats.rounds += 1
         self.on_round()
 
-    # ------------------------------------------------------------------ protocol hooks
-
     def on_round(self) -> None:
-        """One gossip round. Subclasses implement the shuffle here."""
+        """One gossip round: the protocol's own maintenance, then
+        :meth:`_start_exchange`. Every protocol defines it in its own class body."""
         raise NotImplementedError
 
     def initialize_view(self, seeds: Sequence[NodeAddress]) -> None:
-        """Fill the initial view(s) from bootstrap-provided addresses."""
-        raise NotImplementedError
+        """Fill the initial view from bootstrap-provided addresses."""
+        for address in seeds:
+            if address.node_id == self.address.node_id:
+                continue
+            self.view.add(NodeDescriptor(address=address, age=0))
+
+    # ------------------------------------------------------------------ the shuffle
+
+    def _start_exchange(self) -> None:
+        """Pick a partner, remove it, push it a subset and route the request."""
+        partner = select_partner(self.view, self.config.selection, self.rng)
+        if partner is None:
+            self.stats.rounds_skipped_empty_view += 1
+            return
+        self.view.remove(partner.node_id)
+        sent, request = self._push(partner.node_id)
+        self._pending[partner.node_id] = sent
+        self.stats.shuffles_initiated += 1
+        self._route(partner, request)
+
+    def _on_request(self, packet: Packet) -> None:
+        """Reply with a random subset of the view, then swapper-merge the request."""
+        message = packet.message
+        self.stats.shuffle_requests_handled += 1
+        reply = self._pull(message.sender.node_id)
+        self._merge(reply, message)
+        self._reply(packet, message, self._response(reply))
+
+    def _on_response(self, packet: Packet) -> None:
+        """Swapper-merge the reply against what the request pushed."""
+        message = packet.message
+        self.stats.shuffle_responses_received += 1
+        self._merge(self._pending.pop(message.sender.node_id, ()), message)
+
+    # ------------------------------------------------------------------ hooks
+
+    def _own_descriptor(self) -> NodeDescriptor:
+        """The descriptor this node puts in its own messages."""
+        return self.self_descriptor()
+
+    def _push(self, partner_id: int) -> Tuple[Any, Message]:
+        """What a request carries: ``shuffle_size - 1`` random view entries plus this
+        node. Returns the pending record and the request."""
+        subset = self.view.random_subset(
+            self.rng, self.config.shuffle_size - 1, exclude_ids=(partner_id,)
+        )
+        subset.append(self._own_descriptor())
+        # Immutable descriptors: the pending record and the message share one tuple.
+        sent = tuple(subset)
+        return sent, ViewShuffleRequest(sender=self._own_descriptor(), descriptors=sent)
+
+    def _pull(self, sender_id: int) -> Any:
+        """What a response carries: ``shuffle_size`` random view entries."""
+        return self.view.random_subset(
+            self.rng, self.config.shuffle_size, exclude_ids=(sender_id,)
+        )
+
+    def _merge(self, sent: Any, message: Message) -> None:
+        """The swapper merge: received entries evict the ones this node sent."""
+        self.view.update_view(sent, message.descriptors, self.address.node_id)
+
+    def _response(self, reply: Any) -> Message:
+        """The response carrying ``reply``, built after the merge."""
+        return ViewShuffleResponse(sender=self._own_descriptor(), descriptors=tuple(reply))
+
+    def _route(self, partner: NodeDescriptor, message: Message) -> None:
+        """Deliver a message to ``partner`` (default: directly)."""
+        self.send_to_node(partner.address, message)
+
+    def _reply(self, packet: Packet, request: Message, response: Message) -> None:
+        """Answer ``request`` (default: to the endpoint it arrived from, which for a
+        requester behind a NAT is its external mapping — the path back through it)."""
+        self.send(packet.source, response)
 
     # ------------------------------------------------------------------ sampling API
 
     def sample(self) -> Optional[NodeAddress]:
         """One node drawn (approximately) uniformly at random, or ``None`` if unknown."""
-        raise NotImplementedError
+        self.stats.samples_served += 1
+        descriptor = self.view.random_descriptor(self.rng)
+        return descriptor.address if descriptor is not None else None
 
     def sample_many(self, count: int) -> List[NodeAddress]:
         """``count`` independent samples (duplicates possible, as in a true PSS)."""
@@ -144,7 +258,7 @@ class PeerSamplingService(Component, OverlaySampling):
 
     def neighbor_addresses(self) -> List[NodeAddress]:
         """Every node currently referenced by this node's view(s); used by graph metrics."""
-        raise NotImplementedError
+        return [d.address for d in self.view]
 
     # ------------------------------------------------------------------ helpers
 

@@ -2,46 +2,19 @@
 
 The paper uses Cyclon as the *baseline for true randomness*: its experiments run Cyclon
 over public nodes only, because plain Cyclon cannot shuffle with nodes behind NATs (its
-view exchanges would simply be filtered by the target's NAT). The implementation here is
-the standard enhanced shuffle: tail selection, push-pull exchange and swapper merging —
-the same policies the paper fixes for every compared protocol.
+view exchanges would simply be filtered by the target's NAT). The implementation is the
+standard enhanced shuffle — tail selection, push-pull exchange and swapper merging, the
+same policies the paper fixes for every compared protocol — which is exactly the shared
+shuffle of :class:`~repro.membership.base.PeerSamplingService` with no hook overridden.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.membership.base import PeerSamplingService, PssConfig
-from repro.membership.descriptor import NodeDescriptor
 from repro.membership.plugin import register_protocol
-from repro.membership.policies import MergePolicy, SelectionPolicy, merge_views, select_partner
-from repro.membership.view import PartialView
-from repro.net.address import NodeAddress
 from repro.simulator.host import Host
-from repro.simulator.message import Message, Packet
-
-
-@dataclass
-class CyclonShuffleRequest(Message):
-    """Initiator → partner: a subset of the initiator's view (including itself, age 0)."""
-
-    sender: NodeDescriptor
-    descriptors: Tuple[NodeDescriptor, ...] = field(default_factory=tuple)
-
-    def payload_size(self) -> int:
-        return self.sender.wire_size + sum(d.wire_size for d in self.descriptors)
-
-
-@dataclass
-class CyclonShuffleResponse(Message):
-    """Partner → initiator: a subset of the partner's view."""
-
-    sender: NodeDescriptor
-    descriptors: Tuple[NodeDescriptor, ...] = field(default_factory=tuple)
-
-    def payload_size(self) -> int:
-        return self.sender.wire_size + sum(d.wire_size for d in self.descriptors)
 
 
 class Cyclon(PeerSamplingService):
@@ -49,88 +22,10 @@ class Cyclon(PeerSamplingService):
 
     def __init__(self, host: Host, config: Optional[PssConfig] = None) -> None:
         super().__init__(host, config or PssConfig(), name="Cyclon")
-        self.view = PartialView(self.config.view_size)
-        self._pending: Dict[int, Tuple[NodeDescriptor, ...]] = {}
-        self.subscribe(CyclonShuffleRequest, self._on_request)
-        self.subscribe(CyclonShuffleResponse, self._on_response)
-
-    # ------------------------------------------------------------------ bootstrap
-
-    def initialize_view(self, seeds: Sequence[NodeAddress]) -> None:
-        for address in seeds:
-            if address.node_id == self.address.node_id:
-                continue
-            self.view.add(NodeDescriptor(address=address, age=0))
-
-    # ------------------------------------------------------------------ round
 
     def on_round(self) -> None:
         self.view.increase_ages()
-        partner = select_partner(self.view, self.config.selection, self.rng)
-        if partner is None:
-            self.stats.rounds_skipped_empty_view += 1
-            return
-        self.view.remove(partner.node_id)
-
-        subset = self.view.random_subset(
-            self.rng, max(0, self.config.shuffle_size - 1), exclude_ids=(partner.node_id,)
-        )
-        subset.append(self.self_descriptor())
-
-        # Immutable descriptors: the pending record and the message share one tuple.
-        sent = tuple(subset)
-        self._pending[partner.node_id] = sent
-        self.stats.shuffles_initiated += 1
-        self.send_to_node(
-            partner.address,
-            CyclonShuffleRequest(sender=self.self_descriptor(), descriptors=sent),
-        )
-
-    # ------------------------------------------------------------------ handlers
-
-    def _on_request(self, packet: Packet) -> None:
-        message = packet.message
-        assert isinstance(message, CyclonShuffleRequest)
-        self.stats.shuffle_requests_handled += 1
-        reply_subset = self.view.random_subset(
-            self.rng, self.config.shuffle_size, exclude_ids=(message.sender.node_id,)
-        )
-        merge_views(
-            self.view,
-            sent=reply_subset,
-            received=message.descriptors,
-            self_id=self.address.node_id,
-            policy=self.config.merge,
-        )
-        self.send(
-            packet.source,
-            CyclonShuffleResponse(
-                sender=self.self_descriptor(), descriptors=tuple(reply_subset)
-            ),
-        )
-
-    def _on_response(self, packet: Packet) -> None:
-        message = packet.message
-        assert isinstance(message, CyclonShuffleResponse)
-        self.stats.shuffle_responses_received += 1
-        sent = self._pending.pop(message.sender.node_id, ())
-        merge_views(
-            self.view,
-            sent=sent,
-            received=message.descriptors,
-            self_id=self.address.node_id,
-            policy=self.config.merge,
-        )
-
-    # ------------------------------------------------------------------ sampling
-
-    def sample(self) -> Optional[NodeAddress]:
-        self.stats.samples_served += 1
-        descriptor = self.view.random_descriptor(self.rng)
-        return descriptor.address if descriptor is not None else None
-
-    def neighbor_addresses(self) -> List[NodeAddress]:
-        return [d.address for d in self.view]
+        self._start_exchange()
 
 
 register_protocol(

@@ -12,14 +12,13 @@ which is why Gozar's overhead sits between Croupier's and Nylon's in Figure 7(a)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.membership.base import PeerSamplingService, PssConfig
 from repro.membership.capabilities import NatAware
 from repro.membership.descriptor import NodeDescriptor
 from repro.membership.plugin import register_protocol
-from repro.membership.view import PartialView
 from repro.nat.traversal import (
     KeepAlive,
     KeepAliveAck,
@@ -30,24 +29,6 @@ from repro.nat.traversal import (
 from repro.net.address import NodeAddress
 from repro.simulator.host import Host
 from repro.simulator.message import Message, Packet
-
-
-@dataclass
-class GozarShuffleRequest(Message):
-    sender: NodeDescriptor
-    descriptors: Tuple[NodeDescriptor, ...] = field(default_factory=tuple)
-
-    def payload_size(self) -> int:
-        return self.sender.wire_size + sum(d.wire_size for d in self.descriptors)
-
-
-@dataclass
-class GozarShuffleResponse(Message):
-    sender: NodeDescriptor
-    descriptors: Tuple[NodeDescriptor, ...] = field(default_factory=tuple)
-
-    def payload_size(self) -> int:
-        return self.sender.wire_size + sum(d.wire_size for d in self.descriptors)
 
 
 @dataclass
@@ -78,28 +59,16 @@ class Gozar(PeerSamplingService, NatAware):
     def __init__(self, host: Host, config: Optional[GozarConfig] = None) -> None:
         super().__init__(host, config or GozarConfig(), name="Gozar")
         self.config: GozarConfig = self.config  # type: ignore[assignment]
-        self.view = PartialView(self.config.view_size)
         #: Private-node side: parent address -> round of the last acknowledgement.
         self._parents: Dict[int, NodeAddress] = {}
         self._parent_last_ack: Dict[int, int] = {}
         #: Public-node side: the private children registered with us.
         self._children: Dict[int, NodeAddress] = {}
-        self._pending: Dict[int, Tuple[NodeDescriptor, ...]] = {}
-        self.subscribe(GozarShuffleRequest, self._on_request)
-        self.subscribe(GozarShuffleResponse, self._on_response)
         self.subscribe(RelayEnvelope, self._on_relay)
         self.subscribe(RelayRegistration, self._on_registration)
         self.subscribe(RelayRegistrationAck, self._on_registration_ack)
         self.subscribe(KeepAlive, self._on_keepalive)
         self.subscribe(KeepAliveAck, self._on_keepalive_ack)
-
-    # ------------------------------------------------------------------ bootstrap
-
-    def initialize_view(self, seeds: Sequence[NodeAddress]) -> None:
-        for address in seeds:
-            if address.node_id == self.address.node_id:
-                continue
-            self.view.add(NodeDescriptor(address=address, age=0))
 
     # ------------------------------------------------------------------ parents (private side)
 
@@ -140,33 +109,18 @@ class Gozar(PeerSamplingService, NatAware):
     def on_round(self) -> None:
         self.view.increase_ages()
         self._maintain_parents()
+        self._start_exchange()
 
-        partner = self.view.oldest(self.rng)
-        if partner is None:
-            self.stats.rounds_skipped_empty_view += 1
-            return
-        self.view.remove(partner.node_id)
+    # ------------------------------------------------------------------ hooks
 
-        subset = self.view.random_subset(
-            self.rng, max(0, self.config.shuffle_size - 1), exclude_ids=(partner.node_id,)
-        )
-        subset.append(self._self_descriptor_with_parents())
-        sent = tuple(subset)
-        self._pending[partner.node_id] = sent
-        self.stats.shuffles_initiated += 1
-
-        request = GozarShuffleRequest(
-            sender=self._self_descriptor_with_parents(), descriptors=sent
-        )
-        self._send_possibly_relayed(partner, request)
-
-    def _self_descriptor_with_parents(self) -> NodeDescriptor:
+    def _own_descriptor(self) -> NodeDescriptor:
+        """A private node's descriptor carries its parents, the way to reach it."""
         descriptor = self.self_descriptor()
         if self.address.is_private:
             descriptor = descriptor.with_parents(self.parent_addresses())
         return descriptor
 
-    def _send_possibly_relayed(self, partner: NodeDescriptor, message: Message) -> None:
+    def _route(self, partner: NodeDescriptor, message: Message) -> None:
         """Send directly to public partners, via one of their parents to private ones."""
         if partner.is_public:
             self.send_to_node(partner.address, message)
@@ -183,6 +137,12 @@ class Gozar(PeerSamplingService, NatAware):
             target=partner.address, initiator=self.address, payload=message
         )
         self.send_to_node(relay, envelope)
+
+    def _reply(self, packet: Packet, request: Message, response: Message) -> None:
+        # The request either came directly from the initiator or was relayed by one of
+        # our parents; routing to the initiator's descriptor (possibly via one of *its*
+        # parents) covers both cases.
+        self._route(request.sender, response)
 
     # ------------------------------------------------------------------ relay / registration
 
@@ -245,54 +205,6 @@ class Gozar(PeerSamplingService, NatAware):
         assert isinstance(message, KeepAliveAck)
         if message.origin.node_id in self._parents:
             self._parent_last_ack[message.origin.node_id] = self.current_round
-
-    # ------------------------------------------------------------------ shuffle handlers
-
-    def _on_request(self, packet: Packet) -> None:
-        message = packet.message
-        assert isinstance(message, GozarShuffleRequest)
-        self.stats.shuffle_requests_handled += 1
-        reply_subset = self.view.random_subset(
-            self.rng, self.config.shuffle_size, exclude_ids=(message.sender.node_id,)
-        )
-        if self.address.is_private:
-            reply_subset = [
-                d if d.node_id != self.address.node_id else self._self_descriptor_with_parents()
-                for d in reply_subset
-            ]
-        self.view.update_view(
-            sent=reply_subset,
-            received=message.descriptors,
-            self_id=self.address.node_id,
-        )
-        response = GozarShuffleResponse(
-            sender=self._self_descriptor_with_parents(), descriptors=tuple(reply_subset)
-        )
-        # The shuffle request either came directly from the initiator or was relayed by
-        # one of our parents; replying to the initiator's descriptor (possibly via one
-        # of *its* parents) covers both cases.
-        self._send_possibly_relayed(message.sender, response)
-
-    def _on_response(self, packet: Packet) -> None:
-        message = packet.message
-        assert isinstance(message, GozarShuffleResponse)
-        self.stats.shuffle_responses_received += 1
-        sent = self._pending.pop(message.sender.node_id, ())
-        self.view.update_view(
-            sent=sent,
-            received=message.descriptors,
-            self_id=self.address.node_id,
-        )
-
-    # ------------------------------------------------------------------ sampling
-
-    def sample(self) -> Optional[NodeAddress]:
-        self.stats.samples_served += 1
-        descriptor = self.view.random_descriptor(self.rng)
-        return descriptor.address if descriptor is not None else None
-
-    def neighbor_addresses(self) -> List[NodeAddress]:
-        return [d.address for d in self.view]
 
     # ------------------------------------------------------------------ introspection
 

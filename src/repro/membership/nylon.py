@@ -20,38 +20,17 @@ Two properties the Croupier paper calls out are modelled explicitly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.membership.base import PeerSamplingService, PssConfig
+from repro.membership.base import PeerSamplingService, PssConfig, ViewShuffleRequest
 from repro.membership.capabilities import NatAware
 from repro.membership.descriptor import NodeDescriptor
 from repro.membership.plugin import register_protocol
-from repro.membership.view import PartialView
 from repro.nat.traversal import HolePunchPing, HolePunchRequest, KeepAlive, KeepAliveAck
 from repro.net.address import NodeAddress
 from repro.simulator.host import Host
 from repro.simulator.message import Message, Packet
-
-
-@dataclass
-class NylonShuffleRequest(Message):
-    """The actual view-exchange request, sent over a direct (possibly punched) path."""
-
-    sender: NodeDescriptor
-    descriptors: Tuple[NodeDescriptor, ...] = field(default_factory=tuple)
-
-    def payload_size(self) -> int:
-        return self.sender.wire_size + sum(d.wire_size for d in self.descriptors)
-
-
-@dataclass
-class NylonShuffleResponse(Message):
-    sender: NodeDescriptor
-    descriptors: Tuple[NodeDescriptor, ...] = field(default_factory=tuple)
-
-    def payload_size(self) -> int:
-        return self.sender.wire_size + sum(d.wire_size for d in self.descriptors)
 
 
 @dataclass
@@ -81,51 +60,28 @@ class Nylon(PeerSamplingService, NatAware):
     def __init__(self, host: Host, config: Optional[NylonConfig] = None) -> None:
         super().__init__(host, config or NylonConfig(), name="Nylon")
         self.config: NylonConfig = self.config  # type: ignore[assignment]
-        self.view = PartialView(self.config.view_size)
         #: node_id -> the neighbour we learned that node from (our RVP towards it).
         self.rvp_table: Dict[int, NodeAddress] = {}
         #: Nodes we have recently exchanged views with (we hold an open mapping to them).
         self._open_contacts: Dict[int, NodeAddress] = {}
-        self._pending: Dict[int, Tuple[NodeDescriptor, ...]] = {}
         #: Shuffle subsets prepared while waiting for a hole-punch ping from the target.
         self._awaiting_punch: Dict[int, Tuple[NodeDescriptor, ...]] = {}
-        self.subscribe(NylonShuffleRequest, self._on_request)
-        self.subscribe(NylonShuffleResponse, self._on_response)
         self.subscribe(HolePunchRequest, self._on_hole_punch_request)
         self.subscribe(HolePunchPing, self._on_hole_punch_ping)
         self.subscribe(KeepAlive, self._on_keepalive)
-
-    # ------------------------------------------------------------------ bootstrap
-
-    def initialize_view(self, seeds: Sequence[NodeAddress]) -> None:
-        for address in seeds:
-            if address.node_id == self.address.node_id:
-                continue
-            self.view.add(NodeDescriptor(address=address, age=0))
 
     # ------------------------------------------------------------------ round
 
     def on_round(self) -> None:
         self.view.increase_ages()
         self._send_keepalives()
+        self._start_exchange()
 
-        partner = self.view.oldest(self.rng)
-        if partner is None:
-            self.stats.rounds_skipped_empty_view += 1
-            return
-        self.view.remove(partner.node_id)
-
-        subset = self.view.random_subset(
-            self.rng, max(0, self.config.shuffle_size - 1), exclude_ids=(partner.node_id,)
-        )
-        subset.append(self.self_descriptor())
-        sent = tuple(subset)
-        self._pending[partner.node_id] = sent
-        self.stats.shuffles_initiated += 1
-
+    def _route(self, partner: NodeDescriptor, message: Message) -> None:
+        """Send a request directly if we can, else hole-punch along the RVP chain."""
         if partner.is_public or partner.node_id in self._open_contacts:
             # Direct path available (public target, or a mapping we already hold open).
-            self._send_shuffle_request(partner.address, sent)
+            self.send_to_node(partner.address, message)
             return
 
         # Private target with no open mapping: route a hole-punch request along the
@@ -133,7 +89,7 @@ class Nylon(PeerSamplingService, NatAware):
         # send our own punch packet straight at the target: it is dropped by the
         # target's NAT, but it opens *our* NAT mapping towards the target, so the
         # target's reverse ping can get through (classic UDP hole punching).
-        self._awaiting_punch[partner.node_id] = sent
+        self._awaiting_punch[partner.node_id] = message.descriptors
         if self.address.is_private:
             self.send_to_node(partner.address, HolePunchPing(origin=self.address))
         rvp = self.rvp_table.get(partner.node_id)
@@ -161,14 +117,6 @@ class Nylon(PeerSamplingService, NatAware):
         self.rng.shuffle(targets)
         for target in targets[: self.config.keepalive_fanout]:
             self.send_to_node(target, KeepAlive(origin=self.address))
-
-    def _send_shuffle_request(
-        self, partner: NodeAddress, subset: Tuple[NodeDescriptor, ...]
-    ) -> None:
-        self.send_to_node(
-            partner,
-            NylonShuffleRequest(sender=self.self_descriptor(), descriptors=subset),
-        )
 
     # ------------------------------------------------------------------ relaying / punching
 
@@ -214,7 +162,7 @@ class Nylon(PeerSamplingService, NatAware):
         # from, which traverses the freshly punched mapping.
         self.send(
             packet.source,
-            NylonShuffleRequest(sender=self.self_descriptor(), descriptors=subset),
+            ViewShuffleRequest(sender=self.self_descriptor(), descriptors=subset),
         )
 
     def _on_keepalive(self, packet: Packet) -> None:
@@ -229,39 +177,18 @@ class Nylon(PeerSamplingService, NatAware):
     # ------------------------------------------------------------------ shuffle handlers
 
     def _on_request(self, packet: Packet) -> None:
-        message = packet.message
-        assert isinstance(message, NylonShuffleRequest)
-        self.stats.shuffle_requests_handled += 1
-        self._learn_rvps(message.descriptors, learned_from=message.sender.address)
-        self._open_contacts[message.sender.node_id] = message.sender.address
-
-        reply_subset = self.view.random_subset(
-            self.rng, self.config.shuffle_size, exclude_ids=(message.sender.node_id,)
-        )
-        self.view.update_view(
-            sent=reply_subset,
-            received=message.descriptors,
-            self_id=self.address.node_id,
-        )
-        self.send(
-            packet.source,
-            NylonShuffleResponse(
-                sender=self.self_descriptor(), descriptors=tuple(reply_subset)
-            ),
-        )
+        self._learn_from(packet.message)
+        super()._on_request(packet)
 
     def _on_response(self, packet: Packet) -> None:
-        message = packet.message
-        assert isinstance(message, NylonShuffleResponse)
-        self.stats.shuffle_responses_received += 1
+        self._learn_from(packet.message)
+        super()._on_response(packet)
+
+    def _learn_from(self, message: Message) -> None:
+        """Before either merge: the sender is an RVP towards everything it sent, and a
+        node we hold an open mapping to."""
         self._learn_rvps(message.descriptors, learned_from=message.sender.address)
         self._open_contacts[message.sender.node_id] = message.sender.address
-        sent = self._pending.pop(message.sender.node_id, ())
-        self.view.update_view(
-            sent=sent,
-            received=message.descriptors,
-            self_id=self.address.node_id,
-        )
 
     def _learn_rvps(
         self, descriptors: Sequence[NodeDescriptor], learned_from: NodeAddress
@@ -280,15 +207,7 @@ class Nylon(PeerSamplingService, NatAware):
                 if nid in in_view or nid in self._awaiting_punch
             }
 
-    # ------------------------------------------------------------------ sampling
-
-    def sample(self) -> Optional[NodeAddress]:
-        self.stats.samples_served += 1
-        descriptor = self.view.random_descriptor(self.rng)
-        return descriptor.address if descriptor is not None else None
-
-    def neighbor_addresses(self) -> List[NodeAddress]:
-        return [d.address for d in self.view]
+    # ------------------------------------------------------------------ introspection
 
     def private_peer_strategy(self) -> str:
         return "hole-punching"

@@ -1,18 +1,20 @@
-"""Named node-selection and view-merge policies.
+"""Named node-selection policies.
 
 The gossip peer-sampling design space (Jelasity et al. [7]) is spanned by the choice of
 *node selection* (which neighbour to shuffle with), *view exchange* (push vs. push-pull)
 and *view merging* (how to combine the received descriptors with the local view). The
 paper fixes **tail** selection, **push-pull** exchange and **swapper** merging for every
-protocol it compares, "for a cleaner comparison"; the enums here exist so the ablation
-experiments can deviate from that choice explicitly.
+protocol it compares, "for a cleaner comparison". Exchange and merge are fixed in the
+shared shuffle (:class:`~repro.membership.base.PeerSamplingService`); selection is the
+one knob, which every protocol honours, so ablation A4 can deviate from the paper's
+choice explicitly.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.membership.descriptor import NodeDescriptor
 from repro.membership.view import PartialView
@@ -25,13 +27,6 @@ class SelectionPolicy(enum.Enum):
     RANDOM = "random"  #: a uniformly random descriptor
 
 
-class MergePolicy(enum.Enum):
-    """How the received descriptors are merged into the local view."""
-
-    SWAPPER = "swapper"  #: evict descriptors we sent (the paper's choice)
-    HEALER = "healer"    #: keep the freshest descriptors overall
-
-
 def select_partner(
     view: PartialView,
     policy: SelectionPolicy,
@@ -41,35 +36,3 @@ def select_partner(
     if policy is SelectionPolicy.TAIL:
         return view.oldest(rng)
     return view.random_descriptor(rng)
-
-
-def merge_views(
-    view: PartialView,
-    sent: Sequence[NodeDescriptor],
-    received: Sequence[NodeDescriptor],
-    self_id: int,
-    policy: MergePolicy,
-) -> None:
-    """Merge ``received`` into ``view`` according to ``policy``.
-
-    ``SWAPPER`` delegates to :meth:`PartialView.update_view` (the paper's procedure).
-    ``HEALER`` keeps the globally freshest descriptors: the union of the current view
-    and the received descriptors is sorted by age and truncated to the view capacity.
-    """
-    if policy is MergePolicy.SWAPPER:
-        view.update_view(sent, received, self_id)
-        return
-
-    freshest: dict = {d.node_id: d for d in view.descriptors()}
-    for incoming in received:
-        if incoming.node_id == self_id:
-            continue
-        existing = freshest.get(incoming.node_id)
-        if existing is None or incoming.is_fresher_than(existing):
-            freshest[incoming.node_id] = incoming
-    merged: List[NodeDescriptor] = sorted(
-        freshest.values(), key=lambda d: (d.age, d.node_id)
-    )
-    view.clear()
-    for descriptor in merged[: view.capacity]:
-        view.add(descriptor)

@@ -15,10 +15,16 @@ events exactly as the original eager implementation did. These tests pin that do
   ``PYTHONHASHSEED`` values: nothing on the hot path may iterate a set or dict whose
   order depends on string hashing.
 
+* paths no golden file covers — ARRG, every protocol under churn + loss with the
+  paper's NAT mixture, and Croupier with random partner selection (ablation A4) —
+  are pinned by literal fingerprints (:data:`PINNED_FINGERPRINTS`), recorded before
+  the shuffle skeleton was shared across the protocols.
+
 If an optimisation ever changes RNG consumption or event ordering, these tests fail
 first — regenerate the golden file only for a *deliberate* semantic change.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -29,7 +35,10 @@ import pytest
 
 import repro
 from repro.membership.capabilities import RatioEstimating
+from repro.membership.plugin import get_plugin
+from repro.membership.policies import SelectionPolicy
 from repro.metrics.probes import collect_ratio_estimates
+from repro.nat.mixture import get_mixture
 from repro.workload.scenario import Scenario, ScenarioConfig
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_croupier_seed7.json"
@@ -147,3 +156,88 @@ class TestHashSeedIndependence:
             timeout=300, check=True,
         )
         assert json.loads(result.stdout) == golden
+
+
+def protocol_fingerprint(
+    protocol, seed, n_public, n_private, rounds, churn=0.0, loss_rate=0.0, **pss_overrides
+):
+    """Events, packets, sorted drop reasons and a digest of every live node's sorted
+    view ids after a small object-engine run of ``protocol`` under the paper's NAT
+    mixture, replacing a ``churn`` fraction of each node class after every round."""
+    config = get_plugin(protocol).default_config()
+    for name, value in pss_overrides.items():
+        setattr(config, name, value)
+    scenario = Scenario(
+        ScenarioConfig(
+            protocol=protocol,
+            seed=seed,
+            pss_config=config,
+            latency="uniform",
+            loss_rate=loss_rate,
+            nat_mixture=get_mixture("paper"),
+        )
+    )
+    scenario.populate(n_public=n_public, n_private=n_private)
+    for _ in range(rounds):
+        scenario.run_rounds(1)
+        if churn:
+            scenario.churn_step(churn)
+    views = [
+        [handle.node_id, sorted(a.node_id for a in handle.pss.neighbor_addresses())]
+        for handle in sorted(scenario.live_handles(), key=lambda h: h.node_id)
+    ]
+    return {
+        "events": scenario.sim.events_executed,
+        "packets": scenario.network.packets_sent,
+        "drops": sorted(scenario.monitor.drop_reasons.items()),
+        "views": hashlib.sha256(json.dumps(views).encode()).hexdigest()[:16],
+    }
+
+
+#: One small churn + loss cell per protocol, plus Croupier with random partner
+#: selection on a static cell.
+PINNED_CELLS = {
+    name: dict(protocol=name, seed=11, n_public=12, n_private=28, rounds=40,
+               churn=0.03, loss_rate=0.05)
+    for name in ("croupier", "cyclon", "gozar", "nylon", "arrg")
+}
+PINNED_CELLS["croupier-random"] = dict(
+    protocol="croupier", seed=7, n_public=15, n_private=45, rounds=30,
+    selection=SelectionPolicy.RANDOM,
+)
+
+PINNED_FINGERPRINTS = {
+    "arrg": {
+        "events": 6675, "packets": 3805, "views": "70ac7bd11f95ce50",
+        "drops": [("dead_host", 121), ("link_loss", 203), ("nat_filtered", 516),
+                  ("unknown_destination", 301)],
+    },
+    "croupier": {
+        "events": 3855, "packets": 2422, "views": "a7093cf96b097411",
+        "drops": [("dead_host", 2), ("link_loss", 127), ("unknown_destination", 619)],
+    },
+    "croupier-random": {
+        "events": 5260, "packets": 3511, "views": "9909c4463df3c67e", "drops": [],
+    },
+    "cyclon": {
+        "events": 3729, "packets": 2297, "views": "df2073bf0d56c898",
+        "drops": [("dead_host", 68), ("link_loss", 118), ("nat_filtered", 443),
+                  ("unknown_destination", 227)],
+    },
+    "gozar": {
+        "events": 5495, "packets": 4157, "views": "e69f6bca151b77b2",
+        "drops": [("dead_host", 65), ("link_loss", 216), ("nat_filtered", 84),
+                  ("unknown_destination", 752)],
+    },
+    "nylon": {
+        "events": 21921, "packets": 21497, "views": "a1b5257534fbcdd4",
+        "drops": [("dead_host", 1392), ("link_loss", 1067), ("nat_filtered", 617),
+                  ("unknown_destination", 1728)],
+    },
+}
+
+
+class TestPinnedFingerprints:
+    @pytest.mark.parametrize("cell", sorted(PINNED_CELLS))
+    def test_fingerprint_unchanged(self, cell):
+        assert protocol_fingerprint(**PINNED_CELLS[cell]) == PINNED_FINGERPRINTS[cell]

@@ -1,13 +1,8 @@
-"""Unit tests for the node-selection and view-merge policies."""
+"""Unit tests for the node-selection policies and the swapper merge."""
 
 import random
 
-from repro.membership.policies import (
-    MergePolicy,
-    SelectionPolicy,
-    merge_views,
-    select_partner,
-)
+from repro.membership.policies import SelectionPolicy, select_partner
 from repro.membership.view import PartialView
 from tests.test_descriptor_view import make_descriptor
 
@@ -34,63 +29,10 @@ class TestSelectPartner:
 
 class TestMergePolicies:
     def test_swapper_delegates_to_update_view(self):
+        """The one merge policy, swapper, is ``PartialView.update_view``: on a full
+        view a received descriptor evicts one this node sent."""
         view = PartialView(2)
         view.add(make_descriptor(1))
         view.add(make_descriptor(2))
-        merge_views(
-            view,
-            sent=[view.get(1)],
-            received=[make_descriptor(5)],
-            self_id=99,
-            policy=MergePolicy.SWAPPER,
-        )
+        view.update_view(sent=[view.get(1)], received=[make_descriptor(5)], self_id=99)
         assert 5 in view and 1 not in view
-
-    def test_healer_keeps_freshest_overall(self):
-        view = PartialView(2)
-        view.add(make_descriptor(1, age=9))
-        view.add(make_descriptor(2, age=8))
-        merge_views(
-            view,
-            sent=[],
-            received=[make_descriptor(3, age=0), make_descriptor(4, age=1)],
-            self_id=99,
-            policy=MergePolicy.HEALER,
-        )
-        assert set(view.node_ids()) == {3, 4}
-
-    def test_healer_respects_capacity(self):
-        view = PartialView(3)
-        for node_id in range(3):
-            view.add(make_descriptor(node_id, age=5))
-        merge_views(
-            view,
-            sent=[],
-            received=[make_descriptor(10 + i, age=i) for i in range(5)],
-            self_id=99,
-            policy=MergePolicy.HEALER,
-        )
-        assert len(view) == 3
-
-    def test_healer_skips_self(self):
-        view = PartialView(3)
-        merge_views(
-            view,
-            sent=[],
-            received=[make_descriptor(99, age=0)],
-            self_id=99,
-            policy=MergePolicy.HEALER,
-        )
-        assert len(view) == 0
-
-    def test_healer_refreshes_existing(self):
-        view = PartialView(3)
-        view.add(make_descriptor(1, age=9))
-        merge_views(
-            view,
-            sent=[],
-            received=[make_descriptor(1, age=0)],
-            self_id=99,
-            policy=MergePolicy.HEALER,
-        )
-        assert view.get(1).age == 0

@@ -1,0 +1,116 @@
+"""Properties of the one shuffle skeleton every object-engine protocol runs.
+
+* **Knob honesty.** Every :class:`~repro.membership.base.PssConfig` field is read by
+  every registered protocol, and ``selection`` really changes which partner a node
+  picks.
+* **Invariants over all protocols.** On a small churn + loss cell with the paper's
+  NAT mixture, after every round: no view holds its owner or a duplicate id; a full
+  view makes room only by evicting entries this node just sent (the swapper merge);
+  and no Croupier request reaches a private node.
+"""
+
+import inspect
+import re
+from dataclasses import fields
+
+import pytest
+
+from repro.membership.base import PssConfig
+from repro.membership.descriptor import NodeDescriptor
+from repro.membership.plugin import get_plugin, protocol_names
+from repro.membership.policies import SelectionPolicy
+from repro.membership.view import PartialView
+from repro.nat.mixture import get_mixture
+from repro.workload.scenario import Scenario, ScenarioConfig
+
+
+def _pss_config(protocol, **overrides):
+    config = get_plugin(protocol).default_config()
+    for name, value in overrides.items():
+        setattr(config, name, value)
+    return config
+
+
+class TestKnobHonesty:
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_no_pss_config_field_is_ignored(self, protocol):
+        """Every common field is read somewhere in the protocol's own class hierarchy."""
+        cls = get_plugin(protocol).factory
+        source = "".join(
+            inspect.getsource(klass)
+            for klass in cls.__mro__
+            if klass.__module__.startswith("repro.")
+        )
+        ignored = [
+            f.name for f in fields(PssConfig) if not re.search(rf"config\.{f.name}\b", source)
+        ]
+        assert ignored == []
+
+    @staticmethod
+    def _first_partners(protocol, selection, seeds=range(10)):
+        """The partner node 1 picks, per seed, from a view whose oldest entry is unique."""
+        partners = []
+        for seed in seeds:
+            scenario = Scenario(
+                ScenarioConfig(
+                    protocol=protocol,
+                    seed=seed,
+                    pss_config=_pss_config(protocol, selection=selection),
+                    latency="constant",
+                )
+            )
+            scenario.populate(n_public=12, n_private=0)
+            pss = scenario.pss_of(1)
+            pss.view.clear()
+            others = [h.address for h in scenario.live_handles() if h.node_id != 1]
+            for age, address in enumerate(others[: pss.config.view_size]):
+                pss.view.add(NodeDescriptor(address=address, age=age))
+            oldest = pss.view.oldest().node_id
+            pss.on_round()
+            (partner,) = pss._pending
+            partners.append((partner, oldest))
+        return partners
+
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_selection_policy_changes_the_partner(self, protocol):
+        tail = self._first_partners(protocol, SelectionPolicy.TAIL)
+        assert all(partner == oldest for partner, oldest in tail)
+        random_picks = self._first_partners(protocol, SelectionPolicy.RANDOM)
+        assert any(partner != oldest for partner, oldest in random_picks)
+
+
+class TestInvariantsAcrossProtocols:
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_views_and_merges_every_round(self, protocol, monkeypatch):
+        merges = {"evicting": 0}
+        original = PartialView.update_view
+
+        def checked_update_view(view, sent, received, self_id):
+            before = set(view.node_ids())
+            eligible = [d.node_id for d in sent if d.node_id in before]
+            original(view, sent, received, self_id)
+            evicted = before - set(view.node_ids())
+            if evicted:
+                merges["evicting"] += 1
+                assert evicted <= set(eligible)
+
+        monkeypatch.setattr(PartialView, "update_view", checked_update_view)
+        scenario = Scenario(
+            ScenarioConfig(
+                protocol=protocol,
+                seed=5,
+                latency="uniform",
+                loss_rate=0.05,
+                nat_mixture=get_mixture("paper"),
+            )
+        )
+        scenario.populate(n_public=12, n_private=28)
+        for _ in range(30):
+            scenario.run_rounds(1)
+            scenario.churn_step(0.03)
+            for handle in scenario.live_handles():
+                ids = [a.node_id for a in handle.pss.neighbor_addresses()]
+                assert handle.node_id not in ids
+                assert len(ids) == len(set(ids))
+                assert handle.pss.stats.extra.get("misdirected_requests", 0) == 0
+        assert merges["evicting"] > 0
