@@ -15,7 +15,7 @@ BENCH_WINDOWS = ((10, 25), (25, 50), (50, 125))
 def test_fig1_static_ratio_history_windows(once):
     # Not seed 42: under it the (50, 125) cell leaves a node that joined an almost empty
     # system isolated for the whole run (in-degree 0, ω̂ = 0), so its maximum error is the
-    # true ratio — a property of the Poisson join (ROADMAP item 3), not of the windows.
+    # true ratio — a property of the Poisson join (ROADMAP item 10), not of the windows.
     result = once(run_figure, "history-static", nodes=BENCH_NODES, rounds=BENCH_ROUNDS,
                   seed=43, window_pairs=BENCH_WINDOWS)
     print()

@@ -199,22 +199,37 @@ cmp artifacts/baseline/object_natrelay_aggregate.json \
 echo "golden OK: gozar/nylon object aggregate matches the committed golden byte for byte"
 
 echo
-echo "== columnar scale smoke: one 10^5-node cell inside the wall-clock budget =="
+echo "== columnar scale smoke: one 10^5-node cell inside the wall-clock and RSS budgets =="
 # A single 100k-node Croupier cell through the full matrix stack (scale kind,
 # engine-native streamed metrics). The 300s budget is ~8x the measured wall
 # time on the CI container class; busting it is a perf regression, not noise.
-timeout 300 python -m repro matrix --scenarios scale --protocols croupier \
-    --engines columnar --sizes 100000 --seeds 1 --rounds 5 --latency constant \
-    --workers 1 --heartbeat 0 --out artifacts/ci-scale
+# The 283 MB peak-RSS budget is 1.25x the 226 MB the cell measured once the
+# shuffle's row-parallel phases ran in blocks (345 MB before): columns plus a
+# bounded round transient. The peak is the child's ru_maxrss, read by the
+# launcher below (/usr/bin/time is not on every container).
 python - <<'PYEOF'
 import json
+import resource
+import subprocess
+import sys
+
+subprocess.run(
+    [sys.executable, "-m", "repro", "matrix", "--scenarios", "scale",
+     "--protocols", "croupier", "--engines", "columnar", "--sizes", "100000",
+     "--seeds", "1", "--rounds", "5", "--latency", "constant", "--workers", "1",
+     "--heartbeat", "0", "--out", "artifacts/ci-scale"],
+    check=True, timeout=300,
+)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 groups = json.load(open("artifacts/ci-scale/matrix_aggregate.json"))["groups"]
 [(name, metrics)] = groups.items()
 mean = metrics["est_mean"]["mean"]
 measured = metrics["est_nodes_measured"]["mean"]
 assert measured == 100000.0, f"expected 100000 measured nodes, got {measured}"
 assert abs(mean - 0.2) < 0.05, f"estimate off at scale: {mean}"
-print(f"scale OK: {name}\n  est_mean={mean:.4f} over {measured:.0f} nodes")
+assert peak_mb <= 283, f"peak RSS {peak_mb:.0f} MB over the 283 MB budget"
+print(f"scale OK: {name}\n  est_mean={mean:.4f} over {measured:.0f} nodes, "
+      f"peak RSS {peak_mb:.0f} MB (budget 283 MB)")
 PYEOF
 
 echo

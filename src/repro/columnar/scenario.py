@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Callable, Dict, List, Optional, Type
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set, Type
 
 from repro.columnar.engine import COLUMNAR_PROTOCOLS, ColumnarEngine
 from repro.constants import DEFAULT_ROUND_MS
@@ -48,6 +48,41 @@ def _ip_of_row(row: int) -> str:
 def _row_of_ip(ip: str) -> int:
     parts = ip.split(".")
     return (int(parts[1]) << 16) | (int(parts[2]) << 8) | int(parts[3])
+
+
+class ColumnarOverlay(Mapping[int, Set[int]]):
+    """``{live row: set of live neighbour rows}`` read from the view columns.
+
+    The same contract as the object scenario's ``overlay_graph()`` dict — live
+    rows only, in ascending order, no self-loops, no edges to dead rows — but
+    each neighbour set is built when it is asked for, so a 10⁵-node graph
+    metric never holds 10⁵ sets at once. It reads the columns on every access:
+    it follows the engine as it runs. Callers that need a snapshot, or random
+    access many times over, copy it with
+    :func:`~repro.metrics.graph.build_overlay_graph`.
+    """
+
+    __slots__ = ("_engine",)
+
+    def __init__(self, engine: ColumnarEngine) -> None:
+        self._engine = engine
+
+    def __getitem__(self, row) -> Set[int]:
+        engine = self._engine
+        try:
+            live = 0 < row < engine.rows and engine.alive[row]
+        except TypeError:
+            live = False
+        if not live:
+            raise KeyError(row)
+        alive = engine.alive
+        return {nid for nid in engine.view_ids(row) if nid != row and alive[nid]}
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._engine.live_rows())
+
+    def __len__(self) -> int:
+        return self._engine.live_count()
 
 
 class ColumnarService(OverlaySampling):
@@ -482,16 +517,10 @@ class ColumnarScenario:
         service_for = self._service_for
         return [service_for(row) for row in self.engine.live_rows()]
 
-    def overlay_graph(self) -> Dict[int, set]:
-        alive = self.engine.alive
-        graph: Dict[int, set] = {}
-        for row in self.engine.live_rows():
-            graph[row] = {
-                nid
-                for nid in self.engine.view_ids(row)
-                if nid != row and alive[nid]
-            }
-        return graph
+    def overlay_graph(self) -> ColumnarOverlay:
+        """Directed adjacency over live nodes (edges to dead nodes and self-loops
+        dropped), as a read-only view over the engine's view columns."""
+        return ColumnarOverlay(self.engine)
 
     def traffic_snapshot(self) -> ColumnarTrafficSnapshot:
         return self.monitor.snapshot(self.sim.now)

@@ -31,12 +31,20 @@ E–G. **Partner handling** — delivered exchanges, ordered by ``(partner,
    which degenerates the overlay at scale.
 H. **Responses** — ascending initiator order: size/tx accounting, response
    loss keyed by the partner's class, Gozar relay for private initiators, then
-   one batched merge into the (all-distinct) initiator rows.
+   batched merges into the (all-distinct) initiator rows.
 
 Every random decision is a position-keyed counter draw (see
 :mod:`repro.columnar.rng`), so results are independent of evaluation order —
 which is what lets ``tests/columnar_oracle.py``, a scalar one-exchange-at-a-time
 reference, pin this pass bit for bit.
+
+Memory is bounded by the state, not by a round's worth of copies. A–C run
+over blocks of :data:`_BLOCK_ROWS` initiator rows and H over blocks of as many
+delivered exchanges; each block reads and writes only its own rows plus
+commutative integer counters, so the blocking writes the same bytes for any
+block size (``TestScalarOracle`` reruns with 7-row blocks). What crosses the
+wave loop — the delivered requests, then their replies — is held once, at D
+rows, and dropped when its last reader is done.
 
 The merge rule: snapshot the pre-merge view; each received entry
 (skipping negatives and the row's own id) first tries to *refresh* the slot
@@ -89,6 +97,12 @@ DROP_REASONS = (
     "no_relay_parent",
     "broken_chain",
 )
+
+
+#: Rows per block of the row-parallel phases (A–C over initiator rows, H over
+#: delivered exchanges): their temporaries scale with this, not with the
+#: population. Any positive value writes the same bytes.
+_BLOCK_ROWS = 8192
 
 
 def _fold_drops(eng, local: Dict[str, int]) -> None:
@@ -268,51 +282,52 @@ def _private_desc_count_np(np, pub, ids):
     return ((ids >= 0) & (pub[np.clip(ids, 0, None)] == 0)).sum(axis=1)
 
 
-def run_shuffle_round(eng) -> None:
-    """Execute the current round's full shuffle pass on ``eng``."""
-    np = backend.np
+def _request_block(eng, np, lo, hi, drops):
+    """Phases A–C for the initiator candidates ``lo <= row < hi``.
+
+    Every read is of the block's own rows or of columns the pass does not write
+    before phase E, and every write is to the block's own rows or a commutative
+    integer count, so blocks compose to the whole-range pass byte for byte.
+    Returns the delivered exchanges (ascending initiator) as a dict of arrays,
+    or None when the block delivers none."""
     V, K = eng.V, eng.K
     n = eng._rows
     rnd = eng.round
     seed = eng.hash_seed
-    proto = eng.protocol
     estimating = eng.estimating
-    gozar = proto == "gozar"
-    nylon = proto == "nylon"
+    gozar = eng.protocol == "gozar"
+    nylon = eng.protocol == "nylon"
     alive = as_np(eng.alive)[:n]
     pub = as_np(eng.is_public)[:n]
     ids2d = as_np(eng.pub_id)[: n * V].reshape(n, V)
     ages2d = as_np(eng.pub_age)[: n * V].reshape(n, V)
-    aux2d = as_np(eng.learned_from)[: n * V].reshape(n, V) if nylon else None
     tx = as_np(eng.tx_bytes)
     rx = as_np(eng.rx_bytes)
-    loss_pub, loss_priv = eng.loss_public, eng.loss_private
-    loss_active = loss_pub > 0.0 or loss_priv > 0.0
-    drops = dict.fromkeys(DROP_REASONS, 0)
 
     # --- A: partner selection (oldest slot, keyed tie-break), slot cleared
-    occ = ids2d >= 0
-    age_eff = np.where(occ, ages2d, -1)
+    occ = ids2d[lo:hi] >= 0
+    age_eff = np.where(occ, ages2d[lo:hi], -1)
     best = age_eff.max(axis=1)
     ties = (age_eff == best[:, None]) & occ
     tie_cnt = ties.sum(axis=1)
     base_tie = crng.stream(seed, rnd, crng.TAG_TIE)
     pick = (
-        crng.draws_np(np, base_tie, np.arange(n, dtype=np.uint64))
+        crng.draws_np(np, base_tie, np.arange(lo, hi, dtype=np.uint64))
         % np.maximum(tie_cnt, 1).astype(np.uint64)
     ).astype(np.int64)
     sel = np.argmax(ties.cumsum(axis=1) == (pick + 1)[:, None], axis=1)
-    init = np.nonzero((alive != 0) & (tie_cnt > 0))[0]
-    if init.size == 0:
-        _fold_drops(eng, drops)
-        return
-    sslot = sel[init]
+    local = np.nonzero((alive[lo:hi] != 0) & (tie_cnt > 0))[0]
+    if local.size == 0:
+        return None
+    init = local + lo
+    sslot = sel[local]
     partner = ids2d[init, sslot]
-    rvp = aux2d[init, sslot] if nylon else None
+    if nylon:
+        aux2d = as_np(eng.learned_from)[: n * V].reshape(n, V)
+        rvp = aux2d[init, sslot]
+        aux2d[init, sslot] = -1
     ids2d[init, sslot] = -1
     ages2d[init, sslot] = 0
-    if nylon:
-        aux2d[init, sslot] = -1
 
     M = init.size
     i_pub = pub[init] != 0
@@ -326,20 +341,18 @@ def run_shuffle_round(eng) -> None:
     if estimating:
         pids2d = as_np(eng.priv_id)[: n * V].reshape(n, V)
         pages2d = as_np(eng.priv_age)[: n * V].reshape(n, V)
-        rp = _subsets_np(np, ids2d[init], ages2d[init], slotkeys, base_req_pub,
-                         np.where(i_pub, K - 1, K), None, i_pub, init, K)
+        rp_slots, rp_ids, rp_ages, rp_cnt = _subsets_np(
+            np, ids2d[init], ages2d[init], slotkeys, base_req_pub,
+            np.where(i_pub, K - 1, K), None, i_pub, init, K)
         base_req_priv = crng.stream(seed, rnd, crng.TAG_REQ_PRIV)
-        rq = _subsets_np(np, pids2d[init], pages2d[init], slotkeys, base_req_priv,
-                         np.where(i_pub, K, K - 1), None, ~i_pub, init, K)
-        rp_slots, rp_ids, rp_ages, rp_cnt = rp
-        rq_slots, rq_ids, rq_ages, rq_cnt = rq
+        rq_slots, rq_ids, rq_ages, rq_cnt = _subsets_np(
+            np, pids2d[init], pages2d[init], slotkeys, base_req_priv,
+            np.where(i_pub, K, K - 1), None, ~i_pub, init, K)
         n_desc = rp_cnt + rq_cnt
     else:
-        rp = _subsets_np(np, ids2d[init], ages2d[init], slotkeys, base_req_pub,
-                         np.full(M, K - 1, dtype=np.int64), None,
-                         np.ones(M, dtype=bool), init, K)
-        rp_slots, rp_ids, rp_ages, rp_cnt = rp
-        n_desc = rp_cnt
+        rp_slots, rp_ids, rp_ages, n_desc = _subsets_np(
+            np, ids2d[init], ages2d[init], slotkeys, base_req_pub,
+            np.full(M, K - 1, dtype=np.int64), None, np.ones(M, dtype=bool), init, K)
 
     # --- C: delivery filtering (+ request-size accounting)
     if estimating:
@@ -355,11 +368,11 @@ def run_shuffle_round(eng) -> None:
     eng.packets_sent += M
     tx[init] += size  # initiator rows are distinct
     remaining = np.ones(M, dtype=bool)
-    if loss_active:
+    if eng.loss_public > 0.0 or eng.loss_private > 0.0:
         u = crng.uniforms_np(
             np, crng.stream(seed, rnd, crng.TAG_LOSS_REQ), init.astype(np.uint64)
         )
-        lost = u < np.where(i_pub, loss_pub, loss_priv)
+        lost = u < np.where(i_pub, eng.loss_public, eng.loss_private)
         drops["lost_in_transit"] += int(lost.sum())
         remaining &= ~lost
     if eng._partition_active:
@@ -409,58 +422,76 @@ def run_shuffle_round(eng) -> None:
         remaining &= ~priv_partner
     np.add.at(rx, partner[remaining], size[remaining])
 
-    # --- D: estimator counters by initiator class
-    if estimating:
-        cu = as_np(eng.cur_cu)[:n]
-        cv = as_np(eng.cur_cv)[:n]
-        cu += np.bincount(partner[remaining & i_pub], minlength=n).astype(np.int32)
-        cv += np.bincount(partner[remaining & ~i_pub], minlength=n).astype(np.int32)
-
     d = np.nonzero(remaining)[0]
     if d.size == 0:
-        _fold_drops(eng, drops)
-        return
-    D = d.size
-    I_ = init[d]
-    P_ = partner[d]
+        return None
+    part = dict(init=init[d], partner=partner[d],
+                rp_slots=rp_slots[d], rp_ids=rp_ids[d], rp_ages=rp_ages[d])
+    if estimating:
+        part.update(rq_slots=rq_slots[d], rq_ids=rq_ids[d], rq_ages=rq_ages[d],
+                    bi_origs=bi_origs[d], bi_vals=bi_vals[d],
+                    bi_borns=bi_borns[d], bi_valid=bi_valid[d])
+    return part
 
-    # --- E+F+G: per-exchange partner handling as (partner, initiator)-ordered
-    # waves — one exchange per partner per wave, so rows are distinct within a
-    # wave and batched ops are safe. Each wave draws its reply subsets from the
-    # partner's *current* view (reflecting earlier waves' request merges),
-    # merges its requests, then builds its response bundles from the
-    # post-ingest estimate cache — the object protocol's request-handler
-    # order. Drawing all replies from a pre-round snapshot instead degenerates
-    # the overlay at scale (a popular partner would send every requester the
-    # same entries).
+
+def _count_requests(eng, np, ex) -> None:
+    """Phase D: delivered requests bump the partner's (Cu, Cv) current-round
+    counters by initiator class."""
+    n = eng._rows
+    partner = ex["partner"]
+    i_pub = as_np(eng.is_public)[:n][ex["init"]] != 0
+    as_np(eng.cur_cu)[:n] += np.bincount(partner[i_pub], minlength=n).astype(np.int32)
+    as_np(eng.cur_cv)[:n] += np.bincount(partner[~i_pub], minlength=n).astype(np.int32)
+
+
+def _handle_requests(eng, np, ex):
+    """Phases E–G over the delivered exchanges ``ex``: per-exchange partner
+    handling as (partner, initiator)-ordered waves — one exchange per partner
+    per wave, so rows are distinct within a wave and batched ops are safe.
+    Each wave draws its reply subsets from the partner's *current* view
+    (reflecting earlier waves' request merges), merges its requests, then
+    builds its response bundles from the post-ingest estimate cache — the
+    object protocol's request-handler order. Drawing all replies from a
+    pre-round snapshot instead degenerates the overlay at scale (a popular
+    partner would send every requester the same entries).
+
+    Returns the replies by exchange: ``ep_ids``/``ep_ages``/``ep_cnt`` (and,
+    estimating, ``eq_*`` and the response bundles ``bp_*``)."""
+    V, K = eng.V, eng.K
+    n = eng._rows
+    rnd = eng.round
+    seed = eng.hash_seed
+    estimating = eng.estimating
+    ids2d = as_np(eng.pub_id)[: n * V].reshape(n, V)
+    ages2d = as_np(eng.pub_age)[: n * V].reshape(n, V)
+    aux2d = (as_np(eng.learned_from)[: n * V].reshape(n, V)
+             if eng.protocol == "nylon" else None)
+    I_, P_ = ex["init"], ex["partner"]
+    D = I_.size
     order = np.lexsort((I_, P_))
     Ps = P_[order]
     idx = np.arange(D)
     newgrp = np.ones(D, dtype=bool)
     newgrp[1:] = Ps[1:] != Ps[:-1]
     rank = idx - np.maximum.accumulate(np.where(newgrp, idx, 0))
+    del Ps, idx, newgrp
     base_rep_pub = crng.stream(seed, rnd, crng.TAG_REPLY_PUB)
-    base_rep_priv = crng.stream(seed, rnd, crng.TAG_REPLY_PRIV) if estimating else 0
     slot_arange = np.arange(V, dtype=np.uint64)[None, :]
-    ep_slots = np.empty((D, K), dtype=np.int64)
-    ep_ids = np.empty((D, K), dtype=np.int64)
-    ep_ages = np.empty((D, K), dtype=np.int64)
-    ep_cnt = np.empty(D, dtype=np.int64)
-    drp_ids, drp_ages, drp_slots = rp_ids[d], rp_ages[d], rp_slots[d]
+    out = {"ep_ids": np.empty((D, K), dtype=np.int64),
+           "ep_ages": np.empty((D, K), dtype=ages2d.dtype),
+           "ep_cnt": np.empty(D, dtype=np.int64)}
     if estimating:
-        eq_slots = np.empty((D, K), dtype=np.int64)
-        eq_ids = np.empty((D, K), dtype=np.int64)
-        eq_ages = np.empty((D, K), dtype=np.int64)
-        eq_cnt = np.empty(D, dtype=np.int64)
+        pids2d = as_np(eng.priv_id)[: n * V].reshape(n, V)
+        pages2d = as_np(eng.priv_age)[: n * V].reshape(n, V)
+        base_rep_priv = crng.stream(seed, rnd, crng.TAG_REPLY_PRIV)
         B = 1 + eng.FWD
-        bp_origs = np.empty((D, B), dtype=np.int64)
-        bp_vals = np.empty((D, B))
-        bp_borns = np.empty((D, B), dtype=np.int64)
-        bp_valid = np.empty((D, B), dtype=bool)
-        drq_ids, drq_ages, drq_slots = rq_ids[d], rq_ages[d], rq_slots[d]
-        dbi_origs, dbi_vals, dbi_borns, dbi_valid = (
-            bi_origs[d], bi_vals[d], bi_borns[d], bi_valid[d],
-        )
+        out.update(eq_ids=np.empty((D, K), dtype=np.int64),
+                   eq_ages=np.empty((D, K), dtype=pages2d.dtype),
+                   eq_cnt=np.empty(D, dtype=np.int64),
+                   bp_origs=np.empty((D, B), dtype=np.int64),
+                   bp_vals=np.empty((D, B)),
+                   bp_borns=np.empty((D, B), dtype=np.int64),
+                   bp_valid=np.empty((D, B), dtype=bool))
     for w in range(int(rank.max()) + 1):
         sel_w = order[rank == w]  # one exchange per partner: rows are distinct
         rows = P_[sel_w]
@@ -472,48 +503,65 @@ def run_shuffle_round(eng) -> None:
             np, ids2d[rows], ages2d[rows], wkeys, base_rep_pub, K, iw,
             None, None, K,
         )
-        ep_slots[sel_w] = s_
-        ep_ids[sel_w] = id_
-        ep_ages[sel_w] = a_
-        ep_cnt[sel_w] = c_
-        if estimating:
-            qs_, qid_, qa_, qc_ = _subsets_np(
-                np, pids2d[rows], pages2d[rows], wkeys, base_rep_priv, K, iw,
-                None, None, K,
-            )
-            eq_slots[sel_w] = qs_
-            eq_ids[sel_w] = qid_
-            eq_ages[sel_w] = qa_
-            eq_cnt[sel_w] = qc_
+        out["ep_ids"][sel_w] = id_
+        out["ep_ages"][sel_w] = a_
+        out["ep_cnt"][sel_w] = c_
         _batch_merge_np(np, ids2d, ages2d, aux2d, rows,
-                        drp_ids[sel_w], drp_ages[sel_w], iw, id_, s_)
-        if estimating:
-            _batch_merge_np(np, pids2d, pages2d, None, rows,
-                            drq_ids[sel_w], drq_ages[sel_w], None, qid_, qs_)
-            _batch_ingest_np(eng, np, rows, dbi_origs[sel_w],
-                             dbi_vals[sel_w], dbi_borns[sel_w], dbi_valid[sel_w])
-            o_, v_, b_, va_ = _bundles_np(eng, np, rows)
-            bp_origs[sel_w] = o_
-            bp_vals[sel_w] = v_
-            bp_borns[sel_w] = b_
-            bp_valid[sel_w] = va_
+                        ex["rp_ids"][sel_w], ex["rp_ages"][sel_w], iw, id_, s_)
+        if not estimating:
+            continue
+        qs_, qid_, qa_, qc_ = _subsets_np(
+            np, pids2d[rows], pages2d[rows], wkeys, base_rep_priv, K, iw,
+            None, None, K,
+        )
+        out["eq_ids"][sel_w] = qid_
+        out["eq_ages"][sel_w] = qa_
+        out["eq_cnt"][sel_w] = qc_
+        _batch_merge_np(np, pids2d, pages2d, None, rows,
+                        ex["rq_ids"][sel_w], ex["rq_ages"][sel_w], None, qid_, qs_)
+        _batch_ingest_np(eng, np, rows, ex["bi_origs"][sel_w], ex["bi_vals"][sel_w],
+                         ex["bi_borns"][sel_w], ex["bi_valid"][sel_w])
+        o_, v_, b_, va_ = _bundles_np(eng, np, rows)
+        out["bp_origs"][sel_w] = o_
+        out["bp_vals"][sel_w] = v_
+        out["bp_borns"][sel_w] = b_
+        out["bp_valid"][sel_w] = va_
+    return out
 
-    # --- H: responses, ascending initiator order (rows are distinct)
-    resp_size = HEADER_BYTES + (ep_cnt + (eq_cnt if estimating else 0)) * DESCRIPTOR_BYTES
+
+def _response_block(eng, np, ex, drops):
+    """Phase H for one block of delivered exchanges ``ex`` (requests and
+    replies, ascending initiator, so the merged rows are distinct)."""
+    V = eng.V
+    n = eng._rows
+    rnd = eng.round
+    seed = eng.hash_seed
+    estimating = eng.estimating
+    gozar = eng.protocol == "gozar"
+    alive = as_np(eng.alive)[:n]
+    pub = as_np(eng.is_public)[:n]
+    tx = as_np(eng.tx_bytes)
+    rx = as_np(eng.rx_bytes)
+    I_, P_ = ex["init"], ex["partner"]
+    D = I_.size
+    resp_cnt = ex["ep_cnt"] + ex["eq_cnt"] if estimating else ex["ep_cnt"]
+    resp_size = HEADER_BYTES + resp_cnt * DESCRIPTOR_BYTES
     if estimating:
-        resp_size = resp_size + bp_valid.sum(axis=1) * ESTIMATE_BYTES
+        resp_size = resp_size + ex["bp_valid"].sum(axis=1) * ESTIMATE_BYTES
     if gozar:
-        resp_size = resp_size + _private_desc_count_np(np, pub, ep_ids) * (
+        P = eng.P
+        par2d = as_np(eng.parent_id)[: n * P].reshape(n, P)
+        resp_size = resp_size + _private_desc_count_np(np, pub, ex["ep_ids"]) * (
             P * PARENT_ADDR_BYTES
         )
     np.add.at(tx, P_, resp_size)  # partners may repeat
     eng.packets_sent += D
     ok = np.ones(D, dtype=bool)
-    if loss_active:
+    if eng.loss_public > 0.0 or eng.loss_private > 0.0:
         u2 = crng.uniforms_np(
             np, crng.stream(seed, rnd, crng.TAG_LOSS_RESP), I_.astype(np.uint64)
         )
-        lost2 = u2 < np.where(pub[P_] != 0, loss_pub, loss_priv)
+        lost2 = u2 < np.where(pub[P_] != 0, eng.loss_public, eng.loss_private)
         drops["lost_in_transit"] += int(lost2.sum())
         ok &= ~lost2
     if gozar:
@@ -537,18 +585,59 @@ def run_shuffle_round(eng) -> None:
             np.add.at(tx, relay2, resp_size[relaying2])
             eng.packets_sent += int(relaying2.sum())
     fin = np.nonzero(ok)[0]
-    if fin.size:
-        rows = I_[fin]
-        rx[rows] += resp_size[fin]
-        _batch_merge_np(np, ids2d, ages2d, aux2d, rows,
-                        ep_ids[fin], ep_ages[fin], P_[fin],
-                        drp_ids[fin], drp_slots[fin])
-        if estimating:
-            _batch_merge_np(np, pids2d, pages2d, None, rows,
-                            eq_ids[fin], eq_ages[fin], None,
-                            drq_ids[fin], drq_slots[fin])
-            _batch_ingest_np(eng, np, rows, bp_origs[fin],
-                             bp_vals[fin], bp_borns[fin], bp_valid[fin])
+    if not fin.size:
+        return
+    rows = I_[fin]
+    rx[rows] += resp_size[fin]
+    aux2d = (as_np(eng.learned_from)[: n * V].reshape(n, V)
+             if eng.protocol == "nylon" else None)
+    _batch_merge_np(np, as_np(eng.pub_id)[: n * V].reshape(n, V),
+                    as_np(eng.pub_age)[: n * V].reshape(n, V), aux2d, rows,
+                    ex["ep_ids"][fin], ex["ep_ages"][fin], P_[fin],
+                    ex["rp_ids"][fin], ex["rp_slots"][fin])
+    if estimating:
+        _batch_merge_np(np, as_np(eng.priv_id)[: n * V].reshape(n, V),
+                        as_np(eng.priv_age)[: n * V].reshape(n, V), None, rows,
+                        ex["eq_ids"][fin], ex["eq_ages"][fin], None,
+                        ex["rq_ids"][fin], ex["rq_slots"][fin])
+        _batch_ingest_np(eng, np, rows, ex["bp_origs"][fin], ex["bp_vals"][fin],
+                         ex["bp_borns"][fin], ex["bp_valid"][fin])
+
+
+def run_shuffle_round(eng) -> None:
+    """Execute the current round's full shuffle pass on ``eng``.
+
+    Phases A–C and H run over blocks of ``_BLOCK_ROWS`` rows (exchanges, for
+    H), so their temporaries are bounded by the block, not by the population;
+    only the delivered exchanges' requests and replies cross the wave loop,
+    each held once."""
+    np = backend.np
+    n = eng._rows
+    drops = dict.fromkeys(DROP_REASONS, 0)
+    parts = []
+    for lo in range(0, n, _BLOCK_ROWS):
+        part = _request_block(eng, np, lo, min(lo + _BLOCK_ROWS, n), drops)
+        if part is not None:
+            parts.append(part)
+    if not parts:
+        _fold_drops(eng, drops)
+        return
+    # One array per key; each block's piece goes as soon as its key is joined.
+    ex = {key: np.concatenate([part.pop(key) for part in parts])
+          for key in list(parts[0])}
+    del parts
+    if eng.estimating:
+        _count_requests(eng, np, ex)
+    replies = _handle_requests(eng, np, ex)
+    for key in ("rp_ages", "rq_ages", "bi_origs", "bi_vals", "bi_borns", "bi_valid"):
+        ex.pop(key, None)  # read by the waves only
+    ex.update(replies)
+
+    # --- H: responses, ascending initiator order
+    D = ex["init"].size
+    for lo in range(0, D, _BLOCK_ROWS):
+        block = {key: column[lo:lo + _BLOCK_ROWS] for key, column in ex.items()}
+        _response_block(eng, np, block, drops)
     _fold_drops(eng, drops)
 
 

@@ -4,6 +4,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Set
 
+#: Directed adjacency ``{node: neighbours}``: the object scenario's dict of
+#: sets, or the columnar scenario's read-only view, which builds each
+#: neighbour set when it is read. Every function here only iterates
+#: ``items()`` and tests key membership, so either works;
+#: :func:`largest_cluster_fraction` and :func:`partition_count` never hold more
+#: than one neighbour set of it at a time.
 Adjacency = Mapping[int, Set[int]]
 
 

@@ -15,7 +15,9 @@ The load-bearing invariants:
 
 import math
 import random
+import tracemalloc
 from array import array
+from collections.abc import Mapping, MutableMapping
 from types import SimpleNamespace
 
 import pytest
@@ -26,10 +28,17 @@ np = pytest.importorskip("numpy")  # the columnar engine's one hard requirement
 from columnar_oracle import _ingest_estimates, _merge_row, oracle_round
 from repro.columnar import COLUMNAR_PROTOCOLS, ColumnarEngine, ColumnarScenario
 from repro.columnar import engine as columnar_engine
+from repro.columnar import shuffle as columnar_shuffle
 from repro.columnar.engine import CONTROL_BYTES
 from repro.columnar.shuffle import _batch_ingest_np, _batch_merge_np
 from repro.errors import ConfigurationError, ExperimentError
 from repro.membership.capabilities import NatAware, OverlaySampling, RatioEstimating
+from repro.metrics.graph import build_overlay_graph
+from repro.metrics.partition import (
+    connected_components,
+    largest_cluster_fraction,
+    partition_count,
+)
 from repro.metrics.probes import collect_ratio_estimates
 from repro.workload.scenario import (
     ENGINES,
@@ -152,36 +161,73 @@ def disturb(eng, round_index, size):
             eng.add_node(public=index % 4 == 0)
 
 
+def run_against_oracle(protocol, options, cull_public, must_drop):
+    """``run_round()`` and the per-exchange scalar loops of
+    ``columnar_oracle.oracle_round`` leave the same bytes after every round,
+    under loss, a partition that heals, and kills/joins mid-run."""
+    pair = []
+    for _ in range(2):
+        engine = ColumnarEngine(
+            protocol, view_size=10, shuffle_size=5, rng=random.Random(11),
+            **options,
+        )
+        for index in range(200):
+            engine.add_node(public=index % 5 == 0)
+        engine.configure_loss(0.05, 0.1)
+        pair.append(engine)
+    engine, reference = pair
+    for round_index in range(30):
+        for eng in pair:
+            disturb(eng, round_index, 200)
+            if cull_public and round_index == 8:
+                for row in eng.live_public_rows()[3:]:
+                    eng.kill(row)
+        engine.run_round()
+        oracle_round(reference)
+        assert engine.fingerprint() == reference.fingerprint(), round_index
+    assert engine.packets_sent == reference.packets_sent
+    assert list(engine.drops.items()) == list(reference.drops.items())
+    assert must_drop <= set(engine.drops)
+
+
 class TestScalarOracle:
     @pytest.mark.parametrize("protocol,options,cull_public,must_drop", ORACLE_CASES)
     def test_every_round_matches_oracle(self, protocol, options, cull_public,
                                         must_drop):
-        """``run_round()`` and the per-exchange scalar loops of
-        ``columnar_oracle.oracle_round`` leave the same bytes after every round,
-        under loss, a partition that heals, and kills/joins mid-run."""
-        pair = []
-        for _ in range(2):
-            engine = ColumnarEngine(
-                protocol, view_size=10, shuffle_size=5, rng=random.Random(11),
-                **options,
-            )
-            for index in range(200):
-                engine.add_node(public=index % 5 == 0)
-            engine.configure_loss(0.05, 0.1)
-            pair.append(engine)
-        engine, reference = pair
-        for round_index in range(30):
-            for eng in pair:
-                disturb(eng, round_index, 200)
-                if cull_public and round_index == 8:
-                    for row in eng.live_public_rows()[3:]:
-                        eng.kill(row)
+        run_against_oracle(protocol, options, cull_public, must_drop)
+
+    @pytest.mark.parametrize("protocol,options,cull_public,must_drop", ORACLE_CASES)
+    def test_every_round_matches_oracle_in_7_row_blocks(
+        self, monkeypatch, protocol, options, cull_public, must_drop
+    ):
+        """The row-blocked phases (A–C, H) write the same bytes when the blocks
+        split the 200-odd rows and their exchanges at every seventh one."""
+        monkeypatch.setattr(columnar_shuffle, "_BLOCK_ROWS", 7)
+        run_against_oracle(protocol, options, cull_public, must_drop)
+
+
+class TestRoundMemory:
+    @pytest.mark.parametrize("protocol", COLUMNAR_PROTOCOLS)
+    def test_round_transient_is_bounded_per_node(self, monkeypatch, protocol):
+        """One round's traced allocation high-water above the pre-round state
+        stays under 1.2 KB per node: the blocked phases scale with the block,
+        and only the delivered exchanges' requests and replies scale with N."""
+        monkeypatch.setattr(columnar_shuffle, "_BLOCK_ROWS", 512)
+        nodes = 5000
+        engine = ColumnarEngine(protocol, view_size=10, shuffle_size=5,
+                                rng=random.Random(3))
+        for index in range(nodes):
+            engine.add_node(public=index % 5 == 0)
+        for _ in range(3):
             engine.run_round()
-            oracle_round(reference)
-            assert engine.fingerprint() == reference.fingerprint(), round_index
-        assert engine.packets_sent == reference.packets_sent
-        assert list(engine.drops.items()) == list(reference.drops.items())
-        assert must_drop <= set(engine.drops)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine.run_round()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / nodes <= 1.2 * 1024
 
 
 # ----------------------------------------------------------- kernel-level oracle
@@ -414,6 +460,46 @@ class TestColumnarScenario:
 
 
 # ------------------------------------------------------------------- engine axis
+
+
+class TestOverlayView:
+    @pytest.mark.parametrize("protocol", COLUMNAR_PROTOCOLS)
+    def test_view_equals_dict_of_sets(self, protocol):
+        """``overlay_graph()`` is a read-only view over the view columns with the
+        object facade's dict contract: live rows only, ascending, no self-loops,
+        no edges to dead rows — checked on a churn + loss + partition cell with
+        rows dead enough to split the overlay, against a dict built the long
+        way, and through every partition metric."""
+        scenario = make_scenario(protocol=protocol, seed=31, loss_rate=0.1)
+        engine = scenario.engine
+        scenario.run_rounds(4)
+        engine.set_partition(range(3, engine.rows, 3))
+        scenario.churn_step(0.2)
+        scenario.run_rounds(4)
+        engine.set_partition(())
+        scenario.kill_random_fraction(0.85)
+        alive = engine.alive
+        reference = {
+            row: {nid for nid in engine.view_ids(row) if nid != row and alive[nid]}
+            for row in range(1, engine.rows)
+            if alive[row]
+        }
+        view = scenario.overlay_graph()
+        assert isinstance(view, Mapping) and not isinstance(view, MutableMapping)
+        assert list(view.items()) == list(reference.items())
+        assert view == reference
+        assert len(view) == len(reference) == scenario.live_count()
+        dead = [row for row in range(1, engine.rows) if not alive[row]]
+        assert dead
+        for row in dead + [0, -1, engine.rows, engine.rows + 5, "1", 1.5]:
+            assert row not in view
+            with pytest.raises(KeyError):
+                view[row]
+        assert all(row in view for row in reference)
+        assert largest_cluster_fraction(view) == largest_cluster_fraction(reference)
+        assert partition_count(view) == partition_count(reference) > 1
+        assert connected_components(view) == connected_components(reference)
+        assert build_overlay_graph(view) == reference
 
 
 class TestEngineAxis:
