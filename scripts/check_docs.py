@@ -28,6 +28,11 @@ Three classes of rot this catches:
    every row names a registered id. (The strict-audit ids are bullets, not
    rows, and are not checked.)
 
+5. **A stale protocol strategy table** — in ``docs/protocol_api.md`` every
+   registered protocol has exactly one row in the strategy table, every row
+   names a registered protocol, and each row shows the ``nat_strategy`` value
+   the protocol's class declares.
+
 Exit status: 0 clean, 1 findings (one ``path:line: message`` per finding).
 """
 
@@ -54,6 +59,8 @@ RUN_NAME_RE = re.compile(r"(?:^|\s|\$ )(?:python -m )?repro\s+run\s+([a-z][a-z0-
 FIGURE_TABLE_HEADER = "| `repro run` | figure | kind | params | cells |"
 #: Header of each rules table in docs/determinism_lint.md (rows follow until a blank line).
 RULE_TABLE_HEADER = "| rule | fires on | why |"
+#: Header of the strategy table in docs/protocol_api.md (rows follow until a blank line).
+STRATEGY_TABLE_HEADER = "| protocol | `nat_strategy` | how it reaches a private peer |"
 
 
 def doc_files() -> List[Path]:
@@ -249,6 +256,44 @@ def check_rule_tables(path: Path, lines: List[str], problems: List[str]) -> None
         problems.append(f"{where}:1: rule {rule!r} has no rules table row")
 
 
+def check_strategy_table(path: Path, lines: List[str], problems: List[str]) -> None:
+    from repro.membership.plugin import all_plugins
+
+    expected = {plugin.name: plugin.nat_strategy.value for plugin in all_plugins()}
+    where = path.relative_to(REPO_ROOT)
+    if STRATEGY_TABLE_HEADER not in lines:
+        problems.append(
+            f"{where}:1: strategy table not found ({STRATEGY_TABLE_HEADER!r})"
+        )
+        return
+    start = lines.index(STRATEGY_TABLE_HEADER) + 2  # skip the |---| separator row
+    first_row: Dict[str, int] = {}
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        if not line.startswith("|"):
+            break
+        name, strategy = [
+            cell.strip().strip("`") for cell in line.strip("|").split("|")[:2]
+        ]
+        if name in first_row:
+            problems.append(
+                f"{where}:{lineno}: protocol {name!r} has a second strategy table "
+                f"row (first at line {first_row[name]})"
+            )
+        elif name not in expected:
+            problems.append(
+                f"{where}:{lineno}: strategy table row {name!r} is not a "
+                f"registered protocol"
+            )
+        elif strategy != expected[name]:
+            problems.append(
+                f"{where}:{lineno}: protocol {name!r} declares nat_strategy "
+                f"{expected[name]!r}, the table says {strategy!r}"
+            )
+        first_row.setdefault(name, lineno)
+    for name in sorted(set(expected) - set(first_row)):
+        problems.append(f"{where}:{start}: strategy table has no row for {name!r}")
+
+
 def main() -> int:
     problems: List[str] = []
     slug_cache: Dict[Path, Set[str]] = {}
@@ -263,6 +308,8 @@ def main() -> int:
             check_figure_table(path, lines, problems)
         elif path.name == "determinism_lint.md":
             check_rule_tables(path, lines, problems)
+        elif path.name == "protocol_api.md":
+            check_strategy_table(path, lines, problems)
     if problems:
         for problem in problems:
             print(problem)

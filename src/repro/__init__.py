@@ -20,8 +20,8 @@ It contains:
     The paper's minimal distributed NAT-type identification protocol (Algorithm 1).
 
 ``repro.membership``
-    Shared peer-sampling machinery (descriptors, bounded views, selection/merge
-    policies) and the baseline protocols Cyclon, Nylon, Gozar and ARRG.
+    Shared peer-sampling machinery (descriptors, bounded views, selection policy, the
+    declared NAT strategy) and the baseline protocols Cyclon, Nylon and Gozar.
 
 ``repro.core``
     Croupier itself: split public/private views, croupier shuffling (Algorithm 2) and

@@ -389,8 +389,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             print(f"  {name:<10} ({variants} paper variant(s)) — {kind.description}")
         print("registered protocols:")
         for plugin in all_plugins():
-            capabilities = ", ".join(plugin.capability_names())
-            print(f"  {plugin.name:<10} [{capabilities}] — {plugin.description}")
+            strategy = plugin.nat_strategy.value
+            print(f"  {plugin.name:<10} [{strategy}] — {plugin.description}")
         print("registered timelines (--timelines):")
         for preset in all_timeline_presets():
             print(

@@ -57,10 +57,12 @@ from repro.columnar.shuffle import (  # re-exported: the engine's wire model
 )
 from repro.columnar.streaming import StreamingHistogram
 from repro.errors import ConfigurationError
+from repro.membership.base import NatStrategy
+from repro.membership.plugin import get_plugin
 from repro.simulator.core import sample
 
 __all__ = [
-    "BORN_NONE", "COLUMNAR_PROTOCOLS", "ColumnarEngine",
+    "BORN_NONE", "ColumnarEngine",
     "CONTROL_BYTES", "DESCRIPTOR_BYTES", "DROP_REASONS", "ESTIMATE_BYTES",
     "HEADER_BYTES", "PARENT_ADDR_BYTES",
 ]
@@ -68,14 +70,15 @@ __all__ = [
 #: Sentinel born-round for an empty estimator-ring slot (always outside any window).
 BORN_NONE = -(2 ** 30)
 
-#: Protocols this engine can execute. All four paper protocols run columnar;
-#: croupier adds the dual-view estimator, gozar parent relaying, nylon
-#: learned-from hole punching.
-COLUMNAR_PROTOCOLS = ("croupier", "cyclon", "gozar", "nylon")
-
-
 class ColumnarEngine:
-    """Flat-column state + batched round execution for one simulated cell."""
+    """Flat-column state + batched round execution for one simulated cell.
+
+    The columns and phases follow the protocol's declared
+    :class:`~repro.membership.base.NatStrategy`: every strategy runs one swapper
+    push-pull over the primary view; ``CROUPIER`` adds the private view and the
+    ratio estimator, ``RELAY`` relay parents, ``HOLE_PUNCH`` learned-from
+    rendezvous ids.
+    """
 
     def __init__(
         self,
@@ -94,16 +97,11 @@ class ColumnarEngine:
         bootstrap_seed_size: Optional[int] = None,
     ) -> None:
         backend.require_numpy()
-        if protocol not in COLUMNAR_PROTOCOLS:
-            raise ConfigurationError(
-                f"engine='columnar' executes {', '.join(COLUMNAR_PROTOCOLS)}; "
-                f"{protocol!r} runs only on the object engine"
-            )
         if view_size <= 0 or shuffle_size <= 0:
             raise ConfigurationError("view_size and shuffle_size must be positive")
         self.protocol = protocol
-        self.estimating = protocol == "croupier"
-        self.nat_aware = protocol in ("gozar", "nylon")
+        self.strategy = get_plugin(protocol).nat_strategy
+        self.estimating = self.strategy is NatStrategy.CROUPIER
         self.V = view_size
         self.K = min(shuffle_size, view_size)
         self.A = history_alpha
@@ -156,10 +154,10 @@ class ColumnarEngine:
             self.est_origin = new_column("q", cap * self.C, fill=-1)
             self.est_pos = new_column("i", cap)
             self.loc_est = new_column("d", cap, fill=-1.0)  # -1.0 == no local estimate
-        if protocol == "gozar":
+        if self.strategy is NatStrategy.RELAY:
             # Relay parents of private nodes (public rows they registered with).
             self.parent_id = new_column("q", cap * self.P, fill=-1)
-        if protocol == "nylon":
+        if self.strategy is NatStrategy.HOLE_PUNCH:
             # Which row each view descriptor was learned from (-1: bootstrap
             # seed) — the one-hop RVP chain used to reach private partners.
             self.learned_from = new_column("q", cap * self.V, fill=-1)
@@ -203,9 +201,9 @@ class ColumnarEngine:
             grow_column(self.est_born, extra * self.C, fill=BORN_NONE)
             grow_column(self.est_origin, extra * self.C, fill=-1)
             grow_column(self.loc_est, extra, fill=-1.0)
-        if self.protocol == "gozar":
+        if self.strategy is NatStrategy.RELAY:
             grow_column(self.parent_id, extra * self.P, fill=-1)
-        if self.protocol == "nylon":
+        if self.strategy is NatStrategy.HOLE_PUNCH:
             grow_column(self.learned_from, extra * self.V, fill=-1)
         self._cap = new_cap
 
@@ -248,11 +246,11 @@ class ColumnarEngine:
                 self.priv_id[base + slot] = -1
                 self.priv_age[base + slot] = 0
             self.loc_est[row] = -1.0
-        if self.protocol == "gozar":
+        if self.strategy is NatStrategy.RELAY:
             pbase = row * self.P
             for slot in range(self.P):
                 self.parent_id[pbase + slot] = -1
-        if self.protocol == "nylon":
+        if self.strategy is NatStrategy.HOLE_PUNCH:
             for slot in range(self.V):
                 self.learned_from[base + slot] = -1
         if self.is_public[row]:
@@ -313,9 +311,9 @@ class ColumnarEngine:
             self._advance_estimators()
         else:
             self._advance_rounds_only()
-        if self.protocol == "gozar":
+        if self.strategy is NatStrategy.RELAY:
             maintain_parents(self)
-        elif self.protocol == "nylon":
+        elif self.strategy is NatStrategy.HOLE_PUNCH:
             send_keepalives(self)
         run_shuffle_round(self)
 
@@ -498,9 +496,9 @@ class ColumnarEngine:
                 self.cu_sum, self.cv_sum, self.hist_pos, self.est_val,
                 self.est_born, self.est_origin, self.est_pos, self.loc_est,
             ]
-        if self.protocol == "gozar":
+        if self.strategy is NatStrategy.RELAY:
             columns.append(self.parent_id)
-        if self.protocol == "nylon":
+        if self.strategy is NatStrategy.HOLE_PUNCH:
             columns.append(self.learned_from)
         for column in columns:
             view = memoryview(column)[: self._rows * (len(column) // self._cap)]

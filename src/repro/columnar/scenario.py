@@ -1,11 +1,11 @@
 """Scenario facade over the columnar engine: the object `Scenario` API, column-backed.
 
 :class:`ColumnarScenario` exposes the exact surface the experiment layers consume —
-``populate``/``add_node``/``run_rounds``, capability queries, churn/failure helpers,
+``populate``/``add_node``/``run_rounds``, the protocol plugin, churn/failure helpers,
 ``overlay_graph``, a network with ``loss_model``/``partition``/``packets_sent``, a
 traffic monitor with windowed per-class load queries — but every per-node fact lives
 in :class:`~repro.columnar.engine.ColumnarEngine` columns. Node handles and
-per-node capability services are *views*: tiny facade objects constructed on demand
+per-node services are *views*: tiny facade objects constructed on demand
 (when a probe or workload event asks), never stored. A 10⁶-node populated scenario
 is therefore a handful of flat arrays, not 10⁶ component objects.
 
@@ -16,25 +16,20 @@ that executes a whole gossip round at every exact round boundary.
 
 Fidelity deltas vs the object backend are documented in docs/columnar_backend.md
 (round-synchronous delivery, ring estimator cache, truncated estimate forwarding);
-``identify_nat_types`` is not supported here.
+``identify_nat_types`` and ``selection=RANDOM`` are refused here.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set, Type
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set
 
-from repro.columnar.engine import COLUMNAR_PROTOCOLS, ColumnarEngine
+from repro.columnar.engine import ColumnarEngine
 from repro.constants import DEFAULT_ROUND_MS
 from repro.errors import ConfigurationError, ExperimentError
-from repro.membership.capabilities import (
-    Capability,
-    NatAware,
-    OverlaySampling,
-    RatioEstimating,
-)
 from repro.membership.plugin import ProtocolPlugin, get_plugin
+from repro.membership.policies import SelectionPolicy
 from repro.nat.types import profile_name
 from repro.net.address import Endpoint, NatType, NodeAddress
 from repro.simulator.core import Simulator
@@ -85,8 +80,8 @@ class ColumnarOverlay(Mapping[int, Set[int]]):
         return self._engine.live_count()
 
 
-class ColumnarService(OverlaySampling):
-    """Per-node capability view (built on demand; holds no per-node state)."""
+class ColumnarService:
+    """Per-node service view (built on demand; holds no per-node state)."""
 
     __slots__ = ("_scenario", "row", "current_round")
 
@@ -117,31 +112,9 @@ class ColumnarService(OverlaySampling):
         address_of = self._scenario._address_of
         return [address_of(nid) for nid in self._scenario.engine.view_ids(self.row)]
 
-
-class ColumnarEstimatingService(ColumnarService, RatioEstimating, NatAware):
-    """Croupier view: adds the ratio-estimation and NAT-awareness capabilities."""
-
-    __slots__ = ()
-
     def estimated_ratio(self) -> Optional[float]:
+        """This node's ω̂ (``None`` unless the protocol's strategy estimates it)."""
         return self._scenario.engine.estimate_ratio(self.row)
-
-    def private_peer_strategy(self) -> str:
-        return "croupier-indirection"
-
-
-#: How each NAT-aware single-view protocol reaches private partners.
-_NAT_STRATEGIES = {"gozar": "relay", "nylon": "hole-punching"}
-
-
-class ColumnarNatService(ColumnarService, NatAware):
-    """Gozar/Nylon view: NAT-aware (parent relaying / RVP hole punching), but
-    no ratio estimator."""
-
-    __slots__ = ()
-
-    def private_peer_strategy(self) -> str:
-        return _NAT_STRATEGIES[self._scenario.config.protocol]
 
 
 class ColumnarHandle:
@@ -181,7 +154,7 @@ class ColumnarHandle:
 
     @property
     def pss(self):
-        return self._scenario._service_for(self.node_id)
+        return ColumnarService(self._scenario, self.node_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnarHandle(node_id={self.node_id}, alive={self.alive})"
@@ -335,12 +308,6 @@ class ColumnarScenario:
                 f"ColumnarScenario executes engine='columnar' configs; build "
                 f"engine={config.engine!r} scenarios through create_scenario()"
             )
-        if config.protocol not in COLUMNAR_PROTOCOLS:
-            raise ConfigurationError(
-                f"engine='columnar' executes all paper protocols "
-                f"({', '.join(COLUMNAR_PROTOCOLS)}); {config.protocol!r} runs "
-                f"only on engine='object' (the default)"
-            )
         if config.identify_nat_types:
             raise ConfigurationError(
                 "engine='columnar' does not support identify_nat_types "
@@ -353,6 +320,12 @@ class ColumnarScenario:
         self.plugin: ProtocolPlugin = get_plugin(config.protocol)
         self._pss_config = config.pss_config or self.plugin.default_config()
         self._pss_config.validate()
+        if self._pss_config.selection is not SelectionPolicy.TAIL:
+            raise ConfigurationError(
+                f"engine='columnar' runs tail partner selection only; "
+                f"selection={self._pss_config.selection.value!r} runs only on "
+                f"engine='object'"
+            )
         self._nat_mixture_rng = (
             self.sim.derive_rng("nat-mixture") if config.nat_mixture is not None else None
         )
@@ -478,13 +451,6 @@ class ColumnarScenario:
             nat_type=nat_type,
         )
 
-    def _service_for(self, row: int):
-        if self.engine.estimating:
-            return ColumnarEstimatingService(self, row)
-        if self.engine.nat_aware:
-            return ColumnarNatService(self, row)
-        return ColumnarService(self, row)
-
     def live_handles(self) -> List[ColumnarHandle]:
         return [ColumnarHandle(self, row) for row in self.engine.live_rows()]
 
@@ -503,19 +469,7 @@ class ColumnarScenario:
             return 0.0
         return self.engine.public_count() / live
 
-    # ------------------------------------------------------------------ capabilities
-
-    def supports(self, capability: Type[Capability]) -> bool:
-        return self.plugin.supports(capability)
-
-    def require(self, capability: Type[Capability], context: str = "") -> None:
-        self.plugin.require(capability, context=context)
-
-    def services_with(self, capability: Type[Capability]) -> List[ColumnarService]:
-        if not self.plugin.supports(capability):
-            return []
-        service_for = self._service_for
-        return [service_for(row) for row in self.engine.live_rows()]
+    # ------------------------------------------------------------------ graph
 
     def overlay_graph(self) -> ColumnarOverlay:
         """Directed adjacency over live nodes (edges to dead nodes and self-loops
@@ -592,7 +546,7 @@ class ColumnarScenario:
     def pss_of(self, node_id: int):
         if not (0 < node_id < self.engine.rows) or not self.engine.alive[node_id]:
             raise ExperimentError(f"no peer-sampling service for node {node_id}")
-        return self._service_for(node_id)
+        return ColumnarService(self, node_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -76,6 +76,7 @@ from typing import Dict
 from repro.columnar import backend
 from repro.columnar import rng as crng
 from repro.columnar.backend import as_np
+from repro.membership.base import NatStrategy
 
 #: Wire-size accounting constants (bytes). Only relative magnitudes matter for
 #: the Figure 7(a)-style per-class load comparison; they approximate the object
@@ -295,8 +296,8 @@ def _request_block(eng, np, lo, hi, drops):
     rnd = eng.round
     seed = eng.hash_seed
     estimating = eng.estimating
-    gozar = eng.protocol == "gozar"
-    nylon = eng.protocol == "nylon"
+    relay_strategy = eng.strategy is NatStrategy.RELAY
+    punch_strategy = eng.strategy is NatStrategy.HOLE_PUNCH
     alive = as_np(eng.alive)[:n]
     pub = as_np(eng.is_public)[:n]
     ids2d = as_np(eng.pub_id)[: n * V].reshape(n, V)
@@ -322,7 +323,7 @@ def _request_block(eng, np, lo, hi, drops):
     init = local + lo
     sslot = sel[local]
     partner = ids2d[init, sslot]
-    if nylon:
+    if punch_strategy:
         aux2d = as_np(eng.learned_from)[: n * V].reshape(n, V)
         rvp = aux2d[init, sslot]
         aux2d[init, sslot] = -1
@@ -361,7 +362,7 @@ def _request_block(eng, np, lo, hi, drops):
                 + bi_valid.sum(axis=1) * ESTIMATE_BYTES)
     else:
         size = HEADER_BYTES + n_desc * DESCRIPTOR_BYTES
-    if gozar:
+    if relay_strategy:
         P = eng.P
         par2d = as_np(eng.parent_id)[: n * P].reshape(n, P)
         size = size + _private_desc_count_np(np, pub, rp_ids) * (P * PARENT_ADDR_BYTES)
@@ -384,7 +385,7 @@ def _request_block(eng, np, lo, hi, drops):
     drops["dead_partner"] += int(deadp.sum())
     remaining &= ~deadp
     priv_partner = remaining & (pub[partner] == 0)
-    if gozar:
+    if relay_strategy:
         pp = par2d[partner]
         pp_live = (pp >= 0) & (alive[np.clip(pp, 0, None)] != 0)
         pp_cnt = pp_live.sum(axis=1)
@@ -403,7 +404,7 @@ def _request_block(eng, np, lo, hi, drops):
             np.add.at(rx, relay, size[relaying])
             np.add.at(tx, relay, size[relaying])
             eng.packets_sent += int(relaying.sum())
-    elif nylon:
+    elif punch_strategy:
         broken = priv_partner & ((rvp < 0) | (alive[np.clip(rvp, 0, None)] == 0))
         drops["broken_chain"] += int(broken.sum())
         remaining &= ~broken
@@ -465,7 +466,7 @@ def _handle_requests(eng, np, ex):
     ids2d = as_np(eng.pub_id)[: n * V].reshape(n, V)
     ages2d = as_np(eng.pub_age)[: n * V].reshape(n, V)
     aux2d = (as_np(eng.learned_from)[: n * V].reshape(n, V)
-             if eng.protocol == "nylon" else None)
+             if eng.strategy is NatStrategy.HOLE_PUNCH else None)
     I_, P_ = ex["init"], ex["partner"]
     D = I_.size
     order = np.lexsort((I_, P_))
@@ -537,7 +538,7 @@ def _response_block(eng, np, ex, drops):
     rnd = eng.round
     seed = eng.hash_seed
     estimating = eng.estimating
-    gozar = eng.protocol == "gozar"
+    relay_strategy = eng.strategy is NatStrategy.RELAY
     alive = as_np(eng.alive)[:n]
     pub = as_np(eng.is_public)[:n]
     tx = as_np(eng.tx_bytes)
@@ -548,7 +549,7 @@ def _response_block(eng, np, ex, drops):
     resp_size = HEADER_BYTES + resp_cnt * DESCRIPTOR_BYTES
     if estimating:
         resp_size = resp_size + ex["bp_valid"].sum(axis=1) * ESTIMATE_BYTES
-    if gozar:
+    if relay_strategy:
         P = eng.P
         par2d = as_np(eng.parent_id)[: n * P].reshape(n, P)
         resp_size = resp_size + _private_desc_count_np(np, pub, ex["ep_ids"]) * (
@@ -564,7 +565,7 @@ def _response_block(eng, np, ex, drops):
         lost2 = u2 < np.where(pub[P_] != 0, eng.loss_public, eng.loss_private)
         drops["lost_in_transit"] += int(lost2.sum())
         ok &= ~lost2
-    if gozar:
+    if relay_strategy:
         priv_init = ok & (pub[I_] == 0)
         ip = par2d[I_]
         ip_live = (ip >= 0) & (alive[np.clip(ip, 0, None)] != 0)
@@ -590,7 +591,7 @@ def _response_block(eng, np, ex, drops):
     rows = I_[fin]
     rx[rows] += resp_size[fin]
     aux2d = (as_np(eng.learned_from)[: n * V].reshape(n, V)
-             if eng.protocol == "nylon" else None)
+             if eng.strategy is NatStrategy.HOLE_PUNCH else None)
     _batch_merge_np(np, as_np(eng.pub_id)[: n * V].reshape(n, V),
                     as_np(eng.pub_age)[: n * V].reshape(n, V), aux2d, rows,
                     ex["ep_ids"][fin], ex["ep_ages"][fin], P_[fin],

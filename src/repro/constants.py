@@ -16,7 +16,7 @@ NATID_SERVER_PORT = 3000
 #: Port of the NAT-type identification *client* side (runs on the node under test).
 NATID_CLIENT_PORT = 3001
 
-#: Port used by every peer-sampling protocol (Croupier, Cyclon, Nylon, Gozar, ARRG).
+#: Port used by every peer-sampling protocol (Croupier, Cyclon, Nylon, Gozar).
 PSS_PORT = 7000
 
 #: The paper's gossip round period, in milliseconds (Section VII-A).

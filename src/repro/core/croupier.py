@@ -19,8 +19,7 @@ from repro.core.config import CroupierConfig
 from repro.core.estimator import RatioEstimator
 from repro.core.messages import ShuffleRequest, ShuffleResponse
 from repro.core.sampling import generate_random_sample
-from repro.membership.base import PeerSamplingService
-from repro.membership.capabilities import NatAware, RatioEstimating
+from repro.membership.base import NatStrategy, PeerSamplingService
 from repro.membership.descriptor import NodeDescriptor
 from repro.membership.plugin import register_protocol
 from repro.membership.view import PartialView
@@ -41,7 +40,7 @@ class _Exchange(NamedTuple):
 _NOTHING_SENT = _Exchange((), ())
 
 
-class Croupier(PeerSamplingService, RatioEstimating, NatAware):
+class Croupier(PeerSamplingService):
     """NAT-aware peer sampling without relaying.
 
     Runs the shared shuffle with the public view as its view (only public nodes are
@@ -49,6 +48,9 @@ class Croupier(PeerSamplingService, RatioEstimating, NatAware):
     """
 
     shuffle_messages = (ShuffleRequest, ShuffleResponse)
+    #: Partners come from the public view only; private descriptors and ratio
+    #: estimates ride along in the payload hooks below.
+    nat_strategy = NatStrategy.CROUPIER
 
     def __init__(self, host: Host, config: Optional[CroupierConfig] = None) -> None:
         config = config or CroupierConfig()
@@ -183,9 +185,6 @@ class Croupier(PeerSamplingService, RatioEstimating, NatAware):
     def estimated_ratio(self) -> Optional[float]:
         """The node's current estimate of ω, or ``None`` before any information arrives."""
         return self.estimator.estimate_ratio()
-
-    def private_peer_strategy(self) -> str:
-        return "croupier-indirection"
 
     def view_sizes(self) -> Tuple[int, int]:
         """(public view occupancy, private view occupancy)."""

@@ -34,12 +34,3 @@ class ProtocolError(ReproError):
 
 class ExperimentError(ReproError):
     """An experiment harness was driven with inconsistent parameters."""
-
-
-class CapabilityError(ReproError):
-    """A protocol was asked for a capability it does not advertise.
-
-    Raised by the deprecated protocol-specific :class:`~repro.workload.Scenario`
-    accessors (and by capability-requiring probes) instead of silently returning empty
-    results; the message names the missing capability and the generic replacement API.
-    """

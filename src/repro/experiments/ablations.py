@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import CroupierConfig
 from repro.experiments.report import format_table
-from repro.membership.capabilities import RatioEstimating
 from repro.membership.policies import SelectionPolicy
 from repro.metrics.estimation import average_error
 from repro.metrics.probes import collect_ratio_estimates
@@ -223,7 +222,8 @@ def run_selection_policy_ablation(
             scenario.true_ratio(), estimates
         )
         ages: List[int] = []
-        for pss in scenario.services_with(RatioEstimating):
+        for handle in scenario.live_handles():
+            pss = handle.pss
             ages.extend(d.age for d in pss.public_view)
             ages.extend(d.age for d in pss.private_view)
         result.mean_view_age_by_policy[policy.value] = (

@@ -107,7 +107,7 @@ def run_estimation_cell(ctx: CellContext) -> MetricPayload:
     Every cell measures the full standard probe set (:func:`~repro.experiments.matrix.
     measure_cell`) plus per-class traffic load over the second half of the run. The
     Croupier-specific config params are ignored for protocols without a matching
-    configuration, exactly like the scenario's capability-gated probes.
+    configuration, exactly like the per-protocol-gated probes.
 
     The params compile into a declarative :class:`~repro.workload.Timeline` (via
     :func:`cell_timeline`), extended with the events of the cell's ``--timelines``

@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
-from repro.experiments.matrix import CellContext, measure_cell, register_scenario
+from repro.experiments.matrix import (
+    CellContext,
+    measure_cell,
+    public_only_baseline,
+    register_scenario,
+)
 from repro.experiments.report import format_table
 from repro.workload.events import FailureSpike
 from repro.workload.scenario import Scenario, ScenarioConfig
@@ -101,7 +106,8 @@ def run_failure_experiment(
     :meth:`~repro.workload.Scenario.clone` of that warmed system. The clone carries
     the full simulator state, so the outcome per fraction is bit-identical to the
     previous rebuild-per-fraction approach while paying the warm-up once instead of
-    once per fraction. As in the paper, Cyclon's scenario uses only public nodes.
+    once per fraction. As in the paper, a NAT-oblivious protocol (Cyclon) runs over
+    public nodes only.
     """
     result = FailureExperimentResult(
         total_nodes=total_nodes,
@@ -109,7 +115,7 @@ def run_failure_experiment(
         warmup_rounds=warmup_rounds,
     )
     for protocol in protocols:
-        if protocol == "cyclon":
+        if public_only_baseline(protocol):
             n_public, n_private = total_nodes, 0
         else:
             n_private = int(round(total_nodes * private_ratio))

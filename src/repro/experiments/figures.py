@@ -25,10 +25,14 @@ from repro.constants import DEFAULT_PUBLIC_RATIO
 from repro.experiments.base import PAPER_CHURN_LEVELS, PAPER_RATIOS
 from repro.experiments.catastrophic_failure import PAPER_PROTOCOLS
 from repro.experiments.history_windows import PAPER_WINDOW_PAIRS
-from repro.experiments.matrix import CellSpec, ParamValue, run_cell
+from repro.experiments.matrix import (
+    CellSpec,
+    ParamValue,
+    public_only_baseline,
+    run_cell,
+)
 from repro.experiments.nat_indegree import FALLBACK_MIXTURE
 from repro.experiments.report import format_table, histogram_table, time_series_table
-from repro.membership.plugin import get_plugin
 from repro.metrics.collector import TimeSeries
 from repro.metrics.payload import MetricPayload
 
@@ -38,8 +42,6 @@ PAPER_RATIO_GROWTH_START_ROUND = 58
 #: The Poisson join transient of Figures 1–3 — the ``history`` / ``join`` kinds' own
 #: default, so a figure cell and the matching ``repro matrix`` cell share one key.
 JOIN_WINDOW_MS = 5000.0
-#: Protocols with NAT classes to compare (a public-only baseline has none).
-NAT_AWARE_PROTOCOLS = ("croupier", "gozar", "nylon")
 
 
 def _cell(kind: str, protocol: str, size: int, rounds: int,
@@ -55,10 +57,6 @@ def _onset(paper_round: int, rounds: int) -> int:
     when that comes sooner — never past the end of a scaled-down run, which would
     measure a static system under a dynamic label."""
     return min(paper_round, rounds // 3)
-
-
-def _is_baseline(protocol: str) -> bool:
-    return get_plugin(protocol).nat_free_baseline
 
 
 def history_cells(nodes: int, rounds: int, window_pairs=PAPER_WINDOW_PAIRS,
@@ -110,12 +108,22 @@ def churn_cells(nodes: int, rounds: int,
 def protocol_cells(kind: str, nodes: int, rounds: int, protocols=PAPER_PROTOCOLS,
                    **params: ParamValue) -> List[CellSpec]:
     """One cell per protocol (Figures 6, 7a and the NAT-class figure). The paper's
-    NAT-free baseline (Cyclon) runs over public nodes only: ``public_ratio=1.0``."""
+    NAT-oblivious baseline (Cyclon) runs over public nodes only: ``public_ratio=1.0``."""
     return [
         _cell(kind, protocol, nodes, rounds, **params,
-              public_ratio=1.0 if _is_baseline(protocol) else DEFAULT_PUBLIC_RATIO)
+              public_ratio=(1.0 if public_only_baseline(protocol)
+                            else DEFAULT_PUBLIC_RATIO))
         for protocol in protocols
     ]
+
+
+def nat_indegree_cells(nodes: int, rounds: int, protocols=None,
+                       **params: ParamValue) -> List[CellSpec]:
+    """The paper's protocols with NAT classes to compare: a public-only baseline has
+    none."""
+    if protocols is None:
+        protocols = [p for p in PAPER_PROTOCOLS if not public_only_baseline(p)]
+    return protocol_cells("nat_indegree", nodes, rounds, protocols=protocols, **params)
 
 
 def _series(result: "FigureResult", name: str) -> List[TimeSeries]:
@@ -165,7 +173,7 @@ def render_overhead(result: "FigureResult") -> str:
     per-node load is subtracted from every other protocol's."""
     baseline = next(
         (payload.scalars.get("all_bps") for cell, payload in result.cells
-         if _is_baseline(cell.protocol)), None,
+         if public_only_baseline(cell.protocol)), None,
     )
     rows = []
     for cell, payload in result.cells:
@@ -174,7 +182,7 @@ def render_overhead(result: "FigureResult") -> str:
         )
         row = [cell.protocol, public, private, total, None, None]
         # The overhead probe records the three loads together or (rounds < 2) not at all.
-        if None not in (baseline, public) and not _is_baseline(cell.protocol):
+        if None not in (baseline, public) and not public_only_baseline(cell.protocol):
             row[4:] = [public - baseline, private - baseline]
         rows.append(row)
     return format_table(
@@ -251,7 +259,7 @@ FIGURES: Dict[str, Figure] = {
         # Cells on the default mixture axis run the kind's fallback: the paper's.
         "Symmetric-NAT underrepresentation: mean in-degree per NAT class "
         f"({FALLBACK_MIXTURE!r} mixture)",
-        partial(protocol_cells, "nat_indegree", protocols=NAT_AWARE_PROTOCOLS),
+        nat_indegree_cells,
         _protocol, render_nat_indegree),
 }
 

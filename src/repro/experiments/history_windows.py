@@ -18,7 +18,6 @@ from typing import Tuple
 from repro.errors import ExperimentError
 from repro.experiments.base import run_estimation_cell
 from repro.experiments.matrix import CellContext, register_scenario
-from repro.membership.capabilities import RatioEstimating
 from repro.membership.plugin import get_plugin
 
 #: The (α, γ) pairs of Figures 1 and 2.
@@ -28,19 +27,18 @@ PAPER_WINDOW_PAIRS: Tuple[Tuple[int, int], ...] = ((10, 25), (25, 50), (100, 250
 def run_history_cell(ctx: CellContext):
     """One Figure 1/2 matrix cell: the (α, γ) history-window sweep.
 
-    A thin capability gate over :func:`~repro.experiments.base.run_estimation_cell`:
-    the sweep only makes sense for ratio-estimating protocols, so a cell that pairs
-    this kind with e.g. Cyclon fails loudly (a failed cell naming the missing
-    capability) instead of silently measuring nothing. The Figure 2 dynamic-ratio
-    variant rides on the ``ratio_growth_*`` params.
+    A thin gate over :func:`~repro.experiments.base.run_estimation_cell`: the sweep
+    only makes sense under Croupier's strategy, the one that estimates ω, so a cell
+    that pairs this kind with e.g. Cyclon fails loudly (a failed cell naming the
+    protocol and its strategy) instead of silently measuring nothing. The Figure 2
+    dynamic-ratio variant rides on the ``ratio_growth_*`` params.
     """
-    get_plugin(ctx.cell.protocol).require(
-        RatioEstimating, context="the 'history' scenario kind (α/γ sweep)"
-    )
-    if ctx.cell.protocol != "croupier":
+    plugin = get_plugin(ctx.cell.protocol)
+    if not plugin.estimates_ratio:
         raise ExperimentError(
-            "the 'history' scenario kind sweeps Croupier's (α, γ) windows; "
-            f"protocol {ctx.cell.protocol!r} has no history-window configuration"
+            "the 'history' scenario kind sweeps Croupier's (α, γ) windows; protocol "
+            f"{plugin.name!r} (nat_strategy {plugin.nat_strategy.value!r}) estimates "
+            "no ratio"
         )
     return run_estimation_cell(ctx)
 

@@ -1,6 +1,6 @@
 """The declarative experiment-matrix layer.
 
-The paper's evaluation is a grid — five protocols crossed with system sizes,
+The paper's evaluation is a grid — four protocols crossed with system sizes,
 public/private ratios, churn and catastrophic-failure workloads — and this module makes
 that grid a first-class object. A :class:`MatrixSpec` declares the axes (scenario kinds
 × protocols × sizes × seeds); :meth:`MatrixSpec.cells` expands them into
@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, ExperimentError
-from repro.membership.plugin import protocol_names
+from repro.membership.base import NatStrategy
+from repro.membership.plugin import get_plugin, protocol_names
 from repro.metrics.payload import MetricPayload
 from repro.nat.mixture import NAT_MIXTURES
 from repro.nat.types import NAMED_PROFILES, NatProfile
@@ -188,14 +189,8 @@ class CellSpec:
             )
         if self.engine == "columnar":
             from repro.columnar.backend import require_numpy
-            from repro.columnar.engine import COLUMNAR_PROTOCOLS
 
             require_numpy()  # fail here, once, not in every forked worker
-            if self.protocol not in COLUMNAR_PROTOCOLS:
-                raise ExperimentError(
-                    f"engine='columnar' supports protocols {COLUMNAR_PROTOCOLS}, "
-                    f"got {self.protocol!r}"
-                )
         if self.size <= 0:
             raise ExperimentError("cell size must be positive")
         if self.rounds <= 0:
@@ -477,6 +472,12 @@ def _freeze_params(params: Mapping[str, ParamValue]) -> Params:
 # --------------------------------------------------------------------- execution
 
 
+def public_only_baseline(protocol: str) -> bool:
+    """Whether the paper runs ``protocol`` over public nodes only: a NAT-oblivious
+    protocol (Cyclon, the true-randomness baseline) cannot reach private nodes."""
+    return get_plugin(protocol).nat_strategy is NatStrategy.NONE
+
+
 @dataclass
 class CellContext:
     """Everything a scenario-kind runner needs to execute one cell.
@@ -665,8 +666,8 @@ def measure_cell(
     """The standard per-cell measurement, run through the pluggable probe set.
 
     Covers what the paper's figures plot: ω̂ estimation error (mean/max tails plus
-    series percentiles — only for protocols advertising
-    :class:`~repro.membership.capabilities.RatioEstimating`), the in-degree
+    series percentiles — only for protocols whose plugin
+    ``estimates_ratio``), the in-degree
     distribution (as summary scalars *and* as the ``in_degree`` histogram), graph
     randomness (Figure 6), partition connectivity (Figure 7b) and per-class traffic
     overhead when the caller opened a measurement window (Figure 7a). All values are
@@ -674,7 +675,7 @@ def measure_cell(
     counts.
 
     ``probes`` replaces the default set (:func:`repro.metrics.probes.default_probes`);
-    probes whose required capabilities the protocol lacks are skipped.
+    probes that do not support the protocol are skipped.
     """
     from repro.metrics.probes import ProbeContext, run_probes
 

@@ -15,7 +15,12 @@ only (it cannot traverse NATs).
 
 from __future__ import annotations
 
-from repro.experiments.matrix import CellContext, measure_cell, register_scenario
+from repro.experiments.matrix import (
+    CellContext,
+    measure_cell,
+    public_only_baseline,
+    register_scenario,
+)
 from repro.metrics.graph import (
     average_clustering_coefficient,
     average_path_length,
@@ -29,13 +34,11 @@ def run_randomness_cell(ctx: CellContext) -> MetricPayload:
 
     The payload carries the final ``in_degree`` histogram (Figure 6a, via the standard
     graph probe) plus ``path_length`` and ``clustering`` series sampled every
-    ``measure_every_rounds`` rounds (Figures 6b/6c). Protocols registered as NAT-free
-    baselines (Cyclon) run over public nodes only, as in the paper.
+    ``measure_every_rounds`` rounds (Figures 6b/6c). NAT-oblivious protocols (Cyclon)
+    run over public nodes only, as in the paper.
     """
     cell = ctx.cell
-    from repro.membership.plugin import get_plugin
-
-    if get_plugin(cell.protocol).nat_free_baseline:
+    if public_only_baseline(cell.protocol):
         scenario = ctx.populated_scenario(n_public=cell.size, n_private=0)
     else:
         scenario = ctx.populated_scenario()

@@ -15,27 +15,17 @@ literature the paper builds on (Jelasity et al. [7], Cyclon [6]):
 * :mod:`~repro.membership.base` — :class:`PeerSamplingService`, the one push-pull
   shuffle every protocol runs (round timer, view, outstanding requests, swapper merge,
   sample API) and the hooks where the protocols differ (routing, own descriptor,
-  Croupier's payload); also the single-view protocols' shuffle messages.
-* :mod:`~repro.membership.capabilities` — the capability interfaces
-  (:class:`OverlaySampling`, :class:`RatioEstimating`, :class:`NatAware`) the
-  experiment layers query instead of probing concrete protocol classes.
+  Croupier's payload); also the single-view protocols' shuffle messages and
+  :class:`NatStrategy`, the one fact each protocol declares about how it reaches
+  private peers.
 * :mod:`~repro.membership.plugin` — the :class:`ProtocolPlugin` registry every
   protocol module registers into; :class:`~repro.workload.Scenario`, the experiment
-  matrix and the CLI all resolve protocols through it.
+  matrix and the CLI all resolve protocols — and their strategy — through it.
 * :mod:`~repro.membership.cyclon`, :mod:`~repro.membership.nylon`,
-  :mod:`~repro.membership.gozar`, :mod:`~repro.membership.arrg` — the baseline
-  protocols the paper compares against (and ARRG from related work).
+  :mod:`~repro.membership.gozar` — the baseline protocols the paper compares against.
 """
 
-from repro.membership.base import PeerSamplingService
-from repro.membership.capabilities import (
-    CAPABILITIES,
-    Capability,
-    NatAware,
-    OverlaySampling,
-    RatioEstimating,
-    capability_name,
-)
+from repro.membership.base import NatStrategy, PeerSamplingService
 from repro.membership.descriptor import NodeDescriptor
 from repro.membership.plugin import (
     ProtocolPlugin,
@@ -44,29 +34,22 @@ from repro.membership.plugin import (
     load_builtin_plugins,
     protocol_names,
     register_protocol,
-    supporting,
     unregister_protocol,
 )
 from repro.membership.policies import SelectionPolicy
 from repro.membership.view import PartialView
 
 __all__ = [
-    "CAPABILITIES",
-    "Capability",
-    "NatAware",
+    "NatStrategy",
     "NodeDescriptor",
-    "OverlaySampling",
     "PartialView",
     "PeerSamplingService",
     "ProtocolPlugin",
-    "RatioEstimating",
     "SelectionPolicy",
     "all_plugins",
-    "capability_name",
     "get_plugin",
     "load_builtin_plugins",
     "protocol_names",
     "register_protocol",
-    "supporting",
     "unregister_protocol",
 ]

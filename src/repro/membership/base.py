@@ -3,8 +3,8 @@
 A peer-sampling service (PSS) runs periodic gossip rounds and, at any time, can be asked
 for a sample of live nodes drawn (ideally) uniformly at random from the whole system.
 
-Croupier, Cyclon, Gozar, Nylon and ARRG all run one push-pull shuffle, and this class
-owns it: the view, the table of outstanding requests and the exchange itself.
+Croupier, Cyclon, Gozar and Nylon all run one push-pull shuffle, and this class owns
+it: the view, the table of outstanding requests and the exchange itself.
 
 1. :meth:`PeerSamplingService._start_exchange` picks a partner by the configured
    :class:`~repro.membership.policies.SelectionPolicy`, removes it from the view, pushes
@@ -17,12 +17,14 @@ The protocols differ only in their hooks: how a message reaches a node (``_route
 ``_reply``), which descriptor describes this node (``_own_descriptor``) and, for
 Croupier, what else rides along (``_push``, ``_pull``, ``_merge``, ``_response``). Each
 protocol writes its own ``on_round`` — per-round maintenance, then
-``self._start_exchange()``.
+``self._start_exchange()`` — and declares how it reaches private peers as its
+:class:`NatStrategy`, the one fact the paper's comparison is about.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import (
@@ -32,7 +34,6 @@ from repro.constants import (
     PSS_PORT,
 )
 from repro.errors import ConfigurationError
-from repro.membership.capabilities import OverlaySampling
 from repro.membership.descriptor import NodeDescriptor, wire_size_of
 from repro.membership.policies import SelectionPolicy, select_partner
 from repro.membership.view import PartialView
@@ -40,6 +41,22 @@ from repro.net.address import NodeAddress
 from repro.simulator.component import Component
 from repro.simulator.host import Host
 from repro.simulator.message import Message, Packet
+
+
+class NatStrategy(Enum):
+    """How a peer-sampling protocol reaches nodes behind NATs.
+
+    One value per point of the paper's taxonomy: NAT-oblivious (Cyclon, the
+    true-randomness baseline the paper runs over public nodes only), relaying through
+    public parents (Gozar), hole punching via rendezvous nodes (Nylon), and Croupier's
+    indirection — shuffle only with public nodes, which carry private descriptors and
+    ratio estimates on everyone's behalf.
+    """
+
+    NONE = "none"
+    RELAY = "relay"
+    HOLE_PUNCH = "hole-punching"
+    CROUPIER = "croupier-indirection"
 
 
 @dataclass
@@ -111,12 +128,11 @@ class PssStatistics:
     extra: dict = field(default_factory=dict)
 
 
-class PeerSamplingService(Component, OverlaySampling):
-    """Base component for Croupier, Cyclon, Nylon, Gozar and ARRG: the shared shuffle.
+class PeerSamplingService(Component):
+    """Base component for Croupier, Cyclon, Nylon and Gozar: the shared shuffle.
 
-    Implements the :class:`~repro.membership.capabilities.OverlaySampling` capability;
-    subclasses advertise further capabilities (ratio estimation, NAT awareness) by
-    inheriting the corresponding ABCs and register themselves as a
+    Subclasses override the hooks, set :attr:`nat_strategy` beside the hook that
+    implements it and register themselves as a
     :class:`~repro.membership.plugin.ProtocolPlugin`.
     """
 
@@ -229,6 +245,10 @@ class PeerSamplingService(Component, OverlaySampling):
     def _response(self, reply: Any) -> Message:
         """The response carrying ``reply``, built after the merge."""
         return ViewShuffleResponse(sender=self._own_descriptor(), descriptors=tuple(reply))
+
+    #: How this protocol reaches private peers. A direct send is NAT-oblivious: a
+    #: request to a node behind a NAT is filtered by its gateway.
+    nat_strategy: NatStrategy = NatStrategy.NONE
 
     def _route(self, partner: NodeDescriptor, message: Message) -> None:
         """Deliver a message to ``partner`` (default: directly)."""

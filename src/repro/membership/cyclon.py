@@ -34,5 +34,4 @@ register_protocol(
     PssConfig,
     description="classic enhanced shuffle (tail selection, swapper merge); the paper's "
     "NAT-oblivious true-randomness baseline, run over public nodes only",
-    nat_free_baseline=True,
 )

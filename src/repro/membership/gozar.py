@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.membership.base import PeerSamplingService, PssConfig
-from repro.membership.capabilities import NatAware
+from repro.membership.base import NatStrategy, PeerSamplingService, PssConfig
 from repro.membership.descriptor import NodeDescriptor
 from repro.membership.plugin import register_protocol
 from repro.nat.traversal import (
@@ -53,7 +52,7 @@ class GozarConfig(PssConfig):
     parent_timeout_rounds: int = 20
 
 
-class Gozar(PeerSamplingService, NatAware):
+class Gozar(PeerSamplingService):
     """Single-view NAT-aware peer sampling using one-hop relaying via parents."""
 
     def __init__(self, host: Host, config: Optional[GozarConfig] = None) -> None:
@@ -119,6 +118,8 @@ class Gozar(PeerSamplingService, NatAware):
         if self.address.is_private:
             descriptor = descriptor.with_parents(self.parent_addresses())
         return descriptor
+
+    nat_strategy = NatStrategy.RELAY
 
     def _route(self, partner: NodeDescriptor, message: Message) -> None:
         """Send directly to public partners, via one of their parents to private ones."""
@@ -207,9 +208,6 @@ class Gozar(PeerSamplingService, NatAware):
             self._parent_last_ack[message.origin.node_id] = self.current_round
 
     # ------------------------------------------------------------------ introspection
-
-    def private_peer_strategy(self) -> str:
-        return "relay"
 
     @property
     def registered_children(self) -> int:

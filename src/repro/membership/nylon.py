@@ -23,8 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.membership.base import PeerSamplingService, PssConfig, ViewShuffleRequest
-from repro.membership.capabilities import NatAware
+from repro.membership.base import (
+    NatStrategy,
+    PeerSamplingService,
+    PssConfig,
+    ViewShuffleRequest,
+)
 from repro.membership.descriptor import NodeDescriptor
 from repro.membership.plugin import register_protocol
 from repro.nat.traversal import HolePunchPing, HolePunchRequest, KeepAlive, KeepAliveAck
@@ -54,7 +58,7 @@ class NylonConfig(PssConfig):
     keepalive_fanout: int = 20
 
 
-class Nylon(PeerSamplingService, NatAware):
+class Nylon(PeerSamplingService):
     """Single-view NAT-aware peer sampling using RVP chains and hole punching."""
 
     def __init__(self, host: Host, config: Optional[NylonConfig] = None) -> None:
@@ -76,6 +80,8 @@ class Nylon(PeerSamplingService, NatAware):
         self.view.increase_ages()
         self._send_keepalives()
         self._start_exchange()
+
+    nat_strategy = NatStrategy.HOLE_PUNCH
 
     def _route(self, partner: NodeDescriptor, message: Message) -> None:
         """Send a request directly if we can, else hole-punch along the RVP chain."""
@@ -206,11 +212,6 @@ class Nylon(PeerSamplingService, NatAware):
                 for nid, addr in self.rvp_table.items()
                 if nid in in_view or nid in self._awaiting_punch
             }
-
-    # ------------------------------------------------------------------ introspection
-
-    def private_peer_strategy(self) -> str:
-        return "hole-punching"
 
 
 register_protocol(

@@ -1,33 +1,30 @@
 """The protocol plugin registry: how peer-sampling protocols join the experiment stack.
 
 Every protocol module registers one :class:`ProtocolPlugin` — its name, component
-class, typed configuration class and (derived) capability set — at import time.
-Everything downstream of the membership layer (:class:`~repro.workload.Scenario`, the
-experiment matrix, the metric probes, the CLI) works against this registry, so adding a
-protocol is a registration, not an edit to the scenario builder or the collectors:
+class, typed configuration class and NAT strategy (read from the class) — at import
+time. Everything downstream of the membership layer (:class:`~repro.workload.Scenario`,
+the experiment matrix, the metric probes, the CLI) works against this registry, so
+adding a protocol is a registration, not an edit to the scenario builder or the
+collectors:
 
 >>> from repro.membership.plugin import get_plugin
->>> from repro.membership.capabilities import RatioEstimating
->>> get_plugin("croupier").supports(RatioEstimating)
+>>> get_plugin("gozar").nat_strategy
+<NatStrategy.RELAY: 'relay'>
+>>> get_plugin("croupier").estimates_ratio
 True
 
-The five built-in protocols live in modules that are imported lazily by
+The four built-in protocols live in modules that are imported lazily by
 :func:`load_builtin_plugins` (called by the consumers above), keeping ``import
 repro.membership`` cheap and cycle-free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Type
+from dataclasses import dataclass
+from typing import Dict, List
 
-from repro.errors import CapabilityError, ConfigurationError
-from repro.membership.capabilities import (
-    Capability,
-    OverlaySampling,
-    capabilities_of,
-    capability_name,
-)
+from repro.errors import ConfigurationError
+from repro.membership.base import NatStrategy, PeerSamplingService
 
 #: Modules whose import registers the built-in plugins (order fixes registry order).
 _BUILTIN_MODULES = (
@@ -35,7 +32,6 @@ _BUILTIN_MODULES = (
     "repro.membership.cyclon",
     "repro.membership.gozar",
     "repro.membership.nylon",
-    "repro.membership.arrg",
 )
 
 
@@ -53,35 +49,25 @@ class ProtocolPlugin:
     config_cls:
         The typed per-protocol configuration dataclass; ``config_cls()`` must be the
         paper's default setup for this protocol.
-    capabilities:
-        The capability classes the built component implements, derived from the
-        component class by :func:`register_protocol`.
+    nat_strategy:
+        How the protocol reaches private peers: the component class's
+        ``nat_strategy``, read by :func:`register_protocol`.
     description:
-        One line for ``repro matrix --list-protocols`` and the docs.
-    nat_free_baseline:
-        ``True`` for protocols the paper runs over public nodes only (Cyclon's "true
-        randomness" baseline role); harnesses use it to pick the population shape.
+        One line for ``repro matrix --list`` and the docs.
     """
 
     name: str
     factory: type
     config_cls: type
-    capabilities: frozenset = field(default_factory=frozenset)
+    nat_strategy: NatStrategy
     description: str = ""
-    nat_free_baseline: bool = False
 
-    def supports(self, capability: Type[Capability]) -> bool:
-        return capability in self.capabilities
-
-    def require(self, capability: Type[Capability], context: str = "") -> None:
-        """Raise :class:`CapabilityError` (naming the capability) if unsupported."""
-        if not self.supports(capability):
-            suffix = f" (required by {context})" if context else ""
-            raise CapabilityError(
-                f"protocol {self.name!r} does not provide the "
-                f"{capability_name(capability)!r} capability{suffix}; supported "
-                f"protocols: {supporting(capability)}"
-            )
+    @property
+    def estimates_ratio(self) -> bool:
+        """Whether every node holds an estimate of ω: under Croupier's indirection
+        only, because ``Croupier.sample()`` mixes its public and private views by
+        ω̂ — the estimate is part of the strategy, not an extra feature."""
+        return self.nat_strategy is NatStrategy.CROUPIER
 
     def default_config(self):
         """A fresh instance of the protocol's paper-default configuration."""
@@ -90,9 +76,6 @@ class ProtocolPlugin:
     def create(self, host, config=None):
         """Build one service component for ``host`` (``None`` config = paper default)."""
         return self.factory(host, config if config is not None else self.default_config())
-
-    def capability_names(self) -> List[str]:
-        return sorted(capability_name(cap) for cap in self.capabilities)
 
 
 #: The global protocol registry (filled by the protocol modules at import time).
@@ -104,28 +87,26 @@ def register_protocol(
     factory: type,
     config_cls: type,
     description: str = "",
-    nat_free_baseline: bool = False,
 ) -> ProtocolPlugin:
     """Register a protocol plugin; called once at the bottom of each protocol module.
 
-    ``factory`` must be a class inheriting :class:`OverlaySampling`; the plugin's
-    capabilities are exactly the capability ABCs it inherits, so a declaration can
+    ``factory`` must be a :class:`~repro.membership.base.PeerSamplingService`
+    subclass; the plugin's ``nat_strategy`` is read from it, so the declaration can
     never disagree with the class.
     """
     if name in _REGISTRY:
         raise ConfigurationError(f"protocol {name!r} already registered")
-    if not (isinstance(factory, type) and issubclass(factory, OverlaySampling)):
+    if not (isinstance(factory, type) and issubclass(factory, PeerSamplingService)):
         raise ConfigurationError(
-            f"protocol {name!r}: factory must be a class inheriting OverlaySampling, "
+            f"protocol {name!r}: factory must be a PeerSamplingService subclass, "
             f"got {factory!r}"
         )
     plugin = ProtocolPlugin(
         name=name,
         factory=factory,
         config_cls=config_cls,
-        capabilities=capabilities_of(factory),
+        nat_strategy=factory.nat_strategy,
         description=description,
-        nat_free_baseline=nat_free_baseline,
     )
     _REGISTRY[name] = plugin
     return plugin
@@ -165,8 +146,3 @@ def protocol_names() -> List[str]:
 def all_plugins() -> List[ProtocolPlugin]:
     """Every registered plugin, sorted by name."""
     return [_REGISTRY[name] for name in protocol_names()]
-
-
-def supporting(capability: Type[Capability]) -> List[str]:
-    """Names of the registered protocols advertising ``capability``."""
-    return [p.name for p in all_plugins() if p.supports(capability)]

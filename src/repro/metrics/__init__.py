@@ -14,7 +14,7 @@ the simulation-side equivalent of the paper's evaluation scripts.
   experiment harnesses, plus the deterministic aggregation the matrix runner uses.
 * :mod:`~repro.metrics.payload` — the typed per-cell :class:`MetricPayload`
   (scalars + named histograms + named series, JSON-round-trippable).
-* :mod:`~repro.metrics.probes` — pluggable capability-gated :class:`MetricProbe`
+* :mod:`~repro.metrics.probes` — pluggable per-protocol-gated :class:`MetricProbe`
   objects that produce the payloads.
 """
 

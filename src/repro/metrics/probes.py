@@ -1,17 +1,17 @@
 """Pluggable per-cell metric probes.
 
 A :class:`MetricProbe` measures one family of quantities on a finished (or running)
-scenario and records them into a :class:`~repro.metrics.payload.MetricPayload`. Probes
-declare the :mod:`~repro.membership.capabilities` they need; the matrix layer runs each
-probe only against protocols that advertise those capabilities, which is how e.g. the
-estimation-error metrics exist for Croupier cells but not Cyclon cells — without any
-``isinstance`` probing of concrete protocol classes.
+scenario and records them into a :class:`~repro.metrics.payload.MetricPayload`. A probe
+that only makes sense for some protocols says so in :meth:`MetricProbe.supported_by`,
+which reads the protocol's registered plugin; that is how the estimation-error metrics
+exist for Croupier cells but not Cyclon cells — without any ``isinstance`` probing of
+concrete protocol classes.
 
 The built-in set (:func:`default_probes`) covers what the paper's figures plot:
 
 * :class:`CoreProbe` — population, ground-truth ratio, fidelity counters;
 * :class:`EstimationProbe` — ω̂ estimation error statistics and the error series
-  (requires :class:`~repro.membership.capabilities.RatioEstimating`);
+  (protocols whose plugin ``estimates_ratio``, i.e. Croupier's strategy);
 * :class:`GraphProbe` — in-degree distribution (histogram + statistics), average path
   length, clustering coefficient, biggest-cluster fraction (Figures 6 and 7b);
 * :class:`OverheadProbe` — per-class traffic load over a measurement window
@@ -24,14 +24,8 @@ Custom probes are ordinary objects: subclass :class:`MetricProbe`, pass them to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Type
+from typing import List, Optional, Sequence, Tuple
 
-from repro.membership.capabilities import (
-    Capability,
-    OverlaySampling,
-    RatioEstimating,
-    capability_name,
-)
 from repro.metrics.payload import MetricPayload
 
 
@@ -41,12 +35,15 @@ def collect_ratio_estimates(scenario, min_rounds: int = 2) -> List[Optional[floa
     Nodes that have executed fewer than ``min_rounds`` rounds are excluded, exactly as
     in the paper ("evaluation metrics for new nodes ... are not included until they
     have executed 2 rounds"). Returns ``[]`` when the scenario's protocol does not
-    estimate ratios — callers that consider that an error should go through the
-    :class:`~repro.workload.Scenario` capability API instead.
+    estimate ratios — callers that consider that an error check
+    ``scenario.plugin.estimates_ratio`` first.
     """
+    if not scenario.plugin.estimates_ratio:
+        return []
+    services = (handle.pss for handle in scenario.live_handles())
     return [
         service.estimated_ratio()
-        for service in scenario.services_with(RatioEstimating)
+        for service in services
         if service.current_round >= min_rounds
     ]
 
@@ -68,23 +65,21 @@ class ProbeContext:
 
 
 class MetricProbe:
-    """One pluggable measurement; subclasses set ``name``/``requires`` and implement
-    :meth:`measure`."""
+    """One pluggable measurement; subclasses set ``name``, implement :meth:`measure`
+    and, if they apply to some protocols only, override :meth:`supported_by`."""
 
     #: Identifier used in docs and error messages.
     name: str = "probe"
-    #: Capability classes the scenario's protocol must advertise for this probe to run.
-    requires: Tuple[Type[Capability], ...] = ()
 
     def supported_by(self, plugin) -> bool:
-        return all(plugin.supports(capability) for capability in self.requires)
+        """Whether this probe measures anything for ``plugin``'s protocol."""
+        return True
 
     def measure(self, scenario, payload: MetricPayload, context: ProbeContext) -> None:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        needs = ", ".join(capability_name(c) for c in self.requires) or "nothing"
-        return f"{type(self).__name__}(name={self.name}, requires={needs})"
+        return f"{type(self).__name__}(name={self.name})"
 
 
 class CoreProbe(MetricProbe):
@@ -109,7 +104,9 @@ class EstimationProbe(MetricProbe):
     """
 
     name = "estimation"
-    requires = (RatioEstimating,)
+
+    def supported_by(self, plugin) -> bool:
+        return plugin.estimates_ratio
 
     def measure(self, scenario, payload: MetricPayload, context: ProbeContext) -> None:
         from repro.metrics.collector import percentile
@@ -154,7 +151,6 @@ class GraphProbe(MetricProbe):
     """
 
     name = "graph"
-    requires = (OverlaySampling,)
 
     def measure(self, scenario, payload: MetricPayload, context: ProbeContext) -> None:
         from collections import Counter
@@ -224,7 +220,7 @@ class OverheadProbe(MetricProbe):
 
 
 def default_probes() -> Tuple[MetricProbe, ...]:
-    """The standard probe set every matrix cell runs (capability-gated per protocol)."""
+    """The standard probe set every matrix cell runs (gated per protocol)."""
     return (CoreProbe(), EstimationProbe(), GraphProbe(), OverheadProbe())
 
 
@@ -235,8 +231,8 @@ def run_probes(
 ) -> MetricPayload:
     """Run every applicable probe against ``scenario`` and return the merged payload.
 
-    Probes whose required capabilities the scenario's protocol does not advertise are
-    skipped (that absence *is* the measurement — e.g. no ω̂ error for Cyclon).
+    Probes that do not support the scenario's protocol are skipped (that absence *is*
+    the measurement — e.g. no ω̂ error for Cyclon).
     """
     context = context or ProbeContext()
     payload = MetricPayload()

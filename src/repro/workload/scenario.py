@@ -4,22 +4,21 @@ A :class:`Scenario` is the in-process equivalent of the paper's Kompics experime
 set-ups, and it is **orchestration only**: it owns the simulator and network, creates
 public and private nodes on demand (allocating addresses and NAT boxes), seeds their
 initial views from the bootstrap registry, and runs/kills nodes. The protocol comes
-from the :class:`~repro.membership.plugin.ProtocolPlugin` registry, and protocol
-*features* are reached through capability queries — measurements live in
-:mod:`repro.metrics.probes`, not here.
+from the :class:`~repro.membership.plugin.ProtocolPlugin` registry (``scenario.plugin``,
+whose ``nat_strategy`` says what the protocol is), and each live node's service is
+``handle.pss`` — measurements live in :mod:`repro.metrics.probes`, not here.
 
 Example
 -------
->>> from repro.membership.capabilities import RatioEstimating
 >>> from repro.workload import Scenario, ScenarioConfig
 >>> scenario = Scenario(ScenarioConfig(protocol="croupier", seed=7))
 >>> scenario.populate(n_public=10, n_private=40)
 >>> scenario.run_rounds(30)
 >>> 0.0 < scenario.true_ratio() < 1.0
 True
->>> scenario.supports(RatioEstimating)
+>>> scenario.plugin.estimates_ratio
 True
->>> estimators = scenario.services_with(RatioEstimating)
+>>> estimators = [handle.pss for handle in scenario.live_handles()]
 >>> len(estimators) == scenario.live_count()
 True
 """
@@ -29,13 +28,12 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Type, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.bootstrap.registry import BootstrapRegistry
 from repro.constants import DEFAULT_ROUND_MS
 from repro.errors import ConfigurationError, ExperimentError
 from repro.membership.base import PeerSamplingService, PssConfig
-from repro.membership.capabilities import Capability
 from repro.membership.plugin import ProtocolPlugin, get_plugin, protocol_names
 from repro.nat.mixture import NatMixture
 from repro.nat.nat_box import NatBox
@@ -63,7 +61,8 @@ class ScenarioConfig:
     Attributes
     ----------
     protocol:
-        One of ``"croupier"``, ``"cyclon"``, ``"nylon"``, ``"gozar"``, ``"arrg"``.
+        A registered protocol name: ``"croupier"``, ``"cyclon"``, ``"nylon"`` or
+        ``"gozar"`` unless a plugin adds more.
     seed:
         Master seed; fixes every random decision in the run.
     pss_config:
@@ -156,7 +155,7 @@ def create_scenario(config: Optional[ScenarioConfig] = None):
     ``"object"`` returns a :class:`Scenario`; ``"columnar"`` returns a
     :class:`repro.columnar.scenario.ColumnarScenario` (imported lazily — the
     columnar package imports this module for :class:`ScenarioConfig`). Both expose
-    the same populate/run/capability/churn surface, so callers built against this
+    the same populate/run/plugin/churn surface, so callers built against this
     factory run unchanged on either backend.
     """
     config = config or ScenarioConfig()
@@ -434,26 +433,6 @@ class Scenario:
             return 0.0
         public = sum(1 for h in live if h.address.is_public)
         return public / len(live)
-
-    # ------------------------------------------------------------------ capabilities
-
-    def supports(self, capability: Type[Capability]) -> bool:
-        """Whether this scenario's protocol advertises ``capability``."""
-        return self.plugin.supports(capability)
-
-    def require(self, capability: Type[Capability], context: str = "") -> None:
-        """Raise :class:`~repro.errors.CapabilityError` unless the protocol advertises
-        ``capability`` (the error names both the capability and ``context``)."""
-        self.plugin.require(capability, context=context)
-
-    def services_with(self, capability: Type[Capability]) -> List[PeerSamplingService]:
-        """Every live service implementing ``capability``, in node-creation order.
-
-        Returns ``[]`` when the protocol does not advertise the capability — the
-        non-raising query the metric probes use. Call :meth:`require` first when the
-        absence is an error.
-        """
-        return [h.pss for h in self.live_handles() if isinstance(h.pss, capability)]
 
     def overlay_graph(self) -> Dict[int, set]:
         """Directed adjacency over live nodes (edges to dead nodes are dropped)."""

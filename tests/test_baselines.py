@@ -1,8 +1,7 @@
-"""Tests for the baseline peer-sampling protocols: Cyclon, Nylon, Gozar, ARRG."""
+"""Tests for the baseline peer-sampling protocols: Cyclon, Nylon, Gozar."""
 
 import pytest
 
-from repro.membership.arrg import Arrg, ArrgConfig
 from repro.membership.base import PssConfig
 from repro.membership.cyclon import Cyclon
 from repro.membership.gozar import Gozar, GozarConfig
@@ -150,40 +149,8 @@ class TestGozar:
         )
 
 
-class TestArrg:
-    def test_open_list_populated_after_successful_exchanges(self, sim, hosts):
-        config = quiet(ArrgConfig)
-        a = Arrg(hosts.public_host(), config)
-        b = Arrg(hosts.public_host(), config)
-        a.initialize_view([b.address])
-        b.initialize_view([a.address])
-        a.start(), b.start()
-        sim.run(until=5_000)
-        assert len(a.open_list) >= 1
-        assert len(b.open_list) >= 1
-
-    def test_fallback_used_when_partner_unreachable(self, sim, hosts):
-        config = quiet(ArrgConfig, exchange_timeout_ms=200.0)
-        a = Arrg(hosts.public_host(), config)
-        b = Arrg(hosts.public_host(), config)
-        unreachable = Arrg(hosts.private_host(), config)  # NAT blocks the request
-        a.initialize_view([b.address, unreachable.address])
-        b.initialize_view([a.address])
-        for node in (a, b, unreachable):
-            node.start()
-        sim.run(until=10_000)
-        assert a.fallback_exchanges >= 1
-
-    def test_open_list_bounded(self, sim, hosts):
-        config = quiet(ArrgConfig, open_list_size=2)
-        a = Arrg(hosts.public_host(), config)
-        for _ in range(5):
-            a._remember_success(hosts.public_host().address)
-        assert len(a.open_list) == 2
-
-
 class TestScenarioIntegrationForBaselines:
-    @pytest.mark.parametrize("protocol", ["cyclon", "gozar", "nylon", "arrg"])
+    @pytest.mark.parametrize("protocol", ["cyclon", "gozar", "nylon"])
     def test_overlay_stays_connected(self, protocol):
         scenario = Scenario(ScenarioConfig(protocol=protocol, seed=5, latency="constant"))
         if protocol == "cyclon":

@@ -8,16 +8,21 @@ The load-bearing invariants:
   partition/heal and kill/join;
 * the engine axis is additive — cells at ``engine="object"`` keep their exact
   pre-axis keys, so no legacy derived seed moves;
-* the columnar scenario implements the capability API, so probes, timelines and
-  churn drive it unmodified;
+* the columnar scenario exposes the object scenario's plugin / live-handle surface,
+  so probes, timelines and churn drive it unmodified;
+* the engine runs every registered protocol by its declared NAT strategy, and
+  refuses the one ``PssConfig`` knob it cannot honour (``selection``);
 * engine-native streamed statistics equal the per-node facade collection.
 """
 
 import math
 import random
+import re
 import tracemalloc
 from array import array
 from collections.abc import Mapping, MutableMapping
+from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -26,13 +31,15 @@ from hypothesis import given, settings, strategies as st
 np = pytest.importorskip("numpy")  # the columnar engine's one hard requirement
 
 from columnar_oracle import _ingest_estimates, _merge_row, oracle_round
-from repro.columnar import COLUMNAR_PROTOCOLS, ColumnarEngine, ColumnarScenario
+from repro.columnar import ColumnarEngine, ColumnarScenario
 from repro.columnar import engine as columnar_engine
 from repro.columnar import shuffle as columnar_shuffle
 from repro.columnar.engine import CONTROL_BYTES
 from repro.columnar.shuffle import _batch_ingest_np, _batch_merge_np
 from repro.errors import ConfigurationError, ExperimentError
-from repro.membership.capabilities import NatAware, OverlaySampling, RatioEstimating
+from repro.membership.base import NatStrategy, PssConfig
+from repro.membership.plugin import get_plugin, protocol_names
+from repro.membership.policies import SelectionPolicy
 from repro.metrics.graph import build_overlay_graph
 from repro.metrics.partition import (
     connected_components,
@@ -207,7 +214,7 @@ class TestScalarOracle:
 
 
 class TestRoundMemory:
-    @pytest.mark.parametrize("protocol", COLUMNAR_PROTOCOLS)
+    @pytest.mark.parametrize("protocol", protocol_names())
     def test_round_transient_is_bounded_per_node(self, monkeypatch, protocol):
         """One round's traced allocation high-water above the pre-round state
         stays under 1.2 KB per node: the blocked phases scale with the block,
@@ -361,11 +368,13 @@ class TestKernelOracle:
 
 
 class TestViewUniqueness:
-    @pytest.mark.parametrize("protocol", COLUMNAR_PROTOCOLS)
+    @pytest.mark.parametrize("protocol", protocol_names())
     def test_no_self_and_no_duplicate_ids(self, protocol):
         """No live row's public (for croupier also private) view ever holds its
         own id or one id twice — what makes the merge rule's "the slot whose
-        snapshot id matches" one slot."""
+        snapshot id matches" one slot. Under Croupier's strategy, moreover, the
+        public view names only public rows, the private view only private rows,
+        and no request is ever addressed to a private row."""
         engine = ColumnarEngine(protocol, view_size=10, shuffle_size=5,
                                 rng=random.Random(23))
         for index in range(300):
@@ -381,17 +390,54 @@ class TestViewUniqueness:
                     ids = [nid for nid in column[row * V:(row + 1) * V] if nid >= 0]
                     assert row not in ids, (round_index, row)
                     assert len(set(ids)) == len(ids), (round_index, row, ids)
+                if engine.strategy is NatStrategy.CROUPIER:
+                    for column, public in ((engine.pub_id, 1), (engine.priv_id, 0)):
+                        ids = [nid for nid in column[row * V:(row + 1) * V] if nid >= 0]
+                        assert all(engine.is_public[nid] == public for nid in ids), (
+                            round_index, row, public, ids)
+        if engine.strategy is NatStrategy.CROUPIER:
+            assert engine.drops.get("nat_filtered", 0) == 0
 
 
 # ----------------------------------------------------------------- scenario facade
 
 
+class TestColumnarKnobHonesty:
+    """The columnar counterpart of the object engine's knob honesty: a
+    ``PssConfig`` field is either read or refused, never silently ignored."""
+
+    def test_unread_pss_config_fields_are_the_round_synchronous_delta(self):
+        """Only the two timing knobs a round-synchronous engine has no use for
+        (docs/columnar_backend.md, "time") go unread by ``repro.columnar``."""
+        package = Path(columnar_engine.__file__).parent
+        source = "".join(path.read_text() for path in sorted(package.glob("*.py")))
+        unread = {
+            f.name for f in fields(PssConfig)
+            if not re.search(rf'\.{f.name}\b|"{f.name}"', source)
+        }
+        assert unread == {"round_jitter_ms", "start_delay_max_ms"}
+
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_selection_is_refused(self, protocol):
+        """Phase A always takes the oldest slot, so ``selection=RANDOM`` is a
+        named error rather than a tail-selection run under a random label."""
+        config = get_plugin(protocol).default_config()
+        config.selection = SelectionPolicy.RANDOM
+        with pytest.raises(ConfigurationError) as excinfo:
+            ColumnarScenario(columnar_config(protocol=protocol, pss_config=config))
+        assert "selection='random'" in str(excinfo.value)
+        assert "engine='columnar'" in str(excinfo.value)
+        config.selection = SelectionPolicy.TAIL
+        ColumnarScenario(columnar_config(protocol=protocol, pss_config=config))
+
+
 class TestColumnarScenario:
     def test_capability_api(self):
+        """The object scenario's access path: the plugin says what the protocol
+        is, ``live_handles()`` / ``.pss`` reach every node's service."""
         scenario = make_scenario()
-        assert scenario.supports(OverlaySampling)
-        assert scenario.supports(RatioEstimating)
-        services = list(scenario.services_with(RatioEstimating))
+        assert scenario.plugin.estimates_ratio
+        services = [handle.pss for handle in scenario.live_handles()]
         assert len(services) == 100
         service = services[0]
         assert service.current_round >= 0
@@ -400,9 +446,9 @@ class TestColumnarScenario:
 
     def test_cyclon_has_no_estimation(self):
         scenario = make_scenario(protocol="cyclon")
-        assert scenario.supports(OverlaySampling)
-        assert not scenario.supports(RatioEstimating)
+        assert not scenario.plugin.estimates_ratio
         assert collect_ratio_estimates(scenario) == []
+        assert scenario.pss_of(1).estimated_ratio() is None
 
     def test_rejects_object_only_features(self):
         with pytest.raises(ConfigurationError):
@@ -463,7 +509,7 @@ class TestColumnarScenario:
 
 
 class TestOverlayView:
-    @pytest.mark.parametrize("protocol", COLUMNAR_PROTOCOLS)
+    @pytest.mark.parametrize("protocol", protocol_names())
     def test_view_equals_dict_of_sets(self, protocol):
         """``overlay_graph()`` is a read-only view over the view columns with the
         object facade's dict contract: live rows only, ascending, no self-loops,
@@ -505,7 +551,6 @@ class TestOverlayView:
 class TestEngineAxis:
     def test_engines_vocabulary(self):
         assert ENGINES == ("object", "columnar")
-        assert set(COLUMNAR_PROTOCOLS) == {"croupier", "cyclon", "gozar", "nylon"}
 
     def test_create_scenario_dispatch(self):
         assert isinstance(
@@ -666,22 +711,25 @@ NAT_PROTOCOLS = ("gozar", "nylon")
 
 
 class TestNatProtocolPorts:
-    """Gozar and Nylon on the columnar engine: capabilities, cell keys."""
+    """Gozar and Nylon on the columnar engine: strategy dispatch, cell keys."""
 
     @pytest.mark.parametrize("protocol", NAT_PROTOCOLS)
     def test_capability_dispatch(self, protocol):
+        """The engine takes the strategy the plugin declares and allocates that
+        strategy's columns, and only those."""
         scenario = make_scenario(protocol=protocol)
-        assert scenario.supports(OverlaySampling)
-        assert scenario.supports(NatAware)
-        assert not scenario.supports(RatioEstimating)
-        service = next(iter(scenario.services_with(NatAware)))
-        expected = "relay" if protocol == "gozar" else "hole-punching"
-        assert service.private_peer_strategy() == expected
+        engine = scenario.engine
+        expected = NatStrategy.RELAY if protocol == "gozar" else NatStrategy.HOLE_PUNCH
+        assert engine.strategy is scenario.plugin.nat_strategy is expected
+        assert not engine.estimating and not hasattr(engine, "priv_id")
+        assert hasattr(engine, "parent_id") == (expected is NatStrategy.RELAY)
+        assert hasattr(engine, "learned_from") == (expected is NatStrategy.HOLE_PUNCH)
 
     def test_croupier_strategy_unchanged(self):
-        scenario = make_scenario()
-        service = next(iter(scenario.services_with(NatAware)))
-        assert service.private_peer_strategy() == "croupier-indirection"
+        engine = make_scenario().engine
+        assert engine.strategy is NatStrategy.CROUPIER
+        assert engine.estimating and hasattr(engine, "priv_id")
+        assert not hasattr(engine, "parent_id") and not hasattr(engine, "learned_from")
 
     @pytest.mark.parametrize("protocol", NAT_PROTOCOLS)
     def test_in_degree_histogram_matches_graph(self, protocol):
@@ -720,14 +768,10 @@ class TestNatProtocolPorts:
     def test_matrix_validates_all_paper_protocols_on_columnar(self):
         from repro.experiments.matrix import MatrixSpec
 
-        spec = MatrixSpec(scenarios=("static",), protocols=COLUMNAR_PROTOCOLS,
+        spec = MatrixSpec(scenarios=("static",), protocols=tuple(protocol_names()),
                           sizes=(20,), seeds=1, rounds=5, latency="constant",
                           engines=("columnar",))
         spec.validate()
-
-    def test_unsupported_protocol_error_names_object_engine(self):
-        with pytest.raises(ConfigurationError, match="engine='object'"):
-            ColumnarScenario(columnar_config(protocol="arrg"))
 
 
 # ------------------------------------------------------- NAT maintenance passes

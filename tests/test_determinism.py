@@ -15,7 +15,7 @@ events exactly as the original eager implementation did. These tests pin that do
   ``PYTHONHASHSEED`` values: nothing on the hot path may iterate a set or dict whose
   order depends on string hashing.
 
-* paths no golden file covers — ARRG, every protocol under churn + loss with the
+* paths no golden file covers — every protocol under churn + loss with the
   paper's NAT mixture, and Croupier with random partner selection (ablation A4) —
   are pinned by literal fingerprints (:data:`PINNED_FINGERPRINTS`), recorded before
   the shuffle skeleton was shared across the protocols.
@@ -34,7 +34,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.membership.capabilities import RatioEstimating
 from repro.membership.plugin import get_plugin
 from repro.membership.policies import SelectionPolicy
 from repro.metrics.probes import collect_ratio_estimates
@@ -48,8 +47,8 @@ def run_croupier(seed=7, n_public=40, n_private=160, rounds=30, per_round_series
     """One full Croupier run; returns a JSON-serialisable fingerprint of everything
     the experiments read out: estimate series, final views, event/packet counters.
 
-    Reads everything through the capability API (``services_with(RatioEstimating)``
-    preserves node-creation order, and :func:`collect_ratio_estimates` applies the
+    Reads everything through the live handles (``live_handles()`` preserves
+    node-creation order, and :func:`collect_ratio_estimates` applies the
     same two-round exclusion the pre-plugin accessor did), so the fingerprint is
     bit-compatible with the golden file captured from the seed implementation.
     """
@@ -63,7 +62,7 @@ def run_croupier(seed=7, n_public=40, n_private=160, rounds=30, per_round_series
     else:
         scenario.run_rounds(rounds)
     views = {}
-    for pss in scenario.services_with(RatioEstimating):
+    for pss in (handle.pss for handle in scenario.live_handles()):
         views[str(pss.address.node_id)] = {
             "public": sorted([d.node_id, d.age] for d in pss.public_view),
             "private": sorted([d.node_id, d.age] for d in pss.private_view),
@@ -199,7 +198,7 @@ def protocol_fingerprint(
 PINNED_CELLS = {
     name: dict(protocol=name, seed=11, n_public=12, n_private=28, rounds=40,
                churn=0.03, loss_rate=0.05)
-    for name in ("croupier", "cyclon", "gozar", "nylon", "arrg")
+    for name in ("croupier", "cyclon", "gozar", "nylon")
 }
 PINNED_CELLS["croupier-random"] = dict(
     protocol="croupier", seed=7, n_public=15, n_private=45, rounds=30,
@@ -207,11 +206,6 @@ PINNED_CELLS["croupier-random"] = dict(
 )
 
 PINNED_FINGERPRINTS = {
-    "arrg": {
-        "events": 6675, "packets": 3805, "views": "70ac7bd11f95ce50",
-        "drops": [("dead_host", 121), ("link_loss", 203), ("nat_filtered", 516),
-                  ("unknown_destination", 301)],
-    },
     "croupier": {
         "events": 3855, "packets": 2422, "views": "a7093cf96b097411",
         "drops": [("dead_host", 2), ("link_loss", 127), ("unknown_destination", 619)],

@@ -19,7 +19,6 @@ from repro.experiments.matrix import (
 )
 from repro.experiments.report import diff_aggregates, ks_distance
 from repro.experiments.runner import ScenarioReuse, aggregate_json_bytes, run_matrix
-from repro.membership.capabilities import RatioEstimating
 from repro.nat.mixture import NAT_MIXTURES, NatMixture, get_mixture
 from repro.nat.types import NAMED_PROFILES, NatProfile, profile_name
 from repro.workload.scenario import Scenario, ScenarioConfig
@@ -265,7 +264,7 @@ class TestScenarioReuse:
             scenario.run_rounds(5)
             outcomes.append(
                 (scenario.sim.events_executed, scenario.network.packets_sent,
-                 [p.estimated_ratio() for p in scenario.services_with(RatioEstimating)])
+                 [h.pss.estimated_ratio() for h in scenario.live_handles()])
             )
         assert reuse.snapshot_hits == 1
         assert outcomes[0] == outcomes[1] == outcomes[2]
@@ -287,8 +286,8 @@ class TestScenarioClone:
         assert cloned.sim.events_executed == reference.sim.events_executed
         assert cloned.network.packets_sent == reference.network.packets_sent
         assert (
-            [p.estimated_ratio() for p in cloned.services_with(RatioEstimating)]
-            == [p.estimated_ratio() for p in reference.services_with(RatioEstimating)]
+            [h.pss.estimated_ratio() for h in cloned.live_handles()]
+            == [h.pss.estimated_ratio() for h in reference.live_handles()]
         )
         assert original.sim.now == now_before  # branching never advances the source
 

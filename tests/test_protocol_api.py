@@ -1,7 +1,6 @@
-"""Tests for the protocol plugin API: capability conformance across all five
-registered protocols, typed metric payloads (JSON round trip, matrix parity with
-histograms), the deployment axes, the capability-raising Scenario shims and the
-aggregate diff gate."""
+"""Tests for the protocol plugin API: the NAT strategy each registered protocol
+declares, typed metric payloads (JSON round trip, matrix parity with histograms), the
+deployment axes, the strategy-gated scenario kinds and the aggregate diff gate."""
 
 from __future__ import annotations
 
@@ -9,7 +8,7 @@ import json
 
 import pytest
 
-from repro.errors import CapabilityError, ConfigurationError, ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.matrix import (
     DEFAULT_NAT_PROFILE,
     NAT_PROFILES,
@@ -20,13 +19,7 @@ from repro.experiments.matrix import (
 )
 from repro.experiments.report import diff_aggregates
 from repro.experiments.runner import aggregate_json_bytes, run_matrix
-from repro.membership.capabilities import (
-    CAPABILITIES,
-    NatAware,
-    OverlaySampling,
-    RatioEstimating,
-    capability_name,
-)
+from repro.membership.base import NatStrategy, PeerSamplingService
 from repro.membership.plugin import (
     ProtocolPlugin,
     all_plugins,
@@ -39,21 +32,28 @@ from repro.metrics.payload import MetricPayload, histogram_statistics, merge_his
 from repro.metrics.probes import collect_ratio_estimates
 from repro.workload.scenario import Scenario, ScenarioConfig
 
-ALL_PROTOCOLS = ("croupier", "cyclon", "gozar", "nylon", "arrg")
+ALL_PROTOCOLS = ("croupier", "cyclon", "gozar", "nylon")
 
-#: The capability matrix the paper's protocol comparison implies.
-EXPECTED_CAPABILITIES = {
-    "croupier": {"OverlaySampling", "RatioEstimating", "NatAware"},
-    "cyclon": {"OverlaySampling"},
-    "gozar": {"OverlaySampling", "NatAware"},
-    "nylon": {"OverlaySampling", "NatAware"},
-    "arrg": {"OverlaySampling"},
+#: The paper's taxonomy: how each compared protocol reaches private peers.
+EXPECTED_STRATEGIES = {
+    "croupier": NatStrategy.CROUPIER,
+    "cyclon": NatStrategy.NONE,
+    "gozar": NatStrategy.RELAY,
+    "nylon": NatStrategy.HOLE_PUNCH,
 }
 
 
 class TestPluginRegistry:
-    def test_all_five_protocols_registered(self):
+    def test_every_paper_protocol_registered(self):
         assert set(ALL_PROTOCOLS) <= set(protocol_names())
+
+    def test_strategy_table(self):
+        assert {p.name: p.nat_strategy for p in all_plugins()
+                if p.name in ALL_PROTOCOLS} == EXPECTED_STRATEGIES
+        assert [p.name for p in all_plugins() if p.estimates_ratio] == ["croupier"]
+        assert [s.value for s in NatStrategy] == [
+            "none", "relay", "hole-punching", "croupier-indirection",
+        ]
 
     def test_unknown_protocol_raises(self):
         with pytest.raises(ConfigurationError):
@@ -69,16 +69,18 @@ class TestPluginRegistry:
         register_protocol("cyclon-variant", cyclon.factory, cyclon.config_cls,
                           description="test-only alias")
         try:
-            assert get_plugin("cyclon-variant").supports(OverlaySampling)
+            assert get_plugin("cyclon-variant").nat_strategy is NatStrategy.NONE
         finally:
             unregister_protocol("cyclon-variant")
         assert "cyclon-variant" not in protocol_names()
 
     def test_factory_must_be_an_overlay_sampling_class(self):
+        """The factory is a PeerSamplingService subclass: the class the strategy
+        is read from."""
         cyclon = get_plugin("cyclon")
 
         class NotASampler:
-            pass
+            nat_strategy = NatStrategy.RELAY
 
         for name, factory in (
             ("lambda-factory", lambda host, config: cyclon.factory(host, config)),
@@ -92,13 +94,12 @@ class TestPluginRegistry:
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 class TestCapabilityConformance:
     def test_advertised_capabilities_match_component(self, protocol, hosts):
+        """What the plugin advertises is what the component it builds declares."""
         plugin = get_plugin(protocol)
-        assert {capability_name(c) for c in plugin.capabilities} == (
-            EXPECTED_CAPABILITIES[protocol]
-        )
         component = plugin.create(hosts.public_host())
-        for capability in CAPABILITIES:
-            assert isinstance(component, capability) == plugin.supports(capability)
+        assert isinstance(component, PeerSamplingService)
+        assert component.nat_strategy is plugin.nat_strategy
+        assert plugin.nat_strategy is EXPECTED_STRATEGIES[protocol]
 
     def test_default_config_is_typed_and_valid(self, protocol):
         plugin = get_plugin(protocol)
@@ -106,29 +107,28 @@ class TestCapabilityConformance:
         assert isinstance(config, plugin.config_cls)
         config.validate()
 
-    def test_nat_aware_components_name_their_strategy(self, protocol, hosts):
-        plugin = get_plugin(protocol)
-        component = plugin.create(hosts.public_host())
-        if plugin.supports(NatAware):
-            assert component.private_peer_strategy() in (
-                "croupier-indirection", "relay", "hole-punching",
-            )
+    def test_nat_aware_components_name_their_strategy(self, protocol):
+        """A protocol that overrides the direct-send ``_route`` (Gozar, Nylon) or
+        shuffles only with public nodes (Croupier) declares a strategy other than
+        NONE in its own class body; the NAT-oblivious one inherits NONE."""
+        factory = get_plugin(protocol).factory
+        declared = vars(factory).get("nat_strategy")
+        if EXPECTED_STRATEGIES[protocol] is NatStrategy.NONE:
+            assert declared is None and "_route" not in vars(factory)
         else:
-            assert not hasattr(component, "private_peer_strategy") or not isinstance(
-                component, NatAware
-            )
+            assert declared is EXPECTED_STRATEGIES[protocol]
 
     def test_sample_uniformity_smoke(self, protocol):
-        """Samples drawn through the capability API cover a healthy spread of live
+        """Samples drawn through every live service cover a healthy spread of live
         nodes — a smoke test of the PSS contract, not a statistical proof."""
         scenario = Scenario(ScenarioConfig(protocol=protocol, seed=9, latency="constant"))
-        if scenario.plugin.nat_free_baseline:
+        if scenario.plugin.nat_strategy is NatStrategy.NONE:
             scenario.populate(n_public=30, n_private=0)
         else:
             scenario.populate(n_public=8, n_private=22)
         scenario.run_rounds(15)
         live_ids = {h.node_id for h in scenario.live_handles()}
-        samplers = scenario.services_with(OverlaySampling)
+        samplers = [h.pss for h in scenario.live_handles()]
         assert len(samplers) == len(live_ids)
         sampled_ids = set()
         for service in samplers[:10]:
@@ -141,12 +141,14 @@ class TestCapabilityConformance:
 
 
 class TestDeprecatedShimsRemoved:
-    """The PR-3 transition shims are gone: the capability API is the only protocol
-    access path, and the probes module is the one place estimates are collected."""
+    """The transition shims are gone: ``live_handles()`` / ``.pss`` and the plugin
+    are the only protocol access path, and the probes module is the one place
+    estimates are collected."""
 
     def test_pre_plugin_accessors_are_gone(self):
         scenario = Scenario(ScenarioConfig(protocol="croupier", seed=2, latency="constant"))
-        for removed in ("ratio_estimates", "croupiers", "croupier_instances"):
+        for removed in ("ratio_estimates", "croupiers", "croupier_instances",
+                        "supports", "require", "services_with"):
             assert not hasattr(scenario, removed)
 
     def test_protocols_dict_snapshot_is_gone(self):
@@ -161,9 +163,9 @@ class TestDeprecatedShimsRemoved:
         estimates = collect_ratio_estimates(scenario, min_rounds=2)
         assert len(estimates) == 12
         assert estimates == [
-            pss.estimated_ratio()
-            for pss in scenario.services_with(RatioEstimating)
-            if pss.current_round >= 2
+            handle.pss.estimated_ratio()
+            for handle in scenario.live_handles()
+            if handle.pss.current_round >= 2
         ]
 
     def test_collect_ratio_estimates_is_non_raising(self):
@@ -221,7 +223,7 @@ class TestPayloadMatrix:
             root_seed=11,
         )
 
-    def test_all_five_protocols_produce_histogram_payloads(self):
+    def test_every_protocol_produces_histogram_payloads(self):
         run = run_matrix(self.randomness_spec(seeds=1), workers=1)
         assert not run.failed
         for result in run.results:
@@ -229,9 +231,9 @@ class TestPayloadMatrix:
             assert "path_length" in result.payload.series
             assert result.metrics["live_nodes"] == 40.0
         by_protocol = {r.cell.protocol: r.payload for r in run.results}
-        # Capability-gated probes: only Croupier cells carry estimation metrics.
+        # Strategy-gated probes: only Croupier cells carry estimation metrics.
         assert "est_mean" in by_protocol["croupier"].scalars
-        for protocol in ("cyclon", "gozar", "nylon", "arrg"):
+        for protocol in ("cyclon", "gozar", "nylon"):
             assert "est_mean" not in by_protocol[protocol].scalars
 
     def test_parallel_aggregate_bytes_identical_with_histograms(self):
@@ -257,9 +259,10 @@ class TestPayloadMatrix:
         cyclon_cell = CellSpec(
             scenario="history", protocol="cyclon", size=30, seed_index=0, rounds=4,
         )
-        with pytest.raises(CapabilityError) as excinfo:
+        with pytest.raises(ExperimentError) as excinfo:
             run_cell(cyclon_cell, root_seed=3, latency="constant")
-        assert "RatioEstimating" in str(excinfo.value)
+        assert "'cyclon'" in str(excinfo.value)
+        assert "nat_strategy 'none'" in str(excinfo.value)
 
 
 class TestDeploymentAxes:
@@ -367,14 +370,16 @@ class TestScenarioPluginIntegration:
         scenario = Scenario(ScenarioConfig(protocol="gozar", seed=1, latency="constant"))
         assert isinstance(scenario.plugin, ProtocolPlugin)
         assert scenario.plugin.name == "gozar"
-        assert scenario.supports(NatAware) and not scenario.supports(RatioEstimating)
+        assert scenario.plugin.nat_strategy is NatStrategy.RELAY
+        assert not scenario.plugin.estimates_ratio
 
     def test_every_plugin_runs_through_scenario(self):
         for plugin in all_plugins():
             scenario = Scenario(
                 ScenarioConfig(protocol=plugin.name, seed=3, latency="constant")
             )
-            scenario.populate(n_public=5, n_private=0 if plugin.nat_free_baseline else 5)
+            public_only = plugin.nat_strategy is NatStrategy.NONE
+            scenario.populate(n_public=5, n_private=0 if public_only else 5)
             scenario.run_rounds(3)
             assert scenario.live_count() in (5, 10)
             assert len(scenario.overlay_graph()) == scenario.live_count()

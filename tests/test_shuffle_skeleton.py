@@ -6,7 +6,8 @@
 * **Invariants over all protocols.** On a small churn + loss cell with the paper's
   NAT mixture, after every round: no view holds its owner or a duplicate id; a full
   view makes room only by evicting entries this node just sent (the swapper merge);
-  and no Croupier request reaches a private node.
+  and, under Croupier's declared strategy, the public view names only public nodes,
+  the private view only private nodes, and no request reaches a private node.
 """
 
 import inspect
@@ -15,7 +16,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.membership.base import PssConfig
+from repro.membership.base import NatStrategy, PssConfig
 from repro.membership.descriptor import NodeDescriptor
 from repro.membership.plugin import get_plugin, protocol_names
 from repro.membership.policies import SelectionPolicy
@@ -105,6 +106,7 @@ class TestInvariantsAcrossProtocols:
             )
         )
         scenario.populate(n_public=12, n_private=28)
+        croupier = scenario.plugin.nat_strategy is NatStrategy.CROUPIER
         for _ in range(30):
             scenario.run_rounds(1)
             scenario.churn_step(0.03)
@@ -113,4 +115,12 @@ class TestInvariantsAcrossProtocols:
                 assert handle.node_id not in ids
                 assert len(ids) == len(set(ids))
                 assert handle.pss.stats.extra.get("misdirected_requests", 0) == 0
+                if croupier:
+                    for view, public in ((handle.pss.public_view, True),
+                                         (handle.pss.private_view, False)):
+                        assert all(
+                            scenario.nodes[d.node_id].is_public is public for d in view
+                        )
         assert merges["evicting"] > 0
+        if croupier:
+            assert scenario.monitor.drop_reasons.get("nat_filtered", 0) == 0
