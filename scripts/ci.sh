@@ -203,10 +203,11 @@ echo "== columnar scale smoke: one 10^5-node cell inside the wall-clock and RSS 
 # A single 100k-node Croupier cell through the full matrix stack (scale kind,
 # engine-native streamed metrics). The 300s budget is ~8x the measured wall
 # time on the CI container class; busting it is a perf regression, not noise.
-# The 283 MB peak-RSS budget is 1.25x the 226 MB the cell measured once the
-# shuffle's row-parallel phases ran in blocks (345 MB before): columns plus a
-# bounded round transient. The peak is the child's ru_maxrss, read by the
-# launcher below (/usr/bin/time is not on every container).
+# The 231 MB peak-RSS budget is 1.25x the 184.5 MB the cell measured once
+# the columns held int32 ids (226 MB with int64 ids, 345 MB before the
+# shuffle's row-parallel phases ran in blocks): columns plus a bounded round
+# transient. The peak is the child's ru_maxrss, read by the launcher below
+# (/usr/bin/time is not on every container).
 python - <<'PYEOF'
 import json
 import resource
@@ -227,9 +228,9 @@ mean = metrics["est_mean"]["mean"]
 measured = metrics["est_nodes_measured"]["mean"]
 assert measured == 100000.0, f"expected 100000 measured nodes, got {measured}"
 assert abs(mean - 0.2) < 0.05, f"estimate off at scale: {mean}"
-assert peak_mb <= 283, f"peak RSS {peak_mb:.0f} MB over the 283 MB budget"
+assert peak_mb <= 231, f"peak RSS {peak_mb:.0f} MB over the 231 MB budget"
 print(f"scale OK: {name}\n  est_mean={mean:.4f} over {measured:.0f} nodes, "
-      f"peak RSS {peak_mb:.0f} MB (budget 283 MB)")
+      f"peak RSS {peak_mb:.0f} MB (budget 231 MB)")
 PYEOF
 
 echo

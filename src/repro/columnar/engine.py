@@ -62,13 +62,34 @@ from repro.membership.plugin import get_plugin
 from repro.simulator.core import sample
 
 __all__ = [
-    "BORN_NONE", "ColumnarEngine",
+    "BORN_NONE", "ColumnarEngine", "ROW_LIMIT",
     "CONTROL_BYTES", "DESCRIPTOR_BYTES", "DROP_REASONS", "ESTIMATE_BYTES",
     "HEADER_BYTES", "PARENT_ADDR_BYTES",
 ]
 
 #: Sentinel born-round for an empty estimator-ring slot (always outside any window).
 BORN_NONE = -(2 ** 30)
+
+#: Exclusive bound on rows. A row is a node's id in every ``int32`` id column
+#: and the last three octets of its wire IP (``10.x.y.z``). Rows are never
+#: recycled, so a long churn run can reach it: ``add_node``/``reserve`` then
+#: raise a named error instead of letting two rows share an IP.
+ROW_LIMIT = 1 << 24
+
+#: The columns that hold rows; :meth:`ColumnarEngine.fingerprint` hashes them
+#: widened to ``int64``, in chunks of ``_HASH_CHUNK`` entries.
+_ID_COLUMNS = frozenset(("pub_id", "priv_id", "est_origin", "parent_id", "learned_from"))
+_HASH_CHUNK = 1 << 16
+
+
+def _check_row_limit(rows: int) -> None:
+    if rows > ROW_LIMIT:
+        raise ConfigurationError(
+            f"the columnar engine holds at most {ROW_LIMIT - 1} node rows "
+            f"(ROW_LIMIT = {ROW_LIMIT}: int32 ids, 10.x.y.z wire IPs) and rows "
+            f"are never recycled; this cell needs {rows - 1}"
+        )
+
 
 class ColumnarEngine:
     """Flat-column state + batched round execution for one simulated cell.
@@ -136,11 +157,13 @@ class ColumnarEngine:
         self.isolated = new_column("b", cap)
         self.tx_bytes = new_column("q", cap)
         self.rx_bytes = new_column("q", cap)
+        # Every id column (view ids, estimate origins, parents, learned-from)
+        # holds rows, -1 for none, at int32: rows stay below ROW_LIMIT.
         # Primary view (Croupier's public view; Cyclon's only view).
-        self.pub_id = new_column("q", cap * self.V, fill=-1)
+        self.pub_id = new_column("i", cap * self.V, fill=-1)
         self.pub_age = new_column("i", cap * self.V)
         if self.estimating:
-            self.priv_id = new_column("q", cap * self.V, fill=-1)
+            self.priv_id = new_column("i", cap * self.V, fill=-1)
             self.priv_age = new_column("i", cap * self.V)
             self.cur_cu = new_column("i", cap)
             self.cur_cv = new_column("i", cap)
@@ -151,16 +174,16 @@ class ColumnarEngine:
             self.hist_pos = new_column("i", cap)
             self.est_val = new_column("d", cap * self.C)
             self.est_born = new_column("i", cap * self.C, fill=BORN_NONE)
-            self.est_origin = new_column("q", cap * self.C, fill=-1)
+            self.est_origin = new_column("i", cap * self.C, fill=-1)
             self.est_pos = new_column("i", cap)
             self.loc_est = new_column("d", cap, fill=-1.0)  # -1.0 == no local estimate
         if self.strategy is NatStrategy.RELAY:
             # Relay parents of private nodes (public rows they registered with).
-            self.parent_id = new_column("q", cap * self.P, fill=-1)
+            self.parent_id = new_column("i", cap * self.P, fill=-1)
         if self.strategy is NatStrategy.HOLE_PUNCH:
             # Which row each view descriptor was learned from (-1: bootstrap
             # seed) — the one-hop RVP chain used to reach private partners.
-            self.learned_from = new_column("q", cap * self.V, fill=-1)
+            self.learned_from = new_column("i", cap * self.V, fill=-1)
         #: Live public rows (the bootstrap registry): list + position map for O(1)
         #: removal with deterministic (swap-pop) order.
         self._pub_live: List[int] = []
@@ -174,13 +197,16 @@ class ColumnarEngine:
         return self._rows
 
     def reserve(self, total_nodes: int) -> None:
-        """Pre-size all columns for ``total_nodes`` nodes (avoids doubling copies)."""
+        """Pre-size all columns for exactly ``total_nodes`` nodes (avoids growth copies)."""
         needed = total_nodes + 1
+        _check_row_limit(needed)
         if needed > self._cap:
             self._grow(needed)
 
     def _grow(self, min_cap: int) -> None:
-        new_cap = max(self._cap * 2, min_cap)
+        # Over-allocate by an eighth, as CPython's list does: amortised O(1)
+        # appends, and a churning cell never leaves half its rows idle.
+        new_cap = max(min_cap, self._cap + self._cap // 8)
         extra = new_cap - self._cap
         for column in (
             self.alive, self.is_public, self.nat_class, self.rounds_exec,
@@ -212,6 +238,7 @@ class ColumnarEngine:
     def add_node(self, public: bool, now_ms: float = 0.0, nat_class: int = 0) -> int:
         """Create one node; seeds its view from the live public registry. Returns its row."""
         row = self._rows
+        _check_row_limit(row + 1)
         if row >= self._cap:
             self._grow(row + 1)
         self._rows = row + 1
@@ -486,23 +513,28 @@ class ColumnarEngine:
         digest.update(
             struct.pack("<qqq", self.round, self._rows, self.packets_sent)
         )
-        columns = [
-            self.alive, self.is_public, self.rounds_exec,
-            self.pub_id, self.pub_age, self.tx_bytes, self.rx_bytes,
-        ]
+        names = ["alive", "is_public", "rounds_exec",
+                 "pub_id", "pub_age", "tx_bytes", "rx_bytes"]
         if self.estimating:
-            columns += [
-                self.priv_id, self.priv_age, self.cur_cu, self.cur_cv,
-                self.cu_sum, self.cv_sum, self.hist_pos, self.est_val,
-                self.est_born, self.est_origin, self.est_pos, self.loc_est,
+            names += [
+                "priv_id", "priv_age", "cur_cu", "cur_cv",
+                "cu_sum", "cv_sum", "hist_pos", "est_val",
+                "est_born", "est_origin", "est_pos", "loc_est",
             ]
         if self.strategy is NatStrategy.RELAY:
-            columns.append(self.parent_id)
+            names.append("parent_id")
         if self.strategy is NatStrategy.HOLE_PUNCH:
-            columns.append(self.learned_from)
-        for column in columns:
-            view = memoryview(column)[: self._rows * (len(column) // self._cap)]
-            digest.update(view.tobytes())
+            names.append("learned_from")
+        int64 = backend.np.int64
+        for name in names:
+            column = getattr(self, name)
+            values = as_np(column)[: self._rows * (len(column) // self._cap)]
+            if name in _ID_COLUMNS:
+                # By value, not storage: ids hash as int64 whatever their width.
+                for lo in range(0, values.size, _HASH_CHUNK):
+                    digest.update(values[lo:lo + _HASH_CHUNK].astype(int64))
+            else:
+                digest.update(values)
         return digest.hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

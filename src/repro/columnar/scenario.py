@@ -36,7 +36,9 @@ from repro.simulator.core import Simulator
 
 
 def _ip_of_row(row: int) -> str:
-    """A unique, reversible wire IP per node row (supports rows < 2^24)."""
+    """A unique, reversible wire IP per node row: the row's 24 bits as the last
+    three octets, unique because the engine keeps every row below
+    :data:`~repro.columnar.engine.ROW_LIMIT` (2**24)."""
     return f"10.{(row >> 16) & 255}.{(row >> 8) & 255}.{row & 255}"
 
 

@@ -215,9 +215,9 @@ def _bundles_np(eng, np, rows):
     C, G, FWD = eng.C, eng.G, eng.FWD
     M = rows.size
     B = 1 + FWD
-    origs = np.full((M, B), -1, dtype=np.int64)
+    origs = np.full((M, B), -1, dtype=np.int32)
     vals = np.zeros((M, B))
-    borns = np.zeros((M, B), dtype=np.int64)
+    borns = np.zeros((M, B), dtype=np.int32)
     valid = np.zeros((M, B), dtype=bool)
     loc = as_np(eng.loc_est)[rows]
     origs[:, 0] = rows
@@ -322,7 +322,9 @@ def _request_block(eng, np, lo, hi, drops):
         return None
     init = local + lo
     sslot = sel[local]
-    partner = ids2d[init, sslot]
+    # Ids are stored at int32; as row indices they are widened once, so no
+    # ``rows * V``-style product downstream runs in int32.
+    partner = ids2d[init, sslot].astype(np.intp)
     if punch_strategy:
         aux2d = as_np(eng.learned_from)[: n * V].reshape(n, V)
         rvp = aux2d[init, sslot]
@@ -426,10 +428,14 @@ def _request_block(eng, np, lo, hi, drops):
     d = np.nonzero(remaining)[0]
     if d.size == 0:
         return None
-    part = dict(init=init[d], partner=partner[d],
-                rp_slots=rp_slots[d], rp_ids=rp_ids[d], rp_ages=rp_ages[d])
+    # What crosses the wave loop is held at its natural width: ids, ages and
+    # borns int32 (from the columns), sent slots the smallest type holding V.
+    slot_t = np.min_scalar_type(-V)
+    part = dict(init=init[d], partner=partner[d], rp_slots=rp_slots[d].astype(slot_t),
+                rp_ids=rp_ids[d], rp_ages=rp_ages[d])
     if estimating:
-        part.update(rq_slots=rq_slots[d], rq_ids=rq_ids[d], rq_ages=rq_ages[d],
+        part.update(rq_slots=rq_slots[d].astype(slot_t), rq_ids=rq_ids[d],
+                    rq_ages=rq_ages[d],
                     bi_origs=bi_origs[d], bi_vals=bi_vals[d],
                     bi_borns=bi_borns[d], bi_valid=bi_valid[d])
     return part
@@ -478,20 +484,20 @@ def _handle_requests(eng, np, ex):
     del Ps, idx, newgrp
     base_rep_pub = crng.stream(seed, rnd, crng.TAG_REPLY_PUB)
     slot_arange = np.arange(V, dtype=np.uint64)[None, :]
-    out = {"ep_ids": np.empty((D, K), dtype=np.int64),
+    out = {"ep_ids": np.empty((D, K), dtype=ids2d.dtype),
            "ep_ages": np.empty((D, K), dtype=ages2d.dtype),
-           "ep_cnt": np.empty(D, dtype=np.int64)}
+           "ep_cnt": np.empty(D, dtype=np.int32)}
     if estimating:
         pids2d = as_np(eng.priv_id)[: n * V].reshape(n, V)
         pages2d = as_np(eng.priv_age)[: n * V].reshape(n, V)
         base_rep_priv = crng.stream(seed, rnd, crng.TAG_REPLY_PRIV)
         B = 1 + eng.FWD
-        out.update(eq_ids=np.empty((D, K), dtype=np.int64),
+        out.update(eq_ids=np.empty((D, K), dtype=pids2d.dtype),
                    eq_ages=np.empty((D, K), dtype=pages2d.dtype),
-                   eq_cnt=np.empty(D, dtype=np.int64),
-                   bp_origs=np.empty((D, B), dtype=np.int64),
+                   eq_cnt=np.empty(D, dtype=np.int32),
+                   bp_origs=np.empty((D, B), dtype=np.int32),
                    bp_vals=np.empty((D, B)),
-                   bp_borns=np.empty((D, B), dtype=np.int64),
+                   bp_borns=np.empty((D, B), dtype=np.int32),
                    bp_valid=np.empty((D, B), dtype=bool))
     for w in range(int(rank.max()) + 1):
         sel_w = order[rank == w]  # one exchange per partner: rows are distinct

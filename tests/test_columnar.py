@@ -35,6 +35,7 @@ from repro.columnar import ColumnarEngine, ColumnarScenario
 from repro.columnar import engine as columnar_engine
 from repro.columnar import shuffle as columnar_shuffle
 from repro.columnar.engine import CONTROL_BYTES
+from repro.columnar.scenario import _ip_of_row, _row_of_ip
 from repro.columnar.shuffle import _batch_ingest_np, _batch_merge_np
 from repro.errors import ConfigurationError, ExperimentError
 from repro.membership.base import NatStrategy, PssConfig
@@ -47,13 +48,14 @@ from repro.metrics.partition import (
     partition_count,
 )
 from repro.metrics.probes import collect_ratio_estimates
+from repro.workload.events import ChurnPhase, LossBurst, Partition
 from repro.workload.scenario import (
     ENGINES,
     Scenario,
     ScenarioConfig,
     create_scenario,
 )
-from repro.workload.timeline import get_timeline
+from repro.workload.timeline import Timeline, get_timeline
 
 def columnar_config(seed=7, **kwargs):
     kwargs.setdefault("protocol", "croupier")
@@ -217,8 +219,10 @@ class TestRoundMemory:
     @pytest.mark.parametrize("protocol", protocol_names())
     def test_round_transient_is_bounded_per_node(self, monkeypatch, protocol):
         """One round's traced allocation high-water above the pre-round state
-        stays under 1.2 KB per node: the blocked phases scale with the block,
-        and only the delivered exchanges' requests and replies scale with N."""
+        stays under 0.58 KB per node (1.25x Croupier's 0.46 KB; the others
+        take 0.26 KB): the blocked phases scale with the block, and only the
+        delivered exchanges' requests and replies, held at int32 ids, scale
+        with N."""
         monkeypatch.setattr(columnar_shuffle, "_BLOCK_ROWS", 512)
         nodes = 5000
         engine = ColumnarEngine(protocol, view_size=10, shuffle_size=5,
@@ -234,7 +238,115 @@ class TestRoundMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - before) / nodes <= 1.2 * 1024
+        assert (peak - before) / nodes <= 0.58 * 1024
+
+
+def column_bytes(engine):
+    return sum(len(column) * column.itemsize
+               for column in vars(engine).values() if isinstance(column, array))
+
+
+class TestColumnWidth:
+    #: Column bytes per row at the scenario defaults (view 10, alpha window
+    #: 25, estimate cache 32, 3 relay parents): ids, ages and per-round
+    #: counters at int32, byte totals, window sums and estimates at 64 bits.
+    BYTES_PER_ROW = {"croupier": 947, "cyclon": 115, "gozar": 127, "nylon": 155}
+
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_bytes_per_row_at_defaults(self, protocol):
+        engine = make_scenario(protocol=protocol).engine
+        # ``alive`` has one entry per allocated row.
+        assert column_bytes(engine) == self.BYTES_PER_ROW[protocol] * len(engine.alive)
+
+    def test_reserve_is_exact_and_growth_adds_an_eighth(self):
+        engine = ColumnarEngine("cyclon", view_size=10, shuffle_size=5,
+                                rng=random.Random(1))
+        engine.reserve(100)
+        for index in range(100):
+            engine.add_node(public=index % 5 == 0)
+        assert len(engine.alive) == engine.rows == 101
+        engine.add_node(public=True)
+        assert len(engine.alive) == 101 + 101 // 8
+        assert column_bytes(engine) == 115 * len(engine.alive)
+
+
+class TestRowLimit:
+    """Rows are int32 ids and 24-bit wire IPs and are never recycled: crossing
+    ``ROW_LIMIT`` is a named error, never two rows sharing an IP."""
+
+    @staticmethod
+    def engine():
+        return ColumnarEngine("cyclon", view_size=4, shuffle_size=2,
+                              rng=random.Random(1))
+
+    def test_add_node_refuses_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(columnar_engine, "ROW_LIMIT", 10)
+        engine = self.engine()
+        assert [engine.add_node(public=True) for _ in range(9)] == list(range(1, 10))
+        with pytest.raises(ConfigurationError, match="ROW_LIMIT = 10"):
+            engine.add_node(public=True)
+        assert engine.rows == 10 and engine.live_count() == 9
+
+    def test_reserve_refuses_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(columnar_engine, "ROW_LIMIT", 10)
+        engine = self.engine()
+        engine.reserve(9)
+        with pytest.raises(ConfigurationError, match="ROW_LIMIT = 10"):
+            engine.reserve(10)
+
+    def test_churn_runs_into_the_limit(self, monkeypatch):
+        monkeypatch.setattr(columnar_engine, "ROW_LIMIT", 80)
+        scenario = make_scenario(n_public=10, n_private=40)
+        with pytest.raises(ConfigurationError, match="ROW_LIMIT = 80"):
+            for _ in range(20):
+                scenario.churn_step(0.2)
+        assert scenario.engine.rows == 80
+
+    def test_every_row_below_the_limit_has_its_own_ip(self):
+        last = columnar_engine.ROW_LIMIT - 1
+        assert _ip_of_row(last) == "10.255.255.255"
+        for row in (1, 255, 256, 65535, 65536, last):
+            assert _row_of_ip(_ip_of_row(row)) == row
+
+
+#: ``(fingerprint, drops)`` after 24 rounds of a 24 + 96-node cell (seed 29)
+#: with 3 % churn a round from round 4, a 10 % loss burst over rounds 8-14 and
+#: a 30 % partition over rounds 12-18. Recorded while the id columns were
+#: int64: ``fingerprint()`` hashes values, so they hold at any storage width.
+PINNED_CELL_FINGERPRINTS = {
+    "croupier": (
+        "c8721191e7e6cdbfaa9e53f14524fde5ff6a5e442ea725cfb54be8602e75a7ce",
+        [("dead_partner", 713), ("lost_in_transit", 104), ("partitioned", 238)],
+    ),
+    "cyclon": (
+        "c3db6c214bce5a93701f566688b7b0c7611c37e679329505d8256397c3cfb47a",
+        [("dead_partner", 464), ("lost_in_transit", 81), ("nat_filtered", 692),
+         ("partitioned", 252)],
+    ),
+    "gozar": (
+        "2c56232b7be50ede5ef241c334376351f7b27faae1f8f0bf72cffdd8d6f19a47",
+        [("dead_partner", 506), ("lost_in_transit", 111), ("partitioned", 284)],
+    ),
+    "nylon": (
+        "cba124ed2e7bd9beb04656a423bb375449c1dcff2ed157e89e6643b13f7487ec",
+        [("broken_chain", 65), ("dead_partner", 494), ("lost_in_transit", 108),
+         ("partitioned", 270)],
+    ),
+}
+
+
+class TestPinnedFingerprints:
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_fingerprint_unchanged(self, protocol):
+        scenario = make_scenario(seed=29, n_public=24, n_private=96, protocol=protocol)
+        Timeline((
+            ChurnPhase(fraction_per_round=0.03, start_round=4.0),
+            LossBurst(start_round=8.0, stop_round=14.0, loss_rate=0.1),
+            Partition(start_round=12.0, stop_round=18.0, fraction=0.3),
+        )).install(scenario, horizon_rounds=24).advance_rounds(24)
+        engine = scenario.engine
+        assert (engine.fingerprint(), sorted(engine.drops.items())) == (
+            PINNED_CELL_FINGERPRINTS[protocol])
 
 
 # ----------------------------------------------------------- kernel-level oracle
@@ -316,19 +428,21 @@ class TestKernelOracle:
         M = len(rows)
         vid, vage = _flat(ids), _flat(ages)
         vaux = _flat(aux) if aux else None
-        ids2d = np.array(ids, dtype=np.int64)
+        # The engine's widths: int32 id and age columns and received/sent
+        # entries, int8 sent slots, rows and aux values as intp row indices.
+        ids2d = np.array(ids, dtype=np.int32)
         ages2d = np.array(ages, dtype=np.int32)
-        aux2d = np.array(aux, dtype=np.int64) if aux else None
+        aux2d = np.array(aux, dtype=np.int32) if aux else None
 
-        def block(columns, index, width):
+        def block(columns, index, width, dtype=np.int32):
             cells = [column[index] for column in columns]
-            return np.array(cells, dtype=np.int64).reshape(M, width)
+            return np.array(cells, dtype=dtype).reshape(M, width)
 
         _batch_merge_np(
-            np, ids2d, ages2d, aux2d, np.array(rows, dtype=np.int64),
+            np, ids2d, ages2d, aux2d, np.array(rows, dtype=np.intp),
             block(received, 0, R), block(received, 1, R),
-            np.array([r[2] for r in received], dtype=np.int64),
-            block(sent, 0, S), block(sent, 1, S),
+            np.array([r[2] for r in received], dtype=np.intp),
+            block(sent, 0, S), block(sent, 1, S, np.int8),
         )
         for row, (rec_ids, rec_ages, rec_aux), (sent_ids, sent_slots) in zip(
                 rows, received, sent):
@@ -347,7 +461,7 @@ class TestKernelOracle:
 
         def engine():
             return SimpleNamespace(
-                C=C, est_pos=array("i", cursor), est_origin=array("q", _flat(origin)),
+                C=C, est_pos=array("i", cursor), est_origin=array("i", _flat(origin)),
                 est_val=array("d", _flat(value)), est_born=array("i", _flat(born)),
             )
 
@@ -357,9 +471,9 @@ class TestKernelOracle:
             cells = [[entry[index] for entry in bundle] for bundle in bundles]
             return np.array(cells, dtype=dtype).reshape(M, B)
 
-        _batch_ingest_np(batched, np, np.array(rows, dtype=np.int64),
-                         block(0, np.int64), block(1, np.float64),
-                         block(2, np.int64), block(3, bool))
+        _batch_ingest_np(batched, np, np.array(rows, dtype=np.intp),
+                         block(0, np.int32), block(1, np.float64),
+                         block(2, np.int32), block(3, bool))
         for row, bundle in zip(rows, bundles):
             _ingest_estimates(reference, row,
                               [entry[:3] for entry in bundle if entry[3]])
