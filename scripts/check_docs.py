@@ -23,10 +23,10 @@ Three classes of rot this catches:
    ``repro.experiments.figures`` builds at the CLI's default ``--nodes`` /
    ``--rounds``.
 
-4. **A stale lint rules table** — in ``docs/determinism_lint.md`` every id
-   ``repro.lint.rule_ids()`` returns has exactly one row in a rules table, and
-   every row names a registered id. (The strict-audit ids are bullets, not
-   rows, and are not checked.)
+4. **A stale lint rules table** — in ``docs/determinism_lint.md`` every id in
+   ``repro.lint.RULES`` has exactly one row in a rules table, and every row
+   names one of them. (``parse-error`` and ``unused-allowlist`` are bullets,
+   not rows, and are not checked.)
 
 5. **A stale protocol strategy table** — in ``docs/protocol_api.md`` every
    registered protocol has exactly one row in the strategy table, every row
@@ -229,9 +229,9 @@ def check_figure_table(path: Path, lines: List[str], problems: List[str]) -> Non
 
 
 def check_rule_tables(path: Path, lines: List[str], problems: List[str]) -> None:
-    from repro.lint import rule_ids
+    from repro.lint import RULES
 
-    registered = set(rule_ids())
+    registered = set(RULES)
     where = path.relative_to(REPO_ROOT)
     first_row: Dict[str, int] = {}
     for index, header in enumerate(lines):
@@ -244,7 +244,7 @@ def check_rule_tables(path: Path, lines: List[str], problems: List[str]) -> None
             if rule not in registered:
                 problems.append(
                     f"{where}:{lineno}: rules table row {rule!r} is not a "
-                    f"registered lint rule"
+                    f"lint rule in repro.lint.RULES"
                 )
             elif rule in first_row:
                 problems.append(

@@ -90,10 +90,9 @@ echo "== determinism lint (strict, 30s budget) =="
 # AST-based determinism & invariant gate (docs/determinism_lint.md). Runs in
 # seconds and before tier-1 so a seeding/ordering violation fails fast with a
 # file:line finding instead of a byte-diff three stages later. Strict mode also
-# fails on stale suppressions, stale allowlist entries and non-canonical
-# allowlist paths. The budget below is a hard wall-clock gate on the full-repo
-# strict run — busting it means the lint pass itself regressed, which would
-# erode its run-before-everything value.
+# fails on an allowlist entry that matched nothing. The budget below is a hard
+# wall-clock gate on the full-repo strict run — busting it means the lint pass
+# itself regressed, which would erode its run-before-everything value.
 LINT_START=$(date +%s)
 python -m repro lint src --strict
 LINT_ELAPSED=$(( $(date +%s) - LINT_START ))

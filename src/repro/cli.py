@@ -266,32 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: the repro package sources)",
     )
     lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="finding output format (json follows the repro-lint-v1 schema)",
-    )
-    lint.add_argument(
-        "--rules",
-        type=_csv_list,
-        default=None,
-        help="comma-separated rule ids to run (default: all; `--list-rules` shows them)",
-    )
-    lint.add_argument(
         "--strict",
         action="store_true",
-        help="audit the escape hatches too: unknown suppression rule ids and "
-        "unused suppressions/allowlist entries become findings (the CI mode)",
-    )
-    lint.add_argument(
-        "--allowlist",
-        type=Path,
-        default=None,
-        help="allowlist file (default: .repro-lint-allow discovered upward from "
-        "the first lint path)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="list registered rules and exit"
+        help="also fail on allowlist entries that matched no finding (the CI mode)",
     )
 
     return parser
@@ -563,32 +540,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import Allowlist, all_rules, run_lint
+    from repro.lint import run_lint
 
-    if args.list_rules:
-        print("registered lint rules:")
-        for rule in all_rules():
-            print(f"  {rule.id:<20} — {rule.description}")
-        return 0
-
-    if args.paths:
-        paths: List[Path] = list(args.paths)
-    else:
-        # Prefer the source checkout layout (what CI lints); fall back to the
-        # installed package so `repro lint` works from anywhere.
-        src = Path("src/repro")
-        paths = [src if src.is_dir() else Path(__file__).resolve().parent]
-
-    allowlist = (
-        Allowlist.load(args.allowlist) if args.allowlist is not None else None
-    )
-    report = run_lint(
-        paths, rules=args.rules, strict=args.strict, allowlist=allowlist
-    )
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
+    # Default: the source checkout (what CI lints), else the installed package.
+    src = Path("src/repro")
+    paths = args.paths or [src if src.is_dir() else Path(__file__).resolve().parent]
+    report = run_lint(paths, strict=args.strict)
+    print(report.to_text())
     return report.exit_code
 
 

@@ -1,30 +1,21 @@
-"""Tests for the determinism & invariant linter (``repro.lint`` / ``repro lint``).
+"""Tests for the determinism linter (``repro.lint`` / ``repro lint``).
 
-Per rule: a positive fixture (the violation fires), a negative fixture (the
-disciplined idiom passes) and a suppressed fixture (the inline escape hatch
-works). Plus: allowlist round-trip and strict-mode rot audits, JSON schema
-stability (``repro-lint-v1`` is a CI surface), CLI exit codes and surface, and
-the gate that motivates everything — a repo-wide self-run asserting the tree is
-clean.
+Per rule: a positive fixture (the violation fires) and a negative fixture (the
+disciplined idiom passes). Plus: scoped allowlist matching and the strict
+unused-entry audit, the committed allowlist's own shape, CLI exit codes and
+surface, and the gate that motivates everything — a repo-wide self-run
+asserting the tree is clean.
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.lint import (
-    Allowlist,
-    LintError,
-    LintReport,
-    get_rule,
-    rule_ids,
-    run_lint,
-)
+from repro.lint import ALLOWLIST, RULES, LintReport, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src" / "repro"
@@ -32,20 +23,21 @@ SRC = REPO_ROOT / "src" / "repro"
 
 def lint_source(
     tmp_path: Path,
-    source: str,
+    source: "str | bytes",
     name: str = "module.py",
-    rules=None,
     strict: bool = False,
-    allowlist=None,
+    allowlist=(),
 ) -> LintReport:
     """Write ``source`` under ``tmp_path`` (``name`` may carry directories, so a
-    fixture can opt into a policy tier by mirroring its path shape) and lint it."""
+    fixture can opt into a policy tier by mirroring its path shape) and lint it.
+    ``source`` may be bytes, written as they are."""
     path = tmp_path / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(textwrap.dedent(source))
-    if allowlist is None:
-        allowlist = Allowlist.empty()
-    return run_lint([path], rules=rules, strict=strict, allowlist=allowlist)
+    if isinstance(source, bytes):
+        path.write_bytes(source)
+    else:
+        path.write_text(textwrap.dedent(source))
+    return run_lint([path], strict=strict, allowlist=allowlist)
 
 
 def finding_rules(report: LintReport):
@@ -86,6 +78,7 @@ class TestGlobalRng:
         assert report.findings == []
 
     def test_inline_suppression(self, tmp_path):
+        # A comment is not an escape hatch: only the ALLOWLIST literal is.
         report = lint_source(
             tmp_path,
             """
@@ -95,22 +88,22 @@ class TestGlobalRng:
                 return random.choice(items)  # repro-lint: allow[global-rng]
             """,
         )
-        assert report.findings == []
-        assert report.suppressed == 1
+        assert finding_rules(report) == ["global-rng"]
 
-    def test_standalone_suppression_covers_next_line(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            """
-            import random
+    def test_pep263_latin1_source(self, tmp_path):
+        # The file's coding cookie decides how its bytes decode.
+        source = (
+            "# -*- coding: latin-1 -*-\n"
+            "import random\n"
+            "caf\u00e9 = '\u00e9t\u00e9'\n"
+            "x = random.random()\n"
+        ).encode("latin-1")
+        report = lint_source(tmp_path, source)
+        assert [(f.rule, f.line) for f in report.findings] == [("global-rng", 4)]
 
-            def pick(items):
-                # repro-lint: allow[global-rng]
-                return random.choice(items)
-            """,
-        )
-        assert report.findings == []
-        assert report.suppressed == 1
+    def test_undecodable_bytes_are_a_parse_error(self, tmp_path):
+        report = lint_source(tmp_path, b"x = '\xff'\n")
+        assert finding_rules(report) == ["parse-error"]
 
 
 class TestUnseededRng:
@@ -150,6 +143,18 @@ class TestGlobalSeed:
             """,
         )
         assert finding_rules(report) == ["global-seed"]
+
+    def test_numpy_random_from_import_fires(self, tmp_path):
+        report = lint_source(
+            tmp_path,
+            """
+            from numpy.random import default_rng
+            from numpy import random as npr
+
+            rng = default_rng()
+            """,
+        )
+        assert finding_rules(report) == ["global-seed", "global-seed"]
 
     def test_instance_seed_passes(self, tmp_path):
         report = lint_source(
@@ -210,6 +215,21 @@ class TestUnsortedIteration:
             name=CANONICAL_NAME,
         )
         assert finding_rules(report) == ["unsorted-iteration"]
+
+    def test_path_glob_iteration_fires(self, tmp_path):
+        report = lint_source(
+            tmp_path,
+            """
+            from pathlib import Path
+
+            def docs(d):
+                for p in Path(d).glob("*.json"):
+                    yield p
+            """,
+            name="repro/experiments/runner.py",
+        )
+        assert finding_rules(report) == ["unsorted-iteration"]
+        assert ".glob(...)" in report.findings[0].message
 
     def test_sorted_wrapper_passes(self, tmp_path):
         report = lint_source(
@@ -322,157 +342,70 @@ class TestMissingSlots:
 
 class TestAllowlist:
     def test_round_trip_absorbs_and_counts(self, tmp_path):
-        allow = tmp_path / ".repro-lint-allow"
-        allow.write_text(
-            "# diagnostics\nwall-clock  module.py  stamp\n"
-        )
         report = lint_source(
             tmp_path,
             "import time\n\n\ndef stamp():\n    return time.time()\n",
-            allowlist=Allowlist.load(allow),
+            allowlist=[("wall-clock", "module.py", "stamp")],
         )
         assert report.findings == []
         assert report.allowlisted == 1
 
     def test_scope_mismatch_does_not_absorb(self, tmp_path):
-        allow = tmp_path / ".repro-lint-allow"
-        allow.write_text("wall-clock  module.py  other_function\n")
         report = lint_source(
             tmp_path,
             "import time\n\n\ndef stamp():\n    return time.time()\n",
-            allowlist=Allowlist.load(allow),
+            allowlist=[("wall-clock", "module.py", "other_function")],
         )
         assert finding_rules(report) == ["wall-clock"]
 
     def test_unused_entry_is_strict_error(self, tmp_path):
-        allow = tmp_path / ".repro-lint-allow"
-        allow.write_text("wall-clock  nowhere.py  *\n")
         report = lint_source(
-            tmp_path, "x = 1\n", strict=True, allowlist=Allowlist.load(allow)
+            tmp_path, "x = 1\n", strict=True, allowlist=[("wall-clock", "nowhere.py", "*")]
         )
         assert finding_rules(report) == ["unused-allowlist"]
 
     def test_unknown_rule_in_entry_is_strict_error(self, tmp_path):
-        allow = tmp_path / ".repro-lint-allow"
-        allow.write_text("no-such-rule  module.py  *\n")
+        # A misspelt rule id matches nothing, so strict reports the entry.
         report = lint_source(
-            tmp_path, "x = 1\n", strict=True, allowlist=Allowlist.load(allow)
+            tmp_path, "x = 1\n", strict=True, allowlist=[("no-such-rule", "module.py", "*")]
         )
-        assert finding_rules(report) == ["unknown-suppression"]
+        assert finding_rules(report) == ["unused-allowlist"]
 
-    def test_malformed_entry_rejected(self, tmp_path):
-        allow = tmp_path / ".repro-lint-allow"
-        allow.write_text("just-one-field\n")
-        with pytest.raises(LintError):
-            Allowlist.load(allow)
-
-
-class TestStrictMode:
-    def test_unknown_suppression_is_strict_error(self, tmp_path):
-        source = "x = 1  # repro-lint: allow[no-such-rule]\n"
-        assert lint_source(tmp_path, source).findings == []
-        report = lint_source(tmp_path, source, strict=True)
-        assert finding_rules(report) == ["unknown-suppression"]
-
-    def test_unused_suppression_is_strict_error(self, tmp_path):
-        source = "x = 1  # repro-lint: allow[global-rng]\n"
-        report = lint_source(tmp_path, source, strict=True)
-        assert finding_rules(report) == ["unused-suppression"]
-
-    def test_used_suppression_is_clean_in_strict(self, tmp_path):
-        report = lint_source(
-            tmp_path,
-            "import random\nrandom.seed(1)  # repro-lint: allow[global-seed]\n",
-            strict=True,
-        )
-        assert report.findings == []
-        assert report.suppressed == 1
-
-    def test_rule_subset_skips_unused_audit(self, tmp_path):
-        # A --rules subset legitimately leaves other rules' suppressions idle.
-        report = lint_source(
-            tmp_path,
-            "x = 1  # repro-lint: allow[global-rng]\n",
-            rules=["wall-clock"],
-            strict=True,
-        )
-        assert report.findings == []
+    def test_committed_entries_name_rules_and_package_paths(self):
+        assert ALLOWLIST
+        for rule, suffix, scope in ALLOWLIST:
+            assert rule in RULES
+            assert suffix.startswith("repro/") and suffix.endswith(".py")
+            assert (SRC.parent / suffix).is_file()
+            assert scope
 
 
 class TestAllowlistPathForm:
     def test_src_prefixed_entry_still_matches(self, tmp_path):
-        allow = tmp_path / ".repro-lint-allow"
-        allow.write_text("wall-clock src/repro/experiments/runner.py *\n")
         report = lint_source(
             tmp_path,
             "import time\nstamp = time.time()\n",
             name="src/repro/experiments/runner.py",
-            allowlist=Allowlist.load(allow),
+            allowlist=[("wall-clock", "src/repro/experiments/runner.py", "*")],
         )
         assert report.findings == []
         assert report.allowlisted == 1
 
-    def test_strict_rejects_non_canonical_form(self, tmp_path):
-        allow = tmp_path / ".repro-lint-allow"
-        allow.write_text("wall-clock src/repro/experiments/runner.py *\n")
-        report = lint_source(
-            tmp_path,
-            "import time\nstamp = time.time()\n",
-            name="src/repro/experiments/runner.py",
-            strict=True,
-            allowlist=Allowlist.load(allow),
-        )
-        assert finding_rules(report) == ["allowlist-path-form"]
-        assert "repro/experiments/runner.py" in report.findings[0].message
-
     def test_canonical_form_is_strict_clean(self, tmp_path):
-        allow = tmp_path / ".repro-lint-allow"
-        allow.write_text("wall-clock repro/experiments/runner.py *\n")
         report = lint_source(
             tmp_path,
             "import time\nstamp = time.time()\n",
             name="src/repro/experiments/runner.py",
             strict=True,
-            allowlist=Allowlist.load(allow),
+            allowlist=[("wall-clock", "repro/experiments/runner.py", "*")],
         )
         assert report.findings == []
 
 
-# ----------------------------------------------------------- output and schema
+# ------------------------------------------------------------------ output
 
 
 class TestOutputSchema:
-    def test_json_schema_stable(self, tmp_path):
-        report = lint_source(
-            tmp_path, "import random\nrandom.seed(1)\nrng = random.Random()\n"
-        )
-        document = json.loads(report.to_json())
-        assert document["schema"] == "repro-lint-v1"
-        assert set(document) == {
-            "schema",
-            "rules",
-            "files_checked",
-            "findings",
-            "suppressed",
-            "allowlisted",
-        }
-        assert document["files_checked"] == 1
-        assert [f["rule"] for f in document["findings"]] == [
-            "global-seed",
-            "unseeded-rng",
-        ]
-        for finding in document["findings"]:
-            assert set(finding) == {
-                "path",
-                "line",
-                "col",
-                "rule",
-                "severity",
-                "scope",
-                "message",
-            }
-            assert finding["severity"] == "error"
-
     def test_findings_sorted_deterministically(self, tmp_path):
         report = lint_source(
             tmp_path,
@@ -480,16 +413,6 @@ class TestOutputSchema:
         )
         ordered = [(f.line, f.rule) for f in report.sorted_findings()]
         assert ordered == sorted(ordered)
-
-    def test_unknown_rule_id_rejected(self, tmp_path):
-        with pytest.raises(LintError):
-            lint_source(tmp_path, "x = 1\n", rules=["no-such-rule"])
-
-    def test_registry_exposes_docs(self):
-        assert "global-rng" in rule_ids()
-        rule = get_rule("wall-clock")
-        assert rule.description
-        assert rule.rationale
 
 
 # -------------------------------------------------------------------- CLI & repo
@@ -511,40 +434,27 @@ class TestCli:
             "    return random.random()\n"
         )
         assert main(["lint", str(path)]) == 1
-        assert "global-rng" in capsys.readouterr().out
+        # The scope is printed: it is what an allowlist entry names.
+        assert "global-rng [run_cell]" in capsys.readouterr().out
 
-    def test_json_format(self, tmp_path, capsys):
-        path = tmp_path / "clean.py"
-        path.write_text("x = 1\n")
-        assert main(["lint", "--format", "json", str(path)]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["schema"] == "repro-lint-v1"
-
-    def test_list_rules(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in rule_ids():
-            assert rule_id in out
-
-    def test_rules_subset(self, tmp_path, capsys):
-        path = tmp_path / "mixed.py"
-        path.write_text("import time\nstamp = time.time()\n")
-        assert main(["lint", "--rules", "global-rng", str(path)]) == 0
-        assert main(["lint", "--rules", "wall-clock", str(path)]) == 1
-        capsys.readouterr()
+    def test_missing_target_exits_two(self, tmp_path, capsys):
+        assert main(["lint", str(tmp_path / "absent.py")]) == 2
+        assert "does not exist" in capsys.readouterr().err
 
     def test_surface_is_pinned(self, capsys):
-        # The retired rule tier, flags, format and subcommand stay retired.
-        assert main(["lint", "--list-rules"]) == 0
-        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
-        assert listed == [
+        # `repro lint [PATH ...] [--strict]`: retired flags and subcommands stay
+        # retired, and the eight rule ids are the whole rule set.
+        assert list(RULES) == [
             "global-rng", "global-seed", "json-roundtrip-copy", "missing-slots",
             "unseeded-rng", "unsorted-iteration", "unsorted-json", "wall-clock",
         ]
         for argv in (
             ["lint", "--cache", "."],
             ["lint", "--changed", "."],
-            ["lint", "--format", "sarif", "."],
+            ["lint", "--format", "json", "."],
+            ["lint", "--rules", "wall-clock", "."],
+            ["lint", "--allowlist", ".repro-lint-allow", "."],
+            ["lint", "--list-rules"],
             ["bench"],
         ):
             with pytest.raises(SystemExit) as exit_info:
@@ -555,12 +465,7 @@ class TestCli:
 
 class TestRepoIsClean:
     def test_repo_self_run_zero_findings_strict(self):
-        report = run_lint(
-            [SRC],
-            strict=True,
-            allowlist=Allowlist.load(REPO_ROOT / ".repro-lint-allow"),
-            base_dir=REPO_ROOT,
-        )
+        report = run_lint([SRC], strict=True, base_dir=REPO_ROOT)
         assert report.findings == [], "\n" + report.to_text()
-        assert report.files_checked > 90
+        assert report.files_checked > 80
         assert report.allowlisted > 0  # the justified diagnostic timers
