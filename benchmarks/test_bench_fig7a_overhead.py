@@ -22,7 +22,7 @@ def test_fig7a_protocol_overhead(once):
     assert private["croupier"] < 0.5 * private["gozar"]
     assert private["croupier"] < 0.25 * private["nylon"]
     assert public["croupier"] < public["gozar"]
-    assert public["croupier"] < 1.5 * public["nylon"]
+    assert public["croupier"] < public["nylon"]
     # Sanity: the Cyclon baseline (public-only) is cheaper than every NAT-aware PSS.
     per_node = result.scalars("all_bps", by="protocol")
     assert 0 < per_node["cyclon"] < per_node["croupier"]

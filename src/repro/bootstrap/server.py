@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
+from repro import wire
 from repro.bootstrap.registry import BootstrapRegistry
 from repro.constants import BOOTSTRAP_CLIENT_PORT, BOOTSTRAP_PORT
 from repro.net.address import Endpoint, NodeAddress
@@ -21,7 +22,7 @@ class BootstrapRequest(Message):
     count: int = 5
 
     def payload_size(self) -> int:
-        return self.origin.wire_size + 1
+        return wire.bootstrap_request()
 
 
 @dataclass
@@ -31,7 +32,7 @@ class BootstrapResponse(Message):
     nodes: Tuple[NodeAddress, ...] = field(default_factory=tuple)
 
     def payload_size(self) -> int:
-        return sum(node.wire_size for node in self.nodes)
+        return wire.bootstrap_response(len(self.nodes))
 
 
 class BootstrapServer(Component):

@@ -18,12 +18,12 @@ Model (the documented deltas from the object backend, see docs/columnar_backend.
   engine's self-healing behaviour (the initiator already dropped the partner from
   its view).
 * **Estimator cache is a ring, not a keyed table.** Each node keeps the last
-  ``cache_capacity`` received estimates as ``(value, born_round)`` pairs; entries
+  :data:`CACHE_CAPACITY` received estimates as ``(value, born_round)`` pairs; entries
   older than the γ window are masked at read time. The object backend's
   freshest-per-origin dedup is approximated by recency.
 * **Estimate piggybacking is truncated.** A shuffle carries the sender's own
-  local estimate plus its ``forward_estimates`` most recent cached entries
-  (default 2), instead of a uniform sample of up to 10.
+  local estimate plus its :data:`FORWARD_ESTIMATES` most recent cached entries,
+  instead of a uniform sample of up to ``max_estimates_per_message``.
 
 Everything is deterministic, but the contract is *positional*, not sequential:
 the injected ``random.Random`` is consumed exactly once, at construction, to
@@ -44,17 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.columnar import backend
 from repro.columnar.backend import as_np, grow_column, new_column, seq_sum
-from repro.columnar.shuffle import (  # re-exported: the engine's wire model
-    CONTROL_BYTES,
-    DESCRIPTOR_BYTES,
-    DROP_REASONS,
-    ESTIMATE_BYTES,
-    HEADER_BYTES,
-    PARENT_ADDR_BYTES,
-    maintain_parents,
-    run_shuffle_round,
-    send_keepalives,
-)
+from repro.columnar.shuffle import maintain_parents, run_shuffle_round, send_keepalives
 from repro.columnar.streaming import StreamingHistogram
 from repro.errors import ConfigurationError
 from repro.membership.base import NatStrategy
@@ -62,13 +52,15 @@ from repro.membership.plugin import get_plugin
 from repro.simulator.core import sample
 
 __all__ = [
-    "BORN_NONE", "ColumnarEngine", "ROW_LIMIT",
-    "CONTROL_BYTES", "DESCRIPTOR_BYTES", "DROP_REASONS", "ESTIMATE_BYTES",
-    "HEADER_BYTES", "PARENT_ADDR_BYTES",
+    "BORN_NONE", "CACHE_CAPACITY", "ColumnarEngine", "FORWARD_ESTIMATES", "ROW_LIMIT",
 ]
 
 #: Sentinel born-round for an empty estimator-ring slot (always outside any window).
 BORN_NONE = -(2 ** 30)
+#: Estimate-cache slots per row, and how many of the most recently received
+#: entries a shuffle piggy-backs besides the sender's own estimate.
+CACHE_CAPACITY = 32
+FORWARD_ESTIMATES = 2
 
 #: Exclusive bound on rows. A row is a node's id in every ``int32`` id column
 #: and the last three octets of its wire IP (``10.x.y.z``). Rows are never
@@ -110,8 +102,6 @@ class ColumnarEngine:
         rng,
         history_alpha: int = 25,
         history_gamma: int = 50,
-        cache_capacity: int = 32,
-        forward_estimates: int = 2,
         parent_count: int = 3,
         parent_keepalive_every_rounds: int = 5,
         keepalive_fanout: int = 20,
@@ -127,8 +117,8 @@ class ColumnarEngine:
         self.K = min(shuffle_size, view_size)
         self.A = history_alpha
         self.G = history_gamma
-        self.C = cache_capacity
-        self.FWD = max(0, min(forward_estimates, cache_capacity))
+        self.C = CACHE_CAPACITY
+        self.FWD = FORWARD_ESTIMATES
         self.P = max(1, parent_count)
         self.parent_keepalive_every = max(1, parent_keepalive_every_rounds)
         self.keepalive_fanout = max(0, keepalive_fanout)

@@ -10,9 +10,9 @@ B. **Request subsets** — per view, every slot gets a keyed draw (ineligible
    slots get the ``MASK64`` sentinel); slots sort by ``(key, slot)`` and the
    first ``min(want, eligible)`` are taken. The sender's own descriptor (age 0)
    is appended to its own-class subset.
-C. **Delivery filtering** — wire sizes and tx are accounted for every request,
-   then drop masks apply in fixed precedence: ``lost_in_transit`` →
-   ``partitioned`` → ``dead_partner`` → unreachable-partner (``nat_filtered``
+C. **Delivery filtering** — wire sizes (:mod:`repro.wire`) and tx are
+   accounted for every request, then drop masks apply in fixed precedence:
+   ``lost_in_transit`` → ``partitioned`` → ``dead_partner`` → unreachable-partner (``nat_filtered``
    for croupier/cyclon; ``no_relay_parent`` for Gozar private partners with no
    live parent; ``broken_chain`` for Nylon private partners whose
    learned-from RVP is gone). Gozar relays and Nylon hole-punch control packets
@@ -73,19 +73,11 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro import wire
 from repro.columnar import backend
 from repro.columnar import rng as crng
 from repro.columnar.backend import as_np
 from repro.membership.base import NatStrategy
-
-#: Wire-size accounting constants (bytes). Only relative magnitudes matter for
-#: the Figure 7(a)-style per-class load comparison; they approximate the object
-#: backend's descriptor (address + age), estimate entry, and control sizes.
-DESCRIPTOR_BYTES = 8
-ESTIMATE_BYTES = 5
-HEADER_BYTES = 12
-CONTROL_BYTES = 16
-PARENT_ADDR_BYTES = 6
 
 #: Drop-reason fold order: counts accumulate locally during the pass and fold
 #: into ``engine.drops`` in this fixed order, so the dict's insertion order (and
@@ -277,10 +269,16 @@ def _batch_ingest_np(eng, np, rows, origs, vals, borns, valid):
         pos_np[ri] = ((p + 1) % C).astype(pos_np.dtype)
 
 
-def _private_desc_count_np(np, pub, ids):
-    """Per row, how many sent descriptors name a private node (Gozar parent-list
-    payload accounting)."""
-    return ((ids >= 0) & (pub[np.clip(ids, 0, None)] == 0)).sum(axis=1)
+def _shuffle_size_np(np, eng, pub, senders, ids, n_desc, valid):
+    """Datagram bytes of ``senders``' shuffle messages: ``n_desc`` descriptors
+    (``ids`` the primary-view ones) plus the sender's, estimate bundles ``valid``
+    (or None); under ``RELAY`` each private descriptor carries ``P`` parents."""
+    parents = 0
+    if eng.strategy is NatStrategy.RELAY:
+        private = (ids >= 0) & (pub[np.clip(ids, 0, None)] == 0)
+        parents = (private.sum(axis=1) + (pub[senders] == 0)) * eng.P
+    estimates = 0 if valid is None else valid.sum(axis=1)
+    return wire.HEADER + wire.shuffle(n_desc + 1, parents, estimates)
 
 
 def _request_block(eng, np, lo, hi, drops):
@@ -358,16 +356,13 @@ def _request_block(eng, np, lo, hi, drops):
             np.full(M, K - 1, dtype=np.int64), None, np.ones(M, dtype=bool), init, K)
 
     # --- C: delivery filtering (+ request-size accounting)
+    bi_valid = None
     if estimating:
         bi_origs, bi_vals, bi_borns, bi_valid = _bundles_np(eng, np, init)
-        size = (HEADER_BYTES + n_desc * DESCRIPTOR_BYTES
-                + bi_valid.sum(axis=1) * ESTIMATE_BYTES)
-    else:
-        size = HEADER_BYTES + n_desc * DESCRIPTOR_BYTES
+    size = _shuffle_size_np(np, eng, pub, init, rp_ids, n_desc, bi_valid)
     if relay_strategy:
         P = eng.P
         par2d = as_np(eng.parent_id)[: n * P].reshape(n, P)
-        size = size + _private_desc_count_np(np, pub, rp_ids) * (P * PARENT_ADDR_BYTES)
     eng.packets_sent += M
     tx[init] += size  # initiator rows are distinct
     remaining = np.ones(M, dtype=bool)
@@ -403,6 +398,9 @@ def _request_block(eng, np, lo, hi, drops):
             ).astype(np.int64)
             rslot = np.argmax(pp_live.cumsum(axis=1) == (k + 1)[:, None], axis=1)
             relay = pp[np.arange(M), rslot][relaying]
+            # Both hops carry the envelope; the initiator's tx took the bare size.
+            size[relaying] += wire.ENVELOPE
+            tx[init[relaying]] += wire.ENVELOPE
             np.add.at(rx, relay, size[relaying])
             np.add.at(tx, relay, size[relaying])
             eng.packets_sent += int(relaying.sum())
@@ -412,13 +410,16 @@ def _request_block(eng, np, lo, hi, drops):
         remaining &= ~broken
         punch = priv_partner & ~broken
         if punch.any():
+            # A request to the RVP, forwarded to the partner, which pings back.
             pr = np.nonzero(punch)[0]
-            tx[init[pr]] += CONTROL_BYTES
-            np.add.at(rx, rvp[pr], CONTROL_BYTES)
-            np.add.at(tx, rvp[pr], CONTROL_BYTES)
-            np.add.at(rx, partner[pr], CONTROL_BYTES)
-            np.add.at(tx, partner[pr], CONTROL_BYTES)
-            rx[init[pr]] += CONTROL_BYTES
+            ask = wire.HEADER + wire.punch_request()
+            ping = wire.HEADER + wire.punch_ping()
+            tx[init[pr]] += ask
+            np.add.at(rx, rvp[pr], ask)
+            np.add.at(tx, rvp[pr], ask)
+            np.add.at(rx, partner[pr], ask)
+            np.add.at(tx, partner[pr], ping)
+            rx[init[pr]] += ping
             eng.packets_sent += 3 * int(punch.sum())
     else:
         drops["nat_filtered"] += int(priv_partner.sum())
@@ -552,15 +553,11 @@ def _response_block(eng, np, ex, drops):
     I_, P_ = ex["init"], ex["partner"]
     D = I_.size
     resp_cnt = ex["ep_cnt"] + ex["eq_cnt"] if estimating else ex["ep_cnt"]
-    resp_size = HEADER_BYTES + resp_cnt * DESCRIPTOR_BYTES
-    if estimating:
-        resp_size = resp_size + ex["bp_valid"].sum(axis=1) * ESTIMATE_BYTES
+    resp_size = _shuffle_size_np(np, eng, pub, P_, ex["ep_ids"], resp_cnt,
+                                 ex["bp_valid"] if estimating else None)
     if relay_strategy:
         P = eng.P
         par2d = as_np(eng.parent_id)[: n * P].reshape(n, P)
-        resp_size = resp_size + _private_desc_count_np(np, pub, ex["ep_ids"]) * (
-            P * PARENT_ADDR_BYTES
-        )
     np.add.at(tx, P_, resp_size)  # partners may repeat
     eng.packets_sent += D
     ok = np.ones(D, dtype=bool)
@@ -588,6 +585,8 @@ def _response_block(eng, np, ex, drops):
             ).astype(np.int64)
             rslot2 = np.argmax(ip_live.cumsum(axis=1) == (k2 + 1)[:, None], axis=1)
             relay2 = ip[np.arange(D), rslot2][relaying2]
+            resp_size[relaying2] += wire.ENVELOPE
+            np.add.at(tx, P_[relaying2], wire.ENVELOPE)
             np.add.at(rx, relay2, resp_size[relaying2])
             np.add.at(tx, relay2, resp_size[relaying2])
             eng.packets_sent += int(relaying2.sum())
@@ -659,7 +658,7 @@ def maintain_parents(eng) -> None:
     Per live private row: dead parent slots are cleared; missing parents are
     recruited from live public view entries that are not already a parent,
     ranked by a keyed draw, into the row's empty slots in slot order
-    (registration costs one request/ack control exchange); every
+    (registration costs one registration/ack exchange); every
     ``parent_keepalive_every`` rounds each live parent, same-round recruits
     included, gets a keep-alive/ack pair. No row reads what the pass writes for
     another row, so all rows go at once. Maintenance traffic ignores loss and
@@ -698,18 +697,23 @@ def maintain_parents(eng) -> None:
     held[vacant & (vacant.cumsum(axis=1) <= cnt[:, None])] = recruits
     par[rec] = held
     par2d[rows] = par
-    # One control exchange (request + ack) per registration and per keep-alive.
+    # A registration or keep-alive and its equal-sized ack: a datagram each way.
+    registration = wire.HEADER + wire.registration()
+    keepalive = wire.HEADER + wire.keepalive()
     row_pairs = np.zeros(rows.size, dtype=np.int64)
     row_pairs[rec] = cnt
-    parent_pairs = np.bincount(recruits, minlength=n)
+    row_bytes = row_pairs * registration
+    parent_bytes = np.bincount(recruits, minlength=n) * registration
     if eng.round % eng.parent_keepalive_every == 0:
         kept = par >= 0
-        row_pairs += kept.sum(axis=1)
-        parent_pairs += np.bincount(par[kept], minlength=n)
+        kept_cnt = kept.sum(axis=1)
+        row_pairs += kept_cnt
+        row_bytes += kept_cnt * keepalive
+        parent_bytes += np.bincount(par[kept], minlength=n) * keepalive
     for column in (eng.tx_bytes, eng.rx_bytes):
         traffic = as_np(column)[:n]
-        traffic[rows] += row_pairs * CONTROL_BYTES
-        traffic += parent_pairs * CONTROL_BYTES
+        traffic[rows] += row_bytes
+        traffic += parent_bytes
     eng.packets_sent += 2 * int(row_pairs.sum())
 
 
@@ -728,6 +732,7 @@ def send_keepalives(eng) -> None:
     live = (ids >= 0) & alive[np.clip(ids, 0, None)]
     take = live & (live.cumsum(axis=1) <= eng.keepalive_fanout)
     sent = take.sum(axis=1)
-    as_np(eng.tx_bytes)[rows] += sent * CONTROL_BYTES
-    as_np(eng.rx_bytes)[:n] += np.bincount(ids[take], minlength=n) * CONTROL_BYTES
+    keepalive = wire.HEADER + wire.keepalive()
+    as_np(eng.tx_bytes)[rows] += sent * keepalive
+    as_np(eng.rx_bytes)[:n] += np.bincount(ids[take], minlength=n) * keepalive
     eng.packets_sent += int(sent.sum())

@@ -22,9 +22,8 @@ class CroupierConfig(PssConfig):
         discarded (paper default for most experiments: 50).
     max_estimates_per_message:
         Upper bound on the number of neighbour estimates piggy-backed on each shuffle
-        request/response. The paper uses 10, which at 5 bytes per estimate
-        (:attr:`~repro.core.estimator.RatioEstimate.wire_size`) adds at most 50 bytes
-        per shuffle message.
+        request/response, besides a public sender's own; :mod:`repro.wire` sizes them.
+        The paper uses 10.
     pending_shuffle_timeout_rounds:
         How many rounds an unanswered shuffle request is remembered before its state is
         discarded (bounds memory under message loss and churn).

@@ -38,7 +38,7 @@ class RatioEstimate(_EstimateFields):
     An immutable ``__slots__`` value object. Every shuffle message carries up to
     eleven of them, so each is filled in as the guard-free :class:`_EstimateFields`
     with plain slot stores and then given this class, as descriptors are
-    (:mod:`repro.membership.descriptor`).
+    (:mod:`repro.membership.descriptor`). Its encoding is :data:`repro.wire.ESTIMATE`.
 
     Attributes
     ----------
@@ -53,11 +53,6 @@ class RatioEstimate(_EstimateFields):
     """
 
     __slots__ = ()
-
-    #: Paper, Section VII: "5 bytes used per estimation ... two bytes for the node
-    #: identifier, one byte each for the public and private counts, and one for the
-    #: timestamp".
-    wire_size = 5
 
     def __new__(cls, origin_id: int, value: float, age: int = 0) -> "RatioEstimate":
         estimate = _EstimateFields()

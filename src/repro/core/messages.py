@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro import wire
 from repro.core.estimator import RatioEstimate
-from repro.membership.descriptor import NodeDescriptor, wire_size_of
+from repro.membership.descriptor import NodeDescriptor, parent_count
 from repro.simulator.message import Message
 
 
@@ -25,13 +26,9 @@ class _CroupierShuffle(Message):
     sender_estimate: Optional[RatioEstimate] = None
 
     def payload_size(self) -> int:
-        size = self.sender.wire_size
-        size += wire_size_of(self.public_descriptors)
-        size += wire_size_of(self.private_descriptors)
-        size += RatioEstimate.wire_size * len(self.estimates)
-        if self.sender_estimate is not None:
-            size += RatioEstimate.wire_size
-        return size
+        descriptors = (self.sender, *self.public_descriptors, *self.private_descriptors)
+        estimates = len(self.estimates) + (self.sender_estimate is not None)
+        return wire.shuffle(len(descriptors), parent_count(descriptors), estimates)
 
     @property
     def descriptor_count(self) -> int:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import wire
 from repro.constants import (
     DEFAULT_ROUND_MS,
     DEFAULT_SHUFFLE_SIZE,
@@ -34,7 +35,7 @@ from repro.constants import (
     PSS_PORT,
 )
 from repro.errors import ConfigurationError
-from repro.membership.descriptor import NodeDescriptor, wire_size_of
+from repro.membership.descriptor import NodeDescriptor, parent_count
 from repro.membership.policies import SelectionPolicy, select_partner
 from repro.membership.view import PartialView
 from repro.net.address import NodeAddress
@@ -102,7 +103,8 @@ class _ViewShuffle(Message):
     descriptors: Tuple[NodeDescriptor, ...] = field(default_factory=tuple)
 
     def payload_size(self) -> int:
-        return self.sender.wire_size + wire_size_of(self.descriptors)
+        descriptors = (self.sender, *self.descriptors)
+        return wire.shuffle(len(descriptors), parent_count(descriptors))
 
 
 @dataclass

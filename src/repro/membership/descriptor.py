@@ -20,9 +20,8 @@ Re-aged copies are the most frequent allocation of a Croupier run. The fields li
 a guard-free base class, so a descriptor (a new one, or a copy from
 :meth:`NodeDescriptor.with_age`) is filled in with plain slot stores and only then
 given the immutable class; nothing goes through the ``__setattr__`` guard or an
-``object.__setattr__`` call per field. The
-:attr:`~NodeDescriptor.wire_size` is arithmetic on the parent count (an address always
-encodes to :data:`ADDRESS_BYTES`), so nothing is computed per object or cached.
+``object.__setattr__`` call per field. A descriptor's encoded size depends only on its
+parent count (:mod:`repro.wire`), so nothing is computed per object or cached.
 """
 
 from __future__ import annotations
@@ -30,12 +29,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from repro.net.address import NatType, NodeAddress
-
-#: Encoded size of a :class:`~repro.net.address.NodeAddress`: node id (4) + endpoint (6)
-#: + NAT type (1), whatever the address.
-ADDRESS_BYTES = 11
-#: Encoded size of a descriptor without relay parents: its address plus one age byte.
-DESCRIPTOR_BYTES = ADDRESS_BYTES + 1
 
 
 class _DescriptorFields:
@@ -157,20 +150,12 @@ class NodeDescriptor(_DescriptorFields):
         """A descriptor with the relay-parent list replaced (Gozar)."""
         return NodeDescriptor(self.address, self.age, parents)
 
-    # ------------------------------------------------------------------ accounting
-
-    @property
-    def wire_size(self) -> int:
-        """Bytes to encode the descriptor: address + age byte + any relay parents."""
-        return DESCRIPTOR_BYTES + ADDRESS_BYTES * len(self.parents)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         suffix = f", parents={len(self.parents)}" if self.parents else ""
         return f"Descriptor(node={self.node_id}, {self.nat_type.value}, age={self.age}{suffix})"
 
 
-def wire_size_of(descriptors: Sequence[NodeDescriptor]) -> int:
-    """The summed :attr:`NodeDescriptor.wire_size` of ``descriptors``, by the same
-    arithmetic without a property call per descriptor (messages size whole batches)."""
-    parents = sum([len(descriptor.parents) for descriptor in descriptors])
-    return DESCRIPTOR_BYTES * len(descriptors) + ADDRESS_BYTES * parents
+def parent_count(descriptors: Sequence[NodeDescriptor]) -> int:
+    """How many relay-parent addresses ``descriptors`` carry in all: the
+    ``parents`` count of :func:`repro.wire.shuffle`."""
+    return sum([len(descriptor.parents) for descriptor in descriptors])

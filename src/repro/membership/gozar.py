@@ -175,8 +175,8 @@ class Gozar(PeerSamplingService):
             self.stats.extra.get("relayed_messages", 0) + 1
         )
         # The child keep-alives us, so its NAT holds a mapping towards our endpoint and
-        # this direct send gets through.
-        self.send_to_node(child, message.forwarded())
+        # this direct send of the envelope gets through.
+        self.send_to_node(child, message)
 
     def _on_registration(self, packet: Packet) -> None:
         message = packet.message

@@ -5,10 +5,8 @@ to public nodes. The baselines, however, must reach private nodes, and they do s
 two classic techniques that this module provides as reusable message types:
 
 * **Relaying** (:class:`RelayEnvelope`): the payload is wrapped in an envelope addressed
-  to a relay node, which unwraps it and forwards it (directly, or along a further chain
-  of relays) to the final private target. Gozar uses a single relay hop through one of
-  the private node's *parents*; Nylon may traverse an unbounded chain of rendezvous
-  points (RVPs).
+  to a relay node, which forwards it to the final private target. Gozar relays every
+  shuffle with a private node through one of that node's *parents*, one hop.
 * **Hole punching** (:class:`HolePunchRequest` / :class:`HolePunchPing`): a rendezvous
   node asks the private target to open an outbound flow towards the initiator, which
   installs the NAT mapping the initiator's subsequent packets will traverse.
@@ -16,23 +14,22 @@ two classic techniques that this module provides as reusable message types:
   mappings towards their relays/RVPs so that relayed traffic keeps flowing. These
   messages are a real cost and are accounted like any other traffic — they are part of
   why the baselines have higher overhead in Figure 7(a).
+
+Every size is :mod:`repro.wire`'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass, replace
 
+from repro import wire
 from repro.net.address import NodeAddress
 from repro.simulator.message import Message
-
-#: Extra bytes a relay envelope adds on the wire: final target address + hop counter.
-RELAY_HEADER_BYTES = 12
 
 
 @dataclass
 class RelayEnvelope(Message):
-    """A message wrapped for delivery to a private node via one or more relays.
+    """A message wrapped for delivery to a private node via a relay.
 
     Attributes
     ----------
@@ -42,35 +39,14 @@ class RelayEnvelope(Message):
         The node that originated the payload (so the target can reply directly).
     payload:
         The wrapped protocol message.
-    hops:
-        How many relay hops the envelope has already traversed. Incremented by each
-        relay; used both for loop protection and for the overhead statistics.
-    max_hops:
-        Relays drop the envelope once this limit is reached (loop/fragility guard).
     """
 
     target: NodeAddress
     initiator: NodeAddress
     payload: Message
-    hops: int = 0
-    max_hops: int = 16
 
     def payload_size(self) -> int:
-        return RELAY_HEADER_BYTES + self.initiator.wire_size + self.payload.payload_size()
-
-    def forwarded(self) -> "RelayEnvelope":
-        """Return a copy with the hop counter incremented (used by each relay)."""
-        return RelayEnvelope(
-            target=self.target,
-            initiator=self.initiator,
-            payload=self.payload,
-            hops=self.hops + 1,
-            max_hops=self.max_hops,
-        )
-
-    @property
-    def exceeded_hop_limit(self) -> bool:
-        return self.hops >= self.max_hops
+        return wire.relay(self.payload.payload_size())
 
 
 @dataclass
@@ -83,15 +59,10 @@ class HolePunchRequest(Message):
     max_hops: int = 16
 
     def payload_size(self) -> int:
-        return self.initiator.wire_size + self.target.wire_size + 2
+        return wire.punch_request()
 
     def forwarded(self) -> "HolePunchRequest":
-        return HolePunchRequest(
-            initiator=self.initiator,
-            target=self.target,
-            hops=self.hops + 1,
-            max_hops=self.max_hops,
-        )
+        return replace(self, hops=self.hops + 1)
 
     @property
     def exceeded_hop_limit(self) -> bool:
@@ -105,7 +76,7 @@ class HolePunchPing(Message):
     origin: NodeAddress
 
     def payload_size(self) -> int:
-        return self.origin.wire_size
+        return wire.punch_ping()
 
 
 @dataclass
@@ -115,7 +86,7 @@ class KeepAlive(Message):
     origin: NodeAddress
 
     def payload_size(self) -> int:
-        return self.origin.wire_size
+        return wire.keepalive()
 
 
 @dataclass
@@ -125,7 +96,7 @@ class KeepAliveAck(Message):
     origin: NodeAddress
 
     def payload_size(self) -> int:
-        return self.origin.wire_size
+        return wire.keepalive()
 
 
 @dataclass
@@ -135,7 +106,7 @@ class RelayRegistration(Message):
     origin: NodeAddress
 
     def payload_size(self) -> int:
-        return self.origin.wire_size + 1
+        return wire.registration()
 
 
 @dataclass
@@ -146,14 +117,4 @@ class RelayRegistrationAck(Message):
     accepted: bool = True
 
     def payload_size(self) -> int:
-        return self.origin.wire_size + 1
-
-
-@dataclass
-class RelayPath(Message):
-    """Diagnostic record of the relay path a message traversed (testing only)."""
-
-    waypoints: Tuple[int, ...] = field(default_factory=tuple)
-
-    def payload_size(self) -> int:
-        return 4 * len(self.waypoints)
+        return wire.registration()

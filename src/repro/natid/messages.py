@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
+from repro import wire
 from repro.net.address import Endpoint, NodeAddress
 from repro.simulator.message import Message
 
@@ -23,7 +24,7 @@ class MatchingIpTest(Message):
     bootstrap_nodes: Tuple[NodeAddress, ...] = field(default_factory=tuple)
 
     def payload_size(self) -> int:
-        return 4 + self.client.wire_size + sum(n.wire_size for n in self.bootstrap_nodes)
+        return wire.nat_test(0, 1 + len(self.bootstrap_nodes))
 
 
 @dataclass
@@ -39,7 +40,7 @@ class ForwardTest(Message):
     client: NodeAddress
 
     def payload_size(self) -> int:
-        return 4 + self.observed_client.wire_size + self.client.wire_size
+        return wire.nat_test(1, 1)
 
 
 @dataclass
@@ -54,4 +55,4 @@ class ForwardResp(Message):
     observed_client: Endpoint
 
     def payload_size(self) -> int:
-        return 4 + self.observed_client.wire_size
+        return wire.nat_test(1, 0)

@@ -113,11 +113,6 @@ class Endpoint:
     def __str__(self) -> str:
         return f"{self.ip}:{self.port}"
 
-    @property
-    def wire_size(self) -> int:
-        """Bytes needed to encode the endpoint on the wire (IPv4 + port)."""
-        return 6
-
 
 @dataclass(frozen=True)
 class NodeAddress:
@@ -183,11 +178,6 @@ class NodeAddress:
             nat_type=self.nat_type,
             private_endpoint=self.private_endpoint,
         )
-
-    @property
-    def wire_size(self) -> int:
-        """Bytes to encode the address in a message: node id (4) + endpoint (6) + type (1)."""
-        return 4 + self.endpoint.wire_size + 1
 
     def __str__(self) -> str:
         return f"node{self.node_id}({self.nat_type.value}@{self.endpoint})"

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro import wire
 from repro.net.address import Endpoint, NodeAddress
-
-#: IPv4 header (20 bytes) + UDP header (8 bytes).
-UDP_IP_HEADER_SIZE = 28
 
 
 class Message:
@@ -23,8 +21,8 @@ class Message:
 
     Subclasses should be small immutable containers (dataclasses are encouraged) and
     must override :meth:`payload_size` to report the number of payload bytes their wire
-    encoding would occupy. The simulator never serialises messages — sizes are used
-    purely for overhead accounting.
+    encoding would occupy, computed by :mod:`repro.wire`. The simulator never
+    serialises messages — sizes are used purely for overhead accounting.
     """
 
     # Messages are allocated per shuffle per round; the base class must not force
@@ -46,7 +44,7 @@ class Message:
         """
         cached = getattr(self, "_wire_size_cache", None)
         if cached is None:
-            cached = UDP_IP_HEADER_SIZE + self.payload_size()
+            cached = wire.HEADER + self.payload_size()
             self._wire_size_cache = cached
         return cached
 

@@ -6,19 +6,19 @@ estimator advance, NAT maintenance, shuffle phases A-H (see
 ``array.array`` columns and the same position-keyed draws, with no numpy. Two
 identically built engines, one stepped by each, must have equal
 ``fingerprint()`` after every round and equal ``drops`` at the end. It shares
-with the engine only the storage, ``rng.stream``/``rng.draw`` and the wire-size
-constants; every pass, Gozar/Nylon maintenance included, is its own loop here.
+with the engine only the storage, ``rng.stream``/``rng.draw`` and the wire model
+(``repro.wire``); every pass, Gozar/Nylon maintenance included, is its own loop
+here.
 """
 
+from repro import wire
 from repro.columnar import rng as crng
-from repro.columnar.shuffle import (
-    CONTROL_BYTES,
-    DESCRIPTOR_BYTES,
-    DROP_REASONS,
-    ESTIMATE_BYTES,
-    HEADER_BYTES,
-    PARENT_ADDR_BYTES,
-)
+from repro.columnar.shuffle import DROP_REASONS
+
+REGISTRATION = wire.HEADER + wire.registration()
+KEEPALIVE = wire.HEADER + wire.keepalive()
+PUNCH_REQUEST = wire.HEADER + wire.punch_request()
+PUNCH_PING = wire.HEADER + wire.punch_ping()
 
 
 def oracle_round(eng) -> None:
@@ -76,7 +76,7 @@ def _maintain_parents(eng) -> None:
 
     Per live private row (ascending): dead parent slots are cleared; missing
     parents are recruited from live public view entries ranked by a keyed draw
-    (registration costs one request/ack control exchange); every
+    (registration costs one registration/ack exchange); every
     ``parent_keepalive_every`` rounds each live parent gets a keep-alive/ack
     pair. Maintenance traffic ignores loss and partitions (documented delta),
     and registration is instantaneous — a recruit is usable the same round.
@@ -115,19 +115,19 @@ def _maintain_parents(eng) -> None:
             for (_key, vs), ps in zip(cands[:needed], empties):
                 nid = pub_id[vbase + vs]
                 parent_id[pbase + ps] = nid
-                tx[row] += CONTROL_BYTES
-                rx[nid] += CONTROL_BYTES
-                tx[nid] += CONTROL_BYTES
-                rx[row] += CONTROL_BYTES
+                tx[row] += REGISTRATION
+                rx[nid] += REGISTRATION
+                tx[nid] += REGISTRATION
+                rx[row] += REGISTRATION
                 eng.packets_sent += 2
         if keepalive:
             for s in range(P):
                 pid = parent_id[pbase + s]
                 if pid >= 0:
-                    tx[row] += CONTROL_BYTES
-                    rx[pid] += CONTROL_BYTES
-                    tx[pid] += CONTROL_BYTES
-                    rx[row] += CONTROL_BYTES
+                    tx[row] += KEEPALIVE
+                    rx[pid] += KEEPALIVE
+                    tx[pid] += KEEPALIVE
+                    rx[row] += KEEPALIVE
                     eng.packets_sent += 2
 
 
@@ -153,8 +153,8 @@ def _send_keepalives(eng) -> None:
                 break
             nid = pub_id[vbase + s]
             if nid >= 0 and alive[nid]:
-                tx[row] += CONTROL_BYTES
-                rx[nid] += CONTROL_BYTES
+                tx[row] += KEEPALIVE
+                rx[nid] += KEEPALIVE
                 eng.packets_sent += 1
                 sent += 1
 
@@ -270,14 +270,15 @@ def _live_parents(eng, row: int):
             if eng.parent_id[base + s] >= 0 and eng.alive[eng.parent_id[base + s]]]
 
 
-def _wire_size(eng, pub_ids, n_desc: int, bundle) -> int:
-    size = HEADER_BYTES + n_desc * DESCRIPTOR_BYTES
-    if eng.estimating:
-        size += len(bundle) * ESTIMATE_BYTES
+def _wire_size(eng, sender: int, pub_ids, n_desc: int, bundle) -> int:
+    """The sender's descriptor rides in front of the ``n_desc`` sent ones; in
+    Gozar each private one, the sender's included, carries P parents."""
+    parents = 0
     if eng.protocol == "gozar":
-        npriv = sum(1 for d in pub_ids if d >= 0 and not eng.is_public[d])
-        size += npriv * eng.P * PARENT_ADDR_BYTES
-    return size
+        npriv = sum(1 for d in (sender, *pub_ids) if d >= 0 and not eng.is_public[d])
+        parents = npriv * eng.P
+    estimates = len(bundle) if eng.estimating else 0
+    return wire.HEADER + wire.shuffle(n_desc + 1, parents, estimates)
 
 
 def _shuffle(eng) -> None:
@@ -346,7 +347,7 @@ def _shuffle(eng) -> None:
     for (i, partner, rvp), (req_pub, req_priv) in zip(inits, requests):
         n_desc = len(req_pub[1]) + (len(req_priv[1]) if estimating else 0)
         bundle_i = _estimate_bundle(eng, i) if estimating else None
-        size = _wire_size(eng, req_pub[1], n_desc, bundle_i)
+        size = _wire_size(eng, i, req_pub[1], n_desc, bundle_i)
         eng.packets_sent += 1
         tx[i] += size
         loss = loss_pub if is_public[i] else loss_priv
@@ -366,6 +367,8 @@ def _shuffle(eng) -> None:
                     drops["no_relay_parent"] += 1
                     continue
                 relay = live_par[crng.draw(base_relay_req, i) % len(live_par)]
+                tx[i] += wire.ENVELOPE  # both hops carry the envelope
+                size += wire.ENVELOPE
                 rx[relay] += size
                 tx[relay] += size
                 eng.packets_sent += 1
@@ -374,9 +377,11 @@ def _shuffle(eng) -> None:
                     drops["broken_chain"] += 1
                     continue
                 # hole punch: i -> rvp -> partner, then partner pings i
-                for sender, receiver in ((i, rvp), (rvp, partner), (partner, i)):
-                    tx[sender] += CONTROL_BYTES
-                    rx[receiver] += CONTROL_BYTES
+                for sender, receiver, nbytes in ((i, rvp, PUNCH_REQUEST),
+                                                 (rvp, partner, PUNCH_REQUEST),
+                                                 (partner, i, PUNCH_PING)):
+                    tx[sender] += nbytes
+                    rx[receiver] += nbytes
                 eng.packets_sent += 3
             else:
                 drops["nat_filtered"] += 1
@@ -422,7 +427,7 @@ def _shuffle(eng) -> None:
     for x, (i, partner, req_pub, req_priv, _b) in enumerate(delivered):
         reply_pub, reply_priv = replies[x]
         n_desc = len(reply_pub[1]) + (len(reply_priv[1]) if estimating else 0)
-        size = _wire_size(eng, reply_pub[1], n_desc, bundles[x])
+        size = _wire_size(eng, partner, reply_pub[1], n_desc, bundles[x])
         eng.packets_sent += 1
         tx[partner] += size
         loss = loss_pub if is_public[partner] else loss_priv
@@ -435,6 +440,8 @@ def _shuffle(eng) -> None:
                 drops["no_relay_parent"] += 1
                 continue
             relay = live_par[crng.draw(base_relay_resp, i) % len(live_par)]
+            tx[partner] += wire.ENVELOPE
+            size += wire.ENVELOPE
             rx[relay] += size
             tx[relay] += size
             eng.packets_sent += 1

@@ -5,10 +5,11 @@ This is the ``NodeDescriptor`` / ``PartialView`` / ``RatioEstimate`` /
 ``RatioEstimator`` code of commit 239e6a8, moved here verbatim (only the class
 names gained a ``Reference`` prefix): selection goes through ``random.Random``'s
 own ``sample`` / ``choice``, ``random_subset`` builds an exclusion set on every
-call, the local estimate re-sums the whole α-window, estimates are frozen
-dataclasses and descriptors cache their wire size. It is slow on purpose and has
-no shortcut that could be wrong, which is what makes it the oracle
-``tests/test_croupier_oracle.py`` drives the production classes against.
+call, the local estimate re-sums the whole α-window and estimates are frozen
+dataclasses. It is slow on purpose and has no shortcut that could be wrong, which
+is what makes it the oracle ``tests/test_croupier_oracle.py`` drives the
+production classes against. It carries no wire sizes: those are ``repro.wire``'s,
+pinned by ``tests/test_wire.py``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class ReferenceNodeDescriptor:
         descriptor can be reached. Empty for every other protocol.
     """
 
-    __slots__ = ("address", "age", "parents", "node_id", "_wire_size")
+    __slots__ = ("address", "age", "parents", "node_id")
 
     def __init__(
         self,
@@ -55,7 +56,6 @@ class ReferenceNodeDescriptor:
         # node_id is read on every merge/selection step; a plain slot avoids a
         # property call through the address on each access.
         _set_slot(self, "node_id", address.node_id)
-        _set_slot(self, "_wire_size", None)
 
     # ------------------------------------------------------------------ immutability
 
@@ -118,10 +118,7 @@ class ReferenceNodeDescriptor:
         """A descriptor with the age replaced (used by lazy-ageing views)."""
         if age == self.age:
             return self
-        clone = ReferenceNodeDescriptor(self.address, age, self.parents)
-        # The encoded size does not depend on the age: a re-aged copy keeps the cache.
-        _set_slot(clone, "_wire_size", self._wire_size)
-        return clone
+        return ReferenceNodeDescriptor(self.address, age, self.parents)
 
     def is_fresher_than(self, other: "ReferenceNodeDescriptor") -> bool:
         """Whether this descriptor carries more recent information than ``other``."""
@@ -130,22 +127,6 @@ class ReferenceNodeDescriptor:
     def with_parents(self, parents: Tuple[NodeAddress, ...]) -> "ReferenceNodeDescriptor":
         """A descriptor with the relay-parent list replaced (Gozar)."""
         return ReferenceNodeDescriptor(self.address, self.age, parents)
-
-    # ------------------------------------------------------------------ accounting
-
-    @property
-    def wire_size(self) -> int:
-        """Bytes to encode the descriptor: address + age byte + any relay parents.
-
-        Computed once and cached — the traffic monitor asks for message sizes on every
-        send *and* receive, which made this the hottest property in the whole simulator
-        before caching.
-        """
-        size = self._wire_size
-        if size is None:
-            size = self.address.wire_size + 1 + sum(p.wire_size for p in self.parents)
-            _set_slot(self, "_wire_size", size)
-        return size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         suffix = f", parents={len(self.parents)}" if self.parents else ""
@@ -440,11 +421,6 @@ class ReferenceRatioEstimate:
     origin_id: int
     value: float
     age: int = 0
-
-    #: Paper, Section VII: "5 bytes used per estimation ... two bytes for the node
-    #: identifier, one byte each for the public and private counts, and one for the
-    #: timestamp".
-    wire_size: int = 5
 
     def aged(self, increment: int = 1) -> "ReferenceRatioEstimate":
         return ReferenceRatioEstimate(self.origin_id, self.value, self.age + increment)

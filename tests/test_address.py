@@ -37,7 +37,6 @@ class TestEndpoint:
     def test_valid(self):
         endpoint = Endpoint("1.2.3.4", 7000)
         assert str(endpoint) == "1.2.3.4:7000"
-        assert endpoint.wire_size == 6
 
     def test_port_range_validation(self):
         with pytest.raises(ConfigurationError):
@@ -102,10 +101,6 @@ class TestNodeAddress:
         updated = address.with_endpoint(Endpoint("2.0.0.1", 8000))
         assert updated.endpoint == Endpoint("2.0.0.1", 8000)
         assert updated.nat_type == address.nat_type
-
-    def test_wire_size(self):
-        # node id (4) + endpoint (6) + nat type (1)
-        assert self._address().wire_size == 11
 
     def test_is_public_private_helpers(self):
         assert self._address(nat_type=NatType.PUBLIC).is_public

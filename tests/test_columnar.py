@@ -20,6 +20,7 @@ import random
 import re
 import tracemalloc
 from array import array
+from collections import Counter
 from collections.abc import Mapping, MutableMapping
 from dataclasses import fields
 from pathlib import Path
@@ -31,10 +32,10 @@ from hypothesis import given, settings, strategies as st
 np = pytest.importorskip("numpy")  # the columnar engine's one hard requirement
 
 from columnar_oracle import _ingest_estimates, _merge_row, oracle_round
+from repro import wire
 from repro.columnar import ColumnarEngine, ColumnarScenario
 from repro.columnar import engine as columnar_engine
 from repro.columnar import shuffle as columnar_shuffle
-from repro.columnar.engine import CONTROL_BYTES
 from repro.columnar.scenario import _ip_of_row, _row_of_ip
 from repro.columnar.shuffle import _batch_ingest_np, _batch_merge_np
 from repro.errors import ConfigurationError, ExperimentError
@@ -313,22 +314,24 @@ class TestRowLimit:
 #: with 3 % churn a round from round 4, a 10 % loss burst over rounds 8-14 and
 #: a 30 % partition over rounds 12-18. Recorded while the id columns were
 #: int64: ``fingerprint()`` hashes values, so they hold at any storage width.
+#: The hashes were re-recorded when tx/rx moved to ``repro.wire``'s sizes; the
+#: same fingerprint without ``tx_bytes``/``rx_bytes``, and the drops, did not move.
 PINNED_CELL_FINGERPRINTS = {
     "croupier": (
-        "c8721191e7e6cdbfaa9e53f14524fde5ff6a5e442ea725cfb54be8602e75a7ce",
+        "53199a4143ea1a10830582709849f56e7a04a28a154f3e3b16f544c8e6900bc7",
         [("dead_partner", 713), ("lost_in_transit", 104), ("partitioned", 238)],
     ),
     "cyclon": (
-        "c3db6c214bce5a93701f566688b7b0c7611c37e679329505d8256397c3cfb47a",
+        "5f9e095149b9096d45d640b2b25be7ac96f5e3e070eec24447d0cbc3d89dff15",
         [("dead_partner", 464), ("lost_in_transit", 81), ("nat_filtered", 692),
          ("partitioned", 252)],
     ),
     "gozar": (
-        "2c56232b7be50ede5ef241c334376351f7b27faae1f8f0bf72cffdd8d6f19a47",
+        "9d989dca7bfec4a099b1135054601e0ec12b148fcf597aefb2dd923e67f67e2d",
         [("dead_partner", 506), ("lost_in_transit", 111), ("partitioned", 284)],
     ),
     "nylon": (
-        "cba124ed2e7bd9beb04656a423bb375449c1dcff2ed157e89e6643b13f7487ec",
+        "0d82bbef3bc6fd3d83047156d2c96bb66c9e58d914f67e142ae1809d992f2860",
         [("broken_chain", 65), ("dead_partner", 494), ("lost_in_transit", 108),
          ("partitioned", 270)],
     ),
@@ -926,10 +929,14 @@ class TestNatMaintenancePasses:
 
     @pytest.mark.parametrize("protocol", NAT_PROTOCOLS)
     def test_traffic_balances_packets(self, protocol):
-        """Every maintenance packet is CONTROL_BYTES sent and received once."""
+        """Every maintenance packet is sent and received once, at its kind's size:
+        Nylon sends keep-alives; Gozar sends registrations and, on keep-alive
+        rounds, one keep-alive per parent held after the pass (each with its ack)."""
         engine = _nat_engine(protocol, 20, 80, parent_keepalive_every_rounds=2,
                              keepalive_fanout=4)
-        moved = 0
+        keepalive = wire.HEADER + wire.keepalive()
+        registration = wire.HEADER + wire.registration()
+        kinds = Counter()
         for _ in range(6):
             engine.run_round()
             for row in engine.live_rows()[::9]:
@@ -938,10 +945,21 @@ class TestNatMaintenancePasses:
                       engine.packets_sent)
             self.PASSES[protocol](engine)
             packets = engine.packets_sent - before[2]
-            assert sum(engine.tx_bytes) - before[0] == packets * CONTROL_BYTES
-            assert sum(engine.rx_bytes) - before[1] == packets * CONTROL_BYTES
-            moved += packets
-        assert moved > 0
+            keepalives = packets
+            if protocol == "gozar":
+                keepalives = 0
+                if engine.round % engine.parent_keepalive_every == 0:
+                    P = engine.P
+                    keepalives = 2 * sum(
+                        p >= 0 for row in engine.live_private_rows()
+                        for p in engine.parent_id[row * P:(row + 1) * P])
+            registrations = packets - keepalives
+            moved = keepalives * keepalive + registrations * registration
+            assert sum(engine.tx_bytes) - before[0] == moved
+            assert sum(engine.rx_bytes) - before[1] == moved
+            kinds.update(keepalive=keepalives, registration=registrations)
+        assert kinds["keepalive"] > 0
+        assert kinds["registration"] > 0 or protocol == "nylon"
 
     @pytest.mark.parametrize("protocol", NAT_PROTOCOLS)
     @pytest.mark.parametrize("n_public", [0, 25])

@@ -24,7 +24,6 @@ class TestConfig:
         assert config.local_history_alpha == 25
         assert config.neighbour_history_gamma == 50
         assert config.max_estimates_per_message == 10
-        assert RatioEstimate.wire_size == 5  # the paper's 5-byte estimate entry
 
     def test_window_presets(self):
         small = CroupierConfig.small_windows()
@@ -216,26 +215,14 @@ class TestSamplingApi:
 
 
 class TestMessageSizes:
-    def test_shuffle_message_size_accounts_descriptors_and_estimates(self, sim, hosts):
-        croupier = build_croupier(hosts)
-        other = build_croupier(hosts)
-        from repro.core.estimator import RatioEstimate
-
-        request = ShuffleRequest(
-            sender=croupier.self_descriptor(),
-            public_descriptors=(other.self_descriptor(),),
-            private_descriptors=(),
-            estimates=(RatioEstimate(1, 0.2), RatioEstimate(2, 0.3)),
-            sender_estimate=RatioEstimate(3, 0.25),
+    def test_estimate_overhead_bounded_to_fifty_bytes(self, sim, hosts):
+        """Paper, Section VII: the piggy-backed estimates add at most 50 bytes to a
+        shuffle message (10 of 5 bytes), besides a public sender's own."""
+        sender = build_croupier(hosts).self_descriptor()
+        bound = CroupierConfig().max_estimates_per_message
+        bare = ShuffleRequest(sender=sender)
+        full = ShuffleRequest(
+            sender=sender,
+            estimates=tuple(RatioEstimate(i, 0.2) for i in range(bound)),
         )
-        expected_payload = 12 + 12 + 3 * 5
-        assert request.payload_size() == expected_payload
-        assert request.wire_size == expected_payload + 28
-        assert request.descriptor_count == 1
-
-    def test_estimate_overhead_bounded_to_fifty_bytes(self):
-        """Paper: at most 10 estimates x 5 bytes = 50 bytes of estimation overhead."""
-        from repro.core.estimator import RatioEstimate
-
-        estimates = tuple(RatioEstimate(i, 0.2) for i in range(10))
-        assert sum(e.wire_size for e in estimates) == 50
+        assert full.wire_size - bare.wire_size == 50

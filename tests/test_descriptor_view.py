@@ -54,23 +54,12 @@ class TestNodeDescriptor:
         older = d.with_age(7)
         assert older.age == 7 and older is not d
         assert d.with_age(2) is d  # no-op rebinding returns the same object
-
-    def test_wire_size_is_cached_and_stable(self):
-        d = make_descriptor(1)
-        assert d.wire_size == d.wire_size == 12
+        parents = (make_descriptor(2).address, make_descriptor(3).address)
+        assert make_descriptor(1, public=False).with_parents(parents).parents == parents
 
     def test_freshness_comparison(self):
         assert make_descriptor(1, age=1).is_fresher_than(make_descriptor(1, age=5))
         assert not make_descriptor(1, age=5).is_fresher_than(make_descriptor(1, age=1))
-
-    def test_wire_size_without_parents(self):
-        assert make_descriptor(1).wire_size == 12  # 11-byte address + 1-byte age
-
-    def test_wire_size_with_parents(self):
-        parents = (make_descriptor(2).address, make_descriptor(3).address)
-        d = make_descriptor(1, public=False).with_parents(parents)
-        assert d.wire_size == 12 + 2 * 11
-        assert d.parents == parents
 
 
 class TestPartialViewBasics:

@@ -20,15 +20,10 @@ class TestRatioEstimateRecord:
     def test_freshness(self):
         assert RatioEstimate(1, 0.2, age=0).is_fresher_than(RatioEstimate(1, 0.3, age=4))
 
-    def test_wire_size_is_five_bytes(self):
-        """Section VII: 5 bytes per piggy-backed estimation."""
-        assert RatioEstimate(1, 0.2).wire_size == 5
-        # The size is a constant of the encoding, not a field a caller can set.
-        with pytest.raises(TypeError):
-            RatioEstimate(1, 0.2, 0, 99)
-
     def test_estimate_is_an_immutable_value(self):
         estimate = RatioEstimate(1, 0.2, age=3)
+        with pytest.raises(TypeError):  # three fields, nothing else to set
+            RatioEstimate(1, 0.2, 0, 99)
         with pytest.raises(AttributeError):
             estimate.age = 4
         with pytest.raises(AttributeError):
