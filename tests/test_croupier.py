@@ -215,6 +215,21 @@ class TestSamplingApi:
 
 
 class TestMessageSizes:
+    def test_shuffle_message_size_accounts_descriptors_and_estimates(self, sim, hosts):
+        croupier = build_croupier(hosts)
+        other = build_croupier(hosts)
+        request = ShuffleRequest(
+            sender=croupier.self_descriptor(),
+            public_descriptors=(other.self_descriptor(),),
+            private_descriptors=(),
+            estimates=(RatioEstimate(1, 0.2), RatioEstimate(2, 0.3)),
+            sender_estimate=RatioEstimate(3, 0.25),
+        )
+        expected_payload = 12 + 12 + 3 * 5
+        assert request.payload_size() == expected_payload
+        assert request.wire_size == expected_payload + 28
+        assert request.descriptor_count == 1
+
     def test_estimate_overhead_bounded_to_fifty_bytes(self, sim, hosts):
         """Paper, Section VII: the piggy-backed estimates add at most 50 bytes to a
         shuffle message (10 of 5 bytes), besides a public sender's own."""

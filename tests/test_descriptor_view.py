@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.membership.base import ViewShuffleResponse
 from repro.membership.descriptor import NodeDescriptor
 from repro.membership.view import PartialView
 from repro.net.address import Endpoint, NatType, NodeAddress
@@ -57,9 +58,18 @@ class TestNodeDescriptor:
         parents = (make_descriptor(2).address, make_descriptor(3).address)
         assert make_descriptor(1, public=False).with_parents(parents).parents == parents
 
+    def test_wire_size_is_cached_and_stable(self):
+        message = ViewShuffleResponse(sender=make_descriptor(1), descriptors=(make_descriptor(2),))
+        assert message.wire_size == message.wire_size == 28 + 2 * 12
+        assert message._wire_size_cache == 28 + 2 * 12
+
     def test_freshness_comparison(self):
         assert make_descriptor(1, age=1).is_fresher_than(make_descriptor(1, age=5))
         assert not make_descriptor(1, age=5).is_fresher_than(make_descriptor(1, age=1))
+
+    def test_wire_size_without_parents(self):
+        # a shuffle carrying only its sender: 11-byte address + 1-byte age
+        assert ViewShuffleResponse(sender=make_descriptor(1)).payload_size() == 12
 
 
 class TestPartialViewBasics:

@@ -7,6 +7,9 @@ import random
 import pytest
 
 from repro.core.estimator import RatioEstimate, RatioEstimator
+from repro.core.messages import ShuffleRequest
+from repro.membership.descriptor import NodeDescriptor
+from repro.net.address import Endpoint, NatType, NodeAddress
 from repro.errors import ConfigurationError
 
 
@@ -20,10 +23,18 @@ class TestRatioEstimateRecord:
     def test_freshness(self):
         assert RatioEstimate(1, 0.2, age=0).is_fresher_than(RatioEstimate(1, 0.3, age=4))
 
+    def test_wire_size_is_five_bytes(self):
+        """Section VII: 5 bytes per piggy-backed estimation."""
+        sender = NodeDescriptor(NodeAddress(1, Endpoint("1.0.0.1", 7000), NatType.PUBLIC))
+        bare = ShuffleRequest(sender=sender)
+        with_one = ShuffleRequest(sender=sender, estimates=(RatioEstimate(1, 0.2),))
+        assert with_one.payload_size() - bare.payload_size() == 5
+        # The size is a constant of the encoding, not a field a caller can set.
+        with pytest.raises(TypeError):
+            RatioEstimate(1, 0.2, 0, 99)
+
     def test_estimate_is_an_immutable_value(self):
         estimate = RatioEstimate(1, 0.2, age=3)
-        with pytest.raises(TypeError):  # three fields, nothing else to set
-            RatioEstimate(1, 0.2, 0, 99)
         with pytest.raises(AttributeError):
             estimate.age = 4
         with pytest.raises(AttributeError):
