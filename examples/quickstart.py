@@ -13,11 +13,11 @@ Run it with::
 
     python examples/quickstart.py [seed]
 
-CI (badge: ``.github/workflows/ci.yml``) runs this script — and every other example —
-as a subprocess smoke test on each push/PR, plus the tier-1 tests, the bench smoke and
-an experiment-matrix parity check. Reproduce the whole gate locally with::
+Tier-1 (``tests/test_examples.py``) runs this script — and every other example —
+as a subprocess smoke test, and CI runs tier-1 among the gates of
+``scripts/gates.py``. Run every gate locally with::
 
-    ./scripts/ci.sh
+    python3 scripts/gates.py
 
 or explore the full protocol × scenario × size × seed grid yourself::
 

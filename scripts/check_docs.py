@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation front-door checker, wired into CI before the columnar gates.
 
-Three classes of rot this catches:
+Six classes of rot this catches:
 
 1. **Dead links** — every relative link (and ``#anchor`` fragment) in
    ``README.md`` and ``docs/*.md`` must resolve: the target file exists inside
@@ -33,6 +33,10 @@ Three classes of rot this catches:
    names a registered protocol, and each row shows the ``nat_strategy`` value
    the protocol's class declares.
 
+6. **A stale gate table** — the README's "Reproducibility gates" table lists
+   exactly the gates of ``scripts/gates.py``, in the order they run, each with
+   the guarantee that file states.
+
 Exit status: 0 clean, 1 findings (one ``path:line: message`` per finding).
 """
 
@@ -47,6 +51,7 @@ from typing import Dict, List, Set, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from gates import BY_NAME  # noqa: E402
 from repro.cli import _build_runners, build_parser  # noqa: E402
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
@@ -61,6 +66,8 @@ FIGURE_TABLE_HEADER = "| `repro run` | figure | kind | params | cells |"
 RULE_TABLE_HEADER = "| rule | fires on | why |"
 #: Header of the strategy table in docs/protocol_api.md (rows follow until a blank line).
 STRATEGY_TABLE_HEADER = "| protocol | `nat_strategy` | how it reaches a private peer |"
+#: Header of the gate table in README.md (rows follow until a blank line).
+GATE_TABLE_HEADER = "| gate | guarantee |"
 
 
 def doc_files() -> List[Path]:
@@ -294,6 +301,31 @@ def check_strategy_table(path: Path, lines: List[str], problems: List[str]) -> N
         problems.append(f"{where}:{start}: strategy table has no row for {name!r}")
 
 
+def check_gate_table(path: Path, lines: List[str], problems: List[str]) -> None:
+    where = path.relative_to(REPO_ROOT)
+    if GATE_TABLE_HEADER not in lines:
+        problems.append(f"{where}:1: gate table not found ({GATE_TABLE_HEADER!r})")
+        return
+    start = lines.index(GATE_TABLE_HEADER) + 2  # skip the |---| separator row
+    documented = []
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        if not line.startswith("|"):
+            break
+        name, guarantee = [cell.strip() for cell in line.strip().strip("|").split("|", 1)]
+        documented.append(name.strip("`"))
+        gate = BY_NAME.get(documented[-1])
+        if gate is not None and guarantee != gate.guarantee:
+            problems.append(
+                f"{where}:{lineno}: gate {gate.name!r} states another guarantee "
+                f"in scripts/gates.py"
+            )
+    if documented != list(BY_NAME):
+        problems.append(
+            f"{where}:{start}: gate table lists {documented}, scripts/gates.py "
+            f"runs {list(BY_NAME)}"
+        )
+
+
 def main() -> int:
     problems: List[str] = []
     slug_cache: Dict[Path, Set[str]] = {}
@@ -304,7 +336,9 @@ def main() -> int:
         lines = path.read_text(encoding="utf-8").splitlines()
         check_links(path, lines, slug_cache, problems)
         check_cli_flags(path, lines, flags, run_names, problems)
-        if path.name == "experiments.md":
+        if path.name == "README.md":
+            check_gate_table(path, lines, problems)
+        elif path.name == "experiments.md":
             check_figure_table(path, lines, problems)
         elif path.name == "determinism_lint.md":
             check_rule_tables(path, lines, problems)

@@ -14,9 +14,9 @@ Subcommands
     Run the AST-based determinism & invariant linter (``repro.lint``) over the
     source tree — the cheapest of the CI gates, run ahead of tier-1.
 
-Examples, benchmarks and CI all drive these same code paths: the CI gate
-(``.github/workflows/ci.yml`` / ``scripts/ci.sh``) runs a mini-matrix through
-``repro matrix`` and compares the aggregate bytes across worker counts.
+Examples, benchmarks and CI all drive these same code paths: the CI gates
+(``scripts/gates.py``) run mini-matrices through ``repro matrix`` and compare the
+aggregate bytes across worker counts and with committed goldens.
 """
 
 from __future__ import annotations

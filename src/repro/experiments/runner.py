@@ -31,7 +31,7 @@ byte-identical for the same spec regardless of worker count, retries, resume or
 injected faults (as long as every cell ends ``ok``), because cell results are pure
 functions of the root seed and cell key, results are re-sorted into spec order,
 wall-clock times and pids are kept out of the aggregate, and the JSON is serialised
-with sorted keys. CI relies on this (see ``scripts/ci.sh``).
+with sorted keys. CI relies on this (see ``scripts/gates.py``).
 """
 
 from __future__ import annotations
