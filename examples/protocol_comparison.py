@@ -26,7 +26,6 @@ from repro.metrics.graph import (
     build_overlay_graph,
     degree_statistics,
 )
-from repro.metrics.overhead import measure_overhead
 from repro.metrics.partition import largest_cluster_fraction
 from repro.workload.failure import catastrophic_failure
 from repro.workload.scenario import Scenario, ScenarioConfig
@@ -50,20 +49,13 @@ def run_one(protocol: str, total_nodes: int, rounds: int, seed: int = 11) -> dic
 
     graph = build_overlay_graph(scenario.overlay_graph())
     metrics_rng = scenario.sim.derive_rng("example-metrics", protocol)
-    overhead = measure_overhead(
-        protocol,
-        scenario.monitor,
-        snapshot,
-        scenario.now,
-        scenario.live_public_ids(),
-        scenario.live_private_ids(),
-    )
+    load = scenario.load_by_class(snapshot)
     row = {
         "path length": average_path_length(graph, sample_sources=40, rng=metrics_rng),
         "clustering": average_clustering_coefficient(graph),
         "in-degree stddev": degree_statistics(graph)["stddev"],
-        "public B/s": overhead.public_bytes_per_second,
-        "private B/s": overhead.private_bytes_per_second,
+        "public B/s": load["public"],
+        "private B/s": load["private"],
     }
     outcome = catastrophic_failure(scenario, 0.8)
     row["cluster after 80% failure"] = outcome.biggest_cluster_fraction

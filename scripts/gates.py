@@ -183,7 +183,7 @@ GATES = (
     Gate("chaos", "the mini-matrix under injected crashes, hangs and corruption recovers "
          "byte-identical to its golden",
          grid=MATRIX, workers=(2,), golden="matrix_aggregate.json",
-         extra=("--chaos", "seed=7,crash=0.3,hang=0.1,corrupt=0.3", "--cell-timeout", "20",
+         extra=("--chaos", "seed=7,crash=0.3,hang=0.1,corrupt=0.3", "--cell-timeout", "5",
                 *QUIET)),
     Gate("resume", "a sequential mini-matrix journal cut inside its sixth cell and resumed at "
          "2 workers rebuilds an aggregate byte-identical to the golden",

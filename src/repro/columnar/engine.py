@@ -384,7 +384,7 @@ class ColumnarEngine:
         """One node's current estimate: mean of fresh cached estimates plus (for
         public nodes) its own local estimate. Accumulation order: ring slots
         0..C-1, then the local estimate — here and in the batched read path
-        (:meth:`_measured_estimates`)."""
+        (:meth:`measured_estimates`)."""
         if not self.estimating:
             return None
         born_min = self.round - self.G
@@ -404,7 +404,7 @@ class ColumnarEngine:
             return None
         return total / count
 
-    def _measured_estimates(self, min_rounds: int) -> List[float]:
+    def measured_estimates(self, min_rounds: int) -> List[float]:
         """Per-node estimates of live, warmed-up nodes in ascending row order —
         without materialising per-node service objects. Bit-identical with
         per-node :meth:`estimate_ratio` calls."""
@@ -438,24 +438,13 @@ class ColumnarEngine:
         nodes with at least ``min_rounds`` executed rounds."""
         if not self.estimating:
             return (0, None, None, None)
-        estimates = self._measured_estimates(min_rounds)
+        estimates = self.measured_estimates(min_rounds)
         if not estimates:
             return (0, None, None, None)
         k = len(estimates)
         mean_est = seq_sum(estimates) / k
         errors = [abs(value - true_ratio) for value in estimates]
         return (k, mean_est, seq_sum(errors) / k, max(errors))
-
-    def estimate_reservoir(self, reservoir, min_rounds: int = 2) -> int:
-        """Stream every measured per-node estimate (ascending row order) into a
-        :class:`~repro.columnar.streaming.ReservoirSample`; returns how many
-        values were offered. Powers the estimate-scatter figure at scales where
-        a per-node list must never be archived."""
-        if not self.estimating:
-            return 0
-        values = self._measured_estimates(min_rounds)
-        reservoir.extend(values)
-        return len(values)
 
     # ------------------------------------------------------------------ graph metrics
 

@@ -21,7 +21,6 @@ from repro.core.config import CroupierConfig
 from repro.experiments.report import format_table
 from repro.membership.policies import SelectionPolicy
 from repro.metrics.estimation import average_error
-from repro.metrics.probes import collect_ratio_estimates
 from repro.workload.scenario import Scenario, ScenarioConfig
 
 
@@ -152,7 +151,7 @@ def run_piggyback_bound_ablation(
         )
         scenario.populate(n_public=n_public, n_private=n_private)
         scenario.run_rounds(rounds)
-        estimates = collect_ratio_estimates(scenario)
+        estimates = scenario.ratio_estimates()
         result.avg_error_by_bound[bound] = average_error(scenario.true_ratio(), estimates)
         # Average shuffle message size over the whole run.
         total_bytes = 0
@@ -217,7 +216,7 @@ def run_selection_policy_ablation(
         )
         scenario.populate(n_public=n_public, n_private=n_private)
         scenario.run_rounds(rounds)
-        estimates = collect_ratio_estimates(scenario)
+        estimates = scenario.ratio_estimates()
         result.avg_error_by_policy[policy.value] = average_error(
             scenario.true_ratio(), estimates
         )

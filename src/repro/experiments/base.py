@@ -24,7 +24,6 @@ from repro.errors import ExperimentError
 from repro.experiments.matrix import CellContext, measure_cell, register_scenario
 from repro.metrics.estimation import EstimationErrorSeries
 from repro.metrics.payload import MetricPayload
-from repro.metrics.probes import collect_ratio_estimates
 from repro.workload.events import ChurnPhase, PoissonJoin, RatioGrowth
 from repro.workload.scenario import create_scenario
 from repro.workload.timeline import Timeline
@@ -146,11 +145,7 @@ def run_estimation_cell(ctx: CellContext) -> MetricPayload:
     half = max(1, cell.rounds // 2)
     for round_index in range(1, cell.rounds + 1):
         installed.advance_rounds(1)
-        series.record(
-            scenario.now,
-            scenario.true_ratio(),
-            collect_ratio_estimates(scenario, min_rounds=2),
-        )
+        series.record(scenario.now, scenario.true_ratio(), scenario.ratio_estimates())
         if round_index == half:
             overhead_window_start = scenario.traffic_snapshot()
 

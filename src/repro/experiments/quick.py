@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.metrics.estimation import average_error, max_error
-from repro.metrics.probes import collect_ratio_estimates
 from repro.metrics.graph import (
     average_clustering_coefficient,
     average_path_length,
@@ -76,7 +75,7 @@ def quick_croupier_run(
     scenario.populate(n_public=n_public, n_private=n_private)
     scenario.run_rounds(rounds)
 
-    estimates = [e for e in collect_ratio_estimates(scenario) if e is not None]
+    estimates = scenario.ratio_estimates()
     true_ratio = scenario.true_ratio()
     mean_estimate = sum(estimates) / len(estimates) if estimates else None
 

@@ -1,25 +1,21 @@
 """Horizon-scale experiments: the paper's figures at 10⁵–10⁶ nodes.
 
-The estimation scenario kinds measure by materialising per-node service objects
-(:func:`~repro.metrics.probes.collect_ratio_estimates`) and walking the overlay
-graph (``GraphProbe``), both of which are O(N) Python-object work per sample and
-dominate wall-clock long before the protocol itself does. The ``scale`` kind
-registered here runs the same workloads (instant population, optional Figure 5
-churn) but measures through the columnar engine's streamed, array-native
-statistics instead:
+The estimation scenario kinds run every probe, and ``GraphProbe`` builds the whole
+overlay graph and walks it for path length and clustering: O(N) Python-object work
+per sample that dominates wall-clock long before the protocol itself does. The
+``scale`` kind registered here runs the same workloads (instant population,
+optional Figure 5 churn) but measures only what stays cheap at that size:
 
-* the error series comes from :meth:`~repro.columnar.engine.ColumnarEngine.
-  estimate_stats`, which is bit-identical to the per-node facade collection;
-* the in-degree distribution comes from :meth:`~repro.columnar.engine.
-  ColumnarEngine.in_degree_histogram` (a streamed histogram, never a per-node
-  list), replacing the ``GraphProbe`` — path length and clustering walks are
-  deliberately skipped at this scale;
+* the error series from ``scenario.ratio_estimates()``, which the columnar engine
+  reads off its columns in one vectorised pass;
+* the in-degree distribution from ``scenario.in_degree_histogram()`` (streamed off
+  the view columns on the columnar engine, never a per-node list) instead of the
+  ``GraphProbe`` — path length and clustering walks are deliberately skipped;
 * sampling cadence is a cell param (``measure_every``) so a 10⁵-node cell is not
   forced to pay a measurement sweep every round.
 
-Cells of this kind still run on the object engine (the CI equivalence smoke
-compares both at small N); the engine-native fast paths are taken whenever the
-scenario exposes a columnar engine, and the facade-based fallback otherwise.
+Cells of this kind run on either engine through the scenario contract (the CI
+equivalence smoke compares both at small N).
 
 The module also hosts :func:`run_scale_experiment` — the ``repro run scale``
 harness: the paper's static-ratio and churn figures at a given system size on
@@ -37,108 +33,15 @@ from typing import List, Optional
 from repro.errors import ExperimentError
 from repro.experiments.base import cell_timeline, estimation_timeline
 from repro.experiments.matrix import CellContext, measure_cell, register_scenario
-from repro.metrics.estimation import EstimationErrorSample, EstimationErrorSeries
+from repro.metrics.estimation import EstimationErrorSeries
 from repro.metrics.payload import MetricPayload, histogram_statistics
-from repro.metrics.probes import (
-    CoreProbe,
-    EstimationProbe,
-    OverheadProbe,
-    ProbeContext,
-    collect_ratio_estimates,
-)
+from repro.metrics.probes import CoreProbe, EstimationProbe, OverheadProbe
 from repro.workload.scenario import ScenarioConfig, create_scenario
 
 
-def _columnar_engine(scenario):
-    """The scenario's columnar engine, or ``None`` for object-graph scenarios."""
-    engine = getattr(scenario, "engine", None)
-    if engine is not None and hasattr(engine, "estimate_stats"):
-        return engine
-    return None
-
-
-def record_error_sample(series: EstimationErrorSeries, scenario, min_rounds: int = 2):
-    """Append one estimation-error sample, engine-native when possible.
-
-    On a columnar scenario the sample is computed by
-    :meth:`~repro.columnar.engine.ColumnarEngine.estimate_stats` without building
-    per-node services; the result is bit-identical to the facade path (a pinned
-    engine invariant), so both branches produce the same series at equal N.
-    """
-    true_ratio = scenario.true_ratio()
-    engine = _columnar_engine(scenario)
-    if engine is None:
-        return series.record(
-            scenario.now, true_ratio, collect_ratio_estimates(scenario, min_rounds)
-        )
-    measured, _mean, avg_err, max_err = engine.estimate_stats(true_ratio, min_rounds)
-    sample = EstimationErrorSample(
-        time_ms=scenario.now,
-        true_ratio=true_ratio,
-        avg_error=avg_err,
-        max_error=max_err,
-        nodes_measured=measured,
-    )
-    series.samples.append(sample)
-    return sample
-
-
-class ScaleEstimationProbe(EstimationProbe):
-    """``EstimationProbe`` with the O(N)-facade estimate scan replaced by the
-    engine's streamed statistics on columnar scenarios (same scalars, same
-    values — the engine path is pinned bit-identical to the facade path)."""
-
-    def measure(self, scenario, payload: MetricPayload, context: ProbeContext) -> None:
-        engine = _columnar_engine(scenario)
-        if engine is None:
-            return super().measure(scenario, payload, context)
-        from repro.metrics.collector import percentile
-
-        measured, mean_estimate, _avg, _max = engine.estimate_stats(
-            scenario.true_ratio()
-        )
-        if measured and mean_estimate is not None:
-            payload.set_scalar("est_mean", mean_estimate)
-        series = context.error_series
-        if series is None or not len(series):
-            return
-        avg_series = series.avg_error_series()
-        final_avg = series.final_avg_error()
-        final_max = series.final_max_error()
-        if final_avg is not None:
-            payload.set_scalar("est_err_avg_final", final_avg)
-        if final_max is not None:
-            payload.set_scalar("est_err_max_final", final_max)
-        for q, label in context.series_percentiles:
-            if avg_series:
-                payload.set_scalar(f"est_err_avg_{label}", percentile(avg_series, q))
-        payload.set_series(
-            "est_err_avg",
-            [
-                (sample.time_ms, sample.avg_error)
-                for sample in series.samples
-                if sample.avg_error is not None
-            ],
-        )
-
-
 def measure_in_degree(scenario, payload: MetricPayload) -> None:
-    """The ``in_degree`` histogram plus summary scalars, without graph walks.
-
-    Columnar scenarios stream the live→live in-degree counts straight off the
-    view columns; object scenarios fall back to the overlay-graph distribution
-    (scale cells on the object engine are small-N CI cells by construction).
-    """
-    engine = _columnar_engine(scenario)
-    if engine is not None:
-        histogram = engine.in_degree_histogram().to_histogram()
-    else:
-        from repro.metrics.graph import build_overlay_graph, in_degree_distribution
-
-        graph = build_overlay_graph(scenario.overlay_graph())
-        if not graph:
-            return
-        histogram = in_degree_distribution(graph)
+    """The ``in_degree`` histogram plus summary scalars, without graph walks."""
+    histogram = scenario.in_degree_histogram()
     if not histogram:
         return
     stats = histogram_statistics(histogram)
@@ -157,22 +60,19 @@ def sample_estimate_scatter(scenario) -> List[float]:
     """A uniform reservoir sample of per-node estimates (the scatter figure).
 
     The paper's per-node estimate scatter needs representative *raw* values,
-    not just the mean/error aggregates — but keeping 10⁶ floats (or sorting
+    not just the mean/error aggregates — but archiving 10⁶ floats (or sorting
     them) defeats the streamed-metrics design. A fixed-capacity reservoir
     (:class:`~repro.columnar.streaming.ReservoirSample`) bounds that at
     :data:`SCATTER_CAPACITY` values regardless of N. Deterministic: the
     reservoir rng derives from the scenario's simulator seed. Returns ``[]``
-    on non-columnar (or non-estimating) scenarios.
+    when the protocol estimates no ratio.
     """
-    engine = _columnar_engine(scenario)
-    if engine is None or not getattr(engine, "estimating", False):
-        return []
     from repro.columnar.streaming import ReservoirSample
 
     reservoir = ReservoirSample(
         SCATTER_CAPACITY, rng=scenario.sim.derive_rng("estimate-scatter")
     )
-    engine.estimate_reservoir(reservoir)
+    reservoir.extend(scenario.ratio_estimates())
     return reservoir.values
 
 
@@ -199,7 +99,7 @@ def run_scale_cell(ctx: CellContext) -> MetricPayload:
     for round_index in range(1, cell.rounds + 1):
         installed.advance_rounds(1)
         if round_index % measure_every == 0 or round_index == cell.rounds:
-            record_error_sample(series, scenario)
+            series.record(scenario.now, scenario.true_ratio(), scenario.ratio_estimates())
         if round_index == half:
             overhead_window = scenario.traffic_snapshot()
 
@@ -207,7 +107,7 @@ def run_scale_cell(ctx: CellContext) -> MetricPayload:
         scenario,
         series,
         overhead_window=overhead_window,
-        probes=(CoreProbe(), ScaleEstimationProbe(), OverheadProbe()),
+        probes=(CoreProbe(), EstimationProbe(), OverheadProbe()),
     )
     measure_in_degree(scenario, payload)
     if series.samples:
@@ -258,8 +158,7 @@ class ScaleVariantResult:
     wall_seconds: float
     node_rounds_per_sec: float
     peak_rss_mb: float
-    #: Reservoir-sampled per-node estimates (the scatter figure; empty on the
-    #: object engine).
+    #: Reservoir-sampled per-node estimates (the scatter figure).
     est_scatter: List[float] = field(default_factory=list)
 
 
@@ -331,8 +230,8 @@ class ScaleRunResult:
                 f"{v.label} estimate scatter ({len(v.est_scatter)} sampled): {quantiles}"
             )
         return table + (
-            "\nStatic ratio and Figure 5 churn at horizon scale; error metrics are"
-            "\nbit-identical to the per-node facade collection at equal N."
+            "\nStatic ratio and Figure 5 churn at horizon scale; error metrics cover"
+            "\nevery live node that holds an estimate after 2 rounds."
         ) + ("\n" + "\n".join(scatter_lines) if scatter_lines else "")
 
 
@@ -395,18 +294,12 @@ def run_scale_experiment(
         for round_index in range(1, rounds + 1):
             installed.advance_rounds(1)
             if round_index % measure_every == 0 or round_index == rounds:
-                record_error_sample(series, scenario)
+                series.record(scenario.now, scenario.true_ratio(), scenario.ratio_estimates())
         wall = time.perf_counter() - started
 
-        columnar = _columnar_engine(scenario)
-        if columnar is not None:
-            measured, mean_estimate, _avg, _max = columnar.estimate_stats(
-                scenario.true_ratio()
-            )
-        else:
-            estimates = [e for e in collect_ratio_estimates(scenario) if e is not None]
-            measured = len(estimates)
-            mean_estimate = sum(estimates) / measured if measured else None
+        estimates = scenario.ratio_estimates()
+        measured = len(estimates)
+        mean_estimate = sum(estimates) / measured if measured else None
         result.variants.append(
             ScaleVariantResult(
                 label=label,

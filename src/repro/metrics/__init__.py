@@ -8,14 +8,13 @@ the simulation-side equivalent of the paper's evaluation scripts.
 * :mod:`~repro.metrics.graph` — overlay graph statistics: in-degree distribution,
   average path length, clustering coefficient (Figure 6).
 * :mod:`~repro.metrics.partition` — size of the biggest connected cluster (Figure 7b).
-* :mod:`~repro.metrics.overhead` — average per-node traffic load by NAT class
-  (Figure 7a).
 * :mod:`~repro.metrics.collector` — small time-series containers shared by the
   experiment harnesses, plus the deterministic aggregation the matrix runner uses.
 * :mod:`~repro.metrics.payload` — the typed per-cell :class:`MetricPayload`
   (scalars + named histograms + named series, JSON-round-trippable).
 * :mod:`~repro.metrics.probes` — pluggable per-protocol-gated :class:`MetricProbe`
-  objects that produce the payloads.
+  objects that produce the payloads (the per-class traffic load of Figure 7a is
+  the scenario's own ``load_by_class``).
 """
 
 from repro.metrics.collector import TimeSeries
@@ -38,7 +37,6 @@ from repro.metrics.graph import (
     in_degree_distribution,
     in_degrees,
 )
-from repro.metrics.overhead import OverheadReport, measure_overhead
 from repro.metrics.partition import connected_components, largest_cluster_fraction
 
 __all__ = [
@@ -50,7 +48,6 @@ __all__ = [
     "MetricPayload",
     "MetricProbe",
     "OverheadProbe",
-    "OverheadReport",
     "ProbeContext",
     "TimeSeries",
     "average_clustering_coefficient",
@@ -62,7 +59,6 @@ __all__ = [
     "in_degree_distribution",
     "in_degrees",
     "largest_cluster_fraction",
-    "measure_overhead",
     "merge_histograms",
     "run_probes",
 ]

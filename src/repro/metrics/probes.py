@@ -29,23 +29,15 @@ from typing import List, Optional, Sequence, Tuple
 from repro.metrics.payload import MetricPayload
 
 
-def collect_ratio_estimates(scenario, min_rounds: int = 2) -> List[Optional[float]]:
-    """Every live ratio-estimating node's current estimate (protocol-agnostic).
+def collect_ratio_estimates(scenario, min_rounds: int = 2) -> List[float]:
+    """``scenario.ratio_estimates(min_rounds)``: every live, warmed-up node's ω̂.
 
     Nodes that have executed fewer than ``min_rounds`` rounds are excluded, exactly as
     in the paper ("evaluation metrics for new nodes ... are not included until they
     have executed 2 rounds"). Returns ``[]`` when the scenario's protocol does not
-    estimate ratios — callers that consider that an error check
-    ``scenario.plugin.estimates_ratio`` first.
+    estimate ratios.
     """
-    if not scenario.plugin.estimates_ratio:
-        return []
-    services = (handle.pss for handle in scenario.live_handles())
-    return [
-        service.estimated_ratio()
-        for service in services
-        if service.current_round >= min_rounds
-    ]
+    return scenario.ratio_estimates(min_rounds)
 
 
 @dataclass
@@ -111,7 +103,7 @@ class EstimationProbe(MetricProbe):
     def measure(self, scenario, payload: MetricPayload, context: ProbeContext) -> None:
         from repro.metrics.collector import percentile
 
-        estimates = [e for e in collect_ratio_estimates(scenario) if e is not None]
+        estimates = scenario.ratio_estimates()
         if estimates:
             payload.set_scalar("est_mean", sum(estimates) / len(estimates))
         series = context.error_series
@@ -201,22 +193,10 @@ class OverheadProbe(MetricProbe):
     name = "overhead"
 
     def measure(self, scenario, payload: MetricPayload, context: ProbeContext) -> None:
-        from repro.metrics.overhead import measure_overhead
-
-        window_start = context.overhead_window
-        if window_start is None or scenario.now <= window_start.time_ms:
+        if context.overhead_window is None:
             return
-        report = measure_overhead(
-            protocol=scenario.config.protocol,
-            monitor=scenario.monitor,
-            window_start=window_start,
-            now_ms=scenario.now,
-            public_node_ids=scenario.live_public_ids(),
-            private_node_ids=scenario.live_private_ids(),
-        )
-        payload.set_scalar("public_bps", report.public_bytes_per_second)
-        payload.set_scalar("private_bps", report.private_bytes_per_second)
-        payload.set_scalar("all_bps", report.all_bytes_per_second)
+        for label, load in scenario.load_by_class(context.overhead_window).items():
+            payload.set_scalar(f"{label}_bps", load)
 
 
 def default_probes() -> Tuple[MetricProbe, ...]:

@@ -1,10 +1,8 @@
 """Message-loss models for the simulated network.
 
 The estimation algorithm in the paper assumes "no bias in message loss between public
-and private nodes" (Section VI). The loss models here let experiments both honour that
-assumption (:class:`BernoulliLoss` applies the same probability everywhere) and break
-it deliberately (:class:`BiasedLoss`) to study the estimator's sensitivity. No
-experiment or ablation uses :class:`BiasedLoss` yet; only its unit tests run it.
+and private nodes" (Section VI); :class:`BernoulliLoss` honours that assumption by
+applying the same probability to every packet.
 """
 
 from __future__ import annotations
@@ -61,37 +59,3 @@ class BernoulliLoss(LossModel):
 
     def describe(self) -> str:
         return f"BernoulliLoss(p={self.probability})"
-
-
-class BiasedLoss(LossModel):
-    """Different loss probability for packets originating at private vs. public nodes.
-
-    Used by the ablation experiments to violate the estimator's third assumption and
-    measure the resulting estimation bias.
-    """
-
-    def __init__(self, public_probability: float, private_probability: float) -> None:
-        for name, value in (
-            ("public_probability", public_probability),
-            ("private_probability", private_probability),
-        ):
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} out of range: {value}")
-        self.public_probability = public_probability
-        self.private_probability = private_probability
-
-    def should_drop(
-        self,
-        rng: random.Random,
-        sender: Optional[NodeAddress],
-        receiver_endpoint_ip: str,
-    ) -> bool:
-        if sender is not None and sender.is_private:
-            return rng.random() < self.private_probability
-        return rng.random() < self.public_probability
-
-    def describe(self) -> str:
-        return (
-            f"BiasedLoss(public={self.public_probability}, "
-            f"private={self.private_probability})"
-        )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.net.address import NodeAddress
 from repro.simulator.message import Message
@@ -176,25 +176,6 @@ class TrafficMonitor:
             if include_rx:
                 total += delta.rx_bytes
         return total / window_seconds / len(node_ids)
-
-    def average_load_by_nat_type(
-        self,
-        since: TrafficSnapshot,
-        now_ms: float,
-        public_node_ids: Iterable[int],
-        private_node_ids: Iterable[int],
-    ) -> Dict[str, float]:
-        """Average load (B/s) for public and for private nodes — the Figure 7(a) rows."""
-        public_set = set(public_node_ids)
-        private_set = set(private_node_ids)
-        return {
-            "public": self.average_load_bps(
-                since, now_ms, node_filter=lambda node_id: node_id in public_set
-            ),
-            "private": self.average_load_bps(
-                since, now_ms, node_filter=lambda node_id: node_id in private_set
-            ),
-        }
 
     def is_public(self, node_id: int) -> Optional[bool]:
         """Last-known NAT class of a node, or ``None`` if it never communicated."""

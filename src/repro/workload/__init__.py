@@ -1,8 +1,10 @@
 """Workload and scenario construction: joins, churn, failures, ratio schedules.
 
-The central abstractions are :class:`~repro.workload.scenario.Scenario` — which wires
-a simulator, a network, a bootstrap registry and any number of protocol nodes together
-— and the declarative :class:`~repro.workload.timeline.Timeline`: an ordered,
+The central abstractions are :class:`~repro.workload.scenario.BaseScenario` — the
+contract both engines implement: populate, run, churn, kill, control loss and
+partitions, and answer measurements as plain data (the object engine's
+:class:`~repro.workload.scenario.Scenario` wires a simulator, a network, a bootstrap
+registry and protocol nodes behind it) — and the declarative :class:`~repro.workload.timeline.Timeline`: an ordered,
 JSON-serializable set of typed workload events
 (:mod:`~repro.workload.events`: :class:`PoissonJoin`, :class:`JoinBurst`,
 :class:`ChurnPhase`, :class:`RatioGrowth`, :class:`FailureSpike`, :class:`LossBurst`,
@@ -43,6 +45,7 @@ from repro.workload.join import PoissonJoinProcess
 from repro.workload.ratio import RatioGrowthProcess
 from repro.workload.scenario import (
     ENGINES,
+    BaseScenario,
     NodeHandle,
     Scenario,
     ScenarioConfig,
@@ -66,6 +69,7 @@ __all__ = [
     "EVENT_TYPES",
     "TIMELINES",
     "TIMELINE_SCHEMA",
+    "BaseScenario",
     "ChurnPhase",
     "ChurnProcess",
     "FailureSpike",

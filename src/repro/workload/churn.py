@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import ExperimentError
-from repro.workload.scenario import Scenario
+from repro.workload.scenario import BaseScenario
 
 
 class ChurnProcess:
@@ -43,7 +43,7 @@ class ChurnProcess:
 
     def __init__(
         self,
-        scenario: Scenario,
+        scenario: BaseScenario,
         fraction_per_round: float,
         start_ms: float = 0.0,
         stop_ms: Optional[float] = None,

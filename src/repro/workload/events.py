@@ -37,7 +37,7 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.workload.churn import ChurnProcess
 from repro.workload.join import PoissonJoinProcess
 from repro.workload.ratio import RatioGrowthProcess
-from repro.workload.scenario import Scenario
+from repro.workload.scenario import BaseScenario
 
 
 #: Event fields measured in rounds of virtual time — what
@@ -57,7 +57,7 @@ ROUND_SCALED_FIELDS = (
 class CompileContext:
     """What an event sees when a timeline is installed onto a scenario."""
 
-    scenario: Scenario
+    scenario: BaseScenario
     #: Position of the event in its timeline (stable across runs — the RNG label).
     index: int
 
@@ -105,7 +105,7 @@ class WorkloadEvent:
         start = getattr(self, "start_round", getattr(self, "at_round", None))
         return float(start) if start is not None else None
 
-    def apply(self, scenario: Scenario) -> Optional[object]:
+    def apply(self, scenario: BaseScenario) -> Optional[object]:
         """Execute a boundary event; returns its outcome object."""
         raise ExperimentError(f"event {self.type!r} is not a boundary event")
 
@@ -443,7 +443,7 @@ class FailureSpike(WorkloadEvent):
     def boundary_round(self) -> Optional[float]:
         return self.at_round
 
-    def apply(self, scenario: Scenario) -> object:
+    def apply(self, scenario: BaseScenario) -> object:
         from repro.workload.failure import catastrophic_failure
 
         return catastrophic_failure(scenario, self.fraction)
@@ -456,8 +456,8 @@ class FailureSpike(WorkloadEvent):
 @dataclass(frozen=True)
 class LossBurst(WorkloadEvent):
     """A window of elevated uniform packet loss (a lossy backbone episode): the
-    network's loss model is swapped for :class:`~repro.simulator.loss.BernoulliLoss`
-    at ``start_round`` and restored at ``stop_round``."""
+    scenario's loss rate is raised to ``loss_rate`` at ``start_round`` and the rate it
+    replaced is restored at ``stop_round``."""
 
     type: ClassVar[str] = "loss_burst"
 
@@ -481,20 +481,14 @@ class LossBurst(WorkloadEvent):
             raise ExperimentError(f"loss_rate out of range: {self.loss_rate}")
 
     def compile(self, ctx: CompileContext) -> Optional[object]:
-        from repro.simulator.loss import BernoulliLoss, NoLoss
-
         scenario = ctx.scenario
-        network = scenario.network
-        saved: Dict[str, object] = {}
+        saved = {"rate": 0.0}
 
         def start() -> None:
-            saved["model"] = network.loss_model
-            network.loss_model = (
-                BernoulliLoss(self.loss_rate) if self.loss_rate > 0.0 else NoLoss()
-            )
+            saved["rate"] = scenario.set_loss_rate(self.loss_rate)
 
         def stop() -> None:
-            network.loss_model = saved.get("model", NoLoss())
+            scenario.set_loss_rate(saved["rate"])
 
         now = scenario.sim.now
         round_ms = scenario.round_ms
@@ -531,28 +525,17 @@ class Partition(WorkloadEvent):
         if not 0.0 <= self.fraction <= 1.0:
             raise ExperimentError(f"fraction out of range: {self.fraction}")
 
-    @staticmethod
-    def _wire_ip(handle) -> str:
-        if handle.natbox is not None:
-            return handle.natbox.external_ip
-        return handle.address.endpoint.ip
-
     def compile(self, ctx: CompileContext) -> Optional[object]:
-        from repro.simulator.network import NetworkPartition
-
         scenario = ctx.scenario
         rng = ctx.derive_rng(self)
 
         def split() -> None:
-            isolated = {
-                self._wire_ip(handle)
-                for handle in scenario.live_handles()
-                if rng.random() < self.fraction
-            }
-            scenario.network.partition = NetworkPartition(isolated)
+            scenario.set_partition(
+                [node_id for node_id in scenario.live_ids() if rng.random() < self.fraction]
+            )
 
         def heal() -> None:
-            scenario.network.partition = None
+            scenario.set_partition(None)
 
         now = scenario.sim.now
         round_ms = scenario.round_ms

@@ -14,7 +14,7 @@ from typing import List
 from repro.errors import ExperimentError
 from repro.metrics.graph import build_overlay_graph
 from repro.metrics.partition import largest_cluster_fraction
-from repro.workload.scenario import Scenario
+from repro.workload.scenario import BaseScenario
 
 
 @dataclass
@@ -27,7 +27,7 @@ class FailureOutcome:
 
 
 def catastrophic_failure(
-    scenario: Scenario,
+    scenario: BaseScenario,
     failure_fraction: float,
     settle_rounds: int = 0,
 ) -> FailureOutcome:

@@ -16,7 +16,7 @@ import random
 from typing import Optional
 
 from repro.errors import ExperimentError
-from repro.workload.scenario import Scenario
+from repro.workload.scenario import BaseScenario
 
 
 class PoissonJoinProcess:
@@ -44,7 +44,7 @@ class PoissonJoinProcess:
 
     def __init__(
         self,
-        scenario: Scenario,
+        scenario: BaseScenario,
         public: bool,
         count: int,
         mean_interarrival_ms: float,
@@ -85,7 +85,7 @@ class PoissonJoinProcess:
 
 
 def paper_join_processes(
-    scenario: Scenario,
+    scenario: BaseScenario,
     n_public: int = 1000,
     n_private: int = 4000,
     public_interarrival_ms: float = 50.0,
@@ -110,7 +110,7 @@ def paper_join_processes(
 
 
 def scaled_join_processes(
-    scenario: Scenario,
+    scenario: BaseScenario,
     total_nodes: int,
     public_ratio: float,
     join_window_ms: Optional[float] = None,

@@ -12,7 +12,7 @@ time. It is the execution engine of the declarative
 from __future__ import annotations
 
 from repro.errors import ExperimentError
-from repro.workload.scenario import Scenario
+from repro.workload.scenario import BaseScenario
 
 
 class RatioGrowthProcess:
@@ -20,7 +20,7 @@ class RatioGrowthProcess:
 
     def __init__(
         self,
-        scenario: Scenario,
+        scenario: BaseScenario,
         start_ms: float,
         interval_ms: float,
         count: int,
@@ -38,7 +38,7 @@ class RatioGrowthProcess:
             scenario.sim.schedule_at(start_ms + index * interval_ms, self._add_one)
 
     def _add_one(self) -> None:
-        self.scenario.add_public_node()
+        self.scenario.add_node(public=True)
         self.added += 1
 
     @property

@@ -1,12 +1,20 @@
-"""The scenario builder: wires simulator, network, NATs, bootstrap and protocol nodes.
+"""The scenario contract both engines implement, and the object engine's scenario.
 
-A :class:`Scenario` is the in-process equivalent of the paper's Kompics experiment
-set-ups, and it is **orchestration only**: it owns the simulator and network, creates
-public and private nodes on demand (allocating addresses and NAT boxes), seeds their
-initial views from the bootstrap registry, and runs/kills nodes. The protocol comes
-from the :class:`~repro.membership.plugin.ProtocolPlugin` registry (``scenario.plugin``,
-whose ``nat_strategy`` says what the protocol is), and each live node's service is
-``handle.pss`` — measurements live in :mod:`repro.metrics.probes`, not here.
+A scenario is one simulated deployment of one peer-sampling protocol: it creates
+public and private nodes, runs them, kills and replaces them, and answers what the
+metrics ask. :class:`BaseScenario` is that surface, written once. It holds the
+code the two engines share (population order, churn and failure draws, running,
+cloning) and declares the rest as abstract methods that return plain data — id
+lists, a class table, an adjacency mapping, per-class loads. Probes, workload
+events and experiment kinds read a scenario only through it, so they run unchanged
+on either engine.
+
+:class:`Scenario` is the object engine: it owns the simulator and network, creates
+nodes on demand (allocating addresses and NAT boxes), seeds their initial views
+from the bootstrap registry, and keeps each node's component graph in a
+:class:`NodeHandle` (``scenario.nodes``). The columnar engine is
+:class:`repro.columnar.scenario.ColumnarScenario`; :func:`create_scenario` picks
+one by ``config.engine``.
 
 Example
 -------
@@ -18,8 +26,7 @@ Example
 True
 >>> scenario.plugin.estimates_ratio
 True
->>> estimators = [handle.pss for handle in scenario.live_handles()]
->>> len(estimators) == scenario.live_count()
+>>> len(scenario.ratio_estimates()) == scenario.live_count()
 True
 """
 
@@ -27,14 +34,16 @@ from __future__ import annotations
 
 import copy
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Union
 
 from repro.bootstrap.registry import BootstrapRegistry
 from repro.constants import DEFAULT_ROUND_MS
 from repro.errors import ConfigurationError, ExperimentError
 from repro.membership.base import PeerSamplingService, PssConfig
 from repro.membership.plugin import ProtocolPlugin, get_plugin, protocol_names
+from repro.metrics.graph import build_overlay_graph, in_degree_distribution
 from repro.nat.mixture import NatMixture
 from repro.nat.nat_box import NatBox
 from repro.nat.types import NatProfile, profile_name
@@ -44,9 +53,9 @@ from repro.net.address import Endpoint, NatType, NodeAddress
 from repro.simulator.core import Simulator
 from repro.simulator.host import Host
 from repro.simulator.latency import ConstantLatency, KingLatencyModel, LatencyModel, UniformLatency
-from repro.simulator.loss import BernoulliLoss, LossModel, NoLoss
+from repro.simulator.loss import BernoulliLoss, NoLoss
 from repro.simulator.monitor import TrafficMonitor, TrafficSnapshot
-from repro.simulator.network import Network
+from repro.simulator.network import Network, NetworkPartition
 from repro.workload.ipalloc import IpAllocator
 
 
@@ -149,14 +158,14 @@ class NodeHandle:
         return self.host.address
 
 
-def create_scenario(config: Optional[ScenarioConfig] = None):
+def create_scenario(config: Optional[ScenarioConfig] = None) -> "BaseScenario":
     """Build the scenario class the config's ``engine`` selects.
 
     ``"object"`` returns a :class:`Scenario`; ``"columnar"`` returns a
     :class:`repro.columnar.scenario.ColumnarScenario` (imported lazily — the
-    columnar package imports this module for :class:`ScenarioConfig`). Both expose
-    the same populate/run/plugin/churn surface, so callers built against this
-    factory run unchanged on either backend.
+    columnar package imports this module for :class:`BaseScenario`). Both implement
+    :class:`BaseScenario`, so callers built against this factory run unchanged on
+    either engine.
     """
     config = config or ScenarioConfig()
     config.validate()
@@ -167,60 +176,44 @@ def create_scenario(config: Optional[ScenarioConfig] = None):
     return Scenario(config)
 
 
-class Scenario:
-    """A complete simulated deployment of one peer-sampling protocol."""
+class BaseScenario(ABC):
+    """One deployment of one peer-sampling protocol, on either engine.
+
+    Besides the methods below, the contract is ``config``, ``sim`` (the
+    :class:`~repro.simulator.core.Simulator` whose clock, schedule and derived RNG
+    streams drive the run), ``rng`` (the scenario's own decision stream) and
+    ``plugin`` (the protocol's :class:`~repro.membership.plugin.ProtocolPlugin`),
+    all set here, plus two counters each engine provides: ``network.packets_sent``
+    and ``monitor.drop_reasons``.
+
+    Node ids are ints, unique for the scenario's lifetime; every id list is in
+    node-creation order.
+    """
+
+    #: The :attr:`ScenarioConfig.engine` value the subclass executes.
+    ENGINE = ""
 
     def __init__(self, config: Optional[ScenarioConfig] = None) -> None:
-        self.config = config or ScenarioConfig()
-        self.config.validate()
-        if self.config.engine != "object":
+        config = config or ScenarioConfig()
+        config.validate()
+        if config.engine != self.ENGINE:
             raise ConfigurationError(
-                f"Scenario executes engine='object' configs; build engine="
-                f"{self.config.engine!r} scenarios through create_scenario()"
+                f"{type(self).__name__} executes engine={self.ENGINE!r} configs; build "
+                f"engine={config.engine!r} scenarios through create_scenario()"
             )
-        self.sim = Simulator(seed=self.config.seed)
-        self.monitor = TrafficMonitor()
-        self.network = Network(
-            self.sim,
-            latency_model=self._build_latency_model(),
-            loss_model=self._build_loss_model(),
-            monitor=self.monitor,
-        )
-        self.registry = BootstrapRegistry(rng=self.sim.derive_rng("bootstrap"))
-        self.ip_alloc = IpAllocator()
-        self.nodes: Dict[int, NodeHandle] = {}
+        self.config = config
+        self.sim = Simulator(seed=config.seed)
         self.rng = self.sim.derive_rng("scenario")
-        self._next_node_id = 1
-        self.plugin: ProtocolPlugin = get_plugin(self.config.protocol)
-        self._pss_config = self.config.pss_config or self.plugin.default_config()
+        self.plugin: ProtocolPlugin = get_plugin(config.protocol)
+        self._pss_config = config.pss_config or self.plugin.default_config()
         self._pss_config.validate()
         # Mixture sampling runs on its own derived stream so that enabling a mixture
         # never perturbs the scenario RNG (and a mixture-free run consumes nothing).
         self._nat_mixture_rng = (
-            self.sim.derive_rng("nat-mixture")
-            if self.config.nat_mixture is not None
-            else None
+            self.sim.derive_rng("nat-mixture") if config.nat_mixture is not None else None
         )
-        self._fixed_profile_name = profile_name(self.config.nat_profile)
-
-    # ------------------------------------------------------------------ construction
-
-    def _build_latency_model(self) -> LatencyModel:
-        latency = self.config.latency
-        if isinstance(latency, LatencyModel):
-            return latency
-        if latency == "king":
-            return KingLatencyModel(seed=self.config.seed)
-        if latency == "constant":
-            return ConstantLatency(50.0)
-        if latency == "uniform":
-            return UniformLatency(10.0, 150.0, seed=self.config.seed)
-        raise ConfigurationError(f"unknown latency model {latency!r}")
-
-    def _build_loss_model(self) -> LossModel:
-        if self.config.loss_rate > 0.0:
-            return BernoulliLoss(self.config.loss_rate)
-        return NoLoss()
+        self._fixed_profile_name = profile_name(config.nat_profile)
+        self._loss_rate = 0.0
 
     # ------------------------------------------------------------------ properties
 
@@ -240,16 +233,10 @@ class Scenario:
 
     # ------------------------------------------------------------------ node creation
 
-    def add_node(self, public: bool) -> NodeHandle:
-        """Create, register and start one node right now (at the current virtual time)."""
+    def add_node(self, public: bool) -> int:
+        """Create and start one node at the current virtual time; returns its id."""
         if public:
             return self._add_public_node()
-        return self._add_private_node()
-
-    def add_public_node(self) -> NodeHandle:
-        return self._add_public_node()
-
-    def add_private_node(self) -> NodeHandle:
         return self._add_private_node()
 
     def populate(self, n_public: int, n_private: int) -> None:
@@ -268,12 +255,207 @@ class Scenario:
         for is_public in remaining:
             self.add_node(is_public)
 
+    def _gateway_profile(self) -> tuple:
+        """The (name, profile) the next created gateway runs — fixed or mixture-drawn."""
+        if self.config.nat_mixture is not None:
+            return self.config.nat_mixture.sample(self._nat_mixture_rng)
+        return self._fixed_profile_name, self.config.nat_profile
+
+    @abstractmethod
+    def _add_public_node(self) -> int:
+        """Create one public node; returns its id."""
+
+    @abstractmethod
+    def _add_private_node(self) -> int:
+        """Create one node behind a gateway (UPnP-mapped with ``upnp_fraction``)."""
+
+    # ------------------------------------------------------------------ running
+
+    def run_ms(self, duration_ms: float) -> None:
+        """Advance the simulation by ``duration_ms`` of virtual time."""
+        self.sim.run_for(duration_ms)
+
+    def run_rounds(self, rounds: float) -> None:
+        """Advance the simulation by the given number of gossip rounds."""
+        self.run_ms(rounds * self.round_ms)
+
+    # ------------------------------------------------------------------ population
+
+    @abstractmethod
+    def live_ids(self) -> List[int]:
+        """Ids of every live node."""
+
+    @abstractmethod
+    def live_public_ids(self) -> List[int]:
+        """Ids of the live nodes that are publicly reachable (UPnP-mapped included)."""
+
+    @abstractmethod
+    def live_private_ids(self) -> List[int]:
+        """Ids of the live nodes behind a NAT."""
+
+    def live_count(self) -> int:
+        return len(self.live_ids())
+
+    def true_ratio(self) -> float:
+        """The ground-truth ω = |public| / (|public| + |private|) over live nodes."""
+        live = self.live_count()
+        if not live:
+            return 0.0
+        return len(self.live_public_ids()) / live
+
+    @abstractmethod
+    def nat_class_members(self) -> Dict[str, List[int]]:
+        """Live node ids grouped by NAT class.
+
+        Classes are ``"public"`` (no gateway), ``"upnp"`` (gateway with an explicit
+        UPnP port mapping — publicly reachable) and the canonical profile name of the
+        gateway's NAT behaviour otherwise (``restricted_cone``, ``symmetric``, ...).
+        This is what the per-NAT-type metric breakdowns key on when a
+        :class:`~repro.nat.mixture.NatMixture` is in play.
+        """
+
+    # ------------------------------------------------------------------ measurements
+
+    @abstractmethod
+    def overlay_graph(self) -> Mapping[int, Set[int]]:
+        """Directed adjacency over live nodes: ``{id: neighbour ids}``, with edges to
+        dead nodes and self-loops dropped."""
+
+    def in_degree_histogram(self) -> Dict[int, int]:
+        """``{in-degree: node count}`` over the live overlay (empty when no node lives)."""
+        graph = build_overlay_graph(self.overlay_graph())
+        return in_degree_distribution(graph) if graph else {}
+
+    @abstractmethod
+    def ratio_estimates(self, min_rounds: int = 2) -> List[float]:
+        """Every live node's current ω̂, among nodes that have executed at least
+        ``min_rounds`` rounds and hold an estimate (the paper excludes new nodes
+        until they have executed 2 rounds). Empty when the protocol estimates no ratio.
+        """
+
+    @abstractmethod
+    def traffic_snapshot(self) -> object:
+        """The per-node byte counters now: the start of a :meth:`load_by_class` window."""
+
+    @abstractmethod
+    def load_by_class(self, since: object) -> Dict[str, float]:
+        """Average load per node in bytes per second (sent plus received) since the
+        :meth:`traffic_snapshot` ``since``: ``{"public", "private", "all"}`` over the
+        live nodes of each class that carried traffic then or now — Figure 7(a).
+        Empty when no virtual time has passed since the snapshot."""
+
+    # ------------------------------------------------------------------ link control
+
+    @abstractmethod
+    def set_loss_rate(self, rate: float) -> float:
+        """Drop every packet in transit with probability ``rate`` from now on;
+        returns the rate it replaces."""
+
+    @abstractmethod
+    def set_partition(self, node_ids: Optional[Iterable[int]]) -> None:
+        """Split the network: traffic between ``node_ids`` and every other node is
+        dropped until the next call; ``None`` heals the split."""
+
+    # ------------------------------------------------------------------ failures & churn
+
+    @abstractmethod
+    def kill(self, node_id: int) -> None:
+        """Crash one node (a no-op for an unknown or dead id)."""
+
+    def kill_random_fraction(self, fraction: float) -> List[int]:
+        """Kill a uniformly drawn ``fraction`` of the live nodes; returns their ids."""
+        if not 0.0 <= fraction <= 1.0:
+            raise ExperimentError(f"fraction out of range: {fraction}")
+        candidates = self.live_ids()
+        count = int(round(fraction * len(candidates)))
+        victims = self.rng.sample(candidates, min(count, len(candidates)))
+        for node_id in victims:
+            self.kill(node_id)
+        return victims
+
+    def churn_step(self, fraction: float) -> int:
+        """One churn round: replace ``fraction`` of each node class with fresh nodes.
+
+        Uses probabilistic rounding so that small fractions of small populations still
+        produce the right *expected* churn rate. Returns the number of nodes replaced.
+        """
+        replaced = 0
+        for is_public, ids in (
+            (True, self.live_public_ids()),
+            (False, self.live_private_ids()),
+        ):
+            expected = fraction * len(ids)
+            count = int(math.floor(expected))
+            if self.rng.random() < (expected - count):
+                count += 1
+            if count == 0:
+                continue
+            victims = self.rng.sample(ids, min(count, len(ids)))
+            for node_id in victims:
+                self.kill(node_id)
+                self.add_node(public=is_public)
+                replaced += 1
+        return replaced
+
+    # ------------------------------------------------------------------ snapshots
+
+    def clone(self) -> "BaseScenario":
+        """An independent deep copy of the whole deployment at the current instant.
+
+        The clone carries every piece of state — virtual clock, pending events, RNG
+        streams, views, NAT bindings or columns — so running the clone produces
+        exactly the trajectory the original would have produced, and the original
+        stays pristine. Harnesses that branch several destructive treatments off one
+        warmed-up system (e.g. the catastrophic-failure sweep) clone once per
+        treatment instead of rebuilding and re-warming the population every time.
+        """
+        return copy.deepcopy(self)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{type(self).__name__}(protocol={self.config.protocol}, "
+            f"live={self.live_count()}, t={self.sim.now / 1000.0:.1f}s)"
+        )
+
+
+class Scenario(BaseScenario):
+    """The object engine: every node is a host, a protocol component and, if
+    private, a NAT box, exchanging simulated packets."""
+
+    ENGINE = "object"
+
+    def __init__(self, config: Optional[ScenarioConfig] = None) -> None:
+        super().__init__(config)
+        self.monitor = TrafficMonitor()
+        self.network = Network(
+            self.sim, latency_model=self._build_latency_model(), monitor=self.monitor
+        )
+        self.set_loss_rate(self.config.loss_rate)
+        self.registry = BootstrapRegistry(rng=self.sim.derive_rng("bootstrap"))
+        self.ip_alloc = IpAllocator()
+        self.nodes: Dict[int, NodeHandle] = {}
+        self._next_node_id = 1
+
+    def _build_latency_model(self) -> LatencyModel:
+        latency = self.config.latency
+        if isinstance(latency, LatencyModel):
+            return latency
+        if latency == "king":
+            return KingLatencyModel(seed=self.config.seed)
+        if latency == "constant":
+            return ConstantLatency(50.0)
+        if latency == "uniform":
+            return UniformLatency(10.0, 150.0, seed=self.config.seed)
+        raise ConfigurationError(f"unknown latency model {latency!r}")
+
+    # ------------------------------------------------------------------ node creation
+
     def _allocate_node_id(self) -> int:
         node_id = self._next_node_id
         self._next_node_id += 1
         return node_id
 
-    def _add_public_node(self) -> NodeHandle:
+    def _add_public_node(self) -> int:
         node_id = self._allocate_node_id()
         ip = self.ip_alloc.public_ip()
         address = NodeAddress(
@@ -284,13 +466,7 @@ class Scenario:
         host = Host(self.sim, self.network, address, natbox=None)
         return self._finish_node(host, natbox=None, ground_truth_public=True)
 
-    def _gateway_profile(self) -> tuple:
-        """The (name, profile) the next created gateway runs — fixed or mixture-drawn."""
-        if self.config.nat_mixture is not None:
-            return self.config.nat_mixture.sample(self._nat_mixture_rng)
-        return self._fixed_profile_name, self.config.nat_profile
-
-    def _add_private_node(self) -> NodeHandle:
+    def _add_private_node(self) -> int:
         node_id = self._allocate_node_id()
         external_ip = self.ip_alloc.nat_external_ip()
         internal_ip = self.ip_alloc.private_ip()
@@ -332,14 +508,14 @@ class Scenario:
         natbox: Optional[NatBox],
         ground_truth_public: bool,
         nat_profile_name: Optional[str] = None,
-    ) -> NodeHandle:
+    ) -> int:
         if self.config.identify_nat_types:
             handle = self._finish_node_with_identification(host, natbox, ground_truth_public)
         else:
             handle = self._start_pss(host, natbox, ground_truth_public)
         handle.nat_profile_name = nat_profile_name if natbox is not None else None
         self.nodes[host.node_id] = handle
-        return handle
+        return host.node_id
 
     def _start_pss(
         self, host: Host, natbox: Optional[NatBox], ground_truth_public: bool
@@ -402,20 +578,21 @@ class Scenario:
         client.identify(bootstrap_nodes, callback=finish)
         return handle
 
-    # ------------------------------------------------------------------ running
-
-    def run_ms(self, duration_ms: float) -> None:
-        """Advance the simulation by ``duration_ms`` of virtual time."""
-        self.sim.run_for(duration_ms)
-
-    def run_rounds(self, rounds: float) -> None:
-        """Advance the simulation by the given number of gossip rounds."""
-        self.run_ms(rounds * self.round_ms)
-
     # ------------------------------------------------------------------ queries
 
     def live_handles(self) -> List[NodeHandle]:
+        """The live nodes' handles — the object engine's component graph, which only
+        object-engine harnesses and tests reach into."""
         return [h for h in self.nodes.values() if h.alive and h.pss is not None]
+
+    def pss_of(self, node_id: int) -> PeerSamplingService:
+        handle = self.nodes.get(node_id)
+        if handle is None or handle.pss is None:
+            raise ExperimentError(f"no peer-sampling service for node {node_id}")
+        return handle.pss
+
+    def live_ids(self) -> List[int]:
+        return [h.node_id for h in self.live_handles()]
 
     def live_public_ids(self) -> List[int]:
         return [h.node_id for h in self.live_handles() if h.address.is_public]
@@ -423,16 +600,17 @@ class Scenario:
     def live_private_ids(self) -> List[int]:
         return [h.node_id for h in self.live_handles() if h.address.is_private]
 
-    def live_count(self) -> int:
-        return len(self.live_handles())
-
-    def true_ratio(self) -> float:
-        """The ground-truth ω = |public| / (|public| + |private|) over live nodes."""
-        live = self.live_handles()
-        if not live:
-            return 0.0
-        public = sum(1 for h in live if h.address.is_public)
-        return public / len(live)
+    def nat_class_members(self) -> Dict[str, List[int]]:
+        classes: Dict[str, List[int]] = {}
+        for handle in self.live_handles():
+            if handle.natbox is None:
+                label = "public"
+            elif isinstance(handle.natbox, UpnpNatBox):
+                label = "upnp"
+            else:
+                label = handle.nat_profile_name or self._fixed_profile_name
+            classes.setdefault(label, []).append(handle.node_id)
+        return classes
 
     def overlay_graph(self) -> Dict[int, set]:
         """Directed adjacency over live nodes (edges to dead nodes are dropped)."""
@@ -447,10 +625,53 @@ class Scenario:
             graph[handle.node_id] = neighbours
         return graph
 
+    def ratio_estimates(self, min_rounds: int = 2) -> List[float]:
+        if not self.plugin.estimates_ratio:
+            return []
+        estimates = (
+            handle.pss.estimated_ratio()
+            for handle in self.live_handles()
+            if handle.pss.current_round >= min_rounds
+        )
+        return [estimate for estimate in estimates if estimate is not None]
+
     def traffic_snapshot(self) -> TrafficSnapshot:
         return self.monitor.snapshot(self.sim.now)
 
-    # ------------------------------------------------------------------ failures & churn
+    def load_by_class(self, since: TrafficSnapshot) -> Dict[str, float]:
+        now = self.sim.now
+        if now <= since.time_ms:
+            return {}
+        public = set(self.live_public_ids())
+        private = set(self.live_private_ids())
+        everyone = public | private
+        average = self.monitor.average_load_bps
+        return {
+            "public": average(since, now, node_filter=public.__contains__),
+            "private": average(since, now, node_filter=private.__contains__),
+            "all": average(since, now, node_filter=everyone.__contains__),
+        }
+
+    # ------------------------------------------------------------------ link control
+
+    def set_loss_rate(self, rate: float) -> float:
+        previous, self._loss_rate = self._loss_rate, rate
+        self.network.loss_model = BernoulliLoss(rate) if rate > 0.0 else NoLoss()
+        return previous
+
+    def set_partition(self, node_ids: Optional[Iterable[int]]) -> None:
+        if node_ids is None:
+            self.network.partition = None
+            return
+        # A NAT'ed node's side is its gateway's external IP: the address its
+        # packets actually travel under.
+        handles = [self.nodes[node_id] for node_id in node_ids]
+        self.network.partition = NetworkPartition(
+            h.natbox.external_ip if h.natbox is not None else h.address.endpoint.ip
+            for h in handles
+        )
+
+    # ------------------------------------------------------------------ failures
 
     def kill(self, node_id: int) -> None:
         handle = self.nodes.get(node_id)
@@ -458,92 +679,3 @@ class Scenario:
             return
         handle.host.kill()
         self.registry.unregister(node_id)
-
-    def kill_random_fraction(
-        self,
-        fraction: float,
-        only: Optional[Callable[[NodeHandle], bool]] = None,
-    ) -> List[int]:
-        """Kill a random ``fraction`` of live nodes (optionally filtered); returns their ids."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ExperimentError(f"fraction out of range: {fraction}")
-        candidates = [h for h in self.live_handles() if only is None or only(h)]
-        count = int(round(fraction * len(candidates)))
-        victims = self.rng.sample(candidates, min(count, len(candidates)))
-        for handle in victims:
-            self.kill(handle.node_id)
-        return [h.node_id for h in victims]
-
-    def churn_step(self, fraction: float) -> int:
-        """One churn round: replace ``fraction`` of each node class with fresh nodes.
-
-        Uses probabilistic rounding so that small fractions of small populations still
-        produce the right *expected* churn rate. Returns the number of nodes replaced.
-        """
-        replaced = 0
-        for is_public, ids in (
-            (True, self.live_public_ids()),
-            (False, self.live_private_ids()),
-        ):
-            expected = fraction * len(ids)
-            count = int(math.floor(expected))
-            if self.rng.random() < (expected - count):
-                count += 1
-            if count == 0:
-                continue
-            victims = self.rng.sample(ids, min(count, len(ids)))
-            for node_id in victims:
-                self.kill(node_id)
-                self.add_node(public=is_public)
-                replaced += 1
-        return replaced
-
-    # ------------------------------------------------------------------ NAT classes
-
-    def nat_class_members(self) -> Dict[str, List[int]]:
-        """Live node ids grouped by NAT class, in node-creation order.
-
-        Classes are ``"public"`` (no gateway), ``"upnp"`` (gateway with an explicit
-        UPnP port mapping — publicly reachable) and the canonical profile name of the
-        gateway's NAT behaviour otherwise (``restricted_cone``, ``symmetric``, ...).
-        This is what the per-NAT-type metric breakdowns key on when a
-        :class:`~repro.nat.mixture.NatMixture` is in play.
-        """
-        classes: Dict[str, List[int]] = {}
-        for handle in self.live_handles():
-            if handle.natbox is None:
-                label = "public"
-            elif isinstance(handle.natbox, UpnpNatBox):
-                label = "upnp"
-            else:
-                label = handle.nat_profile_name or self._fixed_profile_name
-            classes.setdefault(label, []).append(handle.node_id)
-        return classes
-
-    # ------------------------------------------------------------------ snapshots
-
-    def clone(self) -> "Scenario":
-        """An independent deep copy of the whole deployment at the current instant.
-
-        The clone carries every piece of state — virtual clock, pending events, RNG
-        streams, views, NAT bindings — so running the clone produces exactly the
-        trajectory the original would have produced, and the original stays pristine.
-        Harnesses that branch several destructive treatments off one warmed-up system
-        (e.g. the catastrophic-failure sweep) clone once per treatment instead of
-        rebuilding and re-warming the population every time.
-        """
-        return copy.deepcopy(self)
-
-    # ------------------------------------------------------------------ protocol access
-
-    def pss_of(self, node_id: int) -> PeerSamplingService:
-        handle = self.nodes.get(node_id)
-        if handle is None or handle.pss is None:
-            raise ExperimentError(f"no peer-sampling service for node {node_id}")
-        return handle.pss
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Scenario(protocol={self.config.protocol}, live={self.live_count()}, "
-            f"t={self.sim.now / 1000.0:.1f}s)"
-        )

@@ -9,7 +9,7 @@ rather than hand-wired processes. Timelines
   is byte-stable: parse → serialize reproduces the exact bytes);
 * carry a short content :attr:`~Timeline.digest` that the experiment matrix embeds in
   cell keys, so two cells agree on their timeline iff they agree on its bytes;
-* **install** onto a :class:`~repro.workload.Scenario` deterministically: scheduled
+* **install** onto a :class:`~repro.workload.scenario.BaseScenario` deterministically: scheduled
   events compile onto the simulator in timeline order (drawing any randomness from
   seed-derived streams), while *boundary* events (failure spikes) are collected for
   the measurement loop to fire between rounds via
@@ -51,7 +51,7 @@ from repro.workload.events import (
     Partition,
     WorkloadEvent,
 )
-from repro.workload.scenario import Scenario
+from repro.workload.scenario import BaseScenario
 
 #: Schema tag of the serialized form; bump when the timeline JSON layout changes.
 TIMELINE_SCHEMA = "repro-timeline-v1"
@@ -162,7 +162,7 @@ class Timeline:
     # ------------------------------------------------------------------ installation
 
     def install(
-        self, scenario: Scenario, horizon_rounds: Optional[float] = None
+        self, scenario: BaseScenario, horizon_rounds: Optional[float] = None
     ) -> "InstalledTimeline":
         """Compile this timeline onto ``scenario``.
 
@@ -216,7 +216,7 @@ class InstalledTimeline:
     events still waiting for the measurement loop to cross their round."""
 
     timeline: Timeline
-    scenario: Scenario
+    scenario: BaseScenario
     #: Handles the scheduled events returned (one per event that scheduled work).
     processes: List[object] = field(default_factory=list)
     #: ``(round, timeline_index, event)`` entries, sorted, not yet fired.

@@ -8,11 +8,12 @@ The load-bearing invariants:
   partition/heal and kill/join;
 * the engine axis is additive — cells at ``engine="object"`` keep their exact
   pre-axis keys, so no legacy derived seed moves;
-* the columnar scenario exposes the object scenario's plugin / live-handle surface,
-  so probes, timelines and churn drive it unmodified;
+* the columnar scenario implements the scenario contract
+  (``tests/test_scenario_contract.py`` holds both engines to it), so probes,
+  timelines and churn drive it unmodified;
 * the engine runs every registered protocol by its declared NAT strategy, and
   refuses the one ``PssConfig`` knob it cannot honour (``selection``);
-* engine-native streamed statistics equal the per-node facade collection.
+* engine-native streamed statistics equal the per-node scalar reads.
 """
 
 import math
@@ -32,11 +33,11 @@ from hypothesis import given, settings, strategies as st
 np = pytest.importorskip("numpy")  # the columnar engine's one hard requirement
 
 from columnar_oracle import _ingest_estimates, _merge_row, oracle_round
+from test_scenario_contract import ScenarioContract
 from repro import wire
 from repro.columnar import ColumnarEngine, ColumnarScenario
 from repro.columnar import engine as columnar_engine
 from repro.columnar import shuffle as columnar_shuffle
-from repro.columnar.scenario import _ip_of_row, _row_of_ip
 from repro.columnar.shuffle import _batch_ingest_np, _batch_merge_np
 from repro.errors import ConfigurationError, ExperimentError
 from repro.membership.base import NatStrategy, PssConfig
@@ -48,7 +49,6 @@ from repro.metrics.partition import (
     largest_cluster_fraction,
     partition_count,
 )
-from repro.metrics.probes import collect_ratio_estimates
 from repro.workload.events import ChurnPhase, LossBurst, Partition
 from repro.workload.scenario import (
     ENGINES,
@@ -110,11 +110,19 @@ class TestColumnarEngine:
                            rng=random.Random(1))
 
     def test_estimate_stats_equals_facade_collection(self):
+        """The vectorised estimate read equals one scalar ``estimate_ratio`` per row."""
         scenario = make_scenario(seed=5)
         scenario.run_rounds(15)
         true_ratio = scenario.true_ratio()
         measured, mean, avg_err, max_err = scenario.engine.estimate_stats(true_ratio)
-        estimates = [e for e in collect_ratio_estimates(scenario) if e is not None]
+        engine = scenario.engine
+        estimates = [
+            estimate
+            for row in engine.live_rows()
+            if engine.rounds_exec[row] >= 2
+            and (estimate := engine.estimate_ratio(row)) is not None
+        ]
+        assert scenario.ratio_estimates() == estimates
         assert measured == len(estimates)
         assert mean == sum(estimates) / len(estimates)
         deviations = [abs(true_ratio - e) for e in estimates]
@@ -302,12 +310,6 @@ class TestRowLimit:
             for _ in range(20):
                 scenario.churn_step(0.2)
         assert scenario.engine.rows == 80
-
-    def test_every_row_below_the_limit_has_its_own_ip(self):
-        last = columnar_engine.ROW_LIMIT - 1
-        assert _ip_of_row(last) == "10.255.255.255"
-        for row in (1, 255, 256, 65535, 65536, last):
-            assert _row_of_ip(_ip_of_row(row)) == row
 
 
 #: ``(fingerprint, drops)`` after 24 rounds of a 24 + 96-node cell (seed 29)
@@ -516,7 +518,7 @@ class TestViewUniqueness:
             assert engine.drops.get("nat_filtered", 0) == 0
 
 
-# ----------------------------------------------------------------- scenario facade
+# ----------------------------------------------------------------- columnar scenario
 
 
 class TestColumnarKnobHonesty:
@@ -525,14 +527,15 @@ class TestColumnarKnobHonesty:
 
     def test_unread_pss_config_fields_are_the_round_synchronous_delta(self):
         """Only the two timing knobs a round-synchronous engine has no use for
-        (docs/columnar_backend.md, "time") go unread by ``repro.columnar``."""
+        (docs/columnar_backend.md, "time") and ``port`` (rows have no
+        endpoints) go unread by ``repro.columnar``."""
         package = Path(columnar_engine.__file__).parent
         source = "".join(path.read_text() for path in sorted(package.glob("*.py")))
         unread = {
             f.name for f in fields(PssConfig)
             if not re.search(rf'\.{f.name}\b|"{f.name}"', source)
         }
-        assert unread == {"round_jitter_ms", "start_delay_max_ms"}
+        assert unread == {"round_jitter_ms", "start_delay_max_ms", "port"}
 
     @pytest.mark.parametrize("protocol", protocol_names())
     def test_selection_is_refused(self, protocol):
@@ -548,24 +551,18 @@ class TestColumnarKnobHonesty:
         ColumnarScenario(columnar_config(protocol=protocol, pss_config=config))
 
 
-class TestColumnarScenario:
-    def test_capability_api(self):
-        """The object scenario's access path: the plugin says what the protocol
-        is, ``live_handles()`` / ``.pss`` reach every node's service."""
-        scenario = make_scenario()
-        assert scenario.plugin.estimates_ratio
-        services = [handle.pss for handle in scenario.live_handles()]
-        assert len(services) == 100
-        service = services[0]
-        assert service.current_round >= 0
-        estimate = service.estimated_ratio()
-        assert estimate is None or 0.0 <= estimate <= 1.0
+class TestColumnarScenario(ScenarioContract):
+    """The scenario contract on the columnar engine, plus what only it has."""
 
-    def test_cyclon_has_no_estimation(self):
-        scenario = make_scenario(protocol="cyclon")
-        assert not scenario.plugin.estimates_ratio
-        assert collect_ratio_estimates(scenario) == []
-        assert scenario.pss_of(1).estimated_ratio() is None
+    engine = "columnar"
+
+    def test_clone_keeps_the_fingerprint(self):
+        scenario = make_scenario(seed=14)
+        scenario.run_rounds(8)
+        clone = scenario.clone()
+        scenario.run_rounds(7)
+        clone.run_rounds(7)
+        assert scenario.engine.fingerprint() == clone.engine.fingerprint()
 
     def test_rejects_object_only_features(self):
         with pytest.raises(ConfigurationError):
@@ -581,22 +578,6 @@ class TestColumnarScenario:
             runs.append(scenario.engine.fingerprint())
         assert runs[0] == runs[1]
 
-    def test_clone_continues_bit_identically(self):
-        scenario = make_scenario(seed=14)
-        scenario.run_rounds(8)
-        clone = scenario.clone()
-        scenario.run_rounds(7)
-        clone.run_rounds(7)
-        assert scenario.engine.fingerprint() == clone.engine.fingerprint()
-
-    def test_churn_replaces_population(self):
-        scenario = make_scenario(seed=15)
-        scenario.run_rounds(5)
-        before = scenario.live_count()
-        scenario.churn_step(0.1)
-        assert scenario.live_count() == before
-        assert abs(scenario.true_ratio() - 0.2) < 0.1
-
     def test_timeline_installs_and_fires(self):
         scenario = make_scenario(seed=16, n_public=12, n_private=48)
         timeline = get_timeline("paper-failure")
@@ -604,22 +585,6 @@ class TestColumnarScenario:
         installed.advance_rounds(65)
         # Half the population dies at the t=61 boundary.
         assert scenario.live_count() == 30
-
-    def test_overhead_public_exceeds_private(self):
-        scenario = make_scenario(seed=17)
-        scenario.run_rounds(10)
-        start = scenario.traffic_snapshot()
-        scenario.run_rounds(10)
-        monitor = scenario.monitor
-        public = monitor.average_load_bps(
-            start, scenario.now,
-            node_filter=set(scenario.live_public_ids()).__contains__,
-        )
-        private = monitor.average_load_bps(
-            start, scenario.now,
-            node_filter=set(scenario.live_private_ids()).__contains__,
-        )
-        assert public > private > 0.0
 
 
 # ------------------------------------------------------------------- engine axis
@@ -629,7 +594,7 @@ class TestOverlayView:
     @pytest.mark.parametrize("protocol", protocol_names())
     def test_view_equals_dict_of_sets(self, protocol):
         """``overlay_graph()`` is a read-only view over the view columns with the
-        object facade's dict contract: live rows only, ascending, no self-loops,
+        object engine's dict semantics: live rows only, ascending, no self-loops,
         no edges to dead rows — checked on a churn + loss + partition cell with
         rows dead enough to split the overlay, against a dict built the long
         way, and through every partition metric."""
@@ -806,8 +771,9 @@ class TestScaleKind:
         scatter = by_engine["columnar"].series["est_scatter"]
         assert 0 < len(scatter) <= SCATTER_CAPACITY
         assert all(0.0 <= value <= 1.0 for _idx, value in scatter)
-        # Object cells keep the facade path and record no scatter series.
-        assert "est_scatter" not in by_engine["object"].series
+        # Both engines sample the same contract read, so object cells carry one too.
+        object_scatter = by_engine["object"].series["est_scatter"]
+        assert 0 < len(object_scatter) <= SCATTER_CAPACITY
 
     def test_scatter_is_deterministic(self):
         from repro.experiments.scale import sample_estimate_scatter
@@ -850,7 +816,7 @@ class TestNatProtocolPorts:
 
     @pytest.mark.parametrize("protocol", NAT_PROTOCOLS)
     def test_in_degree_histogram_matches_graph(self, protocol):
-        """Engine-native streamed stats equal the per-node facade collection."""
+        """The streamed in-degree histogram counts every edge of the overlay view."""
         scenario = make_scenario(protocol=protocol, seed=24, n_public=10,
                                  n_private=30)
         scenario.run_rounds(12)
@@ -988,8 +954,7 @@ class TestCrossEngine:
             )
             scenario.populate(20, 80)
             scenario.run_rounds(40)
-            estimates = [e for e in collect_ratio_estimates(scenario)
-                         if e is not None]
+            estimates = scenario.ratio_estimates()
             results[engine] = sum(estimates) / len(estimates)
         assert abs(results["object"] - results["columnar"]) < 0.05
         for mean in results.values():

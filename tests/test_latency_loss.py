@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net.address import Endpoint, NatType, NodeAddress
 from repro.simulator.latency import ConstantLatency, KingLatencyModel, UniformLatency
-from repro.simulator.loss import BernoulliLoss, BiasedLoss, NoLoss
+from repro.simulator.loss import BernoulliLoss, NoLoss
 
 
 class TestConstantLatency:
@@ -97,13 +97,3 @@ class TestLossModels:
     def test_bernoulli_rejects_bad_probability(self):
         with pytest.raises(ConfigurationError):
             BernoulliLoss(1.5)
-
-    def test_biased_loss_discriminates_by_sender_class(self):
-        rng = random.Random(1)
-        model = BiasedLoss(public_probability=0.0, private_probability=1.0)
-        assert not model.should_drop(rng, _addr(True), "1.0.0.2")
-        assert model.should_drop(rng, _addr(False), "1.0.0.2")
-
-    def test_biased_loss_validation(self):
-        with pytest.raises(ConfigurationError):
-            BiasedLoss(public_probability=-0.1, private_probability=0.5)

@@ -20,7 +20,6 @@ from repro.metrics.graph import (
     in_degrees,
     out_degrees,
 )
-from repro.metrics.overhead import measure_overhead
 from repro.metrics.partition import (
     connected_components,
     largest_cluster_fraction,
@@ -240,33 +239,6 @@ class _FakeMessage(Message):
 
 
 class TestOverheadMeasurement:
-    def test_measure_overhead_windows(self):
-        monitor = TrafficMonitor()
-        public = NodeAddress(1, Endpoint("1.0.0.1", 7000), NatType.PUBLIC)
-        private = NodeAddress(
-            2, Endpoint("2.0.0.1", 7000), NatType.PRIVATE, private_endpoint=Endpoint("10.0.0.1", 7000)
-        )
-        snapshot = monitor.snapshot(0.0)
-        message = _FakeMessage()
-        for _ in range(10):
-            monitor.record_sent(public, message)
-        for _ in range(5):
-            monitor.record_sent(private, message)
-        report = measure_overhead(
-            protocol="croupier",
-            monitor=monitor,
-            window_start=snapshot,
-            now_ms=10_000.0,
-            public_node_ids=[1],
-            private_node_ids=[2],
-        )
-        assert report.window_seconds == pytest.approx(10.0)
-        assert report.public_bytes_per_second == pytest.approx(10 * 100 / 10.0)
-        assert report.private_bytes_per_second == pytest.approx(5 * 100 / 10.0)
-        assert report.all_bytes_per_second == pytest.approx(15 * 100 / 10.0 / 2)
-        row = report.as_row()
-        assert set(row) == {"public B/s", "private B/s", "all B/s"}
-
     def test_snapshot_isolation(self):
         monitor = TrafficMonitor()
         node = NodeAddress(1, Endpoint("1.0.0.1", 7000), NatType.PUBLIC)

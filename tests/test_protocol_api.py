@@ -141,13 +141,13 @@ class TestCapabilityConformance:
 
 
 class TestDeprecatedShimsRemoved:
-    """The transition shims are gone: ``live_handles()`` / ``.pss`` and the plugin
-    are the only protocol access path, and the probes module is the one place
-    estimates are collected."""
+    """The transition shims are gone: the plugin and the scenario contract
+    (``BaseScenario``, whose ``ratio_estimates()`` serves every protocol) are
+    the only protocol access path."""
 
     def test_pre_plugin_accessors_are_gone(self):
         scenario = Scenario(ScenarioConfig(protocol="croupier", seed=2, latency="constant"))
-        for removed in ("ratio_estimates", "croupiers", "croupier_instances",
+        for removed in ("croupiers", "croupier_instances",
                         "supports", "require", "services_with"):
             assert not hasattr(scenario, removed)
 

@@ -64,8 +64,8 @@ class TestScenarioBasics:
     def test_initial_views_seeded_from_registry(self):
         scenario = Scenario(ScenarioConfig(seed=1, latency="constant"))
         scenario.populate(n_public=5, n_private=5)
-        late = scenario.add_private_node()
-        assert len(late.pss.neighbor_addresses()) > 0
+        late = scenario.add_node(public=False)
+        assert len(scenario.pss_of(late).neighbor_addresses()) > 0
 
     def test_run_rounds_advances_time(self):
         scenario = Scenario(ScenarioConfig(seed=1, latency="constant"))
@@ -144,10 +144,10 @@ class TestScenarioBasics:
         # run (timeout 4 s) to finish before the next join; private nodes can join in a
         # burst because their verdict never depends on other pending identifications.
         for _ in range(5):
-            scenario.add_public_node()
+            scenario.add_node(public=True)
             scenario.run_ms(5_000.0)
         for _ in range(10):
-            scenario.add_private_node()
+            scenario.add_node(public=False)
         scenario.run_rounds(12)
         handles = scenario.live_handles()
         assert len(handles) == 15
