@@ -7,7 +7,7 @@ two harshest failure levels, asserting that Croupier remains at least as well co
 as both baselines.
 """
 
-from repro.experiments import run_failure_experiment
+from repro.experiments import run_figure
 
 BENCH_NODES = 300
 BENCH_FRACTIONS = (0.8, 0.9)
@@ -16,24 +16,20 @@ WARMUP_ROUNDS = 40
 
 
 def test_fig7b_connectivity_after_catastrophic_failure(once):
-    result = once(
-        run_failure_experiment,
-        protocols=BENCH_PROTOCOLS,
-        failure_fractions=BENCH_FRACTIONS,
-        total_nodes=BENCH_NODES,
-        private_ratio=0.8,
-        warmup_rounds=WARMUP_ROUNDS,
-        seed=42,
-    )
+    result = once(run_figure, "failure", nodes=BENCH_NODES, rounds=WARMUP_ROUNDS,
+                  seed=42, protocols=BENCH_PROTOCOLS, fractions=BENCH_FRACTIONS)
     print()
     print(result.to_text())
 
+    cluster = {
+        (cell.protocol, cell.param("failure_fraction")):
+            payload.scalars["biggest_cluster_fraction"]
+        for cell, payload in result.cells
+    }
     for fraction in BENCH_FRACTIONS:
-        croupier = result.cluster_at("croupier", fraction)
-        gozar = result.cluster_at("gozar", fraction)
-        nylon = result.cluster_at("nylon", fraction)
+        croupier = cluster["croupier", fraction]
         # Croupier keeps the overlay at least as connected as both baselines.
-        assert croupier >= gozar - 0.03
-        assert croupier >= nylon - 0.03
+        assert croupier >= cluster["gozar", fraction] - 0.03
+        assert croupier >= cluster["nylon", fraction] - 0.03
     # And at 90% failures it still holds a large majority of survivors together.
-    assert result.cluster_at("croupier", 0.9) > 0.7
+    assert cluster["croupier", 0.9] > 0.7

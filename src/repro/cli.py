@@ -33,11 +33,10 @@ from repro.version import __version__
 
 def _build_runners() -> Dict[str, Callable]:
     """Experiments runnable via ``repro run``: CLI args -> a result with ``to_text()``.
-    The eight figures that are matrix kinds run their cells through
-    :func:`repro.experiments.figures.run_figure`; ``quick``, ``failure`` and ``scale``
-    keep a harness each (no kind samples through the PSS API, branches off one warmed
-    clone, or reports wall-clock). Built on demand so the CLI starts without
-    importing the stack."""
+    Every figure runs its cells through :func:`repro.experiments.figures.run_figure`;
+    ``quick`` and ``scale`` keep a harness each (no kind samples through the PSS API
+    or reports wall-clock). Built on demand so the CLI starts without importing the
+    stack."""
     from repro import experiments as exp
 
     runners: Dict[str, Callable] = {
@@ -50,12 +49,6 @@ def _build_runners() -> Dict[str, Callable]:
         n_public=max(1, a.nodes // 5),
         n_private=a.nodes - max(1, a.nodes // 5),
         rounds=a.rounds,
-        seed=a.seed,
-        latency=a.latency,
-    )
-    runners["failure"] = lambda a: exp.run_failure_experiment(
-        total_nodes=a.nodes,
-        warmup_rounds=a.rounds,
         seed=a.seed,
         latency=a.latency,
     )
@@ -314,7 +307,7 @@ def _dry_run_matrix(spec) -> int:
     the spec, which is what makes it a reviewable cell-key stability artifact (CI
     diffs it against a committed copy).
     """
-    from repro.experiments.matrix import DEFAULT_TIMELINE, derive_cell_seed, timeline_digest
+    from repro.experiments.matrix import DEFAULT_TIMELINE, cell_seed, timeline_digest
 
     cells = spec.validate()
     print(f"dry run: {spec.describe()}", file=sys.stderr)
@@ -322,7 +315,7 @@ def _dry_run_matrix(spec) -> int:
         digest = (
             "-" if cell.timeline == DEFAULT_TIMELINE else timeline_digest(cell.timeline)
         )
-        print(f"{cell.key}\t{derive_cell_seed(spec.root_seed, cell.key)}\t{digest}")
+        print(f"{cell.key}\t{cell_seed(spec.root_seed, cell)}\t{digest}")
     return 0
 
 

@@ -12,7 +12,7 @@ B. **Request subsets** — per view, every slot gets a keyed draw (ineligible
    is appended to its own-class subset.
 C. **Delivery filtering** — wire sizes (:mod:`repro.wire`) and tx are
    accounted for every request, then drop masks apply in fixed precedence:
-   ``lost_in_transit`` → ``partitioned`` → ``dead_partner`` → unreachable-partner (``nat_filtered``
+   ``link_loss`` → ``partitioned`` → ``dead_host`` → unreachable-partner (``nat_filtered``
    for croupier/cyclon; ``no_relay_parent`` for Gozar private partners with no
    live parent; ``broken_chain`` for Nylon private partners whose
    learned-from RVP is gone). Gozar relays and Nylon hole-punch control packets
@@ -83,9 +83,9 @@ from repro.membership.base import NatStrategy
 #: into ``engine.drops`` in this fixed order, so the dict's insertion order (and
 #: therefore canonical JSON) does not depend on which reason fired first.
 DROP_REASONS = (
-    "lost_in_transit",
+    "link_loss",
     "partitioned",
-    "dead_partner",
+    "dead_host",
     "nat_filtered",
     "no_relay_parent",
     "broken_chain",
@@ -371,7 +371,7 @@ def _request_block(eng, np, lo, hi, drops):
             np, crng.stream(seed, rnd, crng.TAG_LOSS_REQ), init.astype(np.uint64)
         )
         lost = u < np.where(i_pub, eng.loss_public, eng.loss_private)
-        drops["lost_in_transit"] += int(lost.sum())
+        drops["link_loss"] += int(lost.sum())
         remaining &= ~lost
     if eng._partition_active:
         iso = as_np(eng.isolated)[:n]
@@ -379,7 +379,7 @@ def _request_block(eng, np, lo, hi, drops):
         drops["partitioned"] += int(parted.sum())
         remaining &= ~parted
     deadp = remaining & (alive[partner] == 0)
-    drops["dead_partner"] += int(deadp.sum())
+    drops["dead_host"] += int(deadp.sum())
     remaining &= ~deadp
     priv_partner = remaining & (pub[partner] == 0)
     if relay_strategy:
@@ -566,7 +566,7 @@ def _response_block(eng, np, ex, drops):
             np, crng.stream(seed, rnd, crng.TAG_LOSS_RESP), I_.astype(np.uint64)
         )
         lost2 = u2 < np.where(pub[P_] != 0, eng.loss_public, eng.loss_private)
-        drops["lost_in_transit"] += int(lost2.sum())
+        drops["link_loss"] += int(lost2.sum())
         ok &= ~lost2
     if relay_strategy:
         priv_init = ok & (pub[I_] == 0)

@@ -18,7 +18,7 @@ Figure 4 (a)               ``FIGURES["ratio-sweep"]`` (``ratio`` kind)
 Figure 5 (a)               ``FIGURES["churn"]`` (``churn`` kind)
 Figure 6 (a, b, c)         ``FIGURES["randomness"]`` (``randomness`` kind)
 Figure 7 (a)               ``FIGURES["overhead"]`` (``overhead`` kind)
-Figure 7 (b)               :func:`~repro.experiments.catastrophic_failure.run_failure_experiment`
+Figure 7 (b)               ``FIGURES["failure"]`` (``failure`` kind)
 NAT-class in-degree        ``FIGURES["nat-indegree"]`` (``nat_indegree`` kind)
 Ablations A1–A4            :mod:`~repro.experiments.ablations`
 ========================  ==========================================================
@@ -29,73 +29,22 @@ sharded multiprocess pool by :func:`~repro.experiments.runner.run_matrix` (the
 ``repro matrix`` CLI). See ``docs/experiments.md``.
 """
 
-from repro.experiments.base import run_estimation_cell
-from repro.experiments.matrix import (
-    NAT_MIXTURES,
-    NAT_PROFILES,
-    PAPER_LOSS_RATES,
-    PAPER_NAT_PROFILES,
-    PAPER_UPNP_FRACTIONS,
-    CellContext,
-    CellSpec,
-    MatrixSpec,
-    derive_cell_seed,
-    measure_cell,
-    register_scenario,
-    scenario_names,
-)
-from repro.experiments.checkpoint import JournalWriter, load_journal, spec_digest
-from repro.experiments.faults import FaultPlan, RetryPolicy, payload_digest
-from repro.experiments.runner import (
-    CellResult,
-    MatrixRunResult,
-    run_matrix,
-    write_artifacts,
-)
-from repro.experiments.catastrophic_failure import FailureExperimentResult, run_failure_experiment
-from repro.experiments.figures import FIGURES, FigureResult, run_figure
-from repro.experiments.quick import QuickRunResult, quick_croupier_run
+# Importing a kind's module registers the kind: ``figures`` imports ``base``,
+# ``history_windows``, ``catastrophic_failure`` and ``nat_indegree``.
 from repro.experiments import randomness  # noqa: F401  (registers the "randomness" kind)
-from repro.experiments.scale import (
-    ScaleRunResult,
-    ScaleVariantResult,
-    run_scale_cell,
-    run_scale_experiment,
-)
+from repro.experiments.figures import FIGURES, run_figure
+from repro.experiments.matrix import CellSpec, MatrixSpec
+from repro.experiments.quick import quick_croupier_run
+from repro.experiments.runner import run_matrix, write_artifacts
+from repro.experiments.scale import run_scale_experiment
 
 __all__ = [
-    "NAT_MIXTURES",
-    "NAT_PROFILES",
-    "PAPER_LOSS_RATES",
-    "PAPER_NAT_PROFILES",
-    "PAPER_UPNP_FRACTIONS",
-    "CellContext",
-    "CellResult",
     "CellSpec",
     "FIGURES",
-    "FailureExperimentResult",
-    "FaultPlan",
-    "FigureResult",
-    "JournalWriter",
-    "MatrixRunResult",
     "MatrixSpec",
-    "QuickRunResult",
-    "RetryPolicy",
-    "ScaleRunResult",
-    "ScaleVariantResult",
-    "derive_cell_seed",
-    "load_journal",
-    "measure_cell",
-    "payload_digest",
     "quick_croupier_run",
-    "register_scenario",
-    "run_estimation_cell",
-    "run_failure_experiment",
     "run_figure",
     "run_matrix",
-    "run_scale_cell",
     "run_scale_experiment",
-    "scenario_names",
-    "spec_digest",
     "write_artifacts",
 ]

@@ -9,9 +9,10 @@ code path, one validation and (for equal keys and root seed) the same numbers.
 Nothing here builds a scenario or advances a round; ``docs/experiments.md`` tabulates
 each figure's kind, params and cells.
 
-Figure 7(b) stays a harness (:func:`~repro.experiments.catastrophic_failure.
-run_failure_experiment`): it branches every failure fraction off one warmed clone,
-which independently seeded ``failure`` cells cannot do.
+Each call runs its cells through one fresh
+:class:`~repro.experiments.runner.ScenarioReuse`, so the cells of a branching kind
+(Figure 7(b): one protocol's failure fractions) clone one warmed prefix instead of
+each warming its own.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.constants import DEFAULT_PUBLIC_RATIO
 from repro.experiments.base import PAPER_CHURN_LEVELS, PAPER_RATIOS
-from repro.experiments.catastrophic_failure import PAPER_PROTOCOLS
+from repro.experiments.catastrophic_failure import PAPER_FAILURE_FRACTIONS, PAPER_PROTOCOLS
 from repro.experiments.history_windows import PAPER_WINDOW_PAIRS
 from repro.experiments.matrix import (
     CellSpec,
@@ -33,6 +34,7 @@ from repro.experiments.matrix import (
 )
 from repro.experiments.nat_indegree import FALLBACK_MIXTURE
 from repro.experiments.report import format_table, histogram_table, time_series_table
+from repro.experiments.runner import ScenarioReuse
 from repro.metrics.collector import TimeSeries
 from repro.metrics.payload import MetricPayload
 
@@ -126,6 +128,15 @@ def nat_indegree_cells(nodes: int, rounds: int, protocols=None,
     return protocol_cells("nat_indegree", nodes, rounds, protocols=protocols, **params)
 
 
+def failure_cells(nodes: int, rounds: int, protocols=PAPER_PROTOCOLS,
+                  fractions=PAPER_FAILURE_FRACTIONS) -> List[CellSpec]:
+    """Figure 7(b): every failure fraction for each protocol, protocol by protocol,
+    so one protocol's cells follow each other and share its warmed prefix."""
+    return [cell for protocol in protocols for fraction in fractions
+            for cell in protocol_cells("failure", nodes, rounds, (protocol,),
+                                       failure_fraction=fraction)]
+
+
 def _series(result: "FigureResult", name: str) -> List[TimeSeries]:
     # zip(*points) splits [(t, v), ...] into TimeSeries' times and values columns.
     return [TimeSeries(label, *zip(*payload.series.get(name, ())))
@@ -209,6 +220,22 @@ def render_nat_indegree(result: "FigureResult") -> str:
     )
 
 
+def render_failure(result: "FigureResult") -> str:
+    """Figure 7(b): the biggest cluster as a % of the survivors, one row per protocol
+    and one column per failure fraction."""
+    clusters: Dict[str, Dict[float, float]] = {}
+    for cell, payload in result.cells:
+        clusters.setdefault(cell.protocol, {})[cell.param("failure_fraction")] = (
+            payload.scalars["biggest_cluster_fraction"])
+    fractions = sorted({f for row in clusters.values() for f in row})
+    return format_table(
+        ["protocol"] + [f"{f * 100:g}% fail" for f in fractions],
+        [[protocol] + [round(100.0 * row[f], 1) for f in fractions]
+         for protocol, row in clusters.items()],
+        title=result.figure.title,
+    )
+
+
 @dataclass(frozen=True)
 class Figure:
     """One ``repro run`` entry: a title, ``cells(nodes, rounds, **sweep)``, the label
@@ -255,6 +282,10 @@ FIGURES: Dict[str, Figure] = {
         "Figure 7(a): average load per node (second half of the run)",
         partial(protocol_cells, "overhead", croupier_gamma=100, max_estimates=10),
         _protocol, render_overhead),
+    "failure": Figure(
+        "Figure 7(b): biggest cluster size (% of survivors)", failure_cells,
+        lambda cell: f"{cell.protocol}, {cell.param('failure_fraction') * 100:g}% fail",
+        render_failure),
     "nat-indegree": Figure(
         # Cells on the default mixture axis run the kind's fallback: the paper's.
         "Symmetric-NAT underrepresentation: mean in-degree per NAT class "
@@ -291,14 +322,16 @@ class FigureResult:
 def run_figure(name: str, nodes: int, rounds: int, seed: int = 42,
                latency: str = "king", **sweep: object) -> FigureResult:
     """Execute figure ``name`` cell by cell; ``sweep`` overrides the figure's sweep
-    axis (``window_pairs``, ``sizes``, ``ratios``, ``churn_levels``, ``protocols``).
-    Every cell is validated before the first one runs, so a degenerate size or an
-    unknown protocol is a named error, not a half-printed figure."""
+    axis (``window_pairs``, ``sizes``, ``ratios``, ``churn_levels``, ``protocols``,
+    ``fractions``). Every cell is validated before the first one runs, so a degenerate
+    size or an unknown protocol is a named error, not a half-printed figure."""
     figure = FIGURES[name]
     cells = figure.cells(nodes, rounds, **sweep)
     for cell in cells:
         cell.validate()
+    reuse = ScenarioReuse()
     return FigureResult(
         figure,
-        [(cell, run_cell(cell, root_seed=seed, latency=latency)) for cell in cells],
+        [(cell, run_cell(cell, root_seed=seed, latency=latency, reuse=reuse))
+         for cell in cells],
     )

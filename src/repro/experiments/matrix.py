@@ -22,7 +22,8 @@ this same code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, ExperimentError
@@ -200,8 +201,20 @@ class CellSpec:
 
 
 def derive_cell_seed(root_seed: int, cell_key: str) -> int:
-    """The seed a cell runs with: hash(root seed, cell key) via the simulator's rule."""
+    """hash(root seed, cell key) via the simulator's rule."""
     return derive_seed(root_seed, _CELL_SEED_LABEL, cell_key)
+
+
+def cell_seed(root_seed: int, cell: CellSpec) -> int:
+    """The seed ``cell`` runs with: :func:`derive_cell_seed` over its key without its
+    kind's ``branch_param``. Cells of a branching kind that differ only in that param
+    therefore run one seed and share one warmed prefix; for every other kind this is
+    ``derive_cell_seed(root_seed, cell.key)``."""
+    branch = getattr(SCENARIOS.get(cell.scenario), "branch_param", None)
+    if branch is not None:
+        params = tuple(param for param in cell.params if param[0] != branch)
+        cell = dataclasses.replace(cell, params=params)
+    return derive_cell_seed(root_seed, cell.key)
 
 
 @dataclass
@@ -405,6 +418,12 @@ class ScenarioKind:
     runner's watchdog (``None`` = the runner-wide default; ``repro matrix
     --cell-timeout`` overrides both). A cell past its budget is classified as a
     ``timeout`` fault, its worker killed, and the cell retried on a fresh one.
+
+    ``branch_param`` names the one param a kind applies only after its warm-up
+    (``failure_fraction`` for ``failure``): :func:`cell_seed` leaves it out, so
+    cells that differ only in it share a seed, and
+    :meth:`CellContext.populated_scenario` (``warm=True``) hands each of them a
+    clone of one warmed prefix.
     """
 
     name: str
@@ -413,6 +432,7 @@ class ScenarioKind:
     default_params: Tuple[Tuple[str, ParamValue], ...] = ()
     paper_variants: Tuple[Params, ...] = ()
     timeout_s: Optional[float] = None
+    branch_param: Optional[str] = None
 
     def expand_variants(self, mode: str) -> List[Params]:
         if mode == "paper" and self.paper_variants:
@@ -434,6 +454,7 @@ def register_scenario(
     paper_variants: Optional[Sequence[Mapping[str, ParamValue]]] = None,
     replace: bool = False,
     timeout_s: Optional[float] = None,
+    branch_param: Optional[str] = None,
 ) -> ScenarioKind:
     """Register a scenario kind under ``name`` (used by experiment modules and tests).
 
@@ -452,6 +473,7 @@ def register_scenario(
         default_params=_freeze_params(default_params or {}),
         paper_variants=tuple(_freeze_params(v) for v in (paper_variants or ())),
         timeout_s=timeout_s,
+        branch_param=branch_param,
     )
     SCENARIOS[name] = kind
     return kind
@@ -580,7 +602,7 @@ class CellContext:
 
     def populated_scenario(
         self, n_public=None, n_private=None, pss_config=None,
-        nat_mixture: Optional[str] = None,
+        nat_mixture: Optional[str] = None, warm: bool = False,
     ):
         """Build (or clone from the worker cache) this cell's populated scenario.
 
@@ -591,9 +613,15 @@ class CellContext:
         part of the recipe: timelines install onto the returned scenario afterwards,
         so cells that share a populated prefix and differ only in their timeline
         suffix share one cached snapshot.
+
+        ``warm=True`` returns a branching kind's shared prefix instead: the populated
+        scenario with the cell's axis timeline installed and its ``rounds`` rounds
+        run. Its recipe adds the rounds and the timeline, and the cache snapshots it
+        on the first request, because every sibling branch asks for the same one.
         """
         from repro.workload.scenario import create_scenario
 
+        cell = self.cell
         if n_public is None:
             n_public = self.n_public
         if n_private is None:
@@ -604,11 +632,12 @@ class CellContext:
                 self.scenario_config(pss_config=pss_config, nat_mixture=nat_mixture)
             )
             scenario.populate(n_public=n_public, n_private=n_private)
+            if warm:
+                self.install_timeline(scenario).advance_rounds(cell.rounds)
             return scenario
 
         if self.reuse is None:
             return build()
-        cell = self.cell
         recipe = (
             cell.protocol,
             self.seed,
@@ -625,7 +654,9 @@ class CellContext:
             # Appended conditionally so legacy recipes (and their cached snapshots)
             # keep their exact tuples.
             recipe = recipe + (cell.engine,)
-        return self.reuse.populated_scenario(recipe, build)
+        if warm:
+            recipe = recipe + (cell.rounds, self.timeline)
+        return self.reuse.populated_scenario(recipe, build, snapshot_first=warm)
 
 
 def run_cell(
@@ -642,7 +673,7 @@ def run_cell(
     kind = SCENARIOS[cell.scenario]
     context = CellContext(
         cell=cell,
-        seed=derive_cell_seed(root_seed, cell.key),
+        seed=cell_seed(root_seed, cell),
         latency=latency,
         reuse=reuse,
     )

@@ -75,7 +75,7 @@ from repro.experiments.matrix import (
     SCENARIOS,
     CellSpec,
     MatrixSpec,
-    derive_cell_seed,
+    cell_seed,
     run_cell,
     timeline_digest,
 )
@@ -174,8 +174,11 @@ class ScenarioReuse:
     Snapshots are only captured once a recipe is requested a *second* time (cloning
     costs about as much as one small build, so speculatively snapshotting every cell
     would give the win back); repeat-heavy callers therefore pay one extra build
-    before hits start. The snapshot store is a small LRU so long matrix runs cannot
-    accumulate populations.
+    before hits start. A branching kind's warmed prefix is the exception: its
+    sibling cells all ask for it, so ``snapshot_first`` snapshots it on the first
+    request. The snapshot store is a small LRU so long matrix runs cannot
+    accumulate populations. ``builds`` and ``snapshot_hits`` count how many
+    requests were built and how many were served as clones.
     """
 
     MAX_SNAPSHOTS = 4
@@ -186,6 +189,7 @@ class ScenarioReuse:
         self._snapshots: "OrderedDict[Tuple, object]" = OrderedDict()
         self._requests: "OrderedDict[Tuple, int]" = OrderedDict()
         self.config_hits = 0
+        self.builds = 0
         self.snapshot_hits = 0
 
     def pss_config(self, key: Tuple, build: Callable[[], object]):
@@ -198,7 +202,8 @@ class ScenarioReuse:
             self.config_hits += 1
         return prototype
 
-    def populated_scenario(self, recipe: Tuple, build: Callable[[], object]):
+    def populated_scenario(self, recipe: Tuple, build: Callable[[], object],
+                           snapshot_first: bool = False):
         """A populated scenario for ``recipe`` — cloned from the cache on repeats."""
         snapshot = self._snapshots.get(recipe)
         if snapshot is not None:
@@ -206,11 +211,12 @@ class ScenarioReuse:
             self.snapshot_hits += 1
             return snapshot.clone()
         scenario = build()
+        self.builds += 1
         count = self._requests.pop(recipe, 0) + 1
         self._requests[recipe] = count  # re-insert at the recent end
         while len(self._requests) > self.MAX_TRACKED_RECIPES:
             self._requests.popitem(last=False)
-        if count >= 2:
+        if snapshot_first or count >= 2:
             self._snapshots[recipe] = scenario.clone()
             while len(self._snapshots) > self.MAX_SNAPSHOTS:
                 self._snapshots.popitem(last=False)
@@ -263,7 +269,7 @@ def _run_attempt(
         # answer, so byte-parity still holds.
         time.sleep(fault_plan.hang_s)
 
-    seed = derive_cell_seed(root_seed, cell.key)
+    seed = cell_seed(root_seed, cell)
     # A finished cell's scenario graph is cyclic (hosts <-> network <-> components),
     # so it is freed only by a generation-2 collection, and those are triggered by
     # allocation counts: without this, peak memory depends on how many container
@@ -376,7 +382,7 @@ def _degraded_result(cell: CellSpec, root_seed: int, attempts: int,
                      faults: Tuple[str, ...], pid: Optional[int]) -> CellResult:
     return CellResult(
         cell=cell,
-        seed=derive_cell_seed(root_seed, cell.key),
+        seed=cell_seed(root_seed, cell),
         status="degraded",
         error=(
             f"degraded: {attempts} attempt(s) exhausted by transient worker faults "
@@ -791,7 +797,13 @@ def run_matrix(
                     )
             resumed[key] = _result_from_journal(cell, record)
 
-    to_run = [cell for cell in cells if cell.key not in resumed]
+    # Cells sharing a seed are a branching kind's siblings: run them back to back,
+    # so the warmed prefix they share is still in the worker's snapshot LRU.
+    siblings: Dict[int, List[CellSpec]] = {}
+    for cell in cells:
+        if cell.key not in resumed:
+            siblings.setdefault(cell_seed(spec.root_seed, cell), []).append(cell)
+    to_run = [cell for group in siblings.values() for cell in group]
 
     writer: Optional[JournalWriter] = None
     resume_in_place = (

@@ -405,8 +405,8 @@ class BaseScenario(ABC):
         The clone carries every piece of state — virtual clock, pending events, RNG
         streams, views, NAT bindings or columns — so running the clone produces
         exactly the trajectory the original would have produced, and the original
-        stays pristine. Harnesses that branch several destructive treatments off one
-        warmed-up system (e.g. the catastrophic-failure sweep) clone once per
+        stays pristine. A kind that branches several destructive treatments off one
+        warmed-up system (the ``failure`` kind's fractions) clones it once per
         treatment instead of rebuilding and re-warming the population every time.
         """
         return copy.deepcopy(self)

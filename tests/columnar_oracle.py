@@ -352,13 +352,13 @@ def _shuffle(eng) -> None:
         tx[i] += size
         loss = loss_pub if is_public[i] else loss_priv
         if loss > 0.0 and _uniform(base_loss_req, i) < loss:
-            drops["lost_in_transit"] += 1
+            drops["link_loss"] += 1
             continue
         if eng._partition_active and eng.isolated[i] != eng.isolated[partner]:
             drops["partitioned"] += 1
             continue
         if not alive[partner]:
-            drops["dead_partner"] += 1
+            drops["dead_host"] += 1
             continue
         if not is_public[partner]:
             if gozar:
@@ -432,7 +432,7 @@ def _shuffle(eng) -> None:
         tx[partner] += size
         loss = loss_pub if is_public[partner] else loss_priv
         if loss > 0.0 and _uniform(base_loss_resp, i) < loss:
-            drops["lost_in_transit"] += 1
+            drops["link_loss"] += 1
             continue
         if gozar and not is_public[i]:
             live_par = _live_parents(eng, i)

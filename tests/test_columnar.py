@@ -142,7 +142,7 @@ class TestColumnarEngine:
 
 # ------------------------------------------------------------------ scalar oracle
 
-_COMMON_DROPS = {"lost_in_transit", "partitioned", "dead_partner"}
+_COMMON_DROPS = {"link_loss", "partitioned", "dead_host"}
 
 #: (protocol, engine options, cull the public rows mid-run, drop reasons the run
 #: must exercise — together every reason the delivery filter can produce).
@@ -321,20 +321,20 @@ class TestRowLimit:
 PINNED_CELL_FINGERPRINTS = {
     "croupier": (
         "53199a4143ea1a10830582709849f56e7a04a28a154f3e3b16f544c8e6900bc7",
-        [("dead_partner", 713), ("lost_in_transit", 104), ("partitioned", 238)],
+        [("dead_host", 713), ("link_loss", 104), ("partitioned", 238)],
     ),
     "cyclon": (
         "5f9e095149b9096d45d640b2b25be7ac96f5e3e070eec24447d0cbc3d89dff15",
-        [("dead_partner", 464), ("lost_in_transit", 81), ("nat_filtered", 692),
+        [("dead_host", 464), ("link_loss", 81), ("nat_filtered", 692),
          ("partitioned", 252)],
     ),
     "gozar": (
         "9d989dca7bfec4a099b1135054601e0ec12b148fcf597aefb2dd923e67f67e2d",
-        [("dead_partner", 506), ("lost_in_transit", 111), ("partitioned", 284)],
+        [("dead_host", 506), ("link_loss", 111), ("partitioned", 284)],
     ),
     "nylon": (
         "0d82bbef3bc6fd3d83047156d2c96bb66c9e58d914f67e142ae1809d992f2860",
-        [("broken_chain", 65), ("dead_partner", 494), ("lost_in_transit", 108),
+        [("broken_chain", 65), ("dead_host", 494), ("link_loss", 108),
          ("partitioned", 270)],
     ),
 }

@@ -11,7 +11,6 @@ from repro.experiments import (
     FIGURES,
     CellSpec,
     quick_croupier_run,
-    run_failure_experiment,
     run_figure,
 )
 from repro.experiments.ablations import (
@@ -135,18 +134,11 @@ class TestRandomnessOverheadFailure:
         assert "rel. Cyclon" in result.to_text()
 
     def test_failure_experiment_croupier_at_least_as_resilient(self):
-        result = run_failure_experiment(
-            protocols=("croupier", "gozar"),
-            failure_fractions=(0.8,),
-            total_nodes=150,
-            warmup_rounds=30,
-            latency="constant",
-            seed=23,
-        )
-        croupier = result.cluster_at("croupier", 0.8)
-        gozar = result.cluster_at("gozar", 0.8)
-        assert 0.0 < croupier <= 1.0
-        assert croupier >= gozar - 0.05
+        result = run_figure("failure", nodes=150, rounds=30, latency="constant", seed=23,
+                            protocols=("croupier", "gozar"), fractions=(0.8,))
+        clusters = result.scalars("biggest_cluster_fraction", by="protocol")
+        assert 0.0 < clusters["croupier"] <= 1.0
+        assert clusters["croupier"] >= clusters["gozar"] - 0.05
         assert "Figure 7(b)" in result.to_text()
 
 

@@ -3,6 +3,7 @@ multiprocess runner's parity and crash behaviour, aggregation and the CLI."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import os
@@ -164,9 +165,8 @@ class TestCrashSurfacing:
 
 
 class TestFailureKind:
-    """The registered ``failure`` kind (Figure 7(b) as independently seeded cells):
-    `repro run failure` and the figure bench go through the clone-branching harness
-    `run_failure_experiment`, so this is the kind's only gate."""
+    """The ``failure`` kind (Figure 7(b)) branches on ``failure_fraction``: the cells
+    of one protocol share a seed and clone one warmed prefix."""
 
     @pytest.mark.parametrize("engine", ["object", "columnar"])
     def test_failure_cell_kills_the_given_fraction_deterministically(self, engine):
@@ -187,6 +187,121 @@ class TestFailureKind:
                           variants="paper")
         fractions = [cell.param("failure_fraction") for cell in spec.validate()]
         assert fractions == [0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+
+    @staticmethod
+    def failure_cell(fraction: float, protocol: str = "croupier") -> CellSpec:
+        return CellSpec(scenario="failure", protocol=protocol, size=30, seed_index=0,
+                        rounds=6, params=(("failure_fraction", fraction),))
+
+    def test_fractions_share_one_seed_in_run_cell_and_dry_run(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        seeds = []
+        monkeypatch.setitem(SCENARIOS, "failure", dataclasses.replace(
+            SCENARIOS["failure"], runner=lambda ctx: seeds.append(ctx.seed) or {}))
+        for fraction in (0.4, 0.9):
+            run_cell(self.failure_cell(fraction), root_seed=7)
+        run_cell(self.failure_cell(0.4, protocol="gozar"), root_seed=7)
+        assert seeds[0] == seeds[1] != seeds[2]
+        # Only the branch param is left out: the rest of the key still seeds the cell.
+        assert seeds[0] == derive_cell_seed(
+            7, "scenario=failure;protocol=croupier;size=30;seed=0;rounds=6;public_ratio=0.2")
+
+        assert main(["matrix", "--scenarios", "failure", "--variants", "paper",
+                     "--protocols", "croupier,gozar", "--sizes", "30", "--seeds", "2",
+                     "--rounds", "6", "--root-seed", "7", "--dry-run"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert len(rows) == 6 * 2 * 2
+        by_branch = {}
+        for key, seed, _ in rows:
+            by_branch.setdefault(re.sub(r";failure_fraction=[^;]*", "", key), set()).add(seed)
+        assert len(by_branch) == 4 and all(len(s) == 1 for s in by_branch.values())
+        assert len(set().union(*by_branch.values())) == 4
+        assert by_branch[
+            "scenario=failure;protocol=croupier;size=30;seed=0;rounds=6;public_ratio=0.2"
+        ] == {str(seeds[0])}
+
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
+    def test_each_fraction_is_a_clone_of_one_warmed_scenario(self, engine):
+        from repro.experiments.matrix import CellContext, cell_seed, measure_cell
+        from repro.experiments.runner import ScenarioReuse
+        from repro.workload.events import FailureSpike
+        from repro.workload.scenario import create_scenario
+
+        if engine == "columnar":
+            pytest.importorskip("numpy")
+        cells = [dataclasses.replace(self.failure_cell(fraction), engine=engine)
+                 for fraction in (0.4, 0.7, 0.9)]
+        context = CellContext(cell=cells[0], seed=cell_seed(7, cells[0]),
+                              latency="constant")
+        warmed = create_scenario(context.scenario_config())
+        warmed.populate(n_public=context.n_public, n_private=context.n_private)
+        warmed.run_rounds(6)
+        reuse = ScenarioReuse()
+        for cell in cells:
+            fraction = cell.param("failure_fraction")
+            branch = warmed.clone()
+            outcome = FailureSpike(at_round=6.0, fraction=fraction).apply(branch)
+            expected = measure_cell(branch)
+            expected.set_scalar("failure_fraction", fraction)
+            expected.set_scalar("survivors", float(outcome.survivors))
+            expected.set_scalar("biggest_cluster_fraction",
+                                outcome.biggest_cluster_fraction)
+            expected.scalars = dict(sorted(expected.scalars.items()))
+            for cache in (None, reuse):  # standalone, then through the warmed prefix
+                payload = run_cell(cell, root_seed=7, latency="constant", reuse=cache)
+                assert payload.to_json_dict() == expected.to_json_dict()
+        assert (reuse.builds, reuse.snapshot_hits) == (1, 2)
+
+    def test_figure_warms_once_per_protocol(self, monkeypatch):
+        from repro.experiments import figures
+        from repro.experiments.runner import ScenarioReuse
+
+        caches = []
+
+        class CountingReuse(ScenarioReuse):
+            def __init__(self):
+                super().__init__()
+                caches.append(self)
+
+        monkeypatch.setattr(figures, "ScenarioReuse", CountingReuse)
+        result = figures.run_figure("failure", nodes=30, rounds=6, seed=5,
+                                    latency="constant", protocols=("croupier", "cyclon"),
+                                    fractions=(0.4, 0.6, 0.8))
+        (reuse,) = caches
+        assert (reuse.builds, reuse.snapshot_hits) == (2, 4)
+        assert [(cell.protocol, cell.param("failure_fraction"))
+                for cell, _ in result.cells] == [
+            (protocol, fraction) for protocol in ("croupier", "cyclon")
+            for fraction in (0.4, 0.6, 0.8)]
+        assert all(0.0 <= payload.scalars["biggest_cluster_fraction"] <= 1.0
+                   for _, payload in result.cells)
+        # Cyclon is public-only, as in the paper.
+        assert {cell.public_ratio for cell, _ in result.cells
+                if cell.protocol == "cyclon"} == {1.0}
+        assert "Figure 7(b)" in result.to_text()
+
+    def test_paper_variants_are_byte_identical_over_worker_counts(self, monkeypatch):
+        from repro.experiments import runner
+
+        # Six warmed prefixes (2 protocols x 3 seed indices), more than a worker's
+        # snapshot LRU holds; the runner still runs each prefix's six fractions back
+        # to back, so each prefix warms once.
+        monkeypatch.setattr(runner, "_WORKER_REUSE", None)
+        spec = small_spec(scenarios=("failure",), protocols=("croupier", "gozar"),
+                          sizes=(20,), seeds=3, rounds=4, variants="paper")
+        sequential = run_matrix(spec, workers=1)
+        reuse = runner._worker_reuse()
+        assert (reuse.builds, reuse.snapshot_hits) == (6, 30)
+        parallel = run_matrix(spec, workers=2)
+        assert not sequential.failed and not parallel.failed
+        assert aggregate_json_bytes(sequential) == aggregate_json_bytes(parallel)
+        # Each prefix's six fractions run one seed, whichever worker ran them.
+        seeds = {}
+        for key, entry in sequential.aggregate["cells"].items():
+            prefix = re.sub(r";failure_fraction=[^;]*", "", key)
+            seeds.setdefault(prefix, set()).add(entry["seed"])
+        assert sorted(map(len, seeds.values())) == [1] * 6
 
 
 class TestCellsAreFreedBetweenCells:

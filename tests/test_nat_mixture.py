@@ -291,17 +291,6 @@ class TestScenarioClone:
         )
         assert original.sim.now == now_before  # branching never advances the source
 
-    def test_failure_harness_reuses_one_warmup_per_protocol(self):
-        from repro.experiments.catastrophic_failure import run_failure_experiment
-
-        result = run_failure_experiment(
-            protocols=("croupier",), failure_fractions=(0.4, 0.6),
-            total_nodes=30, warmup_rounds=6, seed=5, latency="constant",
-        )
-        clusters = result.clusters["croupier"]
-        assert set(clusters) == {0.4, 0.6}
-        assert all(0.0 <= value <= 1.0 for value in clusters.values())
-
 
 class TestKsHistogramGate:
     def test_ks_distance_values(self):
