@@ -73,11 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Croupier reproduction: experiments, matrices, reports, lint.",
+        allow_abbrev=False,  # `matrix --seed 7` must not mean `--seeds 7`
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    run = subparsers.add_parser("run", help="run one of the paper's figures at a chosen scale")
+    run = subparsers.add_parser(
+        "run", help="run one of the paper's figures at a chosen scale", allow_abbrev=False
+    )
     run.add_argument("experiment", help="figure name (see `repro run list`)")
     run.add_argument("--nodes", type=int, default=100, help="total system size")
     run.add_argument("--rounds", type=int, default=60, help="gossip rounds to simulate")
@@ -85,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--latency", default="king", help="king, constant or uniform")
 
     matrix = subparsers.add_parser(
-        "matrix", help="run a declarative experiment matrix on a worker pool"
+        "matrix", help="run a declarative experiment matrix on a worker pool",
+        allow_abbrev=False,
     )
     matrix.add_argument(
         "--scenarios",
@@ -217,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="render the markdown summary of a matrix aggregate JSON, or diff two "
         "aggregates and gate on regressions",
+        allow_abbrev=False,
     )
     report.add_argument("aggregate", type=Path, nargs="?", default=None)
     report.add_argument("--out", type=Path, default=None, help="write instead of print")
@@ -251,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = subparsers.add_parser(
         "lint",
         help="run the determinism & invariant linter (AST-based, seconds)",
+        allow_abbrev=False,
     )
     lint.add_argument(
         "paths",

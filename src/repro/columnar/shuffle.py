@@ -26,12 +26,14 @@ E–G. **Partner handling** — delivered exchanges, ordered by ``(partner,
    protocol's request-handler order. The sequence executes as *waves* (one
    exchange per partner per wave, so batched rows are distinct); within a wave
    no two exchanges share a partner, so wave order equals one-exchange-at-a-time
-   sequential order. Replies must not come from a pre-round
+   sequential order. The exchanges are permuted once into wave-major order, so
+   a wave is a contiguous slice. Replies must not come from a pre-round
    snapshot: a popular partner would send every requester the same entries,
    which degenerates the overlay at scale.
-H. **Responses** — ascending initiator order: size/tx accounting, response
-   loss keyed by the partner's class, Gozar relay for private initiators, then
-   batched merges into the (all-distinct) initiator rows.
+H. **Responses** — wave-major order: size/tx accounting, response loss keyed
+   by the partner's class, Gozar relay for private initiators, then batched
+   merges into the (all-distinct) initiator rows. Any order writes the same
+   bytes: writes go to own rows or commutative counts, draws are keyed by row.
 
 Every random decision is a position-keyed counter draw (see
 :mod:`repro.columnar.rng`), so results are independent of evaluation order —
@@ -108,35 +110,46 @@ def _fold_drops(eng, local: Dict[str, int]) -> None:
 def _ranked_slots_np(np, elig, slotkeys, stream_base, want, width):
     """Batched keyed ranking over an ``(M, V)`` slot-eligibility mask.
 
-    Per row: sentinel keys for ineligible slots, a stable argsort (== (key,
-    slot) order), first ``min(want, eligible)`` taken. Returns the ``(M,
-    width)`` ranked slots, which of them are taken, and the per-row count."""
+    Per row: sentinel keys for ineligible slots, slots in ``(key, slot)``
+    order, first ``min(want, eligible)`` taken. Returns the ``(M, width)``
+    ranked slots, which of them are taken, and the per-row count. Rows are
+    sorted by key with the slot in its low bits: that is ``(key, slot)`` order
+    on a taken prefix unless two keys adjacent in it or just past it share
+    their high bits (64-bit draws almost never do); then a stable argsort
+    ranks the batch instead."""
+    V = slotkeys.shape[1]
+    low = np.uint64((1 << max(1, (V - 1).bit_length())) - 1)  # a slot's bits
     keys = crng.draws_np(np, stream_base, slotkeys)
     keys = np.where(elig, keys, np.uint64(crng.MASK64))
-    take = np.argsort(keys, axis=1, kind="stable")[:, :width]
     cnt = np.minimum(want, elig.sum(axis=1))
+    packed = np.sort(keys & ~low | np.arange(V, dtype=np.uint64), axis=1)
+    high = packed[:, :width + 1] | low
+    tie = (high[:, 1:] == high[:, :-1]) & (np.arange(high.shape[1] - 1) < cnt[:, None])
+    take = (np.argsort(keys, axis=1, kind="stable")[:, :width] if tie.any()
+            else (packed[:, :width] & low).astype(np.intp))
     valid = np.arange(width)[None, :] < cnt[:, None]
     return take, valid, cnt
 
 
-def _subsets_np(np, view_ids, view_ages, slotkeys, stream_base, want,
-                exclude, self_mask, self_ids, width):
-    """Batched keyed-subset selection over gathered ``(M, V)`` view snapshots:
-    :func:`_ranked_slots_np` over the occupied (and not excluded) slots, then
-    the optional self descriptor appended at column ``cnt``."""
-    M, V = view_ids.shape
+def _subsets_np(np, ids2d, ages2d, rows, slotkeys, stream_base, want,
+                exclude, self_mask, width):
+    """Batched keyed-subset selection over the view columns at ``rows``:
+    :func:`_ranked_slots_np` over their occupied (and not excluded) slots,
+    then the optional self descriptor (the row's own id) at column ``cnt``."""
+    view_ids = np.take(ids2d, rows, axis=0)
+    V = view_ids.shape[1]
     elig = view_ids >= 0
     if exclude is not None:
         elig &= view_ids != exclude[:, None]
     take, valid, cnt = _ranked_slots_np(np, elig, slotkeys, stream_base, want, width)
     slots = np.where(valid, take, -1)
-    flat = take + (np.arange(M) * V)[:, None]
-    ids = np.where(valid, view_ids.reshape(-1)[flat], -1)
-    ages = np.where(valid, view_ages.reshape(-1)[flat], 0)
+    flat = rows[:, None] * V + take
+    ids = np.where(valid, ids2d.reshape(-1)[flat], -1)
+    ages = np.where(valid, ages2d.reshape(-1)[flat], 0)
     if self_mask is not None:
-        rows = np.nonzero(self_mask)[0]
-        ids[rows, cnt[rows]] = self_ids[rows]
-        ages[rows, cnt[rows]] = 0
+        own = np.nonzero(self_mask)[0]
+        ids[own, cnt[own]] = rows[own]
+        ages[own, cnt[own]] = 0
         cnt = cnt + self_mask
     return slots, ids, ages, cnt
 
@@ -162,7 +175,7 @@ def _batch_merge_np(np, ids2d, ages2d, aux2d, rows,
     V = ids2d.shape[1]
     ids_flat, ages_flat = ids2d.reshape(-1), ages2d.reshape(-1)
     aux_flat = None if aux2d is None else aux2d.reshape(-1)
-    snap = ids2d[rows]  # gather == pre-merge snapshot copy
+    snap = np.take(ids2d, rows, axis=0)  # gather == pre-merge snapshot copy
     base = rows * V
     valid = (rec_ids >= 0) & (rec_ids != rows[:, None])
     # Refresh: "anywhere in the snapshot?" for every pair, the slot and the
@@ -253,7 +266,7 @@ def _batch_ingest_np(eng, np, rows, origs, vals, borns, valid):
         bo = borns[m, b]
         # First ring slot holding the origin; argmax is 0 when none does, and
         # reading the slot back tells the two apart.
-        flat = ri * C + (ring[ri] == o[:, None]).argmax(axis=1)
+        flat = ri * C + (np.take(ring, ri, axis=0) == o[:, None]).argmax(axis=1)
         found = eo[flat] == o
         fresher = found & (bo > eb[flat])
         fl = flat[fresher]
@@ -343,17 +356,17 @@ def _request_block(eng, np, lo, hi, drops):
         pids2d = as_np(eng.priv_id)[: n * V].reshape(n, V)
         pages2d = as_np(eng.priv_age)[: n * V].reshape(n, V)
         rp_slots, rp_ids, rp_ages, rp_cnt = _subsets_np(
-            np, ids2d[init], ages2d[init], slotkeys, base_req_pub,
-            np.where(i_pub, K - 1, K), None, i_pub, init, K)
+            np, ids2d, ages2d, init, slotkeys, base_req_pub,
+            np.where(i_pub, K - 1, K), None, i_pub, K)
         base_req_priv = crng.stream(seed, rnd, crng.TAG_REQ_PRIV)
         rq_slots, rq_ids, rq_ages, rq_cnt = _subsets_np(
-            np, pids2d[init], pages2d[init], slotkeys, base_req_priv,
-            np.where(i_pub, K, K - 1), None, ~i_pub, init, K)
+            np, pids2d, pages2d, init, slotkeys, base_req_priv,
+            np.where(i_pub, K, K - 1), None, ~i_pub, K)
         n_desc = rp_cnt + rq_cnt
     else:
         rp_slots, rp_ids, rp_ages, n_desc = _subsets_np(
-            np, ids2d[init], ages2d[init], slotkeys, base_req_pub,
-            np.full(M, K - 1, dtype=np.int64), None, np.ones(M, dtype=bool), init, K)
+            np, ids2d, ages2d, init, slotkeys, base_req_pub,
+            np.full(M, K - 1, dtype=np.int64), None, np.ones(M, dtype=bool), K)
 
     # --- C: delivery filtering (+ request-size accounting)
     bi_valid = None
@@ -383,7 +396,7 @@ def _request_block(eng, np, lo, hi, drops):
     remaining &= ~deadp
     priv_partner = remaining & (pub[partner] == 0)
     if relay_strategy:
-        pp = par2d[partner]
+        pp = np.take(par2d, partner, axis=0)
         pp_live = (pp >= 0) & (alive[np.clip(pp, 0, None)] != 0)
         pp_cnt = pp_live.sum(axis=1)
         norelay = priv_partner & (pp_cnt == 0)
@@ -432,14 +445,12 @@ def _request_block(eng, np, lo, hi, drops):
     # What crosses the wave loop is held at its natural width: ids, ages and
     # borns int32 (from the columns), sent slots the smallest type holding V.
     slot_t = np.min_scalar_type(-V)
-    part = dict(init=init[d], partner=partner[d], rp_slots=rp_slots[d].astype(slot_t),
-                rp_ids=rp_ids[d], rp_ages=rp_ages[d])
+    part = dict(init=init, partner=partner, rp_slots=rp_slots.astype(slot_t),
+                rp_ids=rp_ids, rp_ages=rp_ages)
     if estimating:
-        part.update(rq_slots=rq_slots[d].astype(slot_t), rq_ids=rq_ids[d],
-                    rq_ages=rq_ages[d],
-                    bi_origs=bi_origs[d], bi_vals=bi_vals[d],
-                    bi_borns=bi_borns[d], bi_valid=bi_valid[d])
-    return part
+        part.update(rq_slots=rq_slots.astype(slot_t), rq_ids=rq_ids, rq_ages=rq_ages,
+                    bi_origs=bi_origs, bi_vals=bi_vals, bi_borns=bi_borns, bi_valid=bi_valid)
+    return {key: np.take(column, d, axis=0) for key, column in part.items()}
 
 
 def _count_requests(eng, np, ex) -> None:
@@ -463,8 +474,10 @@ def _handle_requests(eng, np, ex):
     pre-round snapshot instead degenerates the overlay at scale (a popular
     partner would send every requester the same entries).
 
-    Returns the replies by exchange: ``ep_ids``/``ep_ages``/``ep_cnt`` (and,
-    estimating, ``eq_*`` and the response bundles ``bp_*``)."""
+    ``ex`` is permuted in place, array by array, into wave-major order (wave,
+    partner, initiator), so each wave is a slice. Returns the replies in that
+    order: ``ep_ids``/``ep_ages``/``ep_cnt`` (and, estimating, ``eq_*`` and
+    the response bundles ``bp_*``)."""
     V, K = eng.V, eng.K
     n = eng._rows
     rnd = eng.round
@@ -474,15 +487,17 @@ def _handle_requests(eng, np, ex):
     ages2d = as_np(eng.pub_age)[: n * V].reshape(n, V)
     aux2d = (as_np(eng.learned_from)[: n * V].reshape(n, V)
              if eng.strategy is NatStrategy.HOLE_PUNCH else None)
+    D = ex["init"].size
+    order = np.lexsort((ex["init"], ex["partner"]))
+    Ps = ex["partner"][order]
+    rank = np.arange(D) - np.searchsorted(Ps, Ps)  # wave = place in partner's run
+    order = order[np.argsort(rank, kind="stable")]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(rank))))
+    del Ps, rank
+    for key in ex:
+        ex[key] = np.take(ex[key], order, axis=0)
+    del order
     I_, P_ = ex["init"], ex["partner"]
-    D = I_.size
-    order = np.lexsort((I_, P_))
-    Ps = P_[order]
-    idx = np.arange(D)
-    newgrp = np.ones(D, dtype=bool)
-    newgrp[1:] = Ps[1:] != Ps[:-1]
-    rank = idx - np.maximum.accumulate(np.where(newgrp, idx, 0))
-    del Ps, idx, newgrp
     base_rep_pub = crng.stream(seed, rnd, crng.TAG_REPLY_PUB)
     slot_arange = np.arange(V, dtype=np.uint64)[None, :]
     out = {"ep_ids": np.empty((D, K), dtype=ids2d.dtype),
@@ -500,46 +515,40 @@ def _handle_requests(eng, np, ex):
                    bp_vals=np.empty((D, B)),
                    bp_borns=np.empty((D, B), dtype=np.int32),
                    bp_valid=np.empty((D, B), dtype=bool))
-    for w in range(int(rank.max()) + 1):
-        sel_w = order[rank == w]  # one exchange per partner: rows are distinct
-        rows = P_[sel_w]
-        iw = I_[sel_w]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        w = slice(lo, hi)  # one exchange per partner: rows are distinct
+        rows = P_[w]
+        iw = I_[w]
         wkeys = iw[:, None].astype(np.uint64) * np.uint64(V) + slot_arange
         # Scalar K broadcasts inside _subsets_np (np.minimum); materialising a
         # per-wave rows.size vector here was pure allocator traffic.
-        s_, id_, a_, c_ = _subsets_np(
-            np, ids2d[rows], ages2d[rows], wkeys, base_rep_pub, K, iw,
-            None, None, K,
-        )
-        out["ep_ids"][sel_w] = id_
-        out["ep_ages"][sel_w] = a_
-        out["ep_cnt"][sel_w] = c_
+        s_, id_, a_, c_ = _subsets_np(np, ids2d, ages2d, rows, wkeys, base_rep_pub,
+                                      K, iw, None, K)
+        out["ep_ids"][w] = id_
+        out["ep_ages"][w] = a_
+        out["ep_cnt"][w] = c_
         _batch_merge_np(np, ids2d, ages2d, aux2d, rows,
-                        ex["rp_ids"][sel_w], ex["rp_ages"][sel_w], iw, id_, s_)
+                        ex["rp_ids"][w], ex["rp_ages"][w], iw, id_, s_)
         if not estimating:
             continue
-        qs_, qid_, qa_, qc_ = _subsets_np(
-            np, pids2d[rows], pages2d[rows], wkeys, base_rep_priv, K, iw,
-            None, None, K,
-        )
-        out["eq_ids"][sel_w] = qid_
-        out["eq_ages"][sel_w] = qa_
-        out["eq_cnt"][sel_w] = qc_
+        qs_, qid_, qa_, qc_ = _subsets_np(np, pids2d, pages2d, rows, wkeys,
+                                          base_rep_priv, K, iw, None, K)
+        out["eq_ids"][w] = qid_
+        out["eq_ages"][w] = qa_
+        out["eq_cnt"][w] = qc_
         _batch_merge_np(np, pids2d, pages2d, None, rows,
-                        ex["rq_ids"][sel_w], ex["rq_ages"][sel_w], None, qid_, qs_)
-        _batch_ingest_np(eng, np, rows, ex["bi_origs"][sel_w], ex["bi_vals"][sel_w],
-                         ex["bi_borns"][sel_w], ex["bi_valid"][sel_w])
-        o_, v_, b_, va_ = _bundles_np(eng, np, rows)
-        out["bp_origs"][sel_w] = o_
-        out["bp_vals"][sel_w] = v_
-        out["bp_borns"][sel_w] = b_
-        out["bp_valid"][sel_w] = va_
+                        ex["rq_ids"][w], ex["rq_ages"][w], None, qid_, qs_)
+        _batch_ingest_np(eng, np, rows, ex["bi_origs"][w], ex["bi_vals"][w],
+                         ex["bi_borns"][w], ex["bi_valid"][w])
+        (out["bp_origs"][w], out["bp_vals"][w], out["bp_borns"][w],
+         out["bp_valid"][w]) = _bundles_np(eng, np, rows)
     return out
 
 
 def _response_block(eng, np, ex, drops):
     """Phase H for one block of delivered exchanges ``ex`` (requests and
-    replies, ascending initiator, so the merged rows are distinct)."""
+    replies) in wave-major order, as good as any: initiators, so merged rows,
+    are distinct, other writes are integer counts, draws keyed by initiator."""
     V = eng.V
     n = eng._rows
     rnd = eng.round
@@ -570,7 +579,7 @@ def _response_block(eng, np, ex, drops):
         ok &= ~lost2
     if relay_strategy:
         priv_init = ok & (pub[I_] == 0)
-        ip = par2d[I_]
+        ip = np.take(par2d, I_, axis=0)
         ip_live = (ip >= 0) & (alive[np.clip(ip, 0, None)] != 0)
         ip_cnt = ip_live.sum(axis=1)
         norelay2 = priv_init & (ip_cnt == 0)
@@ -594,20 +603,21 @@ def _response_block(eng, np, ex, drops):
     if not fin.size:
         return
     rows = I_[fin]
+    ex = {key: np.take(column, fin, axis=0) for key, column in ex.items()}
     rx[rows] += resp_size[fin]
     aux2d = (as_np(eng.learned_from)[: n * V].reshape(n, V)
              if eng.strategy is NatStrategy.HOLE_PUNCH else None)
     _batch_merge_np(np, as_np(eng.pub_id)[: n * V].reshape(n, V),
                     as_np(eng.pub_age)[: n * V].reshape(n, V), aux2d, rows,
-                    ex["ep_ids"][fin], ex["ep_ages"][fin], P_[fin],
-                    ex["rp_ids"][fin], ex["rp_slots"][fin])
+                    ex["ep_ids"], ex["ep_ages"], ex["partner"],
+                    ex["rp_ids"], ex["rp_slots"])
     if estimating:
         _batch_merge_np(np, as_np(eng.priv_id)[: n * V].reshape(n, V),
                         as_np(eng.priv_age)[: n * V].reshape(n, V), None, rows,
-                        ex["eq_ids"][fin], ex["eq_ages"][fin], None,
-                        ex["rq_ids"][fin], ex["rq_slots"][fin])
-        _batch_ingest_np(eng, np, rows, ex["bp_origs"][fin], ex["bp_vals"][fin],
-                         ex["bp_borns"][fin], ex["bp_valid"][fin])
+                        ex["eq_ids"], ex["eq_ages"], None,
+                        ex["rq_ids"], ex["rq_slots"])
+        _batch_ingest_np(eng, np, rows, ex["bp_origs"], ex["bp_vals"],
+                         ex["bp_borns"], ex["bp_valid"])
 
 
 def run_shuffle_round(eng) -> None:
@@ -616,7 +626,8 @@ def run_shuffle_round(eng) -> None:
     Phases A–C and H run over blocks of ``_BLOCK_ROWS`` rows (exchanges, for
     H), so their temporaries are bounded by the block, not by the population;
     only the delivered exchanges' requests and replies cross the wave loop,
-    each held once."""
+    each held once. The wave loop leaves them in wave-major order, and H
+    blocks them in that order: it needs no inverse permutation."""
     np = backend.np
     n = eng._rows
     drops = dict.fromkeys(DROP_REASONS, 0)
@@ -639,7 +650,7 @@ def run_shuffle_round(eng) -> None:
         ex.pop(key, None)  # read by the waves only
     ex.update(replies)
 
-    # --- H: responses, ascending initiator order
+    # --- H: responses, wave-major order (any order writes the same bytes)
     D = ex["init"].size
     for lo in range(0, D, _BLOCK_ROWS):
         block = {key: column[lo:lo + _BLOCK_ROWS] for key, column in ex.items()}
@@ -672,12 +683,12 @@ def maintain_parents(eng) -> None:
     pub = as_np(eng.is_public)[:n] != 0
     rows = np.nonzero(alive & ~pub)[0]
     par2d = as_np(eng.parent_id)[: n * P].reshape(n, P)
-    par = par2d[rows]
+    par = np.take(par2d, rows, axis=0)
     par[(par >= 0) & ~alive[np.clip(par, 0, None)]] = -1
     rec = np.nonzero((par < 0).any(axis=1))[0]  # rows short of P live parents
     rrows = rows[rec]
-    view = as_np(eng.pub_id)[: n * V].reshape(n, V)[rrows]
-    held = par[rec]
+    view = np.take(as_np(eng.pub_id)[: n * V].reshape(n, V), rrows, axis=0)
+    held = np.take(par, rec, axis=0)
     vacant = held < 0
     target = np.clip(view, 0, None)
     cand = (
@@ -728,7 +739,7 @@ def send_keepalives(eng) -> None:
     n = eng._rows
     alive = as_np(eng.alive)[:n] != 0
     rows = np.nonzero(alive & (as_np(eng.is_public)[:n] == 0))[0]
-    ids = as_np(eng.pub_id)[: n * V].reshape(n, V)[rows]
+    ids = np.take(as_np(eng.pub_id)[: n * V].reshape(n, V), rows, axis=0)
     live = (ids >= 0) & alive[np.clip(ids, 0, None)]
     take = live & (live.cumsum(axis=1) <= eng.keepalive_fanout)
     sent = take.sum(axis=1)

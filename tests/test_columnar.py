@@ -38,7 +38,8 @@ from repro import wire
 from repro.columnar import ColumnarEngine, ColumnarScenario
 from repro.columnar import engine as columnar_engine
 from repro.columnar import shuffle as columnar_shuffle
-from repro.columnar.shuffle import _batch_ingest_np, _batch_merge_np
+from repro.columnar import rng as crng
+from repro.columnar.shuffle import _batch_ingest_np, _batch_merge_np, _ranked_slots_np
 from repro.errors import ConfigurationError, ExperimentError
 from repro.membership.base import NatStrategy, PssConfig
 from repro.membership.plugin import get_plugin, protocol_names
@@ -228,10 +229,11 @@ class TestRoundMemory:
     @pytest.mark.parametrize("protocol", protocol_names())
     def test_round_transient_is_bounded_per_node(self, monkeypatch, protocol):
         """One round's traced allocation high-water above the pre-round state
-        stays under 0.58 KB per node (1.25x Croupier's 0.46 KB; the others
-        take 0.26 KB): the blocked phases scale with the block, and only the
-        delivered exchanges' requests and replies, held at int32 ids, scale
-        with N."""
+        stays under 0.58 KB per node (1.25x the 0.46 KB Croupier took when the
+        bound was set; with the waves laid out wave-major it takes 0.44 KB,
+        the others 0.23 KB): the blocked phases scale with the block, and only
+        the delivered exchanges' requests and replies, held at int32 ids,
+        scale with N."""
         monkeypatch.setattr(columnar_shuffle, "_BLOCK_ROWS", 512)
         nodes = 5000
         engine = ColumnarEngine(protocol, view_size=10, shuffle_size=5,
@@ -354,6 +356,37 @@ class TestPinnedFingerprints:
             PINNED_CELL_FINGERPRINTS[protocol])
 
 
+#: ``(fingerprint, drops)`` after 6 rounds of a static 400 + 1 600-node cell
+#: (seed 11, 5 % loss) in 512-row blocks: 22-26 waves a round and four H blocks
+#: of about 1 900 delivered exchanges, where the oracle's 200-row cells run a
+#: handful of waves. Recorded before the exchanges were laid out wave-major,
+#: while each wave fancy-indexed its rows and H ran in ascending initiator order.
+PINNED_MULTIWAVE_FINGERPRINTS = {
+    "croupier": (
+        "6b14d5abc567525d55ba8190069fe7fc438127973d0dc5cf981d5bc0bc444896",
+        [("link_loss", 1235)],
+    ),
+    "nylon": (
+        "13a35b75a1b66fd9a554f36803ab0ef3bee0169c53f95e02f5e4f14f9422400a",
+        [("link_loss", 1235)],
+    ),
+}
+
+
+class TestPinnedMultiWave:
+    @pytest.mark.parametrize("protocol", sorted(PINNED_MULTIWAVE_FINGERPRINTS))
+    def test_fingerprint_unchanged(self, monkeypatch, protocol):
+        monkeypatch.setattr(columnar_shuffle, "_BLOCK_ROWS", 512)
+        scenario = make_scenario(seed=11, n_public=400, n_private=1600,
+                                 protocol=protocol)
+        scenario.set_loss_rate(0.05)
+        for _ in range(6):
+            scenario.engine.run_round()
+        engine = scenario.engine
+        assert (engine.fingerprint(), sorted(engine.drops.items())) == (
+            PINNED_MULTIWAVE_FINGERPRINTS[protocol])
+
+
 # ----------------------------------------------------------- kernel-level oracle
 
 #: Ids come from a universe this small so that what 40 000-node runs almost
@@ -421,34 +454,98 @@ def _flat(table):
     return [cell for row in table for cell in row]
 
 
+def _merge_inputs(case):
+    """A merge case at the engine's widths: the ``(ids, ages, aux)`` columns
+    (int32), then the row-aligned arguments — rows and aux values as intp row
+    indices, int32 received and sent entries, int8 sent slots."""
+    V, R, S, ids, ages, aux, rows, received, sent = case
+    M = len(rows)
+
+    def block(columns, index, width, dtype=np.int32):
+        cells = [column[index] for column in columns]
+        return np.array(cells, dtype=dtype).reshape(M, width)
+
+    columns = (np.array(ids, dtype=np.int32), np.array(ages, dtype=np.int32),
+               np.array(aux, dtype=np.int32) if aux else None)
+    aligned = (np.array(rows, dtype=np.intp), block(received, 0, R),
+               block(received, 1, R), np.array([r[2] for r in received], dtype=np.intp),
+               block(sent, 0, S), block(sent, 1, S, np.int8))
+    return columns, aligned
+
+
+INGEST_COLUMNS = ("est_pos", "est_origin", "est_val", "est_born")
+
+
+def _ingest_engine(case):
+    C, B, (origin, value, born), cursor, rows, bundles = case
+    return SimpleNamespace(
+        C=C, est_pos=array("i", cursor), est_origin=array("i", _flat(origin)),
+        est_val=array("d", _flat(value)), est_born=array("i", _flat(born)),
+    )
+
+
+def _ingest_inputs(case):
+    """An ingest case's row-aligned arguments: rows, then the bundles'
+    origins, values, borns and valid flags as ``(M, B)`` arrays."""
+    C, B, ring, cursor, rows, bundles = case
+
+    def block(index, dtype):
+        cells = [[entry[index] for entry in bundle] for bundle in bundles]
+        return np.array(cells, dtype=dtype).reshape(len(rows), B)
+
+    return (np.array(rows, dtype=np.intp), block(0, np.int32), block(1, np.float64),
+            block(2, np.int32), block(3, bool))
+
+
+def _keys_as_drawn(np, base, keys):
+    """Stands in for ``crng.draws_np``: each key is its own draw, so a test
+    chooses the ties."""
+    return keys.copy()
+
+
+@st.composite
+def ranking_cases(draw):
+    V = draw(st.integers(1, 8))
+    width = draw(st.integers(1, V))
+    M = draw(st.integers(0, 6))
+
+    def table(cell):
+        return st.lists(st.lists(cell, min_size=V, max_size=V), min_size=M, max_size=M)
+
+    want = draw(st.lists(st.integers(0, width), min_size=M, max_size=M))
+    key = st.integers(0, 40) | st.sampled_from([crng.MASK64 - 1, crng.MASK64])
+    return V, width, draw(table(st.booleans())), draw(table(key)), want
+
+
+class _ArgsortSpy:
+    """numpy, recording the ``kind`` of every ``argsort`` made through it."""
+
+    def __init__(self):
+        self.kinds = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, keys, axis=-1, kind=None):
+        self.kinds.append(kind)
+        return np.argsort(keys, axis=axis, kind=kind)
+
+
 class TestKernelOracle:
     """``_batch_merge_np`` / ``_batch_ingest_np`` against the oracle's one-row
     loops on generated inputs — the 200-node oracle runs never receive one id
-    twice with two ages, or overflow a row's targets by much."""
+    twice with two ages, or overflow a row's targets by much — and the
+    properties the wave-major layout relies on: neither kernel depends on the
+    order of its rows, and ``_ranked_slots_np`` is exact under every tie."""
 
     @given(case=merge_cases())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_batch_merge_equals_merge_row(self, case):
         V, R, S, ids, ages, aux, rows, received, sent = case
-        M = len(rows)
         vid, vage = _flat(ids), _flat(ages)
         vaux = _flat(aux) if aux else None
-        # The engine's widths: int32 id and age columns and received/sent
-        # entries, int8 sent slots, rows and aux values as intp row indices.
-        ids2d = np.array(ids, dtype=np.int32)
-        ages2d = np.array(ages, dtype=np.int32)
-        aux2d = np.array(aux, dtype=np.int32) if aux else None
-
-        def block(columns, index, width, dtype=np.int32):
-            cells = [column[index] for column in columns]
-            return np.array(cells, dtype=dtype).reshape(M, width)
-
-        _batch_merge_np(
-            np, ids2d, ages2d, aux2d, np.array(rows, dtype=np.intp),
-            block(received, 0, R), block(received, 1, R),
-            np.array([r[2] for r in received], dtype=np.intp),
-            block(sent, 0, S), block(sent, 1, S, np.int8),
-        )
+        (ids2d, ages2d, aux2d), aligned = _merge_inputs(case)
+        _batch_merge_np(np, ids2d, ages2d, aux2d, *aligned)
         for row, (rec_ids, rec_ages, rec_aux), (sent_ids, sent_slots) in zip(
                 rows, received, sent):
             _merge_row(SimpleNamespace(V=V), vid, vage, vaux, row,
@@ -461,29 +558,79 @@ class TestKernelOracle:
     @given(case=ingest_cases())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_batch_ingest_equals_ingest_estimates(self, case):
-        C, B, (origin, value, born), cursor, rows, bundles = case
-        M = len(rows)
-
-        def engine():
-            return SimpleNamespace(
-                C=C, est_pos=array("i", cursor), est_origin=array("i", _flat(origin)),
-                est_val=array("d", _flat(value)), est_born=array("i", _flat(born)),
-            )
-
-        batched, reference = engine(), engine()
-
-        def block(index, dtype):
-            cells = [[entry[index] for entry in bundle] for bundle in bundles]
-            return np.array(cells, dtype=dtype).reshape(M, B)
-
-        _batch_ingest_np(batched, np, np.array(rows, dtype=np.intp),
-                         block(0, np.int32), block(1, np.float64),
-                         block(2, np.int32), block(3, bool))
+        rows, bundles = case[4:]
+        batched, reference = _ingest_engine(case), _ingest_engine(case)
+        _batch_ingest_np(batched, np, *_ingest_inputs(case))
         for row, bundle in zip(rows, bundles):
             _ingest_estimates(reference, row,
                               [entry[:3] for entry in bundle if entry[3]])
-        for column in ("est_pos", "est_origin", "est_val", "est_born"):
+        for column in INGEST_COLUMNS:
             assert getattr(batched, column) == getattr(reference, column), column
+
+    # Phase H merges and ingests each block in wave-major order, not in
+    # ascending initiator order: the kernels must not see the difference.
+
+    @given(case=merge_cases(), data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_batch_merge_is_free_of_row_order(self, case, data):
+        order = np.array(data.draw(st.permutations(range(len(case[6])))), dtype=np.intp)
+        columns, aligned = _merge_inputs(case)
+        permuted, _ = _merge_inputs(case)
+        _batch_merge_np(np, *columns, *aligned)
+        _batch_merge_np(np, *permuted, *(arg[order] for arg in aligned))
+        for column, other in zip(columns, permuted):
+            if column is not None:
+                assert column.tolist() == other.tolist()
+
+    @given(case=ingest_cases(), data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_batch_ingest_is_free_of_row_order(self, case, data):
+        order = np.array(data.draw(st.permutations(range(len(case[4])))), dtype=np.intp)
+        batched, permuted = _ingest_engine(case), _ingest_engine(case)
+        aligned = _ingest_inputs(case)
+        _batch_ingest_np(batched, np, *aligned)
+        _batch_ingest_np(permuted, np, *(arg[order] for arg in aligned))
+        for column in INGEST_COLUMNS:
+            assert getattr(batched, column) == getattr(permuted, column), column
+
+    @given(case=ranking_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_ranked_slots_are_in_key_slot_order(self, case):
+        """The valid prefix is exactly ``sorted((key, slot))``'s, whatever the
+        ties: ineligible slots all share the ``MASK64`` key, and keys drawn
+        from 0-40 and the top two values tie outright, tie in all but the bits
+        a slot takes over, or tie with the sentinel."""
+        V, width, elig, keys, want = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(crng, "draws_np", _keys_as_drawn)
+            take, valid, cnt = _ranked_slots_np(
+                np, np.array(elig, dtype=bool).reshape(len(want), V),
+                np.array(keys, dtype=np.uint64).reshape(len(want), V),
+                0, np.array(want, dtype=np.int64), width)
+        assert take.shape == valid.shape == (len(want), width)
+        for row, (ok, row_keys, wanted) in enumerate(zip(elig, keys, want)):
+            ranked = sorted((key if eligible else crng.MASK64, slot)
+                            for slot, (eligible, key) in enumerate(zip(ok, row_keys)))
+            taken = min(wanted, sum(ok))
+            assert cnt[row] == taken
+            assert valid[row].tolist() == [j < taken for j in range(width)]
+            assert take[row, :taken].tolist() == [slot for _, slot in ranked[:taken]]
+
+    def test_ranked_slots_rerank_stably_only_on_a_taken_tie(self, monkeypatch):
+        """With five slots a slot takes a key's low three bits, so 0x50 and
+        0x53 tie once packed: taken together, they send the batch to the
+        stable argsort, which ranks 0x50 first. Keys apart in their high bits
+        (0x58) and the ``MASK64`` tail past the prefix need no rerank."""
+        monkeypatch.setattr(crng, "draws_np", _keys_as_drawn)
+        spy = _ArgsortSpy()
+        elig = np.array([[True, True, True, False, False]])
+        for keys, kinds in (([0x58, 0x90, 0x50, 7, 7], []),
+                            ([0x53, 0x90, 0x50, 7, 7], ["stable"])):
+            spy.kinds.clear()
+            take, valid, cnt = _ranked_slots_np(
+                spy, elig, np.array([keys], dtype=np.uint64), 0, np.array([2]), 3)
+            assert spy.kinds == kinds
+            assert take[0, :2].tolist() == [2, 0] and cnt.tolist() == [2]
 
 
 class TestViewUniqueness:

@@ -398,6 +398,22 @@ class TestArtifactsAndCli:
         captured = capsys.readouterr()
         assert "Experiment matrix summary" in captured.out
 
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--seed", "7", "--dry-run"],
+        ["matrix", "--seeds", "1", "--dry"],
+        ["run", "churn", "--node", "40"],
+        ["report", "--str"],
+    ])
+    def test_cli_refuses_abbreviated_flags(self, argv, capsys):
+        """``--seed 7`` once parsed as ``--seeds 7``: a prefix of a flag is a
+        usage error, never another flag."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_cli_matrix_exit_code_on_failed_cells(self, tmp_path):
         from repro.cli import main
 
