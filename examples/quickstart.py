@@ -7,7 +7,9 @@ runs 60 one-second gossip rounds in the discrete-event simulator and prints:
 * the true public/private ratio and the mean estimate across nodes,
 * the average and maximum estimation error (the paper's Figures 1–5 metrics),
 * overlay health (biggest cluster, path length, clustering coefficient),
-* the public/private mix of samples drawn through the peer-sampling API.
+* the public/private mix of samples drawn through the peer-sampling API,
+
+all read off one matrix cell of the ``pss`` kind (the figure ``repro run quick`` runs).
 
 Run it with::
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments import quick_croupier_run
+from repro.experiments import run_figure
 
 
 def main() -> int:
@@ -36,13 +38,12 @@ def main() -> int:
     print("Croupier quickstart — 20 public + 80 private nodes, 60 gossip rounds")
     print(f"(seed = {seed})")
     print()
-    result = quick_croupier_run(n_public=20, n_private=80, rounds=60, seed=seed)
+    result = run_figure("quick", nodes=100, rounds=60, seed=seed, latency="constant")
     print(result.to_text())
     print()
-    expected_public = result.true_ratio
-    observed_public = result.sample_counts["public"] / max(
-        1, sum(result.sample_counts.values())
-    )
+    [(_, payload)] = result.cells
+    expected_public = payload.scalars["true_ratio"]
+    observed_public = 1.0 - payload.scalars["sample_private_fraction"]
     print(
         "samples drawn through the PSS API are "
         f"{observed_public:.1%} public vs. a true share of {expected_public:.1%} — "

@@ -27,16 +27,15 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.errors import ReproError
+from repro.errors import ExperimentError, ReproError
 from repro.version import __version__
 
 
 def _build_runners() -> Dict[str, Callable]:
     """Experiments runnable via ``repro run``: CLI args -> a result with ``to_text()``.
     Every figure runs its cells through :func:`repro.experiments.figures.run_figure`;
-    ``quick`` and ``scale`` keep a harness each (no kind samples through the PSS API
-    or reports wall-clock). Built on demand so the CLI starts without importing the
-    stack."""
+    ``scale`` alone keeps a harness (no kind reports wall-clock). Built on demand so
+    the CLI starts without importing the stack."""
     from repro import experiments as exp
 
     runners: Dict[str, Callable] = {
@@ -45,13 +44,6 @@ def _build_runners() -> Dict[str, Callable]:
         )
         for name in exp.FIGURES
     }
-    runners["quick"] = lambda a: exp.quick_croupier_run(
-        n_public=max(1, a.nodes // 5),
-        n_private=a.nodes - max(1, a.nodes // 5),
-        rounds=a.rounds,
-        seed=a.seed,
-        latency=a.latency,
-    )
     runners["scale"] = lambda a: exp.run_scale_experiment(
         nodes=a.nodes,
         rounds=a.rounds,
@@ -481,6 +473,24 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_aggregate(path: Path) -> Dict:
+    """The matrix aggregate at ``path``; anything else (a journal, a golden run, a
+    stale schema) is a named error, never an empty summary or "no differences"."""
+    from repro.experiments.runner import AGGREGATE_SCHEMA
+
+    try:
+        aggregate = json.loads(path.read_text())
+    except (OSError, ValueError) as error:
+        raise ExperimentError(f"{path} is not a matrix aggregate: {error}") from None
+    schema = aggregate.get("schema") if isinstance(aggregate, dict) else None
+    if schema != AGGREGATE_SCHEMA:
+        raise ExperimentError(
+            f"{path} is not a matrix aggregate: schema {schema!r}, "
+            f"expected {AGGREGATE_SCHEMA!r}"
+        )
+    return aggregate
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import diff_aggregates, matrix_markdown_summary
 
@@ -493,8 +503,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             return 2
         old_path, new_path = args.diff
         diff = diff_aggregates(
-            json.loads(old_path.read_text()),
-            json.loads(new_path.read_text()),
+            _read_aggregate(old_path),
+            _read_aggregate(new_path),
             tolerance=args.tolerance,
             ks_tolerance=args.ks_tolerance,
         )
@@ -517,7 +527,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.aggregate is None:
         print("error: report needs an aggregate path or --diff OLD NEW", file=sys.stderr)
         return 2
-    aggregate = json.loads(args.aggregate.read_text())
+    aggregate = _read_aggregate(args.aggregate)
     summary = matrix_markdown_summary(aggregate)
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -484,6 +484,19 @@ class ColumnarEngine:
             )
         return histogram
 
+    def view_age_histogram(self) -> Dict[int, int]:
+        """``{age: count}`` over the occupied view slots of live rows."""
+        np = backend.np
+        end = self._rows * self.V
+        live = np.repeat(as_np(self.alive)[: self._rows] != 0, self.V)
+        views = [(self.pub_id, self.pub_age)]
+        if self.estimating:
+            views.append((self.priv_id, self.priv_age))
+        ages = np.concatenate([
+            as_np(age)[:end][(as_np(ids)[:end] >= 0) & live] for ids, age in views
+        ])
+        return {age: int(count) for age, count in enumerate(np.bincount(ages)) if count}
+
     # ------------------------------------------------------------------ determinism
 
     def fingerprint(self) -> str:

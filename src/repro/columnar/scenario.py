@@ -13,7 +13,8 @@ that executes a whole gossip round at every exact round boundary.
 
 Fidelity deltas vs the object backend are documented in docs/columnar_backend.md
 (round-synchronous delivery, ring estimator cache, truncated estimate forwarding);
-``identify_nat_types`` and ``selection=RANDOM`` are refused here.
+``identify_nat_types``, ``selection=RANDOM`` and :meth:`sample_class_counts` are
+refused here.
 """
 
 from __future__ import annotations
@@ -187,6 +188,16 @@ class ColumnarScenario(BaseScenario):
 
     def in_degree_histogram(self) -> Dict[int, int]:
         return self.engine.in_degree_histogram().to_histogram()
+
+    def view_age_histogram(self) -> Dict[int, int]:
+        return self.engine.view_age_histogram()
+
+    def sample_class_counts(self, per_node: int) -> Dict[str, int]:
+        # A columnar sampler would be a second copy of core/sampling.py's rule.
+        raise ConfigurationError(
+            "engine='columnar' keeps no per-node sampling service; drawing samples "
+            "through the PSS API runs only on engine='object'"
+        )
 
     def ratio_estimates(self, min_rounds: int = 2) -> List[float]:
         if not self.engine.estimating:

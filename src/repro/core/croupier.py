@@ -13,7 +13,7 @@ introspection used by the experiments (estimated ratio, view snapshots).
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import CroupierConfig
 from repro.core.estimator import RatioEstimator
@@ -175,10 +175,8 @@ class Croupier(PeerSamplingService):
             self.rng,
         )
 
-    def neighbor_addresses(self) -> List[NodeAddress]:
-        return [d.address for d in self.public_view] + [
-            d.address for d in self.private_view
-        ]
+    def views(self) -> Tuple[PartialView, PartialView]:
+        return self.public_view, self.private_view
 
     # ------------------------------------------------------------------ introspection
 

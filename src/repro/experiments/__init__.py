@@ -20,7 +20,10 @@ Figure 6 (a, b, c)         ``FIGURES["randomness"]`` (``randomness`` kind)
 Figure 7 (a)               ``FIGURES["overhead"]`` (``overhead`` kind)
 Figure 7 (b)               ``FIGURES["failure"]`` (``failure`` kind)
 NAT-class in-degree        ``FIGURES["nat-indegree"]`` (``nat_indegree`` kind)
-Ablations A1–A4            :mod:`~repro.experiments.ablations`
+Ablation A1                ``FIGURES["ablation-views"]`` (``pss`` kind)
+Ablation A3                ``FIGURES["ablation-piggyback"]`` (``static`` kind)
+Ablation A4                ``FIGURES["ablation-selection"]`` (``pss`` kind)
+Quick run                  ``FIGURES["quick"]`` (``pss`` kind)
 ========================  ==========================================================
 
 Grids of such runs — protocol × scenario kind × system size × seed — are expressed
@@ -34,7 +37,6 @@ sharded multiprocess pool by :func:`~repro.experiments.runner.run_matrix` (the
 from repro.experiments import randomness  # noqa: F401  (registers the "randomness" kind)
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.matrix import CellSpec, MatrixSpec
-from repro.experiments.quick import quick_croupier_run
 from repro.experiments.runner import run_matrix, write_artifacts
 from repro.experiments.scale import run_scale_experiment
 
@@ -42,7 +44,6 @@ __all__ = [
     "CellSpec",
     "FIGURES",
     "MatrixSpec",
-    "quick_croupier_run",
     "run_figure",
     "run_matrix",
     "run_scale_experiment",

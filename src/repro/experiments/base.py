@@ -8,8 +8,9 @@ experiment's knobs (Poisson join ramps, churn, ratio growth) into typed workload
 events.
 
 The estimation-style scenario kinds of the experiment matrix
-(:mod:`~repro.experiments.matrix`) — ``static``, ``join``, ``ratio``, ``churn`` and
-``overhead``, registered at the bottom of this module, plus ``history`` — all share
+(:mod:`~repro.experiments.matrix`) — ``static``, ``join``, ``ratio``, ``churn``,
+``overhead`` and ``pss``, registered at the bottom of this module, plus ``history`` —
+all share
 :func:`run_estimation_cell`, which compiles the cell's params — plus the cell's
 ``--timelines`` axis value — into one installed timeline and records an
 :class:`~repro.metrics.estimation.EstimationErrorSeries` round by round.
@@ -17,13 +18,15 @@ The estimation-style scenario kinds of the experiment matrix
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.config import CroupierConfig
 from repro.errors import ExperimentError
 from repro.experiments.matrix import CellContext, measure_cell, register_scenario
+from repro.membership.policies import SelectionPolicy
 from repro.metrics.estimation import EstimationErrorSeries
 from repro.metrics.payload import MetricPayload
+from repro.metrics.probes import MetricProbe, PssProbe, default_probes
 from repro.workload.events import ChurnPhase, PoissonJoin, RatioGrowth
 from repro.workload.scenario import create_scenario
 from repro.workload.timeline import Timeline
@@ -32,6 +35,8 @@ from repro.workload.timeline import Timeline
 PAPER_RATIOS = (0.05, 0.1, 0.2, 0.33, 0.5, 0.9)
 #: The per-round churn fractions of Figure 5.
 PAPER_CHURN_LEVELS = (0.001, 0.01, 0.025, 0.05)
+#: Samples each live node draws in a ``pss`` cell.
+SAMPLES_PER_NODE = 20
 
 
 def estimation_timeline(
@@ -83,7 +88,9 @@ def estimation_timeline(
 # ---------------------------------------------------------------------- matrix cells
 
 
-def run_estimation_cell(ctx: CellContext) -> MetricPayload:
+def run_estimation_cell(
+    ctx: CellContext, probes: Optional[Sequence[MetricProbe]] = None
+) -> MetricPayload:
     """Execute one estimation-style matrix cell and return its metric payload.
 
     Cell params understood (all optional):
@@ -97,14 +104,17 @@ def run_estimation_cell(ctx: CellContext) -> MetricPayload:
         Croupier's history windows — the Figure 1/2 sweep (the ``history`` scenario
         kind drives these).
     ``croupier_gamma`` / ``max_estimates``
-        Croupier history/piggyback overrides (the Figure 7a configuration;
-        ``croupier_gamma`` is the pre-payload spelling of ``gamma``).
+        Croupier history/piggyback overrides (the Figure 7a configuration and
+        ablation A3; ``croupier_gamma`` is the pre-payload spelling of ``gamma``).
+    ``selection``
+        Croupier's partner-selection policy, ``"tail"`` or ``"random"`` (ablation A4).
     ``ratio_growth_start_round`` / ``ratio_growth_count`` / ``ratio_growth_interval_ms``
         The Figure 2 dynamic-ratio schedule: starting at the given round, add public
         nodes one every ``interval_ms``.
 
-    Every cell measures the full standard probe set (:func:`~repro.experiments.matrix.
-    measure_cell`) plus per-class traffic load over the second half of the run. The
+    Every cell measures ``probes`` — by default the standard probe set
+    (:func:`~repro.experiments.matrix.measure_cell`) — plus per-class traffic load
+    over the second half of the run. The
     Croupier-specific config params are ignored for protocols without a matching
     configuration, exactly like the per-protocol-gated probes.
 
@@ -119,15 +129,17 @@ def run_estimation_cell(ctx: CellContext) -> MetricPayload:
         alpha = cell.param("alpha")
         gamma = cell.param("gamma", cell.param("croupier_gamma"))
         max_estimates = cell.param("max_estimates")
-        if alpha is not None or gamma is not None or max_estimates is not None:
+        selection = cell.param("selection")
+        if any(value is not None for value in (alpha, gamma, max_estimates, selection)):
             pss_config = ctx.pss_config_for(
-                ("croupier-config", alpha, gamma, max_estimates),
+                ("croupier-config", alpha, gamma, max_estimates, selection),
                 lambda: CroupierConfig(
                     local_history_alpha=int(alpha) if alpha is not None else 25,
                     neighbour_history_gamma=int(gamma) if gamma is not None else 50,
                     max_estimates_per_message=(
                         int(max_estimates) if max_estimates is not None else 10
                     ),
+                    selection=SelectionPolicy(selection or "tail"),
                 ),
             )
 
@@ -149,7 +161,17 @@ def run_estimation_cell(ctx: CellContext) -> MetricPayload:
         if round_index == half:
             overhead_window_start = scenario.traffic_snapshot()
 
-    return measure_cell(scenario, series, overhead_window=overhead_window_start)
+    return measure_cell(
+        scenario, series, overhead_window=overhead_window_start, probes=probes
+    )
+
+
+def run_pss_cell(ctx: CellContext) -> MetricPayload:
+    """An estimation cell that also reads the peer-sampling service through
+    :class:`~repro.metrics.probes.PssProbe`, which draws ``samples_per_node`` samples
+    at every live node; it runs last because drawing consumes protocol RNG."""
+    probe = PssProbe(int(ctx.cell.param("samples_per_node", SAMPLES_PER_NODE)))
+    return run_estimation_cell(ctx, probes=default_probes() + (probe,))
 
 
 def cell_timeline(ctx: CellContext) -> Timeline:
@@ -243,4 +265,15 @@ register_scenario(
     description="steady-state per-class traffic load, Croupier at the paper's "
     "overhead configuration α=25, γ=100, ≤10 piggy-backed estimates (Figure 7a)",
     default_params={"croupier_gamma": 100, "max_estimates": 10},
+)
+
+# Ablations A1 and A4 and `repro run quick`: the private share of views and samples and
+# the view ages (not a paper figure; why Croupier splits its views and selects by age).
+# Drawing samples needs a per-node sampling service, so only engine="object" runs it.
+register_scenario(
+    "pss",
+    run_pss_cell,
+    description="instant population; also reads private nodes' share of the views and "
+    "of drawn samples, and the view ages (ablations A1, A4; object engine only)",
+    default_params={"samples_per_node": SAMPLES_PER_NODE},
 )

@@ -1,4 +1,5 @@
-"""The paper's figures as data: what ``repro run <name>`` executes.
+"""The paper's figures, ablations A1, A3 and A4, and ``quick``, as data: what
+``repro run <name>`` executes.
 
 A figure is an ordered list of :class:`~repro.experiments.matrix.CellSpec` values
 naming a *registered scenario kind* with explicit params, plus one renderer over the
@@ -20,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.constants import DEFAULT_PUBLIC_RATIO
-from repro.experiments.base import PAPER_CHURN_LEVELS, PAPER_RATIOS
+from repro.experiments.base import PAPER_CHURN_LEVELS, PAPER_RATIOS, SAMPLES_PER_NODE
 from repro.experiments.catastrophic_failure import PAPER_FAILURE_FRACTIONS, PAPER_PROTOCOLS
 from repro.experiments.history_windows import PAPER_WINDOW_PAIRS
 from repro.experiments.matrix import (
@@ -137,6 +138,32 @@ def failure_cells(nodes: int, rounds: int, protocols=PAPER_PROTOCOLS,
                                        failure_fraction=fraction)]
 
 
+def pss_cells(nodes: int, rounds: int, protocols=("croupier",),
+              samples_per_node: int = SAMPLES_PER_NODE,
+              **params: ParamValue) -> List[CellSpec]:
+    """One ``pss`` cell per protocol, every one over the same NATed population — the
+    NAT-oblivious Cyclon too, which is where it under-represents private nodes (so
+    not :func:`protocol_cells`, whose Cyclon is public-only)."""
+    return [_cell("pss", protocol, nodes, rounds, samples_per_node=samples_per_node,
+                  **params)
+            for protocol in protocols]
+
+
+def piggyback_cells(nodes: int, rounds: int,
+                    bounds=(0, 2, 5, 10, 20)) -> List[CellSpec]:
+    """Ablation A3: ``static`` Croupier cells, one per piggy-backed-estimate bound."""
+    return [_cell("static", "croupier", nodes, rounds, max_estimates=bound)
+            for bound in bounds]
+
+
+def selection_cells(nodes: int, rounds: int, policies=("tail", "random"),
+                    samples_per_node: int = SAMPLES_PER_NODE) -> List[CellSpec]:
+    """Ablation A4: one Croupier ``pss`` cell per partner-selection policy."""
+    return [_cell("pss", "croupier", nodes, rounds, samples_per_node=samples_per_node,
+                  selection=policy)
+            for policy in policies]
+
+
 def _series(result: "FigureResult", name: str) -> List[TimeSeries]:
     # zip(*points) splits [(t, v), ...] into TimeSeries' times and values columns.
     return [TimeSeries(label, *zip(*payload.series.get(name, ())))
@@ -236,6 +263,55 @@ def render_failure(result: "FigureResult") -> str:
     )
 
 
+#: ``repro run quick``'s rows: (label, scalar).
+_QUICK_ROWS = (
+    ("live nodes", "live_nodes"),
+    ("true public ratio", "true_ratio"),
+    ("mean estimated ratio", "est_mean"),
+    ("average estimation error", "est_err_avg_final"),
+    ("maximum estimation error", "est_err_max_final"),
+    ("biggest cluster fraction", "biggest_cluster_fraction"),
+    ("average path length", "path_length"),
+    ("clustering coefficient", "clustering"),
+    ("samples drawn (public)", "samples_public"),
+    ("samples drawn (private)", "samples_private"),
+)
+
+
+def render_quick(result: "FigureResult") -> str:
+    """One cell, one row per metric."""
+    [(_, payload)] = result.rows()
+    return format_table(
+        ["metric", "value"],
+        [[label, payload.scalars.get(name)] for label, name in _QUICK_ROWS],
+        title=result.figure.title,
+    )
+
+
+def _scalar(name: str) -> Callable[[MetricPayload], object]:
+    return lambda payload: payload.scalars.get(name)
+
+
+def _private_bias(payload: MetricPayload) -> Optional[float]:
+    """The true private share minus the sampled one (positive: under-represented)."""
+    sampled = payload.scalars.get("sample_private_fraction")
+    return None if sampled is None else 1.0 - payload.scalars["true_ratio"] - sampled
+
+
+def render_columns(axis: str, *columns: Tuple[str, Callable[[MetricPayload], object]]
+                   ) -> Callable[["FigureResult"], str]:
+    """The ablations' table: one row per cell (its label under ``axis``), one column
+    per ``(header, value of a payload)``."""
+    def render(result: "FigureResult") -> str:
+        return format_table(
+            [axis] + [header for header, _ in columns],
+            [[label] + [value(payload) for _, value in columns]
+             for label, payload in result.rows()],
+            title=result.figure.title,
+        )
+    return render
+
+
 @dataclass(frozen=True)
 class Figure:
     """One ``repro run`` entry: a title, ``cells(nodes, rounds, **sweep)``, the label
@@ -292,6 +368,29 @@ FIGURES: Dict[str, Figure] = {
         f"({FALLBACK_MIXTURE!r} mixture)",
         nat_indegree_cells,
         _protocol, render_nat_indegree),
+    "quick": Figure(
+        "Quick run: a small Croupier system's estimation error, overlay and samples",
+        pss_cells, _protocol, render_quick),
+    "ablation-views": Figure(
+        "Ablation A1: representation of private nodes",
+        partial(pss_cells, protocols=PAPER_PROTOCOLS),
+        _protocol,
+        render_columns("protocol",
+                       ("private in views", _scalar("view_private_fraction")),
+                       ("private in samples", _scalar("sample_private_fraction")),
+                       ("bias", _private_bias))),
+    "ablation-piggyback": Figure(
+        "Ablation A3: estimate piggy-backing bound", piggyback_cells,
+        lambda cell: cell.param("max_estimates"),
+        render_columns("max estimates/msg",
+                       ("final avg error", _scalar("est_err_avg_final")),
+                       ("all B/s", _scalar("all_bps")))),
+    "ablation-selection": Figure(
+        "Ablation A4: tail vs. random partner selection", selection_cells,
+        lambda cell: cell.param("selection"),
+        render_columns("selection policy",
+                       ("final avg error", _scalar("est_err_avg_final")),
+                       ("mean descriptor age", _scalar("view_age_mean")))),
 }
 
 
@@ -323,8 +422,9 @@ def run_figure(name: str, nodes: int, rounds: int, seed: int = 42,
                latency: str = "king", **sweep: object) -> FigureResult:
     """Execute figure ``name`` cell by cell; ``sweep`` overrides the figure's sweep
     axis (``window_pairs``, ``sizes``, ``ratios``, ``churn_levels``, ``protocols``,
-    ``fractions``). Every cell is validated before the first one runs, so a degenerate
-    size or an unknown protocol is a named error, not a half-printed figure."""
+    ``fractions``, ``bounds``, ``policies``) or ``samples_per_node``. Every cell is
+    validated before the first one runs, so a degenerate size or an unknown protocol
+    is a named error, not a half-printed figure."""
     figure = FIGURES[name]
     cells = figure.cells(nodes, rounds, **sweep)
     for cell in cells:

@@ -128,7 +128,16 @@ class CellSpec:
             f"seed={self.seed_index}",
             f"rounds={self.rounds}",
             f"public_ratio={self.public_ratio:g}",
+            *self.axis_parts(),
         ]
+        parts.extend(f"{name}={value}" for name, value in self.params)
+        return ";".join(parts)
+
+    def axis_parts(self) -> List[str]:
+        """The key parts of the deployment, timeline and engine axes, in key order:
+        only the axes off their defaults (cell keys and aggregate group names share
+        this spelling)."""
+        parts = []
         if self.nat_profile != DEFAULT_NAT_PROFILE:
             parts.append(f"nat_profile={self.nat_profile}")
         if self.loss_rate != DEFAULT_LOSS_RATE:
@@ -141,8 +150,7 @@ class CellSpec:
             parts.append(f"timeline={self.timeline}@{timeline_digest(self.timeline)}")
         if self.engine != DEFAULT_ENGINE:
             parts.append(f"engine={self.engine}")
-        parts.extend(f"{name}={value}" for name, value in self.params)
-        return ";".join(parts)
+        return parts
 
     def param(self, name: str, default: ParamValue = None) -> ParamValue:
         for key, value in self.params:

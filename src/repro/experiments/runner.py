@@ -65,20 +65,7 @@ from repro.experiments.faults import (
     RetryPolicy,
     payload_digest,
 )
-from repro.experiments.matrix import (
-    DEFAULT_ENGINE,
-    DEFAULT_LOSS_RATE,
-    DEFAULT_NAT_MIXTURE,
-    DEFAULT_NAT_PROFILE,
-    DEFAULT_TIMELINE,
-    DEFAULT_UPNP_FRACTION,
-    SCENARIOS,
-    CellSpec,
-    MatrixSpec,
-    cell_seed,
-    run_cell,
-    timeline_digest,
-)
+from repro.experiments.matrix import SCENARIOS, CellSpec, MatrixSpec, cell_seed, run_cell
 from repro.metrics.payload import MetricPayload
 
 #: Schema tag written into every aggregate, so downstream tooling can detect drift.
@@ -907,24 +894,13 @@ def _result_from_journal(cell: CellSpec, record: Dict) -> CellResult:
 def _group_key(cell: CellSpec) -> str:
     """Cells differing only in seed index aggregate into one group.
 
-    As in :attr:`CellSpec.key`, the deployment axes appear only at non-default values
-    so pre-axis group names are unchanged.
+    The axes off their defaults are spelled by :meth:`CellSpec.axis_parts`, as in
+    :attr:`CellSpec.key`, so pre-axis group names are unchanged.
     """
     parts = [f"scenario={cell.scenario}"]
     parts.extend(f"{name}={value}" for name, value in cell.params)
     parts.append(f"protocol={cell.protocol}")
-    if cell.nat_profile != DEFAULT_NAT_PROFILE:
-        parts.append(f"nat_profile={cell.nat_profile}")
-    if cell.loss_rate != DEFAULT_LOSS_RATE:
-        parts.append(f"loss_rate={cell.loss_rate:g}")
-    if cell.nat_mixture != DEFAULT_NAT_MIXTURE:
-        parts.append(f"nat_mixture={cell.nat_mixture}")
-    if cell.upnp_fraction != DEFAULT_UPNP_FRACTION:
-        parts.append(f"upnp_fraction={cell.upnp_fraction:g}")
-    if cell.timeline != DEFAULT_TIMELINE:
-        parts.append(f"timeline={cell.timeline}@{timeline_digest(cell.timeline)}")
-    if cell.engine != DEFAULT_ENGINE:
-        parts.append(f"engine={cell.engine}")
+    parts.extend(cell.axis_parts())
     parts.append(f"size={cell.size}")
     return ";".join(parts)
 

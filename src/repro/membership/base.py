@@ -278,9 +278,13 @@ class PeerSamplingService(Component):
                 samples.append(drawn)
         return samples
 
+    def views(self) -> Tuple[PartialView, ...]:
+        """Every view this node keeps: one here; Croupier keeps a public and a private."""
+        return (self.view,)
+
     def neighbor_addresses(self) -> List[NodeAddress]:
         """Every node currently referenced by this node's view(s); used by graph metrics."""
-        return [d.address for d in self.view]
+        return [d.address for view in self.views() for d in view]
 
     # ------------------------------------------------------------------ helpers
 

@@ -17,6 +17,9 @@ The built-in set (:func:`default_probes`) covers what the paper's figures plot:
 * :class:`OverheadProbe` — per-class traffic load over a measurement window
   (Figure 7a).
 
+:class:`PssProbe` — private nodes' share of the views and of drawn samples, and the
+view-age histogram — is not in the default set; the ``pss`` kind adds it.
+
 Custom probes are ordinary objects: subclass :class:`MetricProbe`, pass them to
 ``measure_cell(..., probes=...)`` or into a registered scenario kind.
 """
@@ -197,6 +200,41 @@ class OverheadProbe(MetricProbe):
             return
         for label, load in scenario.load_by_class(context.overhead_window).items():
             payload.set_scalar(f"{label}_bps", load)
+
+
+class PssProbe(MetricProbe):
+    """What the peer-sampling service holds and serves (ablations A1 and A4): the
+    private share of the live view entries, of ``samples_per_node`` samples drawn at
+    every live node, and the age histogram of the view entries.
+
+    Drawing samples consumes the protocols' RNG streams, so this probe runs last."""
+
+    name = "pss"
+
+    def __init__(self, samples_per_node: int) -> None:
+        self.samples_per_node = samples_per_node
+
+    def measure(self, scenario, payload: MetricPayload, context: ProbeContext) -> None:
+        private = set(scenario.live_private_ids())
+        entries = private_entries = 0
+        for neighbours in scenario.overlay_graph().values():
+            entries += len(neighbours)
+            private_entries += len(private.intersection(neighbours))
+        if entries:
+            payload.set_scalar("view_private_fraction", private_entries / entries)
+        ages = scenario.view_age_histogram()
+        if ages:
+            payload.set_histogram("view_age", ages)
+            payload.set_scalar(
+                "view_age_mean",
+                sum(age * count for age, count in ages.items()) / sum(ages.values()),
+            )
+        counts = scenario.sample_class_counts(self.samples_per_node)
+        payload.set_scalar("samples_public", counts["public"])
+        payload.set_scalar("samples_private", counts["private"])
+        drawn = counts["public"] + counts["private"]
+        if drawn:
+            payload.set_scalar("sample_private_fraction", counts["private"] / drawn)
 
 
 def default_probes() -> Tuple[MetricProbe, ...]:

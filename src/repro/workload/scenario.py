@@ -35,6 +35,7 @@ from __future__ import annotations
 import copy
 import math
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Union
 
@@ -327,6 +328,16 @@ class BaseScenario(ABC):
         return in_degree_distribution(graph) if graph else {}
 
     @abstractmethod
+    def view_age_histogram(self) -> Dict[int, int]:
+        """``{age in rounds: entry count}`` over every live node's view entries."""
+
+    @abstractmethod
+    def sample_class_counts(self, per_node: int) -> Dict[str, int]:
+        """Have every live node draw ``per_node`` samples through its peer-sampling
+        service: ``{"public": n, "private": m}`` by the class of the sampled node.
+        Draws consume the protocols' RNG streams, so measure everything else first."""
+
+    @abstractmethod
     def ratio_estimates(self, min_rounds: int = 2) -> List[float]:
         """Every live node's current ω̂, among nodes that have executed at least
         ``min_rounds`` rounds and hold an estimate (the paper excludes new nodes
@@ -582,7 +593,7 @@ class Scenario(BaseScenario):
 
     def live_handles(self) -> List[NodeHandle]:
         """The live nodes' handles — the object engine's component graph, which only
-        object-engine harnesses and tests reach into."""
+        this class, tests and examples reach into."""
         return [h for h in self.nodes.values() if h.alive and h.pss is not None]
 
     def pss_of(self, node_id: int) -> PeerSamplingService:
@@ -624,6 +635,22 @@ class Scenario(BaseScenario):
             }
             graph[handle.node_id] = neighbours
         return graph
+
+    def view_age_histogram(self) -> Dict[int, int]:
+        ages = Counter(
+            descriptor.age
+            for handle in self.live_handles()
+            for view in handle.pss.views()
+            for descriptor in view
+        )
+        return dict(sorted(ages.items()))
+
+    def sample_class_counts(self, per_node: int) -> Dict[str, int]:
+        counts = {"public": 0, "private": 0}
+        for handle in self.live_handles():
+            for address in handle.pss.sample_many(per_node):
+                counts["public" if address.is_public else "private"] += 1
+        return counts
 
     def ratio_estimates(self, min_rounds: int = 2) -> List[float]:
         if not self.plugin.estimates_ratio:

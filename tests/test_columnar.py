@@ -711,6 +711,14 @@ class TestColumnarScenario(ScenarioContract):
         clone.run_rounds(7)
         assert scenario.engine.fingerprint() == clone.engine.fingerprint()
 
+    def test_sample_class_counts(self):
+        """The columnar engine keeps no per-node sampler; the contract's sample
+        draw is refused by name."""
+        scenario = self.build()
+        scenario.run_rounds(4)
+        with pytest.raises(ConfigurationError, match="runs only on engine='object'"):
+            scenario.sample_class_counts(3)
+
     def test_rejects_object_only_features(self):
         with pytest.raises(ConfigurationError):
             ColumnarScenario(columnar_config(identify_nat_types=True))

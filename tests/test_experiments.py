@@ -7,29 +7,22 @@ import dataclasses
 import pytest
 
 from repro.cli import main
-from repro.experiments import (
-    FIGURES,
-    CellSpec,
-    quick_croupier_run,
-    run_figure,
-)
-from repro.experiments.ablations import (
-    run_piggyback_bound_ablation,
-    run_selection_policy_ablation,
-    run_view_representation_ablation,
-)
+from repro.experiments import FIGURES, CellSpec, run_figure
 from repro.experiments.matrix import SCENARIOS, run_cell
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 
 
 class TestQuickRun:
     def test_quick_run_summary(self):
-        result = quick_croupier_run(n_public=10, n_private=40, rounds=40, seed=3)
-        assert result.live_nodes == 50
-        assert result.true_ratio == pytest.approx(0.2)
-        assert result.final_avg_error is not None and result.final_avg_error < 0.1
-        assert result.biggest_cluster_fraction == pytest.approx(1.0)
-        assert result.sample_counts["public"] + result.sample_counts["private"] == 200
+        result = run_figure("quick", nodes=50, rounds=40, seed=3, latency="constant",
+                            samples_per_node=4)
+        [(_, payload)] = result.cells
+        scalars = payload.scalars
+        assert scalars["live_nodes"] == 50
+        assert scalars["true_ratio"] == pytest.approx(0.2)
+        assert scalars["est_err_avg_final"] < 0.1
+        assert scalars["biggest_cluster_fraction"] == pytest.approx(1.0)
+        assert scalars["samples_public"] + scalars["samples_private"] == 200
         assert "estimation error" in result.to_text()
 
 
@@ -144,37 +137,42 @@ class TestRandomnessOverheadFailure:
 
 class TestAblations:
     def test_view_representation_croupier_unbiased(self):
-        result = run_view_representation_ablation(
-            protocols=("croupier", "cyclon"),
-            total_nodes=60,
-            rounds=40,
-            samples_per_node=10,
-            seed=29,
-        )
+        result = run_figure("ablation-views", nodes=60, rounds=40, seed=29,
+                            latency="constant", protocols=("croupier", "cyclon"),
+                            samples_per_node=10)
+        sampled = result.scalars("sample_private_fraction", by="protocol")
+        croupier = result.by("protocol")["croupier"].scalars
         # Croupier keeps private nodes represented close to their true share; a
         # NAT-oblivious Cyclon under-represents them.
-        assert abs(result.representation_bias("croupier")) < 0.15
-        assert result.private_fraction_in_samples["croupier"] > result.private_fraction_in_samples["cyclon"]
+        assert abs(1.0 - croupier["true_ratio"] - sampled["croupier"]) < 0.15
+        assert sampled["croupier"] > sampled["cyclon"]
         assert "Ablation A1" in result.to_text()
 
     def test_piggyback_bound_tradeoff(self):
-        result = run_piggyback_bound_ablation(
-            bounds=(0, 10), total_nodes=50, rounds=50, seed=31
-        )
-        # More piggy-backed estimates -> bigger messages.
-        assert result.message_bytes_by_bound[10] > result.message_bytes_by_bound[0]
+        result = run_figure("ablation-piggyback", nodes=50, rounds=50, seed=31,
+                            latency="constant", bounds=(0, 10))
+        # More piggy-backed estimates -> bigger messages, so more bytes per node:
+        # a static loss-free cell sends as many messages whatever the bound.
+        load = result.scalars("all_bps", by="max_estimates")
+        assert load[10] > load[0]
         # And (weakly) better estimation than sharing nothing at all.
-        assert result.avg_error_by_bound[10] <= result.avg_error_by_bound[0] + 0.02
+        errors = result.scalars("est_err_avg_final", by="max_estimates")
+        assert errors[10] <= errors[0] + 0.02
 
     def test_selection_policy_ablation_runs(self):
-        result = run_selection_policy_ablation(total_nodes=40, rounds=40, seed=37)
-        assert set(result.avg_error_by_policy) == {"tail", "random"}
-        assert all(v is not None for v in result.avg_error_by_policy.values())
+        result = run_figure("ablation-selection", nodes=40, rounds=40, seed=37,
+                            latency="constant")
+        errors = result.scalars("est_err_avg_final", by="selection")
+        assert set(errors) == {"tail", "random"}
+        assert all(v is not None for v in errors.values())
 
 
 #: ``repro run`` name -> a title its report prints.
 RUN_TITLES = {
     "quick": "estimation error",
+    "ablation-views": "Ablation A1",
+    "ablation-piggyback": "Ablation A3",
+    "ablation-selection": "Ablation A4",
     "history-static": "Figure 1",
     "history-dynamic": "Figure 2",
     "system-size": "Figure 3",
@@ -189,9 +187,11 @@ RUN_TITLES = {
 
 
 class TestRunCli:
-    def test_run_list_prints_the_eleven_names(self, capsys):
+    def test_run_list_is_every_figure_and_scale(self, capsys):
+        """A new ``repro run`` name must be a figure: ``scale`` alone is not."""
         assert main(["run", "list"]) == 0
-        assert capsys.readouterr().out.split()[2:] == sorted(RUN_TITLES)
+        assert capsys.readouterr().out.split()[2:] == sorted([*FIGURES, "scale"])
+        assert sorted(RUN_TITLES) == sorted([*FIGURES, "scale"])
 
     @pytest.mark.parametrize("name", sorted(RUN_TITLES))
     def test_every_name_runs_and_prints_its_figure(self, name, capsys):
@@ -210,6 +210,14 @@ class TestRunCli:
         assert "cell size must be positive" in capsys.readouterr().err
 
 
+#: Figures the columnar engine refuses, and why.
+OBJECT_ONLY_FIGURES = {
+    "quick": "draws samples through each node's PSS",
+    "ablation-views": "draws samples through each node's PSS",
+    "ablation-selection": "selection=random, and draws samples through each node's PSS",
+}
+
+
 class TestFigureCells:
     def test_cells_validate_with_unique_keys_and_registered_kinds(self):
         for figure in FIGURES.values():
@@ -222,12 +230,18 @@ class TestFigureCells:
     @pytest.mark.parametrize("name", sorted(FIGURES))
     def test_figure_runs_on_the_columnar_engine(self, name):
         """Every figure's cells run on ``engine="columnar"`` and report the same
-        metrics by name. The paper's claims are *not* asserted there: ROADMAP item 1
-        records where the two engines' numbers still differ."""
+        metrics by name, except the figures of :data:`OBJECT_ONLY_FIGURES`, whose
+        cells are refused by name. The paper's claims are *not* asserted there:
+        ROADMAP item 1 records where the two engines' numbers still differ."""
         pytest.importorskip("numpy")
         for cell in FIGURES[name].cells(40, 12):
             twin = dataclasses.replace(cell, engine="columnar")
             twin.validate()
+            if name in OBJECT_ONLY_FIGURES:
+                with pytest.raises(ConfigurationError,
+                                   match="runs only on engine='object'"):
+                    run_cell(twin, root_seed=42, latency="constant")
+                continue
             names = [
                 (sorted(p.scalars), sorted(p.series), sorted(p.histograms))
                 for p in (run_cell(c, root_seed=42, latency="constant") for c in (cell, twin))

@@ -398,6 +398,35 @@ class TestArtifactsAndCli:
         captured = capsys.readouterr()
         assert "Experiment matrix summary" in captured.out
 
+    @pytest.mark.parametrize("content", [
+        '{"schema": "repro-matrix-journal-v1"}\n{"cell": "x"}\n',  # a journal
+        '{"schema": "x"}',
+        "[]",
+        None,  # the golden Croupier run: JSON, no schema
+    ])
+    def test_report_refuses_what_is_not_an_aggregate(self, tmp_path, content, capsys):
+        """A journal used to end in a JSONDecodeError traceback, another schema in
+        an empty summary (exit 0 under --strict), and a diff of two of them in "no
+        differences"; each is now a named error with exit status 2."""
+        from repro.cli import main
+
+        path = Path(__file__).parent / "data" / "golden_croupier_seed7.json"
+        if content is not None:
+            path = tmp_path / "not_an_aggregate.json"
+            path.write_text(content)
+        for argv in (["report", str(path)], ["report", "--strict", str(path)],
+                     ["report", "--diff", str(path), str(path)]):
+            assert main(argv) == 2
+            assert "is not a matrix aggregate" in capsys.readouterr().err
+
+    def test_report_renders_a_committed_aggregate(self, capsys):
+        from repro.cli import main
+
+        path = Path(__file__).parent.parent / "artifacts" / "baseline" / "matrix_aggregate.json"
+        assert main(["report", "--strict", str(path)]) == 0
+        assert "Experiment matrix summary" in capsys.readouterr().out
+        assert main(["report", "--diff", str(path), str(path)]) == 0
+
     @pytest.mark.parametrize("argv", [
         ["matrix", "--seed", "7", "--dry-run"],
         ["matrix", "--seeds", "1", "--dry"],

@@ -80,6 +80,33 @@ class ScenarioContract:
         )
         assert scenario.network.packets_sent > 0
 
+    @pytest.mark.parametrize("protocol", ["croupier", "cyclon"])
+    def test_view_age_histogram_counts_every_live_entry(self, protocol):
+        """Ages over the occupied view slots of live nodes: all 0 as bootstrapped,
+        then one count per slot (a static, loss-free system holds no stale entry,
+        so every slot is an overlay edge) and none for a dead node's view."""
+        scenario = self.build(protocol=protocol)
+
+        def edges():
+            return sum(len(view) for view in scenario.overlay_graph().values())
+
+        assert scenario.view_age_histogram() == {0: edges()}
+        scenario.run_rounds(6)
+        ages = scenario.view_age_histogram()
+        assert sum(ages.values()) == edges() > 0
+        assert min(ages) >= 0 and max(ages) > 0
+        scenario.kill_random_fraction(0.5)
+        # Live views may still hold the dead: at least the live edges, fewer in all.
+        assert edges() <= sum(scenario.view_age_histogram().values()) < sum(ages.values())
+
+    def test_sample_class_counts(self):
+        scenario = self.build()
+        scenario.run_rounds(4)
+        counts = scenario.sample_class_counts(3)
+        assert list(counts) == ["public", "private"]
+        assert sum(counts.values()) == 3 * N
+        assert counts["private"] > counts["public"] > 0
+
     def test_cyclon_has_no_estimation(self):
         scenario = self.build(protocol="cyclon")
         scenario.run_rounds(4)
