@@ -276,4 +276,5 @@ register_scenario(
     description="instant population; also reads private nodes' share of the views and "
     "of drawn samples, and the view ages (ablations A1, A4; object engine only)",
     default_params={"samples_per_node": SAMPLES_PER_NODE},
+    object_only=True,
 )

@@ -278,12 +278,17 @@ _QUICK_ROWS = (
 )
 
 
+#: The rows that count something: payload scalars are floats, these print as ints.
+_QUICK_COUNTS = ("live_nodes", "samples_public", "samples_private")
+
+
 def render_quick(result: "FigureResult") -> str:
     """One cell, one row per metric."""
     [(_, payload)] = result.rows()
     return format_table(
         ["metric", "value"],
-        [[label, payload.scalars.get(name)] for label, name in _QUICK_ROWS],
+        [[label, round(payload.scalars[name]) if name in _QUICK_COUNTS
+          else payload.scalars.get(name)] for label, name in _QUICK_ROWS],
         title=result.figure.title,
     )
 

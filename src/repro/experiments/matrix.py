@@ -196,6 +196,9 @@ class CellSpec:
             raise ExperimentError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
+        if self.engine != "object" and SCENARIOS[self.scenario].object_only:
+            raise ExperimentError(f"scenario kind {self.scenario!r} runs only on "
+                                  f"engine='object', not engine={self.engine!r}")
         if self.engine == "columnar":
             from repro.columnar.backend import require_numpy
 
@@ -427,6 +430,9 @@ class ScenarioKind:
     --cell-timeout`` overrides both). A cell past its budget is classified as a
     ``timeout`` fault, its worker killed, and the cell retried on a fresh one.
 
+    ``object_only`` kinds read per-node state the columnar engine does not keep:
+    :meth:`CellSpec.validate` refuses them on it, before any cell runs.
+
     ``branch_param`` names the one param a kind applies only after its warm-up
     (``failure_fraction`` for ``failure``): :func:`cell_seed` leaves it out, so
     cells that differ only in it share a seed, and
@@ -441,6 +447,7 @@ class ScenarioKind:
     paper_variants: Tuple[Params, ...] = ()
     timeout_s: Optional[float] = None
     branch_param: Optional[str] = None
+    object_only: bool = False
 
     def expand_variants(self, mode: str) -> List[Params]:
         if mode == "paper" and self.paper_variants:
@@ -463,6 +470,7 @@ def register_scenario(
     replace: bool = False,
     timeout_s: Optional[float] = None,
     branch_param: Optional[str] = None,
+    object_only: bool = False,
 ) -> ScenarioKind:
     """Register a scenario kind under ``name`` (used by experiment modules and tests).
 
@@ -482,6 +490,7 @@ def register_scenario(
         paper_variants=tuple(_freeze_params(v) for v in (paper_variants or ())),
         timeout_s=timeout_s,
         branch_param=branch_param,
+        object_only=object_only,
     )
     SCENARIOS[name] = kind
     return kind

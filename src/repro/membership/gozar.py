@@ -24,8 +24,10 @@ from repro.nat.traversal import (
     RelayEnvelope,
     RelayRegistration,
     RelayRegistrationAck,
+    keepalives,
 )
 from repro.net.address import NodeAddress
+from repro.simulator.core import shuffle
 from repro.simulator.host import Host
 from repro.simulator.message import Message, Packet
 
@@ -63,6 +65,7 @@ class Gozar(PeerSamplingService):
         self._parent_last_ack: Dict[int, int] = {}
         #: Public-node side: the private children registered with us.
         self._children: Dict[int, NodeAddress] = {}
+        self._keepalives = None  # keepalives(): built on the first send
         self.subscribe(RelayEnvelope, self._on_relay)
         self.subscribe(RelayRegistration, self._on_registration)
         self.subscribe(RelayRegistrationAck, self._on_registration_ack)
@@ -94,14 +97,15 @@ class Gozar(PeerSamplingService):
                 for d in self.view
                 if d.is_public and d.node_id not in self._parents
             ]
-            self.rng.shuffle(candidates)
+            shuffle(self.rng, candidates)
             needed = self.config.parent_count - len(self._parents)
             for address in candidates[:needed]:
                 self.send_to_node(address, RelayRegistration(origin=self.address))
         # Refresh the registrations (and NAT mappings) of current parents.
         if self.current_round % self.config.parent_keepalive_every_rounds == 0:
+            self._keepalives = pair = keepalives(self.address, self._keepalives)
             for address in self._parents.values():
-                self.send_to_node(address, KeepAlive(origin=self.address))
+                self.send_to_node(address, pair[0])
 
     # ------------------------------------------------------------------ round
 
@@ -199,7 +203,8 @@ class Gozar(PeerSamplingService):
         assert isinstance(message, KeepAlive)
         if message.origin.node_id in self._children:
             self._children[message.origin.node_id] = message.origin
-            self.send(packet.source, KeepAliveAck(origin=self.address))
+            self._keepalives = pair = keepalives(self.address, self._keepalives)
+            self.send(packet.source, pair[1])
 
     def _on_keepalive_ack(self, packet: Packet) -> None:
         message = packet.message

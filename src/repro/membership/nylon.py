@@ -31,8 +31,9 @@ from repro.membership.base import (
 )
 from repro.membership.descriptor import NodeDescriptor
 from repro.membership.plugin import register_protocol
-from repro.nat.traversal import HolePunchPing, HolePunchRequest, KeepAlive, KeepAliveAck
+from repro.nat.traversal import HolePunchPing, HolePunchRequest, KeepAlive, keepalives
 from repro.net.address import NodeAddress
+from repro.simulator.core import shuffle
 from repro.simulator.host import Host
 from repro.simulator.message import Message, Packet
 
@@ -70,6 +71,7 @@ class Nylon(PeerSamplingService):
         self._open_contacts: Dict[int, NodeAddress] = {}
         #: Shuffle subsets prepared while waiting for a hole-punch ping from the target.
         self._awaiting_punch: Dict[int, Tuple[NodeDescriptor, ...]] = {}
+        self._keepalives = None  # keepalives(): built on the first send
         self.subscribe(HolePunchRequest, self._on_hole_punch_request)
         self.subscribe(HolePunchPing, self._on_hole_punch_ping)
         self.subscribe(KeepAlive, self._on_keepalive)
@@ -115,14 +117,16 @@ class Nylon(PeerSamplingService):
 
     def _send_keepalives(self) -> None:
         """Private nodes refresh NAT mappings towards a bounded set of RVP neighbours."""
-        if self.address.is_public:
+        address = self.address
+        if address.is_public:
             return
         targets = list(self._open_contacts.values())
         if not targets:
             targets = [d.address for d in self.view if d.is_public]
-        self.rng.shuffle(targets)
+        shuffle(self.rng, targets)
+        self._keepalives = pair = keepalives(address, self._keepalives)
         for target in targets[: self.config.keepalive_fanout]:
-            self.send_to_node(target, KeepAlive(origin=self.address))
+            self.send_to_node(target, pair[0])
 
     # ------------------------------------------------------------------ relaying / punching
 
@@ -178,7 +182,8 @@ class Nylon(PeerSamplingService):
         # it so future shuffles towards that (private) node can go direct, and
         # acknowledge so the sender knows its RVP is still alive.
         self._open_contacts[message.origin.node_id] = message.origin
-        self.send(packet.source, KeepAliveAck(origin=self.address))
+        self._keepalives = pair = keepalives(self.address, self._keepalives)
+        self.send(packet.source, pair[1])
 
     # ------------------------------------------------------------------ shuffle handlers
 
@@ -200,8 +205,9 @@ class Nylon(PeerSamplingService):
         self, descriptors: Sequence[NodeDescriptor], learned_from: NodeAddress
     ) -> None:
         """Remember which neighbour told us about each descriptor (our RVP towards it)."""
+        skip = (self.address.node_id, learned_from.node_id)
         for descriptor in descriptors:
-            if descriptor.node_id in (self.address.node_id, learned_from.node_id):
+            if descriptor.node_id in skip:
                 continue
             self.rvp_table[descriptor.node_id] = learned_from
         # Bound the routing table: drop entries for nodes that long left every view.

@@ -21,6 +21,7 @@ Every size is :mod:`repro.wire`'s.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 from repro import wire
 from repro.net.address import NodeAddress
@@ -79,24 +80,37 @@ class HolePunchPing(Message):
         return wire.punch_ping()
 
 
-@dataclass
+@dataclass(frozen=True)
 class KeepAlive(Message):
     """Periodic refresh of a NAT mapping towards a relay or rendezvous node."""
 
     origin: NodeAddress
+    wire_size = wire.HEADER + wire.keepalive()  # frozen: the property could not cache
 
     def payload_size(self) -> int:
         return wire.keepalive()
 
 
-@dataclass
+@dataclass(frozen=True)
 class KeepAliveAck(Message):
     """Acknowledgement of a :class:`KeepAlive` (lets the sender detect dead relays)."""
 
     origin: NodeAddress
+    wire_size = wire.HEADER + wire.keepalive()  # frozen: the property could not cache
 
     def payload_size(self) -> int:
         return wire.keepalive()
+
+
+def keepalives(
+    address: NodeAddress, current: Optional[Tuple[KeepAlive, KeepAliveAck]] = None
+) -> Tuple[KeepAlive, KeepAliveAck]:
+    """A node's one frozen ``(KeepAlive, KeepAliveAck)``, shared by all its sends:
+    ``current`` while its origin is ``address`` itself, else a new pair (NAT-type
+    identification replaces the host's address object)."""
+    if current is None or current[0].origin is not address:
+        current = (KeepAlive(origin=address), KeepAliveAck(origin=address))
+    return current
 
 
 @dataclass

@@ -11,6 +11,7 @@ thousands of them and the simulator copies them into messages freely.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -89,22 +90,22 @@ class NatType(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True)
-class Endpoint:
+class Endpoint(namedtuple("Endpoint", ("ip", "port"))):
     """A UDP endpoint: an IP address plus a port.
 
     Endpoints compare and hash by value so they can key NAT mapping tables and the
-    simulator's routing table.
+    simulator's routing table. They are ``(ip, port)`` tuples, so hashing and
+    comparing run in C on every NAT lookup; the hash is ``hash((ip, port))``.
     """
 
-    ip: str
-    port: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.port <= 0xFFFF:
-            raise ConfigurationError(f"port out of range: {self.port!r}")
+    def __new__(cls, ip: str, port: int) -> "Endpoint":
+        if not 0 < port <= 0xFFFF:
+            raise ConfigurationError(f"port out of range: {port!r}")
         # Validate the IP eagerly so malformed endpoints fail at construction time.
-        parse_ipv4(self.ip)
+        parse_ipv4(ip)
+        return tuple.__new__(cls, (ip, port))
 
     def with_port(self, port: int) -> "Endpoint":
         """Return a copy of this endpoint with a different port."""
@@ -140,10 +141,13 @@ class NodeAddress:
     endpoint: Endpoint
     nat_type: NatType = NatType.UNKNOWN
     private_endpoint: Optional[Endpoint] = field(default=None, compare=False)
+    #: ``nat_type is NatType.PUBLIC``, stored: the monitor reads it twice per packet.
+    is_public: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.node_id < 0:
             raise ConfigurationError(f"node_id must be non-negative, got {self.node_id}")
+        object.__setattr__(self, "is_public", self.nat_type is NatType.PUBLIC)
 
     def __hash__(self) -> int:
         return hash(self.node_id)
@@ -152,10 +156,6 @@ class NodeAddress:
         if not isinstance(other, NodeAddress):
             return NotImplemented
         return self.node_id == other.node_id
-
-    @property
-    def is_public(self) -> bool:
-        return self.nat_type.is_public
 
     @property
     def is_private(self) -> bool:

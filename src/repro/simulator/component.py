@@ -167,14 +167,16 @@ class Component:
 
     def send(self, destination: Endpoint, message: Message) -> None:
         """Send ``message`` to ``destination`` through the simulated network."""
-        self.host.send(self.port, destination, message)
+        host = self.host
+        host.network.send(host, self.port, destination, message)
 
     def send_to_node(self, destination: NodeAddress, message: Message) -> None:
         """Send to a node's protocol port (same port number as this component)."""
         endpoint = destination.endpoint
         if endpoint.port != self.port:
             endpoint = endpoint.with_port(self.port)
-        self.send(endpoint, message)
+        host = self.host
+        host.network.send(host, self.port, endpoint, message)
 
     # ------------------------------------------------------------------ timers
 

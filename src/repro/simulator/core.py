@@ -134,6 +134,20 @@ def choice(rng: random.Random, seq: Sequence[T]) -> T:
     return seq[j]
 
 
+def shuffle(rng: random.Random, x: List[T]) -> None:
+    """``rng.shuffle(x)`` with the draws inlined (see :func:`sample`)."""
+    if type(rng) is not random.Random:
+        rng.shuffle(x)
+        return
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        x[i], x[j] = x[j], x[i]
+
+
 class EventHandle:
     """A cancellable reference to a scheduled event.
 
@@ -241,29 +255,9 @@ class Simulator:
 
     # ------------------------------------------------------------------ execution
 
-    def _fire(self, handle: EventHandle) -> None:
-        """Execute one live event that has already been popped from the heap."""
-        self.now = handle.time
-        callback = handle.callback
-        arg = handle.arg
-        handle.callback = None
-        self._live_events -= 1
-        self._events_executed += 1
-        if arg is _NO_ARG:
-            callback()  # type: ignore[misc]
-        else:
-            callback(arg)  # type: ignore[misc]
-
     def step(self) -> bool:
         """Execute the next pending event. Returns ``False`` if the queue is empty."""
-        queue = self._queue
-        while queue:
-            handle = heapq.heappop(queue)[2]
-            if handle.cancelled:
-                continue
-            self._fire(handle)
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def run(
         self,
@@ -287,6 +281,7 @@ class Simulator:
         """
         executed = 0
         queue = self._queue
+        heappop = heapq.heappop
         self._running = True
         try:
             while queue:
@@ -295,12 +290,22 @@ class Simulator:
                 head = queue[0][2]
                 if head.cancelled:
                     # Discard exactly once; the entry is never re-examined.
-                    heapq.heappop(queue)
+                    heappop(queue)
                     continue
                 if until is not None and head.time > until:
                     break
-                heapq.heappop(queue)
-                self._fire(head)
+                heappop(queue)
+                # Fire inline: one frame per event, not one more per dispatch.
+                self.now = head.time
+                callback = head.callback
+                arg = head.arg
+                head.callback = None
+                self._live_events -= 1
+                self._events_executed += 1
+                if arg is _NO_ARG:
+                    callback()
+                else:
+                    callback(arg)
                 executed += 1
             if until is not None and self.now < until:
                 # Advance the clock even if no event lands exactly on the horizon, so

@@ -17,7 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nat.nat_box import NatBox
     from repro.simulator.component import Component
     from repro.simulator.core import Simulator
-    from repro.simulator.message import Message, Packet
+    from repro.simulator.message import Packet
     from repro.simulator.network import Network
 
 
@@ -114,12 +114,6 @@ class Host:
 
     # ------------------------------------------------------------------ messaging
 
-    def send(self, src_port: int, destination: Endpoint, message: "Message") -> None:
-        """Send a datagram from ``src_port`` to ``destination``."""
-        if not self.alive:
-            return
-        self.network.send(self, src_port, destination, message)
-
     def deliver(self, packet: "Packet") -> None:
         """Deliver an incoming packet to the component bound on the destination port."""
         if not self.alive:
@@ -129,7 +123,7 @@ class Host:
         if component is None:
             self.network.monitor.record_drop("unbound_port")
             return
-        self.network.monitor.record_received(self.address, packet.message)
+        self.network.monitor.record_received(self.address, packet.message, packet.size)
         component.handle_packet(packet)
 
     # ------------------------------------------------------------------ lifecycle

@@ -38,9 +38,8 @@ class Message:
     def wire_size(self) -> int:
         """Total on-the-wire size in bytes including IP and UDP headers.
 
-        Cached after the first computation: the traffic monitor reads the size once
-        per record (on send and again on receive), and message contents never change
-        once the message is sent.
+        Cached after the first computation: message contents never change once the
+        message is sent.
         """
         cached = getattr(self, "_wire_size_cache", None)
         if cached is None:
@@ -79,9 +78,11 @@ class Packet:
         it.
     sent_at:
         Virtual time (ms) at which the packet entered the network.
+    size:
+        The message's :attr:`~Message.wire_size`, read once, when the packet is built.
     """
 
-    __slots__ = ("source", "destination", "message", "sender", "sent_at")
+    __slots__ = ("source", "destination", "message", "sender", "sent_at", "size")
 
     def __init__(
         self,
@@ -90,19 +91,17 @@ class Packet:
         message: Message,
         sender: Optional[NodeAddress] = None,
         sent_at: float = 0.0,
+        size: Optional[int] = None,
     ) -> None:
         self.source = source
         self.destination = destination
         self.message = message
         self.sender = sender
         self.sent_at = sent_at
-
-    @property
-    def wire_size(self) -> int:
-        return self.message.wire_size
+        self.size = message.wire_size if size is None else size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Packet({self.message.type_name} {self.source} -> {self.destination}, "
-            f"{self.wire_size}B)"
+            f"{self.size}B)"
         )

@@ -10,8 +10,9 @@ it, together with its wire size.
 Experiments that want steady-state numbers take a :meth:`TrafficMonitor.snapshot` at
 the start of the measurement window and subtract it from a later snapshot.
 
-``record_sent`` / ``record_received`` run once per packet each, so they read the
-message's size and type name once and touch each counter once.
+``record_sent`` / ``record_received`` run once per packet each, so they take the
+size the network already read (:attr:`Packet.size`), read the type name once and
+touch each counter once.
 """
 
 from __future__ import annotations
@@ -88,9 +89,8 @@ class TrafficMonitor:
 
     # ------------------------------------------------------------------ recording
 
-    def record_sent(self, sender: NodeAddress, message: Message) -> None:
+    def record_sent(self, sender: NodeAddress, message: Message, size: int) -> None:
         node_id = sender.node_id
-        size = message.wire_size
         name = type(message).__name__
         traffic = self._per_node[node_id]
         traffic.tx_bytes += size
@@ -99,9 +99,8 @@ class TrafficMonitor:
         by_type[name] = by_type.get(name, 0) + size
         self._is_public[node_id] = sender.is_public
 
-    def record_received(self, receiver: NodeAddress, message: Message) -> None:
+    def record_received(self, receiver: NodeAddress, message: Message, size: int) -> None:
         node_id = receiver.node_id
-        size = message.wire_size
         name = type(message).__name__
         traffic = self._per_node[node_id]
         traffic.rx_bytes += size

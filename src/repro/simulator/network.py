@@ -30,12 +30,15 @@ what one packet costs is what the object engine costs on the paper's NAT cells:
   :class:`~repro.nat.nat_box.NatBox` looks for idle bindings only once the clock
   passes a lower bound on the earliest possible expiry, and filters inbound packets
   with one hash lookup in the binding's ``remote ip -> ports`` index.
-* A message's size is computed once (:attr:`Message.wire_size` caches it) and the
-  monitor reads it once per record.
+* :meth:`send` reads a message's size once (:attr:`Message.wire_size` caches it)
+  and hands it to the monitor and, in :attr:`Packet.size`, to the receiver's record.
 * A hop allocates two objects: the :class:`Packet` and the simulator's event handle
   (delivery through a NAT allocates one more ``Packet``, rewritten to the internal
-  destination). Source endpoints, a binding's external endpoint and the destination
-  endpoint are existing objects, not built per packet.
+  destination). Source endpoints, a binding's external endpoint, the destination
+  endpoint and a node's keep-alive messages are existing objects, not built per packet.
+* A hop runs a fixed set of Python frames: ``Component.send`` calls :meth:`send`
+  directly, and the event loop fires :meth:`_deliver` inline.
+  ``tests/test_nat_box.py::TestPacketPathCost`` bounds the calls per packet.
 """
 
 from __future__ import annotations
@@ -128,18 +131,21 @@ class Network:
             return
         now = self.sim.now
         internal_source = host.source_endpoint(src_port)
-        if host.natbox is not None:
-            wire_source = host.natbox.translate_outbound(internal_source, destination, now)
+        natbox = host.natbox
+        if natbox is not None:
+            wire_source = natbox.translate_outbound(internal_source, destination, now)
             if wire_source is None:
                 self.monitor.record_drop("nat_allocation_failed")
                 return
         else:
             wire_source = internal_source
 
-        self.monitor.record_sent(host.address, message)
+        sender = host.address
+        size = message.wire_size
+        self.monitor.record_sent(sender, message, size)
         self._packets_sent += 1
 
-        if self.loss_model.should_drop(self.rng, host.address, destination.ip):
+        if self.loss_model.should_drop(self.rng, sender, destination.ip):
             self.monitor.record_drop("link_loss")
             return
 
@@ -154,15 +160,13 @@ class Network:
         delay = self.latency_model.latency(
             parse_ipv4(wire_source.ip), parse_ipv4(destination.ip)
         )
-        packet = Packet(
-            source=wire_source,
-            destination=destination,
-            message=message,
-            sender=host.address,
-            sent_at=now,
+        # A direct (callback, arg) event slot, no per-packet closure; schedule_at
+        # rather than schedule, whose only extra work is this addition.
+        self.sim.schedule_at(
+            now + delay,
+            self._deliver,
+            Packet(wire_source, destination, message, sender, now, size),
         )
-        # Direct (callback, arg) event slot: no per-packet closure allocation.
-        self.sim.schedule(delay, self._deliver, packet)
 
     # ------------------------------------------------------------------ delivery
 
@@ -185,11 +189,7 @@ class Network:
             self.monitor.record_drop("dead_host")
             return
         rewritten = Packet(
-            source=packet.source,
-            destination=internal,
-            message=packet.message,
-            sender=packet.sender,
-            sent_at=packet.sent_at,
+            packet.source, internal, packet.message, packet.sender, packet.sent_at, packet.size
         )
         self._packets_delivered += 1
         inner_host.deliver(rewritten)

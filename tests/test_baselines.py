@@ -1,11 +1,15 @@
 """Tests for the baseline peer-sampling protocols: Cyclon, Nylon, Gozar."""
 
+from collections import defaultdict
+
 import pytest
 
 from repro.membership.base import PssConfig
 from repro.membership.cyclon import Cyclon
 from repro.membership.gozar import Gozar, GozarConfig
 from repro.membership.nylon import Nylon, NylonConfig
+from repro.nat.traversal import KeepAlive, KeepAliveAck
+from repro.net.address import NatType
 from repro.workload.scenario import Scenario, ScenarioConfig
 
 
@@ -147,6 +151,49 @@ class TestGozar:
         assert all(
             not n.parent_addresses() for n in nodes if n.address.is_public
         )
+
+
+@pytest.mark.parametrize(
+    "protocol, config",
+    [
+        (Nylon, quiet(NylonConfig)),
+        (Gozar, quiet(GozarConfig, parent_keepalive_every_rounds=2)),
+    ],
+)
+def test_a_node_sends_one_keepalive_instance_until_its_address_changes(
+    sim, hosts, network, protocol, config
+):
+    nodes = [protocol(hosts.public_host(), config) for _ in range(3)]
+    nodes += [protocol(hosts.private_host(), config) for _ in range(3)]
+    publics = [n.address for n in nodes if n.address.is_public]
+    for node in nodes:
+        node.initialize_view([a for a in publics if a.node_id != node.address.node_id])
+        node.start()
+    sent = defaultdict(list)
+    send = network.send
+
+    def recording(host, src_port, destination, message):
+        if type(message) in (KeepAlive, KeepAliveAck):
+            sent[host.address.node_id, type(message)].append(message)
+        send(host, src_port, destination, message)
+
+    network.send = recording
+    sim.run(until=10_000)
+    assert {kind for _, kind in sent} == {KeepAlive, KeepAliveAck}
+    by_id = {node.address.node_id: node for node in nodes}
+    for (node_id, _), messages in sent.items():
+        assert len(messages) > 1
+        assert all(message is messages[0] for message in messages)
+        assert messages[0].origin is by_id[node_id].address
+
+    private = next(n for n in nodes if n.address.is_private and sent[n.address.node_id, KeepAlive])
+    before = sent[private.address.node_id, KeepAlive][0]
+    private.host.address = private.address.with_nat_type(NatType.PRIVATE)
+    sent.clear()
+    sim.run(until=20_000)
+    after = sent[private.address.node_id, KeepAlive]
+    assert after and all(message is after[0] for message in after)
+    assert after[0] is not before and after[0].origin is private.host.address
 
 
 class TestScenarioIntegrationForBaselines:

@@ -9,7 +9,7 @@ import pytest
 from repro.cli import main
 from repro.experiments import FIGURES, CellSpec, run_figure
 from repro.experiments.matrix import SCENARIOS, run_cell
-from repro.errors import ConfigurationError, ExperimentError
+from repro.errors import ExperimentError
 
 
 class TestQuickRun:
@@ -23,7 +23,17 @@ class TestQuickRun:
         assert scalars["est_err_avg_final"] < 0.1
         assert scalars["biggest_cluster_fraction"] == pytest.approx(1.0)
         assert scalars["samples_public"] + scalars["samples_private"] == 200
-        assert "estimation error" in result.to_text()
+        text = result.to_text()
+        assert "estimation error" in text
+        # Counts print as integers, the other scalars as floats.
+        rows = dict(line.rstrip().rsplit("  ", 1) for line in text.splitlines()
+                    if line.startswith(("live nodes", "samples drawn", "true public")))
+        assert {label.strip(): value for label, value in rows.items()} == {
+            "live nodes": "50",
+            "samples drawn (public)": str(round(scalars["samples_public"])),
+            "samples drawn (private)": str(round(scalars["samples_private"])),
+            "true public ratio": "0.2000",
+        }
 
 
 class TestEstimationSpec:
@@ -231,17 +241,18 @@ class TestFigureCells:
     def test_figure_runs_on_the_columnar_engine(self, name):
         """Every figure's cells run on ``engine="columnar"`` and report the same
         metrics by name, except the figures of :data:`OBJECT_ONLY_FIGURES`, whose
-        cells are refused by name. The paper's claims are *not* asserted there:
-        ROADMAP item 1 records where the two engines' numbers still differ."""
+        cells validation refuses by name, before anything runs. The paper's claims
+        are *not* asserted there: ROADMAP item 1 records where the two engines'
+        numbers still differ."""
         pytest.importorskip("numpy")
         for cell in FIGURES[name].cells(40, 12):
             twin = dataclasses.replace(cell, engine="columnar")
-            twin.validate()
             if name in OBJECT_ONLY_FIGURES:
-                with pytest.raises(ConfigurationError,
+                with pytest.raises(ExperimentError,
                                    match="runs only on engine='object'"):
-                    run_cell(twin, root_seed=42, latency="constant")
+                    twin.validate()
                 continue
+            twin.validate()
             names = [
                 (sorted(p.scalars), sorted(p.series), sorted(p.histograms))
                 for p in (run_cell(c, root_seed=42, latency="constant") for c in (cell, twin))

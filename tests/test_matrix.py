@@ -117,6 +117,13 @@ class TestSpecExpansion:
         with pytest.raises(ExperimentError):
             run_matrix(small_spec(), workers=0)
 
+    def test_an_object_only_kind_is_refused_on_the_columnar_engine(self):
+        """``pss`` draws samples through each node's service: the grid is refused
+        at validation, naming the kind and the engine, before any cell runs."""
+        small_spec(scenarios=("pss",)).validate()
+        with pytest.raises(ExperimentError, match=r"kind 'pss' .* engine='columnar'"):
+            small_spec(scenarios=("pss",), engines=("object", "columnar")).validate()
+
 
 class TestParallelParity:
     def test_parallel_aggregate_bytes_identical_to_sequential(self):

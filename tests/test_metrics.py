@@ -242,9 +242,10 @@ class TestOverheadMeasurement:
     def test_snapshot_isolation(self):
         monitor = TrafficMonitor()
         node = NodeAddress(1, Endpoint("1.0.0.1", 7000), NatType.PUBLIC)
-        monitor.record_sent(node, _FakeMessage())
+        message = _FakeMessage()
+        monitor.record_sent(node, message, message.wire_size)
         snapshot = monitor.snapshot(0.0)
-        monitor.record_sent(node, _FakeMessage())
+        monitor.record_sent(node, message, message.wire_size)
         load = monitor.average_load_bps(snapshot, 1_000.0)
         assert load == pytest.approx(100.0)  # only the second message is in the window
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator.core import Simulator, choice, sample
+from repro.simulator.core import Simulator, choice, sample, shuffle
 
 
 class TestScheduling:
@@ -178,7 +178,8 @@ class TestRngDerivation:
 
 
 class TestSampler:
-    """``sample`` / ``choice`` draw what ``random.Random.sample`` / ``choice`` draw."""
+    """``sample`` / ``choice`` / ``shuffle`` draw what ``random.Random.sample`` /
+    ``choice`` / ``shuffle`` draw."""
 
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
     def test_sample_matches_random_sample_for_every_size(self, seed):
@@ -202,6 +203,17 @@ class TestSampler:
             assert choice(ours, sequence) == theirs.choice(sequence), n
             assert ours.getstate() == theirs.getstate(), n
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_shuffle_matches_random_shuffle(self, seed):
+        for n in range(65):
+            ours = random.Random(seed + n)
+            theirs = random.Random(seed + n)
+            mine, reference = [f"item{i}" for i in range(n)], [f"item{i}" for i in range(n)]
+            assert shuffle(ours, mine) is None
+            theirs.shuffle(reference)
+            assert mine == reference, n
+            assert ours.getstate() == theirs.getstate(), n
+
     def test_errors_match(self):
         rng = random.Random(0)
         with pytest.raises(ValueError):
@@ -223,7 +235,12 @@ class TestSampler:
                 calls.append(("choice", len(seq)))
                 return super().choice(seq)
 
+            def shuffle(self, x):
+                calls.append(("shuffle", len(x)))
+                super().shuffle(x)
+
         rng = Recording(3)
         assert sample(rng, list(range(10)), 4) == random.Random(3).sample(range(10), 4)
         choice(rng, [1, 2, 3])
-        assert calls == [("sample", 4), ("choice", 3)]
+        shuffle(rng, [1, 2, 3, 4, 5])
+        assert calls == [("sample", 4), ("choice", 3), ("shuffle", 5)]
