@@ -52,7 +52,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from gates import BY_NAME  # noqa: E402
-from repro.cli import _build_runners, build_parser  # noqa: E402
+from repro.cli import build_parser  # noqa: E402
+from repro.experiments.figures import FIGURES  # noqa: E402
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
@@ -201,8 +202,6 @@ def check_cli_flags(path: Path, lines: List[str], flags: Dict[str, Set[str]],
 def figure_table_rows() -> Dict[str, Tuple[str, str, str]]:
     """``repro run`` name -> (kind, params, cell count) as figures.py builds them at
     the CLI defaults — what the docs table must say."""
-    from repro.experiments.figures import FIGURES
-
     defaults = build_parser().parse_args(["run", "list"])
     rows = {}
     for name, figure in FIGURES.items():
@@ -330,7 +329,7 @@ def main() -> int:
     problems: List[str] = []
     slug_cache: Dict[Path, Set[str]] = {}
     flags = cli_flag_map()
-    run_names = set(_build_runners()) | {"list"}
+    run_names = set(FIGURES) | {"list"}
     files = doc_files()
     for path in files:
         lines = path.read_text(encoding="utf-8").splitlines()

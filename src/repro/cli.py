@@ -25,32 +25,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ExperimentError, ReproError
 from repro.version import __version__
-
-
-def _build_runners() -> Dict[str, Callable]:
-    """Experiments runnable via ``repro run``: CLI args -> a result with ``to_text()``.
-    Every figure runs its cells through :func:`repro.experiments.figures.run_figure`;
-    ``scale`` alone keeps a harness (no kind reports wall-clock). Built on demand so
-    the CLI starts without importing the stack."""
-    from repro import experiments as exp
-
-    runners: Dict[str, Callable] = {
-        name: lambda a, name=name: exp.run_figure(
-            name, nodes=a.nodes, rounds=a.rounds, seed=a.seed, latency=a.latency
-        )
-        for name in exp.FIGURES
-    }
-    runners["scale"] = lambda a: exp.run_scale_experiment(
-        nodes=a.nodes,
-        rounds=a.rounds,
-        seed=a.seed,
-        latency=a.latency,
-    )
-    return runners
 
 
 def _csv_list(text: str) -> List[str]:
@@ -318,20 +296,24 @@ def _dry_run_matrix(spec) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    runners = _build_runners()
+    """Every ``repro run`` name is a figure: its cells run through
+    :func:`repro.experiments.figures.run_figure` (imported here, so the CLI starts
+    without importing the stack)."""
+    from repro.experiments.figures import FIGURES, run_figure
+
     if args.experiment == "list":
         print("available experiments:")
-        for name in sorted(runners):
+        for name in sorted(FIGURES):
             print(f"  {name}")
         return 0
-    runner = runners.get(args.experiment)
-    if runner is None:
+    if args.experiment not in FIGURES:
         print(
-            f"unknown experiment {args.experiment!r}; try: {', '.join(sorted(runners))}",
+            f"unknown experiment {args.experiment!r}; try: {', '.join(sorted(FIGURES))}",
             file=sys.stderr,
         )
         return 2
-    result = runner(args)
+    result = run_figure(args.experiment, nodes=args.nodes, rounds=args.rounds,
+                        seed=args.seed, latency=args.latency)
     print(result.to_text())
     return 0
 

@@ -19,6 +19,7 @@ Figure 5 (a)               ``FIGURES["churn"]`` (``churn`` kind)
 Figure 6 (a, b, c)         ``FIGURES["randomness"]`` (``randomness`` kind)
 Figure 7 (a)               ``FIGURES["overhead"]`` (``overhead`` kind)
 Figure 7 (b)               ``FIGURES["failure"]`` (``failure`` kind)
+Horizon scale (Fig. 1, 5)  ``FIGURES["scale"]`` (``scale`` kind, columnar engine)
 NAT-class in-degree        ``FIGURES["nat-indegree"]`` (``nat_indegree`` kind)
 Ablation A1                ``FIGURES["ablation-views"]`` (``pss`` kind)
 Ablation A3                ``FIGURES["ablation-piggyback"]`` (``static`` kind)
@@ -33,12 +34,11 @@ sharded multiprocess pool by :func:`~repro.experiments.runner.run_matrix` (the
 """
 
 # Importing a kind's module registers the kind: ``figures`` imports ``base``,
-# ``history_windows``, ``catastrophic_failure`` and ``nat_indegree``.
+# ``history_windows``, ``catastrophic_failure``, ``nat_indegree`` and ``scale``.
 from repro.experiments import randomness  # noqa: F401  (registers the "randomness" kind)
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.matrix import CellSpec, MatrixSpec
 from repro.experiments.runner import run_matrix, write_artifacts
-from repro.experiments.scale import run_scale_experiment
 
 __all__ = [
     "CellSpec",
@@ -46,6 +46,5 @@ __all__ = [
     "MatrixSpec",
     "run_figure",
     "run_matrix",
-    "run_scale_experiment",
     "write_artifacts",
 ]

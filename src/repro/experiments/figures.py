@@ -1,5 +1,5 @@
-"""The paper's figures, ablations A1, A3 and A4, and ``quick``, as data: what
-``repro run <name>`` executes.
+"""The paper's figures, their horizon-scale run, ablations A1, A3 and A4, and
+``quick``, as data: what ``repro run <name>`` executes.
 
 A figure is an ordered list of :class:`~repro.experiments.matrix.CellSpec` values
 naming a *registered scenario kind* with explicit params, plus one renderer over the
@@ -18,12 +18,13 @@ each warming its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.constants import DEFAULT_PUBLIC_RATIO
+from repro.experiments import scale  # noqa: F401  (registers the "scale" kind)
 from repro.experiments.base import PAPER_CHURN_LEVELS, PAPER_RATIOS, SAMPLES_PER_NODE
 from repro.experiments.catastrophic_failure import PAPER_FAILURE_FRACTIONS, PAPER_PROTOCOLS
 from repro.experiments.history_windows import PAPER_WINDOW_PAIRS
@@ -36,7 +37,7 @@ from repro.experiments.matrix import (
 from repro.experiments.nat_indegree import FALLBACK_MIXTURE
 from repro.experiments.report import format_table, histogram_table, time_series_table
 from repro.experiments.runner import ScenarioReuse
-from repro.metrics.collector import TimeSeries
+from repro.metrics.collector import TimeSeries, percentile
 from repro.metrics.payload import MetricPayload
 
 #: Round at which Figure 5 starts churn / Figure 2 starts adding public nodes.
@@ -105,6 +106,18 @@ def churn_cells(nodes: int, rounds: int,
         _cell("churn", "croupier", nodes, rounds,
               churn_fraction=level, churn_start_round=start)
         for level in churn_levels
+    ]
+
+
+def scale_cells(nodes: int, rounds: int) -> List[CellSpec]:
+    """Figures 1 and 5 at 10⁵–10⁶ nodes: a static and a 1 % churn ``scale`` cell on
+    the columnar engine. ``measure_every`` is explicit: a cell reads its own params,
+    not the kind's defaults."""
+    return [
+        replace(_cell("scale", "croupier", nodes, rounds, measure_every=5, **churn),
+                engine="columnar")
+        for churn in ({}, {"churn_fraction": 0.01,
+                           "churn_start_round": _onset(PAPER_CHURN_START_ROUND, rounds)})
     ]
 
 
@@ -189,6 +202,20 @@ def render_estimation(result: "FigureResult") -> str:
         _series(result, "est_err_avg"), title=f"{title.split(':')[0]}(a): average error"
     )
     return f"{summary}\n\n{trajectory}"
+
+
+def render_scale(result: "FigureResult") -> str:
+    """The estimation tables, then per line how many nodes its error covers and the
+    spread of a reservoir sample of per-node estimates."""
+    lines = [render_estimation(result), ""]
+    for label, payload in result.rows():
+        scatter = [value for _, value in payload.series.get("est_scatter", ())]
+        quantiles = "  ".join(f"p{q}={percentile(scatter, q):.4f}"
+                              for q in (5, 25, 50, 75, 95)) if scatter else "-"
+        lines.append(f"{label}: {payload.scalars.get('est_nodes_measured', 0):,.0f} "
+                     f"nodes measured, estimate scatter ({len(scatter)} sampled): "
+                     f"{quantiles}")
+    return "\n".join(lines)
 
 
 def render_randomness(result: "FigureResult") -> str:
@@ -356,6 +383,11 @@ FIGURES: Dict[str, Figure] = {
     "churn": Figure(
         "Figure 5: estimation error under churn", churn_cells, _churn,
         render_estimation),
+    "scale": Figure(
+        "Horizon scale: Figure 1's static ratio and Figure 5's churn, columnar engine",
+        scale_cells,
+        lambda cell: _churn(cell) if cell.param("churn_fraction") else "static",
+        render_scale),
     "randomness": Figure(
         "Figure 6", partial(protocol_cells, "randomness", measure_every_rounds=10),
         _protocol, render_randomness),

@@ -341,23 +341,15 @@ def _timeout_for(cell: CellSpec, override: Optional[float]) -> Optional[float]:
 def _result_from_record(
     cell: CellSpec, record: Dict, attempts: int, faults: Tuple[str, ...]
 ) -> CellResult:
-    """A terminal :class:`CellResult` from a worker's ``ok``/``failed`` record."""
-    if record["status"] == "ok":
-        return CellResult(
-            cell=cell,
-            seed=int(record["seed"]),
-            status="ok",
-            payload=MetricPayload.from_json_dict(record["payload"]),
-            duration_s=float(record.get("duration_s", 0.0)),
-            pid=record.get("pid"),
-            attempts=attempts,
-            faults=faults,
-        )
+    """A terminal :class:`CellResult` from an ``ok``/``failed`` record: a worker's,
+    or on resume the journal's."""
+    ok = record["status"] == "ok"
     return CellResult(
         cell=cell,
         seed=int(record["seed"]),
-        status="failed",
-        error=str(record.get("error")),
+        status="ok" if ok else "failed",
+        payload=MetricPayload.from_json_dict(record["payload"]) if ok else MetricPayload(),
+        error=None if ok else str(record.get("error")),
         duration_s=float(record.get("duration_s", 0.0)),
         pid=record.get("pid"),
         attempts=attempts,
@@ -782,7 +774,10 @@ def run_matrix(
                         "integrity digest — the journal is corrupt; re-run without "
                         "--resume"
                     )
-            resumed[key] = _result_from_journal(cell, record)
+            resumed[key] = _result_from_record(
+                cell, record, int(record.get("attempts", 1)),
+                tuple(record.get("faults", ())),
+            )
 
     # Cells sharing a seed are a branching kind's siblings: run them back to back,
     # so the warmed prefix they share is still in the worker's snapshot LRU.
@@ -865,26 +860,6 @@ def run_matrix(
         wall_seconds=time.perf_counter() - started,
         retries=heartbeat.retries,
         resumed=len(resumed),
-    )
-
-
-def _result_from_journal(cell: CellSpec, record: Dict) -> CellResult:
-    """Rebuild a terminal :class:`CellResult` from its journal record (resume)."""
-    payload = (
-        MetricPayload.from_json_dict(record["payload"])
-        if record["status"] == "ok"
-        else MetricPayload()
-    )
-    return CellResult(
-        cell=cell,
-        seed=int(record["seed"]),
-        status=str(record["status"]),
-        payload=payload,
-        error=record.get("error"),
-        duration_s=float(record.get("duration_s", 0.0)),
-        pid=record.get("pid"),
-        attempts=int(record.get("attempts", 1)),
-        faults=tuple(record.get("faults", ())),
     )
 
 

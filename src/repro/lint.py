@@ -80,10 +80,6 @@ ALLOWLIST: Tuple[Tuple[str, str, str], ...] = (
     ("wall-clock", "repro/experiments/runner.py", "_Heartbeat.__init__"),
     ("wall-clock", "repro/experiments/runner.py", "_Heartbeat.tick"),
     ("wall-clock", "repro/experiments/runner.py", "run_matrix"),
-    # Scale-harness throughput: node*rounds/s and peak RSS are reported in the
-    # human-readable text table only; the measured estimator series is
-    # seed-pure.
-    ("wall-clock", "repro/experiments/scale.py", "run_scale_experiment"),
 )
 
 #: Calls whose result differs between two runs of the same seed.

@@ -83,59 +83,3 @@ class PoissonJoinProcess:
     def finished(self) -> bool:
         return self.joined >= self.count
 
-
-def paper_join_processes(
-    scenario: BaseScenario,
-    n_public: int = 1000,
-    n_private: int = 4000,
-    public_interarrival_ms: float = 50.0,
-    private_interarrival_ms: float = 12.5,
-    start_ms: float = 0.0,
-) -> tuple:
-    """The exact join workload of the paper's estimation experiments (Figures 1–2).
-
-    Returns the two :class:`PoissonJoinProcess` objects (public, private). With the
-    default parameters both populations finish joining after roughly 50 seconds —
-    "All 5000 nodes have joined the system by time t=51" in the paper.
-    """
-    public = PoissonJoinProcess(
-        scenario, public=True, count=n_public,
-        mean_interarrival_ms=public_interarrival_ms, start_ms=start_ms,
-    )
-    private = PoissonJoinProcess(
-        scenario, public=False, count=n_private,
-        mean_interarrival_ms=private_interarrival_ms, start_ms=start_ms,
-    )
-    return public, private
-
-
-def scaled_join_processes(
-    scenario: BaseScenario,
-    total_nodes: int,
-    public_ratio: float,
-    join_window_ms: Optional[float] = None,
-) -> tuple:
-    """Join processes for an arbitrary system size, keeping the paper's join window.
-
-    ``join_window_ms`` defaults to ~50 seconds (the paper's window); inter-arrival means
-    are derived so that both classes finish joining within that window regardless of the
-    system size (this is how the Figure 3 system-size sweep is set up: "nodes join the
-    system following a Poisson distribution with an inter-arrival time of 10 ms" for the
-    1000-node system and proportionally otherwise).
-    """
-    if not 0.0 < public_ratio < 1.0:
-        raise ExperimentError(f"public_ratio must be in (0, 1), got {public_ratio}")
-    if total_nodes <= 0:
-        raise ExperimentError(f"total_nodes must be positive, got {total_nodes}")
-    window = join_window_ms if join_window_ms is not None else 50_000.0
-    n_public = max(1, int(round(total_nodes * public_ratio)))
-    n_private = max(0, total_nodes - n_public)
-    public = PoissonJoinProcess(
-        scenario, public=True, count=n_public,
-        mean_interarrival_ms=window / max(1, n_public),
-    )
-    private = PoissonJoinProcess(
-        scenario, public=False, count=n_private,
-        mean_interarrival_ms=window / max(1, n_private),
-    )
-    return public, private

@@ -892,20 +892,23 @@ class TestScaleKind:
         summary = matrix_markdown_summary(run_matrix(spec, workers=1).aggregate)
         assert "Scale invariance" not in summary
 
-    def test_run_scale_experiment_harness(self):
-        from repro.experiments.scale import run_scale_experiment
+    def test_scale_figure(self):
+        """``repro run scale``: a static and a churn cell on the columnar engine,
+        each measuring every live node's estimate; its text is a function of the
+        arguments (no wall clock), like every figure's."""
+        from repro.experiments.figures import run_figure
 
-        result = run_scale_experiment(nodes=300, rounds=20, seed=3,
-                                      churn_fraction=0.02, measure_every=2)
-        assert [v.label for v in result.variants] == ["static", "churn"]
-        for variant in result.variants:
-            assert variant.nodes_measured > 0
-            assert variant.final_avg_error is not None
-            assert variant.node_rounds_per_sec > 0
-            assert variant.peak_rss_mb > 0
-            assert variant.est_scatter
-            assert all(0.0 <= value <= 1.0 for value in variant.est_scatter)
+        result, again = (run_figure("scale", 300, 20, latency="constant")
+                         for _ in range(2))
         text = result.to_text()
+        assert text == again.to_text()
+        assert [label for label, _ in result.rows()] == ["static", "churn=1% from t=6"]
+        assert {cell.engine for cell, _ in result.cells} == {"columnar"}
+        for _, payload in result.rows():
+            assert payload.scalars["est_nodes_measured"] > 0
+            assert payload.scalars["est_err_avg_final"] is not None
+            scatter = [value for _, value in payload.series["est_scatter"]]
+            assert scatter and all(0.0 <= value <= 1.0 for value in scatter)
         assert "static" in text and "churn" in text
         assert "estimate scatter" in text
 

@@ -197,16 +197,16 @@ RUN_TITLES = {
 
 
 class TestRunCli:
-    def test_run_list_is_every_figure_and_scale(self, capsys):
-        """A new ``repro run`` name must be a figure: ``scale`` alone is not."""
+    def test_run_list_is_every_figure(self, capsys):
+        """Every ``repro run`` name is a figure."""
         assert main(["run", "list"]) == 0
-        assert capsys.readouterr().out.split()[2:] == sorted([*FIGURES, "scale"])
-        assert sorted(RUN_TITLES) == sorted([*FIGURES, "scale"])
+        assert capsys.readouterr().out.split()[2:] == sorted(FIGURES)
+        assert sorted(RUN_TITLES) == sorted(FIGURES)
 
     @pytest.mark.parametrize("name", sorted(RUN_TITLES))
     def test_every_name_runs_and_prints_its_figure(self, name, capsys):
         size = ["--nodes", "30", "--rounds", "12"]
-        if name == "scale":  # the columnar figure, at test_run_scale_experiment_harness's size
+        if name == "scale":  # the columnar figure, at test_scale_figure's size
             pytest.importorskip("numpy")
             size = ["--nodes", "300", "--rounds", "20"]
         assert main(["run", name, "--latency", "constant"] + size) == 0
@@ -239,14 +239,16 @@ class TestFigureCells:
 
     @pytest.mark.parametrize("name", sorted(FIGURES))
     def test_figure_runs_on_the_columnar_engine(self, name):
-        """Every figure's cells run on ``engine="columnar"`` and report the same
-        metrics by name, except the figures of :data:`OBJECT_ONLY_FIGURES`, whose
-        cells validation refuses by name, before anything runs. The paper's claims
-        are *not* asserted there: ROADMAP item 1 records where the two engines'
-        numbers still differ."""
+        """Every figure's cells run on ``engine="columnar"`` and report the metrics
+        the object engine reports, by name (``scale``'s columnar cells are compared
+        with object twins), except the figures of :data:`OBJECT_ONLY_FIGURES`,
+        whose cells validation refuses by name, before anything runs. The paper's
+        claims are *not* asserted there: ROADMAP item 1 records where the two
+        engines' numbers still differ."""
         pytest.importorskip("numpy")
         for cell in FIGURES[name].cells(40, 12):
-            twin = dataclasses.replace(cell, engine="columnar")
+            cell, twin = (dataclasses.replace(cell, engine=engine)
+                          for engine in ("object", "columnar"))
             if name in OBJECT_ONLY_FIGURES:
                 with pytest.raises(ExperimentError,
                                    match="runs only on engine='object'"):

@@ -6,7 +6,7 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.workload.churn import ChurnProcess
 from repro.workload.failure import catastrophic_failure
 from repro.workload.ipalloc import IpAllocator
-from repro.workload.join import PoissonJoinProcess, paper_join_processes, scaled_join_processes
+from repro.workload.join import PoissonJoinProcess
 from repro.workload.ratio import RatioGrowthProcess
 from repro.workload.scenario import Scenario, ScenarioConfig
 
@@ -165,12 +165,16 @@ class TestScenarioBasics:
 class TestJoinProcesses:
     def test_poisson_join_creates_expected_population(self):
         scenario = Scenario(ScenarioConfig(seed=4, latency="constant"))
-        process = PoissonJoinProcess(
+        public = PoissonJoinProcess(
             scenario, public=True, count=20, mean_interarrival_ms=10.0
         )
+        private = PoissonJoinProcess(
+            scenario, public=False, count=30, mean_interarrival_ms=5.0
+        )
         scenario.run_ms(10_000.0)
-        assert process.finished
+        assert public.finished and private.finished
         assert len(scenario.live_public_ids()) == 20
+        assert scenario.live_count() == 50
 
     def test_join_validation(self):
         scenario = Scenario(ScenarioConfig(seed=4, latency="constant"))
@@ -178,28 +182,6 @@ class TestJoinProcesses:
             PoissonJoinProcess(scenario, public=True, count=-1, mean_interarrival_ms=10.0)
         with pytest.raises(ExperimentError):
             PoissonJoinProcess(scenario, public=True, count=1, mean_interarrival_ms=0.0)
-
-    def test_paper_join_processes_scaled_down(self):
-        scenario = Scenario(ScenarioConfig(seed=4, latency="constant"))
-        public, private = paper_join_processes(
-            scenario, n_public=5, n_private=20,
-            public_interarrival_ms=5.0, private_interarrival_ms=1.0,
-        )
-        scenario.run_ms(2_000.0)
-        assert public.finished and private.finished
-        assert scenario.live_count() == 25
-
-    def test_scaled_join_processes_ratio(self):
-        scenario = Scenario(ScenarioConfig(seed=4, latency="constant"))
-        scaled_join_processes(scenario, total_nodes=30, public_ratio=0.2, join_window_ms=500.0)
-        scenario.run_ms(5_000.0)
-        assert scenario.live_count() == 30
-        assert scenario.true_ratio() == pytest.approx(0.2, abs=0.05)
-
-    def test_scaled_join_validation(self):
-        scenario = Scenario(ScenarioConfig(seed=4, latency="constant"))
-        with pytest.raises(ExperimentError):
-            scaled_join_processes(scenario, total_nodes=10, public_ratio=0.0)
 
 
 class TestChurnProcess:
