@@ -1,34 +1,12 @@
 """Bootstrap service: how a joining node learns its first public nodes.
 
 The paper assumes a bootstrap server that returns a handful of public nodes to a joining
-node (it is used both by the NAT-type identification protocol and to seed the initial
-public view). This package provides:
-
-* :class:`~repro.bootstrap.registry.BootstrapRegistry` — the server-side directory of
-  currently known public nodes;
-* :class:`~repro.bootstrap.server.BootstrapServer` — a component serving the directory
-  over request/response messages;
-* :class:`~repro.bootstrap.server.BootstrapClient` — the node-side component that sends
-  the request and hands the returned addresses to a callback.
-
-Large-scale experiments may also read the registry directly when building a scenario
-(``direct_bootstrap=True`` in the scenario builder), which skips the two-message
-exchange without changing protocol behaviour; the message path is exercised by its own
-tests and by the quickstart example.
+node (it seeds the initial public view). Scenarios read the
+:class:`~repro.bootstrap.registry.BootstrapRegistry` directly when a node joins; the
+request/response exchange a deployment would run is not simulated, because no measured
+quantity depends on its two messages.
 """
 
 from repro.bootstrap.registry import BootstrapRegistry
-from repro.bootstrap.server import (
-    BootstrapClient,
-    BootstrapRequest,
-    BootstrapResponse,
-    BootstrapServer,
-)
 
-__all__ = [
-    "BootstrapClient",
-    "BootstrapRegistry",
-    "BootstrapRequest",
-    "BootstrapResponse",
-    "BootstrapServer",
-]
+__all__ = ["BootstrapRegistry"]

@@ -48,11 +48,5 @@ class BootstrapRegistry:
         """Every registered public node (used by NAT-id servers as a node provider)."""
         return list(self._public_nodes.values())
 
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._public_nodes
-
     def __len__(self) -> int:
         return len(self._public_nodes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BootstrapRegistry(public_nodes={len(self)})"

@@ -105,7 +105,6 @@ class ColumnarEngine:
         parent_count: int = 3,
         parent_keepalive_every_rounds: int = 5,
         keepalive_fanout: int = 20,
-        bootstrap_seed_size: Optional[int] = None,
     ) -> None:
         backend.require_numpy()
         if view_size <= 0 or shuffle_size <= 0:
@@ -122,7 +121,6 @@ class ColumnarEngine:
         self.P = max(1, parent_count)
         self.parent_keepalive_every = max(1, parent_keepalive_every_rounds)
         self.keepalive_fanout = max(0, keepalive_fanout)
-        self.seed_size = bootstrap_seed_size or view_size
         self.rng = rng
         #: The engine's positional-draw seed (repro.columnar.rng): consumed from
         #: the injected RNG exactly once, here, preserving seed custody.
@@ -237,7 +235,7 @@ class ColumnarEngine:
         self.nat_class[row] = nat_class
         self.joined_ms[row] = now_ms
         seeds = self._pub_live
-        count = min(self.seed_size, self.V, len(seeds))
+        count = min(self.V, len(seeds))
         if count:
             chosen = sample(self.rng, seeds, count)
             base = row * self.V
@@ -299,9 +297,6 @@ class ColumnarEngine:
         alive = as_np(self.alive)[:n]
         public = as_np(self.is_public)[:n]
         return backend.np.nonzero((alive != 0) & (public == 0))[0].tolist()
-
-    def public_count(self) -> int:
-        return len(self._pub_live)
 
     # ------------------------------------------------------------------ config hooks
 
@@ -380,34 +375,12 @@ class ColumnarEngine:
 
     # ------------------------------------------------------------------ estimates
 
-    def estimate_ratio(self, row: int) -> Optional[float]:
-        """One node's current estimate: mean of fresh cached estimates plus (for
-        public nodes) its own local estimate. Accumulation order: ring slots
-        0..C-1, then the local estimate — here and in the batched read path
-        (:meth:`measured_estimates`)."""
-        if not self.estimating:
-            return None
-        born_min = self.round - self.G
-        base = row * self.C
-        total = 0.0
-        count = 0
-        est_val, est_born = self.est_val, self.est_born
-        for slot in range(self.C):
-            if est_born[base + slot] >= born_min:
-                total += est_val[base + slot]
-                count += 1
-        local = self.loc_est[row]
-        if local >= 0.0:
-            total += local
-            count += 1
-        if count == 0:
-            return None
-        return total / count
-
     def measured_estimates(self, min_rounds: int) -> List[float]:
         """Per-node estimates of live, warmed-up nodes in ascending row order —
-        without materialising per-node service objects. Bit-identical with
-        per-node :meth:`estimate_ratio` calls."""
+        without materialising per-node service objects: the mean of each row's fresh
+        cached estimates (ring slots 0..C-1) plus, for public rows, its local
+        estimate. Bit-identical with the scalar ``estimate_ratio`` of
+        ``tests/columnar_oracle.py``."""
         np = backend.np
         n = self._rows
         born_min = self.round - self.G

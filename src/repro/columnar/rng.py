@@ -11,7 +11,7 @@ contract impossible to keep (a batched phase draws for every row at once, and
 where the key is a row index (one draw per node) or ``row * V + slot`` (one draw
 per view slot). The batched phases (:func:`draws_np`: the shuffle and NAT
 maintenance) and the scalar reference in ``tests/columnar_oracle.py``
-(:func:`draw`) evaluate the same splitmix64-style integer mix —
+(its ``draw``) evaluate the same splitmix64-style integer mix —
 numpy on ``uint64`` arrays with silent wraparound, pure Python with explicit
 ``& MASK64`` — so a draw is the same bits either way, independent of any
 evaluation order. The engine's 64-bit seed is taken from
@@ -61,16 +61,13 @@ def stream(seed: int, round_index: int, tag: int) -> int:
     return mix64(seed ^ mix64(((round_index * GOLDEN) ^ tag) & MASK64))
 
 
-def draw(base: int, key: int) -> int:
-    """One 64-bit value at ``key`` on the stream ``base`` (scalar form)."""
-    return mix64((base + key * GOLDEN) & MASK64)
-
 
 def draws_np(np, base: int, keys):
     """Vector of 64-bit values for a ``uint64`` key array.
 
     All arithmetic stays on uint64 *arrays* (scalar uint64 ops can warn on
-    overflow; array ops wrap silently), mirroring :func:`draw` exactly.
+    overflow; array ops wrap silently), mirroring the oracle's scalar ``draw``
+    exactly: ``mix64((base + key * GOLDEN) & MASK64)``.
     """
     x = keys * np.uint64(GOLDEN)  # fresh array: ``keys`` is the caller's
     x += np.uint64(base)

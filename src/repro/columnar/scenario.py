@@ -110,7 +110,6 @@ class ColumnarScenario(BaseScenario):
                 self._pss_config, "parent_keepalive_every_rounds", 5
             ),
             keepalive_fanout=getattr(self._pss_config, "keepalive_fanout", 20),
-            bootstrap_seed_size=self.bootstrap_seed_size,
         )
         self.network = self.monitor = _EngineCounters(self.engine)
         self.set_loss_rate(config.loss_rate)

@@ -4,12 +4,6 @@ Keeping these in one module means experiments, tests and examples never disagree
 which port a protocol listens on.
 """
 
-#: Port of the bootstrap server (one per system, on a public host).
-BOOTSTRAP_PORT = 2000
-
-#: Port on which every node's bootstrap client listens for responses.
-BOOTSTRAP_CLIENT_PORT = 2001
-
 #: Port of the NAT-type identification *server* side (runs on public nodes).
 NATID_SERVER_PORT = 3000
 

@@ -55,22 +55,3 @@ class CroupierConfig(PssConfig):
                 "pending_shuffle_timeout_rounds must be positive, got "
                 f"{self.pending_shuffle_timeout_rounds}"
             )
-
-    # The window presets used throughout the paper's Figures 1 and 2.
-
-    @staticmethod
-    def small_windows(**kwargs) -> "CroupierConfig":
-        """α=10, γ=25 — fastest convergence, least accurate steady state."""
-        return CroupierConfig(local_history_alpha=10, neighbour_history_gamma=25, **kwargs)
-
-    @staticmethod
-    def medium_windows(**kwargs) -> "CroupierConfig":
-        """α=25, γ=50 — the paper's default balance."""
-        return CroupierConfig(local_history_alpha=25, neighbour_history_gamma=50, **kwargs)
-
-    @staticmethod
-    def large_windows(**kwargs) -> "CroupierConfig":
-        """α=100, γ=250 — slowest convergence, most accurate steady state."""
-        return CroupierConfig(
-            local_history_alpha=100, neighbour_history_gamma=250, **kwargs
-        )

@@ -184,14 +184,6 @@ class Croupier(PeerSamplingService):
         """The node's current estimate of ω, or ``None`` before any information arrives."""
         return self.estimator.estimate_ratio()
 
-    def view_sizes(self) -> Tuple[int, int]:
-        """(public view occupancy, private view occupancy)."""
-        return len(self.public_view), len(self.private_view)
-
-    @property
-    def pending_shuffles(self) -> int:
-        return len(self._pending)
-
 
 register_protocol(
     "croupier",

@@ -30,10 +30,6 @@ class _CroupierShuffle(Message):
         estimates = len(self.estimates) + (self.sender_estimate is not None)
         return wire.shuffle(len(descriptors), parent_count(descriptors), estimates)
 
-    @property
-    def descriptor_count(self) -> int:
-        return len(self.public_descriptors) + len(self.private_descriptors)
-
 
 @dataclass
 class ShuffleRequest(_CroupierShuffle):

@@ -24,6 +24,9 @@ PAPER_FAILURE_FRACTIONS = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 #: Protocols compared in Figure 7(b).
 PAPER_PROTOCOLS = ("croupier", "gozar", "nylon", "cyclon")
 
+#: The kind's ``failure_fraction``: its default param and the runner's fallback.
+FAILURE_FRACTION = 0.5
+
 
 def run_failure_cell(ctx: CellContext) -> MetricPayload:
     """One Figure 7(b) cell: a clone of the warmed prefix (``rounds`` rounds under the
@@ -31,7 +34,7 @@ def run_failure_cell(ctx: CellContext) -> MetricPayload:
     round boundary. The surviving overlay is measured immediately after the failure,
     exactly as the paper does."""
     cell = ctx.cell
-    fraction = float(cell.param("failure_fraction", 0.5))
+    fraction = float(cell.param("failure_fraction", FAILURE_FRACTION))
     scenario = ctx.populated_scenario(warm=True)
     outcome = FailureSpike(at_round=float(cell.rounds), fraction=fraction).apply(scenario)
     payload = measure_cell(scenario)
@@ -45,7 +48,7 @@ register_scenario(
     "failure",
     run_failure_cell,
     description="catastrophic failure: kill a fraction of all nodes at one instant (Figure 7b)",
-    default_params={"failure_fraction": 0.5},
+    default_params={"failure_fraction": FAILURE_FRACTION},
     paper_variants=[{"failure_fraction": f} for f in PAPER_FAILURE_FRACTIONS],
     branch_param="failure_fraction",
 )

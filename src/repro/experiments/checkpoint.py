@@ -134,12 +134,6 @@ class JournalWriter:
             self._handle.close()
             self._handle = None
 
-    def __enter__(self) -> "JournalWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 def _repair_truncated_tail(path: Path) -> None:
     """Drop a truncated (mid-write-killed) final line before appending to a journal.

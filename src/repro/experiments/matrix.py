@@ -420,8 +420,7 @@ class ScenarioKind:
     """A registered workload shape that can populate matrix cells.
 
     ``runner`` receives a :class:`CellContext` and returns a
-    :class:`~repro.metrics.payload.MetricPayload` (plain ``{metric: number}`` dicts
-    are still accepted and adapted). ``paper_variants`` are the sweep points of the
+    :class:`~repro.metrics.payload.MetricPayload`. ``paper_variants`` are the sweep points of the
     figure the kind reproduces (each a params dict); ``default_params`` is the single
     variant used when the matrix doesn't ask for the full paper sweep.
 
@@ -463,7 +462,7 @@ SCENARIOS: Dict[str, ScenarioKind] = {}
 
 def register_scenario(
     name: str,
-    runner: Callable[["CellContext"], Dict[str, float]],
+    runner: Callable[["CellContext"], "MetricPayload"],
     description: str = "",
     default_params: Optional[Mapping[str, ParamValue]] = None,
     paper_variants: Optional[Sequence[Mapping[str, ParamValue]]] = None,
@@ -695,8 +694,6 @@ def run_cell(
         reuse=reuse,
     )
     measured = kind.runner(context)
-    if not isinstance(measured, MetricPayload):
-        measured = MetricPayload.from_scalars(dict(measured))
     measured.scalars = dict(sorted(measured.scalars.items()))
     return measured
 

@@ -28,6 +28,9 @@ from repro.metrics.graph import (
 )
 from repro.metrics.payload import MetricPayload
 
+#: The kind's ``measure_every_rounds``: its default param and the runner's fallback.
+MEASURE_EVERY_ROUNDS = 10
+
 
 def run_randomness_cell(ctx: CellContext) -> MetricPayload:
     """One Figure 6 matrix cell: run the protocol, sample randomness metrics over time.
@@ -44,7 +47,7 @@ def run_randomness_cell(ctx: CellContext) -> MetricPayload:
         scenario = ctx.populated_scenario()
     installed = ctx.install_timeline(scenario)
 
-    measure_every = int(cell.param("measure_every_rounds", 10))
+    measure_every = int(cell.param("measure_every_rounds", MEASURE_EVERY_ROUNDS))
     sources = int(cell.param("path_length_sources", 30))
     series_rng = scenario.sim.derive_rng("randomness-series")
     path_points = []
@@ -73,5 +76,5 @@ register_scenario(
     run_randomness_cell,
     description="overlay randomness over time: in-degree histogram plus path-length "
     "and clustering series (Figure 6; Cyclon runs public-only)",
-    default_params={"measure_every_rounds": 10},
+    default_params={"measure_every_rounds": MEASURE_EVERY_ROUNDS},
 )

@@ -49,6 +49,9 @@ def measure_in_degree(scenario, payload: MetricPayload) -> None:
 #: percentile read-outs, bounded regardless of N.
 SCATTER_CAPACITY = 512
 
+#: The kind's ``measure_every``: its default param and the runner's fallback.
+MEASURE_EVERY = 5.0
+
 
 def sample_estimate_scatter(scenario) -> List[float]:
     """A uniform reservoir sample of per-node estimates (the scatter figure).
@@ -79,7 +82,7 @@ def run_scale_cell(ctx: CellContext) -> MetricPayload:
     rounds (the last round is always sampled so the convergence tail exists).
     """
     cell = ctx.cell
-    measure_every = max(1, int(cell.param("measure_every", 1)))
+    measure_every = max(1, int(cell.param("measure_every", MEASURE_EVERY)))
     timeline = cell_timeline(ctx)
     if cell.param("join_window_ms"):
         scenario = create_scenario(ctx.scenario_config())
@@ -123,10 +126,10 @@ register_scenario(
         "horizon-scale estimation cells (10⁵+ nodes): engine-native streamed "
         "metrics, no per-node object scans or graph walks"
     ),
-    default_params={"measure_every": 5.0},
+    default_params={"measure_every": MEASURE_EVERY},
     paper_variants=(
-        {"measure_every": 5.0},
-        {"measure_every": 5.0, "churn_fraction": 0.01, "churn_start_round": 61.0},
+        {"measure_every": MEASURE_EVERY},
+        {"measure_every": MEASURE_EVERY, "churn_fraction": 0.01, "churn_start_round": 61.0},
     ),
     timeout_s=1800.0,
 )

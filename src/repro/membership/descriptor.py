@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from repro.net.address import NatType, NodeAddress
+from repro.net.address import NodeAddress
 
 
 class _DescriptorFields:
@@ -108,16 +108,8 @@ class NodeDescriptor(_DescriptorFields):
     # ------------------------------------------------------------------ identity
 
     @property
-    def nat_type(self) -> NatType:
-        return self.address.nat_type
-
-    @property
     def is_public(self) -> bool:
         return self.address.is_public
-
-    @property
-    def is_private(self) -> bool:
-        return self.address.is_private
 
     # ------------------------------------------------------------------ operations
 
@@ -152,7 +144,8 @@ class NodeDescriptor(_DescriptorFields):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         suffix = f", parents={len(self.parents)}" if self.parents else ""
-        return f"Descriptor(node={self.node_id}, {self.nat_type.value}, age={self.age}{suffix})"
+        nat_type = self.address.nat_type.value
+        return f"Descriptor(node={self.node_id}, {nat_type}, age={self.age}{suffix})"
 
 
 def parent_count(descriptors: Sequence[NodeDescriptor]) -> int:

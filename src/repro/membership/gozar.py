@@ -214,11 +214,6 @@ class Gozar(PeerSamplingService):
 
     # ------------------------------------------------------------------ introspection
 
-    @property
-    def registered_children(self) -> int:
-        """How many private nodes use this (public) node as a relay parent."""
-        return len(self._children)
-
 
 register_protocol(
     "gozar",

@@ -103,33 +103,13 @@ class PartialView:
         return node_id in self._entries
 
     @property
-    def is_full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
-    @property
     def is_empty(self) -> bool:
         return not self._entries
-
-    @property
-    def free_slots(self) -> int:
-        return max(0, self.capacity - len(self._entries))
-
-    @property
-    def round_clock(self) -> int:
-        """The view's internal round counter (diagnostics/benchmarks)."""
-        return self._clock
 
     def get(self, node_id: int) -> Optional[NodeDescriptor]:
         if node_id not in self._entries:
             return None
         return self._materialize(node_id)
-
-    def age_of(self, node_id: int) -> Optional[int]:
-        """The effective age of an entry without materialising a descriptor."""
-        born = self._born.get(node_id)
-        if born is None:
-            return None
-        return self._clock - born
 
     def descriptors(self) -> List[NodeDescriptor]:
         """A snapshot list of the current descriptors (ages as of the current clock)."""
@@ -159,19 +139,6 @@ class PartialView:
         self._store(descriptor)
         return True
 
-    def force_add(self, descriptor: NodeDescriptor, evict: Optional[int] = None) -> None:
-        """Insert a descriptor, evicting ``evict`` (or the oldest entry) if full."""
-        if descriptor.node_id in self._entries or not self.is_full:
-            self.add(descriptor)
-            return
-        victim = evict if evict is not None and evict in self._entries else None
-        if victim is None:
-            oldest = self.oldest()
-            victim = oldest.node_id if oldest is not None else None
-        if victim is not None:
-            self._discard(victim)
-        self._store(descriptor)
-
     def remove(self, node_id: int) -> Optional[NodeDescriptor]:
         """Remove and return the descriptor for ``node_id`` (or ``None``)."""
         if node_id not in self._entries:
@@ -192,14 +159,6 @@ class PartialView:
         is next read through the API.
         """
         self._clock += increment
-
-    def drop_older_than(self, max_age: int) -> int:
-        """Remove descriptors older than ``max_age`` rounds; returns how many were dropped."""
-        threshold = self._clock - max_age
-        stale = [node_id for node_id, born in self._born.items() if born < threshold]
-        for node_id in stale:
-            self._discard(node_id)
-        return len(stale)
 
     # ------------------------------------------------------------------ selection
 

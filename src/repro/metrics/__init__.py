@@ -37,7 +37,7 @@ from repro.metrics.graph import (
     in_degree_distribution,
     in_degrees,
 )
-from repro.metrics.partition import connected_components, largest_cluster_fraction
+from repro.metrics.partition import largest_cluster_fraction
 
 __all__ = [
     "CoreProbe",
@@ -53,7 +53,6 @@ __all__ = [
     "average_clustering_coefficient",
     "average_path_length",
     "collect_ratio_estimates",
-    "connected_components",
     "default_probes",
     "histogram_statistics",
     "in_degree_distribution",

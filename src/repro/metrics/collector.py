@@ -11,7 +11,7 @@ to a sequential one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 
 @dataclass
@@ -26,41 +26,8 @@ class TimeSeries:
     times: List[float] = field(default_factory=list)
     values: List[float] = field(default_factory=list)
 
-    def record(self, time: float, value: float) -> None:
-        self.times.append(time)
-        self.values.append(value)
-
     def __len__(self) -> int:
         return len(self.values)
-
-    def last(self) -> Optional[float]:
-        return self.values[-1] if self.values else None
-
-    def points(self) -> List[Tuple[float, float]]:
-        return list(zip(self.times, self.values))
-
-    def tail_average(self, count: int) -> Optional[float]:
-        """Mean of the last ``count`` values (the steady-state figure the reports quote)."""
-        if not self.values:
-            return None
-        window = self.values[-count:]
-        return sum(window) / len(window)
-
-    def minimum(self) -> Optional[float]:
-        return min(self.values) if self.values else None
-
-    def maximum(self) -> Optional[float]:
-        return max(self.values) if self.values else None
-
-    def value_at(self, time: float) -> Optional[float]:
-        """The value recorded at the latest time not exceeding ``time``."""
-        best = None
-        for t, v in zip(self.times, self.values):
-            if t <= time:
-                best = v
-            else:
-                break
-        return best
 
 
 def merge_series(series: Sequence[TimeSeries]) -> Dict[str, TimeSeries]:

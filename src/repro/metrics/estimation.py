@@ -97,20 +97,3 @@ class EstimationErrorSeries:
             return None
         window = series[-tail:]
         return sum(window) / len(window)
-
-    def convergence_time(self, threshold: float) -> Optional[float]:
-        """First time at which the average error dropped below ``threshold`` and stayed there.
-
-        Used to compare convergence speed across history-window sizes (Figures 1–2).
-        Returns ``None`` if the threshold is never reached (or held) by the end.
-        """
-        below_since: Optional[float] = None
-        for sample in self.samples:
-            if sample.avg_error is None:
-                continue
-            if sample.avg_error < threshold:
-                if below_since is None:
-                    below_since = sample.time_ms
-            else:
-                below_since = None
-        return below_since

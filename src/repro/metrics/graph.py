@@ -109,11 +109,6 @@ def _bfs_distances(undirected: Mapping[int, Set[int]], source: int) -> Dict[int,
     return distances
 
 
-def clustering_coefficient(graph: Adjacency, node: int) -> float:
-    """Local clustering coefficient of one node on the undirected overlay."""
-    undirected = _undirected(graph)
-    return _local_clustering(undirected, node)
-
 
 def _local_clustering(undirected: Mapping[int, Set[int]], node: int) -> float:
     neighbours = list(undirected.get(node, ()))

@@ -90,23 +90,6 @@ class MetricPayload:
             payload.set_series(name, [(t, v) for t, v in points])
         return payload
 
-    @classmethod
-    def from_scalars(cls, metrics: Mapping[str, Scalar]) -> "MetricPayload":
-        """Adapt a plain ``{metric: number}`` dict (the pre-payload cell-runner
-        contract, still accepted from custom scenario kinds)."""
-        payload = cls()
-        for name, value in metrics.items():
-            payload.set_scalar(name, value)
-        return payload
-
-    # ------------------------------------------------------------------ queries
-
-    def is_empty(self) -> bool:
-        return not (self.scalars or self.histograms or self.series)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.scalars or name in self.histograms or name in self.series
-
 
 def merge_histograms(histograms: Sequence[Mapping[int, int]]) -> Histogram:
     """Bin-wise sum of histograms — how a cell group's seeds aggregate (the combined

@@ -23,7 +23,7 @@ itself never uses them — that is the point of the paper.
 
 from repro.nat.allocator import AllocationPolicy, PortAllocator
 from repro.nat.firewall import FirewallBox
-from repro.nat.mixture import NAT_MIXTURES, NatMixture, get_mixture
+from repro.nat.mixture import NAT_MIXTURES, NatMixture
 from repro.nat.nat_box import NatBinding, NatBox
 from repro.nat.types import (
     NAMED_PROFILES,
@@ -47,6 +47,5 @@ __all__ = [
     "NatProfile",
     "PortAllocator",
     "UpnpNatBox",
-    "get_mixture",
     "profile_name",
 ]

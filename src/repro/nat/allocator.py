@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import random
 from typing import Optional, Set
 
 from repro.errors import NatError
@@ -17,19 +16,13 @@ class AllocationPolicy(enum.Enum):
 
     PORT_PRESERVATION = "preserve"
     SEQUENTIAL = "sequential"
-    RANDOM = "random"
 
 
 class PortAllocator:
     """Hands out unused external ports according to an :class:`AllocationPolicy`."""
 
-    def __init__(
-        self,
-        policy: AllocationPolicy = AllocationPolicy.PORT_PRESERVATION,
-        rng: Optional[random.Random] = None,
-    ) -> None:
+    def __init__(self, policy: AllocationPolicy = AllocationPolicy.PORT_PRESERVATION) -> None:
         self.policy = policy
-        self.rng = rng or random.Random(0)
         self._in_use: Set[int] = set()
         self._next_sequential = EPHEMERAL_PORT_RANGE[0]
 
@@ -45,8 +38,6 @@ class PortAllocator:
             if preferred_port not in self._in_use:
                 self._in_use.add(preferred_port)
                 return preferred_port
-        if self.policy is AllocationPolicy.RANDOM:
-            return self._allocate_random()
         return self._allocate_sequential()
 
     def release(self, port: int) -> None:
@@ -71,13 +62,3 @@ class PortAllocator:
                 self._in_use.add(candidate)
                 return candidate
         raise NatError("NAT port pool exhausted")
-
-    def _allocate_random(self) -> int:
-        start, end = EPHEMERAL_PORT_RANGE
-        for _ in range(4096):
-            candidate = self.rng.randrange(start, end)
-            if candidate not in self._in_use:
-                self._in_use.add(candidate)
-                return candidate
-        # Extremely unlikely unless the pool is nearly full; fall back to a scan.
-        return self._allocate_sequential()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
 from repro.nat.types import NAMED_PROFILES, NatProfile
@@ -69,11 +69,6 @@ class NatMixture:
         )
         object.__setattr__(self, "_cumulative", cumulative)
 
-    @classmethod
-    def from_weights(cls, name: str, weights: Mapping[str, float]) -> "NatMixture":
-        """Build a mixture from a plain ``{profile_name: weight}`` mapping."""
-        return cls(name=name, weights=tuple(weights.items()))
-
     def sample_name(self, rng: random.Random) -> str:
         """Draw one profile name (exactly one ``rng.random()`` consumption)."""
         draw = rng.random()
@@ -86,15 +81,6 @@ class NatMixture:
         """Draw one ``(profile_name, NatProfile)`` pair."""
         profile_name = self.sample_name(rng)
         return profile_name, NAMED_PROFILES[profile_name]()
-
-    def profile_names(self) -> List[str]:
-        return [profile_name for profile_name, _ in self.weights]
-
-    def describe(self) -> str:
-        parts = ", ".join(
-            f"{profile_name}={weight:g}" for profile_name, weight in self.weights
-        )
-        return f"NatMixture({self.name}: {parts})"
 
 
 #: The paper's measured NAT-type distribution: endpoint-independent-mapping cone
@@ -121,12 +107,3 @@ NAT_MIXTURES: Dict[str, NatMixture] = {
     mixture.name: mixture for mixture in (PAPER_NAT_MIXTURE, UNIFORM_NAT_MIXTURE)
 }
 
-
-def get_mixture(name: str) -> NatMixture:
-    """Look up a registered mixture, raising a helpful error on unknown names."""
-    try:
-        return NAT_MIXTURES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown NAT mixture {name!r}; registered: {sorted(NAT_MIXTURES)}"
-        ) from None

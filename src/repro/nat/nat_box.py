@@ -119,10 +119,6 @@ class NatBox:
     def host_for(self, internal_endpoint: Endpoint) -> Optional["Host"]:
         return self._hosts.get(internal_endpoint.ip)
 
-    @property
-    def attached_hosts(self) -> int:
-        return len(self._hosts)
-
     # ------------------------------------------------------------------ outbound
 
     def translate_outbound(
@@ -165,24 +161,6 @@ class NatBox:
             self._refresh(binding, now)
         return binding.internal
 
-    # ------------------------------------------------------------------ introspection
-
-    def binding_for_internal(self, internal_source: Endpoint) -> Optional[NatBinding]:
-        """Return any live binding for an internal endpoint (testing/diagnostics)."""
-        for binding in self._bindings.values():
-            if binding.internal == internal_source:
-                return binding
-        return None
-
-    @property
-    def active_bindings(self) -> int:
-        return len(self._bindings)
-
-    def has_mapping_to(self, internal_source: Endpoint, remote: Endpoint) -> bool:
-        """Whether the internal endpoint has an unexpired binding that contacted ``remote``."""
-        binding = self.binding_for_internal(internal_source)
-        return binding is not None and binding.has_contacted(remote)
-
     # ------------------------------------------------------------------ internals
 
     def _mapping_key(self, internal_source: Endpoint, destination: Endpoint) -> Tuple:
@@ -217,6 +195,5 @@ class NatBox:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"NatBox({self.external_ip}, {self.profile.describe()}, "
-            f"bindings={self.active_bindings})"
+            f"NatBox({self.external_ip}, {self.profile}, bindings={len(self._bindings)})"
         )

@@ -87,9 +87,6 @@ class KeepAlive(Message):
     origin: NodeAddress
     wire_size = wire.HEADER + wire.keepalive()  # frozen: the property could not cache
 
-    def payload_size(self) -> int:
-        return wire.keepalive()
-
 
 @dataclass(frozen=True)
 class KeepAliveAck(Message):
@@ -97,9 +94,6 @@ class KeepAliveAck(Message):
 
     origin: NodeAddress
     wire_size = wire.HEADER + wire.keepalive()  # frozen: the property could not cache
-
-    def payload_size(self) -> int:
-        return wire.keepalive()
 
 
 def keepalives(

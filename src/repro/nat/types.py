@@ -120,12 +120,6 @@ class NatProfile:
             port_preservation=False,
         )
 
-    def describe(self) -> str:
-        return (
-            f"NatProfile(mapping={self.mapping.value}, filtering={self.filtering.value}, "
-            f"timeout={self.mapping_timeout_ms / 1000:.0f}s)"
-        )
-
 
 #: The canonical name -> factory mapping for the standard profiles. This is the one
 #: vocabulary shared by the matrix axes (``--nat-profiles``), the NAT mixtures

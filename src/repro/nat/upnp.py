@@ -77,14 +77,3 @@ class UpnpNatBox(NatBox):
             if binding.allows_inbound(source, FilteringPolicy.ENDPOINT_INDEPENDENT):
                 return binding.internal
         return super().accept_inbound(source, external_destination, now)
-
-    def remove_port_mapping(self, external_port: int) -> None:
-        """Remove a previously installed explicit mapping (UPnP ``DeletePortMapping``)."""
-        binding = self._by_external_port.get(external_port)
-        if binding is None or not binding.permanent:
-            return
-        self._by_external_port.pop(external_port, None)
-        for key, value in list(self._bindings.items()):
-            if value is binding:
-                del self._bindings[key]
-        self._allocator.release(external_port)

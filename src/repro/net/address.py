@@ -78,14 +78,6 @@ class NatType(enum.Enum):
     PRIVATE = "private"
     UNKNOWN = "unknown"
 
-    @property
-    def is_public(self) -> bool:
-        return self is NatType.PUBLIC
-
-    @property
-    def is_private(self) -> bool:
-        return self is NatType.PRIVATE
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -141,13 +133,17 @@ class NodeAddress:
     endpoint: Endpoint
     nat_type: NatType = NatType.UNKNOWN
     private_endpoint: Optional[Endpoint] = field(default=None, compare=False)
-    #: ``nat_type is NatType.PUBLIC``, stored: the monitor reads it twice per packet.
+    #: ``nat_type is NatType.PUBLIC``, stored: the protocols read it on most packets.
     is_public: bool = field(init=False, compare=False, repr=False)
+    #: ``nat_type is NatType.PRIVATE``, stored: Gozar reads it on most packets. Not
+    #: ``not is_public``: an ``UNKNOWN`` node is neither.
+    is_private: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.node_id < 0:
             raise ConfigurationError(f"node_id must be non-negative, got {self.node_id}")
         object.__setattr__(self, "is_public", self.nat_type is NatType.PUBLIC)
+        object.__setattr__(self, "is_private", self.nat_type is NatType.PRIVATE)
 
     def __hash__(self) -> int:
         return hash(self.node_id)
@@ -157,25 +153,12 @@ class NodeAddress:
             return NotImplemented
         return self.node_id == other.node_id
 
-    @property
-    def is_private(self) -> bool:
-        return self.nat_type.is_private
-
     def with_nat_type(self, nat_type: NatType) -> "NodeAddress":
         """Return a copy of this address with the NAT type replaced."""
         return NodeAddress(
             node_id=self.node_id,
             endpoint=self.endpoint,
             nat_type=nat_type,
-            private_endpoint=self.private_endpoint,
-        )
-
-    def with_endpoint(self, endpoint: Endpoint) -> "NodeAddress":
-        """Return a copy of this address with the contact endpoint replaced."""
-        return NodeAddress(
-            node_id=self.node_id,
-            endpoint=endpoint,
-            nat_type=self.nat_type,
             private_endpoint=self.private_endpoint,
         )
 

@@ -10,10 +10,9 @@ Hot-path notes
 --------------
 Events carry an optional single ``arg`` slot so high-volume callers (one scheduled
 delivery per network packet) can schedule a bound method plus its argument directly
-instead of allocating a closure per packet. The kernel also maintains a live-event
-counter so :attr:`Simulator.pending_events` is O(1) instead of an O(queue) scan, and
-the run loop pops each heap entry exactly once (cancelled entries are discarded the
-first time they surface, never re-examined).
+instead of allocating a closure per packet. The run loop pops each heap entry exactly
+once (cancelled entries are discarded the first time they surface, never
+re-examined).
 """
 
 from __future__ import annotations
@@ -156,33 +155,21 @@ class EventHandle:
     cancel large numbers of timeouts (every successfully answered request cancels one).
     """
 
-    __slots__ = ("time", "seq", "callback", "arg", "cancelled", "_sim")
+    __slots__ = ("time", "seq", "callback", "arg", "cancelled")
 
     def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., None],
-        arg: object = _NO_ARG,
-        sim: Optional["Simulator"] = None,
+        self, time: float, seq: int, callback: Callable[..., None], arg: object = _NO_ARG
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback: Optional[Callable[..., None]] = callback
         self.arg = arg
         self.cancelled = False
-        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing. Safe to call more than once (or after firing)."""
-        if self.cancelled:
-            return
         self.cancelled = True
-        if self.callback is not None:
-            # Still pending (never fired): drop it from the owning kernel's live count.
-            self.callback = None
-            if self._sim is not None:
-                self._sim._live_events -= 1
+        self.callback = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -216,7 +203,6 @@ class Simulator:
         self._queue: List[tuple] = []
         self._seq = 0
         self._events_executed = 0
-        self._live_events = 0
         self._running = False
 
     # ------------------------------------------------------------------ scheduling
@@ -236,9 +222,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event in the past: t={time} < now={self.now}"
             )
-        handle = EventHandle(time, self._seq, callback, arg, self)
+        handle = EventHandle(time, self._seq, callback, arg)
         self._seq += 1
-        self._live_events += 1
         heapq.heappush(self._queue, (time, handle.seq, handle))
         return handle
 
@@ -254,10 +239,6 @@ class Simulator:
         return self.schedule_at(self.now + delay, callback, arg)
 
     # ------------------------------------------------------------------ execution
-
-    def step(self) -> bool:
-        """Execute the next pending event. Returns ``False`` if the queue is empty."""
-        return self.run(max_events=1) == 1
 
     def run(
         self,
@@ -300,7 +281,6 @@ class Simulator:
                 callback = head.callback
                 arg = head.arg
                 head.callback = None
-                self._live_events -= 1
                 self._events_executed += 1
                 if arg is _NO_ARG:
                     callback()
@@ -338,11 +318,6 @@ class Simulator:
     # ------------------------------------------------------------------ introspection
 
     @property
-    def pending_events(self) -> int:
-        """Number of not-yet-cancelled events in the queue (O(1): a live counter)."""
-        return self._live_events
-
-    @property
     def events_executed(self) -> int:
         """Total number of live (non-cancelled) callbacks executed so far."""
         return self._events_executed
@@ -350,5 +325,5 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Simulator(seed={self.seed}, now={self.now:.1f}ms, "
-            f"pending={self.pending_events})"
+            f"queued={len(self._queue)})"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.errors import NetworkError
-from repro.net.address import Endpoint, NatType, NodeAddress
+from repro.net.address import Endpoint, NodeAddress
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nat.nat_box import NatBox
@@ -73,14 +73,6 @@ class Host:
     @property
     def node_id(self) -> int:
         return self.address.node_id
-
-    @property
-    def is_public(self) -> bool:
-        return self.address.is_public
-
-    @property
-    def nat_type(self) -> NatType:
-        return self.address.nat_type
 
     @property
     def local_endpoint(self) -> Endpoint:

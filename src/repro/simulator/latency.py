@@ -26,10 +26,6 @@ class LatencyModel:
         """One-way latency from ``src_id`` to ``dst_id`` in milliseconds."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        """Human-readable description used in experiment reports."""
-        return type(self).__name__
-
 
 class ConstantLatency(LatencyModel):
     """Every packet takes exactly ``delay_ms`` to arrive. Useful in unit tests."""
@@ -41,9 +37,6 @@ class ConstantLatency(LatencyModel):
 
     def latency(self, src_id: int, dst_id: int) -> float:
         return self.delay_ms
-
-    def describe(self) -> str:
-        return f"ConstantLatency({self.delay_ms}ms)"
 
 
 class UniformLatency(LatencyModel):
@@ -61,9 +54,6 @@ class UniformLatency(LatencyModel):
     def latency(self, src_id: int, dst_id: int) -> float:
         rng = random.Random(_pair_seed(self.seed, src_id, dst_id, symmetric=True))
         return rng.uniform(self.low_ms, self.high_ms)
-
-    def describe(self) -> str:
-        return f"UniformLatency([{self.low_ms}, {self.high_ms}]ms)"
 
 
 class KingLatencyModel(LatencyModel):
@@ -140,9 +130,6 @@ class KingLatencyModel(LatencyModel):
         )
         self._cache[key] = value
         return value
-
-    def describe(self) -> str:
-        return f"KingLatencyModel(seed={self.seed})"
 
 
 def _pair_seed(seed: int, a: int, b: int, symmetric: bool) -> int:

@@ -25,9 +25,6 @@ class LossModel:
     ) -> bool:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 class NoLoss(LossModel):
     """Never drop a packet. The default for the paper's experiments."""
@@ -56,6 +53,3 @@ class BernoulliLoss(LossModel):
         receiver_endpoint_ip: str,
     ) -> bool:
         return rng.random() < self.probability
-
-    def describe(self) -> str:
-        return f"BernoulliLoss(p={self.probability})"

@@ -47,11 +47,6 @@ class Message:
             self._wire_size_cache = cached
         return cached
 
-    @property
-    def type_name(self) -> str:
-        """Short name used for per-message-type accounting."""
-        return type(self).__name__
-
 
 class Packet:
     """A datagram in flight (or delivered).
@@ -102,6 +97,6 @@ class Packet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Packet({self.message.type_name} {self.source} -> {self.destination}, "
+            f"Packet({type(self.message).__name__} {self.source} -> {self.destination}, "
             f"{self.size}B)"
         )

@@ -65,10 +65,6 @@ class NodeTraffic:
         }
         return delta
 
-    @property
-    def total_bytes(self) -> int:
-        return self.tx_bytes + self.rx_bytes
-
 
 @dataclass
 class TrafficSnapshot:
@@ -76,7 +72,6 @@ class TrafficSnapshot:
 
     time_ms: float
     per_node: Dict[int, NodeTraffic]
-    nat_type_by_node: Dict[int, bool]  # node_id -> is_public
 
 
 class TrafficMonitor:
@@ -84,7 +79,6 @@ class TrafficMonitor:
 
     def __init__(self) -> None:
         self._per_node: Dict[int, NodeTraffic] = defaultdict(NodeTraffic)
-        self._is_public: Dict[int, bool] = {}
         self._drops: Dict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------------ recording
@@ -97,7 +91,6 @@ class TrafficMonitor:
         traffic.tx_messages += 1
         by_type = traffic.tx_by_type
         by_type[name] = by_type.get(name, 0) + size
-        self._is_public[node_id] = sender.is_public
 
     def record_received(self, receiver: NodeAddress, message: Message, size: int) -> None:
         node_id = receiver.node_id
@@ -107,7 +100,6 @@ class TrafficMonitor:
         traffic.rx_messages += 1
         by_type = traffic.rx_by_type
         by_type[name] = by_type.get(name, 0) + size
-        self._is_public[node_id] = receiver.is_public
 
     def record_drop(self, reason: str) -> None:
         """Record a packet that never reached a node (NAT filtered, lost, dead host)."""
@@ -119,11 +111,6 @@ class TrafficMonitor:
         """Cumulative traffic for one node (zeros if the node never communicated)."""
         return self._per_node.get(node_id, NodeTraffic())
 
-    def drop_count(self, reason: Optional[str] = None) -> int:
-        if reason is None:
-            return sum(self._drops.values())
-        return self._drops.get(reason, 0)
-
     @property
     def drop_reasons(self) -> Dict[str, int]:
         return dict(self._drops)
@@ -133,7 +120,6 @@ class TrafficMonitor:
         return TrafficSnapshot(
             time_ms=time_ms,
             per_node={node_id: t.copy() for node_id, t in self._per_node.items()},
-            nat_type_by_node=dict(self._is_public),
         )
 
     def average_load_bps(
@@ -175,7 +161,3 @@ class TrafficMonitor:
             if include_rx:
                 total += delta.rx_bytes
         return total / window_seconds / len(node_ids)
-
-    def is_public(self, node_id: int) -> Optional[bool]:
-        """Last-known NAT class of a node, or ``None`` if it never communicated."""
-        return self._is_public.get(node_id)

@@ -61,13 +61,3 @@ def punch_ping():
 def nat_test(endpoints, addresses):
     """A NAT-type identification message: request id, endpoints and addresses."""
     return REQUEST_ID + ENDPOINT * endpoints + ADDRESS * addresses
-
-
-def bootstrap_request():
-    """A joining node's request: its address and how many nodes it wants."""
-    return ADDRESS + 1
-
-
-def bootstrap_response(nodes):
-    """The bootstrap server's answer: ``nodes`` public-node addresses."""
-    return ADDRESS * nodes

@@ -6,7 +6,6 @@ and lets tests assert on the class of an address):
 * ``1.x.y.z``   — public hosts
 * ``2.x.y.z``   — NAT/firewall external addresses
 * ``10.x.y.z``  — private (internal) host addresses
-* ``3.x.y.z``   — infrastructure (bootstrap server, observers)
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ class IpAllocator:
     _RANGES = {
         "public": 1,
         "nat": 2,
-        "infra": 3,
         "private": 10,
     }
     #: Each /8 gives us 2^24 - 2 usable host numbers; simulations use far fewer.
@@ -50,11 +48,3 @@ class IpAllocator:
     def private_ip(self) -> str:
         """An internal address for a host behind a NAT."""
         return self._allocate("private")
-
-    def infrastructure_ip(self) -> str:
-        """An address for non-protocol infrastructure (bootstrap server, observers)."""
-        return self._allocate("infra")
-
-    def allocated(self, category: str) -> int:
-        """How many addresses have been handed out in ``category`` (testing aid)."""
-        return self._counters[category]

@@ -79,7 +79,3 @@ class PoissonJoinProcess:
         self.scenario.add_node(public=self.public)
         self.joined += 1
 
-    @property
-    def finished(self) -> bool:
-        return self.joined >= self.count
-

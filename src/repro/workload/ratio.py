@@ -42,10 +42,6 @@ class RatioGrowthProcess:
         self.added += 1
 
     @property
-    def finished(self) -> bool:
-        return self.added >= self.count
-
-    @property
     def end_ms(self) -> float:
         """Virtual time at which the last scheduled addition happens."""
         if self.count == 0:

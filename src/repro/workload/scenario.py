@@ -93,9 +93,6 @@ class ScenarioConfig:
         :class:`~repro.simulator.latency.LatencyModel`.
     loss_rate:
         Uniform packet-loss probability (0 disables loss).
-    bootstrap_seed_size:
-        How many public nodes the bootstrap hands to a joining node for its initial
-        view. ``None`` means "the protocol's view size".
     identify_nat_types:
         If ``True``, joining nodes run the distributed NAT-type identification protocol
         (Algorithm 1) to discover their class instead of being told the ground truth.
@@ -116,7 +113,6 @@ class ScenarioConfig:
     nat_mixture: Optional[NatMixture] = None
     latency: Union[str, LatencyModel] = "king"
     loss_rate: float = 0.0
-    bootstrap_seed_size: Optional[int] = None
     identify_nat_types: bool = False
     upnp_fraction: float = 0.0
     engine: str = "object"
@@ -228,8 +224,7 @@ class BaseScenario(ABC):
 
     @property
     def bootstrap_seed_size(self) -> int:
-        if self.config.bootstrap_seed_size is not None:
-            return self.config.bootstrap_seed_size
+        """How many public nodes the bootstrap hands a joining node: a full view."""
         return getattr(self._pss_config, "view_size", 10)
 
     # ------------------------------------------------------------------ node creation

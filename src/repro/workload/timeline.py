@@ -110,13 +110,6 @@ class Timeline:
 
     # ------------------------------------------------------------------ queries
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.events
-
     # ------------------------------------------------------------------ serialization
 
     def to_json_dict(self) -> Dict[str, object]:
@@ -275,16 +268,6 @@ class InstalledTimeline:
             self.outcomes.append((event, outcome))
             fired.append(outcome)
         return fired
-
-    def outcome_of(self, event: WorkloadEvent) -> Optional[object]:
-        """The recorded outcome of ``event`` (identity first, then equality)."""
-        for fired_event, outcome in self.outcomes:
-            if fired_event is event:
-                return outcome
-        for fired_event, outcome in self.outcomes:
-            if fired_event == event:
-                return outcome
-        return None
 
 
 # ---------------------------------------------------------------------- registry

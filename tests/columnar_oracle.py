@@ -32,8 +32,35 @@ def oracle_round(eng) -> None:
     _shuffle(eng)
 
 
+def draw(base: int, key: int) -> int:
+    """One 64-bit value at ``key`` on the stream ``base``: the scalar form of
+    ``repro.columnar.rng.draws_np``."""
+    return crng.mix64((base + key * crng.GOLDEN) & crng.MASK64)
+
+
+def estimate_ratio(eng, row: int):
+    """One node's current estimate, scalar: mean of the fresh cached estimates plus
+    (for public nodes) its own local estimate, accumulated in ring-slot order, then
+    the local estimate — the order ``ColumnarEngine.measured_estimates`` keeps."""
+    if not eng.estimating:
+        return None
+    born_min = eng.round - eng.G
+    base = row * eng.C
+    total = 0.0
+    count = 0
+    for slot in range(eng.C):
+        if eng.est_born[base + slot] >= born_min:
+            total += eng.est_val[base + slot]
+            count += 1
+    local = eng.loc_est[row]
+    if local >= 0.0:
+        total += local
+        count += 1
+    return total / count if count else None
+
+
 def _uniform(base: int, key: int) -> float:
-    return (crng.draw(base, key) >> 11) * 2.0 ** -53
+    return (draw(base, key) >> 11) * 2.0 ** -53
 
 
 def _age_views(eng) -> None:
@@ -109,7 +136,7 @@ def _maintain_parents(eng) -> None:
             for s in range(V):
                 nid = pub_id[vbase + s]
                 if nid >= 0 and is_public[nid] and alive[nid] and nid not in current:
-                    cands.append((crng.draw(base_parent, row * V + s), s))
+                    cands.append((draw(base_parent, row * V + s), s))
             cands.sort()
             empties = [s for s in range(P) if parent_id[pbase + s] < 0]
             for (_key, vs), ps in zip(cands[:needed], empties):
@@ -210,7 +237,7 @@ def _subset(eng, vid, vage, view_row, key_row, stream_base, want, exclude, add_s
     for slot in range(V):
         nid = vid[base + slot]
         if nid >= 0 and nid != exclude:
-            keyed.append((crng.draw(stream_base, key_row * V + slot), slot))
+            keyed.append((draw(stream_base, key_row * V + slot), slot))
             eligible += 1
         else:
             keyed.append((crng.MASK64, slot))
@@ -316,7 +343,7 @@ def _shuffle(eng) -> None:
                 ties.append(slot)
         if not ties:
             continue  # empty view: round skipped
-        slot = ties[crng.draw(base_tie, i) % len(ties)]
+        slot = ties[draw(base_tie, i) % len(ties)]
         partner = pub_id[base + slot]
         rvp = aux[base + slot] if nylon else -1
         pub_id[base + slot] = -1
@@ -366,7 +393,7 @@ def _shuffle(eng) -> None:
                 if not live_par:
                     drops["no_relay_parent"] += 1
                     continue
-                relay = live_par[crng.draw(base_relay_req, i) % len(live_par)]
+                relay = live_par[draw(base_relay_req, i) % len(live_par)]
                 tx[i] += wire.ENVELOPE  # both hops carry the envelope
                 size += wire.ENVELOPE
                 rx[relay] += size
@@ -439,7 +466,7 @@ def _shuffle(eng) -> None:
             if not live_par:
                 drops["no_relay_parent"] += 1
                 continue
-            relay = live_par[crng.draw(base_relay_resp, i) % len(live_par)]
+            relay = live_par[draw(base_relay_resp, i) % len(live_par)]
             tx[partner] += wire.ENVELOPE
             size += wire.ENVELOPE
             rx[relay] += size

@@ -249,19 +249,6 @@ class ReferencePartialView:
         self._store(descriptor)
         return True
 
-    def force_add(self, descriptor: ReferenceNodeDescriptor, evict: Optional[int] = None) -> None:
-        """Insert a descriptor, evicting ``evict`` (or the oldest entry) if full."""
-        if descriptor.node_id in self._entries or not self.is_full:
-            self.add(descriptor)
-            return
-        victim = evict if evict is not None and evict in self._entries else None
-        if victim is None:
-            oldest = self.oldest()
-            victim = oldest.node_id if oldest is not None else None
-        if victim is not None:
-            self._discard(victim)
-        self._store(descriptor)
-
     def remove(self, node_id: int) -> Optional[ReferenceNodeDescriptor]:
         """Remove and return the descriptor for ``node_id`` (or ``None``)."""
         if node_id not in self._entries:
@@ -282,14 +269,6 @@ class ReferencePartialView:
         is next read through the API.
         """
         self._clock += increment
-
-    def drop_older_than(self, max_age: int) -> int:
-        """Remove descriptors older than ``max_age`` rounds; returns how many were dropped."""
-        threshold = self._clock - max_age
-        stale = [node_id for node_id, born in self._born.items() if born < threshold]
-        for node_id in stale:
-            self._discard(node_id)
-        return len(stale)
 
     # ------------------------------------------------------------------ selection
 

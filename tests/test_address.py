@@ -66,9 +66,17 @@ class TestEndpoint:
 
 class TestNatType:
     def test_flags(self):
-        assert NatType.PUBLIC.is_public and not NatType.PUBLIC.is_private
-        assert NatType.PRIVATE.is_private and not NatType.PRIVATE.is_public
-        assert not NatType.UNKNOWN.is_public and not NatType.UNKNOWN.is_private
+        """An address stores both flags; an ``UNKNOWN`` node is neither."""
+        flags = {
+            nat_type: (address.is_public, address.is_private)
+            for nat_type in NatType
+            for address in [NodeAddress(1, Endpoint("1.0.0.1", 7000), nat_type)]
+        }
+        assert flags == {
+            NatType.PUBLIC: (True, False),
+            NatType.PRIVATE: (False, True),
+            NatType.UNKNOWN: (False, False),
+        }
 
 
 class TestNodeAddress:
@@ -95,12 +103,6 @@ class TestNodeAddress:
         assert updated.is_public
         assert address.nat_type is NatType.UNKNOWN
         assert updated.node_id == address.node_id
-
-    def test_with_endpoint(self):
-        address = self._address()
-        updated = address.with_endpoint(Endpoint("2.0.0.1", 8000))
-        assert updated.endpoint == Endpoint("2.0.0.1", 8000)
-        assert updated.nat_type == address.nat_type
 
     def test_is_public_private_helpers(self):
         assert self._address(nat_type=NatType.PUBLIC).is_public

@@ -51,7 +51,7 @@ class TestCyclon:
         a.start(), private.start()
         sim.run(until=2_500)
         assert private.stats.shuffle_requests_handled == 0
-        assert monitor.drop_count("nat_filtered") >= 1
+        assert monitor.drop_reasons.get("nat_filtered", 0) >= 1
 
 
 class TestNylon:
@@ -125,7 +125,7 @@ class TestGozar:
         private_nodes = [n for n in nodes if n.address.is_private]
         assert all(len(n.parent_addresses()) > 0 for n in private_nodes)
         public_nodes = [n for n in nodes if n.address.is_public]
-        assert sum(n.registered_children for n in public_nodes) >= len(private_nodes)
+        assert sum(len(n._children) for n in public_nodes) >= len(private_nodes)
 
     def test_descriptors_of_private_nodes_carry_parents(self, sim, hosts):
         nodes = self._small_system(sim, hosts)
@@ -133,7 +133,7 @@ class TestGozar:
         found_with_parents = False
         for node in nodes:
             for descriptor in node.view:
-                if descriptor.is_private and descriptor.parents:
+                if descriptor.address.is_private and descriptor.parents:
                     found_with_parents = True
         assert found_with_parents
 

@@ -32,7 +32,8 @@ from hypothesis import given, settings, strategies as st
 
 np = pytest.importorskip("numpy")  # the columnar engine's one hard requirement
 
-from columnar_oracle import _ingest_estimates, _merge_row, oracle_round
+from graph_oracle import connected_components
+from columnar_oracle import _ingest_estimates, _merge_row, estimate_ratio, oracle_round
 from test_scenario_contract import ScenarioContract
 from repro import wire
 from repro.columnar import ColumnarEngine, ColumnarScenario
@@ -45,11 +46,7 @@ from repro.membership.base import NatStrategy, PssConfig
 from repro.membership.plugin import get_plugin, protocol_names
 from repro.membership.policies import SelectionPolicy
 from repro.metrics.graph import build_overlay_graph
-from repro.metrics.partition import (
-    connected_components,
-    largest_cluster_fraction,
-    partition_count,
-)
+from repro.metrics.partition import _component_sizes, largest_cluster_fraction
 from repro.workload.events import ChurnPhase, LossBurst, Partition
 from repro.workload.scenario import (
     ENGINES,
@@ -121,7 +118,7 @@ class TestColumnarEngine:
             estimate
             for row in engine.live_rows()
             if engine.rounds_exec[row] >= 2
-            and (estimate := engine.estimate_ratio(row)) is not None
+            and (estimate := estimate_ratio(engine, row)) is not None
         ]
         assert scenario.ratio_estimates() == estimates
         assert measured == len(estimates)
@@ -780,7 +777,7 @@ class TestOverlayView:
                 view[row]
         assert all(row in view for row in reference)
         assert largest_cluster_fraction(view) == largest_cluster_fraction(reference)
-        assert partition_count(view) == partition_count(reference) > 1
+        assert len(_component_sizes(view)) == len(_component_sizes(reference)) > 1
         assert connected_components(view) == connected_components(reference)
         assert build_overlay_graph(view) == reference
 
@@ -1049,7 +1046,7 @@ class TestNatMaintenancePasses:
                 assert len(set(parents)) == len(parents) <= P
                 assert all(engine.alive[p] and engine.is_public[p]
                            for p in parents)
-        assert 0 < engine.public_count() < P  # the last wave recruits from a short pool
+        assert 0 < len(engine._pub_live) < P  # the last wave recruits from a short pool
 
     @pytest.mark.parametrize("protocol", NAT_PROTOCOLS)
     def test_traffic_balances_packets(self, protocol):

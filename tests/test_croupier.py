@@ -7,6 +7,7 @@ from repro.core.croupier import Croupier
 from repro.core.estimator import RatioEstimate
 from repro.core.messages import ShuffleRequest, ShuffleResponse
 from repro.errors import ConfigurationError
+from repro.experiments.history_windows import PAPER_WINDOW_PAIRS
 
 
 def build_croupier(hosts, public=True, **config_kwargs):
@@ -26,12 +27,13 @@ class TestConfig:
         assert config.max_estimates_per_message == 10
 
     def test_window_presets(self):
-        small = CroupierConfig.small_windows()
-        medium = CroupierConfig.medium_windows()
-        large = CroupierConfig.large_windows()
-        assert (small.local_history_alpha, small.neighbour_history_gamma) == (10, 25)
-        assert (medium.local_history_alpha, medium.neighbour_history_gamma) == (25, 50)
-        assert (large.local_history_alpha, large.neighbour_history_gamma) == (100, 250)
+        """The paper's (α, γ) presets of Figures 1 and 2, stated once; the default
+        configuration is the middle one."""
+        assert PAPER_WINDOW_PAIRS == ((10, 25), (25, 50), (100, 250))
+        config = CroupierConfig()
+        assert (config.local_history_alpha, config.neighbour_history_gamma) == (
+            PAPER_WINDOW_PAIRS[1]
+        )
 
     def test_validation_errors(self):
         with pytest.raises(ConfigurationError):
@@ -126,7 +128,7 @@ class TestRoundBehaviour:
         a.initialize_view([dead_partner.address])
         a.start()
         sim.run(until=6_000)
-        assert a.pending_shuffles == 0
+        assert not a._pending
 
 
 class TestHandlers:
@@ -210,7 +212,7 @@ class TestSamplingApi:
 
     def test_view_sizes_and_estimated_ratio_accessors(self, sim, hosts):
         croupier = build_croupier(hosts)
-        assert croupier.view_sizes() == (0, 0)
+        assert (len(croupier.public_view), len(croupier.private_view)) == (0, 0)
         assert croupier.estimated_ratio() is None
 
 
@@ -228,7 +230,7 @@ class TestMessageSizes:
         expected_payload = 12 + 12 + 3 * 5
         assert request.payload_size() == expected_payload
         assert request.wire_size == expected_payload + 28
-        assert request.descriptor_count == 1
+        assert len(request.public_descriptors) + len(request.private_descriptors) == 1
 
     def test_estimate_overhead_bounded_to_fifty_bytes(self, sim, hosts):
         """Paper, Section VII: the piggy-backed estimates add at most 50 bytes to a

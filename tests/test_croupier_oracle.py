@@ -71,7 +71,6 @@ _view_operations = st.lists(
     st.one_of(
         st.tuples(st.just("increase_ages"), st.integers(1, 3)),
         st.tuples(st.just("add"), _node, _age),
-        st.tuples(st.just("force_add"), _node, _age, st.none() | _node),
         st.tuples(st.just("remove"), _node),
         st.tuples(st.just("oldest"), st.booleans()),
         st.tuples(st.just("random_descriptor")),
@@ -85,7 +84,6 @@ _view_operations = st.lists(
             st.lists(_node, max_size=6),
             st.lists(st.tuples(_node, _age), max_size=8),
         ),
-        st.tuples(st.just("drop_older_than"), st.integers(0, 10)),
     ),
     max_size=40,
 )
@@ -136,10 +134,6 @@ class TestViewOracle:
                 produced, expected_descriptor = _pair(operation[1], operation[2])
                 got = view.add(produced)
                 expected = reference.add(expected_descriptor)
-            elif kind == "force_add":
-                produced, expected_descriptor = _pair(operation[1], operation[2])
-                got = view.force_add(produced, operation[3])
-                expected = reference.force_add(expected_descriptor, operation[3])
             elif kind == "remove":
                 got = view.remove(operation[1])
                 expected = reference.remove(operation[1])
@@ -152,7 +146,7 @@ class TestViewOracle:
             elif kind == "random_subset":
                 got = view.random_subset(rng, operation[1], operation[2])
                 expected = reference.random_subset(reference_rng, operation[1], operation[2])
-            elif kind == "update_view":
+            else:
                 sent = [_pair(node_id, 0) for node_id in operation[1]]
                 received = [_pair(node_id, age) for node_id, age in operation[2]]
                 got = view.update_view(
@@ -161,13 +155,10 @@ class TestViewOracle:
                 expected = reference.update_view(
                     [pair[1] for pair in sent], [pair[1] for pair in received], SELF_ID
                 )
-            else:
-                got = view.drop_older_than(operation[1])
-                expected = reference.drop_older_than(operation[1])
             context = f"step {step}: {operation}"
             assert _plain(got) == _plain(expected), context
             assert view.node_ids() == reference.node_ids(), context
-            assert [view.age_of(node_id) for node_id in view.node_ids()] == [
+            assert [view.get(node_id).age for node_id in view.node_ids()] == [
                 reference.age_of(node_id) for node_id in reference.node_ids()
             ], context
             assert rng.getstate() == reference_rng.getstate(), context

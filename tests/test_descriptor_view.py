@@ -28,7 +28,7 @@ class TestNodeDescriptor:
         d = make_descriptor(5, age=3)
         assert d.node_id == 5
         assert d.age == 3
-        assert d.is_public and not d.is_private
+        assert d.is_public and not d.address.is_private
 
     def test_aged_returns_copy(self):
         d = make_descriptor(1, age=2)
@@ -81,7 +81,7 @@ class TestPartialViewBasics:
         view = PartialView(3)
         for node_id in range(3):
             assert view.add(make_descriptor(node_id))
-        assert view.is_full
+        assert len(view) == view.capacity
         assert not view.add(make_descriptor(99))
         assert len(view) == 3
 
@@ -116,17 +116,10 @@ class TestPartialViewBasics:
             original.age = 99
         assert view.get(1).age == 0
 
-    def test_force_add_evicts_oldest_by_default(self):
-        view = PartialView(2)
-        view.add(make_descriptor(1, age=9))
-        view.add(make_descriptor(2, age=1))
-        view.force_add(make_descriptor(3, age=0))
-        assert 3 in view and 1 not in view
-
     def test_clear_and_free_slots(self):
         view = PartialView(4)
         view.add(make_descriptor(1))
-        assert view.free_slots == 3
+        assert view.capacity - len(view) == 3
         view.clear()
         assert view.is_empty
 
@@ -145,8 +138,7 @@ class TestAgeing:
         view = PartialView(5)
         view.add(make_descriptor(1, age=0))
         view.increase_ages(3)
-        assert view.round_clock == 3
-        assert view.age_of(1) == 3
+        assert view._clock == 3
         first = view.get(1)
         assert first.age == 3
         # A second read at the same clock returns the cached materialisation.
@@ -167,14 +159,6 @@ class TestAgeing:
         view.add(make_descriptor(2, age=4))
         view.increase_ages(2)
         assert sorted((d.node_id, d.age) for d in view) == [(1, 3), (2, 6)]
-
-    def test_drop_older_than(self):
-        view = PartialView(5)
-        view.add(make_descriptor(1, age=1))
-        view.add(make_descriptor(2, age=10))
-        dropped = view.drop_older_than(5)
-        assert dropped == 1
-        assert 1 in view and 2 not in view
 
 
 class TestSelection:
@@ -293,7 +277,7 @@ class TestUpdateView:
         view = PartialView(size)
         for node_id in range(size):
             view.add(make_descriptor(node_id))
-        assert view.is_full
+        assert len(view) == view.capacity
         sent = [view.get(node_id) for node_id in range(size)]
         received = [make_descriptor(size + i) for i in range(size)]
         view.update_view(sent=sent, received=received, self_id=10 * size)

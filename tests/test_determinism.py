@@ -37,7 +37,7 @@ import repro
 from repro.membership.plugin import get_plugin
 from repro.membership.policies import SelectionPolicy
 from repro.metrics.probes import collect_ratio_estimates
-from repro.nat.mixture import get_mixture
+from repro.nat.mixture import NAT_MIXTURES
 from repro.workload.scenario import Scenario, ScenarioConfig
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_croupier_seed7.json"
@@ -173,7 +173,7 @@ def protocol_fingerprint(
             pss_config=config,
             latency="uniform",
             loss_rate=loss_rate,
-            nat_mixture=get_mixture("paper"),
+            nat_mixture=NAT_MIXTURES["paper"],
         )
     )
     scenario.populate(n_public=n_public, n_private=n_private)

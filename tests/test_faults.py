@@ -28,6 +28,7 @@ from repro.experiments.matrix import (
     unregister_scenario,
 )
 from repro.experiments.runner import aggregate_json_bytes, run_matrix
+from repro.metrics.payload import MetricPayload
 from repro.workload.events import ChurnPhase, FailureSpike, JoinBurst
 from repro.workload.timeline import Timeline
 from repro.workload.scenario import Scenario, ScenarioConfig
@@ -174,7 +175,7 @@ class TestWatchdogAndDegradation:
     def test_hung_cell_is_killed_retried_and_degraded(self):
         def sleepy_cell(ctx):
             time.sleep(60.0)
-            return {"slept": 1.0}
+            return MetricPayload()
 
         register_scenario("sleepy", sleepy_cell, description="test hanger")
         try:
@@ -277,8 +278,7 @@ class TestJournalResume:
         spec = small_spec(protocols=("croupier",), seeds=1)
         journal = tmp_path / "journal.jsonl"
         journal.write_text('{"schema": "stale"}\n')
-        with JournalWriter(journal, spec, total_cells=1):
-            pass
+        JournalWriter(journal, spec, total_cells=1).close()
         header, _ = load_journal(journal)
         assert header["schema"] == JOURNAL_SCHEMA
 

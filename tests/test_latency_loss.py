@@ -65,9 +65,6 @@ class TestKingLatencyModel:
         first = model.latency(1, 2)
         assert model.latency(1, 2) == first
 
-    def test_describe_mentions_model(self):
-        assert "King" in KingLatencyModel(seed=1).describe()
-
 
 def _addr(public: bool) -> NodeAddress:
     if public:

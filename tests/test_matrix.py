@@ -34,6 +34,7 @@ from repro.experiments.runner import (
     write_artifacts,
 )
 from repro.metrics.collector import aggregate_metrics, percentile, summarize_values
+from repro.metrics.payload import MetricPayload
 from repro.simulator.core import Simulator, derive_seed
 
 
@@ -205,7 +206,7 @@ class TestFailureKind:
 
         seeds = []
         monkeypatch.setitem(SCENARIOS, "failure", dataclasses.replace(
-            SCENARIOS["failure"], runner=lambda ctx: seeds.append(ctx.seed) or {}))
+            SCENARIOS["failure"], runner=lambda ctx: seeds.append(ctx.seed) or MetricPayload()))
         for fraction in (0.4, 0.9):
             run_cell(self.failure_cell(fraction), root_seed=7)
         run_cell(self.failure_cell(0.4, protocol="gozar"), root_seed=7)
@@ -327,7 +328,9 @@ class TestCellsAreFreedBetweenCells:
         def cyclic_cell(ctx):
             alive_at_start.append([ref() is not None for ref in earlier_cells])
             earlier_cells.append(weakref.ref(Graph()))
-            return {"value": 1.0}
+            payload = MetricPayload()
+            payload.set_scalar("value", 1.0)
+            return payload
 
         register_scenario("cyclic", cyclic_cell, description="test-only cycle maker")
         # With the automatic collector off, nothing but the runner can free a cycle.

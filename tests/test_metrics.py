@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.metrics.collector import TimeSeries, merge_series
+from graph_oracle import connected_components
 from repro.metrics.estimation import (
     EstimationErrorSeries,
     average_error,
@@ -14,17 +14,15 @@ from repro.metrics.graph import (
     average_clustering_coefficient,
     average_path_length,
     build_overlay_graph,
-    clustering_coefficient,
     degree_statistics,
     in_degree_distribution,
     in_degrees,
     out_degrees,
 )
-from repro.metrics.partition import (
-    connected_components,
-    largest_cluster_fraction,
-    partition_count,
-)
+from repro.metrics import graph as graph_module
+from repro.metrics.collector import TimeSeries, merge_series
+from repro.metrics import partition
+from repro.metrics.partition import largest_cluster_fraction
 from repro.net.address import Endpoint, NatType, NodeAddress
 from repro.simulator.message import Message
 from repro.simulator.monitor import TrafficMonitor
@@ -112,8 +110,9 @@ class TestClustering:
     def test_triangle_plus_tail(self):
         graph = {1: {2, 3}, 2: {3}, 3: set(), 4: {1}}
         # nodes 1,2,3 form a triangle; node 4 dangles off node 1.
-        assert clustering_coefficient(graph, 2) == pytest.approx(1.0)
-        assert clustering_coefficient(graph, 4) == pytest.approx(0.0)
+        undirected = graph_module._undirected(graph)
+        assert graph_module._local_clustering(undirected, 2) == pytest.approx(1.0)
+        assert graph_module._local_clustering(undirected, 4) == pytest.approx(0.0)
         assert 0.0 < average_clustering_coefficient(graph) < 1.0
 
     def test_empty_graph_returns_none(self):
@@ -122,7 +121,7 @@ class TestClustering:
 
 class TestPartition:
     def test_single_component(self):
-        assert partition_count(ring_graph(5)) == 1
+        assert len(connected_components(ring_graph(5))) == 1
         assert largest_cluster_fraction(ring_graph(5)) == pytest.approx(1.0)
 
     def test_two_components(self):
@@ -133,7 +132,7 @@ class TestPartition:
 
     def test_empty_graph(self):
         assert largest_cluster_fraction({}) == 0.0
-        assert partition_count({}) == 0
+        assert connected_components({}) == []
 
     def test_components_sorted_by_size(self):
         graph = {1: set(), 2: {3}, 3: {4}, 4: set()}
@@ -160,10 +159,10 @@ class TestPartition:
                      id="dangling"),
     ])
     def test_scalars_agree_with_connected_components(self, graph):
-        """``largest_cluster_fraction`` / ``partition_count`` count by union-find,
-        without the undirected copy; same numbers as the component sets give."""
+        """``largest_cluster_fraction`` counts by union-find, without the undirected
+        copy; same numbers as the component sets give."""
         components = connected_components(graph)
-        assert partition_count(graph) == len(components)
+        assert len(partition._component_sizes(graph)) == len(components)
         expected = len(components[0]) / len(graph) if graph else 0.0
         assert largest_cluster_fraction(graph) == expected
 
@@ -196,12 +195,6 @@ class TestEstimationMetrics:
         assert len(series) == 20
         assert series.final_avg_error(tail=5) == pytest.approx(0.001)
         assert series.final_max_error(tail=5) == pytest.approx(0.001)
-        assert series.convergence_time(0.01) == pytest.approx(10_000.0)
-
-    def test_convergence_never_reached(self):
-        series = EstimationErrorSeries(name="test")
-        series.record(0.0, 0.2, [0.9])
-        assert series.convergence_time(0.01) is None
 
     def test_samples_with_no_known_estimates(self):
         series = EstimationErrorSeries(name="test")
@@ -210,23 +203,6 @@ class TestEstimationMetrics:
 
 
 class TestTimeSeries:
-    def test_basic_operations(self):
-        series = TimeSeries(name="x")
-        for i in range(10):
-            series.record(float(i), float(i) * 2)
-        assert len(series) == 10
-        assert series.last() == 18.0
-        assert series.tail_average(2) == pytest.approx(17.0)
-        assert series.minimum() == 0.0 and series.maximum() == 18.0
-        assert series.value_at(4.5) == 8.0
-        assert series.points()[0] == (0.0, 0.0)
-
-    def test_empty_series(self):
-        series = TimeSeries(name="empty")
-        assert series.last() is None
-        assert series.tail_average(3) is None
-        assert series.value_at(10.0) is None
-
     def test_merge_series(self):
         a, b = TimeSeries(name="a"), TimeSeries(name="b")
         merged = merge_series([a, b])

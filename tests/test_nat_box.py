@@ -27,6 +27,17 @@ REMOTE_B = Endpoint("1.0.0.2", 7000)
 REMOTE_A_OTHER_PORT = Endpoint("1.0.0.1", 9000)
 
 
+def _binding_for(nat, internal):
+    """Any live binding of ``internal`` (the table keeps one per mapping key)."""
+    return next((b for b in nat._bindings.values() if b.internal == internal), None)
+
+
+def _has_mapping_to(nat, internal, remote):
+    """Whether ``internal`` holds an unexpired binding that contacted ``remote``."""
+    binding = _binding_for(nat, internal)
+    return binding is not None and binding.has_contacted(remote)
+
+
 class TestNatProfile:
     def test_presets(self):
         assert NatProfile.full_cone().filtering is FilteringPolicy.ENDPOINT_INDEPENDENT
@@ -53,20 +64,20 @@ class TestOutboundTranslation:
         first = nat.translate_outbound(INTERNAL, REMOTE_A, now=0.0)
         second = nat.translate_outbound(INTERNAL, REMOTE_B, now=1.0)
         assert first == second
-        assert nat.active_bindings == 1
+        assert len(nat._bindings) == 1
 
     def test_symmetric_mapping_differs_per_destination(self):
         nat = NatBox("2.0.0.1", profile=NatProfile.symmetric())
         first = nat.translate_outbound(INTERNAL, REMOTE_A, now=0.0)
         second = nat.translate_outbound(INTERNAL, REMOTE_B, now=0.0)
         assert first.port != second.port
-        assert nat.active_bindings == 2
+        assert len(nat._bindings) == 2
 
     def test_mapping_tracks_contacted_destinations(self):
         nat = NatBox("2.0.0.1")
         nat.translate_outbound(INTERNAL, REMOTE_A, now=0.0)
-        assert nat.has_mapping_to(INTERNAL, REMOTE_A)
-        assert not nat.has_mapping_to(INTERNAL, REMOTE_B)
+        assert _has_mapping_to(nat, INTERNAL, REMOTE_A)
+        assert not _has_mapping_to(nat, INTERNAL, REMOTE_B)
 
 
 class TestInboundFiltering:
@@ -108,9 +119,9 @@ class TestMappingExpiry:
     def test_expired_port_is_released(self):
         nat = NatBox("2.0.0.1", profile=NatProfile(mapping_timeout_ms=1000.0))
         nat.translate_outbound(INTERNAL, REMOTE_A, now=0.0)
-        assert nat.active_bindings == 1
+        assert len(nat._bindings) == 1
         nat.translate_outbound(Endpoint("10.0.0.2", 8000), REMOTE_A, now=5000.0)
-        assert nat.active_bindings == 1  # the first one expired and was removed
+        assert len(nat._bindings) == 1  # the first one expired and was removed
 
 
 class TestUpnp:
@@ -130,12 +141,6 @@ class TestUpnp:
         nat.add_port_mapping(INTERNAL, external_port=7000)
         with pytest.raises(NatError):
             nat.add_port_mapping(Endpoint("10.0.0.2", 7000), external_port=7000)
-
-    def test_remove_port_mapping(self):
-        nat = UpnpNatBox("2.0.0.1")
-        external = nat.add_port_mapping(INTERNAL, external_port=7000)
-        nat.remove_port_mapping(external.port)
-        assert nat.accept_inbound(REMOTE_A, external, now=0.0) is None
 
     def test_supports_flag(self):
         assert UpnpNatBox("2.0.0.1").supports_upnp_igd
@@ -175,11 +180,6 @@ class TestPortAllocator:
         ports = {allocator.allocate() for _ in range(100)}
         assert len(ports) == 100
 
-    def test_random_allocates_unique_ports(self):
-        allocator = PortAllocator(AllocationPolicy.RANDOM)
-        ports = {allocator.allocate() for _ in range(100)}
-        assert len(ports) == 100
-
     def test_release_returns_port_to_pool(self):
         allocator = PortAllocator(AllocationPolicy.PORT_PRESERVATION)
         allocator.allocate(preferred_port=7000)
@@ -192,15 +192,14 @@ class TestPortAllocator:
         allocator.allocate(preferred_port=2)
         assert allocator.in_use == 2
 
-
 class TestNatBoxHosts:
     def test_attach_and_detach_host(self, sim, network, hosts):
         host = hosts.private_host()
         nat = host.natbox
-        assert nat.attached_hosts == 1
+        assert len(nat._hosts) == 1
         assert nat.host_for(host.local_endpoint) is host
         nat.detach_host(host)
-        assert nat.attached_hosts == 0
+        assert len(nat._hosts) == 0
 
     def test_attach_conflicting_internal_ip_rejected(self, sim, network, hosts):
         host = hosts.private_host()
@@ -286,7 +285,6 @@ _oracle_operations = st.lists(
             st.integers(0, len(ORACLE_INTERNALS) - 1),
             st.sampled_from((None,) + ORACLE_PORTS),
         ),
-        st.tuples(st.just("remove_mapping"), st.integers(0, 31)),
     ),
     # Hypothesis draws lists about twice their minimum size long; short sequences
     # never leave several staggered bindings in one table.
@@ -368,23 +366,19 @@ class TestTableOracle:
                 args = (ORACLE_REMOTES[operation[1]], destination, now)
                 got = box.accept_inbound(*args)
                 expected = reference.accept_inbound(*args)
-            elif kind == "add_mapping":
+            else:
                 args = (ORACLE_INTERNALS[operation[1]], operation[2], now)
                 got = _call(box.add_port_mapping, *args)
                 expected = _call(reference.add_port_mapping, *args)
                 if got != "NatError" and got.port not in handed_out:
                     handed_out.append(got.port)
-            else:
-                port = _port_choice(handed_out, operation[1])
-                got = box.remove_port_mapping(port)
-                expected = reference.remove_port_mapping(port)
             context = f"step {step}: {operation} at t={now}"
             assert got == expected, context
-            assert box.active_bindings == reference.active_bindings, context
+            assert len(box._bindings) == reference.active_bindings, context
             assert box._allocator.in_use == reference._allocator.in_use, context
             for internal in ORACLE_INTERNALS:
                 for remote in ORACLE_REMOTES:
-                    assert box.has_mapping_to(internal, remote) == (
+                    assert _has_mapping_to(box, internal, remote) == (
                         reference.has_mapping_to(internal, remote)
                     ), context
 
@@ -393,8 +387,9 @@ class TestTableOracle:
 #: 12 + 48-node paper-NAT cell at constant latency over 20 rounds after 5 warm-up
 #: rounds. Before the event loop fired events inline, ``Component.send`` called
 #: ``Network.send`` directly, the packet carried its size and keep-alives were one
-#: object per node, the same cells read 40.0 (Nylon), 54.5 (Gozar) and 80.1 (Croupier).
-CALLS_PER_PACKET = {"nylon": 26.5, "gozar": 44.3, "croupier": 67.7}
+#: object per node, the same cells read 40.0 (Nylon), 54.5 (Gozar) and 80.1 (Croupier);
+#: Gozar read 44.3 before ``NodeAddress.is_private`` became a stored field.
+CALLS_PER_PACKET = {"nylon": 26.5, "gozar": 42.9, "croupier": 67.7}
 
 
 class TestPacketPathCost:
@@ -419,11 +414,12 @@ class TestPacketPathCost:
                 calls += 1
 
         sent = scenario.network.packets_sent
+        previous = sys.getprofile()  # a profiler already running (scripts/census.py) resumes
         sys.setprofile(count)
         try:
             scenario.run_rounds(20)
         finally:
-            sys.setprofile(None)
+            sys.setprofile(previous)
         per_packet = calls / (scenario.network.packets_sent - sent)
         assert per_packet <= 1.1 * CALLS_PER_PACKET[protocol], per_packet
 
@@ -444,7 +440,7 @@ class TestPacketPathCost:
             now = second * 1000.0
             assert nat.translate_outbound(INTERNAL, REMOTE_A, now) == external
             assert nat.accept_inbound(REMOTE_A, external, now) == INTERNAL
-        assert nat.active_bindings == 1
+        assert len(nat._bindings) == 1
         # 1 200 packets over ten timeouts: one scan per elapsed timeout, at most.
         assert len(scans) <= 11
 
@@ -456,7 +452,7 @@ class TestPacketPathCost:
         remotes = [Endpoint(format_ipv4(0x01000000 + i), 7000) for i in range(10_000)]
         for remote in remotes:
             external = nat.translate_outbound(INTERNAL, remote, now=0.0)
-        binding = nat.binding_for_internal(INTERNAL)
+        binding = _binding_for(nat, INTERNAL)
 
         class Unwalkable(type(binding.contacted)):
             def __iter__(self):
@@ -466,7 +462,7 @@ class TestPacketPathCost:
         assert len(binding.contacted) == len(remotes)
         for remote in (remotes[0], remotes[4_999], remotes[-1]):
             assert nat.accept_inbound(remote, external, now=1.0) == INTERNAL
-            assert nat.has_mapping_to(INTERNAL, remote)
+            assert _has_mapping_to(nat, INTERNAL, remote)
         stranger = Endpoint("9.9.9.9", 7000)
         assert nat.accept_inbound(stranger, external, now=1.0) is None
-        assert not nat.has_mapping_to(INTERNAL, stranger)
+        assert not _has_mapping_to(nat, INTERNAL, stranger)

@@ -19,33 +19,29 @@ from repro.experiments.matrix import (
 )
 from repro.experiments.report import diff_aggregates, ks_distance
 from repro.experiments.runner import ScenarioReuse, aggregate_json_bytes, run_matrix
-from repro.nat.mixture import NAT_MIXTURES, NatMixture, get_mixture
+from repro.nat.mixture import NAT_MIXTURES, NatMixture
 from repro.nat.types import NAMED_PROFILES, NatProfile, profile_name
 from repro.workload.scenario import Scenario, ScenarioConfig
 
 
 class TestNatMixtureType:
     def test_registered_mixtures_cover_paper_distribution(self):
-        paper = get_mixture("paper")
-        assert set(paper.profile_names()) == set(NAMED_PROFILES)
+        paper = NAT_MIXTURES["paper"]
+        assert {name for name, _ in paper.weights} == set(NAMED_PROFILES)
         # Cone NATs dominate; symmetric is the minority — the measured skew.
         weights = dict(paper.weights)
         assert weights["symmetric"] == min(weights.values())
 
-    def test_unknown_mixture_name_raises(self):
-        with pytest.raises(ConfigurationError):
-            get_mixture("carrier-grade")
-
     def test_unknown_profile_rejected(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            NatMixture.from_weights("bad", {"quantum_nat": 1.0})
+            NatMixture("bad", tuple({"quantum_nat": 1.0}.items()))
         assert "quantum_nat" in str(excinfo.value)
 
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ConfigurationError):
-            NatMixture.from_weights("bad", {"full_cone": 0.0})
+            NatMixture("bad", tuple({"full_cone": 0.0}.items()))
         with pytest.raises(ConfigurationError):
-            NatMixture.from_weights("bad", {"full_cone": -1.0, "symmetric": 2.0})
+            NatMixture("bad", tuple({"full_cone": -1.0, "symmetric": 2.0}.items()))
 
     def test_empty_and_duplicate_weights_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -56,7 +52,7 @@ class TestNatMixtureType:
     def test_sampling_is_deterministic_and_normalised(self):
         import random
 
-        mixture = NatMixture.from_weights("t", {"full_cone": 3.0, "symmetric": 1.0})
+        mixture = NatMixture("t", tuple({"full_cone": 3.0, "symmetric": 1.0}.items()))
         draws = [mixture.sample_name(random.Random(4)) for _ in range(5)]
         assert len(set(draws)) == 1  # same RNG state -> same draw
         rng = random.Random(4)

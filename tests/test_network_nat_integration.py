@@ -72,7 +72,7 @@ class TestPublicToPublic:
 
         a.send(Endpoint("1.255.255.1", 7000), Probe())
         sim.run()
-        assert monitor.drop_count("unknown_destination") == 1
+        assert monitor.drop_reasons.get("unknown_destination", 0) == 1
 
 
 class TestPrivateTraversal:
@@ -83,7 +83,7 @@ class TestPrivateTraversal:
         public.send(private.self_endpoint, Probe(tag="unsolicited"))
         sim.run()
         assert private.received == []
-        assert monitor.drop_count("nat_filtered") == 1
+        assert monitor.drop_reasons.get("nat_filtered", 0) == 1
 
     def test_reply_traverses_nat_after_outbound(self, sim, hosts):
         public = ProbeComponent(hosts.public_host())
@@ -115,10 +115,10 @@ class TestPrivateTraversal:
             c.start()
         private.send(a.self_endpoint, Probe())
         sim.run()
-        before = monitor.drop_count("nat_filtered")
+        before = monitor.drop_reasons.get("nat_filtered", 0)
         b.send(private.self_endpoint, Probe(tag="third-party"))
         sim.run()
-        assert monitor.drop_count("nat_filtered") == before + 1
+        assert monitor.drop_reasons.get("nat_filtered", 0) == before + 1
         assert len(private.received) == 0
 
     def test_third_party_allowed_by_full_cone(self, sim, hosts):
@@ -239,7 +239,7 @@ class TestCachedEndpointRouting:
         a.send(b_endpoint, Probe(tag="late"))
         sim.run()
         assert b.received == []
-        assert network.monitor.drop_count("unknown_destination") == 1
+        assert network.monitor.drop_reasons.get("unknown_destination", 0) == 1
 
     def test_churned_private_node_routes_correctly_after_rejoin(self, sim):
         """Kill a private node, attach a fresh one behind the same NAT box: the cached
@@ -289,7 +289,7 @@ class TestCachedEndpointRouting:
         # Never registered, so the packet is dropped — but the latency lookup that
         # preceded the drop cached the parsed endpoint on demand.
         assert _PARSE_CACHE["9.9.9.9"] == parse_ipv4("9.9.9.9")
-        assert network.monitor.drop_count("unknown_destination") == 1
+        assert network.monitor.drop_reasons.get("unknown_destination", 0) == 1
 
 
 class TestLossAndAccounting:
@@ -307,7 +307,7 @@ class TestLossAndAccounting:
         a.send(b.self_endpoint, Probe())
         sim.run()
         assert b.received == []
-        assert monitor.drop_count("link_loss") == 1
+        assert monitor.drop_reasons.get("link_loss", 0) == 1
 
     def test_monitor_counts_bytes_both_sides(self, sim, hosts, monitor):
         a = ProbeComponent(hosts.public_host())
@@ -331,7 +331,7 @@ class TestLossAndAccounting:
         b.host.kill()
         a.send(b.self_endpoint, Probe())
         sim.run()
-        assert monitor.drop_count() >= 1
+        assert sum(monitor.drop_reasons.values()) >= 1
         assert b.received == []
 
     def test_network_packet_counters(self, sim, hosts):

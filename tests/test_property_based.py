@@ -8,7 +8,8 @@ from repro.core.estimator import RatioEstimate, RatioEstimator
 from repro.core.sampling import generate_random_sample
 from repro.membership.view import PartialView
 from repro.metrics.graph import build_overlay_graph, in_degrees
-from repro.metrics.partition import connected_components, largest_cluster_fraction
+from graph_oracle import connected_components
+from repro.metrics.partition import largest_cluster_fraction
 from repro.nat.allocator import AllocationPolicy, PortAllocator
 from repro.net.address import format_ipv4, parse_ipv4
 from tests.test_descriptor_view import make_descriptor
@@ -223,6 +224,6 @@ def test_total_in_degree_equals_edge_count(raw):
 )
 @settings(max_examples=30)
 def test_port_allocator_never_hands_out_duplicates(preferred, policy):
-    allocator = PortAllocator(policy, rng=random.Random(0))
+    allocator = PortAllocator(policy)
     allocated = [allocator.allocate(preferred_port=p) for p in preferred]
     assert len(allocated) == len(set(allocated))

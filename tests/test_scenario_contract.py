@@ -13,7 +13,7 @@ before any round runs both engines hold the same population.
 import pytest
 
 from repro.errors import ExperimentError
-from repro.nat.mixture import get_mixture
+from repro.nat.mixture import NAT_MIXTURES
 from repro.workload.scenario import ENGINES, BaseScenario, ScenarioConfig, create_scenario
 
 N_PUBLIC, N_PRIVATE = 12, 48
@@ -189,7 +189,7 @@ def test_population_decisions_agree_across_engines():
     protocols run."""
     built = {}
     for engine in ENGINES:
-        scenario = build(engine, seed=11, nat_mixture=get_mixture("paper"),
+        scenario = build(engine, seed=11, nat_mixture=NAT_MIXTURES["paper"],
                          upnp_fraction=0.2)
         scenario.churn_step(0.3)
         killed = scenario.kill_random_fraction(0.2)

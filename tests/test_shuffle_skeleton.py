@@ -2,7 +2,9 @@
 
 * **Knob honesty.** Every :class:`~repro.membership.base.PssConfig` field is read by
   every registered protocol, and ``selection`` really changes which partner a node
-  picks.
+  picks. Every :class:`~repro.experiments.matrix.CellSpec` and
+  :class:`~repro.workload.ScenarioConfig` field is set off its default by some
+  product cell (a gate grid's or a figure's), or a literal names it with a reason.
 * **No silent paths.** On small paper-NAT cells, static and under churn, every packet
   a protocol receives has a handler, except the types a literal names with a reason.
 * **Invariants over all protocols.** On a small churn + loss cell with the paper's
@@ -12,19 +14,25 @@
   the private view only private nodes, and no request reaches a private node.
 """
 
+import dataclasses
 import inspect
 import re
+import sys
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from repro import cli
+from repro.experiments.figures import FIGURES
+from repro.experiments.matrix import CellSpec, run_cell
 from repro.membership.base import NatStrategy, PssConfig
 from repro.membership.descriptor import NodeDescriptor
 from repro.membership.plugin import get_plugin, protocol_names
 from repro.membership.policies import SelectionPolicy
 from repro.membership.view import PartialView
-from repro.nat.mixture import get_mixture
+from repro.nat.mixture import NAT_MIXTURES
 from repro.simulator.component import Component
 from repro.workload.scenario import Scenario, ScenarioConfig
 
@@ -57,7 +65,7 @@ def test_only_named_message_types_go_unhandled(monkeypatch, protocol, dynamics):
     )
     scenario = Scenario(
         ScenarioConfig(
-            protocol=protocol, seed=11, latency="constant", nat_mixture=get_mixture("paper")
+            protocol=protocol, seed=11, latency="constant", nat_mixture=NAT_MIXTURES["paper"]
         )
     )
     scenario.populate(n_public=6, n_private=24)
@@ -69,7 +77,74 @@ def test_only_named_message_types_go_unhandled(monkeypatch, protocol, dynamics):
     assert set(unhandled) == expected
 
 
+#: ``CellSpec`` / ``ScenarioConfig`` fields no product cell sets off their default,
+#: and why each stays.
+UNSET_BY_DESIGN = {
+    "ScenarioConfig.identify_nat_types": "Algorithm 1 either earns a cell or goes "
+    "(ROADMAP item 18); only its own tests and the columnar refusal set it today",
+    "CellSpec.nat_profile": "the `repro matrix --nat-profiles` axis; the gates sweep "
+    "NAT mixtures instead and the figures keep the paper's restricted-cone default",
+    "ScenarioConfig.nat_profile": "what CellSpec.nat_profile sets",
+    "CellSpec.loss_rate": "the `repro matrix --loss-rates` axis; no gate grid or "
+    "figure sweeps a standing loss rate",
+    "ScenarioConfig.loss_rate": "what CellSpec.loss_rate sets",
+}
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+class _Built(BaseException):
+    """Raised by a patched ``ScenarioConfig.validate``: a cell stops at its first
+    scenario build, which is all the census of its config needs."""
+
+
+def _product_configs():
+    """(cell, first ScenarioConfig it builds) for every cell a gate grid or a figure
+    (at the CLI's default size) runs."""
+    sys.path.insert(0, str(SCRIPTS))
+    import gates
+
+    specs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_dry_run_matrix", specs.append)
+        for gate in gates.GATES:
+            for grid in filter(None, (gate.grid, *gate.dry_runs)):
+                cli.main(["matrix", *grid, "--dry-run"])
+        cells = [(cell, spec.latency) for spec in specs for cell in spec.validate()]
+        cells += [(cell, "king") for figure in FIGURES.values() for cell in figure.cells(100, 60)]
+
+        def stop(config):
+            raise _Built(config)
+
+        patch.setattr(ScenarioConfig, "validate", stop)
+        built = []
+        for cell, latency in cells:
+            with pytest.raises(_Built) as stopped:
+                run_cell(cell, root_seed=42, latency=latency)
+            built.append((cell, stopped.value.args[0]))
+    return built
+
+
+def _unset(records, cls):
+    """``cls``'s defaulted fields that no record sets to another value."""
+    unset = []
+    for spec in fields(cls):
+        if spec.default is dataclasses.MISSING and spec.default_factory is dataclasses.MISSING:
+            continue  # required: every record sets it
+        default = (spec.default if spec.default is not dataclasses.MISSING
+                   else spec.default_factory())
+        if all(getattr(record, spec.name) == default for record in records):
+            unset.append(f"{cls.__name__}.{spec.name}")
+    return unset
+
+
 class TestKnobHonesty:
+    def test_every_cell_and_scenario_field_is_set_by_a_product_cell(self):
+        product_configs = _product_configs()
+        unset = (_unset([cell for cell, _ in product_configs], CellSpec)
+                 + _unset([config for _, config in product_configs], ScenarioConfig))
+        assert sorted(unset) == sorted(UNSET_BY_DESIGN)
+
     @pytest.mark.parametrize("protocol", protocol_names())
     def test_no_pss_config_field_is_ignored(self, protocol):
         """Every common field is read somewhere in the protocol's own class hierarchy."""
@@ -139,7 +214,7 @@ class TestInvariantsAcrossProtocols:
                 seed=5,
                 latency="uniform",
                 loss_rate=0.05,
-                nat_mixture=get_mixture("paper"),
+                nat_mixture=NAT_MIXTURES["paper"],
             )
         )
         scenario.populate(n_public=12, n_private=28)

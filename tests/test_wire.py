@@ -10,7 +10,6 @@ engine counts the same kinds through the same model (``repro.wire``).
 
 import pytest
 
-from repro.bootstrap.server import BootstrapRequest, BootstrapResponse
 from repro.core.estimator import RatioEstimate
 from repro.core.messages import ShuffleRequest, ShuffleResponse
 from repro.membership.base import ViewShuffleRequest, ViewShuffleResponse
@@ -61,8 +60,6 @@ TABLE = {
     MatchingIpTest: (MatchingIpTest(request_id=7, client=PRIV, bootstrap_nodes=tuple(PUB[:2])), 65),
     ForwardTest: (ForwardTest(request_id=7, observed_client=PRIV.endpoint, client=PRIV), 49),
     ForwardResp: (ForwardResp(request_id=7, observed_client=PRIV.endpoint), 38),
-    BootstrapRequest: (BootstrapRequest(origin=PRIV), 40),
-    BootstrapResponse: (BootstrapResponse(nodes=tuple(PUB[:3])), 61),
 }
 
 
