@@ -32,6 +32,19 @@ class TestNatMixtureType:
         weights = dict(paper.weights)
         assert weights["symmetric"] == min(weights.values())
 
+    def test_unknown_mixture_name_raises(self):
+        # Mixture names are resolved against the registry when a cell is validated;
+        # the error names every registered mixture so a typo is easy to mend.
+        assert "carrier-grade" not in NAT_MIXTURES
+        cell = CellSpec(scenario="static", protocol="croupier", size=10, seed_index=0,
+                        rounds=2, nat_mixture="carrier-grade")
+        with pytest.raises(ExperimentError) as excinfo:
+            cell.validate()
+        message = str(excinfo.value)
+        assert "carrier-grade" in message
+        for name in NAT_MIXTURES:
+            assert name in message
+
     def test_unknown_profile_rejected(self):
         with pytest.raises(ConfigurationError) as excinfo:
             NatMixture("bad", tuple({"quantum_nat": 1.0}.items()))
