@@ -131,6 +131,11 @@ MATRIX = ("--scenarios", "static", "--protocols", "croupier,cyclon", "--sizes", 
 TIMELINE = ("--scenarios", "static", "--protocols", "croupier", "--sizes", "40",
             "--seeds", "2", "--rounds", "70", "--latency", "constant",
             "--timelines", "paper-churn")
+#: Every figure's cells at the matrix defaults. ``quick``'s one cell is
+#: ``ablation-views``' Croupier cell, so naming both would be a duplicate key.
+FIGURES = ("--figures", "history-static,history-dynamic,system-size,ratio-sweep,churn,"
+           "scale,randomness,overhead,failure,nat-indegree,ablation-views,"
+           "ablation-piggyback,ablation-selection")
 QUIET = ("--heartbeat", "0")
 
 GATES = (
@@ -178,8 +183,8 @@ GATES = (
                "--sizes", "100000", "--seeds", "1", "--rounds", "5", "--latency", "constant"),
          extra=QUIET, seconds=300, megabytes=231, check=scale_estimate),
     Gate("cellkeys", "the `--dry-run` cell keys, seeds and timeline digests of the matrix and "
-         "timeline grids equal the committed list",
-         dry_runs=(MATRIX, TIMELINE), golden="matrix_cells.txt"),
+         "timeline grids and of every figure's cells equal the committed list",
+         dry_runs=(MATRIX, TIMELINE, FIGURES), golden="matrix_cells.txt"),
     Gate("chaos", "the mini-matrix under injected crashes, hangs and corruption recovers "
          "byte-identical to its golden",
          grid=MATRIX, workers=(2,), golden="matrix_aggregate.json",

@@ -67,6 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=["static"],
         help="comma-separated scenario kinds (`--list` shows them)",
     )
+    matrix.add_argument(
+        "--figures",
+        type=_csv_list,
+        default=[],
+        metavar="NAME[,NAME...]",
+        help="comma-separated figure names (`repro run list`): each figure's own cells "
+        "at every --sizes value replace the --scenarios x --protocols x "
+        "--public-ratio grid; seeds, engines and the deployment axes still cross them",
+    )
     matrix.add_argument("--protocols", type=_csv_list, default=["croupier"])
     matrix.add_argument("--sizes", type=_csv_ints, default=[100])
     matrix.add_argument("--seeds", type=int, default=1, help="seed indices per cell group")
@@ -78,15 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--nat-profiles",
         type=_csv_list,
         default=["restricted_cone"],
-        help="NAT-profile axis: comma-separated profile names, or 'paper' for the "
-        "paper-setup sweep (full_cone,restricted_cone,port_restricted_cone,symmetric)",
+        help="NAT-profile axis: comma-separated profile names (full_cone, "
+        "restricted_cone, port_restricted_cone, symmetric, ...)",
     )
     matrix.add_argument(
         "--loss-rates",
         type=_csv_list,
         default=["0"],
-        help="packet-loss axis: comma-separated probabilities, or 'paper' for the "
-        "paper-setup sweep (0,0.01,0.05)",
+        help="packet-loss axis: comma-separated probabilities",
     )
     matrix.add_argument(
         "--nat-mixtures",
@@ -101,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_csv_list,
         default=["0"],
         help="UPnP axis: comma-separated fractions of gateways whose NAT supports "
-        "UPnP port mapping, or 'paper' for the paper-setup sweep (0,0.2,0.5)",
+        "UPnP port mapping",
     )
     matrix.add_argument(
         "--timelines",
@@ -119,12 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution-backend axis: comma-separated engine names ('object' — "
         "per-node component simulation; 'columnar' — flat-array batched engine "
         "for 1e5+ node cells, croupier/cyclon/gozar/nylon)",
-    )
-    matrix.add_argument(
-        "--variants",
-        choices=("default", "paper", "first"),
-        default="default",
-        help="which registered parameter variants to expand per scenario kind",
     )
     matrix.add_argument("--workers", type=int, default=1)
     matrix.add_argument("--out", type=Path, default=Path("artifacts/matrix"))
@@ -319,24 +321,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    from repro.experiments.matrix import (
-        PAPER_LOSS_RATES,
-        PAPER_NAT_PROFILES,
-        PAPER_UPNP_FRACTIONS,
-        MatrixSpec,
-        SCENARIOS,
-    )
+    from repro.experiments.matrix import MatrixSpec, SCENARIOS
     from repro.experiments.runner import run_matrix, write_artifacts
     from repro.membership.plugin import all_plugins
 
     if args.list:
+        from repro.experiments.figures import FIGURES
         from repro.workload.timeline import all_timeline_presets
 
         print("registered scenario kinds:")
         for name in sorted(SCENARIOS):
-            kind = SCENARIOS[name]
-            variants = len(kind.paper_variants) or 1
-            print(f"  {name:<10} ({variants} paper variant(s)) — {kind.description}")
+            print(f"  {name:<12} — {SCENARIOS[name].description}")
+        print("figures (--figures):")
+        for name in sorted(FIGURES):
+            print(f"  {name:<18} — {FIGURES[name].title}")
         print("registered protocols:")
         for plugin in all_plugins():
             strategy = plugin.nat_strategy.value
@@ -348,30 +346,16 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             )
         return 0
 
-    nat_profiles = (
-        list(PAPER_NAT_PROFILES) if args.nat_profiles == ["paper"] else args.nat_profiles
-    )
-    if args.loss_rates == ["paper"]:
-        loss_rates: List[float] = list(PAPER_LOSS_RATES)
-    else:
-        try:
-            loss_rates = [float(rate) for rate in args.loss_rates]
-        except ValueError as error:
-            # 'paper' only works as the sole value; anything unparsable fails cleanly.
-            raise ReproError(
-                f"--loss-rates must be comma-separated probabilities or exactly "
-                f"'paper' (got {','.join(args.loss_rates)!r}): {error}"
-            ) from None
-    if args.upnp_fractions == ["paper"]:
-        upnp_fractions: List[float] = list(PAPER_UPNP_FRACTIONS)
-    else:
-        try:
-            upnp_fractions = [float(fraction) for fraction in args.upnp_fractions]
-        except ValueError as error:
-            raise ReproError(
-                f"--upnp-fractions must be comma-separated fractions or exactly "
-                f"'paper' (got {','.join(args.upnp_fractions)!r}): {error}"
-            ) from None
+    try:
+        loss_rates = [float(rate) for rate in args.loss_rates]
+    except ValueError as error:
+        raise ReproError(f"--loss-rates must be comma-separated probabilities "
+                         f"(got {','.join(args.loss_rates)!r}): {error}") from None
+    try:
+        upnp_fractions = [float(fraction) for fraction in args.upnp_fractions]
+    except ValueError as error:
+        raise ReproError(f"--upnp-fractions must be comma-separated fractions "
+                         f"(got {','.join(args.upnp_fractions)!r}): {error}") from None
     timelines = [_resolve_timeline_value(value) for value in args.timelines]
     spec = MatrixSpec(
         scenarios=args.scenarios,
@@ -382,8 +366,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         public_ratio=args.public_ratio,
         root_seed=args.root_seed,
         latency=args.latency,
-        variants=args.variants,
-        nat_profiles=nat_profiles,
+        figures=args.figures,
+        nat_profiles=args.nat_profiles,
         loss_rates=loss_rates,
         nat_mixtures=args.nat_mixtures,
         upnp_fractions=upnp_fractions,

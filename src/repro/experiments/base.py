@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.config import CroupierConfig
-from repro.errors import ExperimentError
 from repro.experiments.matrix import CellContext, measure_cell, register_scenario
 from repro.membership.policies import SelectionPolicy
 from repro.metrics.estimation import EstimationErrorSeries
@@ -31,10 +30,6 @@ from repro.workload.events import ChurnPhase, PoissonJoin, RatioGrowth
 from repro.workload.scenario import create_scenario
 from repro.workload.timeline import Timeline
 
-#: The public/private ratios of Figure 4.
-PAPER_RATIOS = (0.05, 0.1, 0.2, 0.33, 0.5, 0.9)
-#: The per-round churn fractions of Figure 5.
-PAPER_CHURN_LEVELS = (0.001, 0.01, 0.025, 0.05)
 #: Samples each live node draws in a ``pss`` cell.
 SAMPLES_PER_NODE = 20
 
@@ -186,13 +181,6 @@ def cell_timeline(ctx: CellContext) -> Timeline:
     cell = ctx.cell
     churn_fraction = float(cell.param("churn_fraction", 0.0))
     churn_start_round = int(cell.param("churn_start_round", 0))
-    if churn_fraction > 0.0 and churn_start_round >= cell.rounds:
-        # A churn onset past the simulated horizon would silently measure a static
-        # system under a churn label; fail the cell instead.
-        raise ExperimentError(
-            f"churn_start_round={churn_start_round} is beyond the cell's "
-            f"rounds={cell.rounds}; raise --rounds (the paper starts churn at t=61)"
-        )
     join_window_ms = cell.param("join_window_ms")
     growth_count = int(cell.param("ratio_growth_count", 0))
     return estimation_timeline(
@@ -238,8 +226,6 @@ register_scenario(
     "ratio",
     run_estimation_cell,
     description="instant population at a swept public/private ratio (Figure 4)",
-    default_params={"public_ratio": 0.2},
-    paper_variants=[{"public_ratio": ratio} for ratio in PAPER_RATIOS],
 )
 
 # Figure 5: a fixed fraction of randomly chosen public and private nodes is replaced
@@ -251,9 +237,6 @@ register_scenario(
     run_estimation_cell,
     description="steady-state churn: a fraction of each node class replaced every round (Figure 5)",
     default_params={"churn_fraction": 0.01, "churn_start_round": 10},
-    paper_variants=[
-        {"churn_fraction": level, "churn_start_round": 61} for level in PAPER_CHURN_LEVELS
-    ],
 )
 
 # Figure 7(a): steady-state bytes/second per node, split into public and private

@@ -18,12 +18,6 @@ from repro.experiments.matrix import CellContext, measure_cell, register_scenari
 from repro.metrics.payload import MetricPayload
 from repro.workload.events import FailureSpike
 
-#: Failure percentages on the x-axis of Figure 7(b).
-PAPER_FAILURE_FRACTIONS = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-
-#: Protocols compared in Figure 7(b).
-PAPER_PROTOCOLS = ("croupier", "gozar", "nylon", "cyclon")
-
 #: The kind's ``failure_fraction``: its default param and the runner's fallback.
 FAILURE_FRACTION = 0.5
 
@@ -49,6 +43,5 @@ register_scenario(
     run_failure_cell,
     description="catastrophic failure: kill a fraction of all nodes at one instant (Figure 7b)",
     default_params={"failure_fraction": FAILURE_FRACTION},
-    paper_variants=[{"failure_fraction": f} for f in PAPER_FAILURE_FRACTIONS],
     branch_param="failure_fraction",
 )

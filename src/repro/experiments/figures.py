@@ -5,8 +5,10 @@ A figure is an ordered list of :class:`~repro.experiments.matrix.CellSpec` value
 naming a *registered scenario kind* with explicit params, plus one renderer over the
 ``(cell, payload)`` pairs that come back. :func:`run_figure` executes the cells
 through :func:`~repro.experiments.matrix.run_cell` — the function the matrix pool
-workers call — so a figure and a ``repro matrix`` grid over the same kind share one
-code path, one validation and (for equal keys and root seed) the same numbers.
+workers call — and ``repro matrix --figures NAME`` expands the same cells on the
+matrix runner, so both share one code path, one validation and (for equal keys and
+root seed) the same numbers. These cells are the only statement of the paper's
+sweep points.
 Nothing here builds a scenario or advances a round; ``docs/experiments.md`` tabulates
 each figure's kind, params and cells.
 
@@ -24,10 +26,9 @@ from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.constants import DEFAULT_PUBLIC_RATIO
-from repro.experiments import scale  # noqa: F401  (registers the "scale" kind)
-from repro.experiments.base import PAPER_CHURN_LEVELS, PAPER_RATIOS, SAMPLES_PER_NODE
-from repro.experiments.catastrophic_failure import PAPER_FAILURE_FRACTIONS, PAPER_PROTOCOLS
-from repro.experiments.history_windows import PAPER_WINDOW_PAIRS
+# Importing a kind's module registers the kind.
+from repro.experiments import catastrophic_failure, history_windows, scale  # noqa: F401
+from repro.experiments.base import SAMPLES_PER_NODE
 from repro.experiments.matrix import (
     CellSpec,
     ParamValue,
@@ -40,6 +41,14 @@ from repro.experiments.runner import ScenarioReuse
 from repro.metrics.collector import TimeSeries, percentile
 from repro.metrics.payload import MetricPayload
 
+#: The paper's sweep points: the (α, γ) pairs of Figures 1 and 2, the public/private
+#: ratios of Figure 4, the per-round churn fractions of Figure 5, the failure
+#: fractions on Figure 7(b)'s x-axis and the protocols Figures 6 and 7 compare.
+PAPER_WINDOW_PAIRS: Tuple[Tuple[int, int], ...] = ((10, 25), (25, 50), (100, 250))
+PAPER_RATIOS = (0.05, 0.1, 0.2, 0.33, 0.5, 0.9)
+PAPER_CHURN_LEVELS = (0.001, 0.01, 0.025, 0.05)
+PAPER_FAILURE_FRACTIONS = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+PAPER_PROTOCOLS = ("croupier", "gozar", "nylon", "cyclon")
 #: Round at which Figure 5 starts churn / Figure 2 starts adding public nodes.
 PAPER_CHURN_START_ROUND = 61
 PAPER_RATIO_GROWTH_START_ROUND = 58

@@ -13,15 +13,10 @@ The paper sweeps three window pairs: (α=10, γ=25), (α=25, γ=50) and (α=100,
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.errors import ExperimentError
 from repro.experiments.base import run_estimation_cell
 from repro.experiments.matrix import CellContext, register_scenario
 from repro.membership.plugin import get_plugin
-
-#: The (α, γ) pairs of Figures 1 and 2.
-PAPER_WINDOW_PAIRS: Tuple[Tuple[int, int], ...] = ((10, 25), (25, 50), (100, 250))
 
 
 def run_history_cell(ctx: CellContext):
@@ -49,8 +44,4 @@ register_scenario(
     description="Croupier's (α, γ) history-window sweep with a Poisson join transient "
     "(Figure 1; add ratio_growth_* params for Figure 2's dynamic ratio)",
     default_params={"alpha": 25, "gamma": 50, "join_window_ms": 5000.0},
-    paper_variants=[
-        {"alpha": alpha, "gamma": gamma, "join_window_ms": 5000.0}
-        for alpha, gamma in PAPER_WINDOW_PAIRS
-    ],
 )

@@ -7,14 +7,17 @@ that grid a first-class object. A :class:`MatrixSpec` declares the axes (scenari
 :class:`CellSpec` values, each with a stable :attr:`~CellSpec.key`; and
 :func:`run_cell` executes one cell with a seed derived deterministically from the root
 seed and the cell key (:func:`repro.simulator.core.derive_seed`), so a cell's outcome
-never depends on which worker process runs it or in what order.
+never depends on which worker process runs it or in what order. A spec naming
+``figures`` expands the paper's figures instead: their cells are
+:data:`repro.experiments.figures.FIGURES`, the one statement of the paper's sweep
+points, crossed with the seed, engine and deployment axes.
 
 Scenario kinds are *registered*, not hard-coded: the experiment modules
 (:mod:`~repro.experiments.base` for every kind that shares the estimation runner,
 :mod:`~repro.experiments.history_windows`, :mod:`~repro.experiments.randomness`,
 :mod:`~repro.experiments.catastrophic_failure`, :mod:`~repro.experiments.nat_indegree`,
 :mod:`~repro.experiments.scale`) call :func:`register_scenario` with a cell runner and
-the paper's sweep points as default variants. The sharded multiprocess executor lives
+its default params. The sharded multiprocess executor lives
 in :mod:`~repro.experiments.runner`; the ``repro matrix`` CLI, the paper's figures
 (``repro run``, :mod:`~repro.experiments.figures`), the benchmarks and CI all drive
 this same code path.
@@ -23,9 +26,11 @@ this same code path.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.constants import DEFAULT_PUBLIC_RATIO
 from repro.errors import ConfigurationError, ExperimentError
 from repro.membership.base import NatStrategy
 from repro.membership.plugin import get_plugin, protocol_names
@@ -35,7 +40,7 @@ from repro.nat.types import NAMED_PROFILES, NatProfile
 from repro.simulator.core import derive_seed
 
 #: JSON-scalar parameter values a cell may carry (they must round-trip through repr()
-#: identically in every process, which rules out floats computed at run time — variants
+#: identically in every process, which rules out floats computed at run time — params
 #: should use literal constants).
 ParamValue = Union[int, float, str, bool]
 Params = Tuple[Tuple[str, ParamValue], ...]
@@ -73,14 +78,6 @@ def timeline_digest(name: str) -> str:
         return get_timeline(name).digest
     except ConfigurationError as error:
         raise ExperimentError(str(error)) from None
-
-#: The paper-setup sweep values for the deployment axes: Section VII runs
-#: restricted-cone gateways as the base case and calls out the cone spectrum through
-#: symmetric NATs; the loss sweep covers "no loss" to the 5 % uniform loss stress
-#: point; the UPnP sweep spans "no gateway helps" to half of them mapping ports.
-PAPER_NAT_PROFILES = ("full_cone", "restricted_cone", "port_restricted_cone", "symmetric")
-PAPER_LOSS_RATES = (0.0, 0.01, 0.05)
-PAPER_UPNP_FRACTIONS = (0.0, 0.2, 0.5)
 
 
 # --------------------------------------------------------------------- cell & matrix
@@ -209,6 +206,17 @@ class CellSpec:
             raise ExperimentError("cell rounds must be positive")
         if not 0.0 < self.public_ratio <= 1.0:
             raise ExperimentError(f"public_ratio out of range: {self.public_ratio}")
+        if self.params:
+            # Dynamics that start at or after the last round would measure a static
+            # system under a dynamic label.
+            params = dict(self.params)
+            for amount, start in (("churn_fraction", "churn_start_round"),
+                                  ("ratio_growth_count", "ratio_growth_start_round")):
+                if params.get(amount, 0) > 0 and params.get(start, 0) >= self.rounds:
+                    raise ExperimentError(
+                        f"{start}={params[start]} is beyond the cell's "
+                        f"rounds={self.rounds}; raise the rounds or start it sooner"
+                    )
 
 
 def derive_cell_seed(root_seed: int, cell_key: str) -> int:
@@ -228,6 +236,18 @@ def cell_seed(root_seed: int, cell: CellSpec) -> int:
     return derive_cell_seed(root_seed, cell.key)
 
 
+#: The deployment, timeline and engine axes in expansion order:
+#: (``CellSpec`` field, ``MatrixSpec`` field, default).
+_AXES = (
+    ("nat_profile", "nat_profiles", DEFAULT_NAT_PROFILE),
+    ("nat_mixture", "nat_mixtures", DEFAULT_NAT_MIXTURE),
+    ("upnp_fraction", "upnp_fractions", DEFAULT_UPNP_FRACTION),
+    ("loss_rate", "loss_rates", DEFAULT_LOSS_RATE),
+    ("timeline", "timelines", DEFAULT_TIMELINE),
+    ("engine", "engines", DEFAULT_ENGINE),
+)
+
+
 @dataclass
 class MatrixSpec:
     """A declarative experiment grid: scenario kinds × protocols × sizes × seeds.
@@ -236,19 +256,19 @@ class MatrixSpec:
     seed is derived from ``root_seed`` and the cell key, so changing any axis value
     changes only the affected cells' seeds, never the others'.
 
-    ``variants`` controls which of a scenario kind's registered parameter variants are
-    expanded: ``"default"`` (the kind's single default), ``"paper"`` (the full sweep
-    the paper plots, e.g. all churn levels) or ``"first"`` (the first paper variant).
+    ``figures`` names :data:`repro.experiments.figures.FIGURES` entries, whose cells
+    at each of ``sizes`` replace ``scenarios`` × ``protocols`` × ``public_ratio``
+    (left at their defaults); the other axes cross them, but an axis a figure's cell
+    sets off its default keeps the cell's value (``scale`` stays columnar).
 
     ``nat_profiles``, ``loss_rates``, ``nat_mixtures`` and ``upnp_fractions`` are
     first-class deployment axes: the NAT behaviour of private nodes' gateways (names
-    from :data:`NAT_PROFILES`; :data:`PAPER_NAT_PROFILES` is the paper-setup sweep),
-    the uniform packet-loss probability (:data:`PAPER_LOSS_RATES`), heterogeneous
+    from :data:`NAT_PROFILES`), the uniform packet-loss probability, heterogeneous
     gateway populations (registered :data:`repro.nat.mixture.NAT_MIXTURES` names —
     ``"paper"`` is the paper's measured NAT-type distribution; ``"none"`` keeps the
     homogeneous ``nat_profiles`` behaviour) and the fraction of gateways whose NAT
-    supports UPnP port mapping (:data:`PAPER_UPNP_FRACTIONS`). Their defaults
-    reproduce the pre-axis grids exactly, cell keys included.
+    supports UPnP port mapping. Their defaults reproduce the pre-axis grids exactly,
+    cell keys included.
 
     ``timelines`` is the workload-dynamics axis: each value names a registered
     :class:`~repro.workload.timeline.Timeline` (``repro matrix --list`` shows the
@@ -268,10 +288,10 @@ class MatrixSpec:
     sizes: Sequence[int] = (100,)
     seeds: int = 1
     rounds: int = 30
-    public_ratio: float = 0.2
+    public_ratio: float = DEFAULT_PUBLIC_RATIO
     root_seed: int = 42
     latency: str = "king"
-    variants: str = "default"
+    figures: Sequence[str] = ()
     nat_profiles: Sequence[str] = (DEFAULT_NAT_PROFILE,)
     loss_rates: Sequence[float] = (DEFAULT_LOSS_RATE,)
     nat_mixtures: Sequence[str] = (DEFAULT_NAT_MIXTURE,)
@@ -282,30 +302,26 @@ class MatrixSpec:
     def validate(self) -> List["CellSpec"]:
         """Validate the axes and every expanded cell; returns the cells so callers
         (the runner, the CLI) don't have to expand the grid a second time."""
-        if not self.scenarios:
-            raise ExperimentError("matrix needs at least one scenario kind")
-        if not self.protocols:
-            raise ExperimentError("matrix needs at least one protocol")
-        if not self.sizes:
-            raise ExperimentError("matrix needs at least one system size")
-        if not self.nat_profiles:
-            raise ExperimentError("matrix needs at least one NAT profile")
-        if not self.loss_rates:
-            raise ExperimentError("matrix needs at least one loss rate")
-        if not self.nat_mixtures:
-            raise ExperimentError("matrix needs at least one NAT mixture (or 'none')")
-        if not self.upnp_fractions:
-            raise ExperimentError("matrix needs at least one UPnP fraction")
-        if not self.timelines:
-            raise ExperimentError("matrix needs at least one timeline (or 'none')")
-        if not self.engines:
-            raise ExperimentError("matrix needs at least one engine")
+        for field in ("scenarios", "protocols", "sizes") + tuple(a[1] for a in _AXES):
+            if not getattr(self, field):
+                raise ExperimentError(f"matrix needs at least one value of {field}")
         if self.seeds <= 0:
             raise ExperimentError("seeds must be positive")
         if self.rounds <= 0:
             raise ExperimentError("rounds must be positive")
-        if self.variants not in ("default", "paper", "first"):
-            raise ExperimentError(f"unknown variants mode {self.variants!r}")
+        if self.figures:
+            from repro.experiments.figures import FIGURES
+
+            for name in self.figures:
+                if name not in FIGURES:
+                    raise ExperimentError(
+                        f"unknown figure {name!r}; expected one of {sorted(FIGURES)}")
+            for flag, moved in (("--scenarios", list(self.scenarios) != ["static"]),
+                                ("--protocols", list(self.protocols) != ["croupier"]),
+                                ("--public-ratio", self.public_ratio != DEFAULT_PUBLIC_RATIO)):
+                if moved:
+                    raise ExperimentError(f"{flag} cannot be combined with --figures: "
+                                          "a figure's cells set it themselves")
         for name in self.scenarios:
             if name not in SCENARIOS:
                 raise ExperimentError(
@@ -319,54 +335,65 @@ class MatrixSpec:
     def cells(self) -> List[CellSpec]:
         """Expand the axes into cells, in a stable, documented order.
 
-        Order is scenario → variant → protocol → NAT profile → NAT mixture → UPnP
-        fraction → loss rate → timeline → engine → size → seed, exactly as
-        declared; the runner preserves this order in its results regardless of
-        which worker finishes first.
+        Order is scenario → protocol → NAT profile → NAT mixture → UPnP fraction →
+        loss rate → timeline → engine → size → seed, exactly as declared; with
+        ``figures`` it is figure → size → the figure's cells in figure order → NAT
+        profile → … → engine → seed. The runner preserves this order in its results
+        regardless of which worker finishes first.
         """
+        axes = [getattr(self, field) for _, field, _ in _AXES]
+        if self.figures:
+            from repro.experiments.figures import FIGURES
+
+            bases = []
+            for name in self.figures:
+                for size in self.sizes:
+                    for cell in FIGURES[name].cells(size, self.rounds):
+                        # An axis the cell already sets keeps the cell's value.
+                        own = [values if getattr(cell, field) == default
+                               else (getattr(cell, field),)
+                               for (field, _, default), values in zip(_AXES, axes)]
+                        bases.append((cell.scenario, cell.protocol, cell.rounds,
+                                      cell.public_ratio, cell.params, own + [(cell.size,)]))
+        else:
+            axes.append(self.sizes)
+            bases = [(name, protocol, self.rounds, self.public_ratio,
+                      SCENARIOS[name].default_params, axes)
+                     for name in self.scenarios for protocol in self.protocols]
         cells: List[CellSpec] = []
-        for scenario_name in self.scenarios:
-            kind = SCENARIOS[scenario_name]
-            for params in kind.expand_variants(self.variants):
-                # A variant's public_ratio is the cell's ratio, not an extra param —
-                # folding it in keeps cell keys free of duplicate fields.
-                variant = dict(params)
-                ratio = float(variant.pop("public_ratio", self.public_ratio))
-                for protocol in self.protocols:
-                    for nat_profile in self.nat_profiles:
-                        for nat_mixture in self.nat_mixtures:
-                            for upnp_fraction in self.upnp_fractions:
-                                for loss_rate in self.loss_rates:
-                                    for timeline in self.timelines:
-                                        for engine in self.engines:
-                                            for size in self.sizes:
-                                                for seed_index in range(self.seeds):
-                                                    cells.append(
-                                                        CellSpec(
-                                                            scenario=scenario_name,
-                                                            protocol=protocol,
-                                                            size=size,
-                                                            seed_index=seed_index,
-                                                            rounds=self.rounds,
-                                                            public_ratio=ratio,
-                                                            nat_profile=nat_profile,
-                                                            loss_rate=float(loss_rate),
-                                                            nat_mixture=nat_mixture,
-                                                            upnp_fraction=float(upnp_fraction),
-                                                            timeline=timeline,
-                                                            engine=engine,
-                                                            params=_freeze_params(variant),
-                                                        )
-                                                    )
+        for scenario, protocol, rounds, public_ratio, params, base_axes in bases:
+            for (nat_profile, nat_mixture, upnp_fraction, loss_rate, timeline, engine,
+                 size, seed_index) in itertools.product(*base_axes, range(self.seeds)):
+                cells.append(CellSpec(
+                    scenario=scenario,
+                    protocol=protocol,
+                    size=size,
+                    seed_index=seed_index,
+                    rounds=rounds,
+                    public_ratio=public_ratio,
+                    nat_profile=nat_profile,
+                    loss_rate=float(loss_rate),
+                    nat_mixture=nat_mixture,
+                    upnp_fraction=float(upnp_fraction),
+                    timeline=timeline,
+                    engine=engine,
+                    params=params,
+                ))
         keys = [cell.key for cell in cells]
         if len(set(keys)) != len(keys):
             raise ExperimentError("matrix expansion produced duplicate cell keys")
         return cells
 
+    def _moved_axes(self) -> List[Tuple[str, list]]:
+        """The deployment, timeline and engine axes off their defaults."""
+        return [(field, list(getattr(self, field))) for _, field, default in _AXES
+                if list(getattr(self, field)) != [default]]
+
     def spec_json_dict(self) -> Dict[str, object]:
         """The spec's canonical JSON form — the aggregate's ``spec`` section and the
         basis of journal spec digests. Axes left at their defaults are omitted, so
-        pre-axis specs serialise exactly as they always have."""
+        pre-axis specs serialise exactly as they always have; a figure spec names its
+        figures in place of the fields their cells set."""
         section: Dict[str, object] = {
             "scenarios": list(self.scenarios),
             "protocols": list(self.protocols),
@@ -376,40 +403,22 @@ class MatrixSpec:
             "public_ratio": self.public_ratio,
             "root_seed": self.root_seed,
             "latency": self.latency,
-            "variants": self.variants,
             "nat_profiles": list(self.nat_profiles),
             "loss_rates": list(self.loss_rates),
+            **dict(self._moved_axes()),
         }
-        if tuple(self.nat_mixtures) != (DEFAULT_NAT_MIXTURE,):
-            section["nat_mixtures"] = list(self.nat_mixtures)
-        if tuple(self.upnp_fractions) != (DEFAULT_UPNP_FRACTION,):
-            section["upnp_fractions"] = list(self.upnp_fractions)
-        if tuple(self.timelines) != (DEFAULT_TIMELINE,):
-            section["timelines"] = list(self.timelines)
-        if tuple(self.engines) != (DEFAULT_ENGINE,):
-            section["engines"] = list(self.engines)
+        if self.figures:
+            for field in ("scenarios", "protocols", "public_ratio"):
+                del section[field]
+            section["figures"] = list(self.figures)
         return section
 
     def describe(self) -> str:
-        cells = self.cells()
-        description = (
-            f"{len(cells)} cells: scenarios={list(self.scenarios)} × "
-            f"protocols={list(self.protocols)} × sizes={list(self.sizes)} × "
-            f"seeds={self.seeds} (variants={self.variants}, rounds={self.rounds})"
-        )
-        if tuple(self.nat_profiles) != (DEFAULT_NAT_PROFILE,):
-            description += f" × nat_profiles={list(self.nat_profiles)}"
-        if tuple(self.nat_mixtures) != (DEFAULT_NAT_MIXTURE,):
-            description += f" × nat_mixtures={list(self.nat_mixtures)}"
-        if tuple(self.upnp_fractions) != (DEFAULT_UPNP_FRACTION,):
-            description += f" × upnp_fractions={list(self.upnp_fractions)}"
-        if tuple(self.loss_rates) != (DEFAULT_LOSS_RATE,):
-            description += f" × loss_rates={list(self.loss_rates)}"
-        if tuple(self.timelines) != (DEFAULT_TIMELINE,):
-            description += f" × timelines={list(self.timelines)}"
-        if tuple(self.engines) != (DEFAULT_ENGINE,):
-            description += f" × engines={list(self.engines)}"
-        return description
+        grid = (f"figures={list(self.figures)}" if self.figures else
+                f"scenarios={list(self.scenarios)} × protocols={list(self.protocols)}")
+        return (f"{len(self.cells())} cells: {grid} × sizes={list(self.sizes)} × "
+                f"seeds={self.seeds} (rounds={self.rounds})"
+                + "".join(f" × {field}={values}" for field, values in self._moved_axes()))
 
 
 # --------------------------------------------------------------------- registry
@@ -420,9 +429,9 @@ class ScenarioKind:
     """A registered workload shape that can populate matrix cells.
 
     ``runner`` receives a :class:`CellContext` and returns a
-    :class:`~repro.metrics.payload.MetricPayload`. ``paper_variants`` are the sweep points of the
-    figure the kind reproduces (each a params dict); ``default_params`` is the single
-    variant used when the matrix doesn't ask for the full paper sweep.
+    :class:`~repro.metrics.payload.MetricPayload`. ``default_params`` are the params
+    of the kind's cells in a ``scenarios`` grid; the paper's sweep points are the
+    figures' cells (:data:`repro.experiments.figures.FIGURES`).
 
     ``timeout_s`` is the kind's default per-cell wall-clock budget under the matrix
     runner's watchdog (``None`` = the runner-wide default; ``repro matrix
@@ -443,17 +452,9 @@ class ScenarioKind:
     runner: Callable[["CellContext"], "MetricPayload"]
     description: str = ""
     default_params: Tuple[Tuple[str, ParamValue], ...] = ()
-    paper_variants: Tuple[Params, ...] = ()
     timeout_s: Optional[float] = None
     branch_param: Optional[str] = None
     object_only: bool = False
-
-    def expand_variants(self, mode: str) -> List[Params]:
-        if mode == "paper" and self.paper_variants:
-            return list(self.paper_variants)
-        if mode == "first" and self.paper_variants:
-            return [self.paper_variants[0]]
-        return [self.default_params]
 
 
 #: Global scenario-kind registry, filled by the experiment modules at import time.
@@ -465,7 +466,6 @@ def register_scenario(
     runner: Callable[["CellContext"], "MetricPayload"],
     description: str = "",
     default_params: Optional[Mapping[str, ParamValue]] = None,
-    paper_variants: Optional[Sequence[Mapping[str, ParamValue]]] = None,
     replace: bool = False,
     timeout_s: Optional[float] = None,
     branch_param: Optional[str] = None,
@@ -486,7 +486,6 @@ def register_scenario(
         runner=runner,
         description=description,
         default_params=_freeze_params(default_params or {}),
-        paper_variants=tuple(_freeze_params(v) for v in (paper_variants or ())),
         timeout_s=timeout_s,
         branch_param=branch_param,
         object_only=object_only,
@@ -535,8 +534,7 @@ class CellContext:
 
     @property
     def n_public(self) -> int:
-        ratio = float(self.cell.param("public_ratio", self.cell.public_ratio))
-        return max(1, int(round(self.cell.size * ratio)))
+        return max(1, int(round(self.cell.size * self.cell.public_ratio)))
 
     @property
     def n_private(self) -> int:

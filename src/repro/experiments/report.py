@@ -98,12 +98,15 @@ def matrix_markdown_summary(aggregate: Mapping) -> str:
         ("path_length", "path len"),
         ("all_bps", "all B/s"),
     )
+    if "figures" in spec:
+        grid = [f"- figures: `{', '.join(spec['figures'])}`"]
+    else:
+        grid = [f"- scenarios: `{', '.join(spec.get('scenarios', []))}`",
+                f"- protocols: `{', '.join(spec.get('protocols', []))}`"]
     lines = [
         "# Experiment matrix summary",
         "",
-        f"- scenarios: `{', '.join(spec.get('scenarios', []))}`"
-        f" (variants: {spec.get('variants', 'default')})",
-        f"- protocols: `{', '.join(spec.get('protocols', []))}`",
+        *grid,
         f"- sizes: {', '.join(str(s) for s in spec.get('sizes', []))}"
         f" × seeds: {spec.get('seeds', '?')} × rounds: {spec.get('rounds', '?')}",
         f"- root seed: {spec.get('root_seed', '?')}, latency: {spec.get('latency', '?')}",

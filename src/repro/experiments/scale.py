@@ -127,10 +127,6 @@ register_scenario(
         "metrics, no per-node object scans or graph walks"
     ),
     default_params={"measure_every": MEASURE_EVERY},
-    paper_variants=(
-        {"measure_every": MEASURE_EVERY},
-        {"measure_every": MEASURE_EVERY, "churn_fraction": 0.01, "churn_start_round": 61.0},
-    ),
     timeout_s=1800.0,
 )
 

@@ -7,7 +7,7 @@ from repro.core.croupier import Croupier
 from repro.core.estimator import RatioEstimate
 from repro.core.messages import ShuffleRequest, ShuffleResponse
 from repro.errors import ConfigurationError
-from repro.experiments.history_windows import PAPER_WINDOW_PAIRS
+from repro.experiments.figures import PAPER_WINDOW_PAIRS
 
 
 def build_croupier(hosts, public=True, **config_kwargs):

@@ -25,9 +25,14 @@ def test_gate_names_are_unique():
 
 
 def test_cell_key_dry_runs_are_the_grids_of_their_gates():
-    matrix, timeline = gates.BY_NAME["cellkeys"].dry_runs
+    matrix, timeline, figures = gates.BY_NAME["cellkeys"].dry_runs
     assert matrix is gates.BY_NAME["matrix"].grid
     assert timeline is gates.BY_NAME["timeline"].grid
+    # Every figure but `quick`, whose one cell ablation-views already lists.
+    from repro.experiments.figures import FIGURES
+
+    assert figures[0] == "--figures"
+    assert figures[1].split(",") == [name for name in FIGURES if name != "quick"]
 
 
 def test_budgets_are_stated_in_the_guarantee():

@@ -17,10 +17,12 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
+from repro.experiments.figures import FIGURES
 from repro.experiments.matrix import (
     SCENARIOS,
     CellSpec,
     MatrixSpec,
+    cell_seed,
     derive_cell_seed,
     register_scenario,
     run_cell,
@@ -93,20 +95,82 @@ class TestSpecExpansion:
         assert cells == spec.cells()  # expansion is deterministic
         assert len({c.key for c in cells}) == len(cells)
 
-    def test_paper_variants_expand(self):
-        spec = small_spec(scenarios=("churn",), protocols=("croupier",), seeds=1,
-                          variants="paper")
-        cells = spec.cells()
-        fractions = {c.param("churn_fraction") for c in cells}
-        assert fractions == {0.001, 0.01, 0.025, 0.05}
+    def test_churn_figure_expands_its_four_levels(self):
+        cells = MatrixSpec(figures=("churn",), sizes=(50,), rounds=30).validate()
+        assert [c.param("churn_fraction") for c in cells] == [0.001, 0.01, 0.025, 0.05]
+        # The figure's onset, scaled to the horizon: a third of 30 rounds.
+        assert {c.param("churn_start_round") for c in cells} == {10}
 
-    def test_ratio_variant_folds_into_public_ratio(self):
-        spec = small_spec(scenarios=("ratio",), protocols=("croupier",), seeds=1,
-                          variants="paper")
-        ratios = {c.public_ratio for c in spec.cells()}
-        assert 0.05 in ratios and 0.9 in ratios
-        # No duplicate public_ratio field left in the params.
-        assert all(c.param("public_ratio") is None for c in spec.cells())
+    def test_ratio_kind_follows_the_public_ratio_axis(self):
+        """The ``ratio`` kind once carried a default ``public_ratio`` param that
+        overrode ``--public-ratio``; its cells now take the axis like every kind's."""
+        cells = small_spec(scenarios=("ratio", "static"), protocols=("croupier",),
+                           seeds=1, public_ratio=0.5).validate()
+        assert [(c.scenario, c.public_ratio, c.params) for c in cells] == [
+            ("ratio", 0.5, ()), ("static", 0.5, ())]
+        # At the default ratio the cell key is the one the kind always had.
+        [cell] = small_spec(scenarios=("ratio",), protocols=("croupier",), seeds=1).cells()
+        assert cell.key == "scenario=ratio;protocol=croupier;size=50;seed=0;rounds=6;public_ratio=0.2"
+
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_a_figure_spec_expands_to_the_figures_cells(self, name):
+        if name == "scale":
+            pytest.importorskip("numpy")  # its cells are columnar
+        for size, rounds in ((40, 20), (100, 30)):
+            cells = MatrixSpec(figures=(name,), sizes=(size,), rounds=rounds,
+                               seeds=1).validate()
+            expected = FIGURES[name].cells(size, rounds)
+            assert cells == expected
+            assert ([(c.key, cell_seed(42, c)) for c in cells]
+                    == [(c.key, cell_seed(42, c)) for c in expected])
+
+    def test_figure_cells_cross_the_seed_and_axis_values(self):
+        """Seeds and the deployment axes cross a figure's cells; an axis a cell
+        already sets off its default (``scale`` is columnar) keeps the cell's value."""
+        pytest.importorskip("numpy")
+        spec = MatrixSpec(figures=("scale", "churn"), sizes=(50,), rounds=30, seeds=2,
+                          engines=("object", "columnar"), loss_rates=(0.0, 0.1))
+        cells = spec.validate()
+        assert len(cells) == 2 * 2 * 2 + 4 * 2 * 2 * 2
+        assert {c.engine for c in cells if c.scenario == "scale"} == {"columnar"}
+        assert {(c.engine, c.loss_rate, c.seed_index) for c in cells
+                if c.scenario == "churn"} == {
+            (engine, loss, seed) for engine in ("object", "columnar")
+            for loss in (0.0, 0.1) for seed in (0, 1)}
+        assert spec.spec_json_dict()["figures"] == ["scale", "churn"]
+        assert "scenarios" not in spec.spec_json_dict()
+
+    @pytest.mark.parametrize("flag, overrides", [
+        ("--scenarios", {"scenarios": ("churn",)}),
+        ("--protocols", {"protocols": ("gozar",)}),
+        ("--public-ratio", {"public_ratio": 0.5}),
+    ])
+    def test_figures_refuse_the_kind_grid_axes(self, flag, overrides):
+        spec = MatrixSpec(figures=("churn",), **overrides)
+        with pytest.raises(ExperimentError, match=f"{flag} cannot be combined with --figures"):
+            spec.validate()
+
+    def test_an_unknown_figure_is_a_named_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(ExperimentError, match="unknown figure 'fig5'"):
+            MatrixSpec(figures=("fig5",)).validate()
+        assert main(["matrix", "--figures", "churn", "--protocols", "gozar",
+                     "--dry-run"]) == 2
+        assert "--protocols cannot be combined with --figures" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, nodes, rounds", [("churn", 16, 6), ("failure", 8, 2)])
+    def test_a_figure_matrix_reproduces_run_figure(self, name, nodes, rounds):
+        from repro.experiments.figures import run_figure
+
+        spec = MatrixSpec(figures=(name,), sizes=(nodes,), rounds=rounds, seeds=1,
+                          latency="constant", root_seed=5)
+        run = run_matrix(spec, workers=1)
+        assert not run.failed
+        figure = run_figure(name, nodes=nodes, rounds=rounds, seed=5, latency="constant")
+        assert [r.key for r in run.results] == [cell.key for cell, _ in figure.cells]
+        assert ([r.payload.scalars for r in run.results]
+                == [payload.scalars for _, payload in figure.cells])
 
     def test_validation_rejects_bad_specs(self):
         with pytest.raises(ExperimentError):
@@ -117,6 +181,24 @@ class TestSpecExpansion:
             small_spec(protocols=("not-a-protocol",)).validate()
         with pytest.raises(ExperimentError):
             run_matrix(small_spec(), workers=0)
+
+    def test_dynamics_past_the_horizon_are_refused_before_any_cell_runs(self, capsys):
+        """Churn or ratio growth starting at or after the last round would measure a
+        static system under a dynamic label: ``CellSpec.validate`` names it."""
+        from repro.cli import main
+
+        assert main(["matrix", "--scenarios", "churn", "--rounds", "10", "--dry-run"]) == 2
+        assert ("churn_start_round=10 is beyond the cell's rounds=10"
+                in capsys.readouterr().err)
+        growth = CellSpec(scenario="history", protocol="croupier", size=20, seed_index=0,
+                          rounds=20, params=(("ratio_growth_count", 5),
+                                             ("ratio_growth_start_round", 20)))
+        with pytest.raises(ExperimentError, match="ratio_growth_start_round=20 is beyond"):
+            growth.validate()
+        dataclasses.replace(growth, rounds=21).validate()
+        # The gate grids' and the benchmark's churn cells: onset 10 at 20, 40, 90 rounds.
+        for rounds in (20, 40, 90):
+            small_spec(scenarios=("churn",), rounds=rounds).validate()
 
     def test_an_object_only_kind_is_refused_on_the_columnar_engine(self):
         """``pss`` draws samples through each node's service: the grid is refused
@@ -190,11 +272,11 @@ class TestFailureKind:
         assert scalars["survivors"] == round(40 * (1 - 0.5))
         assert 0 < scalars["biggest_cluster_fraction"] <= 1
 
-    def test_all_six_paper_variants_validate(self):
-        spec = small_spec(scenarios=("failure",), protocols=("croupier",), seeds=1,
-                          variants="paper")
-        fractions = [cell.param("failure_fraction") for cell in spec.validate()]
-        assert fractions == [0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    def test_the_failure_figures_cells_validate(self):
+        cells = MatrixSpec(figures=("failure",), sizes=(50,), rounds=6).validate()
+        assert [(cell.protocol, cell.param("failure_fraction")) for cell in cells] == [
+            (protocol, fraction) for protocol in ("croupier", "gozar", "nylon", "cyclon")
+            for fraction in (0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
 
     @staticmethod
     def failure_cell(fraction: float, protocol: str = "croupier") -> CellSpec:
@@ -215,16 +297,15 @@ class TestFailureKind:
         assert seeds[0] == derive_cell_seed(
             7, "scenario=failure;protocol=croupier;size=30;seed=0;rounds=6;public_ratio=0.2")
 
-        assert main(["matrix", "--scenarios", "failure", "--variants", "paper",
-                     "--protocols", "croupier,gozar", "--sizes", "30", "--seeds", "2",
+        assert main(["matrix", "--figures", "failure", "--sizes", "30", "--seeds", "2",
                      "--rounds", "6", "--root-seed", "7", "--dry-run"]) == 0
         rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
-        assert len(rows) == 6 * 2 * 2
+        assert len(rows) == 6 * 4 * 2
         by_branch = {}
         for key, seed, _ in rows:
             by_branch.setdefault(re.sub(r";failure_fraction=[^;]*", "", key), set()).add(seed)
-        assert len(by_branch) == 4 and all(len(s) == 1 for s in by_branch.values())
-        assert len(set().union(*by_branch.values())) == 4
+        assert len(by_branch) == 8 and all(len(s) == 1 for s in by_branch.values())
+        assert len(set().union(*by_branch.values())) == 8
         assert by_branch[
             "scenario=failure;protocol=croupier;size=30;seed=0;rounds=6;public_ratio=0.2"
         ] == {str(seeds[0])}
@@ -289,18 +370,19 @@ class TestFailureKind:
                 if cell.protocol == "cyclon"} == {1.0}
         assert "Figure 7(b)" in result.to_text()
 
-    def test_paper_variants_are_byte_identical_over_worker_counts(self, monkeypatch):
+    def test_the_failure_figure_is_byte_identical_over_worker_counts(self, monkeypatch):
         from repro.experiments import runner
 
-        # Six warmed prefixes (2 protocols x 3 seed indices), more than a worker's
+        # Eight warmed prefixes (4 protocols x 2 seed indices), more than a worker's
         # snapshot LRU holds; the runner still runs each prefix's six fractions back
         # to back, so each prefix warms once.
         monkeypatch.setattr(runner, "_WORKER_REUSE", None)
-        spec = small_spec(scenarios=("failure",), protocols=("croupier", "gozar"),
-                          sizes=(20,), seeds=3, rounds=4, variants="paper")
+        spec = MatrixSpec(figures=("failure",), sizes=(6,), seeds=2, rounds=2,
+                          latency="constant", root_seed=7)
         sequential = run_matrix(spec, workers=1)
         reuse = runner._worker_reuse()
-        assert (reuse.builds, reuse.snapshot_hits) == (6, 30)
+        assert reuse.builds > reuse.MAX_SNAPSHOTS
+        assert (reuse.builds, reuse.snapshot_hits) == (8, 40)
         parallel = run_matrix(spec, workers=2)
         assert not sequential.failed and not parallel.failed
         assert aggregate_json_bytes(sequential) == aggregate_json_bytes(parallel)
@@ -309,7 +391,7 @@ class TestFailureKind:
         for key, entry in sequential.aggregate["cells"].items():
             prefix = re.sub(r";failure_fraction=[^;]*", "", key)
             seeds.setdefault(prefix, set()).add(entry["seed"])
-        assert sorted(map(len, seeds.values())) == [1] * 6
+        assert sorted(map(len, seeds.values())) == [1] * 8
 
 
 class TestCellsAreFreedBetweenCells:

@@ -12,7 +12,6 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.matrix import (
     DEFAULT_NAT_PROFILE,
     NAT_PROFILES,
-    PAPER_NAT_PROFILES,
     CellSpec,
     MatrixSpec,
     run_cell,
@@ -276,11 +275,11 @@ class TestDeploymentAxes:
         spec = MatrixSpec(
             scenarios=("static",), protocols=("croupier",), sizes=(30,), seeds=1,
             rounds=3, latency="constant",
-            nat_profiles=PAPER_NAT_PROFILES, loss_rates=(0.0, 0.05),
+            nat_profiles=sorted(NAT_PROFILES), loss_rates=(0.0, 0.05),
         )
         cells = spec.validate()
-        assert len(cells) == len(PAPER_NAT_PROFILES) * 2
-        assert {c.nat_profile for c in cells} == set(PAPER_NAT_PROFILES)
+        assert len(cells) == len(NAT_PROFILES) * 2
+        assert {c.nat_profile for c in cells} == set(NAT_PROFILES)
 
     def test_unknown_profile_rejected(self):
         cell = CellSpec(scenario="static", protocol="croupier", size=10, seed_index=0,
