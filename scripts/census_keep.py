@@ -74,18 +74,13 @@ KEEP = {
         "repro.workload.events:JoinBurst.compile* "
         "repro.workload.timeline:InstalledTimeline.*_boundary "
         "repro.workload.timeline:Timeline.install.<locals>.<lambda>",
-    "runs when `repro report --diff` finds a change; the gates diff equal aggregates":
-        "repro.experiments.report:AggregateDiff.improvements "
-        "repro.experiments.report:AggregateDiff.to_text.<locals>.<lambda> "
-        "repro.experiments.report:HistogramChange.verdict "
-        "repro.experiments.report:MetricChange.direction",
     "runs on a cell out of retries or under `--heartbeat N`; the gates recover every "
     "cell and run quiet":
         "repro.experiments.runner:_degraded_result repro.experiments.runner:_Heartbeat.done",
     "runs when the linter finds something; the gated tree is clean":
         "repro.lint:Finding.to_text repro.lint:LintReport.sorted_findings.<locals>.<lambda> "
         "repro.lint:_base_name",
-    "`--latency uniform`; the gates and figures run constant or King latency":
+    "the latency model the pinned fingerprints pass ready-made":
         "repro.simulator.latency:UniformLatency.*",
     "base default that each event or message type overrides":
         "repro.workload.events:WorkloadEvent.apply repro.workload.events:WorkloadEvent.compile "

@@ -51,11 +51,39 @@ class GateFailed(Exception):
     """A gate's command failed, a budget ran out, or bytes differ."""
 
 
+#: What ``report_diff`` worsens in a copy of the golden: a lower-is-better mean
+#: (doubled, plus one) and a histogram (every bin moved past the old maximum).
+WORSENED_METRIC = "est_err_avg_final"
+SHIFTED_HISTOGRAM = "in_degree"
+
+
 def report_diff(gate: "Gate", aggregate: Path) -> None:
     """The semantic view of the golden comparison: group means within 5 %,
-    histogram shapes within KS distance 0.1."""
-    run([*REPRO, "report", "--diff", (BASELINE / gate.golden).relative_to(REPO),
+    histogram shapes within KS distance 0.1. A copy of the golden worsened past
+    both tolerances must then exit 1 and name the metric and the histogram."""
+    golden = BASELINE / gate.golden
+    run([*REPRO, "report", "--diff", golden.relative_to(REPO),
          aggregate.relative_to(REPO)], gate)
+    worse = json.loads(golden.read_text(encoding="utf-8"))
+    group = min(name for name, metrics in worse["groups"].items()
+                if WORSENED_METRIC in metrics)
+    summary = worse["groups"][group][WORSENED_METRIC]
+    summary["mean"] = summary["mean"] * 2 + 1
+    histogram = worse["group_histograms"][group][SHIFTED_HISTOGRAM]
+    top = max(int(value) for value in histogram) + 1
+    worse["group_histograms"][group][SHIFTED_HISTOGRAM] = {
+        str(int(value) + top): count for value, count in histogram.items()}
+    worse_path = OUT / f"{gate.name}-worsened.json"
+    worse_path.write_text(json.dumps(worse, indent=2, sort_keys=True), encoding="utf-8")
+    argv = [*REPRO, "report", "--diff", golden.relative_to(REPO), worse_path.relative_to(REPO)]
+    print("+ " + shlex.join(str(arg) for arg in argv), flush=True)
+    result = subprocess.run(argv, cwd=REPO, env=ENV, capture_output=True, text=True)
+    unnamed = [name for name in (WORSENED_METRIC, SHIFTED_HISTOGRAM) if name not in result.stdout]
+    if result.returncode != 1 or unnamed:
+        raise GateFailed(f"`repro report --diff` on a worsened golden exited "
+                         f"{result.returncode} (want 1); names missing from its output: "
+                         f"{unnamed}\n{result.stdout}{result.stderr}")
+    print(f"worsened golden: exit 1, names {WORSENED_METRIC} and {SHIFTED_HISTOGRAM}")
 
 
 def equivalence_problems(aggregate: dict) -> List[str]:
@@ -154,7 +182,7 @@ GATES = (
          "`src/` resolves", command=("benchmarks/suite/run.py", "--selftest")),
     Gate("matrix", "the 16-cell mini-matrix (croupier + cyclon, NAT mixtures, UPnP) is "
          "byte-identical at 4 and 1 workers and to its golden; `repro report --diff` "
-         "shows no regression",
+         "shows no regression, and flags a copy of the golden worsened past both tolerances",
          grid=MATRIX, workers=(4, 1), golden="matrix_aggregate.json", check=report_diff),
     Gate("timeline", "the `paper-churn` timeline cells (40 nodes × 70 rounds × 2 seeds) are "
          "byte-identical at 4 and 1 workers and to their golden",

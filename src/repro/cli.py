@@ -40,6 +40,8 @@ def _csv_ints(text: str) -> List[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.workload.scenario import LATENCIES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Croupier reproduction: experiments, matrices, reports, lint.",
@@ -55,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--nodes", type=int, default=100, help="total system size")
     run.add_argument("--rounds", type=int, default=60, help="gossip rounds to simulate")
     run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--latency", default="king", help="king, constant or uniform")
+    run.add_argument("--latency", default="king", help=" or ".join(LATENCIES))
 
     matrix = subparsers.add_parser(
         "matrix", help="run a declarative experiment matrix on a worker pool",
@@ -82,27 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--rounds", type=int, default=30)
     matrix.add_argument("--public-ratio", type=float, default=0.2)
     matrix.add_argument("--root-seed", type=int, default=42)
-    matrix.add_argument("--latency", default="king")
-    matrix.add_argument(
-        "--nat-profiles",
-        type=_csv_list,
-        default=["restricted_cone"],
-        help="NAT-profile axis: comma-separated profile names (full_cone, "
-        "restricted_cone, port_restricted_cone, symmetric, ...)",
-    )
-    matrix.add_argument(
-        "--loss-rates",
-        type=_csv_list,
-        default=["0"],
-        help="packet-loss axis: comma-separated probabilities",
-    )
+    matrix.add_argument("--latency", default="king", help=" or ".join(LATENCIES))
     matrix.add_argument(
         "--nat-mixtures",
         type=_csv_list,
         default=["none"],
         help="NAT-mixture axis: comma-separated registered mixture names ('paper' is "
-        "the paper's measured NAT-type distribution) or 'none' for homogeneous "
-        "gateways (the --nat-profiles axis)",
+        "the paper's measured NAT-type distribution) or 'none' for restricted-cone "
+        "gateways throughout",
     )
     matrix.add_argument(
         "--upnp-fractions",
@@ -299,8 +288,8 @@ def _dry_run_matrix(spec) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """Every ``repro run`` name is a figure: its cells run through
-    :func:`repro.experiments.figures.run_figure` (imported here, so the CLI starts
-    without importing the stack)."""
+    :func:`repro.experiments.figures.run_figure` (imported here, so the parser
+    does not import the experiment modules)."""
     from repro.experiments.figures import FIGURES, run_figure
 
     if args.experiment == "list":
@@ -347,11 +336,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        loss_rates = [float(rate) for rate in args.loss_rates]
-    except ValueError as error:
-        raise ReproError(f"--loss-rates must be comma-separated probabilities "
-                         f"(got {','.join(args.loss_rates)!r}): {error}") from None
-    try:
         upnp_fractions = [float(fraction) for fraction in args.upnp_fractions]
     except ValueError as error:
         raise ReproError(f"--upnp-fractions must be comma-separated fractions "
@@ -367,8 +351,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         root_seed=args.root_seed,
         latency=args.latency,
         figures=args.figures,
-        nat_profiles=args.nat_profiles,
-        loss_rates=loss_rates,
         nat_mixtures=args.nat_mixtures,
         upnp_fractions=upnp_fractions,
         timelines=timelines,

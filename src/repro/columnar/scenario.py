@@ -112,7 +112,6 @@ class ColumnarScenario(BaseScenario):
             keepalive_fanout=getattr(self._pss_config, "keepalive_fanout", 20),
         )
         self.network = self.monitor = _EngineCounters(self.engine)
-        self.set_loss_rate(config.loss_rate)
         #: NAT-class label table; engine rows store indexes into it.
         self._nat_labels: List[str] = ["public"]
         self._nat_label_index: Dict[str, int] = {"public": 0}

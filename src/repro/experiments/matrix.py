@@ -36,7 +36,6 @@ from repro.membership.base import NatStrategy
 from repro.membership.plugin import get_plugin, protocol_names
 from repro.metrics.payload import MetricPayload
 from repro.nat.mixture import NAT_MIXTURES
-from repro.nat.types import NAMED_PROFILES, NatProfile
 from repro.simulator.core import derive_seed
 
 #: JSON-scalar parameter values a cell may carry (they must round-trip through repr()
@@ -48,17 +47,11 @@ Params = Tuple[Tuple[str, ParamValue], ...]
 #: Label used as the first component of every cell-seed derivation.
 _CELL_SEED_LABEL = "matrix-cell"
 
-#: First-class NAT-profile axis values -> profile factories (the canonical vocabulary
-#: lives in :data:`repro.nat.types.NAMED_PROFILES`; this alias is the axis view of it).
-NAT_PROFILES: Dict[str, Callable[[], NatProfile]] = dict(NAMED_PROFILES)
-
 #: Axis defaults. Cells at the default value omit the field from their key, so every
 #: pre-axis cell key (and therefore every derived seed and archived aggregate) is
 #: unchanged — the axes are additive.
-DEFAULT_NAT_PROFILE = "restricted_cone"
-DEFAULT_LOSS_RATE = 0.0
-#: ``"none"`` = homogeneous gateways (the ``nat_profile`` axis applies); any other
-#: value names a registered :class:`~repro.nat.mixture.NatMixture`.
+#: ``"none"`` = every gateway runs the restricted-cone profile; any other value names
+#: a registered :class:`~repro.nat.mixture.NatMixture`.
 DEFAULT_NAT_MIXTURE = "none"
 DEFAULT_UPNP_FRACTION = 0.0
 #: ``"none"`` = no extra workload dynamics; any other value names a registered
@@ -99,8 +92,6 @@ class CellSpec:
     seed_index: int
     rounds: int
     public_ratio: float = 0.2
-    nat_profile: str = DEFAULT_NAT_PROFILE
-    loss_rate: float = DEFAULT_LOSS_RATE
     nat_mixture: str = DEFAULT_NAT_MIXTURE
     upnp_fraction: float = DEFAULT_UPNP_FRACTION
     timeline: str = DEFAULT_TIMELINE
@@ -111,12 +102,12 @@ class CellSpec:
     def key(self) -> str:
         """Stable identifier: a pure function of the cell's content.
 
-        The deployment axes (``nat_profile``, ``loss_rate``, ``nat_mixture``,
-        ``upnp_fraction``) and the ``timeline`` axis appear only when they differ
-        from the defaults, so cell keys — and the seeds derived from them — from
-        before those axes existed are unchanged. A non-default timeline is keyed as
-        ``name@digest``: the digest hashes the timeline's canonical JSON, so editing
-        a preset's *content* re-seeds its cells even though the name stays put.
+        The deployment axes (``nat_mixture``, ``upnp_fraction``) and the
+        ``timeline`` axis appear only when they differ from the defaults, so cell
+        keys — and the seeds derived from them — from before those axes existed
+        are unchanged. A non-default timeline is keyed as ``name@digest``: the
+        digest hashes the timeline's canonical JSON, so editing a preset's
+        *content* re-seeds its cells even though the name stays put.
         """
         parts = [
             f"scenario={self.scenario}",
@@ -135,10 +126,6 @@ class CellSpec:
         only the axes off their defaults (cell keys and aggregate group names share
         this spelling)."""
         parts = []
-        if self.nat_profile != DEFAULT_NAT_PROFILE:
-            parts.append(f"nat_profile={self.nat_profile}")
-        if self.loss_rate != DEFAULT_LOSS_RATE:
-            parts.append(f"loss_rate={self.loss_rate:g}")
         if self.nat_mixture != DEFAULT_NAT_MIXTURE:
             parts.append(f"nat_mixture={self.nat_mixture}")
         if self.upnp_fraction != DEFAULT_UPNP_FRACTION:
@@ -164,25 +151,11 @@ class CellSpec:
             raise ExperimentError(
                 f"unknown protocol {self.protocol!r}; expected one of {protocol_names()}"
             )
-        if self.nat_profile not in NAT_PROFILES:
+        if self.nat_mixture != DEFAULT_NAT_MIXTURE and self.nat_mixture not in NAT_MIXTURES:
             raise ExperimentError(
-                f"unknown nat_profile {self.nat_profile!r}; expected one of "
-                f"{sorted(NAT_PROFILES)}"
+                f"unknown nat_mixture {self.nat_mixture!r}; expected "
+                f"{DEFAULT_NAT_MIXTURE!r} or one of {sorted(NAT_MIXTURES)}"
             )
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ExperimentError(f"loss_rate out of range: {self.loss_rate}")
-        if self.nat_mixture != DEFAULT_NAT_MIXTURE:
-            if self.nat_mixture not in NAT_MIXTURES:
-                raise ExperimentError(
-                    f"unknown nat_mixture {self.nat_mixture!r}; expected "
-                    f"{DEFAULT_NAT_MIXTURE!r} or one of {sorted(NAT_MIXTURES)}"
-                )
-            if self.nat_profile != DEFAULT_NAT_PROFILE:
-                raise ExperimentError(
-                    f"cell sets both nat_mixture={self.nat_mixture!r} and "
-                    f"nat_profile={self.nat_profile!r}; a mixture already decides "
-                    "every gateway's profile"
-                )
         if not 0.0 <= self.upnp_fraction <= 1.0:
             raise ExperimentError(f"upnp_fraction out of range: {self.upnp_fraction}")
         if self.timeline != DEFAULT_TIMELINE:
@@ -239,10 +212,8 @@ def cell_seed(root_seed: int, cell: CellSpec) -> int:
 #: The deployment, timeline and engine axes in expansion order:
 #: (``CellSpec`` field, ``MatrixSpec`` field, default).
 _AXES = (
-    ("nat_profile", "nat_profiles", DEFAULT_NAT_PROFILE),
     ("nat_mixture", "nat_mixtures", DEFAULT_NAT_MIXTURE),
     ("upnp_fraction", "upnp_fractions", DEFAULT_UPNP_FRACTION),
-    ("loss_rate", "loss_rates", DEFAULT_LOSS_RATE),
     ("timeline", "timelines", DEFAULT_TIMELINE),
     ("engine", "engines", DEFAULT_ENGINE),
 )
@@ -261,14 +232,15 @@ class MatrixSpec:
     (left at their defaults); the other axes cross them, but an axis a figure's cell
     sets off its default keeps the cell's value (``scale`` stays columnar).
 
-    ``nat_profiles``, ``loss_rates``, ``nat_mixtures`` and ``upnp_fractions`` are
-    first-class deployment axes: the NAT behaviour of private nodes' gateways (names
-    from :data:`NAT_PROFILES`), the uniform packet-loss probability, heterogeneous
-    gateway populations (registered :data:`repro.nat.mixture.NAT_MIXTURES` names —
-    ``"paper"`` is the paper's measured NAT-type distribution; ``"none"`` keeps the
-    homogeneous ``nat_profiles`` behaviour) and the fraction of gateways whose NAT
+    ``nat_mixtures`` and ``upnp_fractions`` are first-class deployment axes: the
+    gateway population (registered :data:`repro.nat.mixture.NAT_MIXTURES` names —
+    ``"paper"`` is the paper's measured NAT-type distribution; ``"none"`` gives every
+    gateway the restricted-cone profile) and the fraction of gateways whose NAT
     supports UPnP port mapping. Their defaults reproduce the pre-axis grids exactly,
     cell keys included.
+
+    ``latency`` names the object engine's latency model, one of
+    :data:`repro.workload.scenario.LATENCIES`.
 
     ``timelines`` is the workload-dynamics axis: each value names a registered
     :class:`~repro.workload.timeline.Timeline` (``repro matrix --list`` shows the
@@ -292,8 +264,6 @@ class MatrixSpec:
     root_seed: int = 42
     latency: str = "king"
     figures: Sequence[str] = ()
-    nat_profiles: Sequence[str] = (DEFAULT_NAT_PROFILE,)
-    loss_rates: Sequence[float] = (DEFAULT_LOSS_RATE,)
     nat_mixtures: Sequence[str] = (DEFAULT_NAT_MIXTURE,)
     upnp_fractions: Sequence[float] = (DEFAULT_UPNP_FRACTION,)
     timelines: Sequence[str] = (DEFAULT_TIMELINE,)
@@ -309,6 +279,12 @@ class MatrixSpec:
             raise ExperimentError("seeds must be positive")
         if self.rounds <= 0:
             raise ExperimentError("rounds must be positive")
+        from repro.workload.scenario import LATENCIES
+
+        if self.latency not in LATENCIES:
+            raise ExperimentError(
+                f"unknown latency model {self.latency!r}; expected one of {LATENCIES}"
+            )
         if self.figures:
             from repro.experiments.figures import FIGURES
 
@@ -335,11 +311,11 @@ class MatrixSpec:
     def cells(self) -> List[CellSpec]:
         """Expand the axes into cells, in a stable, documented order.
 
-        Order is scenario → protocol → NAT profile → NAT mixture → UPnP fraction →
-        loss rate → timeline → engine → size → seed, exactly as declared; with
-        ``figures`` it is figure → size → the figure's cells in figure order → NAT
-        profile → … → engine → seed. The runner preserves this order in its results
-        regardless of which worker finishes first.
+        Order is scenario → protocol → NAT mixture → UPnP fraction → timeline →
+        engine → size → seed, exactly as declared; with ``figures`` it is figure →
+        size → the figure's cells in figure order → NAT mixture → … → engine →
+        seed. The runner preserves this order in its results regardless of which
+        worker finishes first.
         """
         axes = [getattr(self, field) for _, field, _ in _AXES]
         if self.figures:
@@ -362,8 +338,8 @@ class MatrixSpec:
                      for name in self.scenarios for protocol in self.protocols]
         cells: List[CellSpec] = []
         for scenario, protocol, rounds, public_ratio, params, base_axes in bases:
-            for (nat_profile, nat_mixture, upnp_fraction, loss_rate, timeline, engine,
-                 size, seed_index) in itertools.product(*base_axes, range(self.seeds)):
+            for (nat_mixture, upnp_fraction, timeline, engine, size,
+                 seed_index) in itertools.product(*base_axes, range(self.seeds)):
                 cells.append(CellSpec(
                     scenario=scenario,
                     protocol=protocol,
@@ -371,8 +347,6 @@ class MatrixSpec:
                     seed_index=seed_index,
                     rounds=rounds,
                     public_ratio=public_ratio,
-                    nat_profile=nat_profile,
-                    loss_rate=float(loss_rate),
                     nat_mixture=nat_mixture,
                     upnp_fraction=float(upnp_fraction),
                     timeline=timeline,
@@ -403,8 +377,6 @@ class MatrixSpec:
             "public_ratio": self.public_ratio,
             "root_seed": self.root_seed,
             "latency": self.latency,
-            "nat_profiles": list(self.nat_profiles),
-            "loss_rates": list(self.loss_rates),
             **dict(self._moved_axes()),
         }
         if self.figures:
@@ -579,8 +551,8 @@ class CellContext:
 
     def scenario_config(self, pss_config=None, nat_mixture: Optional[str] = None):
         """The :class:`~repro.workload.ScenarioConfig` this cell prescribes: protocol,
-        derived seed, latency, and the deployment axes (NAT profile or mixture, UPnP
-        fraction, loss rate). ``nat_mixture`` overrides the cell's mixture axis (the
+        derived seed, latency, and the deployment axes (NAT mixture, UPnP
+        fraction). ``nat_mixture`` overrides the cell's mixture axis (the
         ``nat_indegree`` kind forces the paper mixture on mixture-less cells)."""
         from repro.workload.scenario import ScenarioConfig
 
@@ -595,8 +567,6 @@ class CellContext:
             protocol=cell.protocol,
             seed=self.seed,
             latency=self.latency,
-            loss_rate=cell.loss_rate,
-            nat_profile=NAT_PROFILES[cell.nat_profile](),
             nat_mixture=mixture,
             upnp_fraction=cell.upnp_fraction,
             pss_config=pss_config,
@@ -656,8 +626,6 @@ class CellContext:
             cell.protocol,
             self.seed,
             self.latency,
-            cell.loss_rate,
-            cell.nat_profile,
             nat_mixture if nat_mixture is not None else cell.nat_mixture,
             cell.upnp_fraction,
             n_public,

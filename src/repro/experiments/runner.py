@@ -70,9 +70,10 @@ from repro.metrics.payload import MetricPayload
 
 #: Schema tag written into every aggregate, so downstream tooling can detect drift.
 #: v2 added the typed payload sections (per-cell ``histograms``/``series`` and the
-#: per-group ``group_histograms``) plus the ``nat_profiles``/``loss_rates`` axes.
-#: The fault-tolerance layer adds only the *conditional* ``degraded`` section, so
-#: fault-free aggregates keep the v2 bytes exactly and the tag stays.
+#: per-group ``group_histograms``). The fault-tolerance layer adds only the
+#: *conditional* ``degraded`` section, so fault-free aggregates keep the v2 bytes
+#: and the tag stays; the spec section lost two always-present axis entries
+#: without a tag change, because nothing that reads an aggregate reads them.
 AGGREGATE_SCHEMA = "repro-matrix-aggregate-v2"
 
 #: Watchdog budget for cells whose scenario kind declares no ``timeout_s`` of its own

@@ -30,7 +30,6 @@ from repro.nat.types import (
     FilteringPolicy,
     MappingPolicy,
     NatProfile,
-    profile_name,
 )
 from repro.nat.upnp import UpnpNatBox
 
@@ -47,5 +46,4 @@ __all__ = [
     "NatProfile",
     "PortAllocator",
     "UpnpNatBox",
-    "profile_name",
 ]

@@ -122,19 +122,11 @@ class NatProfile:
 
 
 #: The canonical name -> factory mapping for the standard profiles. This is the one
-#: vocabulary shared by the matrix axes (``--nat-profiles``), the NAT mixtures
-#: (:mod:`repro.nat.mixture`) and the per-NAT-type metric breakdowns.
+#: vocabulary shared by the NAT mixtures (:mod:`repro.nat.mixture`, the
+#: ``--nat-mixtures`` axis) and the per-NAT-type metric breakdowns.
 NAMED_PROFILES = {
     "full_cone": NatProfile.full_cone,
     "restricted_cone": NatProfile.restricted_cone,
     "port_restricted_cone": NatProfile.port_restricted_cone,
     "symmetric": NatProfile.symmetric,
 }
-
-
-def profile_name(profile: NatProfile) -> str:
-    """The canonical name of a profile, or ``"custom"`` for non-standard ones."""
-    for name, factory in NAMED_PROFILES.items():
-        if profile == factory(mapping_timeout_ms=profile.mapping_timeout_ms):
-            return name
-    return "custom"

@@ -36,7 +36,7 @@ import copy
 import math
 from abc import ABC, abstractmethod
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Union
 
 from repro.bootstrap.registry import BootstrapRegistry
@@ -47,13 +47,13 @@ from repro.membership.plugin import ProtocolPlugin, get_plugin, protocol_names
 from repro.metrics.graph import build_overlay_graph, in_degree_distribution
 from repro.nat.mixture import NatMixture
 from repro.nat.nat_box import NatBox
-from repro.nat.types import NatProfile, profile_name
+from repro.nat.types import NatProfile
 from repro.nat.upnp import UpnpNatBox
 from repro.natid.protocol import NatIdentificationClient, NatIdentificationServer
 from repro.net.address import Endpoint, NatType, NodeAddress
 from repro.simulator.core import Simulator
 from repro.simulator.host import Host
-from repro.simulator.latency import ConstantLatency, KingLatencyModel, LatencyModel, UniformLatency
+from repro.simulator.latency import ConstantLatency, KingLatencyModel, LatencyModel
 from repro.simulator.loss import BernoulliLoss, NoLoss
 from repro.simulator.monitor import TrafficMonitor, TrafficSnapshot
 from repro.simulator.network import Network, NetworkPartition
@@ -62,6 +62,11 @@ from repro.workload.ipalloc import IpAllocator
 
 #: Registered execution backends a :class:`ScenarioConfig` may select.
 ENGINES = ("object", "columnar")
+#: Latency models a :class:`ScenarioConfig` may name (the object engine builds them;
+#: the columnar engine has no per-packet latency).
+LATENCIES = ("king", "constant")
+#: The gateway every private node gets when no ``nat_mixture`` is set.
+DEFAULT_GATEWAY = ("restricted_cone", NatProfile.restricted_cone())
 
 
 @dataclass
@@ -78,21 +83,17 @@ class ScenarioConfig:
     pss_config:
         Protocol configuration prototype shared by every node. ``None`` selects the
         protocol's default configuration (which matches the paper's setup).
-    nat_profile:
-        NAT behaviour for private nodes' gateways. The default (restricted cone) is the
-        most common consumer NAT behaviour. Ignored when ``nat_mixture`` is set.
     nat_mixture:
-        Optional heterogeneous gateway population: each private node's gateway samples
-        its :class:`~repro.nat.types.NatProfile` from this
+        Optional gateway population: each private node's gateway samples its
+        :class:`~repro.nat.types.NatProfile` from this
         :class:`~repro.nat.mixture.NatMixture`, deterministically from a stream derived
         from the scenario seed (the paper evaluates against its *measured* NAT-type
-        distribution, registered as the ``"paper"`` mixture). Takes precedence over
-        ``nat_profile``.
+        distribution, registered as the ``"paper"`` mixture; a homogeneous deployment
+        is a mixture of one profile). ``None`` gives every gateway the restricted-cone
+        profile, the most common consumer NAT behaviour.
     latency:
-        ``"king"`` (default), ``"constant"``, ``"uniform"``, or a ready-made
+        One of :data:`LATENCIES` (``"king"`` is the default) or a ready-made
         :class:`~repro.simulator.latency.LatencyModel`.
-    loss_rate:
-        Uniform packet-loss probability (0 disables loss).
     identify_nat_types:
         If ``True``, joining nodes run the distributed NAT-type identification protocol
         (Algorithm 1) to discover their class instead of being told the ground truth.
@@ -109,10 +110,8 @@ class ScenarioConfig:
     protocol: str = "croupier"
     seed: int = 42
     pss_config: Optional[PssConfig] = None
-    nat_profile: NatProfile = field(default_factory=NatProfile.restricted_cone)
     nat_mixture: Optional[NatMixture] = None
     latency: Union[str, LatencyModel] = "king"
-    loss_rate: float = 0.0
     identify_nat_types: bool = False
     upnp_fraction: float = 0.0
     engine: str = "object"
@@ -122,8 +121,10 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"unknown protocol {self.protocol!r}; expected one of {protocol_names()}"
             )
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ConfigurationError(f"loss_rate out of range: {self.loss_rate}")
+        if isinstance(self.latency, str) and self.latency not in LATENCIES:
+            raise ConfigurationError(
+                f"unknown latency model {self.latency!r}; expected one of {LATENCIES}"
+            )
         if not 0.0 <= self.upnp_fraction <= 1.0:
             raise ConfigurationError(f"upnp_fraction out of range: {self.upnp_fraction}")
         if self.engine not in ENGINES:
@@ -209,7 +210,6 @@ class BaseScenario(ABC):
         self._nat_mixture_rng = (
             self.sim.derive_rng("nat-mixture") if config.nat_mixture is not None else None
         )
-        self._fixed_profile_name = profile_name(config.nat_profile)
         self._loss_rate = 0.0
 
     # ------------------------------------------------------------------ properties
@@ -252,10 +252,11 @@ class BaseScenario(ABC):
             self.add_node(is_public)
 
     def _gateway_profile(self) -> tuple:
-        """The (name, profile) the next created gateway runs — fixed or mixture-drawn."""
+        """The (name, profile) the next created gateway runs — mixture-drawn, or
+        :data:`DEFAULT_GATEWAY`."""
         if self.config.nat_mixture is not None:
             return self.config.nat_mixture.sample(self._nat_mixture_rng)
-        return self._fixed_profile_name, self.config.nat_profile
+        return DEFAULT_GATEWAY
 
     @abstractmethod
     def _add_public_node(self) -> int:
@@ -436,7 +437,6 @@ class Scenario(BaseScenario):
         self.network = Network(
             self.sim, latency_model=self._build_latency_model(), monitor=self.monitor
         )
-        self.set_loss_rate(self.config.loss_rate)
         self.registry = BootstrapRegistry(rng=self.sim.derive_rng("bootstrap"))
         self.ip_alloc = IpAllocator()
         self.nodes: Dict[int, NodeHandle] = {}
@@ -448,11 +448,7 @@ class Scenario(BaseScenario):
             return latency
         if latency == "king":
             return KingLatencyModel(seed=self.config.seed)
-        if latency == "constant":
-            return ConstantLatency(50.0)
-        if latency == "uniform":
-            return UniformLatency(10.0, 150.0, seed=self.config.seed)
-        raise ConfigurationError(f"unknown latency model {latency!r}")
+        return ConstantLatency(50.0)  # validate() admits only LATENCIES
 
     # ------------------------------------------------------------------ node creation
 
@@ -614,7 +610,7 @@ class Scenario(BaseScenario):
             elif isinstance(handle.natbox, UpnpNatBox):
                 label = "upnp"
             else:
-                label = handle.nat_profile_name or self._fixed_profile_name
+                label = handle.nat_profile_name
             classes.setdefault(label, []).append(handle.node_id)
         return classes
 

@@ -62,8 +62,9 @@ def columnar_config(seed=7, **kwargs):
     return ScenarioConfig(seed=seed, engine="columnar", **kwargs)
 
 
-def make_scenario(seed=7, n_public=20, n_private=80, **kwargs):
+def make_scenario(seed=7, n_public=20, n_private=80, loss_rate=0.0, **kwargs):
     scenario = ColumnarScenario(columnar_config(seed=seed, **kwargs))
+    scenario.set_loss_rate(loss_rate)
     scenario.populate(n_public, n_private)
     return scenario
 

@@ -38,6 +38,7 @@ from repro.membership.plugin import get_plugin
 from repro.membership.policies import SelectionPolicy
 from repro.metrics.probes import collect_ratio_estimates
 from repro.nat.mixture import NAT_MIXTURES
+from repro.simulator.latency import UniformLatency
 from repro.workload.scenario import Scenario, ScenarioConfig
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_croupier_seed7.json"
@@ -171,11 +172,11 @@ def protocol_fingerprint(
             protocol=protocol,
             seed=seed,
             pss_config=config,
-            latency="uniform",
-            loss_rate=loss_rate,
+            latency=UniformLatency(10.0, 150.0, seed=seed),
             nat_mixture=NAT_MIXTURES["paper"],
         )
     )
+    scenario.set_loss_rate(loss_rate)
     scenario.populate(n_public=n_public, n_private=n_private)
     for _ in range(rounds):
         scenario.run_rounds(1)

@@ -129,14 +129,14 @@ class TestSpecExpansion:
         already sets off its default (``scale`` is columnar) keeps the cell's value."""
         pytest.importorskip("numpy")
         spec = MatrixSpec(figures=("scale", "churn"), sizes=(50,), rounds=30, seeds=2,
-                          engines=("object", "columnar"), loss_rates=(0.0, 0.1))
+                          engines=("object", "columnar"), upnp_fractions=(0.0, 0.1))
         cells = spec.validate()
         assert len(cells) == 2 * 2 * 2 + 4 * 2 * 2 * 2
         assert {c.engine for c in cells if c.scenario == "scale"} == {"columnar"}
-        assert {(c.engine, c.loss_rate, c.seed_index) for c in cells
+        assert {(c.engine, c.upnp_fraction, c.seed_index) for c in cells
                 if c.scenario == "churn"} == {
-            (engine, loss, seed) for engine in ("object", "columnar")
-            for loss in (0.0, 0.1) for seed in (0, 1)}
+            (engine, upnp, seed) for engine in ("object", "columnar")
+            for upnp in (0.0, 0.1) for seed in (0, 1)}
         assert spec.spec_json_dict()["figures"] == ["scale", "churn"]
         assert "scenarios" not in spec.spec_json_dict()
 
@@ -181,6 +181,17 @@ class TestSpecExpansion:
             small_spec(protocols=("not-a-protocol",)).validate()
         with pytest.raises(ExperimentError):
             run_matrix(small_spec(), workers=0)
+
+    def test_an_unknown_latency_is_refused_before_any_cell_runs(self, capsys, tmp_path):
+        from repro.cli import main
+
+        assert main(["matrix", "--latency", "bogus", "--sizes", "20", "--rounds", "2",
+                     "--dry-run"]) == 2
+        assert "unknown latency model 'bogus'" in capsys.readouterr().err
+        journal = tmp_path / "journal.jsonl"
+        with pytest.raises(ExperimentError, match="unknown latency model 'bogus'"):
+            run_matrix(small_spec(latency="bogus"), journal_path=journal)
+        assert not journal.exists()
 
     def test_dynamics_past_the_horizon_are_refused_before_any_cell_runs(self, capsys):
         """Churn or ratio growth starting at or after the last round would measure a

@@ -10,8 +10,6 @@ import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.matrix import (
-    DEFAULT_NAT_PROFILE,
-    NAT_PROFILES,
     CellSpec,
     MatrixSpec,
     run_cell,
@@ -29,6 +27,8 @@ from repro.membership.plugin import (
 )
 from repro.metrics.payload import MetricPayload, histogram_statistics, merge_histograms
 from repro.metrics.probes import collect_ratio_estimates
+from repro.nat.mixture import NAT_MIXTURES
+from repro.nat.types import NatProfile
 from repro.workload.scenario import Scenario, ScenarioConfig
 
 ALL_PROTOCOLS = ("croupier", "cyclon", "gozar", "nylon")
@@ -265,37 +265,37 @@ class TestDeploymentAxes:
     def test_default_axes_leave_cell_keys_unchanged(self):
         cell = CellSpec(scenario="static", protocol="croupier", size=50, seed_index=0,
                         rounds=6)
-        assert "nat_profile" not in cell.key and "loss_rate" not in cell.key
+        assert "nat_mixture" not in cell.key and "upnp_fraction" not in cell.key
         swept = CellSpec(scenario="static", protocol="croupier", size=50, seed_index=0,
-                         rounds=6, nat_profile="symmetric", loss_rate=0.05)
-        assert "nat_profile=symmetric" in swept.key
-        assert "loss_rate=0.05" in swept.key
+                         rounds=6, nat_mixture="paper", upnp_fraction=0.05)
+        assert "nat_mixture=paper" in swept.key
+        assert "upnp_fraction=0.05" in swept.key
 
     def test_axes_expand_the_grid(self):
         spec = MatrixSpec(
             scenarios=("static",), protocols=("croupier",), sizes=(30,), seeds=1,
             rounds=3, latency="constant",
-            nat_profiles=sorted(NAT_PROFILES), loss_rates=(0.0, 0.05),
+            nat_mixtures=sorted(NAT_MIXTURES), upnp_fractions=(0.0, 0.05),
         )
         cells = spec.validate()
-        assert len(cells) == len(NAT_PROFILES) * 2
-        assert {c.nat_profile for c in cells} == set(NAT_PROFILES)
-
-    def test_unknown_profile_rejected(self):
-        cell = CellSpec(scenario="static", protocol="croupier", size=10, seed_index=0,
-                        rounds=2, nat_profile="carrier-grade")
-        with pytest.raises(ExperimentError):
-            cell.validate()
+        assert len(cells) == len(NAT_MIXTURES) * 2
+        assert {c.nat_mixture for c in cells} == set(NAT_MIXTURES)
+        # Only axes off their defaults enter the spec section.
+        assert "nat_mixtures" in spec.spec_json_dict()
+        assert "upnp_fractions" not in MatrixSpec().spec_json_dict()
 
     def test_axis_values_reach_the_scenario(self):
-        cell = CellSpec(scenario="static", protocol="croupier", size=20, seed_index=0,
-                        rounds=2, nat_profile="symmetric", loss_rate=0.2)
         from repro.experiments.matrix import CellContext
 
+        cell = CellSpec(scenario="static", protocol="croupier", size=20, seed_index=0,
+                        rounds=2)
         config = CellContext(cell=cell, seed=1, latency="constant").scenario_config()
-        assert config.loss_rate == 0.2
-        assert config.nat_profile == NAT_PROFILES["symmetric"]()
-        assert DEFAULT_NAT_PROFILE in NAT_PROFILES
+        assert config.nat_mixture is None
+        scenario = Scenario(config)
+        scenario.populate(n_public=2, n_private=6)
+        assert set(scenario.nat_class_members()) == {"public", "restricted_cone"}
+        assert {handle.natbox.profile for handle in scenario.live_handles()
+                if handle.natbox is not None} == {NatProfile.restricted_cone()}
 
 
 class TestAggregateDiff:

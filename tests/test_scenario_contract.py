@@ -20,13 +20,15 @@ N_PUBLIC, N_PRIVATE = 12, 48
 N = N_PUBLIC + N_PRIVATE
 
 
-def build(engine, protocol="croupier", seed=7, **kwargs):
-    """A populated scenario of ``engine`` (the columnar one needs numpy)."""
+def build(engine, protocol="croupier", seed=7, loss_rate=0.0, **kwargs):
+    """A populated scenario of ``engine`` (the columnar one needs numpy) with a
+    standing ``loss_rate``."""
     if engine == "columnar":
         pytest.importorskip("numpy")
     scenario = create_scenario(ScenarioConfig(
         protocol=protocol, seed=seed, latency="constant", engine=engine, **kwargs
     ))
+    scenario.set_loss_rate(loss_rate)
     scenario.populate(N_PUBLIC, N_PRIVATE)
     return scenario
 

@@ -34,6 +34,7 @@ from repro.membership.policies import SelectionPolicy
 from repro.membership.view import PartialView
 from repro.nat.mixture import NAT_MIXTURES
 from repro.simulator.component import Component
+from repro.simulator.latency import UniformLatency
 from repro.workload.scenario import Scenario, ScenarioConfig
 
 
@@ -82,12 +83,6 @@ def test_only_named_message_types_go_unhandled(monkeypatch, protocol, dynamics):
 UNSET_BY_DESIGN = {
     "ScenarioConfig.identify_nat_types": "Algorithm 1 either earns a cell or goes "
     "(ROADMAP item 18); only its own tests and the columnar refusal set it today",
-    "CellSpec.nat_profile": "the `repro matrix --nat-profiles` axis; the gates sweep "
-    "NAT mixtures instead and the figures keep the paper's restricted-cone default",
-    "ScenarioConfig.nat_profile": "what CellSpec.nat_profile sets",
-    "CellSpec.loss_rate": "the `repro matrix --loss-rates` axis; no gate grid or "
-    "figure sweeps a standing loss rate",
-    "ScenarioConfig.loss_rate": "what CellSpec.loss_rate sets",
 }
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -212,11 +207,11 @@ class TestInvariantsAcrossProtocols:
             ScenarioConfig(
                 protocol=protocol,
                 seed=5,
-                latency="uniform",
-                loss_rate=0.05,
+                latency=UniformLatency(10.0, 150.0, seed=5),
                 nat_mixture=NAT_MIXTURES["paper"],
             )
         )
+        scenario.set_loss_rate(0.05)
         scenario.populate(n_public=12, n_private=28)
         croupier = scenario.plugin.nat_strategy is NatStrategy.CROUPIER
         for _ in range(30):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
+from repro.simulator.loss import BernoulliLoss
 from repro.workload.churn import ChurnProcess
+from repro.workload.events import LossBurst
 from repro.workload.failure import catastrophic_failure
 from repro.workload.ipalloc import IpAllocator
 from repro.workload.join import PoissonJoinProcess
@@ -30,12 +32,19 @@ class TestScenarioConfig:
             ScenarioConfig(protocol="chord").validate()
 
     def test_loss_rate_validated(self):
+        """A standing loss is no config field: the loss model and the ``LossBurst``
+        event that set one range-check it."""
         with pytest.raises(ConfigurationError):
-            ScenarioConfig(loss_rate=1.5).validate()
+            BernoulliLoss(1.5)
+        with pytest.raises(ExperimentError):
+            LossBurst(start_round=0.0, stop_round=5.0, loss_rate=1.5).validate()
 
     def test_unknown_latency_rejected(self):
         with pytest.raises(ConfigurationError):
             Scenario(ScenarioConfig(latency="warp"))
+        # The columnar engine never reads the latency, so only validate() sees it.
+        with pytest.raises(ConfigurationError, match="unknown latency model 'warp'"):
+            ScenarioConfig(latency="warp", engine="columnar").validate()
 
 
 class TestScenarioBasics:
