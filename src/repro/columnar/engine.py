@@ -40,16 +40,17 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from array import array
 from typing import Dict, List, Optional, Tuple
 
-from repro.columnar import backend
+from repro.columnar import backend, shuffle
 from repro.columnar.backend import as_np, grow_column, new_column, seq_sum
 from repro.columnar.shuffle import maintain_parents, run_shuffle_round, send_keepalives
 from repro.columnar.streaming import StreamingHistogram
 from repro.errors import ConfigurationError
 from repro.membership.base import NatStrategy
 from repro.membership.plugin import get_plugin
-from repro.simulator.core import sample
+from repro.simulator.core import sample_prefixes
 
 __all__ = [
     "BORN_NONE", "CACHE_CAPACITY", "ColumnarEngine", "FORWARD_ESTIMATES", "ROW_LIMIT",
@@ -234,18 +235,60 @@ class ColumnarEngine:
         self.is_public[row] = 1 if public else 0
         self.nat_class[row] = nat_class
         self.joined_ms[row] = now_ms
-        seeds = self._pub_live
-        count = min(self.V, len(seeds))
-        if count:
-            chosen = sample(self.rng, seeds, count)
-            base = row * self.V
-            for slot, seed_row in enumerate(chosen):
-                self.pub_id[base + slot] = seed_row
-                self.pub_age[base + slot] = 0
+        picks: List[int] = []
+        self._draw_seeds((len(self._pub_live),), picks)
+        base = row * self.V
+        for slot, seed_row in enumerate(picks):
+            self.pub_id[base + slot] = seed_row
         if public:
             self._pub_pos[row] = len(self._pub_live)
             self._pub_live.append(row)
         return row
+
+    def add_nodes(self, public, nat_class, now_ms: float = 0.0) -> None:
+        """Create ``len(public)`` nodes in row order, as that many :meth:`add_node`
+        calls would: row ``i`` is public where ``public[i]`` is set and has NAT class
+        ``nat_class[i]``, and its view is seeded from the live publics created before
+        it. The per-row columns are written as slices; the registry grows and the
+        view-seed draws run per block of ``_BLOCK_ROWS`` rows, so no temporary
+        grows with the population."""
+        np = backend.np
+        start = self._rows
+        stop = start + len(public)
+        _check_row_limit(stop)
+        if stop > self._cap:
+            self._grow(stop)
+        self._rows = stop
+        as_np(self.alive)[start:stop] = 1
+        as_np(self.is_public)[start:stop] = public
+        as_np(self.nat_class)[start:stop] = nat_class
+        as_np(self.joined_ms)[start:stop] = now_ms
+        V = self.V
+        block = shuffle._BLOCK_ROWS
+        for lo in range(start, stop, block):
+            hi = min(lo + block, stop)
+            flags = as_np(self.is_public)[lo:hi]
+            # Live publics created before each row of the block.
+            sizes = np.cumsum(flags, dtype=np.int64)
+            sizes -= flags
+            sizes += len(self._pub_live)
+            # A row draws only from the publics before it, so the block's own
+            # publics join the registry before its draws.
+            created = (np.flatnonzero(flags) + lo).tolist()
+            first = len(self._pub_live)
+            self._pub_pos.update(zip(created, range(first, first + len(created))))
+            self._pub_live.extend(created)
+            picks = array("i")
+            self._draw_seeds(sizes.tolist(), picks)
+            counts = np.minimum(sizes, V)
+            slots = np.arange(len(picks)) - np.repeat(np.cumsum(counts) - counts, counts)
+            targets = np.repeat(np.arange(lo, hi, dtype=np.int64) * V, counts) + slots
+            as_np(self.pub_id)[targets] = as_np(picks)
+
+    def _draw_seeds(self, sizes, out) -> None:
+        """The view-seed draw of each new row, one per registry size ``n`` in
+        ``sizes``: ``rng.sample`` of ``min(V, n)`` of the first ``n`` live publics."""
+        sample_prefixes(self.rng, self._pub_live, sizes, self.V, out)
 
     def kill(self, row: int) -> bool:
         """Remove a node. Its descriptors linger in other views and age out."""

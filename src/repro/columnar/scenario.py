@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
+from repro.columnar import backend
 from repro.columnar.engine import ColumnarEngine
 from repro.errors import ConfigurationError
 from repro.membership.policies import SelectionPolicy
-from repro.workload.scenario import BaseScenario
+from repro.workload.scenario import DEFAULT_GATEWAY, BaseScenario
 
 
 class ColumnarOverlay(Mapping[int, Set[int]]):
@@ -140,20 +141,43 @@ class ColumnarScenario(BaseScenario):
         return self.engine.add_node(True, now_ms=self.sim.now, nat_class=0)
 
     def _add_private_node(self) -> int:
+        use_upnp, label = self._private_class()
+        return self.engine.add_node(
+            use_upnp, now_ms=self.sim.now, nat_class=self._label_index(label)
+        )
+
+    def _private_class(self) -> Tuple[bool, str]:
+        """The draws of one node behind a gateway: ``(UPnP-mapped, class label)``."""
         use_upnp = (
             self.config.upnp_fraction > 0.0
             and self.rng.random() < self.config.upnp_fraction
         )
         gateway_profile_name, _profile = self._gateway_profile()
-        label = "upnp" if use_upnp else gateway_profile_name
-        return self.engine.add_node(
-            use_upnp, now_ms=self.sim.now, nat_class=self._label_index(label)
-        )
+        return use_upnp, "upnp" if use_upnp else gateway_profile_name
 
     def populate(self, n_public: int, n_private: int) -> None:
-        """The shared creation order, into columns sized for it up front."""
+        """The shared creation order, into columns sized for it up front, in one
+        :meth:`ColumnarEngine.add_nodes` call.
+
+        Each private node's UPnP and NAT-profile draws run in creation order when
+        the config has them; without them every private node gets the default
+        gateway's label. The engine then draws each row's view seeds in row order.
+        """
+        np = backend.np
         self.engine.reserve(n_public + n_private + 1)
-        super().populate(n_public, n_private)
+        order = self._creation_order(n_public, n_private)
+        public = np.array(order, dtype=np.int8)
+        nat_class = np.zeros(len(order), dtype=np.int32)
+        if self.config.upnp_fraction > 0.0 or self.config.nat_mixture is not None:
+            for row, is_public in enumerate(order):
+                if not is_public:
+                    use_upnp, label = self._private_class()
+                    public[row] = use_upnp
+                    nat_class[row] = self._label_index(label)
+        else:
+            nat_class[public == 0] = self._label_index(DEFAULT_GATEWAY[0])
+        del order  # a pointer a row; add_nodes reads the flags
+        self.engine.add_nodes(public, nat_class, now_ms=self.sim.now)
 
     # ------------------------------------------------------------------ population
 
@@ -233,10 +257,8 @@ class ColumnarScenario(BaseScenario):
 
     # ------------------------------------------------------------------ link control
 
-    def set_loss_rate(self, rate: float) -> float:
-        previous, self._loss_rate = self._loss_rate, rate
+    def _apply_loss_rate(self, rate: float) -> None:
         self.engine.configure_loss(rate, rate)
-        return previous
 
     def set_partition(self, node_ids: Optional[Iterable[int]]) -> None:
         self.engine.set_partition(() if node_ids is None else list(node_ids))

@@ -297,6 +297,9 @@ def _worker_main(conn, root_seed: int, latency: str, fault_plan: Optional[FaultP
     The process lives across cells so the :class:`ScenarioReuse` cache stays warm;
     ``None`` (or a closed pipe) shuts it down.
     """
+    # The heap inherited from the parent outlives every cell: frozen, it drops out
+    # of each cell's gc.collect(), which then costs in proportion to the cell.
+    gc.freeze()
     # Under a spawn start method the registry is empty until the experiment modules
     # run their register_scenario() calls; importing the package triggers them.
     import repro.experiments  # noqa: F401
@@ -632,24 +635,29 @@ def _run_cells_sequential(
     reuse = _worker_reuse()
     scheduler = _FaultScheduler(spec, retry, on_terminal, on_retry)
     scheduler.outstanding = len(cells)
-    for index, cell in enumerate(cells):
-        task = _Task(index=index, cell=cell, timeout_s=None)
-        while True:
-            record = _run_attempt(
-                cell, task.attempts, spec.root_seed, spec.latency, reuse,
-                fault_plan, in_process=True,
-            )
-            task.last_pid = os.getpid()
-            before = scheduler.outstanding
-            scheduler.classify_record(task, record)
-            if scheduler.outstanding < before:
-                break  # terminal (ok, failed or degraded)
-            scheduler.pending.clear()  # retry immediately after its backoff
-            time.sleep(
-                min(0.1, retry.delay_s(spec.root_seed, cell.key, task.attempts))
-            )
+    # As in a pool worker: the caller's heap stays out of each cell's gc.collect().
+    gc.freeze()
+    try:
+        for index, cell in enumerate(cells):
+            task = _Task(index=index, cell=cell, timeout_s=None)
+            while True:
+                record = _run_attempt(
+                    cell, task.attempts, spec.root_seed, spec.latency, reuse,
+                    fault_plan, in_process=True,
+                )
+                task.last_pid = os.getpid()
+                before = scheduler.outstanding
+                scheduler.classify_record(task, record)
+                if scheduler.outstanding < before:
+                    break  # terminal (ok, failed or degraded)
+                scheduler.pending.clear()  # retry immediately after its backoff
+                time.sleep(
+                    min(0.1, retry.delay_s(spec.root_seed, cell.key, task.attempts))
+                )
+                tick()
             tick()
-        tick()
+    finally:
+        gc.unfreeze()
 
 
 class _Heartbeat:

@@ -21,7 +21,7 @@ import hashlib
 import heapq
 import random
 from math import ceil, log
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.errors import SimulationError
 
@@ -71,52 +71,88 @@ def sample(rng: random.Random, population: Sequence[T], k: int) -> List[T]:
 
     CPython's ``Random.sample`` makes one Python-level ``_randbelow`` call per drawn
     element; on the protocol hot path (several small samples per node per round)
-    that call overhead was the largest single cost. This is the same algorithm —
-    the pool branch for small populations, the selected-set branch for large ones,
-    the same ``setsize`` rule between them and the same ``getrandbits`` rejection
-    loop — with the draws inlined, so results and generator state are identical.
-    A generator whose type is not exactly :class:`random.Random` (a subclass may
-    override ``random`` or ``getrandbits``) gets its own ``sample`` method.
+    that call overhead was the largest single cost. :func:`_sample_into` is the
+    same algorithm with the draws inlined, so results and generator state are
+    identical. A generator whose type is not exactly :class:`random.Random` (a
+    subclass may override ``random`` or ``getrandbits``) gets its own ``sample``
+    method.
     """
     if type(rng) is not random.Random:
         return rng.sample(population, k)
     n = len(population)
     if not 0 <= k <= n:
         raise ValueError("Sample larger than population or is negative")
-    getrandbits = rng.getrandbits
     result: List[T] = []
-    append = result.append
-    setsize = 21  # size of a small set minus size of an empty list
-    if k > 5:
-        setsize += 4 ** ceil(log(k * 3, 4))  # table size for big sets
-    if n <= setsize:
-        # Invariant: the not-yet-selected elements are pool[0 : last + 1]. Each draw
-        # is below last + 1 on (last + 1).bit_length() bits; that bit count drops by
-        # one exactly when last falls below ``low``.
-        pool = list(population)
-        bits = n.bit_length()
-        low = (1 << bits >> 1) - 1
-        for last in range(n - 1, n - 1 - k, -1):
-            if last < low:
-                bits -= 1
-                low >>= 1
-            j = getrandbits(bits)
-            while j > last:
-                j = getrandbits(bits)
-            append(pool[j])
-            pool[j] = pool[last]
-    else:
-        # The set holds integer positions only, so its order never matters.
-        selected = set()
-        select = selected.add
-        bits = n.bit_length()
-        for _ in range(k):
-            j = getrandbits(bits)
-            while j >= n or j in selected:
-                j = getrandbits(bits)
-            select(j)
-            append(population[j])
+    _sample_into(rng.getrandbits, population, (n,), k, result.append)
     return result
+
+
+def sample_prefixes(
+    rng: random.Random, population: Sequence[T], sizes: Iterable[int], k: int, out
+) -> None:
+    """For each size ``n`` in ``sizes``, in turn, append to ``out`` what
+    ``rng.sample(population[:n], min(k, n))`` returns, drawing what it draws.
+
+    One call draws what a loop of ``sample`` calls draws, without a call, a
+    prefix copy and a result list per size: the columnar engine seeds a whole
+    population's views this way, each row sampling the live publics created
+    before it. ``out`` is anything with ``extend`` and ``append`` (a list, an
+    ``array.array``).
+    """
+    if type(rng) is not random.Random:
+        for n in sizes:
+            out.extend(rng.sample(population[:n], min(k, n)))
+        return
+    _sample_into(rng.getrandbits, population, sizes, k, out.append)
+
+
+def _sample_into(
+    getrandbits: Callable[[int], int],
+    population: Sequence[T],
+    sizes: Iterable[int],
+    k: int,
+    append: Callable[[T], object],
+) -> None:
+    """CPython's ``Random.sample`` algorithm, once per size ``n`` in ``sizes``:
+    ``append`` each of ``min(k, n)`` draws from ``population[:n]`` — the pool
+    branch for small populations, the selected-set branch for large ones, the
+    same ``setsize`` rule between them and the same ``getrandbits`` rejection
+    loop."""
+    setsize_of = setsize = -1  # the draw count ``setsize`` was worked out for
+    for n in sizes:
+        m = k if k < n else n
+        if m != setsize_of:
+            setsize_of = m
+            setsize = 21  # size of a small set minus size of an empty list
+            if m > 5:
+                setsize += 4 ** ceil(log(m * 3, 4))  # table size for big sets
+        if n <= setsize:
+            # Invariant: the not-yet-selected elements are pool[0 : last + 1]. Each
+            # draw is below last + 1 on (last + 1).bit_length() bits; that bit count
+            # drops by one exactly when last falls below ``low``.
+            pool = list(population[:n])
+            bits = n.bit_length()
+            low = (1 << bits >> 1) - 1
+            for last in range(n - 1, n - 1 - m, -1):
+                if last < low:
+                    bits -= 1
+                    low >>= 1
+                j = getrandbits(bits)
+                while j > last:
+                    j = getrandbits(bits)
+                append(pool[j])
+                pool[j] = pool[last]
+        else:
+            # The set holds integer positions only, so its order never matters.
+            selected = set()
+            select = selected.add
+            bits = n.bit_length()
+            for _ in range(m):
+                j = getrandbits(bits)
+                while j >= n or j in selected:
+                    j = getrandbits(bits)
+                select(j)
+                append(population[j])
 
 
 def choice(rng: random.Random, seq: Sequence[T]) -> T:

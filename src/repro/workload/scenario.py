@@ -51,7 +51,7 @@ from repro.nat.types import NatProfile
 from repro.nat.upnp import UpnpNatBox
 from repro.natid.protocol import NatIdentificationClient, NatIdentificationServer
 from repro.net.address import Endpoint, NatType, NodeAddress
-from repro.simulator.core import Simulator
+from repro.simulator.core import Simulator, shuffle
 from repro.simulator.host import Host
 from repro.simulator.latency import ConstantLatency, KingLatencyModel, LatencyModel
 from repro.simulator.loss import BernoulliLoss, NoLoss
@@ -236,20 +236,24 @@ class BaseScenario(ABC):
         return self._add_private_node()
 
     def populate(self, n_public: int, n_private: int) -> None:
-        """Create ``n_public`` + ``n_private`` nodes immediately (no join process).
+        """Create ``n_public`` + ``n_private`` nodes immediately (no join process),
+        one :meth:`add_node` each, in :meth:`_creation_order`."""
+        for is_public in self._creation_order(n_public, n_private):
+            self.add_node(is_public)
 
-        Public nodes are created first so that private nodes find bootstrap seeds, then
-        creation alternates to avoid a systematic join-order bias.
+    def _creation_order(self, n_public: int, n_private: int) -> List[bool]:
+        """The classes :meth:`populate` creates, in order (``True`` for public).
+
+        Public nodes come first, so that private nodes find bootstrap seeds, then
+        the rest in the order ``rng`` shuffles them into, to avoid a systematic
+        join-order bias.
         """
         if n_public < 0 or n_private < 0:
             raise ExperimentError("node counts must be non-negative")
         initial_public = min(n_public, max(1, self.bootstrap_seed_size))
-        for _ in range(initial_public):
-            self._add_public_node()
         remaining = [True] * (n_public - initial_public) + [False] * n_private
-        self.rng.shuffle(remaining)
-        for is_public in remaining:
-            self.add_node(is_public)
+        shuffle(self.rng, remaining)
+        return [True] * initial_public + remaining
 
     def _gateway_profile(self) -> tuple:
         """The (name, profile) the next created gateway runs — mixture-drawn, or
@@ -353,10 +357,19 @@ class BaseScenario(ABC):
 
     # ------------------------------------------------------------------ link control
 
-    @abstractmethod
     def set_loss_rate(self, rate: float) -> float:
         """Drop every packet in transit with probability ``rate`` from now on;
-        returns the rate it replaces."""
+        returns the rate it replaces. A rate outside [0, 1] is refused before
+        anything changes."""
+        if not 0.0 <= rate <= 1.0:
+            raise ConfigurationError(f"loss rate out of range: {rate}")
+        previous, self._loss_rate = self._loss_rate, rate
+        self._apply_loss_rate(rate)
+        return previous
+
+    @abstractmethod
+    def _apply_loss_rate(self, rate: float) -> None:
+        """Make the engine drop packets with probability ``rate`` (in [0, 1])."""
 
     @abstractmethod
     def set_partition(self, node_ids: Optional[Iterable[int]]) -> None:
@@ -672,10 +685,8 @@ class Scenario(BaseScenario):
 
     # ------------------------------------------------------------------ link control
 
-    def set_loss_rate(self, rate: float) -> float:
-        previous, self._loss_rate = self._loss_rate, rate
+    def _apply_loss_rate(self, rate: float) -> None:
         self.network.loss_model = BernoulliLoss(rate) if rate > 0.0 else NoLoss()
-        return previous
 
     def set_partition(self, node_ids: Optional[Iterable[int]]) -> None:
         if node_ids is None:

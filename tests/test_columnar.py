@@ -47,9 +47,11 @@ from repro.membership.plugin import get_plugin, protocol_names
 from repro.membership.policies import SelectionPolicy
 from repro.metrics.graph import build_overlay_graph
 from repro.metrics.partition import _component_sizes, largest_cluster_fraction
+from repro.nat.mixture import NAT_MIXTURES
 from repro.workload.events import ChurnPhase, LossBurst, Partition
 from repro.workload.scenario import (
     ENGINES,
+    BaseScenario,
     Scenario,
     ScenarioConfig,
     create_scenario,
@@ -137,6 +139,78 @@ class TestColumnarEngine:
         total_edges = sum(bin_ * count for bin_, count in histogram.items())
         graph = scenario.overlay_graph()
         assert total_edges == sum(len(view) for view in graph.values())
+
+
+class TestBulkPopulate:
+    """``ColumnarScenario.populate`` (one ``add_nodes`` call) leaves what the
+    per-row path leaves: ``BaseScenario.populate``, one ``add_node`` per node."""
+
+    @staticmethod
+    def populated(populate, protocol, view_size, upnp, mixture, counts, warm):
+        pss_config = get_plugin(protocol).default_config()
+        pss_config.view_size = view_size
+        pss_config.shuffle_size = min(pss_config.shuffle_size, view_size)
+        scenario = ColumnarScenario(columnar_config(
+            seed=view_size + len(counts), protocol=protocol, pss_config=pss_config,
+            upnp_fraction=upnp,
+            nat_mixture=NAT_MIXTURES[mixture] if mixture else None,
+        ))
+        for index, (n_public, n_private) in enumerate(counts):
+            if index:
+                scenario.run_rounds(warm)
+                scenario.kill_random_fraction(0.3)
+            populate(scenario, n_public, n_private)
+        return scenario
+
+    @staticmethod
+    def state(scenario):
+        engine = scenario.engine
+        return (
+            engine.fingerprint(),
+            scenario.nat_class_members(),
+            engine._pub_live,
+            engine._pub_pos,
+            engine.rng.getstate(),
+            scenario.rng.getstate(),
+        )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        protocol=st.sampled_from(protocol_names()),
+        # At least Gozar's 3 parents: a smaller view fails maintain_parents.
+        view_size=st.sampled_from([3, 4, 10]),
+        upnp=st.sampled_from([0.0, 0.3]),
+        mixture=st.sampled_from([None, "paper"]),
+        # Up to 120 publics crosses the pool/set switch of the seed draw (85
+        # publics at view_size 10, 21 at 3 and 4); several populates with
+        # rounds, kills and swap-popped registries between them.
+        counts=st.lists(
+            st.tuples(st.integers(0, 120), st.integers(0, 150)), min_size=1, max_size=3
+        ),
+        warm=st.sampled_from([0, 2]),
+        block_rows=st.sampled_from([7, 8192]),
+    )
+    def test_bulk_equals_per_row(
+        self, protocol, view_size, upnp, mixture, counts, warm, block_rows
+    ):
+        args = (protocol, view_size, upnp, mixture, counts, warm)
+        reference = self.populated(BaseScenario.populate, *args)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(columnar_shuffle, "_BLOCK_ROWS", block_rows)
+            bulk = self.populated(ColumnarScenario.populate, *args)
+        assert self.state(bulk) == self.state(reference)
+        # Later joins and rounds draw the same.
+        for scenario in (reference, bulk):
+            scenario.churn_step(0.2)
+            scenario.run_rounds(1)
+        assert self.state(bulk) == self.state(reference)
+
+    def test_negative_counts_raise(self):
+        scenario = ColumnarScenario(columnar_config())
+        for counts in ((-1, 5), (5, -1)):
+            with pytest.raises(ExperimentError, match="non-negative"):
+                scenario.populate(*counts)
+        assert scenario.live_count() == 0
 
 
 # ------------------------------------------------------------------ scalar oracle

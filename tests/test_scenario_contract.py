@@ -12,7 +12,7 @@ before any round runs both engines hold the same population.
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.nat.mixture import NAT_MIXTURES
 from repro.workload.scenario import ENGINES, BaseScenario, ScenarioConfig, create_scenario
 
@@ -158,6 +158,14 @@ class ScenarioContract:
         assert scenario.set_loss_rate(0.0) == 0.05
         scenario.run_rounds(3)
         assert drops(scenario, "link_loss") == lossy
+
+    def test_set_loss_rate_refuses_out_of_range(self):
+        scenario = self.build()
+        for rate in (1.5, -0.2):
+            with pytest.raises(ConfigurationError, match="loss rate out of range"):
+                scenario.set_loss_rate(rate)
+        # Neither refused rate was stored: the last valid one was 0.0.
+        assert scenario.set_loss_rate(0.1) == 0.0
 
     def test_churn_replaces_population(self):
         scenario = self.build()

@@ -1,11 +1,12 @@
 """Unit tests for the discrete-event kernel."""
 
 import random
+from array import array
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator.core import Simulator, choice, sample, shuffle
+from repro.simulator.core import Simulator, choice, sample, sample_prefixes, shuffle
 
 
 def _pending(sim):
@@ -200,6 +201,26 @@ class TestSampler:
             assert population == [f"item{i}" for i in range(n)]
 
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    @pytest.mark.parametrize("k", [1, 5, 6, 10, 40])
+    def test_sample_prefixes_matches_a_loop_of_random_sample(self, seed, k):
+        # Sizes rising through both branches (and every setsize step k meets,
+        # since min(k, n) changes on the way), then falling and repeating.
+        sizes = list(range(131)) + [300, 86, 85, 84, 3, 0, 1000, 1000, 22, 21]
+        population = [3 * i + 1 for i in range(1000)]
+        reference = random.Random(seed)
+        expected = [
+            element
+            for n in sizes
+            for element in reference.sample(population[:n], min(k, n))
+        ]
+        for out in ([], array("i")):
+            ours = random.Random(seed)
+            assert sample_prefixes(ours, population, sizes, k, out) is None
+            assert list(out) == expected
+            assert ours.getstate() == reference.getstate()
+        assert population == [3 * i + 1 for i in range(1000)]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
     def test_choice_matches_random_choice(self, seed):
         ours = random.Random(seed)
         theirs = random.Random(seed)
@@ -246,6 +267,13 @@ class TestSampler:
 
         rng = Recording(3)
         assert sample(rng, list(range(10)), 4) == random.Random(3).sample(range(10), 4)
+        drawn = []
+        sample_prefixes(rng, "abcdefghij", [10, 2], 4, drawn)
+        twin = random.Random(3)
+        twin.sample(range(10), 4)
+        assert drawn == twin.sample("abcdefghij", 4) + twin.sample("ab", 2)
         choice(rng, [1, 2, 3])
         shuffle(rng, [1, 2, 3, 4, 5])
-        assert calls == [("sample", 4), ("choice", 3), ("shuffle", 5)]
+        assert calls == [
+            ("sample", 4), ("sample", 4), ("sample", 2), ("choice", 3), ("shuffle", 5)
+        ]
