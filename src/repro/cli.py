@@ -140,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="deterministic fault injection: 'seed=7,crash=0.2,hang=0.1,corrupt=0.2' "
-        "or a repro-faultplan-v1 JSON file; same spec → same injection schedule",
+        "or a repro-faultplan-v1 JSON file; same spec → same injection schedule; "
+        "needs --workers > 1",
     )
     matrix.add_argument(
         "--cell-timeout",
@@ -148,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-cell watchdog budget overriding the scenario kinds' defaults "
-        "(0 disables timeouts; needs --workers > 1 — the in-process executor "
-        "cannot interrupt itself)",
+        "(0 disables timeouts); needs --workers > 1",
     )
     matrix.add_argument(
         "--retries",

@@ -700,8 +700,9 @@ def maintain_parents(eng) -> None:
         + np.arange(V, dtype=np.uint64)[None, :]
     )
     base_parent = crng.stream(eng.hash_seed, eng.round, crng.TAG_PARENT)
+    # A view narrower than P ranks at most V recruits.
     take, valid, cnt = _ranked_slots_np(np, cand, slotkeys, base_parent,
-                                        vacant.sum(axis=1), P)
+                                        vacant.sum(axis=1), min(P, V))
     recruits = np.take_along_axis(view, take, axis=1)[valid]
     # Row-major on both sides: a row's recruits, in rank order, land in its
     # first ``cnt`` empty slots, in slot order.

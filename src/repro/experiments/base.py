@@ -126,16 +126,13 @@ def run_estimation_cell(
         max_estimates = cell.param("max_estimates")
         selection = cell.param("selection")
         if any(value is not None for value in (alpha, gamma, max_estimates, selection)):
-            pss_config = ctx.pss_config_for(
-                ("croupier-config", alpha, gamma, max_estimates, selection),
-                lambda: CroupierConfig(
-                    local_history_alpha=int(alpha) if alpha is not None else 25,
-                    neighbour_history_gamma=int(gamma) if gamma is not None else 50,
-                    max_estimates_per_message=(
-                        int(max_estimates) if max_estimates is not None else 10
-                    ),
-                    selection=SelectionPolicy(selection or "tail"),
+            pss_config = CroupierConfig(
+                local_history_alpha=int(alpha) if alpha is not None else 25,
+                neighbour_history_gamma=int(gamma) if gamma is not None else 50,
+                max_estimates_per_message=(
+                    int(max_estimates) if max_estimates is not None else 10
                 ),
+                selection=SelectionPolicy(selection or "tail"),
             )
 
     n_public, n_private = ctx.n_public, ctx.n_private

@@ -12,9 +12,9 @@ sweep points.
 Nothing here builds a scenario or advances a round; ``docs/experiments.md`` tabulates
 each figure's kind, params and cells.
 
-Each call runs its cells through one fresh
-:class:`~repro.experiments.runner.ScenarioReuse`, so the cells of a branching kind
-(Figure 7(b): one protocol's failure fractions) clone one warmed prefix instead of
+A figure lists a branching kind's siblings (Figure 7(b): one protocol's failure
+fractions) back to back, so they clone the one warmed prefix
+:meth:`~repro.experiments.matrix.CellContext.populated_scenario` keeps instead of
 each warming its own.
 """
 
@@ -37,7 +37,6 @@ from repro.experiments.matrix import (
 )
 from repro.experiments.nat_indegree import FALLBACK_MIXTURE
 from repro.experiments.report import format_table, histogram_table, time_series_table
-from repro.experiments.runner import ScenarioReuse
 from repro.metrics.collector import TimeSeries, percentile
 from repro.metrics.payload import MetricPayload
 
@@ -475,9 +474,6 @@ def run_figure(name: str, nodes: int, rounds: int, seed: int = 42,
     cells = figure.cells(nodes, rounds, **sweep)
     for cell in cells:
         cell.validate()
-    reuse = ScenarioReuse()
     return FigureResult(
-        figure,
-        [(cell, run_cell(cell, root_seed=seed, latency=latency, reuse=reuse))
-         for cell in cells],
+        figure, [(cell, run_cell(cell, root_seed=seed, latency=latency)) for cell in cells]
     )

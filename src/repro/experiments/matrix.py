@@ -197,16 +197,22 @@ def derive_cell_seed(root_seed: int, cell_key: str) -> int:
     return derive_seed(root_seed, _CELL_SEED_LABEL, cell_key)
 
 
+def _trunk_key(cell: CellSpec) -> str:
+    """``cell``'s key without its kind's ``branch_param``: what the cells of one
+    warmed prefix share (for every other kind, the cell key itself)."""
+    branch = getattr(SCENARIOS.get(cell.scenario), "branch_param", None)
+    if branch is not None:
+        params = tuple(param for param in cell.params if param[0] != branch)
+        cell = dataclasses.replace(cell, params=params)
+    return cell.key
+
+
 def cell_seed(root_seed: int, cell: CellSpec) -> int:
     """The seed ``cell`` runs with: :func:`derive_cell_seed` over its key without its
     kind's ``branch_param``. Cells of a branching kind that differ only in that param
     therefore run one seed and share one warmed prefix; for every other kind this is
     ``derive_cell_seed(root_seed, cell.key)``."""
-    branch = getattr(SCENARIOS.get(cell.scenario), "branch_param", None)
-    if branch is not None:
-        params = tuple(param for param in cell.params if param[0] != branch)
-        cell = dataclasses.replace(cell, params=params)
-    return derive_cell_seed(root_seed, cell.key)
+    return derive_cell_seed(root_seed, _trunk_key(cell))
 
 
 #: The deployment, timeline and engine axes in expansion order:
@@ -487,22 +493,19 @@ def public_only_baseline(protocol: str) -> bool:
     return get_plugin(protocol).nat_strategy is NatStrategy.NONE
 
 
+#: The one warmed prefix this process keeps: ``(slot key, pristine scenario)``.
+#: :func:`~repro.experiments.runner.run_matrix` dispatches a prefix's sibling cells
+#: back to back, so each process meets the prefixes in order and one slot serves them.
+_WARM_PREFIX: Optional[Tuple[Tuple[str, int, str], object]] = None
+
+
 @dataclass
 class CellContext:
-    """Everything a scenario-kind runner needs to execute one cell.
-
-    ``reuse`` is the worker-local :class:`~repro.experiments.runner.ScenarioReuse`
-    cache the runner injects (``None`` when a cell runs standalone): cells within one
-    group share their construction recipe except for the derived seed, and the
-    context routes protocol-config prototypes and populated-scenario builds through
-    that cache so the shared parts are resolved once per worker instead of once per
-    cell.
-    """
+    """Everything a scenario-kind runner needs to execute one cell."""
 
     cell: CellSpec
     seed: int
     latency: str = "king"
-    reuse: Optional[object] = None
 
     @property
     def n_public(self) -> int:
@@ -573,92 +576,47 @@ class CellContext:
             engine=cell.engine,
         )
 
-    def pss_config_for(self, key: Tuple, build: Callable[[], object]):
-        """A validated protocol-config prototype, shared through the reuse cache.
-
-        ``key`` must fully determine the prototype (protocol name plus every config
-        parameter); configs are read-only by the protocol contract, so one prototype
-        can safely serve every cell — and every node — that asks for the same key.
-        """
-        if self.reuse is None:
-            return build()
-        return self.reuse.pss_config((self.cell.protocol,) + key, build)
-
     def populated_scenario(
         self, n_public=None, n_private=None, pss_config=None,
         nat_mixture: Optional[str] = None, warm: bool = False,
     ):
-        """Build (or clone from the worker cache) this cell's populated scenario.
-
-        The build recipe — protocol, derived seed, latency, deployment axes,
-        population split and config prototype — fully determines the populated
-        scenario, so a cached pristine clone continues exactly like a fresh build
-        and worker counts can never change results. The cell's timeline is *not*
-        part of the recipe: timelines install onto the returned scenario afterwards,
-        so cells that share a populated prefix and differ only in their timeline
-        suffix share one cached snapshot.
+        """Build this cell's populated scenario.
 
         ``warm=True`` returns a branching kind's shared prefix instead: the populated
         scenario with the cell's axis timeline installed and its ``rounds`` rounds
-        run. Its recipe adds the rounds and the timeline, and the cache snapshots it
-        on the first request, because every sibling branch asks for the same one.
+        run. The process keeps the last one built, keyed by the cell key without its
+        ``branch_param``, the seed and the latency (the key names every axis, not the
+        overrides: a warm caller passes none), and hands each sibling cell a
+        ``clone()`` of it; a clone continues exactly like a fresh build, so worker
+        counts never change results.
         """
         from repro.workload.scenario import create_scenario
 
-        cell = self.cell
-        if n_public is None:
-            n_public = self.n_public
-        if n_private is None:
-            n_private = self.n_private
-
-        def build():
-            scenario = create_scenario(
-                self.scenario_config(pss_config=pss_config, nat_mixture=nat_mixture)
-            )
-            scenario.populate(n_public=n_public, n_private=n_private)
-            if warm:
-                self.install_timeline(scenario).advance_rounds(cell.rounds)
-            return scenario
-
-        if self.reuse is None:
-            return build()
-        recipe = (
-            cell.protocol,
-            self.seed,
-            self.latency,
-            nat_mixture if nat_mixture is not None else cell.nat_mixture,
-            cell.upnp_fraction,
-            n_public,
-            n_private,
-            None if pss_config is None else (type(pss_config).__name__, repr(pss_config)),
-        )
-        if cell.engine != DEFAULT_ENGINE:
-            # Appended conditionally so legacy recipes (and their cached snapshots)
-            # keep their exact tuples.
-            recipe = recipe + (cell.engine,)
+        global _WARM_PREFIX
         if warm:
-            recipe = recipe + (cell.rounds, self.timeline)
-        return self.reuse.populated_scenario(recipe, build, snapshot_first=warm)
+            key = (_trunk_key(self.cell), self.seed, self.latency)
+            if _WARM_PREFIX is not None and _WARM_PREFIX[0] == key:
+                return _WARM_PREFIX[1].clone()
+            _WARM_PREFIX = None  # the previous prefix is not held through this build
+        scenario = create_scenario(
+            self.scenario_config(pss_config=pss_config, nat_mixture=nat_mixture)
+        )
+        scenario.populate(
+            n_public=self.n_public if n_public is None else n_public,
+            n_private=self.n_private if n_private is None else n_private,
+        )
+        if warm:
+            self.install_timeline(scenario).advance_rounds(self.cell.rounds)
+            _WARM_PREFIX = (key, scenario.clone())
+        return scenario
 
 
-def run_cell(
-    cell: CellSpec,
-    root_seed: int,
-    latency: str = "king",
-    reuse: Optional[object] = None,
-) -> MetricPayload:
+def run_cell(cell: CellSpec, root_seed: int, latency: str = "king") -> MetricPayload:
     """Execute one cell and return its :class:`~repro.metrics.payload.MetricPayload`
-    (raises on unknown kinds or runner errors). ``reuse`` is the worker-local
-    :class:`~repro.experiments.runner.ScenarioReuse` cache, when running under the
-    matrix runner."""
+    (raises on unknown kinds or runner errors)."""
     cell.validate()
     kind = SCENARIOS[cell.scenario]
-    context = CellContext(
-        cell=cell,
-        seed=cell_seed(root_seed, cell),
-        latency=latency,
-        reuse=reuse,
-    )
+    context = CellContext(cell=cell, seed=cell_seed(root_seed, cell), latency=latency)
     measured = kind.runner(context)
     measured.scalars = dict(sorted(measured.scalars.items()))
     return measured

@@ -1,8 +1,8 @@
 """Fault-tolerant sharded multiprocess execution of experiment matrices.
 
 :func:`run_matrix` expands a :class:`~repro.experiments.matrix.MatrixSpec` into cells
-and executes them either in-process (``workers=1``) or on a pool of *managed* worker
-processes — one persistent process per worker slot, one cell per dispatch (shard
+and executes them either in-process (``workers=1``: each cell once, in order, with
+none of the fault handling below) or on a pool of *managed* worker processes — one persistent process per worker slot, one cell per dispatch (shard
 granularity 1, so workers stay load-balanced however uneven the cells are), with the
 parent tracking exactly which cell every worker holds. That ownership tracking is what
 makes the runner fault-tolerant where a ``multiprocessing.Pool`` would hang:
@@ -45,7 +45,6 @@ import os
 import sys
 import time
 import traceback
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from pathlib import Path
@@ -142,92 +141,7 @@ class MatrixRunResult:
         return build_aggregate(self.spec, self.results)
 
 
-class ScenarioReuse:
-    """Worker-local reuse of scenario-construction work across matrix cells.
-
-    Cells within one group share their entire construction recipe except the derived
-    cell seed, so the parts of scenario construction that are *not* functions of that
-    seed — the validated protocol-config prototype for a parameter set, and pristine
-    populated-scenario snapshots for build recipes that repeat exactly — are resolved
-    once per worker process instead of being rebuilt for every cell.
-
-    Reuse can never change results: config prototypes are read-only by the protocol
-    contract (one prototype already serves every node of a scenario), snapshots are
-    keyed by the full deterministic build recipe *including the seed* and handed out
-    as :meth:`~repro.workload.Scenario.clone` copies, and everything seed-dependent
-    is still built per cell. That is what keeps the 4-vs-1-worker byte-identical
-    aggregate guarantee intact: a cache hit replays exactly the state a fresh build
-    would have produced, no matter which worker served it.
-
-    Snapshots are only captured once a recipe is requested a *second* time (cloning
-    costs about as much as one small build, so speculatively snapshotting every cell
-    would give the win back); repeat-heavy callers therefore pay one extra build
-    before hits start. A branching kind's warmed prefix is the exception: its
-    sibling cells all ask for it, so ``snapshot_first`` snapshots it on the first
-    request. The snapshot store is a small LRU so long matrix runs cannot
-    accumulate populations. ``builds`` and ``snapshot_hits`` count how many
-    requests were built and how many were served as clones.
-    """
-
-    MAX_SNAPSHOTS = 4
-    MAX_TRACKED_RECIPES = 256
-
-    def __init__(self) -> None:
-        self._configs: Dict[Tuple, object] = {}
-        self._snapshots: "OrderedDict[Tuple, object]" = OrderedDict()
-        self._requests: "OrderedDict[Tuple, int]" = OrderedDict()
-        self.config_hits = 0
-        self.builds = 0
-        self.snapshot_hits = 0
-
-    def pss_config(self, key: Tuple, build: Callable[[], object]):
-        """The validated config prototype for ``key`` (built on first request)."""
-        prototype = self._configs.get(key)
-        if prototype is None:
-            prototype = build()
-            self._configs[key] = prototype
-        else:
-            self.config_hits += 1
-        return prototype
-
-    def populated_scenario(self, recipe: Tuple, build: Callable[[], object],
-                           snapshot_first: bool = False):
-        """A populated scenario for ``recipe`` — cloned from the cache on repeats."""
-        snapshot = self._snapshots.get(recipe)
-        if snapshot is not None:
-            self._snapshots.move_to_end(recipe)
-            self.snapshot_hits += 1
-            return snapshot.clone()
-        scenario = build()
-        self.builds += 1
-        count = self._requests.pop(recipe, 0) + 1
-        self._requests[recipe] = count  # re-insert at the recent end
-        while len(self._requests) > self.MAX_TRACKED_RECIPES:
-            self._requests.popitem(last=False)
-        if snapshot_first or count >= 2:
-            self._snapshots[recipe] = scenario.clone()
-            while len(self._snapshots) > self.MAX_SNAPSHOTS:
-                self._snapshots.popitem(last=False)
-        return scenario
-
-
-#: One reuse cache per process: forked pool workers each get their own copy-on-write
-#: instance, and the sequential (workers=1) path shares the main process's.
-_WORKER_REUSE: Optional[ScenarioReuse] = None
-
-
-def _worker_reuse() -> ScenarioReuse:
-    global _WORKER_REUSE
-    if _WORKER_REUSE is None:
-        _WORKER_REUSE = ScenarioReuse()
-    return _WORKER_REUSE
-
-
 # ------------------------------------------------------------------ cell execution
-
-#: Worker→parent record markers for simulated chaos in the in-process executor (the
-#: sequential path cannot really kill or hang itself; the classification is shared).
-_SIMULATED = "injected"
 
 
 def _run_attempt(
@@ -235,23 +149,16 @@ def _run_attempt(
     attempt: int,
     root_seed: int,
     latency: str,
-    reuse: ScenarioReuse,
     fault_plan: Optional[FaultPlan],
-    in_process: bool,
 ) -> Dict[str, object]:
     """Execute one attempt of one cell and return the wire record the parent
-    classifies. Chaos faults drawn for this attempt manifest for real in pool
-    workers (``os._exit``, a long sleep the watchdog cuts short, a tampered payload)
-    and as marker records in the in-process executor.
+    classifies. Chaos faults drawn for this attempt (pool workers only) manifest for
+    real: ``os._exit``, a long sleep the watchdog cuts short, a tampered payload.
     """
     fault = fault_plan.draw(cell.key, attempt) if fault_plan is not None else None
     if fault == INJECT_CRASH:
-        if in_process:
-            return {"key": cell.key, _SIMULATED: INJECT_CRASH}
         os._exit(CHAOS_EXIT_CODE)
     if fault == INJECT_HANG:
-        if in_process:
-            return {"key": cell.key, _SIMULATED: INJECT_HANG}
         # The watchdog is expected to kill us mid-sleep; if it doesn't (timeouts
         # disabled), fall through and run the cell — a hang is a delay, not a wrong
         # answer, so byte-parity still holds.
@@ -265,7 +172,7 @@ def _run_attempt(
     gc.collect()
     started = time.perf_counter()
     try:
-        payload = run_cell(cell, root_seed=root_seed, latency=latency, reuse=reuse)
+        payload = run_cell(cell, root_seed=root_seed, latency=latency)
     except Exception:
         return {
             "key": cell.key,
@@ -294,8 +201,8 @@ def _run_attempt(
 def _worker_main(conn, root_seed: int, latency: str, fault_plan: Optional[FaultPlan]):
     """Persistent worker loop: receive ``(cell, attempt)``, send back a record.
 
-    The process lives across cells so the :class:`ScenarioReuse` cache stays warm;
-    ``None`` (or a closed pipe) shuts it down.
+    The process lives across cells, so a branching kind's siblings share the warmed
+    prefix it keeps; ``None`` (or a closed pipe) shuts it down.
     """
     # The heap inherited from the parent outlives every cell: frozen, it drops out
     # of each cell's gc.collect(), which then costs in proportion to the cell.
@@ -304,7 +211,6 @@ def _worker_main(conn, root_seed: int, latency: str, fault_plan: Optional[FaultP
     # run their register_scenario() calls; importing the package triggers them.
     import repro.experiments  # noqa: F401
 
-    reuse = _worker_reuse()
     while True:
         try:
             message = conn.recv()
@@ -313,9 +219,7 @@ def _worker_main(conn, root_seed: int, latency: str, fault_plan: Optional[FaultP
         if message is None:
             break
         cell, attempt = message
-        record = _run_attempt(
-            cell, attempt, root_seed, latency, reuse, fault_plan, in_process=False
-        )
+        record = _run_attempt(cell, attempt, root_seed, latency, fault_plan)
         try:
             conn.send(record)
         except (BrokenPipeError, OSError):  # parent is gone; nothing left to do
@@ -446,68 +350,6 @@ class _Worker:
         self.conn.close()
 
 
-class _FaultScheduler:
-    """The parent-side scheduling loop shared state: classify, retry, degrade."""
-
-    def __init__(
-        self,
-        spec: MatrixSpec,
-        retry: RetryPolicy,
-        on_terminal: Callable[[CellResult], None],
-        on_retry: Callable[[], None],
-    ) -> None:
-        self.spec = spec
-        self.retry = retry
-        self.on_terminal = on_terminal
-        self.on_retry = on_retry
-        self.pending: List[_Task] = []
-        self.outstanding = 0
-
-    def classify_record(self, task: _Task, record: Dict) -> None:
-        """A worker returned a record for ``task``: terminal, or a corruption fault."""
-        task.attempts += 1
-        simulated = record.get(_SIMULATED)
-        if simulated is not None:
-            self.fault(
-                task,
-                FAULT_CRASH if simulated == INJECT_CRASH else FAULT_TIMEOUT,
-                already_counted=True,
-            )
-            return
-        if record["status"] == "ok" and (
-            payload_digest(record["payload"]) != record.get("digest")
-        ):
-            self.fault(task, FAULT_CORRUPTION, already_counted=True)
-            return
-        self.outstanding -= 1
-        self.on_terminal(
-            _result_from_record(task.cell, record, task.attempts, tuple(task.faults))
-        )
-
-    def fault(self, task: _Task, kind: str, already_counted: bool = False) -> None:
-        """A transient worker fault on ``task``: retry with backoff or degrade."""
-        if not already_counted:
-            task.attempts += 1
-        task.faults.append(kind)
-        if task.attempts >= self.retry.max_attempts:
-            self.outstanding -= 1
-            self.on_terminal(
-                _degraded_result(
-                    task.cell,
-                    self.spec.root_seed,
-                    task.attempts,
-                    tuple(task.faults),
-                    task.last_pid,
-                )
-            )
-            return
-        self.on_retry()
-        task.eligible_at = time.monotonic() + self.retry.delay_s(
-            self.spec.root_seed, task.cell.key, task.attempts
-        )
-        self.pending.append(task)
-
-
 def _run_cells_pool(
     cells: List[CellSpec],
     spec: MatrixSpec,
@@ -519,48 +361,65 @@ def _run_cells_pool(
     on_retry: Callable[[], None],
     tick: Callable[[], None],
 ) -> None:
-    """The managed-pool executor: dispatch, collect, watchdog, retry, respawn."""
+    """The managed-pool executor: dispatch, collect, classify, watchdog, retry,
+    respawn."""
     context = _pool_context()
-    scheduler = _FaultScheduler(spec, retry, on_terminal, on_retry)
-    scheduler.pending = [
+    pending = [
         _Task(index=i, cell=cell, timeout_s=_timeout_for(cell, cell_timeout_s))
         for i, cell in enumerate(cells)
     ]
-    scheduler.outstanding = len(cells)
-
-    def spawn() -> _Worker:
-        return _Worker(context, spec.root_seed, spec.latency, fault_plan)
-
+    outstanding = len(cells)
     pool: List[_Worker] = []
+
+    def finish(result: CellResult) -> None:
+        nonlocal outstanding
+        outstanding -= 1
+        on_terminal(result)
+
+    def fault(task: _Task, kind: str, now: float) -> None:
+        """A transient worker fault on ``task``: retry after its backoff, or degrade."""
+        task.attempts += 1
+        task.faults.append(kind)
+        if task.attempts >= retry.max_attempts:
+            finish(_degraded_result(task.cell, spec.root_seed, task.attempts,
+                                    tuple(task.faults), task.last_pid))
+            return
+        on_retry()
+        task.eligible_at = now + retry.delay_s(spec.root_seed, task.cell.key, task.attempts)
+        pending.append(task)
+
+    def lose(worker: _Worker, task: _Task, kind: str, now: float) -> None:
+        """``worker`` died or was killed holding ``task``: replace it, fault the task."""
+        worker.release()
+        worker.kill()
+        pool.remove(worker)
+        fault(task, kind, now)
+
     try:
-        while scheduler.outstanding > 0:
+        while outstanding > 0:
             now = time.monotonic()
 
             # Keep enough live workers for the remaining work; crashed/killed ones
             # were removed below, so this is also where replacements appear.
-            needed = min(workers, scheduler.outstanding)
-            while len(pool) < needed:
-                pool.append(spawn())
+            while len(pool) < min(workers, outstanding):
+                pool.append(_Worker(context, spec.root_seed, spec.latency, fault_plan))
 
             # Dispatch eligible pending tasks onto idle workers (spec order, retries
             # interleaved by their backoff eligibility).
-            scheduler.pending.sort(key=lambda t: (t.eligible_at, t.index))
+            pending.sort(key=lambda t: (t.eligible_at, t.index))
             idle = [w for w in pool if w.task is None]
-            while idle and scheduler.pending and scheduler.pending[0].eligible_at <= now:
-                task = scheduler.pending.pop(0)
+            while idle and pending and pending[0].eligible_at <= now:
+                task = pending.pop(0)
                 worker = idle.pop(0)
                 if not worker.dispatch(task, now):
                     # Worker died before it could accept the cell: that's a crash of
                     # this attempt; replace the worker on the next loop turn.
-                    worker.release()
-                    worker.kill()
-                    pool.remove(worker)
-                    scheduler.fault(task, FAULT_CRASH)
+                    lose(worker, task, FAULT_CRASH, now)
 
             busy = [w for w in pool if w.task is not None]
             if not busy:
-                if scheduler.pending:
-                    wait_s = max(0.0, scheduler.pending[0].eligible_at - now)
+                if pending:
+                    wait_s = max(0.0, pending[0].eligible_at - now)
                     time.sleep(min(wait_s, 0.25) if wait_s else 0.01)
                 tick()
                 continue
@@ -568,8 +427,8 @@ def _run_cells_pool(
             # Wait for the earliest interesting moment: a result/death, a watchdog
             # deadline, a retry becoming eligible, or the heartbeat tick.
             horizon = [w.deadline - now for w in busy if w.deadline is not None]
-            if scheduler.pending and len(busy) < len(pool):
-                horizon.append(scheduler.pending[0].eligible_at - now)
+            if pending and len(busy) < len(pool):
+                horizon.append(pending[0].eligible_at - now)
             horizon.append(1.0)  # heartbeat granularity / safety net
             timeout = max(0.01, min(horizon))
             handles = [w.conn for w in busy] + [w.process.sentinel for w in busy]
@@ -578,39 +437,33 @@ def _run_cells_pool(
 
             for worker in busy:
                 task = worker.task
-                if task is None:  # already handled in this sweep
-                    continue
                 signalled = worker.conn in ready or worker.process.sentinel in ready
                 if signalled and worker.conn.poll():
                     try:
                         record = worker.conn.recv()
                     except (EOFError, OSError):
                         record = None
-                    if isinstance(record, dict):
+                    if not isinstance(record, dict):
+                        # Unreadable result: treat like a death mid-cell.
+                        lose(worker, task, FAULT_CRASH, now)
+                    elif record["status"] == "ok" and (
+                        payload_digest(record["payload"]) != record.get("digest")
+                    ):
                         worker.release()
-                        scheduler.classify_record(task, record)
-                        continue
-                    # Unreadable result: treat like a death mid-cell.
-                    worker.release()
-                    worker.kill()
-                    pool.remove(worker)
-                    scheduler.fault(task, FAULT_CRASH)
-                    continue
-                if signalled and not worker.process.is_alive():
+                        fault(task, FAULT_CORRUPTION, now)
+                    else:
+                        worker.release()
+                        task.attempts += 1
+                        finish(_result_from_record(task.cell, record, task.attempts,
+                                                   tuple(task.faults)))
+                elif signalled and not worker.process.is_alive():
                     # Died holding a cell and sent nothing back: a crash.
-                    worker.release()
-                    worker.kill()
-                    pool.remove(worker)
-                    scheduler.fault(task, FAULT_CRASH)
-                    continue
-                if worker.deadline is not None and now >= worker.deadline:
-                    # One last poll: a result racing the deadline wins over the axe.
-                    if worker.conn.poll():
-                        continue  # picked up on the next sweep
-                    worker.release()
-                    worker.kill()
-                    pool.remove(worker)
-                    scheduler.fault(task, FAULT_TIMEOUT)
+                    lose(worker, task, FAULT_CRASH, now)
+                elif worker.deadline is not None and now >= worker.deadline:
+                    # One last poll: a result racing the deadline wins over the axe
+                    # (picked up on the next sweep).
+                    if not worker.conn.poll():
+                        lose(worker, task, FAULT_TIMEOUT, now)
             tick()
     finally:
         for worker in pool:
@@ -623,38 +476,16 @@ def _run_cells_pool(
 def _run_cells_sequential(
     cells: List[CellSpec],
     spec: MatrixSpec,
-    retry: RetryPolicy,
-    fault_plan: Optional[FaultPlan],
     on_terminal: Callable[[CellResult], None],
-    on_retry: Callable[[], None],
     tick: Callable[[], None],
 ) -> None:
-    """The in-process executor (``workers=1``): same classification machinery, with
-    injected crashes/hangs simulated (a process cannot kill or watchdog itself) —
-    a simulated hang is classified exactly like a watchdog timeout would be."""
-    reuse = _worker_reuse()
-    scheduler = _FaultScheduler(spec, retry, on_terminal, on_retry)
-    scheduler.outstanding = len(cells)
+    """The in-process executor (``workers=1``): each cell runs once, in order."""
     # As in a pool worker: the caller's heap stays out of each cell's gc.collect().
     gc.freeze()
     try:
-        for index, cell in enumerate(cells):
-            task = _Task(index=index, cell=cell, timeout_s=None)
-            while True:
-                record = _run_attempt(
-                    cell, task.attempts, spec.root_seed, spec.latency, reuse,
-                    fault_plan, in_process=True,
-                )
-                task.last_pid = os.getpid()
-                before = scheduler.outstanding
-                scheduler.classify_record(task, record)
-                if scheduler.outstanding < before:
-                    break  # terminal (ok, failed or degraded)
-                scheduler.pending.clear()  # retry immediately after its backoff
-                time.sleep(
-                    min(0.1, retry.delay_s(spec.root_seed, cell.key, task.attempts))
-                )
-                tick()
+        for cell in cells:
+            record = _run_attempt(cell, 0, spec.root_seed, spec.latency, None)
+            on_terminal(_result_from_record(cell, record, attempts=1, faults=()))
             tick()
     finally:
         gc.unfreeze()
@@ -728,9 +559,10 @@ def run_matrix(
     Parameters
     ----------
     workers:
-        1 runs sequentially in-process; N > 1 uses a managed pool of N persistent
-        worker processes with one cell per dispatch. Results are identical either
-        way (the parity test and CI enforce byte-identical aggregates).
+        1 runs each cell once, in-process; N > 1 uses a managed pool of N persistent
+        worker processes with one cell per dispatch, which is what retries, chaos
+        and the watchdog need. Results are identical either way (the parity test and
+        CI enforce byte-identical aggregates).
     progress:
         Optional callback invoked as each cell reaches a terminal state (out of
         order under a pool) with ``(result, completed_count, total)``; resumed
@@ -741,11 +573,12 @@ def run_matrix(
         cell exceptions are never retried regardless of policy.
     fault_plan:
         A :class:`~repro.experiments.faults.FaultPlan` injecting deterministic
-        chaos — crashes and hangs are real under a pool and simulated in-process.
+        chaos: real crashes, hangs and corruptions in pool workers. Needs
+        ``workers > 1``.
     cell_timeout_s:
         Watchdog override for every cell (``<= 0`` disables timeouts); by default
         each scenario kind's ``timeout_s`` applies, falling back to
-        :data:`DEFAULT_CELL_TIMEOUT_S`. Timeouts require ``workers > 1`` (the
+        :data:`DEFAULT_CELL_TIMEOUT_S`. A positive one needs ``workers > 1`` (the
         in-process executor cannot interrupt itself).
     journal_path:
         Append every terminal cell to this JSONL journal as it completes (see
@@ -761,6 +594,12 @@ def run_matrix(
     """
     if workers < 1:
         raise ExperimentError(f"workers must be >= 1, got {workers}")
+    # The in-process executor runs each cell once: it cannot crash, hang or
+    # watchdog itself, so it refuses what only a pool can honour.
+    if workers == 1 and fault_plan is not None:
+        raise ExperimentError("fault injection (--chaos) needs --workers > 1")
+    if workers == 1 and cell_timeout_s is not None and cell_timeout_s > 0:
+        raise ExperimentError("a cell timeout (--cell-timeout) needs --workers > 1")
     retry = retry or RetryPolicy()
     retry.validate()
     if fault_plan is not None:
@@ -789,7 +628,7 @@ def run_matrix(
             )
 
     # Cells sharing a seed are a branching kind's siblings: run them back to back,
-    # so the warmed prefix they share is still in the worker's snapshot LRU.
+    # so every process meets each warmed prefix once and its one slot serves them.
     siblings: Dict[int, List[CellSpec]] = {}
     for cell in cells:
         if cell.key not in resumed:
@@ -844,12 +683,8 @@ def run_matrix(
                 note(resumed[cell.key], write_journal=not resume_in_place)
 
         if to_run:
-            if workers == 1 or len(to_run) <= 1:
-                _run_cells_sequential(
-                    to_run, spec, retry, fault_plan,
-                    on_terminal=note, on_retry=heartbeat.note_retry,
-                    tick=heartbeat.tick,
-                )
+            if workers == 1:
+                _run_cells_sequential(to_run, spec, on_terminal=note, tick=heartbeat.tick)
             else:
                 _run_cells_pool(
                     to_run, spec, min(workers, len(to_run)), retry, fault_plan,

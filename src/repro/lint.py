@@ -75,7 +75,6 @@ ALLOWLIST: Tuple[Tuple[str, str, str], ...] = (
     # never in aggregate bytes. The chaos/resume CI smokes byte-compare
     # aggregates across faulted runs, which would fail at once if one leaked.
     ("wall-clock", "repro/experiments/runner.py", "_run_attempt"),
-    ("wall-clock", "repro/experiments/runner.py", "_FaultScheduler.fault"),
     ("wall-clock", "repro/experiments/runner.py", "_run_cells_pool"),
     ("wall-clock", "repro/experiments/runner.py", "_Heartbeat.__init__"),
     ("wall-clock", "repro/experiments/runner.py", "_Heartbeat.tick"),

@@ -177,8 +177,7 @@ class TestBulkPopulate:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         protocol=st.sampled_from(protocol_names()),
-        # At least Gozar's 3 parents: a smaller view fails maintain_parents.
-        view_size=st.sampled_from([3, 4, 10]),
+        view_size=st.sampled_from([1, 3, 4, 10]),
         upnp=st.sampled_from([0.0, 0.3]),
         mixture=st.sampled_from([None, "paper"]),
         # Up to 120 publics crosses the pool/set switch of the seed draw (85
@@ -1122,6 +1121,32 @@ class TestNatMaintenancePasses:
                 assert all(engine.alive[p] and engine.is_public[p]
                            for p in parents)
         assert 0 < len(engine._pub_live) < P  # the last wave recruits from a short pool
+
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
+    @pytest.mark.parametrize("view_size", [1, 2, 3])
+    def test_views_narrower_than_the_parent_count(self, engine, view_size):
+        """A view may hold fewer publics than the 3 parents a private node wants:
+        both engines recruit what the views offer, round after round."""
+        from repro.membership.gozar import GozarConfig
+
+        scenario = create_scenario(ScenarioConfig(
+            protocol="gozar", seed=5, latency="constant", engine=engine,
+            pss_config=GozarConfig(view_size=view_size, shuffle_size=1)))
+        scenario.populate(n_public=10, n_private=30)
+        scenario.run_rounds(6)
+        live_public = set(scenario.live_public_ids())
+        held = []
+        for node in scenario.live_private_ids():
+            if engine == "object":
+                parents = [a.node_id for a in scenario.pss_of(node).parent_addresses()]
+            else:
+                P = scenario.engine.P
+                parents = [p for p in scenario.engine.parent_id[node * P:(node + 1) * P]
+                           if p >= 0]
+            assert len(set(parents)) == len(parents) <= 3
+            assert set(parents) <= live_public
+            held.append(len(parents))
+        assert max(held) > 0
 
     @pytest.mark.parametrize("protocol", NAT_PROTOCOLS)
     def test_traffic_balances_packets(self, protocol):

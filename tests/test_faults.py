@@ -5,6 +5,8 @@ aggregates and the timeline-horizon warning."""
 from __future__ import annotations
 
 import json
+import os
+import re
 import time
 
 import pytest
@@ -160,15 +162,43 @@ class TestChaosRecovery:
         text = json.dumps(chaos.aggregate)
         assert "pid" not in text and "wall" not in text and "attempts" not in text
 
-    def test_sequential_chaos_run_is_byte_identical_too(self):
-        spec = small_spec()
+    def test_a_single_cell_under_a_pool_really_crashes(self):
+        spec = small_spec(protocols=("croupier",), seeds=1)
         baseline = run_matrix(spec, workers=1)
-        plan = FaultPlan(seed=5, crash_rate=0.4, hang_rate=0.3, corrupt_rate=0.3)
-        chaos = run_matrix(spec, workers=1, fault_plan=plan,
-                           retry=RetryPolicy(max_attempts=3, base_delay_s=0.01))
-        assert not chaos.failed and not chaos.degraded
-        assert chaos.retries == len(spec.cells())
+        chaos = run_matrix(spec, workers=2, fault_plan=FaultPlan(seed=1, crash_rate=1.0),
+                           retry=RetryPolicy(max_attempts=2, base_delay_s=0.01))
+        (result,) = chaos.results
+        assert result.ok and result.attempts == 2 and result.faults == ("crash",)
+        assert result.pid not in (None, os.getpid())  # a pool worker, not this process
         assert aggregate_json_bytes(chaos) == aggregate_json_bytes(baseline)
+
+
+class TestSequentialRefusesPoolOptions:
+    """``workers=1`` runs each cell once in this process: it cannot crash, hang or
+    watchdog itself, so it refuses chaos and a positive cell timeout by name."""
+
+    @pytest.mark.parametrize("options, flags, message", [
+        ({"fault_plan": FaultPlan(seed=5, crash_rate=0.5)}, ("--chaos", "seed=5,crash=0.5"),
+         "fault injection (--chaos) needs --workers > 1"),
+        ({"cell_timeout_s": 5.0}, ("--cell-timeout", "5"),
+         "a cell timeout (--cell-timeout) needs --workers > 1"),
+    ], ids=["chaos", "cell-timeout"])
+    def test_run_matrix_and_the_cli_refuse(self, options, flags, message, tmp_path,
+                                           capsys):
+        from repro.cli import main
+
+        with pytest.raises(ExperimentError, match=re.escape(message)):
+            run_matrix(small_spec(), workers=1, **options)
+        argv = ["matrix", "--scenarios", "static", "--sizes", "20", "--rounds", "2",
+                "--latency", "constant", "--workers", "1", "--out", str(tmp_path), *flags]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "matrix_aggregate.json").exists()
+
+    def test_a_disabled_timeout_runs(self):
+        run = run_matrix(small_spec(protocols=("croupier",), seeds=1), workers=1,
+                         cell_timeout_s=0)
+        assert [result.status for result in run.results] == ["ok"]
 
 
 class TestWatchdogAndDegradation:
@@ -179,8 +209,8 @@ class TestWatchdogAndDegradation:
 
         register_scenario("sleepy", sleepy_cell, description="test hanger")
         try:
-            # Two cells: a single-cell matrix runs sequentially, where no watchdog
-            # can exist (the process cannot kill itself).
+            # Two cells on two workers: both hang at once, and the watchdog must
+            # cut each short on its own.
             spec = small_spec(scenarios=("sleepy",), protocols=("croupier",), seeds=2)
             started = time.monotonic()
             run = run_matrix(spec, workers=2, cell_timeout_s=0.5,

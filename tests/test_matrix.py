@@ -269,6 +269,20 @@ class TestFailureKind:
     """The ``failure`` kind (Figure 7(b)) branches on ``failure_fraction``: the cells
     of one protocol share a seed and clone one warmed prefix."""
 
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The configs of every scenario built from here on, with the process's
+        warmed-prefix slot emptied first."""
+        from repro.experiments import matrix
+        from repro.workload import scenario as scenario_module
+
+        monkeypatch.setattr(matrix, "_WARM_PREFIX", None)
+        built = []
+        create = scenario_module.create_scenario
+        monkeypatch.setattr(scenario_module, "create_scenario",
+                            lambda config=None: built.append(config) or create(config))
+        return built
+
     @pytest.mark.parametrize("engine", ["object", "columnar"])
     def test_failure_cell_kills_the_given_fraction_deterministically(self, engine):
         if engine == "columnar":
@@ -322,9 +336,8 @@ class TestFailureKind:
         ] == {str(seeds[0])}
 
     @pytest.mark.parametrize("engine", ["object", "columnar"])
-    def test_each_fraction_is_a_clone_of_one_warmed_scenario(self, engine):
+    def test_each_fraction_is_a_clone_of_one_warmed_scenario(self, engine, monkeypatch):
         from repro.experiments.matrix import CellContext, cell_seed, measure_cell
-        from repro.experiments.runner import ScenarioReuse
         from repro.workload.events import FailureSpike
         from repro.workload.scenario import create_scenario
 
@@ -337,7 +350,7 @@ class TestFailureKind:
         warmed = create_scenario(context.scenario_config())
         warmed.populate(n_public=context.n_public, n_private=context.n_private)
         warmed.run_rounds(6)
-        reuse = ScenarioReuse()
+        built = self.count_builds(monkeypatch)
         for cell in cells:
             fraction = cell.param("failure_fraction")
             branch = warmed.clone()
@@ -348,28 +361,18 @@ class TestFailureKind:
             expected.set_scalar("biggest_cluster_fraction",
                                 outcome.biggest_cluster_fraction)
             expected.scalars = dict(sorted(expected.scalars.items()))
-            for cache in (None, reuse):  # standalone, then through the warmed prefix
-                payload = run_cell(cell, root_seed=7, latency="constant", reuse=cache)
-                assert payload.to_json_dict() == expected.to_json_dict()
-        assert (reuse.builds, reuse.snapshot_hits) == (1, 2)
+            payload = run_cell(cell, root_seed=7, latency="constant")
+            assert payload.to_json_dict() == expected.to_json_dict()
+        assert len(built) == 1  # the first fraction warms; the others clone
 
     def test_figure_warms_once_per_protocol(self, monkeypatch):
         from repro.experiments import figures
-        from repro.experiments.runner import ScenarioReuse
 
-        caches = []
-
-        class CountingReuse(ScenarioReuse):
-            def __init__(self):
-                super().__init__()
-                caches.append(self)
-
-        monkeypatch.setattr(figures, "ScenarioReuse", CountingReuse)
+        built = self.count_builds(monkeypatch)
         result = figures.run_figure("failure", nodes=30, rounds=6, seed=5,
                                     latency="constant", protocols=("croupier", "cyclon"),
                                     fractions=(0.4, 0.6, 0.8))
-        (reuse,) = caches
-        assert (reuse.builds, reuse.snapshot_hits) == (2, 4)
+        assert len(built) == 2
         assert [(cell.protocol, cell.param("failure_fraction"))
                 for cell, _ in result.cells] == [
             (protocol, fraction) for protocol in ("croupier", "cyclon")
@@ -382,18 +385,14 @@ class TestFailureKind:
         assert "Figure 7(b)" in result.to_text()
 
     def test_the_failure_figure_is_byte_identical_over_worker_counts(self, monkeypatch):
-        from repro.experiments import runner
-
-        # Eight warmed prefixes (4 protocols x 2 seed indices), more than a worker's
-        # snapshot LRU holds; the runner still runs each prefix's six fractions back
-        # to back, so each prefix warms once.
-        monkeypatch.setattr(runner, "_WORKER_REUSE", None)
+        # Eight warmed prefixes (4 protocols x 2 seed indices) in a process that
+        # keeps one: the runner runs each prefix's six fractions back to back, so
+        # each prefix warms once.
+        built = self.count_builds(monkeypatch)
         spec = MatrixSpec(figures=("failure",), sizes=(6,), seeds=2, rounds=2,
                           latency="constant", root_seed=7)
         sequential = run_matrix(spec, workers=1)
-        reuse = runner._worker_reuse()
-        assert reuse.builds > reuse.MAX_SNAPSHOTS
-        assert (reuse.builds, reuse.snapshot_hits) == (8, 40)
+        assert len(sequential.results) == 48 and len(built) == 8
         parallel = run_matrix(spec, workers=2)
         assert not sequential.failed and not parallel.failed
         assert aggregate_json_bytes(sequential) == aggregate_json_bytes(parallel)

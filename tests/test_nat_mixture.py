@@ -1,6 +1,6 @@
 """Tests for the NAT-realism layer: NAT mixtures, the ``nat_mixture``/``upnp_fraction``
-matrix axes, the per-NAT-type metric breakdown, scenario snapshots (``clone``), the
-per-worker scenario-reuse cache and the Kolmogorov–Smirnov histogram gate."""
+matrix axes, the per-NAT-type metric breakdown, scenario snapshots (``clone``) and the
+Kolmogorov–Smirnov histogram gate."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from repro.experiments.matrix import (
     run_cell,
 )
 from repro.experiments.report import diff_aggregates, ks_distance
-from repro.experiments.runner import ScenarioReuse, aggregate_json_bytes, run_matrix
+from repro.experiments.runner import aggregate_json_bytes, run_matrix
 from repro.nat.mixture import NAT_MIXTURES, NatMixture
 from repro.nat.types import NAMED_PROFILES
 from repro.workload.scenario import Scenario, ScenarioConfig
@@ -228,44 +228,6 @@ class TestMixtureMatrixDeterminism:
                         rounds=4)
         payload = run_cell(cell, root_seed=13, latency="constant")
         assert list(payload.histograms) == ["in_degree"]
-
-
-class TestScenarioReuse:
-    def test_pss_config_prototype_is_shared(self):
-        reuse = ScenarioReuse()
-        built = []
-
-        def build():
-            built.append(object())
-            return built[-1]
-
-        first = reuse.pss_config(("croupier", 10, 25), build)
-        second = reuse.pss_config(("croupier", 10, 25), build)
-        other = reuse.pss_config(("croupier", 100, 250), build)
-        assert first is second and first is not other
-        assert len(built) == 2 and reuse.config_hits == 1
-
-    def test_snapshot_reuse_is_bit_identical_to_fresh_builds(self):
-        reuse = ScenarioReuse()
-        recipe = ("croupier", 99, "constant", 0.0, "restricted_cone", "none", 0.0,
-                  4, 12, None)
-
-        def build():
-            scenario = Scenario(ScenarioConfig(protocol="croupier", seed=99,
-                                               latency="constant"))
-            scenario.populate(n_public=4, n_private=12)
-            return scenario
-
-        outcomes = []
-        for _ in range(3):  # 1st: fresh, 2nd: fresh + snapshot, 3rd: clone
-            scenario = reuse.populated_scenario(recipe, build)
-            scenario.run_rounds(5)
-            outcomes.append(
-                (scenario.sim.events_executed, scenario.network.packets_sent,
-                 [h.pss.estimated_ratio() for h in scenario.live_handles()])
-            )
-        assert reuse.snapshot_hits == 1
-        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestScenarioClone:

@@ -1,6 +1,6 @@
 """Tests for the declarative workload-timeline API: event validation, canonical JSON
 round trips, digests, installation semantics, the matrix ``--timelines`` axis (key
-stability, worker parity, reuse correctness) and the ``nat_indegree`` kind."""
+stability, worker parity) and the ``nat_indegree`` kind."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.matrix import CellContext, CellSpec, MatrixSpec, run_cell
-from repro.experiments.runner import ScenarioReuse, aggregate_json_bytes, run_matrix
+from repro.experiments.runner import aggregate_json_bytes, run_matrix
 from repro.workload import (
     ChurnPhase,
     ChurnProcess,
@@ -392,27 +392,6 @@ class TestMatrixAxis:
         parallel = run_matrix(spec, workers=4)
         assert not sequential.failed and not parallel.failed
         assert aggregate_json_bytes(sequential) == aggregate_json_bytes(parallel)
-
-    def test_reuse_cache_shares_populated_prefix_across_timelines(self):
-        # Same derived seed + population recipe, two different timeline suffixes:
-        # the second and third builds must come from one cached snapshot and still
-        # match a fresh, reuse-free run bit for bit.
-        reuse = ScenarioReuse()
-        base = dict(scenario="static", protocol="croupier", size=30, seed_index=0,
-                    rounds=4)
-
-        def context(timeline, with_reuse):
-            cell = CellSpec(timeline=timeline, **base)
-            return CellContext(cell=cell, seed=1234, latency="constant",
-                               reuse=reuse if with_reuse else None)
-
-        results = {}
-        for timeline in ("none", "flash-crowd", "paper-failure"):
-            scenario = context(timeline, True).populated_scenario()
-            results[timeline] = scenario.live_count()
-        assert reuse.snapshot_hits >= 1  # the shared prefix was served from cache
-        fresh = context("flash-crowd", False).populated_scenario()
-        assert fresh.live_count() == results["flash-crowd"]
 
     def test_run_cell_with_timeline_changes_results_not_structure(self):
         base = dict(scenario="static", protocol="croupier", size=40, seed_index=0,
