@@ -205,6 +205,11 @@ GATES = (
                "--seeds", "2", "--rounds", "90", "--latency", "constant",
                "--nat-mixtures", "paper"),
          workers=(2, 1), golden="object_natrelay_aggregate.json"),
+    Gate("king", "croupier + nylon object cells over the paper's King latency model (60 nodes "
+         "× 40 rounds × 2 seeds) are byte-identical at 2 and 1 workers and to their golden",
+         grid=("--scenarios", "static", "--protocols", "croupier,nylon", "--sizes", "60",
+               "--seeds", "2", "--rounds", "40", "--latency", "king"),
+         workers=(2, 1), golden="king_aggregate.json"),
     Gate("scale", "one 10⁵-node columnar cell finishes within 300 s and 231 MB peak RSS, "
          "every node measured, mean ω̂ ≈ ω",
          grid=("--scenarios", "scale", "--protocols", "croupier", "--engines", "columnar",

@@ -154,11 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument(
         "--retries",
         type=int,
-        default=3,
+        default=None,
         metavar="N",
         help="total attempts per cell for transient worker faults (crash, timeout, "
         "corruption) before the cell degrades; deterministic cell exceptions are "
-        "never retried (default 3)",
+        "never retried (default 3); needs --workers > 1",
     )
     matrix.add_argument(
         "--heartbeat",
@@ -363,7 +363,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     from repro.experiments.faults import FaultPlan, RetryPolicy
 
     fault_plan = FaultPlan.parse(args.chaos) if args.chaos else None
-    retry = RetryPolicy(max_attempts=max(1, args.retries))
+    retry = None if args.retries is None else RetryPolicy(max_attempts=max(1, args.retries))
     journal_path = args.journal
     if journal_path is None:
         journal_path = (

@@ -126,13 +126,14 @@ class RatioEstimator:
         # Hit counters for the round currently in progress.
         self._current_public_hits = 0
         self._current_private_hits = 0
-        # Neighbour estimates M_i keyed by origin node id, stored lazily as
-        # (value, born) where ``born = rounds_at_merge - wire_age``. The effective age
-        # of an entry is ``self.rounds - born``, so ageing the whole cache each round
-        # is free — no per-entry RatioEstimate reallocation. Wire-format
-        # :class:`RatioEstimate` objects are materialised only when estimates leave
-        # through :meth:`estimates_subset` / :meth:`neighbour_estimates`.
-        self._neighbour_estimates: Dict[int, Tuple[float, int]] = {}
+        # Neighbour estimates M_i: value and ``born = rounds_at_merge - wire_age`` by
+        # origin id, in two dicts that gain and lose keys together (one insertion
+        # order, no per-entry tuple). An entry's age is ``self.rounds - born``, so
+        # ageing the cache each round is free. Wire-format :class:`RatioEstimate`
+        # objects are materialised only when estimates leave through
+        # :meth:`estimates_subset` / :meth:`neighbour_estimates`.
+        self._neighbour_estimates: Dict[int, float] = {}
+        self._neighbour_born: Dict[int, int] = {}
         # Origin ids in cache insertion order (mirrors the dict's own order). Kept so
         # estimates_subset can sample without building an O(cache) list per message;
         # rebuilt only when expiry actually removes entries.
@@ -170,17 +171,17 @@ class RatioEstimator:
         # Ageing is implicit (effective age = rounds - born); only expiry needs work,
         # and only when the oldest entry could actually have crossed the γ horizon.
         horizon = self.rounds - self.gamma
-        cache = self._neighbour_estimates
+        born_of = self._neighbour_born
         bound = self._min_born_bound
         if bound is not None and bound < horizon:
-            expired = [origin_id for origin_id, (_, born) in cache.items() if born < horizon]
+            expired = [origin_id for origin_id, born in born_of.items() if born < horizon]
+            cache = self._neighbour_estimates
             for origin_id in expired:
                 del cache[origin_id]
+                del born_of[origin_id]
             if expired:
-                self._origin_order = list(cache)
-            self._min_born_bound = (
-                min(born for _, born in cache.values()) if cache else None
-            )
+                self._origin_order = list(born_of)
+            self._min_born_bound = min(born_of.values()) if born_of else None
 
         # Archive the completed round's counters (the deque enforces the α window;
         # the round it pushes out leaves the running sums first).
@@ -236,6 +237,7 @@ class RatioEstimator:
         """
         merged = 0
         cache = self._neighbour_estimates
+        born_of = self._neighbour_born
         order = self._origin_order
         gamma = self.gamma
         rounds = self.rounds
@@ -249,12 +251,13 @@ class RatioEstimator:
             # Fresher ⇔ smaller effective age ⇔ larger born round.
             born = rounds - age
             origin_id = estimate.origin_id
-            existing = cache.get(origin_id)
+            existing = born_of.get(origin_id)
             if existing is None:
                 order.append(origin_id)
-            elif born <= existing[1]:
+            elif born <= existing:
                 continue
-            cache[origin_id] = (estimate.value, born)
+            cache[origin_id] = estimate.value
+            born_of[origin_id] = born
             merged += 1
             if bound is None or born < bound:
                 bound = born
@@ -268,6 +271,7 @@ class RatioEstimator:
         semantics the paper's 5-byte encoding assumes).
         """
         cache = self._neighbour_estimates
+        born_of = self._neighbour_born
         order = self._origin_order
         if len(order) > count:
             # Sampling from the persistent order list draws exactly as sampling from
@@ -280,12 +284,11 @@ class RatioEstimator:
         result = []
         append = result.append
         for origin_id in chosen:
-            value, born = cache[origin_id]
             # RatioEstimate(origin_id, value, rounds - born), without the call.
             estimate = _EstimateFields()
             estimate.origin_id = origin_id
-            estimate.value = value
-            estimate.age = rounds - born
+            estimate.value = cache[origin_id]
+            estimate.age = rounds - born_of[origin_id]
             estimate.__class__ = RatioEstimate
             append(estimate)
         return result
@@ -299,7 +302,7 @@ class RatioEstimator:
         neighbour estimates; private nodes average only the neighbour estimates.
         Returns ``None`` when the node has no information at all yet.
         """
-        cached = [value for value, _born in self._neighbour_estimates.values()]
+        cached = list(self._neighbour_estimates.values())
         if self.is_public:
             own = self.local_estimate()
             if own is not None:
@@ -318,8 +321,8 @@ class RatioEstimator:
         """Snapshot of the cached neighbour estimates (testing/diagnostics)."""
         rounds = self.rounds
         return [
-            RatioEstimate(origin_id, value, rounds - born)
-            for origin_id, (value, born) in self._neighbour_estimates.items()
+            RatioEstimate(origin_id, value, rounds - self._neighbour_born[origin_id])
+            for origin_id, value in self._neighbour_estimates.items()
         ]
 
     def history_snapshot(self) -> List[Tuple[int, int]]:

@@ -570,7 +570,8 @@ def run_matrix(
     retry:
         The :class:`~repro.experiments.faults.RetryPolicy` for transient worker
         faults (default: 3 attempts with capped exponential backoff). Deterministic
-        cell exceptions are never retried regardless of policy.
+        cell exceptions are never retried regardless of policy. Needs
+        ``workers > 1``.
     fault_plan:
         A :class:`~repro.experiments.faults.FaultPlan` injecting deterministic
         chaos: real crashes, hangs and corruptions in pool workers. Needs
@@ -596,6 +597,8 @@ def run_matrix(
         raise ExperimentError(f"workers must be >= 1, got {workers}")
     # The in-process executor runs each cell once: it cannot crash, hang or
     # watchdog itself, so it refuses what only a pool can honour.
+    if workers == 1 and retry is not None:
+        raise ExperimentError("a retry policy (--retries) needs --workers > 1")
     if workers == 1 and fault_plan is not None:
         raise ExperimentError("fault injection (--chaos) needs --workers > 1")
     if workers == 1 and cell_timeout_s is not None and cell_timeout_s > 0:

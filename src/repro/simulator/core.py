@@ -49,6 +49,20 @@ class _NoArg:
 _NO_ARG = _NoArg()
 
 
+class RandomStream(random.Random):
+    """A :class:`random.Random` (same draws) that a deep copy (``Scenario.clone``)
+    copies by ``getstate``/``setstate``, not word by word through its state."""
+
+    def __deepcopy__(self, memo: dict) -> "RandomStream":
+        clone = RandomStream(0)
+        clone.setstate(self.getstate())
+        return clone
+
+
+#: Generators whose draws :func:`sample`, :func:`choice` and :func:`shuffle` inline.
+_INLINE_TYPES = (random.Random, RandomStream)
+
+
 def derive_seed(root_seed: object, *labels: object) -> int:
     """Derive an independent 64-bit seed from a root seed and a label path.
 
@@ -73,11 +87,11 @@ def sample(rng: random.Random, population: Sequence[T], k: int) -> List[T]:
     element; on the protocol hot path (several small samples per node per round)
     that call overhead was the largest single cost. :func:`_sample_into` is the
     same algorithm with the draws inlined, so results and generator state are
-    identical. A generator whose type is not exactly :class:`random.Random` (a
-    subclass may override ``random`` or ``getrandbits``) gets its own ``sample``
-    method.
+    identical. A generator whose type is not exactly :class:`random.Random` or
+    :class:`RandomStream` (a subclass may override ``random`` or ``getrandbits``)
+    gets its own ``sample`` method.
     """
-    if type(rng) is not random.Random:
+    if type(rng) not in _INLINE_TYPES:
         return rng.sample(population, k)
     n = len(population)
     if not 0 <= k <= n:
@@ -99,7 +113,7 @@ def sample_prefixes(
     before it. ``out`` is anything with ``extend`` and ``append`` (a list, an
     ``array.array``).
     """
-    if type(rng) is not random.Random:
+    if type(rng) not in _INLINE_TYPES:
         for n in sizes:
             out.extend(rng.sample(population[:n], min(k, n)))
         return
@@ -157,7 +171,7 @@ def _sample_into(
 
 def choice(rng: random.Random, seq: Sequence[T]) -> T:
     """``rng.choice(seq)`` with the draw inlined (see :func:`sample`)."""
-    if type(rng) is not random.Random:
+    if type(rng) not in _INLINE_TYPES:
         return rng.choice(seq)
     n = len(seq)
     if not n:
@@ -171,7 +185,7 @@ def choice(rng: random.Random, seq: Sequence[T]) -> T:
 
 def shuffle(rng: random.Random, x: List[T]) -> None:
     """``rng.shuffle(x)`` with the draws inlined (see :func:`sample`)."""
-    if type(rng) is not random.Random:
+    if type(rng) not in _INLINE_TYPES:
         rng.shuffle(x)
         return
     getrandbits = rng.getrandbits
@@ -232,7 +246,7 @@ class Simulator:
     def __init__(self, seed: int = 42) -> None:
         self.seed = seed
         self.now: float = 0.0
-        self.rng = random.Random(seed)
+        self.rng: random.Random = RandomStream(seed)
         # The heap stores (time, seq, handle) tuples: unique sequence numbers break
         # time ties, so comparisons stay inside C tuple code and never reach the
         # handle object (EventHandle needs no __lt__ at all).
@@ -349,7 +363,7 @@ class Simulator:
         >>> a.random() == b.random()
         True
         """
-        return random.Random(derive_seed(self.seed, *labels))
+        return RandomStream(derive_seed(self.seed, *labels))
 
     # ------------------------------------------------------------------ introspection
 

@@ -68,8 +68,11 @@ class KingLatencyModel(LatencyModel):
 
     Calibration targets (matching the published King statistics at the fidelity the
     experiments need): median one-way delay around 75–90 ms, 10th percentile around
-    30 ms, 99th percentile of several hundred ms, and symmetric values. Latencies are
-    memoised per pair, so repeated sends between the same nodes see a stable link.
+    30 ms, 99th percentile of several hundred ms, and symmetric values. Each node's
+    ``(x, y, access)`` record is drawn once, on its first packet, and a pair is priced
+    from the two records on every call, so the model holds one record per node, not
+    one value per pair ever priced, and repeated sends between the same nodes see a
+    stable link.
     """
 
     #: Minimum propagation + processing delay applied to every packet.
@@ -86,50 +89,33 @@ class KingLatencyModel(LatencyModel):
         self.plane_size = plane_size
         self.access_median_ms = access_median_ms
         self.access_sigma = access_sigma
-        self._coords: Dict[int, Tuple[float, float]] = {}
-        self._access: Dict[int, float] = {}
-        self._cache: Dict[Tuple[int, int], float] = {}
+        self._nodes: Dict[int, Tuple[float, float, float]] = {}
 
     # ------------------------------------------------------------------ internals
 
-    def _node_rng(self, node_id: int) -> random.Random:
-        return random.Random(_pair_seed(self.seed, node_id, node_id, symmetric=False))
-
-    def _coord(self, node_id: int) -> Tuple[float, float]:
-        coord = self._coords.get(node_id)
-        if coord is None:
-            rng = self._node_rng(node_id)
-            coord = (rng.uniform(0.0, self.plane_size), rng.uniform(0.0, self.plane_size))
-            self._coords[node_id] = coord
-        return coord
-
-    def _access_delay(self, node_id: int) -> float:
-        delay = self._access.get(node_id)
-        if delay is None:
-            rng = self._node_rng(node_id)
-            rng.random()  # decorrelate from the coordinate draws
-            delay = rng.lognormvariate(math.log(self.access_median_ms), self.access_sigma)
-            self._access[node_id] = delay
-        return delay
+    def _record(self, node_id: int) -> Tuple[float, float, float]:
+        """Draw and keep ``node_id``'s coordinates and access-link delay."""
+        seed = _pair_seed(self.seed, node_id, node_id, symmetric=False)
+        rng = random.Random(seed)
+        x = rng.uniform(0.0, self.plane_size)
+        y = rng.uniform(0.0, self.plane_size)
+        rng.seed(seed)
+        # Meant to decorrelate the delay from the coordinates, but they take two
+        # draws, so the delay's first uniform is y's (ROADMAP item 29).
+        rng.random()
+        access = rng.lognormvariate(math.log(self.access_median_ms), self.access_sigma)
+        record = self._nodes[node_id] = (x, y, access)
+        return record
 
     # ------------------------------------------------------------------ API
 
     def latency(self, src_id: int, dst_id: int) -> float:
-        key = (src_id, dst_id) if src_id <= dst_id else (dst_id, src_id)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        ax, ay = self._coord(key[0])
-        bx, by = self._coord(key[1])
-        distance = math.hypot(ax - bx, ay - by)
-        value = (
-            self.BASE_DELAY_MS
-            + distance
-            + self._access_delay(key[0])
-            + self._access_delay(key[1])
-        )
-        self._cache[key] = value
-        return value
+        if src_id > dst_id:
+            src_id, dst_id = dst_id, src_id
+        nodes = self._nodes
+        ax, ay, a_access = nodes.get(src_id) or self._record(src_id)
+        bx, by, b_access = nodes.get(dst_id) or self._record(dst_id)
+        return self.BASE_DELAY_MS + math.hypot(ax - bx, ay - by) + a_access + b_access
 
 
 def _pair_seed(seed: int, a: int, b: int, symmetric: bool) -> int:

@@ -130,6 +130,30 @@ class TestNeighbourEstimates:
         estimator.advance_round()  # age becomes 3 > γ=2
         assert estimator.neighbour_estimate_count == 0
 
+    def test_cache_round_trips_through_its_snapshot_with_unchanged_ages(self):
+        estimator = RatioEstimator(alpha=5, gamma=6, is_public=False)
+        estimator.merge_estimates(
+            [RatioEstimate(origin, origin / 10, age=origin % 4) for origin in (5, 1, 9, 3, 7)]
+        )
+        estimator.advance_round()
+        estimator.advance_round()
+        # A refresh keeps 9's place in the cache; 2 is new.
+        estimator.merge_estimates([RatioEstimate(9, 0.95, age=0), RatioEstimate(2, 0.2, age=1)])
+        estimator.advance_round()
+        estimator.advance_round()  # 3 and 7 (ages 7 > γ) expire
+        expected = [
+            RatioEstimate(5, 0.5, 5),
+            RatioEstimate(1, 0.1, 5),
+            RatioEstimate(9, 0.95, 2),
+            RatioEstimate(2, 0.2, 3),
+        ]
+        assert estimator.neighbour_estimates() == expected
+        assert estimator.estimates_subset(random.Random(0), 10) == expected
+        assert estimator.estimate_ratio() == (0.5 + 0.1 + 0.95 + 0.2) / 4
+        again = RatioEstimator(alpha=5, gamma=6, is_public=False)
+        assert again.merge_estimates(expected) == 4
+        assert again.neighbour_estimates() == expected
+
     def test_estimates_subset_bounded(self):
         estimator = RatioEstimator(alpha=5, gamma=50, is_public=False)
         estimator.merge_estimates([RatioEstimate(i, 0.2, age=0) for i in range(20)])

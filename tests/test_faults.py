@@ -175,14 +175,17 @@ class TestChaosRecovery:
 
 class TestSequentialRefusesPoolOptions:
     """``workers=1`` runs each cell once in this process: it cannot crash, hang or
-    watchdog itself, so it refuses chaos and a positive cell timeout by name."""
+    watchdog itself, so it refuses chaos, a retry policy and a positive cell timeout
+    by name."""
 
     @pytest.mark.parametrize("options, flags, message", [
         ({"fault_plan": FaultPlan(seed=5, crash_rate=0.5)}, ("--chaos", "seed=5,crash=0.5"),
          "fault injection (--chaos) needs --workers > 1"),
         ({"cell_timeout_s": 5.0}, ("--cell-timeout", "5"),
          "a cell timeout (--cell-timeout) needs --workers > 1"),
-    ], ids=["chaos", "cell-timeout"])
+        ({"retry": RetryPolicy(max_attempts=3)}, ("--retries", "3"),
+         "a retry policy (--retries) needs --workers > 1"),
+    ], ids=["chaos", "cell-timeout", "retries"])
     def test_run_matrix_and_the_cli_refuse(self, options, flags, message, tmp_path,
                                            capsys):
         from repro.cli import main

@@ -1,12 +1,20 @@
 """Unit tests for the discrete-event kernel."""
 
+import copy
 import random
 from array import array
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator.core import Simulator, choice, sample, sample_prefixes, shuffle
+from repro.simulator.core import (
+    RandomStream,
+    Simulator,
+    choice,
+    sample,
+    sample_prefixes,
+    shuffle,
+)
 
 
 def _pending(sim):
@@ -199,6 +207,24 @@ class TestSampler:
                 assert sample(ours, population, k) == theirs.sample(population, k), (n, k)
                 assert ours.getstate() == theirs.getstate(), (n, k)
             assert population == [f"item{i}" for i in range(n)]
+
+    def test_a_random_stream_draws_inline_and_deep_copies_by_state(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a RandomStream took the generic path")
+
+        for name in ("sample", "choice", "shuffle"):
+            monkeypatch.setattr(RandomStream, name, refuse)
+        ours, theirs = RandomStream(11), random.Random(11)
+        population = list(range(50))
+        assert sample(ours, population, 7) == theirs.sample(population, 7)
+        assert choice(ours, population) == theirs.choice(population)
+        mine, yours = list(population), list(population)
+        shuffle(ours, mine)
+        theirs.shuffle(yours)
+        assert mine == yours and ours.getstate() == theirs.getstate()
+        copied = copy.deepcopy(ours)
+        assert type(copied) is RandomStream and copied is not ours
+        assert [copied.random() for _ in range(5)] == [ours.random() for _ in range(5)]
 
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
     @pytest.mark.parametrize("k", [1, 5, 6, 10, 40])
