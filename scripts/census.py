@@ -3,7 +3,8 @@
 
     python3 scripts/census.py    # ~10 min; exit 1 if an entry is unexplained
 
-Product pass: every ``scripts/gates.py`` row but ``tier1``, each figure at a small size,
+Product pass: every ``scripts/gates.py`` row but the two pytest ones (``tier1`` and
+``claims``), each figure at a small size,
 the listings, the examples, ``repro report``, the benchmark self-test. Tier-1 pass: the
 tests. A ``sitecustomize`` on ``PYTHONPATH`` profiles every process; a forked pool worker
 leaves through ``os._exit``, past ``atexit``, so it writes from a ``Finalize``. Printed:
@@ -58,7 +59,8 @@ def product_commands() -> List[Tuple[str, ...]]:
 
     py, repro = sys.executable, (sys.executable, "-m", "repro")
     return [
-        (py, "scripts/gates.py", *(gate.name for gate in GATES if gate.name != "tier1")),
+        (py, "scripts/gates.py", *(gate.name for gate in GATES
+                                   if gate.name not in ("tier1", "claims"))),
         *[(*repro, "run", name, *SMALL) for name in sorted(FIGURES)],
         (*repro, "run", "list"), (*repro, "matrix", "--list"),
         *[(py, f"examples/{path.name}", *EXAMPLE_ARGS.get(path.name, ()))

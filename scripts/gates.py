@@ -165,6 +165,10 @@ FIGURES = ("--figures", "history-static,history-dynamic,system-size,ratio-sweep,
            "scale,randomness,overhead,failure,nat-indegree,ablation-views,"
            "ablation-piggyback,ablation-selection")
 QUIET = ("--heartbeat", "0")
+#: The paper-claim bench tests: one per figure, and the ablations.
+CLAIMS = (*sorted(str(path.relative_to(REPO))
+                  for path in (REPO / "benchmarks").glob("test_bench_fig*.py")),
+          "benchmarks/test_bench_ablations.py")
 
 GATES = (
     Gate("compileall", "every module under `src/` byte-compiles",
@@ -174,6 +178,9 @@ GATES = (
          command=("-m", "repro", "lint", "src", "--strict"), seconds=30),
     Gate("tier1", "the unit and integration suite passes (`pytest -x -q`)",
          command=("-m", "pytest", "-x", "-q", "--ff")),
+    Gate("claims", "the paper-claim bench tests (every figure's and the ablations') pass "
+         "within 120 s", command=("-m", "pytest", *CLAIMS, "-m", "bench",
+                                  "--benchmark-disable", "-q"), seconds=120),
     Gate("docs", "`scripts/check_docs.py`: README and docs links and anchors resolve, documented "
          "`repro` flags and run names exist, and the figure, lint-rule, strategy and gate tables "
          "match the code",

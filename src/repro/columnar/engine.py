@@ -348,11 +348,12 @@ class ColumnarEngine:
         self.loss_private = private_probability
 
     def set_partition(self, isolated_rows) -> None:
-        """Install (or, with an empty set, heal) a two-sided partition by rows."""
+        """Install (or, with an empty set, heal) a two-sided partition by rows.
+        Rows that are dead or never added join no side."""
         n = self._rows
         as_np(self.isolated)[:n] = 0
         for row in isolated_rows:
-            if 0 < row < n:
+            if 0 < row < n and self.alive[row]:
                 self.isolated[row] = 1
         self._partition_active = bool(isolated_rows)
 

@@ -21,6 +21,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.host import Host
 
 
+# Port -> the one ``(port,)`` tuple every binding's ``contacted`` index stores for
+# a remote IP contacted on that port alone. Tuples are immutable, so sharing one
+# changes no lookup; it saves a tuple per (binding, remote IP).
+_ONE_PORT: Dict[int, Tuple[int]] = {}
+
+
 @dataclass
 class NatBinding:
     """One UDP mapping in the NAT's translation table.
@@ -38,8 +44,10 @@ class NatBinding:
         The remote endpoints this binding has sent packets to, indexed as remote IP ->
         ports contacted on it. Both the address-dependent and the
         address-and-port-dependent filtering policy are one hash lookup in it, whatever
-        the number of remotes; the ports of one remote IP are a tuple (a single entry
-        for every protocol here: a remote is contacted on its protocol port).
+        the number of remotes; the ports of one remote IP are a tuple. A remote is
+        contacted on its protocol port by every protocol here, so nearly every entry
+        is one port, and a one-port entry is the tuple :data:`_ONE_PORT` shares for
+        that port across all bindings (a second port builds a new tuple).
     """
 
     internal: Endpoint
@@ -57,10 +65,14 @@ class NatBinding:
     def record_contact(self, remote: Endpoint) -> None:
         """Remember that the binding sent a packet to ``remote``."""
         ports = self.contacted.get(remote.ip)
+        port = remote.port
         if ports is None:
-            self.contacted[remote.ip] = (remote.port,)
-        elif remote.port not in ports:
-            self.contacted[remote.ip] = ports + (remote.port,)
+            shared = _ONE_PORT.get(port)
+            if shared is None:
+                shared = _ONE_PORT[port] = (port,)
+            self.contacted[remote.ip] = shared
+        elif port not in ports:
+            self.contacted[remote.ip] = ports + (port,)
 
     def has_contacted(self, remote: Endpoint) -> bool:
         """Whether the binding has sent a packet to exactly this remote endpoint."""

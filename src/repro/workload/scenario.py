@@ -11,8 +11,8 @@ on either engine.
 
 :class:`Scenario` is the object engine: it owns the simulator and network, creates
 nodes on demand (allocating addresses and NAT boxes), seeds their initial views
-from the bootstrap registry, and keeps each node's component graph in a
-:class:`NodeHandle` (``scenario.nodes``). The columnar engine is
+from the bootstrap registry, and keeps each live node's component graph in a
+:class:`NodeHandle` (``scenario.nodes``; a kill drops it). The columnar engine is
 :class:`repro.columnar.scenario.ColumnarScenario`; :func:`create_scenario` picks
 one by ``config.engine``.
 
@@ -693,8 +693,9 @@ class Scenario(BaseScenario):
             self.network.partition = None
             return
         # A NAT'ed node's side is its gateway's external IP: the address its
-        # packets actually travel under.
-        handles = [self.nodes[node_id] for node_id in node_ids]
+        # packets actually travel under. Ids of dead or never-created nodes name
+        # no side and are skipped, as ``kill`` skips them.
+        handles = [self.nodes[node_id] for node_id in node_ids if node_id in self.nodes]
         self.network.partition = NetworkPartition(
             h.natbox.external_ip if h.natbox is not None else h.address.endpoint.ip
             for h in handles
@@ -708,3 +709,7 @@ class Scenario(BaseScenario):
             return
         handle.host.kill()
         self.registry.unregister(node_id)
+        # Ids are never reused, so nothing can ask for this handle again: dropping
+        # it releases the node's component graph. Its NAT box stays routable in
+        # the network (it still filters, and counts ``dead_host`` drops).
+        del self.nodes[node_id]

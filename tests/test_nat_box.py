@@ -103,6 +103,43 @@ class TestInboundFiltering:
         assert nat.accept_inbound(REMOTE_A_OTHER_PORT, Endpoint("2.0.0.1", 7000), 1.0) is None
 
 
+class TestContactIndex:
+    """A remote IP contacted on one port is indexed by a ``(port,)`` tuple that
+    every binding shares; a second port builds the binding its own tuple."""
+
+    def test_bindings_share_the_one_port_tuple(self):
+        first, second = NatBox("2.0.0.1"), NatBox("2.0.0.2")
+        first.translate_outbound(INTERNAL, REMOTE_A, now=0.0)
+        second.translate_outbound(INTERNAL, REMOTE_B, now=0.0)
+        ports_a = _binding_for(first, INTERNAL).contacted[REMOTE_A.ip]
+        ports_b = _binding_for(second, INTERNAL).contacted[REMOTE_B.ip]
+        assert ports_a == (7000,)
+        assert ports_a is ports_b
+
+    @pytest.mark.parametrize(
+        "profile", [NatProfile.restricted_cone(), NatProfile.port_restricted_cone()],
+        ids=["address", "address_port"],
+    )
+    def test_second_port_leaves_the_shared_tuple_alone(self, profile):
+        bystander, nat = NatBox("2.0.0.1", profile=profile), NatBox("2.0.0.2", profile=profile)
+        bystander.translate_outbound(INTERNAL, REMOTE_A, now=0.0)
+        nat.translate_outbound(INTERNAL, REMOTE_A, now=0.0)
+        nat.translate_outbound(INTERNAL, REMOTE_A_OTHER_PORT, now=1.0)
+        shared = _binding_for(bystander, INTERNAL)
+        both = _binding_for(nat, INTERNAL)
+        assert shared.contacted[REMOTE_A.ip] == (7000,)
+        assert both.contacted[REMOTE_A.ip] == (7000, 9000)
+        address_only = profile.filtering is FilteringPolicy.ADDRESS_DEPENDENT
+        unseen_port = Endpoint(REMOTE_A.ip, 8000)
+        for binding, ports in ((shared, {7000}), (both, {7000, 9000})):
+            for remote in (REMOTE_A, REMOTE_A_OTHER_PORT, unseen_port, REMOTE_B):
+                contacted = remote.ip == REMOTE_A.ip and remote.port in ports
+                assert binding.has_contacted(remote) is contacted
+                assert binding.allows_inbound(remote, profile.filtering) is (
+                    contacted or (address_only and remote.ip == REMOTE_A.ip)
+                )
+
+
 class TestMappingExpiry:
     def test_binding_expires_after_timeout(self):
         nat = NatBox("2.0.0.1", profile=NatProfile(mapping_timeout_ms=1000.0))

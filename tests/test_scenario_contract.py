@@ -10,6 +10,9 @@ population decisions draw from the same seeded streams in the same order, so
 before any round runs both engines hold the same population.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
@@ -147,6 +150,28 @@ class ScenarioContract:
         scenario.run_rounds(3)
         assert drops(scenario, "partitioned") == split
 
+    def test_partition_skips_dead_and_unknown_ids(self):
+        """A partition splits live nodes: naming a dead node or an id never
+        created adds nothing, so every round's drops and packets match a
+        partition without them. The dead node is a public one the live views
+        still name, so requests to it are sent across the split."""
+        outcomes = []
+        for extra in (False, True):
+            scenario = self.build()
+            scenario.run_rounds(3)
+            side = scenario.live_ids()[::2]
+            victim = next(i for i in scenario.live_public_ids() if i not in side)
+            scenario.kill(victim)
+            scenario.set_partition(side + [victim, 10**6] if extra else side)
+            rounds = []
+            for _ in range(3):
+                scenario.run_rounds(1)
+                rounds.append((scenario.network.packets_sent,
+                               dict(scenario.monitor.drop_reasons)))
+            outcomes.append(rounds)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][-1][1]["partitioned"] > 0
+
     def test_set_loss_rate_restores_previous(self):
         scenario = self.build(loss_rate=0.05)
         assert scenario.set_loss_rate(0.5) == 0.05
@@ -191,6 +216,24 @@ class ScenarioContract:
 
 class TestObjectScenario(ScenarioContract):
     engine = "object"
+
+    @pytest.mark.parametrize("protocol", ["croupier", "nylon"])
+    def test_kill_releases_the_node(self, protocol):
+        """A killed node's handle is dropped, so once collected its service and
+        host are gone; ``pss_of`` refuses the id and a second kill is a no-op."""
+        scenario = self.build(protocol=protocol, nat_mixture=NAT_MIXTURES["paper"])
+        scenario.run_rounds(4)
+        victim = scenario.live_private_ids()[0]
+        handle = scenario.nodes[victim]
+        released = (weakref.ref(handle.pss), weakref.ref(handle.host))
+        del handle
+        scenario.kill(victim)
+        scenario.kill(victim)
+        gc.collect()
+        assert [ref() for ref in released] == [None, None]
+        assert victim not in scenario.live_ids()
+        with pytest.raises(ExperimentError, match="no peer-sampling service"):
+            scenario.pss_of(victim)
 
 
 def test_population_decisions_agree_across_engines():

@@ -214,9 +214,14 @@ class TestInvariantsAcrossProtocols:
         scenario.set_loss_rate(0.05)
         scenario.populate(n_public=12, n_private=28)
         croupier = scenario.plugin.nat_strategy is NatStrategy.CROUPIER
+        # Each node's class as recorded while it was live: views go on naming
+        # nodes that churn has killed, and a killed node's handle is released.
+        is_public = {h.node_id: h.is_public for h in scenario.live_handles()}
         for _ in range(30):
             scenario.run_rounds(1)
             scenario.churn_step(0.03)
+            for handle in scenario.live_handles():
+                is_public.setdefault(handle.node_id, handle.is_public)
             for handle in scenario.live_handles():
                 ids = [a.node_id for a in handle.pss.neighbor_addresses()]
                 assert handle.node_id not in ids
@@ -225,9 +230,7 @@ class TestInvariantsAcrossProtocols:
                 if croupier:
                     for view, public in ((handle.pss.public_view, True),
                                          (handle.pss.private_view, False)):
-                        assert all(
-                            scenario.nodes[d.node_id].is_public is public for d in view
-                        )
+                        assert all(is_public[d.node_id] is public for d in view)
         assert merges["evicting"] > 0
         if croupier:
             assert scenario.monitor.drop_reasons.get("nat_filtered", 0) == 0
